@@ -7,11 +7,11 @@ its spec: rerunning, or redistributing trials over workers, reproduces
 it bit for bit.  Wall-clock time is carried for convenience but kept
 out of equality and canonical serialization.
 
-``coset_partition_check`` verifies, by two independent counting routes,
-that the translates of a linear code slice a rank ball exactly:
-codeword scans per coset on one side, the closed-form ball volume on
-the other, with the max coset compared against the ceil(|B|/|S|)
-average floor.
+``coset_partition_check`` reads the list-size tally of ``listdec`` (one
+count per codeword and ball offset) at a transversal of the cosets of a
+linear code, one count per coset, and checks that these counts sum to
+the closed-form ball volume, with the max coset compared against the
+ceil(|B|/|S|) average floor.
 """
 from __future__ import annotations
 
@@ -26,19 +26,16 @@ from functools import partial
 from itertools import product
 
 from .bounds import gv_barrier, singleton_barrier, theta_threshold
-from .codes import LinearCode, enumerate_codewords, sample_random_code, sample_random_linear_code
+from .codes import LinearCode, sample_random_code, sample_random_linear_code
 from .errors import EnumerationCapExceeded
 from .fields import default_context
-from .listdec import max_list_size
+from .listdec import _scan_codewords, _tally, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
-    _rank_lookup,
     ball_volume,
     flatten_vector,
-    rank_of_vector,
     rref_fq,
-    unflatten_vector,
 )
 from .rng import substream_seed
 
@@ -182,6 +179,7 @@ def _run_trial(spec: EnsembleSpec, cap: int, index: int) -> TrialOutcome:
 def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
     """Run every trial of the ensemble; deterministic for any worker count."""
     t0 = time.perf_counter()
+    workers = min(workers, spec.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             outcomes = tuple(ex.map(partial(_run_trial, spec, cap), range(spec.trials)))
@@ -231,55 +229,50 @@ class CosetCheckReport:
 def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> CosetCheckReport:
     """Tally the ball against every coset C + y and check the exact identity.
 
-    Every coset is visited through its canonical representative (pivot
-    coordinates zeroed), each intersection is counted by scanning
-    codewords, and the grand total must equal the closed-form ball
-    volume; the identity holds because the cosets partition the space.
+    The list-size tally of every center (one count per codeword w and
+    offset b of rank <= s, at center w + b) is read at -y for the
+    canonical representative y of each coset (pivot coordinates zeroed):
+    that count is |(C + y) intersect B_s|.  The cosets partition the
+    space, so the counts read at this transversal must sum to the
+    closed-form ball volume, which certifies that the offsets behind the
+    tally are exactly the |B_s| vectors the shell counts predict.
     """
     if not isinstance(code, LinearCode):
         raise ValueError("coset partition needs a linear code")
     if not 0 <= s <= code.n:
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
     ctx = code.ctx
+    m = ctx.m
     n = code.n
     q = ctx.base.q
-    mn = ctx.m * n
     space = ctx.order**n
     if space > cap:
         raise EnumerationCapExceeded(f"{space} vectors in the ambient space, cap is {cap}")
-    ball = ball_volume(q, ctx.m, n, s).exact
-    coset_count = q ** (mn - code.k)
+    ball = ball_volume(q, m, n, s).exact
+    coset_count = q ** (m * n - code.k)
     average_bound = -((-ball) // coset_count)
 
     basis_rows = [flatten_vector(w) for w in code.basis]
     _, pivots = rref_fq(basis_rows, ctx.base) if basis_rows else ((), ())
-    free_cols = [j for j in range(mn) if j not in set(pivots)]
-    words = [w.entries for w in enumerate_codewords(code, cap)]
-    lookup = _rank_lookup(ctx, n)
-    add = ctx.add
-    order = ctx.order
+    pivot_set = set(pivots)
+    # entry j of a representative ranges over its free coordinates; the
+    # product over entries lists representatives in coordinate order
+    values = []
+    for j in range(n):
+        free = [i for i in range(m) if j * m + i not in pivot_set]
+        values.append([
+            sum(v * q**i for i, v in zip(free, digits))
+            for digits in product(range(q), repeat=len(free))
+        ])
+    negated = [[ctx.neg(e) for e in vals] for vals in values]
+    tally = _tally(ctx, n, s, _scan_codewords(code, cap))
 
     total = 0
     max_count = -1
     max_rep = None
-    coords = [0] * mn
-    for assignment in product(range(q), repeat=len(free_cols)):
-        for j, v in zip(free_cols, assignment):
-            coords[j] = v
-        rep = unflatten_vector(ctx, n, coords)
-        count = 0
-        if lookup is not None:
-            for w in words:
-                idx = 0
-                for a, b in zip(w, rep.entries):
-                    idx = idx * order + add(a, b)
-                if lookup[idx] <= s:
-                    count += 1
-        else:
-            for w in words:
-                shifted = RankVector(ctx, tuple(add(a, b) for a, b in zip(w, rep.entries)))
-                if rank_of_vector(shifted) <= s:
-                    count += 1
+    # w + b = -y exactly when w + y = -b lies in the ball
+    for rep, key in zip(product(*values), product(*negated)):
+        count = tally[key]
         total += count
         if count > max_count:
             max_count = count
@@ -292,7 +285,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
         total=total,
         identity_ok=total == ball,
         max_count=max_count,
-        max_rep=max_rep,
+        max_rep=RankVector(ctx, max_rep),
         average_bound=average_bound,
         meets_average_bound=max_count >= average_bound,
     )

@@ -1,16 +1,22 @@
 """List-decodability probes: list sizes at centers, worst-case list
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
-List sizes are always measured by scanning codewords against a center,
-never by enumerating balls, so the cost per center is O(|C|) rank
-computations.  Exhaustive scans sweep every center in lexicographic
-order and are invariant under worker partitioning: ties on the maximal
-list size resolve to the first-scanned center no matter how the space
-was chunked.
+Worst-case list sizes come from one scatter kernel: every codeword w
+and every offset b of rank <= s add one to the tally of the center
+w + b, so one pass of |C| * |B_s| additions gives the list size of every
+center that sees any codeword at all, and the counts sum to |C| * |B_s|,
+the double count behind the pigeonhole floor.  The exhaustive maximum
+and the Monte Carlo neighborhood are read off this tally; a single
+center, or a Monte Carlo center far from that neighborhood, is scored
+by scanning the codewords against it.  Splitting the codewords over
+workers sums partial tallies, so reports do not depend on the worker
+count, and exhaustive ties resolve to the first center in lexicographic
+order.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,11 +27,10 @@ from .errors import EnumerationCapExceeded
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
-    _iter_rank_u_matrices,
-    _rank_lookup,
+    _iter_ball,
+    _iter_ball_tables,
+    _rank_of_entries,
     ball_volume,
-    matrix_to_vector,
-    rank_of_vector,
     vector_from_index,
 )
 from .rng import make_rng
@@ -83,59 +88,48 @@ def _scan_codewords(code: Code, cap: int) -> list[tuple[int, ...]]:
     return [w.entries for w in enumerate_codewords(code, cap)]
 
 
+def _count_near(ctx, words, center_entries, s) -> int:
+    """Codewords within rank distance s of one center, by direct scan."""
+    sub = ctx.sub
+    return sum(1 for w in words if _rank_of_entries(ctx, tuple(map(sub, w, center_entries))) <= s)
+
+
 def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of codewords within rank distance s of the center."""
     if center.ctx != code.ctx or center.n != code.n:
         raise ValueError("center does not live in the code's ambient space")
     if not 0 <= s <= code.n:
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
-    ctx = code.ctx
-    sub = ctx.sub
-    count = 0
-    for w in enumerate_codewords(code, cap):
-        diff = RankVector(ctx, tuple(sub(a, b) for a, b in zip(w.entries, center.entries)))
-        if rank_of_vector(diff) <= s:
-            count += 1
-    return count
+    return _count_near(code.ctx, _scan_codewords(code, cap), center.entries, s)
 
 
-def _count_at(ctx, words, center_entries, s, lookup) -> int:
-    sub = ctx.sub
-    order = ctx.order
-    count = 0
-    if lookup is not None:
-        for w in words:
-            idx = 0
-            for a, b in zip(w, center_entries):
-                idx = idx * order + sub(a, b)
-            if lookup[idx] <= s:
-                count += 1
-        return count
-    for w in words:
-        diff = RankVector(ctx, tuple(sub(a, b) for a, b in zip(w, center_entries)))
-        if rank_of_vector(diff) <= s:
-            count += 1
-    return count
+def _scatter(ctx, n: int, s: int, words) -> Counter:
+    """Tally of w + b over codewords w and offsets b of rank <= s."""
+    tables = list(_iter_ball_tables(ctx, n, s))
+    return Counter(center for w in words for center in _iter_ball(ctx, w, tables))
 
 
-def _scan_chunk(code: Code, s: int, cap: int, bounds: tuple[int, int]) -> tuple[int, int]:
-    """Best (list size, first index) over a contiguous index range of centers."""
-    lo, hi = bounds
-    ctx = code.ctx
-    n = code.n
-    words = _scan_codewords(code, cap)
-    lookup = _rank_lookup(ctx, n)
-    best, best_idx = -1, -1
-    order = ctx.order
-    entries = [0] * n
-    for idx in range(lo, hi):
-        rem = idx
-        for j in range(n - 1, -1, -1):
-            rem, entries[j] = divmod(rem, order)
-        count = _count_at(ctx, words, entries, s, lookup)
-        if count > best:
-            best, best_idx = count, idx
-    return best, best_idx
+def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
+    """The list size of every center within rank distance s of some codeword.
+
+    Each pair (w, b) of a codeword and an offset of rank <= s adds one to
+    the count of center w + b, so the counts sum to |C| * |B_s| and a
+    center missing from the tally sees no codeword.  Centers are keyed
+    in order of their first (codeword, offset) pair.  With ``workers``
+    > 1 the codewords are split into consecutive chunks whose partial
+    tallies are summed in chunk order, which gives the same counts in
+    the same key order.
+    """
+    chunks = min(workers, len(words))
+    if chunks <= 1:
+        return _scatter(ctx, n, s, words)
+    size = -(-len(words) // chunks)
+    parts = [words[i : i + size] for i in range(0, len(words), size)]
+    tally = Counter()
+    with ProcessPoolExecutor(max_workers=len(parts)) as ex:
+        for part in ex.map(partial(_scatter, ctx, n, s), parts):
+            tally.update(part)
+    return tally
 
 
 def max_list_size(
@@ -154,18 +148,22 @@ def max_list_size(
     Args:
         code: any code object.
         s: rank radius, 0 <= s <= n.
-        mode: "exhaustive" sweeps every center of the ambient space
-            (requires q^(mn) <= cap); "montecarlo" scores the codewords
-            themselves, their low-rank perturbations when that set is
-            small, and ``centers`` uniform random centers, reporting a
-            lower bound flagged exhaustive=False.
+        mode: "exhaustive" gives the maximum over every center of the
+            ambient space (requires q^(mn) <= cap), read off the tally
+            of every center near some codeword; "montecarlo" scores the
+            codewords themselves, their low-rank perturbations when that
+            set is small (read off the same tally), and ``centers``
+            uniform random centers, reporting a lower bound flagged
+            exhaustive=False.
         seed: RNG seed for Monte Carlo centers.
-        workers: process count for partitioning the exhaustive sweep;
-            the report is identical for any worker count.
+        workers: process count for splitting the codewords of the
+            exhaustive tally; the report is identical for any worker
+            count.
 
     Returns:
-        A ListReport; ties for the maximum resolve to the first center
-        in lexicographic scan order.
+        A ListReport; exhaustive ties for the maximum resolve to the
+        first center in lexicographic order, Monte Carlo ties to the
+        first candidate scored.
     """
     if not 0 <= s <= code.n:
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
@@ -178,22 +176,14 @@ def max_list_size(
             raise EnumerationCapExceeded(
                 f"{space} centers to scan, above the cap of {cap}; use montecarlo"
             )
-        if workers > 1:
-            chunk = (space + workers - 1) // workers
-            ranges = [(i * chunk, min((i + 1) * chunk, space)) for i in range(workers)]
-            ranges = [r for r in ranges if r[0] < r[1]]
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(partial(_scan_chunk, code, s, cap), ranges))
-            best, best_idx = -1, -1
-            for b, idx in results:
-                if b > best or (b == best and idx < best_idx):
-                    best, best_idx = b, idx
-        else:
-            best, best_idx = _scan_chunk(code, s, cap, (0, space))
+        tally = _tally(ctx, n, s, _scan_codewords(code, cap), workers)
+        best = max(tally.values())
+        # entry tuples compare in lexicographic (vector_index) order
+        best_entries = min(c for c, count in tally.items() if count == best)
         return ListReport(
             radius_s=s,
             l_max=best,
-            argmax_center=vector_from_index(ctx, n, best_idx),
+            argmax_center=RankVector(ctx, best_entries),
             exhaustive=True,
             centers_tried=space,
             pigeonhole_lb=lb,
@@ -201,30 +191,19 @@ def max_list_size(
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     words = _scan_codewords(code, cap)
-    lookup = _rank_lookup(ctx, n)
-    candidates: dict[tuple[int, ...], None] = {}
     bv = ball_volume(ctx.base.q, ctx.m, n, s).exact
+    tally = None
     if code.size * bv <= min(neighborhood_cap, cap):
-        # every center that sees any codeword at all lives in this set,
+        # every center that sees any codeword at all lives in this tally,
         # so small instances get the true maximum even in this mode
-        perturbations = [
-            matrix_to_vector(M, ctx).entries
-            for u in range(s + 1)
-            for M in _iter_rank_u_matrices(ctx.base, ctx.m, n, u)
-        ]
-        add = ctx.add
-        for w in words:
-            for p in perturbations:
-                candidates.setdefault(tuple(add(a, b) for a, b in zip(w, p)), None)
-    else:
-        for w in words:
-            candidates.setdefault(w, None)
+        tally = _tally(ctx, n, s, words)
+    candidates = dict.fromkeys(words if tally is None else tally)
     rng = make_rng(seed)
     for _ in range(centers):
         candidates.setdefault(vector_from_index(ctx, n, rng.randrange(space)).entries, None)
     best, best_entries = -1, None
     for entries in candidates:
-        count = _count_at(ctx, words, entries, s, lookup)
+        count = _count_near(ctx, words, entries, s) if tally is None else tally[entries]
         if count > best:
             best, best_entries = count, entries
     return ListReport(

@@ -20,14 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import EnumerationCapExceeded
 from .fields import ExtCtx, FieldCtx, split_prime_power
 
 DEFAULT_ENUM_CAP = 2**24
-_FILTER_LIMIT = 2**16
-_RANK_TABLE_LIMIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -218,23 +215,21 @@ def rref_fq(rows, field: FieldCtx) -> tuple[tuple[tuple[int, ...], ...], tuple[i
 
 
 def rank_of_vector(x: RankVector) -> int:
-    if x.ctx.base.q == 2:
+    return _rank_of_entries(x.ctx, x.entries)
+
+
+def _rank_of_entries(ctx: ExtCtx, entries) -> int:
+    """Rank of a vector given by its entry codes, without building it."""
+    if ctx.base.q == 2:
         # entry codes are already the m-bit coordinate columns
-        return _bit_rank(list(x.entries))
-    return rank_fq(vector_to_matrix(x), x.ctx.base)
+        return _bit_rank(list(entries))
+    # the n x m matrix of coordinate columns has the same rank
+    return rank_fq([ctx.ext_to_vec(e) for e in entries], ctx.base)
 
 
 def rank_distance(x: RankVector, y: RankVector) -> int:
     x._compat(y)
     return rank_of_vector(x - y)
-
-
-@lru_cache(maxsize=None)
-def _rank_lookup(ctx: ExtCtx, n: int):
-    """Rank of every vector of F_{q^m}^n by index, or None if too large."""
-    if ctx.order**n > _RANK_TABLE_LIMIT:
-        return None
-    return tuple(rank_of_vector(v) for v in iter_all_vectors(ctx, n))
 
 
 def _check_geometry(q: int, m: int, n: int) -> None:
@@ -254,7 +249,8 @@ def count_rank_u(q: int, m: int, n: int, u: int) -> int:
         num *= (q**n - q**i) * (q**m - q**i)
         den *= q**u - q**i
     count, rem = divmod(num, den)
-    assert rem == 0, "rank-shell product must divide exactly"
+    if rem:
+        raise RuntimeError("rank-shell product must divide exactly")
     return count
 
 
@@ -392,53 +388,56 @@ def _iter_rref_matrices(field: FieldCtx, u: int, cols: int):
             yield tuple(tuple(r) for r in M)
 
 
-def _iter_full_rank_matrices(field: FieldCtx, u: int, n: int):
-    """All u x n matrices over F_q of rank u (filtered enumeration)."""
-    q = field.q
-    for flat in itertools.product(range(q), repeat=u * n):
-        rows = tuple(flat[i * n : (i + 1) * n] for i in range(u))
-        if rank_fq(rows, field) == u:
-            yield rows
-
-
-def _iter_rank_u_matrices(field: FieldCtx, m: int, n: int, u: int):
-    """All m x n matrices of rank exactly u, each exactly once.
+def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
+    """(span table, factors) for every F_q-subspace of dimension <= r of F_q^m.
 
     A rank-u matrix factors uniquely as C * R with C an m x u basis of
     its column space (fixed per subspace via the RREF representative)
-    and R a full-rank u x n matrix.
+    and R a full-rank u x n matrix.  The span table lists the q^u
+    elements of F_{q^m} spanned by the columns of C, the element with
+    coefficient digits t_k at index sum t_k q^k; ``factors`` lists, for
+    every R in ``itertools.product`` order, the span-table index of each
+    of its columns, so entry j of C * R is span[factors[i][j]].  The
+    factor list is built once per u and shared by its subspaces, which
+    come dimension by dimension in ``_iter_rref_matrices`` order.  The
+    zero subspace (u = 0) has a single empty factor: the zero offset.
     """
-    if u == 0:
-        yield tuple((0,) * n for _ in range(m))
-        return
-    for rref in _iter_rref_matrices(field, u, m):
-        # subspace basis as columns of C
-        C = tuple(tuple(rref[k][i] for k in range(u)) for i in range(m))
-        for R in _iter_full_rank_matrices(field, u, n):
-            yield tuple(
-                tuple(
-                    _dot(field, C[i], tuple(R[k][j] for k in range(u)))
-                    for j in range(n)
-                )
-                for i in range(m)
-            )
+    field = ctx.base
+    q = field.q
+    add = ctx.add
+    for u in range(r + 1):
+        factors = []
+        for flat in itertools.product(range(q), repeat=u * n):
+            rows = tuple(flat[k * n : (k + 1) * n] for k in range(u))
+            if rank_fq(rows, field) == u:
+                factors.append(tuple(sum(rows[k][j] * q**k for k in range(u)) for j in range(n)))
+        for basis in _iter_rref_matrices(field, u, ctx.m):
+            span = [0]
+            for row in basis:
+                multiples = [ctx.vec_to_ext(tuple(field.mul(c, v) for v in row)) for c in range(q)]
+                span = [add(x, cb) for cb in multiples for x in span]
+            yield span, factors
 
 
-def _dot(field: FieldCtx, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
+    """Entries of center + b for every b the tables describe, in table order.
+
+    Each span table is shifted by the center once, so the vectors
+    themselves are read off without further field arithmetic.
+    """
+    add = ctx.add
+    for span, factors in tables:
+        shifted = [[add(e, x) for x in span] for e in center]
+        for cols in factors:
+            yield tuple(map(list.__getitem__, shifted, cols))
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     """Yield every vector within rank distance r of center, no duplicates.
 
-    Uses a plain full-space filter when the ambient space is small and a
-    shell-by-shell factorized enumeration otherwise; refuses outright if
-    the ambient space exceeds ``cap``.  Iteration order is deterministic
-    but unspecified beyond that.
+    The ball is center + b for every offset b of rank <= r, shell by
+    shell in ascending rank, so no vector outside it is ever built;
+    refuses outright if the ambient space exceeds ``cap``.
     """
     ctx = center.ctx
     n = center.n
@@ -449,17 +448,5 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(
             f"ambient space has {space} vectors, above the cap of {cap}"
         )
-    if space <= _FILTER_LIMIT:
-        if center.entries == (0,) * n:
-            lookup = _rank_lookup(ctx, n)
-            for idx, y in enumerate(iter_all_vectors(ctx, n)):
-                if lookup[idx] <= r:
-                    yield y
-        else:
-            for y in iter_all_vectors(ctx, n):
-                if rank_distance(y, center) <= r:
-                    yield y
-        return
-    for u in range(r + 1):
-        for M in _iter_rank_u_matrices(ctx.base, ctx.m, n, u):
-            yield center + matrix_to_vector(M, ctx)
+    for entries in _iter_ball(ctx, center.entries, _iter_ball_tables(ctx, n, r)):
+        yield RankVector(ctx, entries)

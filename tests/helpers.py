@@ -111,3 +111,27 @@ def poly_product_mod(a_code, b_code, p, modulus):
 # freedom at significance 0.001.  A uniformity test statistic above this
 # would occur by chance about once per thousand runs.
 CHI2_DF15_ALPHA_001 = 37.697
+
+
+def inline_executor(sizes):
+    """A ProcessPoolExecutor stand-in that maps in-process.
+
+    Each construction appends its ``max_workers`` to ``sizes``, so a test
+    can check how many processes a pool would have started without
+    starting any.
+    """
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return InlineExecutor

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import inline_executor
 from ranklab.codes import enumerate_codewords, sample_random_code, sample_random_linear_code
 from ranklab.fields import default_context
 from ranklab.harness import (
@@ -21,6 +22,7 @@ from ranklab.harness import (
     run_ensemble,
     threshold_probe,
 )
+from ranklab.listdec import list_size_at
 from ranklab.rankmetric import (
     RankVector,
     ball_volume,
@@ -88,6 +90,15 @@ def test_run_ensemble_worker_count_is_invisible():
     multi = run_ensemble(spec, workers=4)
     assert solo == multi
     assert json.dumps(solo.canonical_dict()) == json.dumps(multi.canonical_dict())
+
+
+def test_run_ensemble_pool_is_sized_to_the_trials(monkeypatch):
+    sizes = []
+    monkeypatch.setattr("ranklab.harness.ProcessPoolExecutor", inline_executor(sizes))
+    spec = EnsembleSpec(**spec_kwargs(trials=2))
+    report = run_ensemble(spec, workers=4)
+    assert sizes == [2]  # one process per trial, not per requested worker
+    assert report == run_ensemble(spec)
 
 
 def test_run_ensemble_outcome_shape():
@@ -198,6 +209,9 @@ def test_coset_partition_check_battery():
             assert len(counts) == report.coset_count
             assert sum(counts) == report.ball
             assert max(counts) == report.max_count
+            # the tally read at -max_rep is the list size there
+            zero = RankVector.zero(ctx, 2)
+            assert list_size_at(code, zero - report.max_rep, s) == report.max_count
 
 
 def test_coset_partition_check_ternary():

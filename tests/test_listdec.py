@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import inline_executor
 from ranklab.codes import ExplicitCode, gabidulin, sample_random_code, sample_random_linear_code
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import default_context
@@ -120,6 +121,26 @@ def test_worker_partitioning_is_invisible():
     assert solo == multi
 
 
+def test_worker_partitioning_is_invisible_under_ties_q3():
+    # five centers tie for the maximum of 4, so the min-index rule decides
+    ctx = default_context(3, 2)
+    code = sample_random_code(ctx, 2, 5, seed=0)
+    solo = max_list_size(code, 1, workers=1)
+    multi = max_list_size(code, 1, workers=2)
+    assert solo == multi
+    assert (solo.l_max, vector_index(solo.argmax_center)) == brute_force_report(code, 1)
+
+
+def test_codeword_split_pool_is_sized_to_the_work(monkeypatch):
+    sizes = []
+    monkeypatch.setattr("ranklab.listdec.ProcessPoolExecutor", inline_executor(sizes))
+    ctx = default_context(2, 3)
+    code = sample_random_code(ctx, 2, 3, seed=5)
+    report = max_list_size(code, 1, workers=4)
+    assert sizes == [3]  # one process per codeword, not per requested worker
+    assert report == max_list_size(code, 1)
+
+
 def test_exhaustive_cap_refusal_mentions_fallback():
     ctx = default_context(2, 5)
     code = gabidulin(ctx, 5, 1)
@@ -139,6 +160,24 @@ def test_montecarlo_covers_small_instances_exactly():
             assert mc.l_max == ex.l_max
             assert mc.exhaustive is False
             assert mc.pigeonhole_lb <= mc.l_max
+
+
+def test_montecarlo_neighborhood_tie_rule_q3():
+    # frozen from the per-center scan the tally replaced: five centers
+    # tie at 4, and Monte Carlo keeps the first one in (codeword, offset)
+    # order where the exhaustive sweep keeps the least index
+    ctx = default_context(3, 2)
+    code = sample_random_code(ctx, 2, 5, seed=0)
+    mc = max_list_size(code, 1, "montecarlo", centers=20, seed=1)
+    assert mc.as_dict() == {
+        "radius_s": 1,
+        "l_max": 4,
+        "argmax_center": [6, 0],
+        "exhaustive": False,
+        "centers_tried": 75,
+        "pigeonhole_lb": 3,
+    }
+    assert max_list_size(code, 1).argmax_center.entries == (0, 6)
 
 
 def test_montecarlo_is_deterministic():

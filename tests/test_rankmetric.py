@@ -15,7 +15,8 @@ from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
 from ranklab.rankmetric import (
     RankVector,
-    _iter_rank_u_matrices,
+    _iter_ball,
+    _iter_ball_tables,
     ball_volume,
     count_rank_u,
     enumerate_ball,
@@ -152,7 +153,8 @@ def test_rref_properties():
 
 
 def test_rank_of_vector_agrees_with_matrix_rank():
-    for ctx, n in ((default_context(2, 3), 2), (default_context(3, 2), 2)):
+    # (3, 3) with n = 2: odd q with a non-square coordinate matrix
+    for ctx, n in ((default_context(2, 3), 2), (default_context(3, 2), 2), (default_context(3, 3), 2)):
         for v in iter_all_vectors(ctx, n):
             assert rank_of_vector(v) == rank_fq(vector_to_matrix(v), ctx.base)
 
@@ -315,14 +317,18 @@ def test_ball_volume_errors():
 
 
 def test_rank_u_matrix_iterator_is_exact():
-    for q, m, n in ((2, 3, 2), (3, 2, 2)):
-        field = FieldCtx(q) if q in (2, 3) else None
+    # (4, 2, 2) has a non-prime base field, (2, 4, 3) a shell of 3 x 3 factors
+    for q, m, n in ((2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 4, 3)):
+        ctx = default_context(q, m)
+        zero = (0,) * n
         for u in range(n + 1):
-            out = list(_iter_rank_u_matrices(field, m, n, u))
+            # the rank-u shell is spanned by the u-dimensional column spaces
+            shell = [t for t in _iter_ball_tables(ctx, n, u) if len(t[0]) == q**u]
+            out = list(_iter_ball(ctx, zero, shell))
             assert len(out) == count_rank_u(q, m, n, u)
             assert len(set(out)) == len(out)
-            for M in out:
-                assert rank_fq(M, field) == u
+            for entries in out:
+                assert rank_fq(vector_to_matrix(RankVector(ctx, entries)), ctx.base) == u
 
 
 def test_enumerate_ball_filter_path():
@@ -344,7 +350,7 @@ def test_enumerate_ball_radius_zero():
 
 
 def test_enumerate_ball_shell_path():
-    # 2^20 vectors: big enough to skip the filter path, small enough to verify
+    # 2^20 vectors, of which the ball holds 466: every one is checked
     ctx = default_context(2, 5)
     center = RankVector(ctx, (1, 2, 3, 4))
     out = list(enumerate_ball(center, 1))
