@@ -10,11 +10,13 @@ Field elements are plain non-negative integers:
   coordinate on the basis monomial x^i, itself an F_q element code.
 
 Moduli are monic irreducible polynomials stored as little-endian
-coefficient tuples and verified by exhaustive trial division at
-construction time.  When no modulus is supplied the constructor picks
-the first irreducible candidate in ascending integer order of the
-non-leading coefficient block, so a given (p, s, m) always produces the
-same tower (for example F_4 gets x^2+x+1 and F_8 gets x^3+x+1).
+coefficient tuples and verified at construction time by Ben-Or's exact
+test (gcd(x^(q^i) - x, f) = 1 for every i <= deg f / 2), which stops at
+the first factor degree it finds.  When no modulus is supplied the
+constructor picks the first irreducible candidate in ascending integer
+order of the non-leading coefficient block, so a given (p, s, m) always
+produces the same tower (for example F_4 gets x^2+x+1 and F_8 gets
+x^3+x+1).
 
 A context renders as a one-line descriptor used by CLI flags and code
 file headers:
@@ -24,15 +26,20 @@ file headers:
 
 with decimal little-endian coefficients; the d_i are F_q element codes.
 
-Contexts are immutable once built and safe to share across threads and
-forked workers.  Base-field add/mul/inv tables are materialized for
-q <= 256, and extension log/antilog tables for q^m <= 2^16; larger
-extensions fall back to on-demand polynomial reduction, and anything
-past q^m = 2^32 is refused outright.
+A context's field (its moduli, equality and hash) is fixed once built,
+and contexts are safe to share across threads and forked workers.
+Base-field mul/inv tables are built with the context for q <= 256.
+Extension log/antilog tables (q^m <= 2^16) are built on the first
+``mul``, ``inv`` or ``pow`` that needs them, so a run that never
+multiplies in F_{q^m} never pays for them; they are built into locals
+and published by storing the log table last.  Larger extensions use
+on-demand polynomial reduction, and anything past q^m = 2^32 is refused
+outright.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import InfeasibleError
 
@@ -152,18 +159,48 @@ def _poly_mod(num, den, field) -> tuple[int, ...]:
     return tuple(rem[:dd] if dd > 0 else [])
 
 
+def _poly_sub(a, b, field) -> tuple[int, ...]:
+    return tuple(field.sub(x, y) for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _poly_gcd(a, b, field) -> tuple[int, ...]:
+    """A greatest common divisor of a and b, not normalized to monic."""
+    while _poly_deg(b) >= 0:
+        a, b = b, _poly_mod(a, b, field)
+    return a
+
+
+def _poly_powmod(base, e: int, mod, field) -> tuple[int, ...]:
+    """base^e reduced by ``mod``, by square-and-multiply."""
+    out = (1,)
+    base = _poly_mod(base, mod, field)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, base, field), mod, field)
+        e >>= 1
+        if e:
+            base = _poly_mod(_poly_mul(base, base, field), mod, field)
+    return out
+
+
 def _is_irreducible(poly, field) -> bool:
-    """Exhaustive trial division by monic divisors of degree <= deg/2."""
+    """Ben-Or's exact test (Ben-Or 1981), stopping at the first factor found.
+
+    A reducible f of degree d has an irreducible factor of some degree
+    i <= d/2, which divides x^(q^i) - x; an irreducible f shares no factor
+    with x^(q^i) - x for 0 < i < d.  So f is irreducible iff
+    gcd(x^(q^i) - x, f) = 1 for i = 1..d/2.  Each x^(q^i) mod f is the
+    q-th power of the previous one.
+    """
     d = _poly_deg(poly)
     if d < 1:
         return False
-    q = field.q
-    for div_deg in range(1, d // 2 + 1):
-        for code in range(q**div_deg):
-            divisor = _digits(code, q, div_deg) + (1,)
-            rem = _poly_mod(poly, divisor, field)
-            if _poly_deg(rem) < 0:
-                return False
+    x = (0, 1)
+    h = x
+    for _ in range(d // 2):
+        h = _poly_powmod(h, field.q, poly, field)
+        if _poly_deg(_poly_gcd(poly, _poly_sub(h, x, field), field)) > 0:
+            return False
     return True
 
 
@@ -352,36 +389,42 @@ class ExtCtx:
                 raise ValueError(f"ext_modulus {ext_modulus} is reducible over F_{base.q}")
         self.ext_modulus = ext_modulus
         self.basis = tuple(base.q**i for i in range(m))
+        # log/antilog tables, built by the first mul, inv or pow that needs them
         self._exp = None
         self._log = None
-        if order <= _EXT_LOG_LIMIT:
-            self._build_log_tables()
 
-    def _build_log_tables(self) -> None:
+    def _build_log_tables(self) -> dict:
+        """Build the tables into locals, publish them, and return the log table.
+
+        ``_exp`` is stored before ``_log``, and readers test ``_log`` alone,
+        so a thread that sees the log table also sees its antilog table.
+        Threads that race here build identical tables; the last store wins.
+        """
         order = self.order
         if order == 2:
-            self._exp = (1,)
-            self._log = {1: 0}
-            return
-        factors = _prime_factors(order - 1)
-        gen = None
-        for g in range(2, order):
-            if all(self._pow_generic(g, (order - 1) // f) != 1 for f in factors):
-                gen = g
-                break
-        if gen is None:
-            raise RuntimeError("no primitive element found")
-        exp = [1] * (order - 1)
-        log = {1: 0}
-        acc = 1
-        for i in range(1, order - 1):
-            acc = self._mul_reduce(acc, gen)
-            exp[i] = acc
-            log[acc] = i
-        if len(log) != order - 1:
-            raise RuntimeError("candidate generator is not primitive")
-        self._exp = tuple(exp)
+            exp, log = (1,), {1: 0}
+        else:
+            factors = _prime_factors(order - 1)
+            gen = None
+            for g in range(2, order):
+                if all(self._pow_generic(g, (order - 1) // f) != 1 for f in factors):
+                    gen = g
+                    break
+            if gen is None:
+                raise RuntimeError("no primitive element found")
+            exp = [1] * (order - 1)
+            log = {1: 0}
+            acc = 1
+            for i in range(1, order - 1):
+                acc = self._mul_reduce(acc, gen)
+                exp[i] = acc
+                log[acc] = i
+            if len(log) != order - 1:
+                raise RuntimeError("candidate generator is not primitive")
+            exp = tuple(exp)
+        self._exp = exp
         self._log = log
+        return log
 
     # -- element codec ------------------------------------------------------
 
@@ -439,18 +482,24 @@ class ExtCtx:
         return _undigits(prod[:m], F.q)
 
     def mul(self, a: int, b: int) -> int:
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_reduce(a, b)
+        log = self._log
+        if log is None:
+            if self.order > _EXT_LOG_LIMIT:
+                return self._mul_reduce(a, b)
+            log = self._build_log_tables()
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(log[a] + log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        if self._log is not None:
-            return self._exp[(-self._log[a]) % (self.order - 1)]
-        return self._pow_generic(a, self.order - 2)
+        log = self._log
+        if log is None:
+            if self.order > _EXT_LOG_LIMIT:
+                return self._pow_generic(a, self.order - 2)
+            log = self._build_log_tables()
+        return self._exp[(-log[a]) % (self.order - 1)]
 
     def _pow_generic(self, a: int, e: int) -> int:
         out, base = 1, a
@@ -466,9 +515,12 @@ class ExtCtx:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._log is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return self._pow_generic(a, e)
+        log = self._log
+        if log is None:
+            if self.order > _EXT_LOG_LIMIT:
+                return self._pow_generic(a, e)
+            log = self._build_log_tables()
+        return self._exp[(log[a] * e) % (self.order - 1)]
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(q^i); i-fold q-power Frobenius, identity at i = 0 and i = m."""
@@ -523,7 +575,12 @@ def context_from_descriptor(desc: str) -> ExtCtx:
 
 
 @lru_cache(maxsize=None)
+def _default_base(q: int) -> FieldCtx:
+    """The canonical F_q, built once per q and shared by every m."""
+    return FieldCtx(*split_prime_power(q))
+
+
+@lru_cache(maxsize=None)
 def default_context(q: int, m: int) -> ExtCtx:
     """The canonical F_{q^m} context with first-found moduli, cached."""
-    p, s = split_prime_power(q)
-    return ExtCtx(FieldCtx(p, s), m)
+    return ExtCtx(_default_base(q), m)

@@ -3,7 +3,8 @@
 Everything here re-derives results through routes deliberately different
 from the library implementation: determinants by permutation expansion,
 rank by minor enumeration, extension-field products by schoolbook
-polynomial arithmetic on digit lists.  Expected values frozen into the
+polynomial arithmetic on digit lists, irreducibility by trial
+division.  Expected values frozen into the
 tests were produced by these oracles.
 """
 
@@ -105,6 +106,38 @@ def poly_product_mod(a_code, b_code, p, modulus):
                 idx = top - deg + k
                 prod[idx] = (prod[idx] - coeff * modulus[k]) % p
     return int_undigits(prod[:deg], p)
+
+
+def monic_remainder(num, den, field):
+    """Remainder of ``num`` by the monic ``den`` by long division.
+
+    Both are little-endian coefficient lists over the FieldCtx ``field``.
+    """
+    rem = list(num)
+    dd = len(den) - 1
+    for top in range(len(rem) - 1, dd - 1, -1):
+        coeff = rem[top]
+        if coeff:
+            for k in range(dd + 1):
+                idx = top - dd + k
+                rem[idx] = field.sub(rem[idx], field.mul(coeff, den[k]))
+    return rem[:dd]
+
+
+def trial_division_irreducible(poly, field):
+    """Irreducibility of a monic polynomial by exhaustive trial division.
+
+    ``poly`` is irreducible iff no monic divisor of degree 1 to deg/2
+    leaves a zero remainder.
+    """
+    deg = len(poly) - 1
+    q = field.q
+    for div_deg in range(1, deg // 2 + 1):
+        for code in range(q**div_deg):
+            divisor = int_digits(code, q, div_deg) + [1]
+            if not any(monic_remainder(poly, divisor, field)):
+                return False
+    return True
 
 
 # Critical value of the chi-squared distribution with 15 degrees of

@@ -100,6 +100,13 @@ def test_sample_kinds_and_field_flag(capsys):
     assert code.points == (1, 2, 4)
 
 
+def test_sample_gabidulin_over_f16_to_the_8(capsys):
+    # finding the (16, 8) modulus by trial division took minutes
+    assert main(["sample", "--kind", "gabidulin", "--q", "16", "--m", "8", "--n", "1", "--k", "1"]) == 0
+    code = loads_code(capsys.readouterr().out)
+    assert code.ctx.descriptor() == "2^4:1,1,0,0,1/8:2,1,0,1,0,0,0,0,1"
+
+
 def test_sample_to_file(tmp_path, capsys):
     out = tmp_path / "code.rankcode"
     assert main(

@@ -3,23 +3,48 @@
 Extension multiplication is checked exhaustively against a schoolbook
 polynomial oracle for every prime-base field small enough to enumerate;
 tower fields (prime-power base) get the full battery of field axioms
-instead, since the digit oracle only speaks prime bases.
+instead, since the digit oracle only speaks prime bases.  The
+irreducibility test is checked against trial division, and the lazily
+built extension tables against generic polynomial reduction.
 """
 
 import itertools
+import random
+import threading
+import time
 
 import pytest
 
-from helpers import poly_product_mod
+from helpers import int_digits, poly_product_mod, trial_division_irreducible
 from ranklab.errors import InfeasibleError
 from ranklab.fields import (
     ExtCtx,
     FieldCtx,
+    _is_irreducible,
     context_from_descriptor,
     default_context,
     is_prime,
     split_prime_power,
 )
+
+# default_context(q, m) descriptors the suite and the benchmark rely on;
+# the modulus search must keep finding exactly these moduli.
+FROZEN_DEFAULTS = {
+    (2, 1): "2/1:0,1",
+    (2, 2): "2/2:1,1,1",
+    (2, 3): "2/3:1,1,0,1",
+    (2, 4): "2/4:1,1,0,0,1",
+    (2, 5): "2/5:1,0,1,0,0,1",
+    (2, 7): "2/7:1,1,0,0,0,0,0,1",
+    (3, 2): "3/2:1,0,1",
+    (3, 3): "3/3:1,2,0,1",
+    (4, 2): "2^2:1,1,1/2:2,1,1",
+    (2, 16): "2/16:1,1,0,1,0,1,0,0,0,0,0,0,0,0,0,0,1",
+    (3, 10): "3/10:1,0,2,0,0,0,0,0,0,0,1",
+    (4, 8): "2^2:1,1,1/8:2,1,0,1,0,0,0,0,1",
+    (8, 8): "2^3:1,1,0,1/8:3,2,0,1,0,0,0,0,1",
+    (16, 6): "2^4:1,1,0,0,1/6:13,2,1,0,0,0,1",
+}
 
 
 def axiom_battery(ctx, elements):
@@ -330,3 +355,142 @@ def test_pow_matches_repeated_multiplication():
     for a in range(1, ctx.order):
         assert ctx.pow(a, -1) == ctx.inv(a)
         assert ctx.mul(ctx.pow(a, -3), ctx.pow(a, 3)) == 1
+
+
+def _mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def test_irreducibility_test_agrees_with_trial_division():
+    # every monic candidate of degree 1..6 with q^d <= 3000, prime and tower bases
+    checked = 0
+    for field in (
+        FieldCtx(2), FieldCtx(3), FieldCtx(5), FieldCtx(7),
+        FieldCtx(2, 2), FieldCtx(2, 3), FieldCtx(3, 2), FieldCtx(2, 4),
+    ):
+        q = field.q
+        for d in range(1, 7):
+            if q**d > 3000:
+                break
+            found = 0
+            for code in range(q**d):
+                poly = tuple(int_digits(code, q, d)) + (1,)
+                verdict = _is_irreducible(poly, field)
+                assert verdict == trial_division_irreducible(poly, field), (q, poly)
+                found += verdict
+                checked += 1
+            # Gauss: the monic irreducibles of degree d number (1/d) sum mu(k) q^(d/k)
+            gauss = sum(_mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
+            assert found == gauss, (q, d)
+    assert checked == 7837
+
+
+def test_default_descriptors_are_unchanged():
+    for (q, m), desc in FROZEN_DEFAULTS.items():
+        assert default_context(q, m).descriptor() == desc, (q, m)
+
+
+def test_large_default_contexts_build_within_budget():
+    # inside the documented q^m <= 2^32 range; trial division took
+    # minutes on (16, 8).  The uncached builder measures a real build.
+    frozen = {
+        (16, 8): "2^4:1,1,0,0,1/8:2,1,0,1,0,0,0,0,1",
+        (2, 32): "2/32:1,0,1,1,0,0,0,1" + ",0" * 24 + ",1",
+        (3, 20): "3/20:1,2,0,1" + ",0" * 16 + ",1",
+    }
+    budget_s = 10
+    start = time.perf_counter()
+    for (q, m), desc in frozen.items():
+        assert default_context.__wrapped__(q, m).descriptor() == desc, (q, m)
+    elapsed = time.perf_counter() - start
+    assert elapsed < budget_s, f"large contexts took {elapsed:.2f}s, budget {budget_s}s"
+
+
+def test_default_contexts_share_one_base_field():
+    assert default_context(4, 2).base is default_context(4, 3).base
+    assert default_context(2, 3).base is default_context(2, 5).base
+
+
+def test_extension_tables_are_built_on_first_mul():
+    # F_{2^16} and F_{3^10}: even and odd characteristic, at the table limit
+    for key in ((2, 16), (3, 10)):
+        ctx = context_from_descriptor(FROZEN_DEFAULTS[key])
+        assert ctx._log is None
+        # coordinates, addition and descriptors never need the tables
+        ctx.ext_to_vec(12345)
+        ctx.add(3, 5)
+        ctx.descriptor()
+        assert ctx._log is None
+        rng = random.Random(20261018)
+        pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(200)]
+        assert ctx.mul(*pairs[0]) == ctx._mul_reduce(*pairs[0])
+        assert ctx._log is not None
+        for a, b in pairs:
+            assert ctx.mul(a, b) == ctx._mul_reduce(a, b)
+        for _ in range(50):
+            a, e = rng.randrange(1, ctx.order), rng.randrange(ctx.order)
+            assert ctx.inv(a) == ctx._pow_generic(a, ctx.order - 2)
+            assert ctx.pow(a, e) == ctx._pow_generic(a, e)
+
+
+def test_inv_and_pow_build_the_tables_too():
+    for first in ("inv", "pow", "frobenius"):
+        ctx = ExtCtx(FieldCtx(3), 5)
+        assert ctx._log is None
+        if first == "inv":
+            assert ctx.inv(7) == ctx._pow_generic(7, ctx.order - 2)
+        elif first == "pow":
+            assert ctx.pow(7, 100) == ctx._pow_generic(7, 100)
+        else:
+            assert ctx.frobenius(7, 2) == ctx._pow_generic(7, 9)
+        assert ctx._log is not None
+    # above the table limit, using the field never builds them
+    big = ExtCtx(FieldCtx(2), 17)
+    assert big.mul(5, 7) == big._mul_reduce(5, 7)
+    assert big.inv(7) == big._pow_generic(7, big.order - 2)
+    assert big.pow(7, 100) == big._pow_generic(7, 100)
+    assert big.frobenius(7, 2) == big._pow_generic(7, 4)
+    assert big._log is None and big._exp is None
+
+
+def test_concurrent_first_mul_gives_identical_results():
+    # the 2^12 tables take many thread switch intervals to build, so
+    # the threads usually all build them at once
+    ctx = ExtCtx(FieldCtx(2), 12)
+    rng = random.Random(12)
+    pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(300)]
+    expected = [ctx._mul_reduce(a, b) for a, b in pairs]
+    assert ctx._log is None
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait()
+        results[k] = [ctx.mul(a, b) for a, b in pairs]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert results == [expected] * 4
+
+
+def test_equality_and_hash_ignore_table_state():
+    desc = ExtCtx(FieldCtx(3), 6).descriptor()
+    built = context_from_descriptor(desc)
+    fresh = context_from_descriptor(desc)
+    before = hash(built)
+    built.mul(5, 7)
+    assert built._log is not None and fresh._log is None
+    assert built == fresh
+    assert hash(built) == hash(fresh) == before
+    assert len({built, fresh}) == 1
