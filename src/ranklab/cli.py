@@ -6,33 +6,19 @@ to every subcommand.  JSON output is a versioned envelope carrying the
 echoed inputs, a content hash of them, and the seed when one was used;
 CSV output is a bare table with a header row, UTF-8, LF line endings.
 Exit status: 0 on success, 2 for infeasible or out-of-range parameters,
-1 for internal errors.
+1 for internal errors and for a reader that closed stdout early.  Each
+subcommand imports only the modules it runs.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import codefile
-from .codes import gabidulin, sample_random_code, sample_random_linear_code
 from .errors import InfeasibleError
 from .fields import context_from_descriptor, default_context
-from .harness import (
-    EnsembleSpec,
-    content_hash,
-    coset_partition_check,
-    emit_barrier_curves,
-    run_ensemble,
-)
-from .listdec import (
-    max_list_size,
-    pigeonhole_loose_form,
-    radius_from_fraction,
-)
 from .rankmetric import DEFAULT_ENUM_CAP, ball_volume
 
 
@@ -46,11 +32,15 @@ def _fraction(text: str) -> Fraction:
 def _emit(args, inputs: dict, result, rows=None, seed=None) -> None:
     """Print one report as an enveloped JSON object or a bare CSV table."""
     if args.format == "csv":
+        import csv
+
         table = rows if rows is not None else [result]
         writer = csv.DictWriter(sys.stdout, fieldnames=list(table[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(table)
         return
+    from .rng import content_hash
+
     envelope = {
         "schema": f"ranklab.{args.command}/1",
         "inputs": inputs,
@@ -75,6 +65,8 @@ def _resolve_radius(args, n: int) -> int:
     if getattr(args, "radius", None) is not None:
         return args.radius
     if getattr(args, "rho", None) is not None:
+        from .listdec import radius_from_fraction
+
         return radius_from_fraction(args.rho, n)
     raise ValueError("give either --radius or --rho")
 
@@ -97,6 +89,8 @@ _BOUND_PARAMS = {
 
 
 def _cmd_bounds(args) -> None:
+    from . import bounds as bounds_mod
+
     needed = _BOUND_PARAMS[args.name]
     kwargs = {}
     for pname in needed:
@@ -123,6 +117,9 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_sample(args) -> None:
+    from . import codefile
+    from .codes import gabidulin, sample_random_code, sample_random_linear_code
+
     ctx = _resolve_context(args)
     if args.kind == "random":
         if args.size is None:
@@ -145,6 +142,9 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_listdecode(args) -> None:
+    from . import codefile
+    from .listdec import max_list_size, pigeonhole_loose_form
+
     with open(args.code, encoding="utf-8") as fh:
         code = codefile.load_code(fh)
     s = _resolve_radius(args, code.n)
@@ -176,6 +176,8 @@ def _cmd_listdecode(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
+    from .harness import EnsembleSpec, run_ensemble
+
     n = args.n
     spec = EnsembleSpec(
         kind=args.kind,
@@ -193,12 +195,17 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_curves(args) -> None:
+    from .harness import emit_barrier_curves
+
     points = emit_barrier_curves(args.b, args.grid)
     rows = [p.as_dict() for p in points]
     _emit(args, {"b": str(Fraction(args.b)), "grid": args.grid}, None, rows=rows)
 
 
 def _cmd_coset_check(args) -> None:
+    from . import codefile
+    from .harness import coset_partition_check
+
     with open(args.code, encoding="utf-8") as fh:
         code = codefile.load_code(fh)
     s = _resolve_radius(args, code.n)
@@ -297,6 +304,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): not a parameter error, and
+        # the interpreter's exit flush must not hit the closed pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InfeasibleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

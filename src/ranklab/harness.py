@@ -15,11 +15,8 @@ ceil(|B|/|S|) average floor.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -37,7 +34,7 @@ from .rankmetric import (
     flatten_vector,
     rref_fq,
 )
-from .rng import substream_seed
+from .rng import content_hash, substream_seed  # content_hash is re-exported here
 
 ENSEMBLE_KINDS = ("random", "random_linear")
 
@@ -181,6 +178,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_C
     t0 = time.perf_counter()
     workers = min(workers, spec.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             outcomes = tuple(ex.map(partial(_run_trial, spec, cap), range(spec.trials)))
     else:
@@ -389,9 +388,3 @@ def threshold_probe(rate, eps, q: int, pairs) -> tuple[ProbeRow, ...]:
             )
         )
     return tuple(rows)
-
-
-def content_hash(payload: dict) -> str:
-    """Stable sha256 of a canonical JSON rendering, for self-describing output."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -125,6 +124,8 @@ def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
         return _scatter(ctx, n, s, words)
     size = -(-len(words) // chunks)
     parts = [words[i : i + size] for i in range(0, len(words), size)]
+    from concurrent.futures import ProcessPoolExecutor
+
     tally = Counter()
     with ProcessPoolExecutor(max_workers=len(parts)) as ex:
         for part in ex.map(partial(_scatter, ctx, n, s), parts):

@@ -5,10 +5,12 @@ explicitly; nothing reads global RNG state.  Independent substreams for
 trial i of a seeded run are derived as ``substream_seed(seed, i)``:
 the 64-bit trial index is folded into the seed with the splitmix64
 finalizer, so substreams are decorrelated, reproducible, and do not
-depend on how trials are scheduled across workers.
+depend on how trials are scheduled across workers.  ``content_hash``
+names the inputs of a report by a digest of their canonical JSON.
 """
 from __future__ import annotations
 
+import json
 import random
 
 _MASK64 = (1 << 64) - 1
@@ -33,3 +35,12 @@ def substream_seed(seed: int, index: int) -> int:
 def make_rng(seed: int) -> random.Random:
     """A fresh deterministic generator for the given 64-bit seed."""
     return random.Random(seed & _MASK64)
+
+
+def content_hash(payload: dict) -> str:
+    """Stable sha256 of a canonical JSON rendering, for self-describing output."""
+    # hashlib loads OpenSSL, which only hashing needs
+    import hashlib
+
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()

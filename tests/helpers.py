@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and process helpers for the test suite.
 
 Everything here re-derives results through routes deliberately different
 from the library implementation: determinants by permutation expansion,
@@ -9,6 +9,12 @@ tests were produced by these oracles.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ranklab
 
 
 def perm_sign(perm):
@@ -168,3 +174,12 @@ def inline_executor(sizes):
             return map(fn, items)
 
     return InlineExecutor
+
+
+def run_python(args, **kwargs):
+    """Run this interpreter on ``args`` in a child process that imports
+    ranklab from the same source tree as the tests."""
+    env = dict(os.environ)
+    src = str(Path(ranklab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)

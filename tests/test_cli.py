@@ -1,10 +1,14 @@
-"""End-to-end command-line checks through main() with captured output."""
+"""End-to-end command-line checks through main() with captured output,
+and through ``python -m ranklab`` where a fresh interpreter matters."""
 
 import json
+import os
+import subprocess
 from fractions import Fraction
 
 import pytest
 
+from helpers import run_python
 from ranklab.cli import main
 from ranklab.codefile import loads_code
 from ranklab.codes import GabidulinCode, LinearCode
@@ -257,3 +261,58 @@ def test_coset_check_rejects_nonlinear_codes(tmp_path, capsys):
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+# runs ``python -m ranklab`` and names every module loaded by its exit
+MODULE_PROBE = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print('MODULES', *sorted(sys.modules), file=sys.stderr)); "
+    "runpy.run_module('ranklab', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize(
+    "args, unused",
+    [
+        ("volume --q 2 --m 6 --n 4 --r 2", ("harness", "listdec", "codes")),
+        ("bounds --name hamming --code-size 64 --q 2 --m 4 --n 3 --d 3", ("harness", "listdec", "codes")),
+        ("sample --kind random_linear --q 2 --m 4 --n 3 --k 3", ("harness", "listdec")),
+    ],
+)
+def test_subcommand_loads_only_what_it_runs(args, unused):
+    proc = run_python(["-c", MODULE_PROBE, *args.split()], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.rsplit("MODULES", 1)[1].split())
+    assert "ranklab.cli" in loaded
+    assert not {f"ranklab.{name}" for name in unused} & loaded
+    assert not {name for name in loaded if name.startswith(("concurrent", "multiprocessing"))}
+
+
+def test_listdecode_worker_pool_prints_the_same_bytes(tmp_path, capsys):
+    path = sample_file(
+        tmp_path, capsys,
+        ["sample", "--kind", "random_linear", "--q", "2", "--m", "4", "--n", "3", "--k", "3"],
+    )
+    outs = []
+    for workers in ("1", "2"):
+        proc = run_python(
+            ["-m", "ranklab", "listdecode", "--code", path, "--radius", "1", "--workers", workers],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["result"]["exhaustive"] is True
+
+
+@pytest.mark.parametrize("args", ["curves --b 1/2 --grid 2001", "volume --q 2 --m 2 --n 2 --r 1"])
+def test_closed_stdout_exits_1_without_an_error_line(args):
+    # the reader is gone before the first write; the curves table fails
+    # mid-report, the short volume report only at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_python(["-m", "ranklab", *args.split()], stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

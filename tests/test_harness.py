@@ -94,7 +94,7 @@ def test_run_ensemble_worker_count_is_invisible():
 
 def test_run_ensemble_pool_is_sized_to_the_trials(monkeypatch):
     sizes = []
-    monkeypatch.setattr("ranklab.harness.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     spec = EnsembleSpec(**spec_kwargs(trials=2))
     report = run_ensemble(spec, workers=4)
     assert sizes == [2]  # one process per trial, not per requested worker

@@ -133,7 +133,7 @@ def test_worker_partitioning_is_invisible_under_ties_q3():
 
 def test_codeword_split_pool_is_sized_to_the_work(monkeypatch):
     sizes = []
-    monkeypatch.setattr("ranklab.listdec.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 3, seed=5)
     report = max_list_size(code, 1, workers=4)
