@@ -13,8 +13,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "bounds": (
         "BoundReport",
+        "CurvePoint",
         "alpha_exact",
         "code_rate",
+        "emit_barrier_curves",
         "gv_alpha_lower",
         "gv_barrier",
         "hamming_check",
@@ -38,13 +40,11 @@ _EXPORTS = {
     "fields": ("ExtCtx", "FieldCtx", "context_from_descriptor", "default_context"),
     "harness": (
         "CosetCheckReport",
-        "CurvePoint",
         "EnsembleSpec",
         "ProbeRow",
         "TrialOutcome",
         "TrialReport",
         "coset_partition_check",
-        "emit_barrier_curves",
         "run_ensemble",
         "threshold_probe",
     ),

@@ -133,3 +133,41 @@ def theta_threshold(rate, eps):
     if eps >= 1 - rate:
         raise ValueError(f"eps must be below 1 - rate = {1 - rate}, got {eps}")
     return 2 * eps / ((1 - rate - eps) * (rate + eps))
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    rho: Fraction
+    singleton: Fraction
+    gv: Fraction
+
+    def as_dict(self) -> dict:
+        return {
+            "rho": str(self.rho),
+            "singleton": str(self.singleton),
+            "gv": str(self.gv),
+            "rho_float": float(self.rho),
+            "singleton_float": float(self.singleton),
+            "gv_float": float(self.gv),
+        }
+
+
+def emit_barrier_curves(b, grid_points: int = 101) -> tuple[CurvePoint, ...]:
+    """Rate barriers against the radius fraction on an even rational grid.
+
+    At each rho the Singleton-style ceiling is 1 - rho and the
+    denser-ensemble ceiling is (1 - rho)(1 - b*rho); all arithmetic is
+    exact, so grid points like rho = 1/2 carry no rounding.
+    """
+    b = Fraction(b)
+    if not 0 <= b <= 1:
+        raise ValueError(f"b must lie in [0, 1], got {b}")
+    if grid_points < 2:
+        raise ValueError("grid needs at least 2 points")
+    out = []
+    for i in range(grid_points):
+        rho = Fraction(i, grid_points - 1)
+        out.append(
+            CurvePoint(rho=rho, singleton=singleton_barrier(rho), gv=gv_barrier(rho, b))
+        )
+    return tuple(out)

@@ -195,7 +195,7 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_curves(args) -> None:
-    from .harness import emit_barrier_curves
+    from .bounds import emit_barrier_curves
 
     points = emit_barrier_curves(args.b, args.grid)
     rows = [p.as_dict() for p in points]

@@ -22,11 +22,18 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 
-from .bounds import gv_barrier, singleton_barrier, theta_threshold
+# CurvePoint and emit_barrier_curves are re-exported here
+from .bounds import (
+    CurvePoint,
+    emit_barrier_curves,
+    gv_barrier,
+    singleton_barrier,
+    theta_threshold,
+)
 from .codes import LinearCode, sample_random_code, sample_random_linear_code
 from .errors import EnumerationCapExceeded
 from .fields import default_context
-from .listdec import _scan_codewords, _tally, max_list_size
+from .listdec import _pool_size, _scan_codewords, _tally, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
@@ -176,7 +183,7 @@ def _run_trial(spec: EnsembleSpec, cap: int, index: int) -> TrialOutcome:
 def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
     """Run every trial of the ensemble; deterministic for any worker count."""
     t0 = time.perf_counter()
-    workers = min(workers, spec.trials)
+    workers = _pool_size(workers, spec.trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -263,14 +270,18 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
             sum(v * q**i for i, v in zip(free, digits))
             for digits in product(range(q), repeat=len(free))
         ])
-    negated = [[ctx.neg(e) for e in vals] for vals in values]
+    # the tally's packed key of -y sums the negated entries at their place values
+    order = ctx.order
+    negated = [
+        [ctx.neg(e) * order ** (n - 1 - j) for e in vals] for j, vals in enumerate(values)
+    ]
     tally = _tally(ctx, n, s, _scan_codewords(code, cap))
 
     total = 0
     max_count = -1
     max_rep = None
     # w + b = -y exactly when w + y = -b lies in the ball
-    for rep, key in zip(product(*values), product(*negated)):
+    for rep, key in zip(product(*values), map(sum, product(*negated))):
         count = tally[key]
         total += count
         if count > max_count:
@@ -288,44 +299,6 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
         average_bound=average_bound,
         meets_average_bound=max_count >= average_bound,
     )
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    rho: Fraction
-    singleton: Fraction
-    gv: Fraction
-
-    def as_dict(self) -> dict:
-        return {
-            "rho": str(self.rho),
-            "singleton": str(self.singleton),
-            "gv": str(self.gv),
-            "rho_float": float(self.rho),
-            "singleton_float": float(self.singleton),
-            "gv_float": float(self.gv),
-        }
-
-
-def emit_barrier_curves(b, grid_points: int = 101) -> tuple[CurvePoint, ...]:
-    """Rate barriers against the radius fraction on an even rational grid.
-
-    At each rho the Singleton-style ceiling is 1 - rho and the
-    denser-ensemble ceiling is (1 - rho)(1 - b*rho); all arithmetic is
-    exact, so grid points like rho = 1/2 carry no rounding.
-    """
-    b = Fraction(b)
-    if not 0 <= b <= 1:
-        raise ValueError(f"b must lie in [0, 1], got {b}")
-    if grid_points < 2:
-        raise ValueError("grid needs at least 2 points")
-    out = []
-    for i in range(grid_points):
-        rho = Fraction(i, grid_points - 1)
-        out.append(
-            CurvePoint(rho=rho, singleton=singleton_barrier(rho), gv=gv_barrier(rho, b))
-        )
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,26 @@ Worst-case list sizes come from one scatter kernel: every codeword w
 and every offset b of rank <= s add one to the tally of the center
 w + b, so one pass of |C| * |B_s| additions gives the list size of every
 center that sees any codeword at all, and the counts sum to |C| * |B_s|,
-the double count behind the pigeonhole floor.  The exhaustive maximum
-and the Monte Carlo neighborhood are read off this tally; a single
-center, or a Monte Carlo center far from that neighborhood, is scored
-by scanning the codewords against it.  Splitting the codewords over
-workers sums partial tallies, so reports do not depend on the worker
-count, and exhaustive ties resolve to the first center in lexicographic
-order.
+the double count behind the pigeonhole floor.  The tally is keyed by
+packed vector index (``vector_index``: base-q^m digits, entry 0 most
+significant).  In characteristic 2 entry codes add by XOR, and so do
+packed vectors, so the ball offsets are packed once per call and the
+key of w + b is w ^ b.  For odd q each span table of the ball is
+shifted by each entry of w and scaled by that entry's place value, and
+a key is the sum of n table reads: addition is digitwise inside an
+entry, so no carry crosses an entry boundary.
+
+The exhaustive maximum and the Monte Carlo neighborhood are read off
+this tally.  Monte Carlo centers far from that neighborhood are scored
+by the same scatter restricted to the candidate set when its
+|C| * |B_s| probes cost no more than scanning |candidates| * |C| pairs:
+a probe does at most n table reads (one XOR in characteristic 2) and a
+scanned pair n entry subtractions plus an elimination, so the scatter
+runs when |B_s| <= n * |candidates|.  Otherwise, and for a single
+center, the codewords are scanned against each center.  Splitting the
+codewords over workers sums partial tallies, so reports do not depend
+on the worker count, and exhaustive ties resolve to the least packed
+index, which is the first center in lexicographic order.
 """
 from __future__ import annotations
 
@@ -26,7 +39,8 @@ from .errors import EnumerationCapExceeded
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
-    _iter_ball,
+    _entries_of_index,
+    _index_of_entries,
     _iter_ball_tables,
     _rank_of_entries,
     ball_volume,
@@ -102,10 +116,61 @@ def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM
     return _count_near(code.ctx, _scan_codewords(code, cap), center.entries, s)
 
 
-def _scatter(ctx, n: int, s: int, words) -> Counter:
-    """Tally of w + b over codewords w and offsets b of rank <= s."""
-    tables = list(_iter_ball_tables(ctx, n, s))
-    return Counter(center for w in words for center in _iter_ball(ctx, w, tables))
+def _ball_keys(ctx, n: int, s: int):
+    """A function from a codeword's entries to the packed keys of w + b.
+
+    The keys come in ``_iter_ball`` offset order, one per offset b of
+    rank <= s, so a tally fed codeword by codeword keys its centers in
+    (codeword, offset) order.  The span tables of the ball sit side by
+    side in one list, and column j lists where entry j of each offset
+    sits in it; a codeword shifts the list by each of its entries, once.
+    """
+    values = []
+    columns = [[] for _ in range(n)]
+    for span, factors in _iter_ball_tables(ctx, n, s):
+        start = len(values)
+        for column, cols in zip(columns, zip(*factors)):
+            column.extend([start + c for c in cols])
+        values.extend(span)
+    order = ctx.order
+    places = [order**j for j in range(n - 1, -1, -1)]
+    add = ctx.add
+
+    def keys(w):
+        reads = [
+            map([add(e, x) * place for x in values].__getitem__, column)
+            for e, place, column in zip(w, places, columns)
+        ]
+        return map(sum, zip(*reads))
+
+    if ctx.base.p == 2:
+        offsets = list(keys((0,) * n))
+        return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
+    return keys
+
+
+def _scatter(ctx, n: int, s: int, words, keep=None) -> Counter:
+    """Tally of w + b over codewords w and offsets b of rank <= s.
+
+    Centers are keyed by packed index; with ``keep``, only the centers
+    it contains are counted.
+    """
+    keys = _ball_keys(ctx, n, s)
+    tally = Counter()
+    for w in words:
+        tally.update(keys(w) if keep is None else filter(keep.__contains__, keys(w)))
+    return tally
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Processes worth starting: at most one per task and one per CPU.
+
+    The CPU count, not the affinity mask, so a process pinned to fewer
+    CPUs still gets the pool it asks for; an unknown count counts as one.
+    """
+    import os
+
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
@@ -114,12 +179,12 @@ def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
     Each pair (w, b) of a codeword and an offset of rank <= s adds one to
     the count of center w + b, so the counts sum to |C| * |B_s| and a
     center missing from the tally sees no codeword.  Centers are keyed
-    in order of their first (codeword, offset) pair.  With ``workers``
-    > 1 the codewords are split into consecutive chunks whose partial
-    tallies are summed in chunk order, which gives the same counts in
-    the same key order.
+    by packed index, in order of their first (codeword, offset) pair.
+    With ``workers`` > 1 the codewords are split into consecutive chunks,
+    one per process, whose partial tallies are summed in chunk order,
+    which gives the same counts in the same key order.
     """
-    chunks = min(workers, len(words))
+    chunks = _pool_size(workers, len(words))
     if chunks <= 1:
         return _scatter(ctx, n, s, words)
     size = -(-len(words) // chunks)
@@ -152,10 +217,14 @@ def max_list_size(
         mode: "exhaustive" gives the maximum over every center of the
             ambient space (requires q^(mn) <= cap), read off the tally
             of every center near some codeword; "montecarlo" scores the
-            codewords themselves, their low-rank perturbations when that
-            set is small (read off the same tally), and ``centers``
-            uniform random centers, reporting a lower bound flagged
-            exhaustive=False.
+            codewords themselves, their low-rank perturbations when
+            |C| * |B_s| <= min(neighborhood_cap, cap) (read off the same
+            tally), and ``centers`` uniform random centers, reporting a
+            lower bound flagged exhaustive=False.  Without the
+            perturbations, the candidates are scored by the tally
+            restricted to them when |B_s| <= n * |candidates| and by
+            scanning the codewords against each one otherwise.
+        centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
         workers: process count for splitting the codewords of the
             exhaustive tally; the report is identical for any worker
@@ -168,9 +237,12 @@ def max_list_size(
     """
     if not 0 <= s <= code.n:
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
+    if centers < 0:
+        raise ValueError(f"need centers >= 0, got {centers}")
     ctx = code.ctx
     n = code.n
-    space = ctx.order**n
+    order = ctx.order
+    space = order**n
     lb = pigeonhole_lower_bound(code.size, ctx.base.q, ctx.m, n, s)
     if mode == "exhaustive":
         if space > cap:
@@ -179,12 +251,11 @@ def max_list_size(
             )
         tally = _tally(ctx, n, s, _scan_codewords(code, cap), workers)
         best = max(tally.values())
-        # entry tuples compare in lexicographic (vector_index) order
-        best_entries = min(c for c, count in tally.items() if count == best)
+        best_key = min(key for key, count in tally.items() if count == best)
         return ListReport(
             radius_s=s,
             l_max=best,
-            argmax_center=RankVector(ctx, best_entries),
+            argmax_center=vector_from_index(ctx, n, best_key),
             exhaustive=True,
             centers_tried=space,
             pigeonhole_lb=lb,
@@ -198,19 +269,27 @@ def max_list_size(
         # every center that sees any codeword at all lives in this tally,
         # so small instances get the true maximum even in this mode
         tally = _tally(ctx, n, s, words)
-    candidates = dict.fromkeys(words if tally is None else tally)
+    if tally is None:
+        candidates = dict.fromkeys(_index_of_entries(order, w) for w in words)
+    else:
+        candidates = dict.fromkeys(tally)
     rng = make_rng(seed)
     for _ in range(centers):
-        candidates.setdefault(vector_from_index(ctx, n, rng.randrange(space)).entries, None)
-    best, best_entries = -1, None
-    for entries in candidates:
-        count = _count_near(ctx, words, entries, s) if tally is None else tally[entries]
-        if count > best:
-            best, best_entries = count, entries
+        candidates.setdefault(rng.randrange(space), None)
+    if tally is None:
+        if bv <= n * len(candidates):
+            tally = _scatter(ctx, n, s, words, keep=candidates)
+        else:
+            tally = {
+                key: _count_near(ctx, words, _entries_of_index(order, n, key), s)
+                for key in candidates
+            }
+    # the first candidate with the largest count
+    best_key = max(candidates, key=tally.__getitem__)
     return ListReport(
         radius_s=s,
-        l_max=best,
-        argmax_center=RankVector(ctx, best_entries),
+        l_max=tally[best_key],
+        argmax_center=vector_from_index(ctx, n, best_key),
         exhaustive=False,
         centers_tried=len(candidates),
         pigeonhole_lb=lb,

@@ -98,20 +98,30 @@ def unflatten_vector(ctx: ExtCtx, n: int, coords) -> RankVector:
 
 def vector_index(x: RankVector) -> int:
     """Position of x in lexicographic entry order (entry 0 most significant)."""
+    return _index_of_entries(x.ctx.order, x.entries)
+
+
+def _index_of_entries(order: int, entries) -> int:
+    """``vector_index`` of a vector given by its entry codes."""
     idx = 0
-    for e in x.entries:
-        idx = idx * x.ctx.order + e
+    for e in entries:
+        idx = idx * order + e
     return idx
+
+
+def _entries_of_index(order: int, n: int, idx: int) -> tuple[int, ...]:
+    """Entry codes of the vector at ``idx``, the inverse of ``_index_of_entries``."""
+    entries = [0] * n
+    for j in range(n - 1, -1, -1):
+        idx, entries[j] = divmod(idx, order)
+    return tuple(entries)
 
 
 def vector_from_index(ctx: ExtCtx, n: int, idx: int) -> RankVector:
     space = ctx.order**n
     if not 0 <= idx < space:
         raise ValueError(f"index {idx} out of range for a space of {space} vectors")
-    entries = [0] * n
-    for j in range(n - 1, -1, -1):
-        idx, entries[j] = divmod(idx, ctx.order)
-    return RankVector(ctx, tuple(entries))
+    return RankVector(ctx, _entries_of_index(ctx.order, n, idx))
 
 
 def iter_all_vectors(ctx: ExtCtx, n: int):

@@ -146,6 +146,86 @@ def trial_division_irreducible(poly, field):
     return True
 
 
+def rank_mod_p(cols, p):
+    """Rank over Z/pZ of a list of coordinate vectors.
+
+    Row reduction with inverses from Fermat's little theorem, pivoting
+    on the first nonzero entry of each column in turn.
+    """
+    rows = [list(c) for c in cols]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        lead = [v * inv % p for v in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], lead)]
+        rank += 1
+    return rank
+
+
+def xor_rank(masks):
+    """Rank over F_2 of vectors packed as bitmasks.
+
+    Each vector is reduced against the basis so far by keeping the
+    smaller of v and v ^ b, which clears b's leading bit from v.
+    """
+    basis = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
+def far_branch_oracle(code, s, centers, seed):
+    """The Monte Carlo far branch by brute force, over a prime base field.
+
+    The candidates are the codewords, then ``centers`` draws of
+    ``make_rng(seed).randrange(q^(mn))`` read as vector indices, each
+    kept at its first occurrence.  Every (candidate, codeword) pair is
+    ranked on the coordinates of its difference (over F_2 an entry code
+    is its own coordinate bitmask), and ties go to the first candidate.
+    Returns (l_max, argmax entries, candidates tried).
+    """
+    from ranklab.codes import enumerate_codewords
+    from ranklab.rng import make_rng
+
+    ctx, n = code.ctx, code.n
+    p, order = ctx.base.q, ctx.order
+    if ctx.base.s != 1:
+        raise ValueError("the oracle ranks over a prime base field")
+    words = [w.entries for w in enumerate_codewords(code)]
+    candidates = dict.fromkeys(words)
+    rng = make_rng(seed)
+    for _ in range(centers):
+        index = rng.randrange(order**n)
+        candidates.setdefault(tuple(reversed(int_digits(index, order, n))), None)
+
+    def coords(entries):
+        return entries if p == 2 else [int_digits(e, p, ctx.m) for e in entries]
+
+    def rank(x, y):
+        if p == 2:
+            return xor_rank([a ^ b for a, b in zip(x, y)])
+        return rank_mod_p([[(a - b) % p for a, b in zip(u, v)] for u, v in zip(x, y)], p)
+
+    word_coords = [coords(w) for w in words]
+    best, best_center = -1, None
+    for center in candidates:
+        center_coords = coords(center)
+        count = sum(1 for wc in word_coords if rank(wc, center_coords) <= s)
+        if count > best:
+            best, best_center = count, center
+    return best, best_center, len(candidates)
+
+
 # Critical value of the chi-squared distribution with 15 degrees of
 # freedom at significance 0.001.  A uniformity test statistic above this
 # would occur by chance about once per thousand runs.

@@ -173,6 +173,17 @@ def test_listdecode_montecarlo(tmp_path, capsys):
     assert payload["result"]["exhaustive"] is False
 
 
+def test_listdecode_negative_centers_exit_2(tmp_path, capsys):
+    path = sample_file(
+        tmp_path, capsys, ["sample", "--kind", "random", "--q", "2", "--m", "2", "--n", "2", "--size", "4"]
+    )
+    argv = ["listdecode", "--code", path, "--radius", "1", "--mode", "montecarlo", "--centers", "-5"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "centers" in captured.err
+
+
 def test_listdecode_missing_file_exits_2(capsys):
     assert main(["listdecode", "--code", "/nonexistent/x.rankcode", "--radius", "1"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -277,6 +288,7 @@ MODULE_PROBE = (
         ("volume --q 2 --m 6 --n 4 --r 2", ("harness", "listdec", "codes")),
         ("bounds --name hamming --code-size 64 --q 2 --m 4 --n 3 --d 3", ("harness", "listdec", "codes")),
         ("sample --kind random_linear --q 2 --m 4 --n 3 --k 3", ("harness", "listdec")),
+        ("curves --b 1/2 --grid 101", ("harness", "listdec", "codes")),
     ],
 )
 def test_subcommand_loads_only_what_it_runs(args, unused):

@@ -95,10 +95,24 @@ def test_run_ensemble_worker_count_is_invisible():
 def test_run_ensemble_pool_is_sized_to_the_trials(monkeypatch):
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # more CPUs than trials
     spec = EnsembleSpec(**spec_kwargs(trials=2))
     report = run_ensemble(spec, workers=4)
     assert sizes == [2]  # one process per trial, not per requested worker
     assert report == run_ensemble(spec)
+
+
+def test_run_ensemble_pool_is_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    spec = EnsembleSpec(**spec_kwargs(trials=5))
+    solo = run_ensemble(spec)
+    # an unknown CPU count counts as one CPU, so no pool starts
+    for cpus, expected in ((2, [2]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert run_ensemble(spec, workers=100000) == solo
+        assert sizes == expected
 
 
 def test_run_ensemble_outcome_shape():

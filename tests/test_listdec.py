@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import inline_executor
+from helpers import far_branch_oracle, inline_executor
+from ranklab import listdec
 from ranklab.codes import ExplicitCode, gabidulin, sample_random_code, sample_random_linear_code
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import default_context
@@ -134,11 +135,26 @@ def test_worker_partitioning_is_invisible_under_ties_q3():
 def test_codeword_split_pool_is_sized_to_the_work(monkeypatch):
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # more CPUs than codewords
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 3, seed=5)
     report = max_list_size(code, 1, workers=4)
     assert sizes == [3]  # one process per codeword, not per requested worker
     assert report == max_list_size(code, 1)
+
+
+def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    ctx = default_context(2, 3)
+    code = sample_random_code(ctx, 2, 8, seed=5)
+    solo = max_list_size(code, 1)
+    # an unknown CPU count counts as one CPU, so no pool starts
+    for cpus, expected in ((3, [3]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert max_list_size(code, 1, workers=100000) == solo
+        assert sizes == expected
 
 
 def test_exhaustive_cap_refusal_mentions_fallback():
@@ -178,6 +194,67 @@ def test_montecarlo_neighborhood_tie_rule_q3():
         "pigeonhole_lb": 3,
     }
     assert max_list_size(code, 1).argmax_center.entries == (0, 6)
+
+
+def test_montecarlo_far_branch_tie_rule_q3():
+    # frozen from the per-pair scan the restricted tally replaced: the
+    # candidates tie at 21, and Monte Carlo keeps the first one scored
+    # where the exhaustive sweep keeps the least index
+    ctx = default_context(3, 2)
+    code = sample_random_code(ctx, 2, 40, seed=2)
+    mc = max_list_size(code, 1, "montecarlo", centers=20, seed=1, neighborhood_cap=0)
+    assert mc.as_dict() == {
+        "radius_s": 1,
+        "l_max": 21,
+        "argmax_center": [5, 5],
+        "exhaustive": False,
+        "centers_tried": 49,
+        "pigeonhole_lb": 17,
+    }
+    assert max_list_size(code, 1).argmax_center.entries == (5, 3)
+
+
+# far-branch cases: (code, s, centers, seed, whether |B_s| <= n * |candidates|
+# picks the restricted tally over the scan); 350 centers put q2m7n4 just
+# inside the rule, 1906 <= 4 * 478
+FAR_CASES = {
+    "q2m7n4-random128-tally": (
+        lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, True
+    ),
+    "q3m2n2-random40-tally": (
+        lambda: sample_random_code(default_context(3, 2), 2, 40, 2), 1, 20, 1, True
+    ),
+    "q2m7n7-gabidulin-scan": (lambda: gabidulin(default_context(2, 7), 7, 1), 1, 50, 0, False),
+    "q2m16n2-random4-scan": (
+        lambda: sample_random_code(default_context(2, 16), 2, 4, 0), 1, 200, 3, False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAR_CASES))
+def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatch):
+    make, s, centers, seed, tally_side = FAR_CASES[case]
+    code = make()
+    expected = far_branch_oracle(code, s, centers, seed)
+    ball = ball_volume(code.ctx.base.q, code.ctx.m, code.n, s).exact
+    assert (ball <= code.n * expected[2]) == tally_side
+
+    def forbidden(*args):
+        raise AssertionError(f"the other side of the rule ran for {case}")
+
+    # the tally ranks no pair, and the scan builds no ball
+    monkeypatch.setattr(listdec, "_rank_of_entries" if tally_side else "_iter_ball_tables", forbidden)
+    report = max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
+    assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
+    assert report.exhaustive is False
+
+
+def test_negative_centers_are_rejected():
+    ctx = default_context(2, 2)
+    code = sample_random_code(ctx, 2, 4, seed=0)
+    for mode in ("montecarlo", "exhaustive"):
+        with pytest.raises(ValueError, match="centers"):
+            max_list_size(code, 1, mode, centers=-5)
 
 
 def test_montecarlo_is_deterministic():
