@@ -258,24 +258,33 @@ class FieldCtx:
             self._build_tables()
 
     def _build_tables(self) -> None:
+        """Fill the mul/inv tables from a log/antilog pair, about q products.
+
+        The powers of the first primitive element list every nonzero
+        element once, so a * b is the antilog of log a + log b.
+        """
         q = self.q
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_generic(a, b)
-                mul[a][b] = v
-                mul[b][a] = v
-        inv = [0] * q
+        if q == 2:
+            exp, log = [1], [0, 0]
+        else:
+            orders = [(q - 1) // f for f in _prime_factors(q - 1)]
+            g = next((g for g in range(2, q) if all(self._pow_generic(g, e) != 1 for e in orders)), None)
+            if g is None:
+                raise RuntimeError(f"no primitive element found in F_{q}")
+            exp = [1]
+            for _ in range(q - 2):
+                exp.append(self._mul_generic(exp[-1], g))
+            log = [0] * q
+            for i, v in enumerate(exp):
+                log[v] = i
+        period = q - 1
+        exp = exp * 2  # log a + log b < 2 * period needs no reduction
+        logs = log[1:]
+        mul = [(0,) * q]
         for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise RuntimeError(f"no inverse for element {a} in F_{q}")
-        self._mul_table = tuple(tuple(r) for r in mul)
-        self._inv_table = tuple(inv)
+            mul.append((0, *map(exp[log[a] : log[a] + period].__getitem__, logs)))
+        self._mul_table = tuple(mul)
+        self._inv_table = (0,) + tuple(exp[period - log[a]] for a in range(1, q))
         # field-axiom spot checks on the materialized tables
         for a, b, c in ((1, 2 % q, 3 % q), (2 % q, q - 1, q - 2), (1, 1, q - 1)):
             lhs = self.mul(self.mul(a, b), c)
@@ -328,6 +337,15 @@ class FieldCtx:
                 prod[i - self.s + j] = (prod[i - self.s + j] - c * self.modulus[j]) % self.p
         return _undigits(prod[: self.s], self.p)
 
+    def _pow_generic(self, a: int, e: int) -> int:
+        out = 1
+        while e:
+            if e & 1:
+                out = self._mul_generic(out, a)
+            a = self._mul_generic(a, a)
+            e >>= 1
+        return out
+
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
@@ -340,13 +358,7 @@ class FieldCtx:
             return self._inv_table[a]
         if self.s == 1:
             return pow(a, self.p - 2, self.p)
-        out, e, base = 1, self.q - 2, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+        return self._pow_generic(a, self.q - 2)
 
     def __eq__(self, other):
         return (

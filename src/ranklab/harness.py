@@ -19,8 +19,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from collections import Counter
 from functools import partial
-from itertools import product
 
 # CurvePoint and emit_barrier_curves are re-exported here
 from .bounds import (
@@ -33,13 +33,15 @@ from .bounds import (
 from .codes import LinearCode, sample_random_code, sample_random_linear_code
 from .errors import EnumerationCapExceeded
 from .fields import default_context
-from .listdec import _pool_size, _scan_codewords, _tally, max_list_size
+from .listdec import _CosetKeys, _pool_size, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
     ball_volume,
     flatten_vector,
     rref_fq,
+    unflatten_vector,
+    vector_from_index,
 )
 from .rng import content_hash, substream_seed  # content_hash is re-exported here
 
@@ -181,7 +183,9 @@ def _run_trial(spec: EnsembleSpec, cap: int, index: int) -> TrialOutcome:
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
-    """Run every trial of the ensemble; deterministic for any worker count."""
+    """Run every trial of the ensemble; deterministic for any worker count >= 1."""
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     t0 = time.perf_counter()
     workers = _pool_size(workers, spec.trials)
     if workers > 1:
@@ -235,13 +239,17 @@ class CosetCheckReport:
 def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> CosetCheckReport:
     """Tally the ball against every coset C + y and check the exact identity.
 
-    The list-size tally of every center (one count per codeword w and
-    offset b of rank <= s, at center w + b) is read at -y for the
-    canonical representative y of each coset (pivot coordinates zeroed):
-    that count is |(C + y) intersect B_s|.  The cosets partition the
-    space, so the counts read at this transversal must sum to the
-    closed-form ball volume, which certifies that the offsets behind the
-    tally are exactly the |B_s| vectors the shell counts predict.
+    Keying every offset b of rank <= s by the coset of -b (``listdec``'s
+    coset keys) counts |(C + y) intersect B_s| at the coset C + y.  The
+    ball is symmetric, -B_s = B_s, so that is the same tally as keying
+    each b by its own coset, which is what ``max_list_size`` reads.  A
+    coset the ball misses counts zero.  The cosets partition the space, so the
+    counts must sum to the closed-form ball volume, which certifies that
+    the offsets behind the tally are exactly the |B_s| vectors the shell
+    counts predict.  The reported representative of a coset has its
+    pivot coordinates zeroed, pivots taken in ``flatten_vector`` order;
+    that makes it the first vector of its coset in that order, and the
+    maximal coset reported is the one whose representative comes first.
     """
     if not isinstance(code, LinearCode):
         raise ValueError("coset partition needs a linear code")
@@ -258,35 +266,23 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     coset_count = q ** (m * n - code.k)
     average_bound = -((-ball) // coset_count)
 
-    basis_rows = [flatten_vector(w) for w in code.basis]
-    _, pivots = rref_fq(basis_rows, ctx.base) if basis_rows else ((), ())
-    pivot_set = set(pivots)
-    # entry j of a representative ranges over its free coordinates; the
-    # product over entries lists representatives in coordinate order
-    values = []
-    for j in range(n):
-        free = [i for i in range(m) if j * m + i not in pivot_set]
-        values.append([
-            sum(v * q**i for i, v in zip(free, digits))
-            for digits in product(range(q), repeat=len(free))
-        ])
-    # the tally's packed key of -y sums the negated entries at their place values
-    order = ctx.order
-    negated = [
-        [ctx.neg(e) * order ** (n - 1 - j) for e in vals] for j, vals in enumerate(values)
-    ]
-    tally = _tally(ctx, n, s, _scan_codewords(code, cap))
+    cosets = _CosetKeys(code)
+    tally = Counter(cosets.ball(s))
+    total = sum(tally.values())
+    max_count = max(tally.values())
 
-    total = 0
-    max_count = -1
-    max_rep = None
-    # w + b = -y exactly when w + y = -b lies in the ball
-    for rep, key in zip(product(*values), map(sum, product(*negated))):
-        count = tally[key]
-        total += count
-        if count > max_count:
-            max_count = count
-            max_rep = rep
+    field = ctx.base
+    rows, pivots = rref_fq([flatten_vector(w) for w in code.basis], field)
+
+    def representative(key):
+        y = list(flatten_vector(vector_from_index(ctx, n, cosets.index(key))))
+        for piv, row in zip(pivots, rows):
+            c = y[piv]
+            if c:
+                y = [field.sub(a, field.mul(c, r)) for a, r in zip(y, row)]
+        return tuple(y)
+
+    max_rep = min(representative(key) for key, count in tally.items() if count == max_count)
     return CosetCheckReport(
         radius_s=s,
         k=code.k,
@@ -295,7 +291,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
         total=total,
         identity_ok=total == ball,
         max_count=max_count,
-        max_rep=RankVector(ctx, max_rep),
+        max_rep=unflatten_vector(ctx, n, max_rep),
         average_bound=average_bound,
         meets_average_bound=max_count >= average_bound,
     )

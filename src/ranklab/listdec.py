@@ -32,10 +32,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
-from .codes import Code, enumerate_codewords
+from .codes import (
+    Code,
+    GabidulinCode,
+    LinearCode,
+    _check_word_cap,
+    _scale_by_base,
+    enumerate_codewords,
+)
 from .errors import EnumerationCapExceeded
+from .fields import _default_base
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
@@ -44,6 +52,7 @@ from .rankmetric import (
     _iter_ball_tables,
     _rank_of_entries,
     ball_volume,
+    rref_fq,
     vector_from_index,
 )
 from .rng import make_rng
@@ -116,14 +125,11 @@ def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM
     return _count_near(code.ctx, _scan_codewords(code, cap), center.entries, s)
 
 
-def _ball_keys(ctx, n: int, s: int):
-    """A function from a codeword's entries to the packed keys of w + b.
+def _ball_layout(ctx, n: int, s: int):
+    """The span tables of the radius-s ball side by side in one list, and,
+    per entry position j, where entry j of each offset sits in that list.
 
-    The keys come in ``_iter_ball`` offset order, one per offset b of
-    rank <= s, so a tally fed codeword by codeword keys its centers in
-    (codeword, offset) order.  The span tables of the ball sit side by
-    side in one list, and column j lists where entry j of each offset
-    sits in it; a codeword shifts the list by each of its entries, once.
+    Offsets come in ``_iter_ball`` order, one per vector of rank <= s.
     """
     values = []
     columns = [[] for _ in range(n)]
@@ -132,6 +138,18 @@ def _ball_keys(ctx, n: int, s: int):
         for column, cols in zip(columns, zip(*factors)):
             column.extend([start + c for c in cols])
         values.extend(span)
+    return values, columns
+
+
+def _ball_keys(ctx, n: int, s: int):
+    """A function from a codeword's entries to the packed keys of w + b.
+
+    The keys come in ``_iter_ball`` offset order, one per offset b of
+    rank <= s, so a tally fed codeword by codeword keys its centers in
+    (codeword, offset) order.  A codeword shifts the span list of
+    ``_ball_layout`` by each of its entries, once.
+    """
+    values, columns = _ball_layout(ctx, n, s)
     order = ctx.order
     places = [order**j for j in range(n - 1, -1, -1)]
     add = ctx.add
@@ -147,6 +165,174 @@ def _ball_keys(ctx, n: int, s: int):
         offsets = list(keys((0,) * n))
         return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
     return keys
+
+
+class _CosetKeys:
+    """One key per coset of an F_q-linear code: its least packed index.
+
+    The code is taken as an F_p-space, its basis written in the base-p
+    digits of ``vector_index`` (most significant first) and brought to
+    reduced echelon form with pivots taken most significant digit first.
+    Subtracting from x, for each pivot, its digit there times that row
+    zeroes every pivot digit; what is left is the same for the whole
+    coset x + C and is its least element, since any other element
+    differs from it by a nonzero word whose leading digit is a pivot.
+
+    For p = 2 a key is that packed index itself, the reduction is XOR,
+    and the pivot rows are read through 256-entry tables, one per window
+    of eight bits that holds a pivot.  For odd p a key is the digit
+    string of that index, most significant first: ``bytes`` when a sum
+    of n digits fits in a byte, a tuple of ints otherwise.  Both compare
+    like the index they spell.
+    """
+
+    def __init__(self, code):
+        ctx = code.ctx
+        p = ctx.base.p
+        self.n = n = code.n
+        self.p = p
+        self.width = width = n * ctx.m * ctx.base.s  # base-p digits of an index
+        self.order = ctx.order
+        self.ctx = ctx
+        field = ctx.base if ctx.base.s == 1 else _default_base(p)
+        rows, pivots = rref_fq([_digits_of(v, p, width) for v in _fp_basis(code)], field)
+        if p == 2:
+            windows = []
+            for piv, row in zip(pivots, rows):
+                bit = width - 1 - piv
+                if not windows or bit < windows[-1][0]:
+                    windows.append((max(bit - 7, 0), []))
+                windows[-1][1].append((bit - windows[-1][0], _index_of_entries(2, row)))
+            self.tables = [
+                (low, [_xor_rows(v, pivot_rows) for v in range(256)])
+                for low, pivot_rows in windows
+            ]
+            self.zero = 0
+        else:
+            self.rows = tuple(zip(pivots, rows))
+            self.narrow = n * (p - 1) <= 255
+            self.zero = self._finish([0] * width)
+
+    def _finish(self, digits):
+        return bytes(digits) if self.narrow else tuple(digits)
+
+    def _reduce(self, digits):
+        p = self.p
+        for piv, row in self.rows:
+            c = digits[piv]
+            if c:
+                digits = [(a - c * r) % p for a, r in zip(digits, row)]
+        return digits
+
+    def of_index(self, idx: int):
+        """The key of the coset of the vector at packed index ``idx``."""
+        if self.p == 2:
+            for low, table in self.tables:
+                idx ^= table[idx >> low & 255]
+            return idx
+        return self._finish(self._reduce(_digits_of(idx, self.p, self.width)))
+
+    def index(self, key) -> int:
+        """The packed index a key spells: the least vector of its coset."""
+        return key if self.p == 2 else _index_of_entries(self.p, key)
+
+    def ball(self, s: int):
+        """The key of every offset of rank <= s, one per offset.
+
+        Keys are F_p-linear, so the key of an offset is the digitwise sum
+        of the keys of its n entries, each read from a table over the
+        ball's span values at that entry's position.  For p = 2 the
+        offsets are packed and reduced instead.
+        """
+        values, columns = _ball_layout(self.ctx, self.n, s)
+        n, p, width = self.n, self.p, self.width
+        if p == 2:
+            places = [self.order**j for j in range(n - 1, -1, -1)]
+            reads = [
+                map([x * place for x in values].__getitem__, column)
+                for place, column in zip(places, columns)
+            ]
+            offsets = map(sum, zip(*reads))
+            if len(self.tables) == 1:
+                # the common case, a basis whose pivots share one window
+                ((low, table),) = self.tables
+                return (x ^ table[x >> low & 255] for x in offsets)
+            return map(self.of_index, offsets)
+        # each digit sits in its own slot, wide enough for a sum of n digits
+        slot = 8 if self.narrow else (n * (p - 1)).bit_length()
+        per_entry = width // n
+        reads = []
+        for j, column in enumerate(columns):
+            table = []
+            for x in values:
+                digits = [0] * width
+                digits[j * per_entry : (j + 1) * per_entry] = _digits_of(x, p, per_entry)
+                table.append(_index_of_entries(1 << slot, self._reduce(digits)))
+            reads.append(map(table.__getitem__, column))
+        sums = map(sum, zip(*reads))
+        if self.narrow:
+            mod = bytes(v % p for v in range(256))
+            return (t.to_bytes(width, "big").translate(mod) for t in sums)
+        mask = (1 << slot) - 1
+        shifts = range(slot * (width - 1), -1, -slot)
+        return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
+
+
+@lru_cache(maxsize=None)
+def _digit_chunks(p: int) -> tuple[int, int, list]:
+    """(p^c, c, the c base-p digits of each v < p^c) for the largest p^c <= 256."""
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    digits = [()]
+    for _ in range(c):
+        digits = [d + (t,) for d in digits for t in range(p)]
+    return p**c, c, digits
+
+
+def _digits_of(idx: int, p: int, width: int) -> tuple[int, ...]:
+    """The ``width`` base-p digits of ``idx``, most significant first."""
+    size, c, chunk_digits = _digit_chunks(p)
+    parts = []
+    for _ in range(-(-width // c)):
+        idx, v = divmod(idx, size)
+        parts.append(chunk_digits[v])
+    return sum(reversed(parts), ())[-width:]
+
+
+def _xor_rows(v: int, pivot_rows) -> int:
+    """XOR of the rows whose pivot bit is set in ``v``."""
+    out = 0
+    for bit, row in pivot_rows:
+        if v >> bit & 1:
+            out ^= row
+    return out
+
+
+def _fp_basis(code) -> list[int]:
+    """Packed indices of an F_p-basis of a linear or Gabidulin code.
+
+    A Gabidulin code is spanned over F_q by beta * (g_j^(q^i))_j for
+    beta in a basis of F_{q^m} and i < k; over F_p, beta runs over the
+    powers p^e, e < m*s, which are the monomials of the tower.  A linear
+    code's F_q-basis words are scaled by the F_p-basis p^u, u < s, of F_q.
+    """
+    ctx = code.ctx
+    order = ctx.order
+    p = ctx.base.p
+    if isinstance(code, GabidulinCode):
+        words = []
+        for i in range(code.k):
+            frob = [ctx.frobenius(g, i) for g in code.points]
+            for e in range(ctx.m * ctx.base.s):
+                words.append([ctx.mul(p**e, f) for f in frob])
+    else:
+        words = [
+            [_scale_by_base(ctx, p**u, e) for e in w.entries]
+            for w in code.basis
+            for u in range(ctx.base.s)
+        ]
+    return [_index_of_entries(order, w) for w in words]
 
 
 def _scatter(ctx, n: int, s: int, words, keep=None) -> Counter:
@@ -215,20 +401,24 @@ def max_list_size(
         code: any code object.
         s: rank radius, 0 <= s <= n.
         mode: "exhaustive" gives the maximum over every center of the
-            ambient space (requires q^(mn) <= cap), read off the tally
-            of every center near some codeword; "montecarlo" scores the
-            codewords themselves, their low-rank perturbations when
-            |C| * |B_s| <= min(neighborhood_cap, cap) (read off the same
-            tally), and ``centers`` uniform random centers, reporting a
-            lower bound flagged exhaustive=False.  Without the
-            perturbations, the candidates are scored by the tally
-            restricted to them when |B_s| <= n * |candidates| and by
-            scanning the codewords against each one otherwise.
+            ambient space (requires q^(mn) <= cap): for linear and
+            Gabidulin codes it is read off the coset tally of the ball,
+            for explicit codes off the tally of every center near some
+            codeword.  "montecarlo" scores the codewords themselves,
+            their low-rank perturbations when |C| * |B_s| <=
+            min(neighborhood_cap, cap) (read off the center tally), and
+            ``centers`` uniform random centers, reporting a lower bound
+            flagged exhaustive=False.  Without the perturbations, a
+            linear or Gabidulin code's candidates are read off the coset
+            tally when |B_s| <= n * |C| * (|C| + centers), and an
+            explicit code's off the center tally restricted to them when
+            |B_s| <= n * |candidates|; otherwise the codewords are
+            scanned against each candidate.
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
-        workers: process count for splitting the codewords of the
-            exhaustive tally; the report is identical for any worker
-            count.
+        workers: process count, >= 1, for splitting the codewords of an
+            explicit code's exhaustive tally; the report is identical for
+            any worker count.
 
     Returns:
         A ListReport; exhaustive ties for the maximum resolve to the
@@ -239,43 +429,76 @@ def max_list_size(
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
     if centers < 0:
         raise ValueError(f"need centers >= 0, got {centers}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     ctx = code.ctx
     n = code.n
     order = ctx.order
     space = order**n
     lb = pigeonhole_lower_bound(code.size, ctx.base.q, ctx.m, n, s)
+    linear = isinstance(code, (LinearCode, GabidulinCode))
     if mode == "exhaustive":
         if space > cap:
             raise EnumerationCapExceeded(
                 f"{space} centers to scan, above the cap of {cap}; use montecarlo"
             )
-        tally = _tally(ctx, n, s, _scan_codewords(code, cap), workers)
-        best = max(tally.values())
-        best_key = min(key for key, count in tally.items() if count == best)
+        if linear:
+            # the list size at x is the number of offsets in the coset of x
+            cosets = _CosetKeys(code)
+            tally = Counter(cosets.ball(s))
+            best = max(tally.values())
+            # a coset's key is its least index, so this is the least center
+            best_index = cosets.index(min(key for key, count in tally.items() if count == best))
+        else:
+            tally = _tally(ctx, n, s, _scan_codewords(code, cap), workers)
+            best = max(tally.values())
+            best_index = min(key for key, count in tally.items() if count == best)
         return ListReport(
             radius_s=s,
             l_max=best,
-            argmax_center=vector_from_index(ctx, n, best_key),
+            argmax_center=vector_from_index(ctx, n, best_index),
             exhaustive=True,
             centers_tried=space,
             pigeonhole_lb=lb,
         )
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
-    words = _scan_codewords(code, cap)
+    _check_word_cap(code, cap)
     bv = ball_volume(ctx.base.q, ctx.m, n, s).exact
-    tally = None
-    if code.size * bv <= min(neighborhood_cap, cap):
+    rng = make_rng(seed)
+    draws = [rng.randrange(space) for _ in range(centers)]
+    neighborhood = code.size * bv <= min(neighborhood_cap, cap)
+    if not neighborhood and linear and bv <= n * code.size * (code.size + centers):
+        # the codewords lead the candidates, all in the coset of zero and
+        # led by the zero word; each new random center is scored by its coset
+        cosets = _CosetKeys(code)
+        tally = Counter(cosets.ball(s))
+        best, best_index, tried = tally[cosets.zero], 0, code.size
+        for x in dict.fromkeys(draws):
+            key = cosets.of_index(x)
+            if key != cosets.zero:
+                tried += 1
+                if tally[key] > best:
+                    best, best_index = tally[key], x
+        return ListReport(
+            radius_s=s,
+            l_max=best,
+            argmax_center=vector_from_index(ctx, n, best_index),
+            exhaustive=False,
+            centers_tried=tried,
+            pigeonhole_lb=lb,
+        )
+    words = _scan_codewords(code, cap)
+    if neighborhood:
         # every center that sees any codeword at all lives in this tally,
         # so small instances get the true maximum even in this mode
         tally = _tally(ctx, n, s, words)
-    if tally is None:
-        candidates = dict.fromkeys(_index_of_entries(order, w) for w in words)
-    else:
         candidates = dict.fromkeys(tally)
-    rng = make_rng(seed)
-    for _ in range(centers):
-        candidates.setdefault(rng.randrange(space), None)
+    else:
+        tally = None
+        candidates = dict.fromkeys(_index_of_entries(order, w) for w in words)
+    for x in draws:
+        candidates.setdefault(x, None)
     if tally is None:
         if bv <= n * len(candidates):
             tally = _scatter(ctx, n, s, words, keep=candidates)

@@ -226,6 +226,48 @@ def far_branch_oracle(code, s, centers, seed):
     return best, best_center, len(candidates)
 
 
+def coset_oracle(code, s):
+    """``coset_partition_check`` by brute force, over a prime base field.
+
+    Walks every vector y of the space in ``flatten_vector`` order (entry
+    0's coordinates first, constant term first), so the first vector of
+    each coset seen is the first of that coset in this order.  The count
+    of the coset is the number of its members of rank <= s, each ranked
+    on its coordinates with ``xor_rank`` or ``rank_mod_p``.  Returns
+    (coset count, total, max count, entries of the first coset attaining
+    the max).
+    """
+    from ranklab.codes import enumerate_codewords
+
+    ctx, n = code.ctx, code.n
+    q, m = ctx.base.q, ctx.m
+    if ctx.base.s != 1:
+        raise ValueError("the oracle ranks over a prime base field")
+    words = [[c for e in w.entries for c in int_digits(e, q, m)] for w in enumerate_codewords(code)]
+
+    def rank(coords):
+        cols = [coords[j * m : (j + 1) * m] for j in range(n)]
+        if q == 2:
+            return xor_rank([int_undigits(c, 2) for c in cols])
+        return rank_mod_p(cols, q)
+
+    seen = set()
+    cosets = total = 0
+    best, best_rep = -1, None
+    for y in itertools.product(range(q), repeat=m * n):
+        if y in seen:
+            continue
+        coset = [tuple((a + b) % q for a, b in zip(y, w)) for w in words]
+        seen.update(coset)
+        count = sum(1 for v in coset if rank(v) <= s)
+        cosets += 1
+        total += count
+        if count > best:
+            best, best_rep = count, y
+    rep = tuple(int_undigits(best_rep[j * m : (j + 1) * m], q) for j in range(n))
+    return cosets, total, best, rep
+
+
 # Critical value of the chi-squared distribution with 15 degrees of
 # freedom at significance 0.001.  A uniformity test statistic above this
 # would occur by chance about once per thousand runs.

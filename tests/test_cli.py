@@ -184,6 +184,27 @@ def test_listdecode_negative_centers_exit_2(tmp_path, capsys):
     assert "centers" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "montecarlo"])
+def test_listdecode_workers_below_one_exit_2(tmp_path, capsys, mode):
+    path = sample_file(
+        tmp_path, capsys, ["sample", "--kind", "random_linear", "--q", "2", "--m", "2", "--n", "2", "--k", "2"]
+    )
+    argv = ["listdecode", "--code", path, "--radius", "1", "--mode", mode, "--workers", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers" in captured.err
+
+
+def test_experiment_workers_below_one_exit_2(capsys):
+    argv = ["experiment", "--kind", "random", "--q", "2", "--m", "2", "--n", "2", "--rate", "1/2",
+            "--radius", "1", "--list-cap", "4", "--trials", "2", "--workers", "-3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "workers" in captured.err
+
+
 def test_listdecode_missing_file_exits_2(capsys):
     assert main(["listdecode", "--code", "/nonexistent/x.rankcode", "--radius", "1"]) == 2
     assert "error:" in capsys.readouterr().err

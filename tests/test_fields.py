@@ -189,6 +189,26 @@ def test_base_field_mul_matches_polynomial_oracle():
             assert fld.mul(a, b) == poly_product_mod(a, b, p, fld.modulus)
 
 
+@pytest.mark.parametrize("q", (4, 8, 9, 16, 27, 243, 256))
+def test_log_built_base_tables_match_generic_products(q):
+    # the tables come from a log/antilog pair; every entry must be the
+    # schoolbook product, and every inverse a true inverse
+    fld = FieldCtx(*split_prime_power(q))
+    generic = fld._mul_generic
+    for a in range(q):
+        assert fld._mul_table[a] == tuple(generic(a, b) for b in range(q))
+    assert fld._inv_table[0] == 0
+    assert all(generic(a, fld._inv_table[a]) == 1 for a in range(1, q))
+
+
+def test_base_tables_take_about_q_products(monkeypatch):
+    calls = []
+    original = FieldCtx._mul_generic
+    monkeypatch.setattr(FieldCtx, "_mul_generic", lambda self, a, b: calls.append(1) or original(self, a, b))
+    FieldCtx(2, 8)
+    assert len(calls) < 2 * 256  # q^2 / 2 = 32768 before
+
+
 def test_characteristic_two_addition_is_xor():
     for ctx in (ExtCtx(FieldCtx(2), 3), ExtCtx(FieldCtx(2, 2), 2)):
         for a, b in itertools.product(range(ctx.order), repeat=2):

@@ -10,8 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import inline_executor
-from ranklab.codes import enumerate_codewords, sample_random_code, sample_random_linear_code
+from helpers import coset_oracle, inline_executor
+from ranklab.codes import (
+    LinearCode,
+    enumerate_codewords,
+    sample_random_code,
+    sample_random_linear_code,
+)
 from ranklab.fields import default_context
 from ranklab.harness import (
     EnsembleSpec,
@@ -113,6 +118,13 @@ def test_run_ensemble_pool_is_capped_at_the_cpu_count(monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         assert run_ensemble(spec, workers=100000) == solo
         assert sizes == expected
+
+
+def test_run_ensemble_rejects_worker_counts_below_one():
+    spec = EnsembleSpec(**spec_kwargs(trials=2))
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(spec, workers=workers)
 
 
 def test_run_ensemble_outcome_shape():
@@ -236,6 +248,62 @@ def test_coset_partition_check_ternary():
         assert report.identity_ok and report.meets_average_bound
         counts = oracle_partition_counts(code, s)
         assert max(counts) == report.max_count
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 3, 2, 2), (2, 4, 2, 3), (2, 3, 3, 5), (3, 2, 2, 1),
+                                        (3, 2, 2, 2), (3, 3, 2, 3), (5, 2, 2, 2)])
+def test_coset_partition_check_matches_the_brute_force_oracle(q, m, n, k):
+    ctx = default_context(q, m)
+    for seed in range(2):
+        code = sample_random_linear_code(ctx, n, k, seed)
+        for s in range(n + 1):
+            report = coset_partition_check(code, s)
+            assert (
+                report.coset_count, report.total, report.max_count, report.max_rep.entries
+            ) == coset_oracle(code, s)
+
+
+def test_coset_partition_check_tie_cases_frozen():
+    # frozen from the transversal walk the coset keys replaced: each code
+    # has several maximal cosets, and the first representative in
+    # flatten_vector order is not the least center (see test_listdec);
+    # q = 4 reduces over the F_2-span of the basis
+    cases = (
+        (2, 3, 2, [(3, 7), (7, 4)], 16, 22, 3, [0, 4], 2),
+        (3, 2, 2, [(6, 2), (7, 7)], 9, 33, 6, [0, 7], 4),
+        (4, 2, 2, [(9, 7), (1, 4)], 16, 76, 8, [0, 9], 5),
+    )
+    for q, m, n, basis, cosets, ball, max_count, max_rep, average in cases:
+        ctx = default_context(q, m)
+        code = LinearCode(ctx, n, tuple(RankVector(ctx, b) for b in basis))
+        assert coset_partition_check(code, 1).as_dict() == {
+            "radius_s": 1,
+            "k": 2,
+            "coset_count": cosets,
+            "ball": str(ball),
+            "total": str(ball),
+            "identity_ok": True,
+            "max_count": max_count,
+            "max_rep": max_rep,
+            "average_bound": average,
+            "meets_average_bound": True,
+        }
+
+
+def test_coset_partition_check_enumerates_no_codeword(monkeypatch):
+    from ranklab import codes, listdec
+
+    ctx = default_context(3, 2)
+    cases = [(sample_random_linear_code(ctx, 2, k, seed=1), s) for k in (1, 2, 3) for s in (0, 1, 2)]
+    expected = [coset_partition_check(code, s) for code, s in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the coset check enumerated codewords or scattered them")
+
+    for module, name in ((codes, "enumerate_codewords"), (listdec, "enumerate_codewords"),
+                         (listdec, "_scatter")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert [coset_partition_check(code, s) for code, s in cases] == expected
 
 
 def test_coset_partition_check_errors():

@@ -11,7 +11,14 @@ import pytest
 
 from helpers import far_branch_oracle, inline_executor
 from ranklab import listdec
-from ranklab.codes import ExplicitCode, gabidulin, sample_random_code, sample_random_linear_code
+from ranklab.codes import (
+    ExplicitCode,
+    LinearCode,
+    enumerate_codewords,
+    gabidulin,
+    sample_random_code,
+    sample_random_linear_code,
+)
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import default_context
 from ranklab.listdec import (
@@ -35,7 +42,6 @@ from ranklab.rankmetric import (
 
 def brute_force_report(code, s):
     """Independent full sweep: (max count, index of the first argmax)."""
-    from ranklab.codes import enumerate_codewords
 
     words = tuple(enumerate_codewords(code))
     best, best_idx = -1, -1
@@ -214,39 +220,166 @@ def test_montecarlo_far_branch_tie_rule_q3():
     assert max_list_size(code, 1).argmax_center.entries == (5, 3)
 
 
-# far-branch cases: (code, s, centers, seed, whether |B_s| <= n * |candidates|
-# picks the restricted tally over the scan); 350 centers put q2m7n4 just
-# inside the rule, 1906 <= 4 * 478
+# far-branch cases: (code, s, centers, seed, side).  An explicit code's
+# candidates take the restricted tally ("tally") when |B_s| <= n *
+# |candidates| and the scan otherwise; a linear or Gabidulin code's take
+# the coset tally ("coset") when |B_s| <= n * |C| * (|C| + centers) and
+# the scan otherwise.  350 centers put q2m7n4 just inside its rule,
+# 1906 <= 4 * 478; the q2m16n2 linear code has |B_1| = 196606 against
+# n * |C| * (|C| + centers) = 3328
 FAR_CASES = {
     "q2m7n4-random128-tally": (
-        lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, True
+        lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, "tally"
     ),
     "q3m2n2-random40-tally": (
-        lambda: sample_random_code(default_context(3, 2), 2, 40, 2), 1, 20, 1, True
+        lambda: sample_random_code(default_context(3, 2), 2, 40, 2), 1, 20, 1, "tally"
     ),
-    "q2m7n7-gabidulin-scan": (lambda: gabidulin(default_context(2, 7), 7, 1), 1, 50, 0, False),
+    "q2m7n7-gabidulin-coset": (lambda: gabidulin(default_context(2, 7), 7, 1), 1, 50, 0, "coset"),
+    "q3m4n4-linear9-coset": (
+        lambda: sample_random_linear_code(default_context(3, 4), 4, 2, 1), 1, 100, 2, "coset"
+    ),
     "q2m16n2-random4-scan": (
-        lambda: sample_random_code(default_context(2, 16), 2, 4, 0), 1, 200, 3, False
+        lambda: sample_random_code(default_context(2, 16), 2, 4, 0), 1, 200, 3, "scan"
     ),
+    "q2m16n2-linear8-scan": (
+        lambda: sample_random_linear_code(default_context(2, 16), 2, 3, 4), 1, 200, 3, "scan"
+    ),
+}
+
+# what each side must not call: the tallies rank no pair, the coset tally
+# scatters no codeword, and the scan builds no ball
+FAR_FORBIDDEN = {
+    "tally": ("_rank_of_entries",),
+    "coset": ("_scatter", "_rank_of_entries"),
+    "scan": ("_iter_ball_tables",),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAR_CASES))
 def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatch):
-    make, s, centers, seed, tally_side = FAR_CASES[case]
+    make, s, centers, seed, side = FAR_CASES[case]
     code = make()
     expected = far_branch_oracle(code, s, centers, seed)
     ball = ball_volume(code.ctx.base.q, code.ctx.m, code.n, s).exact
-    assert (ball <= code.n * expected[2]) == tally_side
+    if isinstance(code, ExplicitCode):
+        assert side == ("tally" if ball <= code.n * expected[2] else "scan")
+    else:
+        assert side == ("coset" if ball <= code.n * code.size * (code.size + centers) else "scan")
 
     def forbidden(*args):
         raise AssertionError(f"the other side of the rule ran for {case}")
 
-    # the tally ranks no pair, and the scan builds no ball
-    monkeypatch.setattr(listdec, "_rank_of_entries" if tally_side else "_iter_ball_tables", forbidden)
+    for name in FAR_FORBIDDEN[side]:
+        monkeypatch.setattr(listdec, name, forbidden)
     report = max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
+
+
+def twin_codes():
+    """Linear and Gabidulin codes over q = 2, 3, 4, 5 at several shapes."""
+    for q, m, n, k, seed in (
+        (2, 3, 2, 2, 0), (2, 4, 3, 3, 1), (2, 3, 3, 5, 2), (3, 2, 2, 2, 3), (3, 3, 2, 1, 0),
+        (4, 2, 2, 2, 8), (4, 2, 2, 1, 1), (5, 2, 2, 1, 2),
+    ):
+        yield f"linear-q{q}m{m}n{n}k{k}", sample_random_linear_code(default_context(q, m), n, k, seed)
+    for q, m, n, k in ((2, 3, 3, 1), (2, 4, 2, 1), (3, 2, 2, 1), (4, 2, 2, 1), (5, 2, 1, 1)):
+        yield f"gabidulin-q{q}m{m}n{n}k{k}", gabidulin(default_context(q, m), n, k)
+
+
+def test_linear_codes_report_like_their_explicit_twins():
+    # the twin lists the same words and stays on the center tally, whose
+    # least-index and first-candidate tie rules the coset keys must keep
+    for name, code in twin_codes():
+        twin = ExplicitCode(code.ctx, code.n, tuple(enumerate_codewords(code)))
+        for s in range(code.n + 1):
+            assert max_list_size(code, s).as_dict() == max_list_size(twin, s).as_dict(), name
+            for seed in (1, 2):
+                mc = {"centers": 40, "seed": seed, "neighborhood_cap": 0}
+                assert (
+                    max_list_size(code, s, "montecarlo", **mc).as_dict()
+                    == max_list_size(twin, s, "montecarlo", **mc).as_dict()
+                ), name
+
+
+def test_linear_sweeps_enumerate_no_codeword_and_start_no_pool(monkeypatch):
+    from ranklab import codes
+
+    expected = {
+        (name, s): max_list_size(code, s).as_dict()
+        for name, code in twin_codes()
+        for s in range(code.n + 1)
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a linear sweep enumerated codewords or scattered them")
+
+    sizes = []
+    for module, name in ((codes, "enumerate_codewords"), (listdec, "enumerate_codewords"),
+                         (listdec, "_scatter")):
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    for name, code in twin_codes():
+        for s in range(code.n + 1):
+            assert max_list_size(code, s, workers=4).as_dict() == expected[name, s]
+    assert sizes == []
+
+
+def test_exhaustive_linear_tie_cases_frozen_from_the_center_tally():
+    # the least center of the maximal cosets; the coset check's first
+    # representative in flatten order is a different vector here (see
+    # test_harness), and q = 4 reduces over the F_2-span of the basis
+    cases = (
+        (2, 3, 2, [(3, 7), (7, 4)], 3, [0, 3], 64, 2),
+        (3, 2, 2, [(6, 2), (7, 7)], 6, [0, 5], 81, 4),
+        (4, 2, 2, [(9, 7), (1, 4)], 8, [0, 7], 256, 5),
+    )
+    for q, m, n, basis, l_max, argmax, tried, lb in cases:
+        ctx = default_context(q, m)
+        code = LinearCode(ctx, n, tuple(RankVector(ctx, b) for b in basis))
+        assert max_list_size(code, 1).as_dict() == {
+            "radius_s": 1,
+            "l_max": l_max,
+            "argmax_center": argmax,
+            "exhaustive": True,
+            "centers_tried": tried,
+            "pigeonhole_lb": lb,
+        }
+
+
+def test_odd_q_keys_without_the_byte_slots():
+    # n * (p - 1) > 255, so coset keys are digit tuples: q = 257 in one
+    # entry, where a coset's key must be its least vector index
+    ctx = default_context(257, 2)
+    code = sample_random_linear_code(ctx, 1, 1, seed=0)
+    (word,) = code.basis
+    cosets = listdec._CosetKeys(code)
+    for x in (0, 1, 300, 257 * 256 + 17, 66048):
+        coset = [vector_index(RankVector(ctx, (x,)) + scaled(word, c)) for c in range(257)]
+        assert cosets.index(cosets.of_index(x)) == min(coset)
+    # the radius-1 ball is the whole space, so every coset is maximal
+    assert max_list_size(code, 1).as_dict()["l_max"] == 257
+    twin = ExplicitCode(ctx, 1, tuple(enumerate_codewords(code)))
+    assert max_list_size(code, 0) == max_list_size(twin, 0)
+    mc = {"centers": 20, "seed": 4, "neighborhood_cap": 0}
+    for s in (0, 1):
+        assert max_list_size(code, s, "montecarlo", **mc) == max_list_size(twin, s, "montecarlo", **mc)
+
+
+def scaled(word, c):
+    """c * word for c in a prime field, entry by entry."""
+    ctx = word.ctx
+    return RankVector(ctx, tuple(ctx.mul(c, e) if c else 0 for e in word.entries))
+
+
+def test_worker_counts_below_one_are_rejected():
+    ctx = default_context(2, 2)
+    code = sample_random_code(ctx, 2, 4, seed=0)
+    for mode in ("montecarlo", "exhaustive"):
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers"):
+                max_list_size(code, 1, mode, workers=workers)
 
 
 def test_negative_centers_are_rejected():
