@@ -199,24 +199,6 @@ def _check_word_cap(code: Code, cap: int) -> None:
         )
 
 
-def _scale_by_base(ctx: ExtCtx, c: int, a: int) -> int:
-    """c * a for c in F_q and a in F_{q^m}: each coordinate of a times c.
-
-    Equal to ``ctx.mul(c, a)``, without building extension tables.
-    """
-    if c == 1:
-        return a
-    q = ctx.base.q
-    mul = ctx.base.mul
-    out = 0
-    place = 1
-    while a:
-        a, d = divmod(a, q)
-        out += mul(c, d) * place
-        place *= q
-    return out
-
-
 def enumerate_codewords(code: Code, cap: int = DEFAULT_WORD_CAP):
     """Yield every codeword once, in a deterministic order."""
     _check_word_cap(code, cap)
@@ -234,7 +216,7 @@ def enumerate_codewords(code: Code, cap: int = DEFAULT_WORD_CAP):
             entries = [0] * code.n
             for c, word in zip(coeffs, basis_entries):
                 if c:
-                    entries = [ctx.add(e, _scale_by_base(ctx, c, we)) for e, we in zip(entries, word)]
+                    entries = [ctx.add(e, ctx.scale(c, we)) for e, we in zip(entries, word)]
             yield RankVector(ctx, tuple(entries))
         return
     if isinstance(code, GabidulinCode):

@@ -33,13 +33,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
+from operator import and_, rshift, xor
 
 from .codes import (
     Code,
     GabidulinCode,
     LinearCode,
     _check_word_cap,
-    _scale_by_base,
     enumerate_codewords,
 )
 from .errors import EnumerationCapExceeded
@@ -252,12 +253,12 @@ class _CosetKeys:
                 map([x * place for x in values].__getitem__, column)
                 for place, column in zip(places, columns)
             ]
-            offsets = map(sum, zip(*reads))
-            if len(self.tables) == 1:
-                # the common case, a basis whose pivots share one window
-                ((low, table),) = self.tables
-                return (x ^ table[x >> low & 255] for x in offsets)
-            return map(self.of_index, offsets)
+            keys = list(map(sum, zip(*reads)))
+            # of_index over the whole list, one window at a time
+            for low, table in self.tables:
+                windows = map(and_, map(rshift, keys, repeat(low)), repeat(255))
+                keys = list(map(xor, keys, map(table.__getitem__, windows)))
+            return keys
         # each digit sits in its own slot, wide enough for a sum of n digits
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
         per_entry = width // n
@@ -272,7 +273,7 @@ class _CosetKeys:
         sums = map(sum, zip(*reads))
         if self.narrow:
             mod = bytes(v % p for v in range(256))
-            return (t.to_bytes(width, "big").translate(mod) for t in sums)
+            return map(bytes.translate, map(int.to_bytes, sums, repeat(width), repeat("big")), repeat(mod))
         mask = (1 << slot) - 1
         shifts = range(slot * (width - 1), -1, -slot)
         return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
@@ -328,7 +329,7 @@ def _fp_basis(code) -> list[int]:
                 words.append([ctx.mul(p**e, f) for f in frob])
     else:
         words = [
-            [_scale_by_base(ctx, p**u, e) for e in w.entries]
+            [ctx.scale(p**u, e) for e in w.entries]
             for w in code.basis
             for u in range(ctx.base.s)
         ]

@@ -414,7 +414,7 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
     """
     field = ctx.base
     q = field.q
-    add = ctx.add
+    add = int.__xor__ if field.p == 2 else ctx.add
     for u in range(r + 1):
         factors = []
         for flat in itertools.product(range(q), repeat=u * n):
@@ -424,7 +424,8 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
         for basis in _iter_rref_matrices(field, u, ctx.m):
             span = [0]
             for row in basis:
-                multiples = [ctx.vec_to_ext(tuple(field.mul(c, v) for v in row)) for c in range(q)]
+                element = ctx.vec_to_ext(row)
+                multiples = [ctx.scale(c, element) for c in range(q)]
                 span = [add(x, cb) for cb in multiples for x in span]
             yield span, factors
 
