@@ -7,19 +7,20 @@ its spec: rerunning, or redistributing trials over workers, reproduces
 it bit for bit.  Wall-clock time is carried for convenience but kept
 out of equality and canonical serialization.
 
-``coset_partition_check`` reads the list-size tally of ``listdec`` (one
-count per codeword and ball offset) at a transversal of the cosets of a
-linear code, one count per coset, and checks that these counts sum to
-the closed-form ball volume, with the max coset compared against the
-ceil(|B|/|S|) average floor.
+``coset_partition_check`` reads the coset tally of ``listdec`` (one key
+per ball vector, the least vector of its coset) for a linear code, one
+count per coset the ball meets, and checks that these counts sum to the
+closed-form ball volume, with the max coset compared against the
+ceil(|B|/|S|) average floor.  Only the cosets that reach the maximum
+are mapped to their representatives; the others are never visited.
 """
 from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from collections import Counter
 from functools import partial
 
 # CurvePoint and emit_barrier_curves are re-exported here
@@ -243,13 +244,14 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     coset keys) counts |(C + y) intersect B_s| at the coset C + y.  The
     ball is symmetric, -B_s = B_s, so that is the same tally as keying
     each b by its own coset, which is what ``max_list_size`` reads.  A
-    coset the ball misses counts zero.  The cosets partition the space, so the
-    counts must sum to the closed-form ball volume, which certifies that
-    the offsets behind the tally are exactly the |B_s| vectors the shell
-    counts predict.  The reported representative of a coset has its
-    pivot coordinates zeroed, pivots taken in ``flatten_vector`` order;
-    that makes it the first vector of its coset in that order, and the
-    maximal coset reported is the one whose representative comes first.
+    coset the ball misses counts zero.  The cosets partition the space,
+    so the counts must sum to the closed-form ball volume, which
+    certifies that the offsets behind the tally are exactly the |B_s|
+    vectors the shell counts predict.  The reported representative of a
+    coset has its pivot coordinates zeroed, pivots taken in
+    ``flatten_vector`` order; that makes it the first vector of its coset
+    in that order, and the maximal coset reported is the one whose
+    representative comes first.
     """
     if not isinstance(code, LinearCode):
         raise ValueError("coset partition needs a linear code")

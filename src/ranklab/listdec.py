@@ -1,30 +1,48 @@
 """List-decodability probes: list sizes at centers, worst-case list
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
-Worst-case list sizes come from one scatter kernel: every codeword w
-and every offset b of rank <= s add one to the tally of the center
-w + b, so one pass of |C| * |B_s| additions gives the list size of every
-center that sees any codeword at all, and the counts sum to |C| * |B_s|,
-the double count behind the pigeonhole floor.  The tally is keyed by
-packed vector index (``vector_index``: base-q^m digits, entry 0 most
-significant).  In characteristic 2 entry codes add by XOR, and so do
-packed vectors, so the ball offsets are packed once per call and the
-key of w + b is w ^ b.  For odd q each span table of the ball is
-shifted by each entry of w and scaled by that entry's place value, and
-a key is the sum of n table reads: addition is digitwise inside an
-entry, so no carry crosses an entry boundary.
+Two kernels count lists, keyed by packed vector index (``vector_index``:
+base-q^m digits, entry 0 most significant).
 
-The exhaustive maximum and the Monte Carlo neighborhood are read off
-this tally.  Monte Carlo centers far from that neighborhood are scored
-by the same scatter restricted to the candidate set when its
-|C| * |B_s| probes cost no more than scanning |candidates| * |C| pairs:
-a probe does at most n table reads (one XOR in characteristic 2) and a
-scanned pair n entry subtractions plus an elimination, so the scatter
-runs when |B_s| <= n * |candidates|.  Otherwise, and for a single
-center, the codewords are scanned against each center.  Splitting the
+For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
+is F_{q^m}-linear) the list size at x is the number of offsets b of
+rank <= s with b = x mod C, so it depends only on the coset of x.  The
+coset key of a vector is the least packed index in its coset: C is
+taken as an F_p-space, its basis brought to reduced echelon form on the
+base-p digits of the packed index, pivots most significant first, and
+a vector reduced by it.  One pass over the |B_s| ball offsets tallies
+every coset; no codeword is enumerated.  The exhaustive maximum is the
+largest count, its center the least key among the cosets that reach it,
+which is the least center overall.  In characteristic 2 the reduction
+is an XOR of table reads; for odd p the key of an offset is the
+digitwise sum of per-entry keys, one digit per byte while n * (p - 1)
+fits in one.
+
+Explicit codes use the scatter kernel: every codeword w and every offset
+b of rank <= s add one to the tally of the center w + b, so one pass of
+|C| * |B_s| additions gives the list size of every center that sees any
+codeword at all, and the counts sum to |C| * |B_s|, the double count
+behind the pigeonhole floor.  In characteristic 2 entry codes add by
+XOR, and so do packed vectors, so the ball offsets are packed once per
+call and the key of w + b is w ^ b.  For odd q each span table of the
+ball is shifted by each entry of w and scaled by that entry's place
+value, and a key is the sum of n table reads: addition is digitwise
+inside an entry, so no carry crosses an entry boundary.  Splitting the
 codewords over workers sums partial tallies, so reports do not depend
 on the worker count, and exhaustive ties resolve to the least packed
 index, which is the first center in lexicographic order.
+
+Monte Carlo reads the scatter tally around the codewords of any code
+(the neighborhood) when |C| * |B_s| is small; the order in which that
+tally first meets its centers breaks ties.  Random centers far from
+that neighborhood are scored, for a linear code, by the coset tally
+when its |B_s| keys cost no more than scanning |candidates| * |C|
+pairs, each n entry subtractions plus an elimination: that is when
+|B_s| <= n * |C| * (|C| + centers).  For an explicit code they are
+scored by the scatter restricted to the candidate set when its
+|C| * |B_s| probes, at most n table reads each, cost no more than the
+scan, which is when |B_s| <= n * |candidates|.  Otherwise, and for a
+single center, the codewords are scanned against each center.
 """
 from __future__ import annotations
 
@@ -142,6 +160,16 @@ def _ball_layout(ctx, n: int, s: int):
     return values, columns
 
 
+def _packed(values, columns, order: int) -> list[int]:
+    """The packed index of every offset of a ``_ball_layout``, in order."""
+    n = len(columns)
+    reads = [
+        map([x * order**j for x in values].__getitem__, column)
+        for j, column in zip(range(n - 1, -1, -1), columns)
+    ]
+    return list(map(sum, zip(*reads)))
+
+
 def _ball_keys(ctx, n: int, s: int):
     """A function from a codeword's entries to the packed keys of w + b.
 
@@ -152,6 +180,9 @@ def _ball_keys(ctx, n: int, s: int):
     """
     values, columns = _ball_layout(ctx, n, s)
     order = ctx.order
+    if ctx.base.p == 2:
+        offsets = _packed(values, columns, order)
+        return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
     places = [order**j for j in range(n - 1, -1, -1)]
     add = ctx.add
 
@@ -162,9 +193,6 @@ def _ball_keys(ctx, n: int, s: int):
         ]
         return map(sum, zip(*reads))
 
-    if ctx.base.p == 2:
-        offsets = list(keys((0,) * n))
-        return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
     return keys
 
 
@@ -248,12 +276,7 @@ class _CosetKeys:
         values, columns = _ball_layout(self.ctx, self.n, s)
         n, p, width = self.n, self.p, self.width
         if p == 2:
-            places = [self.order**j for j in range(n - 1, -1, -1)]
-            reads = [
-                map([x * place for x in values].__getitem__, column)
-                for place, column in zip(places, columns)
-            ]
-            keys = list(map(sum, zip(*reads)))
+            keys = _packed(values, columns, self.order)
             # of_index over the whole list, one window at a time
             for low, table in self.tables:
                 windows = map(and_, map(rshift, keys, repeat(low)), repeat(255))

@@ -414,7 +414,7 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
     """
     field = ctx.base
     q = field.q
-    add = int.__xor__ if field.p == 2 else ctx.add
+    add = int.__xor__ if field.p == 2 else ctx.add  # XOR is addition in characteristic 2
     for u in range(r + 1):
         factors = []
         for flat in itertools.product(range(q), repeat=u * n):
