@@ -477,6 +477,8 @@ class ExtCtx:
 
         Equal to ``mul(c, a)``, without building extension tables.
         """
+        if c == 0:
+            return 0
         if c == 1:
             return a
         q = self.base.q

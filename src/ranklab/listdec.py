@@ -24,13 +24,16 @@ b of rank <= s add one to the tally of the center w + b, so one pass of
 codeword at all, and the counts sum to |C| * |B_s|, the double count
 behind the pigeonhole floor.  In characteristic 2 entry codes add by
 XOR, and so do packed vectors, so the ball offsets are packed once per
-call and the key of w + b is w ^ b.  For odd q each span table of the
-ball is shifted by each entry of w and scaled by that entry's place
-value, and a key is the sum of n table reads: addition is digitwise
-inside an entry, so no carry crosses an entry boundary.  Splitting the
-codewords over workers sums partial tallies, so reports do not depend
-on the worker count, and exhaustive ties resolve to the least packed
-index, which is the first center in lexicographic order.
+call and the key of w + b is w ^ b.  For odd q the span tables of the
+ball, side by side in one list, are shifted by each entry of w and
+scaled by that entry's place value, and a key is the sum of n table
+reads: addition is digitwise inside an entry, so no carry crosses an
+entry boundary.  A shift adds one base-p digit of the entry to one
+digit plane of the list at a time, and the planes are split off the
+list once per call, so no element is added with ``ExtCtx.add``.
+Splitting the codewords over workers sums partial tallies, so reports
+do not depend on the worker count, and exhaustive ties resolve to the
+least packed index, which is the first center in lexicographic order.
 
 Monte Carlo reads the scatter tally around the codewords of any code
 (the neighborhood) when |C| * |B_s| is small; the order in which that
@@ -70,6 +73,7 @@ from .rankmetric import (
     _index_of_entries,
     _iter_ball_tables,
     _rank_of_entries,
+    _shifter,
     ball_volume,
     rref_fq,
     vector_from_index,
@@ -152,9 +156,9 @@ def _ball_layout(ctx, n: int, s: int):
     """
     values = []
     columns = [[] for _ in range(n)]
-    for span, factors in _iter_ball_tables(ctx, n, s):
+    for span, cols_by_entry in _iter_ball_tables(ctx, n, s):
         start = len(values)
-        for column, cols in zip(columns, zip(*factors)):
+        for column, cols in zip(columns, cols_by_entry):
             column.extend([start + c for c in cols])
         values.extend(span)
     return values, columns
@@ -176,7 +180,8 @@ def _ball_keys(ctx, n: int, s: int):
     The keys come in ``_iter_ball`` offset order, one per offset b of
     rank <= s, so a tally fed codeword by codeword keys its centers in
     (codeword, offset) order.  A codeword shifts the span list of
-    ``_ball_layout`` by each of its entries, once.
+    ``_ball_layout`` by each of its entries, once, with ``_shifter``,
+    whose digit planes of that list are split off once per call.
     """
     values, columns = _ball_layout(ctx, n, s)
     order = ctx.order
@@ -184,11 +189,11 @@ def _ball_keys(ctx, n: int, s: int):
         offsets = _packed(values, columns, order)
         return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
     places = [order**j for j in range(n - 1, -1, -1)]
-    add = ctx.add
+    shift = _shifter(ctx.base.p, values)
 
     def keys(w):
         reads = [
-            map([add(e, x) * place for x in values].__getitem__, column)
+            map(list(map(place.__mul__, shift(e))).__getitem__, column)
             for e, place, column in zip(w, places, columns)
         ]
         return map(sum, zip(*reads))

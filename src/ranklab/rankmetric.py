@@ -124,10 +124,25 @@ def vector_from_index(ctx: ExtCtx, n: int, idx: int) -> RankVector:
     return RankVector(ctx, _entries_of_index(ctx.order, n, idx))
 
 
+def _trusted(ctx: ExtCtx, entries: tuple[int, ...]) -> RankVector:
+    """A ``RankVector`` of entries the caller has already validated.
+
+    The only unchecked construction path: it skips ``__post_init__``, so
+    ``entries`` must be a tuple of 1 to m valid element codes.
+    """
+    v = object.__new__(RankVector)
+    object.__setattr__(v, "ctx", ctx)
+    object.__setattr__(v, "entries", entries)
+    return v
+
+
 def iter_all_vectors(ctx: ExtCtx, n: int):
     """All of F_{q^m}^n in lexicographic entry order."""
+    if not 1 <= n <= ctx.m:
+        raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
+    # entries drawn from range(order) are valid by construction
     for entries in itertools.product(range(ctx.order), repeat=n):
-        yield RankVector(ctx, entries)
+        yield _trusted(ctx, entries)
 
 
 def _bit_rank(cols: list[int]) -> int:
@@ -398,49 +413,125 @@ def _iter_rref_matrices(field: FieldCtx, u: int, cols: int):
             yield tuple(tuple(r) for r in M)
 
 
+def _shifter(p: int, values: list[int]):
+    """A function from e to ``[e + x for x in values]``, summed digitwise
+    in base p, which is addition in F_{q^m} and in F_q^n for q = p^s.
+
+    For p = 2 the sum is XOR.  For odd p each nonzero digit d of e adds d
+    mod p to that digit plane of every value, one list pass per digit;
+    a plane of ``values`` is split off on first use and shared by every
+    later e.  Digits of a value that e does not touch are kept, so a
+    value out of range stays out of range.  A zero e returns ``values``
+    itself, which callers only read.
+    """
+    if p == 2:
+        return lambda e: list(map(e.__xor__, values)) if e else values
+    planes = {}
+
+    def shift(e):
+        out = values
+        place = 1
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                plane = planes.get(place)
+                if plane is None:
+                    plane = planes[place] = [x // place % p for x in values]
+                lim, up, down = p - d, d * place, (d - p) * place
+                out = [x + (up if v < lim else down) for x, v in zip(out, plane)]
+            place *= p
+        return out
+
+    return shift
+
+
+def _full_rank_factors(field: FieldCtx, u: int, n: int) -> list[tuple[int, ...]]:
+    """Every full-rank u x n matrix R over F_q, as the n column values
+    sum_k R[k][j] q^k, in ``itertools.product`` order of its rows: the
+    prod_{i<u} (q^n - q^i) factors of a rank-u shell.
+
+    Row k runs over F_q^n in ``itertools.product`` order and skips the
+    span of rows 0..k-1; nesting the rows, row 0 outermost, is the
+    product order of the flattened matrix restricted to rank u, so no
+    candidate is ranked.  Row vectors are packed in base q, where the
+    span grows by ``_shifter``; the span of all u rows is never built.
+    """
+    if u == 0:
+        return [(0,) * n]
+    q = field.q
+    rows = list(itertools.product(range(q), repeat=n))
+    # row k contributes R[k][j] q^k to column value j
+    scaled = [[tuple(v * q**k for v in row) for row in rows] for k in range(u)]
+    factors = []
+
+    def extend(k, cols, span):
+        taken = set(span)
+        if k == u - 1:
+            factors.extend(
+                tuple(map(int.__add__, cols, t))
+                for idx, t in enumerate(scaled[k])
+                if idx not in taken
+            )
+            return
+        shift = _shifter(field.p, span)
+        for idx, row in enumerate(rows):
+            if idx not in taken:
+                multiples = [_index_of_entries(q, [field.mul(c, v) for v in row]) for c in range(q)]
+                extend(k + 1, tuple(map(int.__add__, cols, scaled[k][idx])),
+                       [y for mult in multiples for y in shift(mult)])
+
+    extend(0, (0,) * n, [0])
+    return factors
+
+
 def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
-    """(span table, factors) for every F_q-subspace of dimension <= r of F_q^m.
+    """(span table, columns) for every F_q-subspace of dimension <= r of F_q^m.
 
     A rank-u matrix factors uniquely as C * R with C an m x u basis of
     its column space (fixed per subspace via the RREF representative)
     and R a full-rank u x n matrix.  The span table lists the q^u
     elements of F_{q^m} spanned by the columns of C, the element with
-    coefficient digits t_k at index sum t_k q^k; ``factors`` lists, for
-    every R in ``itertools.product`` order, the span-table index of each
-    of its columns, so entry j of C * R is span[factors[i][j]].  The
-    factor list is built once per u and shared by its subspaces, which
-    come dimension by dimension in ``_iter_rref_matrices`` order.  The
-    zero subspace (u = 0) has a single empty factor: the zero offset.
+    coefficient digits t_k at index sum t_k q^k.  The factor list of
+    ``_full_rank_factors`` gives, for every R in ``itertools.product``
+    order, the span-table index of each of its columns, so entry j of
+    C * R is span[factor[j]]; ``columns`` is that list transposed, one
+    tuple per entry position j.  It is built once per u and shared by
+    the subspaces of dimension u, which come in ``_iter_rref_matrices``
+    order.  The zero subspace (u = 0) has the span table [0] and one
+    all-zero factor: the zero offset.
     """
     field = ctx.base
     q = field.q
-    add = int.__xor__ if field.p == 2 else ctx.add  # XOR is addition in characteristic 2
     for u in range(r + 1):
-        factors = []
-        for flat in itertools.product(range(q), repeat=u * n):
-            rows = tuple(flat[k * n : (k + 1) * n] for k in range(u))
-            if rank_fq(rows, field) == u:
-                factors.append(tuple(sum(rows[k][j] * q**k for k in range(u)) for j in range(n)))
+        columns = tuple(zip(*_full_rank_factors(field, u, n)))
         for basis in _iter_rref_matrices(field, u, ctx.m):
             span = [0]
             for row in basis:
-                element = ctx.vec_to_ext(row)
-                multiples = [ctx.scale(c, element) for c in range(q)]
-                span = [add(x, cb) for cb in multiples for x in span]
-            yield span, factors
+                # the element with coordinates row, constant term first
+                element = _index_of_entries(q, row[::-1])
+                shift = _shifter(field.p, span)
+                span = [y for c in range(q) for y in shift(ctx.scale(c, element))]
+            yield span, columns
 
 
 def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
     """Entries of center + b for every b the tables describe, in table order.
 
-    Each span table is shifted by the center once, so the vectors
-    themselves are read off without further field arithmetic.
+    Each span table is shifted by each distinct center entry once, with
+    ``_shifter``, and every value of a shifted table passes
+    ``check_element`` before the table's first vector is read.  Entry j
+    of each vector is then read off the table shifted by center entry j
+    at ``columns[j]``, with no further field arithmetic or check.
     """
-    add = ctx.add
-    for span, factors in tables:
-        shifted = [[add(e, x) for x in span] for e in center]
-        for cols in factors:
-            yield tuple(map(list.__getitem__, shifted, cols))
+    p = ctx.base.p
+    check = ctx.check_element
+    for span, columns in tables:
+        shift = _shifter(p, span)
+        by_entry = {e: shift(e) for e in center}
+        for values in by_entry.values():
+            for x in values:
+                check(x)
+        yield from zip(*[map(by_entry[e].__getitem__, col) for e, col in zip(center, columns)])
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
@@ -448,7 +539,10 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
 
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
-    refuses outright if the ambient space exceeds ``cap``.
+    refuses outright if the ambient space exceeds ``cap``.  Validation
+    is one ``check_element`` per value of each shifted span table, in
+    ``_iter_ball``, so the vectors read off those tables are built
+    without checking each entry again.
     """
     ctx = center.ctx
     n = center.n
@@ -459,5 +553,5 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(
             f"ambient space has {space} vectors, above the cap of {cap}"
         )
-    for entries in _iter_ball(ctx, center.entries, _iter_ball_tables(ctx, n, r)):
-        yield RankVector(ctx, entries)
+    entries = _iter_ball(ctx, center.entries, _iter_ball_tables(ctx, n, r))
+    yield from map(_trusted, itertools.repeat(ctx), entries)

@@ -184,6 +184,22 @@ def xor_rank(masks):
     return len(basis)
 
 
+def full_rank_factors_by_filter(field, u, n):
+    """Every full-rank u x n matrix over F_q as its n column values
+    sum_k R[k][j] q^k, by ranking all q^(un) candidates in
+    ``itertools.product`` order of the flattened rows and keeping rank u.
+    """
+    from ranklab.rankmetric import rank_fq
+
+    q = field.q
+    out = []
+    for flat in itertools.product(range(q), repeat=u * n):
+        rows = tuple(flat[k * n : (k + 1) * n] for k in range(u))
+        if rank_fq(rows, field) == u:
+            out.append(tuple(sum(rows[k][j] * q**k for k in range(u)) for j in range(n)))
+    return out
+
+
 def far_branch_oracle(code, s, centers, seed):
     """The Monte Carlo far branch by brute force, over a prime base field.
 

@@ -5,6 +5,7 @@ rescan with ``list_size_at``; pigeonhole floors are checked against the
 counts they are supposed to floor.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -480,3 +481,24 @@ def test_ball_volume_consistency_with_pigeonhole():
         for size in (1, 3, space // 2):
             expected = -((-size * ball) // space)
             assert pigeonhole_lower_bound(size, q, m, n, s) == expected
+
+
+@pytest.mark.parametrize(
+    "q, m, n, size, seed, s, centers, digest",
+    [
+        (3, 2, 2, 5, 7, 1, 77, "d8c8567ec51d70a779147a729adaad4bb4de2c2ba2cfd60a68eb8d156e9134ec"),
+        (3, 2, 2, 5, 7, 2, 81, "f6cf2e63b176587aea60ea327fed4c4153bc7ac3f3e155a69dba6317f143c69d"),
+        (3, 3, 2, 4, 2, 1, 338, "272a8819800d14fdebcc4c0f668aa35023d8f994f64be085e25b17dadd880af7"),
+        (9, 2, 2, 3, 4, 1, 2141, "578cab669d0fe8d96dbf712af1f88de9c82df10db65c868d0c55f8b72d16941e"),
+    ],
+)
+def test_odd_q_scatter_tally_is_frozen(q, m, n, size, seed, s, centers, digest):
+    # counts and key order, "key:count" one per line, frozen from the
+    # per-element ExtCtx.add shift of the ball's span list
+    ctx = default_context(q, m)
+    code = sample_random_code(ctx, n, size, seed)
+    tally = listdec._scatter(ctx, n, s, listdec._scan_codewords(code, 2**24))
+    assert len(tally) == centers
+    assert sum(tally.values()) == size * ball_volume(q, m, n, s).exact
+    text = "\n".join(f"{key}:{count}" for key, count in tally.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -5,18 +5,24 @@ nonsingular u-by-u submatrix, determinants by permutation expansion) and
 shell counts against full histograms of enumerated matrices.
 """
 
+import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import all_matrices, minor_rank
+from helpers import all_matrices, full_rank_factors_by_filter, minor_rank
+from ranklab import rankmetric
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
 from ranklab.rankmetric import (
     RankVector,
+    _full_rank_factors,
     _iter_ball,
     _iter_ball_tables,
+    _shifter,
     ball_volume,
     count_rank_u,
     enumerate_ball,
@@ -372,3 +378,100 @@ def test_enumerate_ball_bad_radius():
     ctx = default_context(2, 3)
     with pytest.raises(ValueError):
         list(enumerate_ball(RankVector.zero(ctx, 2), 3))
+
+
+def test_full_rank_factors_match_the_rank_filter():
+    # row by row, skipping the span so far, is the filtered product order
+    for q in (2, 3, 4, 5, 9):
+        field = default_context(q, 1).base
+        for n in range(1, 4):
+            for u in range(n + 1):
+                if q ** (u * n) > 2 * 10**5:
+                    continue
+                got = _full_rank_factors(field, u, n)
+                assert got == full_rank_factors_by_filter(field, u, n), (q, n, u)
+                assert len(got) == math.prod(q**n - q**i for i in range(u))
+
+
+def test_ball_tables_rank_no_candidate(monkeypatch):
+    def refuse(rows, field):
+        raise AssertionError("rank_fq called while building ball tables")
+
+    monkeypatch.setattr(rankmetric, "rank_fq", refuse)
+    for q, m, n in ((2, 4, 3), (3, 3, 3), (4, 2, 2), (9, 2, 2)):
+        ctx = default_context(q, m)
+        tables = list(_iter_ball_tables(ctx, n, n))
+        assert sum(len(columns[0]) for _, columns in tables) == ball_volume(q, m, n, n).exact
+        center = RankVector(ctx, tuple(range(1, n + 1)))
+        assert sum(1 for _ in enumerate_ball(center, 1)) == ball_volume(q, m, n, 1).exact
+
+
+def test_shifter_adds_like_the_field():
+    # F_{9^2} is a tower: its base field F_9 is itself an extension of F_3
+    for q, m in ((3, 3), (5, 2), (9, 2), (2, 5)):
+        ctx = default_context(q, m)
+        values = list(ctx.elements()) * 2
+        random.Random(q * m).shuffle(values)
+        before = list(values)
+        shift = _shifter(ctx.base.p, values)
+        for e in ctx.elements():
+            assert shift(e) == [ctx.add(e, x) for x in before], (q, m, e)
+        assert values == before
+
+
+def test_enumerate_ball_checks_every_shifted_span_table(monkeypatch):
+    for q, m in ((2, 3), (3, 2)):
+        ctx = default_context(q, m)
+
+        def tables(ctx_, n, r, order=ctx.order):
+            # a valid zero table, then one whose second value is out of range;
+            # no factor reads that value, yet it must still be refused
+            yield [0], ((0,), (0,))
+            yield [0, order], ((0,), (0,))
+
+        monkeypatch.setattr(rankmetric, "_iter_ball_tables", tables)
+        ball = enumerate_ball(RankVector(ctx, (1, 0)), 1)
+        assert next(ball).entries == (1, 0)
+        with pytest.raises(ValueError):
+            next(ball)
+
+
+def test_enumerate_ball_yields_plain_rank_vectors():
+    for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2), (4, 2, 2, 1)):
+        ctx = default_context(q, m)
+        center = RankVector(ctx, tuple(range(2, 2 + n)))
+        for v in enumerate_ball(center, r):
+            assert type(v) is RankVector and type(v.entries) is tuple
+            w = RankVector(ctx, v.entries)
+            assert v == w and hash(v) == hash(w)
+
+
+def test_iter_all_vectors_yields_plain_rank_vectors():
+    ctx = default_context(3, 2)
+    out = list(iter_all_vectors(ctx, 2))
+    assert [v.entries for v in out] == list(itertools.product(range(9), repeat=2))
+    for v in out[::7]:
+        assert v == RankVector(ctx, v.entries) and hash(v) == hash(RankVector(ctx, v.entries))
+    for n in (0, 3):
+        with pytest.raises(ValueError):
+            next(iter_all_vectors(ctx, n))
+
+
+@pytest.mark.parametrize(
+    "q, m, n, r, center, size, digest",
+    [
+        (2, 4, 3, 2, (3, 9, 1), 1576, "e874d3854d9b64b1e2279add0275df68b921cbe4ada018a5f4a5817187d560a9"),
+        (2, 3, 3, 3, (0, 0, 0), 512, "c480eb437d17d1f432c9e0e816fcfac4251ee53c3cbbc60f948aa08778972813"),
+        (3, 3, 2, 2, (5, 17), 729, "741b104f32e818796a85aec96df0b50179dc609b5fdd58ac35b010fdb9c9e51c"),
+        (3, 2, 2, 1, (0, 4), 33, "480939925a291ba91f6a429d82d0a8171d4c3124b8db31fcf74e32a2a7d54bee"),
+        (4, 2, 2, 2, (7, 13), 256, "b43f20137c9364bda57cdc10c55009368ffa06d106a928826cd13d893b3d5486"),
+        (4, 3, 2, 1, (0, 0), 316, "8e0ad3f35164f4e0ece599aaecb70ec61afdb7e8cfc7e0c302dc16f9b8ad7fc3"),
+    ],
+)
+def test_enumerate_ball_order_is_frozen(q, m, n, r, center, size, digest):
+    # sha256 of the entries, one vector per line, frozen from the
+    # filter-based factor list
+    out = [v.entries for v in enumerate_ball(RankVector(default_context(q, m), center), r)]
+    assert len(out) == size
+    text = "\n".join(",".join(map(str, entries)) for entries in out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
