@@ -80,7 +80,7 @@ def hamming_check(code_size: int, q: int, m: int, n: int, d: int) -> BoundReport
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d = {d}")
     radius = (d - 1) // 2
-    ball = rankmetric.ball_volume(q, m, n, radius).exact
+    ball = rankmetric._ball_size(q, m, n, radius)
     bound = Fraction(q ** (m * n), code_size)
     return BoundReport(
         name="hamming",

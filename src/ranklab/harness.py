@@ -38,7 +38,7 @@ from .listdec import _CosetKeys, _pool_size, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
-    ball_volume,
+    _ball_size,
     flatten_vector,
     rref_fq,
     unflatten_vector,
@@ -264,7 +264,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     space = ctx.order**n
     if space > cap:
         raise EnumerationCapExceeded(f"{space} vectors in the ambient space, cap is {cap}")
-    ball = ball_volume(q, m, n, s).exact
+    ball = _ball_size(q, m, n, s)
     coset_count = q ** (m * n - code.k)
     average_bound = -((-ball) // coset_count)
 

@@ -16,7 +16,11 @@ largest count, its center the least key among the cosets that reach it,
 which is the least center overall.  In characteristic 2 the reduction
 is an XOR of table reads; for odd p the key of an offset is the
 digitwise sum of per-entry keys, one digit per byte while n * (p - 1)
-fits in one.
+fits in one.  A single index (a Monte Carlo center) is keyed by table
+reads over windows of its digits: XORed for p = 2; for odd p added in
+byte slots and taken mod p by one ``bytes.translate``, from tables
+built on the first such index, so sweeps and coset checks never build
+them.
 
 Explicit codes use the scatter kernel: every codeword w and every offset
 b of rank <= s add one to the tally of the center w + b, so one pass of
@@ -46,6 +50,12 @@ scored by the scatter restricted to the candidate set when its
 |C| * |B_s| probes, at most n table reads each, cost no more than the
 scan, which is when |B_s| <= n * |candidates|.  Otherwise, and for a
 single center, the codewords are scanned against each center.
+In characteristic 2 that restricted tally is turned around when the
+candidates are fewer than the offsets: w is within distance s of
+candidate c exactly when c ^ w packs an offset, so each candidate
+probes the set of packed offsets once per codeword, |C| * |candidates|
+probes in place of |C| * |B_s|.  Both orientations give every
+candidate its exact count, so the first-candidate tie rule holds.
 """
 from __future__ import annotations
 
@@ -69,12 +79,12 @@ from .fields import _default_base
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
+    _ball_size,
     _entries_of_index,
     _index_of_entries,
     _iter_ball_tables,
     _rank_of_entries,
     _shifter,
-    ball_volume,
     rref_fq,
     vector_from_index,
 )
@@ -110,7 +120,7 @@ def pigeonhole_lower_bound(code_size: int, q: int, m: int, n: int, s: int) -> in
     """ceil(|C| * |B(0, s)| / q^(mn)): some center must see this many words."""
     if code_size < 1:
         raise ValueError("code size must be positive")
-    ball = ball_volume(q, m, n, s).exact
+    ball = _ball_size(q, m, n, s)
     space = q ** (m * n)
     return -((-code_size * ball) // space)
 
@@ -245,6 +255,11 @@ class _CosetKeys:
         else:
             self.rows = tuple(zip(pivots, rows))
             self.narrow = n * (p - 1) <= 255
+            self.mod = bytes(v % p for v in range(256))
+            self.chunk, self.chunk_digits, _ = _digit_chunks(p)
+            # a byte slot holds the sum of one read per window of of_index
+            self.windowed = self.narrow and -(-width // self.chunk_digits) * (p - 1) <= 255
+            self.windows = None
             self.zero = self._finish([0] * width)
 
     def _finish(self, digits):
@@ -258,13 +273,56 @@ class _CosetKeys:
                 digits = [(a - c * r) % p for a, r in zip(digits, row)]
         return digits
 
+    def _window_tables(self) -> list[list[int]]:
+        """Key tables for ``of_index`` over windows of c base-p digits of
+        the index, p^c <= 256 as in ``_digit_chunks``, least significant
+        window first.
+
+        Entry v of a window's table is the key of the vector whose digits
+        there spell v and are zero elsewhere, one digit per byte slot of
+        an int.  Keys are F_p-linear, so a table is built a digit at a time
+        from the multiples of that digit's unit key, each sum brought back
+        to digits below p with one ``translate``.  A sum of two digits fits
+        a byte: two or more windows fit one byte only for p <= 128, and a
+        lone window of two or more digits has p <= 16.
+        """
+        p, width, c, mod = self.p, self.width, self.chunk_digits, self.mod
+        tables = []
+        for high in range(width, 0, -c):
+            table = [0]
+            for i in range(max(high - c, 0), high):
+                unit = [0] * width
+                unit[i] = 1
+                key = self._reduce(unit)
+                multiples = [_index_of_entries(256, [d * x % p for x in key]) for d in range(p)]
+                table = [
+                    int.from_bytes((t + u).to_bytes(width, "big").translate(mod), "big")
+                    for t in table
+                    for u in multiples
+                ]
+            tables.append(table)
+        return tables
+
     def of_index(self, idx: int):
-        """The key of the coset of the vector at packed index ``idx``."""
+        """The key of the coset of the vector at packed index ``idx``.
+
+        For odd p the window keys are summed when a byte slot holds one
+        read per window; otherwise the digits are reduced row by row.
+        """
         if self.p == 2:
             for low, table in self.tables:
                 idx ^= table[idx >> low & 255]
             return idx
-        return self._finish(self._reduce(_digits_of(idx, self.p, self.width)))
+        if not self.windowed:
+            return self._finish(self._reduce(_digits_of(idx, self.p, self.width)))
+        if self.windows is None:
+            self.windows = self._window_tables()
+        chunk = self.chunk
+        key = 0
+        for table in self.windows:
+            idx, v = divmod(idx, chunk)
+            key += table[v]
+        return key.to_bytes(self.width, "big").translate(self.mod)
 
     def index(self, key) -> int:
         """The packed index a key spells: the least vector of its coset."""
@@ -300,8 +358,9 @@ class _CosetKeys:
             reads.append(map(table.__getitem__, column))
         sums = map(sum, zip(*reads))
         if self.narrow:
-            mod = bytes(v % p for v in range(256))
-            return map(bytes.translate, map(int.to_bytes, sums, repeat(width), repeat("big")), repeat(mod))
+            return map(
+                bytes.translate, map(int.to_bytes, sums, repeat(width), repeat("big")), repeat(self.mod)
+            )
         mask = (1 << slot) - 1
         shifts = range(slot * (width - 1), -1, -slot)
         return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
@@ -377,6 +436,33 @@ def _scatter(ctx, n: int, s: int, words, keep=None) -> Counter:
     return tally
 
 
+def _probe(ctx, n: int, s: int, words, candidates) -> dict:
+    """The list size at each candidate center, for p = 2, by set probes.
+
+    Codeword w lies within rank distance s of candidate c exactly when
+    c ^ w packs an offset of rank <= s, so each candidate costs |C| probes
+    of the set of packed offsets; the codewords are distinct, and so are
+    their differences with c.
+    """
+    order = ctx.order
+    offsets = set(_packed(*_ball_layout(ctx, n, s), order))
+    packed = [_index_of_entries(order, w) for w in words]
+    return {c: len(offsets.intersection(map(c.__xor__, packed))) for c in candidates}
+
+
+def _candidate_tally(ctx, n: int, s: int, words, candidates, ball: int):
+    """The list size at each candidate center, keyed by packed index.
+
+    In characteristic 2, with fewer candidates than the ``ball`` offsets,
+    the candidates probe the ball (``_probe``, |C| * |candidates| probes);
+    otherwise the scatter is restricted to them (|C| * |B_s| probes).  The
+    two give the same count for every candidate.
+    """
+    if ctx.base.p == 2 and len(candidates) < ball:
+        return _probe(ctx, n, s, words, candidates)
+    return _scatter(ctx, n, s, words, keep=candidates)
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Processes worth starting: at most one per task and one per CPU.
 
@@ -441,7 +527,9 @@ def max_list_size(
             linear or Gabidulin code's candidates are read off the coset
             tally when |B_s| <= n * |C| * (|C| + centers), and an
             explicit code's off the center tally restricted to them when
-            |B_s| <= n * |candidates|; otherwise the codewords are
+            |B_s| <= n * |candidates| (for q even, with fewer candidates
+            than offsets, by probing the set of ball offsets with each
+            candidate minus each codeword); otherwise the codewords are
             scanned against each candidate.
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
@@ -493,7 +581,7 @@ def max_list_size(
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     _check_word_cap(code, cap)
-    bv = ball_volume(ctx.base.q, ctx.m, n, s).exact
+    bv = _ball_size(ctx.base.q, ctx.m, n, s)
     rng = make_rng(seed)
     draws = [rng.randrange(space) for _ in range(centers)]
     neighborhood = code.size * bv <= min(neighborhood_cap, cap)
@@ -530,7 +618,7 @@ def max_list_size(
         candidates.setdefault(x, None)
     if tally is None:
         if bv <= n * len(candidates):
-            tally = _scatter(ctx, n, s, words, keep=candidates)
+            tally = _candidate_tally(ctx, n, s, words, candidates, bv)
         else:
             tally = {
                 key: _count_near(ctx, words, _entries_of_index(order, n, key), s)

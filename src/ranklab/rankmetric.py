@@ -368,12 +368,17 @@ class VolumeResult:
         }
 
 
-def ball_volume(q: int, m: int, n: int, r: int, kq_tol=Fraction(1, 10**9)) -> VolumeResult:
-    """Exact volume of the radius-r rank ball in F_{q^m}^n with bounds."""
+def _ball_size(q: int, m: int, n: int, r: int) -> int:
+    """|B_R(0, r)| in F_{q^m}^n: the shell sum alone, no K_q enclosure."""
     _check_geometry(q, m, n)
     if not 0 <= r <= n:
         raise ValueError(f"need 0 <= r <= n, got r = {r}")
-    exact = sum(count_rank_u(q, m, n, u) for u in range(r + 1))
+    return sum(count_rank_u(q, m, n, u) for u in range(r + 1))
+
+
+def ball_volume(q: int, m: int, n: int, r: int, kq_tol=Fraction(1, 10**9)) -> VolumeResult:
+    """Exact volume of the radius-r rank ball in F_{q^m}^n with bounds."""
+    exact = _ball_size(q, m, n, r)
     kq = kq_constant(q, kq_tol)
     power = q ** (r * (m + n - r))
     return VolumeResult(

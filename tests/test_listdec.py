@@ -6,6 +6,7 @@ counts they are supposed to floor.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -226,11 +227,16 @@ def test_montecarlo_far_branch_tie_rule_q3():
 # |candidates| and the scan otherwise; a linear or Gabidulin code's take
 # the coset tally ("coset") when |B_s| <= n * |C| * (|C| + centers) and
 # the scan otherwise.  350 centers put q2m7n4 just inside its rule,
-# 1906 <= 4 * 478; the q2m16n2 linear code has |B_1| = 196606 against
-# n * |C| * (|C| + centers) = 3328
+# 1906 <= 4 * 478, with fewer candidates than offsets, so in
+# characteristic 2 they probe the ball; q2m4n3 has 332 candidates
+# against |B_1| = 106, so the scatter is restricted to them.  The q2m16n2
+# linear code has |B_1| = 196606 against n * |C| * (|C| + centers) = 3328
 FAR_CASES = {
     "q2m7n4-random128-tally": (
         lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, "tally"
+    ),
+    "q2m4n3-random40-tally": (
+        lambda: sample_random_code(default_context(2, 4), 3, 40, 3), 1, 300, 2, "tally"
     ),
     "q3m2n2-random40-tally": (
         lambda: sample_random_code(default_context(3, 2), 2, 40, 2), 1, 20, 1, "tally"
@@ -248,11 +254,15 @@ FAR_CASES = {
 }
 
 # what each side must not call: the tallies rank no pair, the coset tally
-# scatters no codeword, and the scan builds no ball
+# scatters no codeword, and the scan builds no ball; in characteristic 2
+# the restricted tally probes from the side with fewer entries ("probe"
+# when the candidates are fewer than the offsets, "scatter" otherwise)
 FAR_FORBIDDEN = {
     "tally": ("_rank_of_entries",),
     "coset": ("_scatter", "_rank_of_entries"),
     "scan": ("_iter_ball_tables",),
+    "probe": ("_ball_keys", "_scatter"),
+    "scatter": ("_probe",),
 }
 
 
@@ -266,15 +276,43 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
         assert side == ("tally" if ball <= code.n * expected[2] else "scan")
     else:
         assert side == ("coset" if ball <= code.n * code.size * (code.size + centers) else "scan")
+    forbidden_names = FAR_FORBIDDEN[side]
+    if side == "tally" and code.ctx.base.p == 2:
+        forbidden_names += FAR_FORBIDDEN["probe" if expected[2] < ball else "scatter"]
 
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError(f"the other side of the rule ran for {case}")
 
-    for name in FAR_FORBIDDEN[side]:
+    for name in forbidden_names:
         monkeypatch.setattr(listdec, name, forbidden)
     report = max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
+
+
+def test_ball_probes_count_like_the_restricted_scatter(monkeypatch):
+    # both orientations of the characteristic-2 restricted tally, on
+    # candidates that see no codeword as well as ones that see several
+    for m, n, size, seed, s, centers in ((4, 3, 40, 3, 1, 300), (7, 4, 128, 2, 1, 350),
+                                         (3, 3, 20, 1, 2, 60), (4, 2, 9, 0, 0, 30)):
+        ctx = default_context(2, m)
+        code = sample_random_code(ctx, n, size, seed)
+        words = [w.entries for w in code.words]
+        rng = random.Random(seed)
+        candidates = dict.fromkeys(vector_index(w) for w in code.words)
+        for _ in range(centers):
+            candidates.setdefault(rng.randrange(ctx.order**n), None)
+        scattered = listdec._scatter(ctx, n, s, words, keep=candidates)
+        with monkeypatch.context() as patched:
+            patched.setattr(listdec, "_ball_keys", _raise)
+            probed = listdec._probe(ctx, n, s, words, candidates)
+        assert list(probed) == list(candidates)
+        assert all(probed[c] == scattered[c] for c in candidates)
+        assert sum(probed.values()) > 0
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a patched-out helper ran")
 
 
 def twin_codes():
@@ -366,6 +404,68 @@ def test_odd_q_keys_without_the_byte_slots():
     mc = {"centers": 20, "seed": 4, "neighborhood_cap": 0}
     for s in (0, 1):
         assert max_list_size(code, s, "montecarlo", **mc) == max_list_size(twin, s, "montecarlo", **mc)
+
+
+def digit_key(cosets, x):
+    """The coset key of index x by row-by-row reduction of its digits."""
+    return cosets._finish(cosets._reduce(listdec._digits_of(x, cosets.p, cosets.width)))
+
+
+def test_odd_q_window_keys_match_the_digit_reduction(monkeypatch):
+    small = [
+        sample_random_linear_code(default_context(3, 2), 2, 1, seed=0),
+        sample_random_linear_code(default_context(3, 3), 2, 3, seed=1),
+        sample_random_linear_code(default_context(5, 2), 2, 2, seed=2),
+        sample_random_linear_code(default_context(7, 2), 2, 1, seed=3),
+        sample_random_linear_code(default_context(9, 2), 2, 2, seed=4),
+        gabidulin(default_context(3, 3), 2, 1),
+        gabidulin(default_context(5, 2), 2, 1),
+        gabidulin(default_context(7, 2), 1, 1),
+        gabidulin(default_context(9, 2), 2, 1),
+    ]
+    for code in small:
+        cosets = listdec._CosetKeys(code)
+        assert cosets.windowed
+        expected = [digit_key(cosets, x) for x in range(code.ctx.order**code.n)]
+        with monkeypatch.context() as patched:
+            # the window reads split the index themselves
+            patched.setattr(listdec, "_digits_of", _raise)
+            keys = [cosets.of_index(x) for x in range(code.ctx.order**code.n)]
+        assert keys == expected
+        assert all(type(key) is bytes for key in keys)
+    rng = random.Random(5)
+    for q, m, n, k in ((3, 4, 4, 2), (5, 3, 3, 2)):
+        code = sample_random_linear_code(default_context(q, m), n, k, seed=6)
+        cosets = listdec._CosetKeys(code)
+        assert cosets.windowed
+        for x in [rng.randrange(code.ctx.order**n) for _ in range(2000)]:
+            assert cosets.of_index(x) == digit_key(cosets, x)
+    # 25 windows of one base-17 digit each overflow a byte slot, so these
+    # keys keep the digit reduction, still in bytes
+    code = sample_random_linear_code(default_context(17, 5), 5, 2, seed=7)
+    cosets = listdec._CosetKeys(code)
+    assert cosets.narrow and not cosets.windowed
+    key = cosets.of_index(rng.randrange(code.ctx.order**5))
+    assert type(key) is bytes and len(key) == 25
+    # past the byte slots keys stay digit tuples
+    cosets = listdec._CosetKeys(sample_random_linear_code(default_context(257, 2), 1, 1, seed=0))
+    assert not cosets.windowed
+    assert cosets.of_index(66048) == digit_key(cosets, 66048) and type(cosets.of_index(5)) is tuple
+
+
+def test_odd_q_sweeps_and_coset_checks_build_no_window_table(monkeypatch):
+    from ranklab.harness import coset_partition_check
+
+    code = sample_random_linear_code(default_context(3, 3), 3, 2, seed=1)
+    expected = [max_list_size(code, s) for s in range(4)] + [coset_partition_check(code, 1)]
+
+    def forbidden(self):
+        raise AssertionError("an exhaustive sweep or a coset check built window tables")
+
+    monkeypatch.setattr(listdec._CosetKeys, "_window_tables", forbidden)
+    assert [max_list_size(code, s) for s in range(4)] + [coset_partition_check(code, 1)] == expected
+    with pytest.raises(AssertionError, match="window tables"):
+        max_list_size(code, 1, "montecarlo", centers=5, neighborhood_cap=0)
 
 
 def scaled(word, c):

@@ -322,6 +322,53 @@ def test_ball_volume_errors():
         ball_volume(2, 2, 3, 1)
 
 
+def test_internal_ball_sizes_skip_the_kq_enclosure(monkeypatch):
+    # the pigeonhole floor, the Monte Carlo ball size, the coset check and
+    # the Hamming bound read only |B_s|, so none of them builds K_q
+    from ranklab.bounds import hamming_check
+    from ranklab.codes import sample_random_code, sample_random_linear_code
+    from ranklab.harness import coset_partition_check
+    from ranklab.listdec import max_list_size, pigeonhole_lower_bound
+
+    linear = sample_random_linear_code(default_context(3, 2), 2, 2, seed=1)
+    explicit = sample_random_code(default_context(2, 5), 3, 30, seed=2)
+
+    def runs():
+        return [
+            pigeonhole_lower_bound(7, 3, 4, 4, 1),
+            max_list_size(linear, 1),
+            max_list_size(linear, 1, "montecarlo", centers=30, neighborhood_cap=0),
+            max_list_size(explicit, 1, "montecarlo", centers=30, neighborhood_cap=0),
+            coset_partition_check(linear, 1),
+            hamming_check(8, 2, 3, 3, 3),
+        ]
+
+    shapes = [(q, m, n, r) for q, m, n in ((2, 3, 2), (3, 3, 3), (4, 2, 2)) for r in range(n + 1)]
+    expected = runs(), [ball_volume(*shape).exact for shape in shapes]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ball size built the K_q enclosure")
+
+    monkeypatch.setattr(rankmetric, "kq_constant", forbidden)
+    assert (runs(), [rankmetric._ball_size(*shape) for shape in shapes]) == expected
+    with pytest.raises(AssertionError, match="K_q"):
+        ball_volume(2, 3, 2, 1)
+
+
+def test_ball_sizes_reject_what_ball_volume_rejects():
+    for args, message in (
+        ((2, 2, 2, 3), "need 0 <= r <= n, got r = 3"),
+        ((2, 2, 3, 1), "need 1 <= n <= m, got n = 3, m = 2"),
+        ((6, 2, 2, 1), None),
+    ):
+        with pytest.raises(ValueError) as volume:
+            ball_volume(*args)
+        with pytest.raises(ValueError) as size:
+            rankmetric._ball_size(*args)
+        assert str(size.value) == str(volume.value)
+        assert message is None or str(size.value) == message
+
+
 def test_rank_u_matrix_iterator_is_exact():
     # (4, 2, 2) has a non-prime base field, (2, 4, 3) a shell of 3 x 3 factors
     for q, m, n in ((2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 4, 3)):
