@@ -23,8 +23,8 @@ from .errors import EnumerationCapExceeded
 from .fields import ExtCtx
 from .rankmetric import (
     RankVector,
+    _echelon,
     flatten_vector,
-    rank_fq,
     rank_of_vector,
     unflatten_vector,
     vector_from_index,
@@ -81,7 +81,7 @@ class LinearCode:
             if w.ctx != self.ctx or w.n != self.n:
                 raise ValueError("basis context mismatch")
         rows = [flatten_vector(w) for w in self.basis]
-        if rows and rank_fq(rows, self.ctx.base) != len(rows):
+        if len(_echelon(rows, self.ctx.base)[1]) != len(rows):
             raise ValueError("basis words are linearly dependent over F_q")
 
     @property
@@ -187,7 +187,7 @@ def sample_random_linear_code(ctx: ExtCtx, n: int, k: int, seed: int) -> LinearC
     rng = make_rng(seed)
     while True:
         rows = [[rng.randrange(q) for _ in range(ctx.m * n)] for _ in range(k)]
-        if rank_fq(rows, ctx.base) == k:
+        if len(_echelon(rows, ctx.base)[1]) == k:
             break
     return LinearCode(ctx, n, tuple(unflatten_vector(ctx, n, row) for row in rows))
 

@@ -8,19 +8,19 @@ For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
 is F_{q^m}-linear) the list size at x is the number of offsets b of
 rank <= s with b = x mod C, so it depends only on the coset of x.  The
 coset key of a vector is the least packed index in its coset: C is
-taken as an F_p-space, its basis brought to reduced echelon form on the
-base-p digits of the packed index, pivots most significant first, and
-a vector reduced by it.  One pass over the |B_s| ball offsets tallies
-every coset; no codeword is enumerated.  The exhaustive maximum is the
-largest count, its center the least key among the cosets that reach it,
-which is the least center overall.  In characteristic 2 the reduction
-is an XOR of table reads; for odd p the key of an offset is the
-digitwise sum of per-entry keys, one digit per byte while n * (p - 1)
-fits in one.  A single index (a Monte Carlo center) is keyed by table
-reads over windows of its digits: XORed for p = 2; for odd p added in
-byte slots and taken mod p by one ``bytes.translate``, from tables
-built on the first such index, so sweeps and coset checks never build
-them.
+taken as an F_p-space, its basis brought to echelon form on the base-p
+digits of the packed index (for p = 2 an ``_xor_basis`` keyed by top
+bit), pivots most significant first, and a vector reduced by it.  One
+pass over the |B_s| ball offsets tallies every coset; no codeword is
+enumerated.  The exhaustive maximum is the largest count, its center
+the least key among the cosets that reach it, which is the least
+center overall.  In characteristic 2 the reduction is an XOR of table
+reads; for odd p the key of an offset is the digitwise sum of
+per-entry keys, one digit per byte while n * (p - 1) fits in one.  A
+single index (a Monte Carlo center) is keyed by table reads over
+windows of its digits: XORed for p = 2; for odd p added in byte slots
+and taken mod p by one ``bytes.translate``, from tables built on the
+first such index, so sweeps and coset checks never build them.
 
 Explicit codes use the scatter kernel: every codeword w and every offset
 b of rank <= s add one to the tally of the center w + b, so one pass of
@@ -89,6 +89,7 @@ from .rankmetric import (
     _iter_ball_tables,
     _rank_of_entries,
     _shifter,
+    _xor_basis,
     rref_fq,
     vector_from_index,
 )
@@ -220,18 +221,18 @@ class _CosetKeys:
 
     The code is taken as an F_p-space, its basis written in the base-p
     digits of ``vector_index`` (most significant first) and brought to
-    reduced echelon form with pivots taken most significant digit first.
-    Subtracting from x, for each pivot, its digit there times that row
-    zeroes every pivot digit; what is left is the same for the whole
-    coset x + C and is its least element, since any other element
-    differs from it by a nonzero word whose leading digit is a pivot.
+    echelon form with pivots taken most significant digit first.
+    Clearing the pivot digits of x, highest first, each by a multiple of
+    its row, leaves what is the same for the whole coset x + C and is its
+    least element, since any other element differs from it by a nonzero
+    word whose leading digit is a pivot.
 
-    For p = 2 a key is that packed index itself, the reduction is XOR,
-    and the pivot rows are read through 256-entry tables, one per window
-    of eight bits that holds a pivot.  For odd p a key is the digit
-    string of that index, most significant first: ``bytes`` when a sum
-    of n digits fits in a byte, a tuple of ints otherwise.  Both compare
-    like the index they spell.
+    For p = 2 a key is that packed index itself; the rows, keyed by top
+    bit (``_xor_basis``), are read on the running value through 256-entry
+    tables, one per eight-bit window that holds a pivot, highest first.
+    For odd p a key is the digit string of that index, most significant
+    first: ``bytes`` when a sum of n digits fits in a byte, a tuple of
+    ints otherwise.  Both compare like the index they spell.
     """
 
     def __init__(self, code):
@@ -242,21 +243,21 @@ class _CosetKeys:
         self.width = width = n * ctx.m * ctx.base.s  # base-p digits of an index
         self.order = ctx.order
         self.ctx = ctx
-        field = ctx.base if ctx.base.s == 1 else _default_base(p)
-        rows, pivots = rref_fq([_digits_of(v, p, width) for v in _fp_basis(code)], field)
         if p == 2:
+            basis = _xor_basis(_fp_basis(code))
             windows = []
-            for piv, row in zip(pivots, rows):
-                bit = width - 1 - piv
-                if not windows or bit < windows[-1][0]:
-                    windows.append((max(bit - 7, 0), []))
-                windows[-1][1].append((bit - windows[-1][0], _index_of_entries(2, row)))
+            for top in sorted(basis, reverse=True):
+                if not windows or top <= windows[-1][0]:
+                    windows.append((max(top - 8, 0), []))
+                windows[-1][1].append((top - 1, basis[top]))
             self.tables = [
-                (low, [_xor_rows(v, pivot_rows) for v in range(256)])
+                (low, [_xor_rows(v << low, pivot_rows) for v in range(256)])
                 for low, pivot_rows in windows
             ]
             self.zero = 0
         else:
+            field = ctx.base if ctx.base.s == 1 else _default_base(p)
+            rows, pivots = rref_fq([_digits_of(v, p, width) for v in _fp_basis(code)], field)
             self.rows = tuple(zip(pivots, rows))
             self.narrow = n * (p - 1) <= 255
             self.mod = bytes(v % p for v in range(256))
@@ -393,10 +394,10 @@ def _digits_of(idx: int, p: int, width: int) -> tuple[int, ...]:
 
 
 def _xor_rows(v: int, pivot_rows) -> int:
-    """XOR of the rows whose pivot bit is set in ``v``."""
+    """XOR of the rows, highest pivot first, clearing each pivot bit of ``v``."""
     out = 0
     for bit, row in pivot_rows:
-        if v >> bit & 1:
+        if (v ^ out) >> bit & 1:
             out ^= row
     return out
 

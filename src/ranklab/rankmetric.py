@@ -18,6 +18,7 @@ Everything assumes the column-count convention n <= m.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,17 +68,15 @@ class RankVector:
 
 def vector_to_matrix(x: RankVector) -> tuple[tuple[int, ...], ...]:
     """The m x n coordinate matrix of x over F_q, as a tuple of rows."""
-    cols = [x.ctx.ext_to_vec(e) for e in x.entries]
-    return tuple(tuple(col[i] for col in cols) for i in range(x.ctx.m))
+    return tuple(zip(*map(x.ctx.ext_to_vec, x.entries)))
 
 
 def matrix_to_vector(rows, ctx: ExtCtx) -> RankVector:
     m = len(rows)
     if m != ctx.m:
         raise ValueError(f"expected {ctx.m} rows, got {m}")
-    n = len(rows[0])
-    entries = tuple(ctx.vec_to_ext(tuple(rows[i][j] for i in range(m))) for j in range(n))
-    return RankVector(ctx, entries)
+    _check_matrix(rows, ctx.base)
+    return RankVector(ctx, tuple(map(ctx.vec_to_ext, zip(*rows))))
 
 
 def flatten_vector(x: RankVector) -> tuple[int, ...]:
@@ -145,98 +144,96 @@ def iter_all_vectors(ctx: ExtCtx, n: int):
         yield _trusted(ctx, entries)
 
 
-def _bit_rank(cols: list[int]) -> int:
-    """Rank of a set of F_2 column vectors packed as bitmasks."""
-    rank = 0
-    pivots: list[int] = []
-    for c in cols:
-        for p in pivots:
-            low = p & -p
-            if c & low:
-                c ^= p
-        if c:
-            pivots.append(c)
-            rank += 1
-    return rank
+def _xor_basis(masks) -> dict[int, int]:
+    """Echelon basis of the F_2 span of bitmask rows, each keyed by its
+    top bit (``bit_length``): a mask is reduced by the row at its top bit
+    until no row is there, and then becomes that row."""
+    basis: dict[int, int] = {}
+    for v in masks:
+        while v:
+            top = v.bit_length()
+            row = basis.get(top)
+            if row is None:
+                basis[top] = v
+                break
+            v ^= row
+    return basis
 
 
-def rank_fq(rows, field: FieldCtx) -> int:
-    """Rank of a matrix over F_q given as a sequence of row sequences.
+def _echelon(rows, field: FieldCtx) -> tuple[Iterable[list[int]], list[int]]:
+    """The one forward elimination: the pivot rows of a matrix over F_q,
+    leads not scaled, and their pivot columns, left to right.
 
-    Gaussian elimination with the pivot taken as the first nonzero entry
-    in a column-major scan, so the pivot sequence is deterministic.
+    No validation: rows must have equal lengths and entries in F_q.  For
+    odd q the pivot is the first nonzero entry in a column-major scan and
+    the rows below are updated in place from the pivot column on; for
+    q = 2 the rows are packed, column 0 most significant, into an
+    ``_xor_basis``, whose top bits give the pivot columns.
     """
-    m = len(rows)
-    if m == 0:
-        return 0
+    if not rows:
+        return [], []
     n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix rows have unequal lengths")
     if field.q == 2:
-        masks = []
-        for r in rows:
-            acc = 0
-            for j, v in enumerate(r):
-                if v:
-                    acc |= 1 << j
-            masks.append(acc)
-        # transpose-free: row rank equals column rank
-        return _bit_rank(masks)
+        basis = _xor_basis(_index_of_entries(2, r) for r in rows)
+        tops = sorted(basis, reverse=True)
+        # rows are unpacked only when read; a rank reads none
+        return (list(_entries_of_index(2, n, basis[t])) for t in tops), [n - t for t in tops]
+    m = len(rows)
     work = [list(r) for r in rows]
+    pivots: list[int] = []
     rank = 0
     for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if work[r][col]:
-                pivot = r
+        for pivot in range(rank, m):
+            if work[pivot][col]:
                 break
-        if pivot is None:
+        else:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv_lead = field.inv(work[rank][col])
-        for r in range(rank + 1, m):
-            c = work[r][col]
+        prow = work[rank]
+        inv_lead = field.inv(prow[col])
+        for row in work[rank + 1 :]:
+            c = row[col]
             if c:
                 factor = field.mul(c, inv_lead)
-                row = work[r]
-                prow = work[rank]
                 for j in range(col, n):
                     row[j] = field.sub(row[j], field.mul(factor, prow[j]))
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def rref_fq(rows, field: FieldCtx) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns of a matrix over F_q."""
-    m = len(rows)
-    if m == 0:
-        return (), ()
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead_inv = field.inv(work[rank][col])
-        work[rank] = [field.mul(lead_inv, v) for v in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][col]:
-                c = work[r][col]
-                work[r] = [field.sub(v, field.mul(c, pv)) for v, pv in zip(work[r], work[rank])]
         pivots.append(col)
         rank += 1
         if rank == m:
             break
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+    return work[:rank], pivots
+
+
+def _check_matrix(rows, field: FieldCtx) -> None:
+    for r in rows:
+        if len(r) != len(rows[0]):
+            raise ValueError("matrix rows have unequal lengths")
+        for v in r:
+            field.check_element(v)
+
+
+def rank_fq(rows, field: FieldCtx) -> int:
+    """Rank over F_q of a sequence of row sequences, the number of
+    ``_echelon`` pivots; ``ValueError`` on ragged rows or bad entries."""
+    _check_matrix(rows, field)
+    return len(_echelon(rows, field)[1])
+
+
+def rref_fq(rows, field: FieldCtx) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form and pivot columns over F_q, checked as in
+    ``rank_fq``: the ``_echelon`` rows, bottom up, get their leads scaled
+    to 1 and their pivot columns cleared from the rows above."""
+    _check_matrix(rows, field)
+    work, pivots = _echelon(rows, field)
+    work = list(work)
+    for i, col in reversed(list(enumerate(pivots))):
+        lead_inv = field.inv(work[i][col])
+        prow = work[i] = [field.mul(lead_inv, v) for v in work[i]]
+        for h in range(i):
+            c = work[h][col]
+            if c:
+                work[h] = [field.sub(v, field.mul(c, pv)) for v, pv in zip(work[h], prow)]
+    return tuple(map(tuple, work)), tuple(pivots)
 
 
 def rank_of_vector(x: RankVector) -> int:
@@ -247,9 +244,9 @@ def _rank_of_entries(ctx: ExtCtx, entries) -> int:
     """Rank of a vector given by its entry codes, without building it."""
     if ctx.base.q == 2:
         # entry codes are already the m-bit coordinate columns
-        return _bit_rank(list(entries))
+        return len(_xor_basis(entries))
     # the n x m matrix of coordinate columns has the same rank
-    return rank_fq([ctx.ext_to_vec(e) for e in entries], ctx.base)
+    return len(_echelon([ctx.ext_to_vec(e) for e in entries], ctx.base)[1])
 
 
 def rank_distance(x: RankVector, y: RankVector) -> int:

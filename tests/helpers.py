@@ -184,6 +184,21 @@ def xor_rank(masks):
     return len(basis)
 
 
+def span_rank(ctx, entries):
+    """F_q-rank of elements of F_{q^m}: log_q of the size of their F_q-span,
+    grown one element at a time by all its F_q-multiples."""
+    q = ctx.base.q
+    span = {0}
+    for e in entries:
+        span = {ctx.add(x, ctx.scale(c, e)) for x in span for c in range(q)}
+    u = 0
+    while q**u < len(span):
+        u += 1
+    if q**u != len(span):
+        raise AssertionError(f"a span of {len(span)} elements is no power of {q}")
+    return u
+
+
 def full_rank_factors_by_filter(field, u, n):
     """Every full-rank u x n matrix over F_q as its n column values
     sum_k R[k][j] q^k, by ranking all q^(un) candidates in

@@ -35,9 +35,11 @@ from ranklab.listdec import (
 from ranklab.rankmetric import (
     RankVector,
     ball_volume,
+    enumerate_ball,
     iter_all_vectors,
     rank_distance,
     rank_of_vector,
+    vector_from_index,
     vector_index,
 )
 
@@ -451,6 +453,33 @@ def test_odd_q_window_keys_match_the_digit_reduction(monkeypatch):
     cosets = listdec._CosetKeys(sample_random_linear_code(default_context(257, 2), 1, 1, seed=0))
     assert not cosets.windowed
     assert cosets.of_index(66048) == digit_key(cosets, 66048) and type(cosets.of_index(5)) is tuple
+
+
+def test_char2_coset_keys_are_least_coset_indices():
+    codes = []
+    for q, m, n in ((2, 4, 3), (4, 3, 2), (8, 2, 2)):
+        ctx = default_context(q, m)
+        codes += [sample_random_linear_code(ctx, n, k, seed=k) for k in (0, 1)]
+        codes += [gabidulin(ctx, n, k) for k in range(1, n + 1)]
+    # nine pivots in twelve bits: the rows span two eight-bit windows
+    wide = sample_random_linear_code(default_context(2, 4), 3, 9, seed=2)
+    assert len(listdec._CosetKeys(wide).tables) >= 2
+    for code in codes + [wide]:
+        ctx, n = code.ctx, code.n
+        space = ctx.order**n
+        words = list(enumerate_codewords(code))
+        least = {}
+        for x in range(space):
+            if x not in least:
+                v = vector_from_index(ctx, n, x)
+                coset = [vector_index(v + w) for w in words]
+                least.update(dict.fromkeys(coset, min(coset)))
+        cosets = listdec._CosetKeys(code)
+        assert [cosets.index(cosets.of_index(x)) for x in range(space)] == [least[x] for x in range(space)]
+        zero = RankVector.zero(ctx, n)
+        for s in range(n + 1):
+            offsets = [vector_index(b) for b in enumerate_ball(zero, s)]
+            assert list(cosets.ball(s)) == [cosets.of_index(b) for b in offsets]
 
 
 def test_odd_q_sweeps_and_coset_checks_build_no_window_table(monkeypatch):

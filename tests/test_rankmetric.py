@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_matrices, full_rank_factors_by_filter, minor_rank
+from helpers import all_matrices, full_rank_factors_by_filter, minor_rank, rank_mod_p, span_rank, xor_rank
 from ranklab import rankmetric
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
@@ -86,6 +86,15 @@ def test_matrix_vector_round_trip():
             assert unflatten_vector(ctx, n, flat) == v
 
 
+def test_matrix_to_vector_rejects_ragged_rows():
+    # the column count comes from the first row, so a longer row must be refused
+    ctx = default_context(2, 3)
+    with pytest.raises(ValueError, match="unequal lengths"):
+        matrix_to_vector(((1, 0), (1, 1, 1), (0, 1)), ctx)
+    with pytest.raises(ValueError):
+        matrix_to_vector(((1, 0), (1, 2), (0, 1)), ctx)  # 2 is not in F_2
+
+
 def test_vector_index_bijection_and_order():
     ctx = default_context(2, 2)
     seen = []
@@ -121,6 +130,38 @@ def test_rank_frozen_examples():
     assert rank_fq(((0, 0), (0, 0)), FieldCtx(2)) == 0
     with pytest.raises(ValueError):
         rank_fq(((1, 0), (1,)), FieldCtx(2))
+    with pytest.raises(ValueError):
+        rref_fq(((1, 0), (1,)), FieldCtx(2))
+    # both refuse ragged rows and entries outside F_q
+    f2 = FieldCtx(2)
+    bad = [
+        (((1,), (1, 0)), f2),
+        (((2, 0), (0, 3)), f2),
+        (((5, 1), (1, 1)), f3),
+        (((1, -1), (0, 1)), f3),
+        (((1, 4), (0, 1)), FieldCtx(2, 2)),
+    ]
+    for rows, field in bad:
+        with pytest.raises(ValueError):
+            rank_fq(rows, field)
+        with pytest.raises(ValueError):
+            rref_fq(rows, field)
+
+
+def test_internal_eliminations_skip_the_input_check(monkeypatch):
+    from ranklab.codes import LinearCode, sample_random_linear_code
+
+    def refuse(rows, field):
+        raise AssertionError("an internal caller validated its matrix")
+
+    monkeypatch.setattr(rankmetric, "_check_matrix", refuse)
+    for q, m in ((2, 3), (3, 2), (4, 2)):
+        ctx = default_context(q, m)
+        code = sample_random_linear_code(ctx, 2, 2, seed=1)
+        assert LinearCode(ctx, 2, code.basis).k == 2
+        assert rank_of_vector(RankVector(ctx, (1, 0))) == 1
+    with pytest.raises(AssertionError, match="validated"):
+        rank_fq(((1, 0), (0, 1)), FieldCtx(2))
 
 
 def test_rank_over_extension_base_field():
@@ -139,12 +180,17 @@ def test_rank_over_extension_base_field():
 
 
 def test_rref_properties():
-    f2, f3 = FieldCtx(2), FieldCtx(3)
-    for field, shape in ((f2, (3, 3)), (f3, (2, 3))):
-        rows_iter = all_matrices(field.q, *shape)
-        for M in rows_iter:
+    f2, f3, f4, f5 = FieldCtx(2), FieldCtx(3), FieldCtx(2, 2), FieldCtx(5)
+    cases = (
+        (f2, (3, 3)), (f2, (4, 2)), (f3, (2, 3)), (f3, (3, 2)),
+        (f4, (2, 2)), (f4, (3, 2)), (f5, (2, 2)), (f5, (3, 1)),
+    )
+    for field, shape in cases:
+        for M in all_matrices(field.q, *shape):
             R, pivots = rref_fq(M, field)
             assert len(R) == rank_fq(M, field) == len(pivots)
+            if field.s == 1:
+                assert len(R) == minor_rank(M, field.q)
             assert list(pivots) == sorted(pivots)
             for i, pc in enumerate(pivots):
                 assert R[i][pc] == 1
@@ -153,16 +199,38 @@ def test_rref_properties():
                         assert R[r][pc] == 0
                 # nothing nonzero left of the pivot
                 assert all(R[i][j] == 0 for j in range(pc))
+            # R spans the row space: every input row reduces to zero
+            for row in M:
+                for pc, pivot_row in zip(pivots, R):
+                    c = row[pc]
+                    row = [field.sub(a, field.mul(c, b)) for a, b in zip(row, pivot_row)]
+                assert not any(row)
             if R:
                 again, again_p = rref_fq(R, field)
                 assert again == R and again_p == pivots
 
 
 def test_rank_of_vector_agrees_with_matrix_rank():
+    # rank_of_vector and rank_fq share their elimination, so each is held
+    # to an oracle outside the package: xor_rank of the entry codes (the
+    # coordinate columns) for q = 2, rank_mod_p over a prime field, and
+    # the size of the F_q-span of the entries for q = 4.
     # (3, 3) with n = 2: odd q with a non-square coordinate matrix
-    for ctx, n in ((default_context(2, 3), 2), (default_context(3, 2), 2), (default_context(3, 3), 2)):
+    spaces = (
+        (default_context(2, 3), 2), (default_context(2, 4), 3), (default_context(3, 2), 2),
+        (default_context(3, 3), 2), (default_context(5, 2), 2), (default_context(4, 2), 2),
+        (default_context(4, 3), 2),
+    )
+    for ctx, n in spaces:
+        q = ctx.base.q
         for v in iter_all_vectors(ctx, n):
-            assert rank_of_vector(v) == rank_fq(vector_to_matrix(v), ctx.base)
+            if q == 2:
+                expected = xor_rank(list(v.entries))
+            elif ctx.base.s == 1:
+                expected = rank_mod_p(vector_to_matrix(v), q)
+            else:
+                expected = span_rank(ctx, v.entries)
+            assert rank_of_vector(v) == rank_fq(vector_to_matrix(v), ctx.base) == expected
 
 
 def test_rank_distance_is_a_metric():
