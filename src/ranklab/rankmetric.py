@@ -18,8 +18,9 @@ Everything assumes the column-count convention n <= m.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import EnumerationCapExceeded
@@ -28,20 +29,49 @@ from .fields import ExtCtx, FieldCtx, split_prime_power
 DEFAULT_ENUM_CAP = 2**24
 
 
-@dataclass(frozen=True)
 class RankVector:
-    """A vector in F_{q^m}^n tied to its field context."""
+    """A vector in F_{q^m}^n tied to its field context.
 
-    ctx: ExtCtx
-    entries: tuple[int, ...]
+    Frozen, with the value semantics of a frozen dataclass on the two
+    fields ``ctx`` and ``entries``: equal to a vector of the same class
+    with equal fields, hashed as the tuple of them, and never equal to or
+    ordered against anything else.  The fields are slots: there is no
+    ``__dict__``.  ``__init__`` checks 1 <= n <= m and every entry, and a
+    pickle or copy is rebuilt through it; ``_trusted`` and
+    ``_trusted_batch`` are the only paths that skip that check.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        n = len(self.entries)
-        if not 1 <= n <= self.ctx.m:
-            raise ValueError(f"need 1 <= n <= m = {self.ctx.m}, got n = {n}")
-        for e in self.entries:
-            self.ctx.check_element(e)
+    __slots__ = ("ctx", "entries")
+
+    def __init__(self, ctx: ExtCtx, entries):
+        entries = tuple(entries)
+        n = len(entries)
+        if not 1 <= n <= ctx.m:
+            raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
+        for e in entries:
+            ctx.check_element(e)
+        RankVector.ctx.__set__(self, ctx)
+        RankVector.entries.__set__(self, entries)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.entries) == (other.ctx, other.entries)
+
+    def __hash__(self):
+        return hash((self.ctx, self.entries))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(ctx={self.ctx!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return (RankVector, (self.ctx, self.entries))
 
     @property
     def n(self) -> int:
@@ -56,11 +86,15 @@ class RankVector:
             raise ValueError("vectors come from different contexts")
 
     def __add__(self, other: "RankVector") -> "RankVector":
+        if not isinstance(other, RankVector):
+            return NotImplemented
         self._compat(other)
         add = self.ctx.add
         return RankVector(self.ctx, tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "RankVector") -> "RankVector":
+        if not isinstance(other, RankVector):
+            return NotImplemented
         self._compat(other)
         sub = self.ctx.sub
         return RankVector(self.ctx, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
@@ -126,13 +160,28 @@ def vector_from_index(ctx: ExtCtx, n: int, idx: int) -> RankVector:
 def _trusted(ctx: ExtCtx, entries: tuple[int, ...]) -> RankVector:
     """A ``RankVector`` of entries the caller has already validated.
 
-    The only unchecked construction path: it skips ``__post_init__``, so
+    One of the two unchecked construction paths, with ``_trusted_batch``:
+    it skips ``RankVector.__init__`` and sets the two slots directly, so
     ``entries`` must be a tuple of 1 to m valid element codes.
     """
     v = object.__new__(RankVector)
-    object.__setattr__(v, "ctx", ctx)
-    object.__setattr__(v, "entries", entries)
+    RankVector.ctx.__set__(v, ctx)
+    RankVector.entries.__set__(v, entries)
     return v
+
+
+def _trusted_batch(ctx: ExtCtx, batch: list[tuple[int, ...]]) -> list[RankVector]:
+    """``_trusted`` over a list of validated entry tuples, in order.
+
+    The vectors are allocated in one ``map`` over ``object.__new__`` and
+    their two slots filled by two more, each drained by a zero-length
+    ``deque``, so the per-vector work runs in C with no Python frame.
+    """
+    k = len(batch)
+    vectors = list(map(object.__new__, itertools.repeat(RankVector, k)))
+    deque(map(RankVector.ctx.__set__, vectors, itertools.repeat(ctx, k)), 0)
+    deque(map(RankVector.entries.__set__, vectors, batch), 0)
+    return vectors
 
 
 def iter_all_vectors(ctx: ExtCtx, n: int):
@@ -250,7 +299,12 @@ def _rank_of_entries(ctx: ExtCtx, entries) -> int:
 
 
 def rank_distance(x: RankVector, y: RankVector) -> int:
-    x._compat(y)
+    """Rank of x - y: ``TypeError`` unless both are ``RankVector``s,
+    ``ValueError`` if they come from different contexts."""
+    if not (isinstance(x, RankVector) and isinstance(y, RankVector)):
+        raise TypeError(
+            f"rank_distance needs two RankVectors, got {type(x).__name__} and {type(y).__name__}"
+        )
     return rank_of_vector(x - y)
 
 
@@ -517,13 +571,15 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
 
 
 def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
-    """Entries of center + b for every b the tables describe, in table order.
+    """Entries of center + b for every b the tables describe, in table
+    order: one list of entry tuples per span table, as long as its
+    factor list.
 
     Each span table is shifted by each distinct center entry once, with
     ``_shifter``, and every value of a shifted table passes
-    ``check_element`` before the table's first vector is read.  Entry j
-    of each vector is then read off the table shifted by center entry j
-    at ``columns[j]``, with no further field arithmetic or check.
+    ``check_element`` before the table's list is built.  Entry j of each
+    vector is then read off the table shifted by center entry j at
+    ``columns[j]``, with no further field arithmetic or check.
     """
     p = ctx.base.p
     check = ctx.check_element
@@ -533,7 +589,7 @@ def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
         for values in by_entry.values():
             for x in values:
                 check(x)
-        yield from zip(*[map(by_entry[e].__getitem__, col) for e, col in zip(center, columns)])
+        yield list(zip(*[map(by_entry[e].__getitem__, col) for e, col in zip(center, columns)]))
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
@@ -543,8 +599,9 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     shell in ascending rank, so no vector outside it is ever built;
     refuses outright if the ambient space exceeds ``cap``.  Validation
     is one ``check_element`` per value of each shifted span table, in
-    ``_iter_ball``, so the vectors read off those tables are built
-    without checking each entry again.
+    ``_iter_ball``, so the vectors read off those tables are built by
+    ``_trusted_batch``, one batch per span table, without checking each
+    entry again.
     """
     ctx = center.ctx
     n = center.n
@@ -555,5 +612,5 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(
             f"ambient space has {space} vectors, above the cap of {cap}"
         )
-    entries = _iter_ball(ctx, center.entries, _iter_ball_tables(ctx, n, r))
-    yield from map(_trusted, itertools.repeat(ctx), entries)
+    for batch in _iter_ball(ctx, center.entries, _iter_ball_tables(ctx, n, r)):
+        yield from _trusted_batch(ctx, batch)

@@ -5,10 +5,13 @@ nonsingular u-by-u submatrix, determinants by permutation expansion) and
 shell counts against full histograms of enumerated matrices.
 """
 
+import copy
 import hashlib
 import itertools
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -64,6 +67,61 @@ def test_vector_addition_and_mismatch():
         a + RankVector(ctx, (1, 2, 3))
     with pytest.raises(ValueError):
         a + RankVector(default_context(3, 2), (1, 2))
+
+
+def test_vector_arithmetic_with_a_non_vector_is_a_type_error():
+    ctx = default_context(2, 3)
+    v = RankVector(ctx, (1, 2))
+    for other in (5, (1, 2), None):
+        for op in (lambda: v + other, lambda: v - other, lambda: other + v, lambda: other - v):
+            with pytest.raises(TypeError):
+                op()
+        with pytest.raises(TypeError):
+            rank_distance(v, other)
+        with pytest.raises(TypeError):
+            rank_distance(other, v)
+    with pytest.raises(ValueError):
+        rank_distance(v, RankVector(default_context(3, 2), (1, 2)))
+
+
+def test_rank_vector_is_frozen_and_has_no_dict():
+    ctx = default_context(2, 3)
+    v = RankVector(ctx, (1, 5))
+    for name in ("ctx", "entries", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(v, name, (0, 0))
+        with pytest.raises(FrozenInstanceError):
+            delattr(v, name)
+    assert v.ctx is ctx and v.entries == (1, 5)
+    assert not hasattr(v, "__dict__")
+
+
+def test_rank_vector_pickles_and_copies_through_the_checked_constructor():
+    for q, m, entries in ((2, 3, (1, 5)), (3, 2, (4, 7))):
+        ctx = default_context(q, m)
+        v = RankVector(ctx, entries)
+        for w in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+            assert type(w) is RankVector and w == v and hash(w) == hash(v)
+        # an unpickled vector is validated again
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(rankmetric._trusted(ctx, (0, ctx.order))))
+
+
+def test_rank_vector_has_the_frozen_dataclass_value_semantics():
+    # repr strings frozen from the dataclass RankVector
+    assert repr(RankVector(default_context(2, 3), (1, 5))) == (
+        "RankVector(ctx=ExtCtx('2/3:1,1,0,1'), entries=(1, 5))"
+    )
+    assert repr(RankVector(default_context(3, 2), (4, 7))) == (
+        "RankVector(ctx=ExtCtx('3/2:1,0,1'), entries=(4, 7))"
+    )
+    ctx = default_context(3, 2)
+    v = RankVector(ctx, (4, 7))
+    assert hash(v) == hash((v.ctx, v.entries))
+    assert v == RankVector(ctx, [4, 7]) and v != RankVector(ctx, (4, 8))
+    assert v != (v.ctx, v.entries) and (v.ctx, v.entries) != v
+    with pytest.raises(TypeError):
+        v < v
 
 
 def test_coordinate_matrix_frozen_example():
@@ -445,11 +503,19 @@ def test_rank_u_matrix_iterator_is_exact():
         for u in range(n + 1):
             # the rank-u shell is spanned by the u-dimensional column spaces
             shell = [t for t in _iter_ball_tables(ctx, n, u) if len(t[0]) == q**u]
-            out = list(_iter_ball(ctx, zero, shell))
+            out = [entries for batch in _iter_ball(ctx, zero, shell) for entries in batch]
             assert len(out) == count_rank_u(q, m, n, u)
             assert len(set(out)) == len(out)
             for entries in out:
                 assert rank_fq(vector_to_matrix(RankVector(ctx, entries)), ctx.base) == u
+
+
+def test_ball_batches_are_one_per_span_table():
+    for q, m, n, r in ((2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1)):
+        ctx = default_context(q, m)
+        tables = list(_iter_ball_tables(ctx, n, r))
+        batches = list(_iter_ball(ctx, tuple(range(1, n + 1)), tables))
+        assert [len(b) for b in batches] == [len(columns[0]) for _, columns in tables]
 
 
 def test_enumerate_ball_filter_path():
