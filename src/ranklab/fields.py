@@ -26,6 +26,12 @@ file headers:
 
 with decimal little-endian coefficients; the d_i are F_q element codes.
 
+Both levels share one routine per job: ``_poly_mul``, ``_poly_mod`` and
+``_poly_powmod`` are the only polynomial product, remainder and power
+(Ben-Or's test and the untabulated ``mul``, ``inv`` and ``pow`` of both
+classes run on them), and ``_log_tables`` is the only primitive-element
+search and log/antilog builder.
+
 A context's field (its moduli, equality and hash) is fixed once built,
 and contexts are safe to share across threads and forked workers.
 Base-field mul/inv tables are built with the context for q <= 256.
@@ -123,57 +129,75 @@ def _digitwise_mod_p(a: int, b: int, p: int, sign: int) -> int:
     return out
 
 
-# Polynomials over a field context are little-endian coefficient tuples.
+# Polynomials over a field context are little-endian coefficient sequences.
 
-def _poly_deg(poly) -> int:
-    for i in range(len(poly) - 1, -1, -1):
-        if poly[i]:
-            return i
-    return -1
-
-
-def _poly_mul(a, b, field) -> tuple[int, ...]:
+def _poly_mul(a, b, field) -> list[int]:
+    """a * b.  Over a prime field the coefficients are plain ints, left
+    unreduced: every product here is reduced next by ``_poly_mod``."""
     out = [0] * (len(a) + len(b) - 1)
+    if field.s == 1:
+        for i, ai in enumerate(a):
+            if ai:
+                for k, bj in enumerate(b, i):
+                    out[k] += ai * bj
+        return out
+    add, mul = field.add, field.mul
     for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-    return tuple(out)
+        if ai:
+            for k, bj in enumerate(b, i):
+                if bj:
+                    x = mul(ai, bj)
+                    out[k] = add(out[k], x) if out[k] else x
+    return out
 
 
-def _poly_mod(num, den, field) -> tuple[int, ...]:
-    dd = _poly_deg(den)
+def _poly_mod(num, den, field) -> list[int]:
+    """num mod den by long division; a monic den needs no inverse of its lead."""
+    dd = len(den) - 1
+    while dd >= 0 and not den[dd]:
+        dd -= 1
     if dd < 0:
         raise ZeroDivisionError("polynomial modulus is zero")
     rem = list(num)
-    inv_lead = field.inv(den[dd])
+    lead = den[dd]
+    low = [(j, c) for j, c in enumerate(den[:dd]) if c]
+    # each step clears the top coefficient c by subtracting c/lead * den
+    # from the dd coefficients below it; the top itself is never read again
+    if field.s == 1:
+        p = field.p
+        inv_lead = 1 if lead == 1 else pow(lead, p - 2, p)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i] % p * inv_lead
+            if c:
+                for j, d in low:
+                    rem[i - dd + j] -= c * d
+        return [c % p for c in rem[:dd]]
+    sub, mul = field.sub, field.mul
+    inv_lead = 1 if lead == 1 else field.inv(lead)
     for i in range(len(rem) - 1, dd - 1, -1):
         c = rem[i]
-        if not c:
-            continue
-        factor = field.mul(c, inv_lead)
-        for j in range(dd + 1):
-            rem[i - dd + j] = field.sub(rem[i - dd + j], field.mul(factor, den[j]))
-    return tuple(rem[:dd] if dd > 0 else [])
+        if c:
+            if inv_lead != 1:
+                c = mul(c, inv_lead)
+            for j, d in low:
+                rem[i - dd + j] = sub(rem[i - dd + j], mul(c, d))
+    return rem[:dd]
 
 
 def _poly_sub(a, b, field) -> tuple[int, ...]:
     return tuple(field.sub(x, y) for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def _poly_gcd(a, b, field) -> tuple[int, ...]:
+def _poly_gcd(a, b, field):
     """A greatest common divisor of a and b, not normalized to monic."""
-    while _poly_deg(b) >= 0:
+    while any(b):
         a, b = b, _poly_mod(a, b, field)
     return a
 
 
-def _poly_powmod(base, e: int, mod, field) -> tuple[int, ...]:
-    """base^e reduced by ``mod``, by square-and-multiply."""
-    out = (1,)
-    base = _poly_mod(base, mod, field)
+def _poly_powmod(base, e: int, mod, field) -> list[int]:
+    """base^e reduced by ``mod``, by square-and-multiply; ``base`` is reduced."""
+    out = [1]
     while e:
         if e & 1:
             out = _poly_mod(_poly_mul(out, base, field), mod, field)
@@ -190,16 +214,16 @@ def _is_irreducible(poly, field) -> bool:
     i <= d/2, which divides x^(q^i) - x; an irreducible f shares no factor
     with x^(q^i) - x for 0 < i < d.  So f is irreducible iff
     gcd(x^(q^i) - x, f) = 1 for i = 1..d/2.  Each x^(q^i) mod f is the
-    q-th power of the previous one.
+    q-th power of the previous one.  ``poly`` is monic.
     """
-    d = _poly_deg(poly)
+    d = len(poly) - 1
     if d < 1:
         return False
     x = (0, 1)
     h = x
     for _ in range(d // 2):
         h = _poly_powmod(h, field.q, poly, field)
-        if _poly_deg(_poly_gcd(poly, _poly_sub(h, x, field), field)) > 0:
+        if any(_poly_gcd(poly, _poly_sub(h, x, field), field)[1:]):
             return False
     return True
 
@@ -217,6 +241,44 @@ def _first_irreducible(field, degree: int) -> tuple[int, ...]:
         if _is_irreducible(candidate, field):
             return candidate
     raise RuntimeError(f"no irreducible polynomial of degree {degree} found")
+
+
+def _log_tables(order: int, mul, power, add, missing="no primitive element found"):
+    """Antilog list and log map of the field with ``order`` elements.
+
+    ``mul``, ``power`` and ``add`` are the field's untabulated arithmetic.
+    The generator g is the first code with power(g, (order - 1) / f) != 1
+    for every prime f dividing order - 1; exp[i] = g^i is built with one
+    ``mul`` each and log[exp[i]] = i, so a * b is
+    exp[(log a + log b) % (order - 1)].  A repeated power, or a table
+    product that fails an associativity or distributivity spot check,
+    raises RuntimeError before the caller can store anything.
+    """
+    if order == 2:
+        exp, log = [1], {1: 0}
+    else:
+        orders = [(order - 1) // f for f in _prime_factors(order - 1)]
+        g = next((g for g in range(2, order) if all(power(g, e) != 1 for e in orders)), None)
+        if g is None:
+            raise RuntimeError(missing)
+        exp = [1] * (order - 1)
+        log = {1: 0}
+        for i in range(1, order - 1):
+            # g first: ``_poly_mul`` skips the zero coefficients of its first factor
+            exp[i] = x = mul(g, exp[i - 1])
+            log[x] = i
+        if len(log) != order - 1:
+            raise RuntimeError("candidate generator is not primitive")
+
+    def product(a, b):
+        return exp[(log[a] + log[b]) % (order - 1)] if a and b else 0
+
+    for a, b, c in ((1, 2 % order, 3 % order), (2 % order, order - 1, order - 2), (1, 1, order - 1)):
+        if product(product(a, b), c) != product(a, product(b, c)):
+            raise RuntimeError("associativity check failed")
+        if product(a, add(b, c)) != add(product(a, b), product(a, c)):
+            raise RuntimeError("distributivity check failed")
+    return exp, log
 
 
 class FieldCtx:
@@ -240,7 +302,8 @@ class FieldCtx:
                 raise ValueError("modulus is only meaningful for s > 1")
             self.modulus = None
         else:
-            prime = FieldCtx(p)
+            # the prime subfield, over which the residue polynomials multiply
+            self._prime = prime = FieldCtx(p)
             if modulus is None:
                 modulus = _first_irreducible(prime, s)
             else:
@@ -258,41 +321,15 @@ class FieldCtx:
             self._build_tables()
 
     def _build_tables(self) -> None:
-        """Fill the mul/inv tables from a log/antilog pair, about q products.
-
-        The powers of the first primitive element list every nonzero
-        element once, so a * b is the antilog of log a + log b.
-        """
+        """Fill the mul/inv tables from ``_log_tables``, about q products."""
         q = self.q
-        if q == 2:
-            exp, log = [1], [0, 0]
-        else:
-            orders = [(q - 1) // f for f in _prime_factors(q - 1)]
-            g = next((g for g in range(2, q) if all(self._pow_generic(g, e) != 1 for e in orders)), None)
-            if g is None:
-                raise RuntimeError(f"no primitive element found in F_{q}")
-            exp = [1]
-            for _ in range(q - 2):
-                exp.append(self._mul_generic(exp[-1], g))
-            log = [0] * q
-            for i, v in enumerate(exp):
-                log[v] = i
+        exp, log = _log_tables(q, self._mul_generic, self._pow_generic, self.add,
+                               f"no primitive element found in F_{q}")
         period = q - 1
+        logs = list(map(log.__getitem__, range(1, q)))
         exp = exp * 2  # log a + log b < 2 * period needs no reduction
-        logs = log[1:]
-        mul = [(0,) * q]
-        for a in range(1, q):
-            mul.append((0, *map(exp[log[a] : log[a] + period].__getitem__, logs)))
-        self._mul_table = tuple(mul)
-        self._inv_table = (0,) + tuple(exp[period - log[a]] for a in range(1, q))
-        # field-axiom spot checks on the materialized tables
-        for a, b, c in ((1, 2 % q, 3 % q), (2 % q, q - 1, q - 2), (1, 1, q - 1)):
-            lhs = self.mul(self.mul(a, b), c)
-            rhs = self.mul(a, self.mul(b, c))
-            if lhs != rhs:
-                raise RuntimeError("associativity check failed")
-            if self.mul(a, self.add(b, c)) != self.add(self.mul(a, b), self.mul(a, c)):
-                raise RuntimeError("distributivity check failed")
+        self._mul_table = ((0,) * q, *((0, *map(exp[i : i + period].__getitem__, logs)) for i in logs))
+        self._inv_table = (0, *(exp[period - i] for i in logs))
 
     # -- element arithmetic -------------------------------------------------
 
@@ -320,31 +357,14 @@ class FieldCtx:
     def _mul_generic(self, a: int, b: int) -> int:
         if self.s == 1:
             return (a * b) % self.p
-        av = _digits(a, self.p, self.s)
-        bv = _digits(b, self.p, self.s)
-        prod = [0] * (2 * self.s - 1)
-        for i, ai in enumerate(av):
-            if not ai:
-                continue
-            for j, bj in enumerate(bv):
-                prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        for i in range(2 * self.s - 2, self.s - 1, -1):
-            c = prod[i]
-            if not c:
-                continue
-            prod[i] = 0
-            for j in range(self.s):
-                prod[i - self.s + j] = (prod[i - self.s + j] - c * self.modulus[j]) % self.p
-        return _undigits(prod[: self.s], self.p)
+        p, s = self.p, self.s
+        prod = _poly_mul(_digits(a, p, s), _digits(b, p, s), self._prime)
+        return _undigits(_poly_mod(prod, self.modulus, self._prime), p)
 
     def _pow_generic(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_generic(out, a)
-            a = self._mul_generic(a, a)
-            e >>= 1
-        return out
+        if self.s == 1:
+            return pow(a, e, self.p)
+        return _undigits(_poly_powmod(_digits(a, self.p, self.s), e, self.modulus, self._prime), self.p)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
@@ -356,8 +376,6 @@ class FieldCtx:
             raise ValueError("zero has no multiplicative inverse")
         if self._inv_table is not None:
             return self._inv_table[a]
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
         return self._pow_generic(a, self.q - 2)
 
     def __eq__(self, other):
@@ -405,37 +423,20 @@ class ExtCtx:
         self._exp = None
         self._log = None
 
-    def _build_log_tables(self) -> dict:
-        """Build the tables into locals, publish them, and return the log table.
+    def _log_table(self):
+        """The log table, built by the first call that needs it, or None
+        above the table limit; ``mul``, ``inv`` and ``pow`` read it here.
 
-        ``_exp`` is stored before ``_log``, and readers test ``_log`` alone,
-        so a thread that sees the log table also sees its antilog table.
-        Threads that race here build identical tables; the last store wins.
+        The tables are built into locals and ``_exp`` is stored before
+        ``_log``; readers test ``_log`` alone, so a thread that sees the
+        log table also sees its antilog table.  Threads that race here
+        build identical tables; the last store wins.
         """
-        order = self.order
-        if order == 2:
-            exp, log = (1,), {1: 0}
-        else:
-            factors = _prime_factors(order - 1)
-            gen = None
-            for g in range(2, order):
-                if all(self._pow_generic(g, (order - 1) // f) != 1 for f in factors):
-                    gen = g
-                    break
-            if gen is None:
-                raise RuntimeError("no primitive element found")
-            exp = [1] * (order - 1)
-            log = {1: 0}
-            acc = 1
-            for i in range(1, order - 1):
-                acc = self._mul_reduce(acc, gen)
-                exp[i] = acc
-                log[acc] = i
-            if len(log) != order - 1:
-                raise RuntimeError("candidate generator is not primitive")
-            exp = tuple(exp)
-        self._exp = exp
-        self._log = log
+        log = self._log
+        if log is None and self.order <= _EXT_LOG_LIMIT:
+            exp, log = _log_tables(self.order, self._mul_reduce, self._pow_generic, self.add)
+            self._exp = tuple(exp)
+            self._log = log
         return log
 
     # -- element codec ------------------------------------------------------
@@ -492,32 +493,21 @@ class ExtCtx:
         return out
 
     def _mul_reduce(self, a: int, b: int) -> int:
-        F = self.base
-        m = self.m
-        av = _digits(a, F.q, m)
-        bv = _digits(b, F.q, m)
-        prod = [0] * (2 * m - 1)
-        for i, ai in enumerate(av):
-            if not ai:
-                continue
-            for j, bj in enumerate(bv):
-                if bj:
-                    prod[i + j] = F.add(prod[i + j], F.mul(ai, bj))
-        for i in range(2 * m - 2, m - 1, -1):
-            c = prod[i]
-            if not c:
-                continue
-            prod[i] = 0
-            for j in range(m):
-                prod[i - m + j] = F.sub(prod[i - m + j], F.mul(c, self.ext_modulus[j]))
-        return _undigits(prod[:m], F.q)
+        q, m = self.base.q, self.m
+        prod = _poly_mul(_digits(a, q, m), _digits(b, q, m), self.base)
+        return _undigits(_poly_mod(prod, self.ext_modulus, self.base), q)
+
+    def _pow_generic(self, a: int, e: int) -> int:
+        q, m = self.base.q, self.m
+        return _undigits(_poly_powmod(_digits(a, q, m), e, self.ext_modulus, self.base), q)
+
+    # ``_log or _log_table()`` skips a call once the tables exist; a bad
+    # code is then a KeyError from the log map, where a list would wrap -1
 
     def mul(self, a: int, b: int) -> int:
-        log = self._log
+        log = self._log or self._log_table()
         if log is None:
-            if self.order > _EXT_LOG_LIMIT:
-                return self._mul_reduce(a, b)
-            log = self._build_log_tables()
+            return self._mul_reduce(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp[(log[a] + log[b]) % (self.order - 1)]
@@ -525,32 +515,19 @@ class ExtCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ValueError("zero has no multiplicative inverse")
-        log = self._log
+        log = self._log or self._log_table()
         if log is None:
-            if self.order > _EXT_LOG_LIMIT:
-                return self._pow_generic(a, self.order - 2)
-            log = self._build_log_tables()
+            return self._pow_generic(a, self.order - 2)
         return self._exp[(-log[a]) % (self.order - 1)]
-
-    def _pow_generic(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._mul_reduce(out, base)
-            base = self._mul_reduce(base, base)
-            e >>= 1
-        return out
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
         if a == 0:
             return 1 if e == 0 else 0
-        log = self._log
+        log = self._log or self._log_table()
         if log is None:
-            if self.order > _EXT_LOG_LIMIT:
-                return self._pow_generic(a, e)
-            log = self._build_log_tables()
+            return self._pow_generic(a, e)
         return self._exp[(log[a] * e) % (self.order - 1)]
 
     def frobenius(self, a: int, i: int) -> int:

@@ -125,6 +125,8 @@ def pigeonhole_lower_bound(code_size: int, q: int, m: int, n: int, s: int) -> in
     """ceil(|C| * |B(0, s)| / q^(mn)): some center must see this many words."""
     if code_size < 1:
         raise ValueError("code size must be positive")
+    if not 0 <= s <= n:
+        raise ValueError(f"need 0 <= s <= n, got s = {s}")
     ball = _ball_size(q, m, n, s)
     space = q ** (m * n)
     return -((-code_size * ball) // space)

@@ -575,20 +575,21 @@ def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
     order: one list of entry tuples per span table, as long as its
     factor list.
 
-    Each span table is shifted by each distinct center entry once, with
-    ``_shifter``, and every value of a shifted table passes
-    ``check_element`` before the table's list is built.  Entry j of each
-    vector is then read off the table shifted by center entry j at
-    ``columns[j]``, with no further field arithmetic or check.
+    Every value of a span table passes ``check_element`` once, before
+    the table is shifted by each distinct center entry with
+    ``_shifter``: a shift by a valid entry keeps a valid value valid and
+    a bad value bad, so this refuses the same tables as checking every
+    shifted copy.  Entry j of each vector is then read off the table
+    shifted by center entry j at ``columns[j]``, with no further field
+    arithmetic or check.
     """
     p = ctx.base.p
     check = ctx.check_element
     for span, columns in tables:
+        for x in span:
+            check(x)
         shift = _shifter(p, span)
         by_entry = {e: shift(e) for e in center}
-        for values in by_entry.values():
-            for x in values:
-                check(x)
         yield list(zip(*[map(by_entry[e].__getitem__, col) for e, col in zip(center, columns)]))
 
 
@@ -598,7 +599,7 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
     refuses outright if the ambient space exceeds ``cap``.  Validation
-    is one ``check_element`` per value of each shifted span table, in
+    is one ``check_element`` per value of each span table, in
     ``_iter_ball``, so the vectors read off those tables are built by
     ``_trusted_batch``, one batch per span table, without checking each
     entry again.

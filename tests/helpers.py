@@ -114,6 +114,38 @@ def poly_product_mod(a_code, b_code, p, modulus):
     return int_undigits(prod[:deg], p)
 
 
+def tower_product(a_code, b_code, base, ext_modulus):
+    """Product of two F_{q^m} element codes over the FieldCtx ``base``.
+
+    Schoolbook multiply and long division by the monic ``ext_modulus``
+    on base-q digits; each coefficient product is ``poly_product_mod``
+    over F_p (a prime base is the residue ring mod the polynomial x),
+    and coefficients add base-p digit by digit.  Only ``base.p``,
+    ``base.q`` and ``base.modulus`` are read.
+    """
+    p, q = base.p, base.q
+    base_modulus = base.modulus or (0, 1)
+    width = len(base_modulus) - 1
+
+    def add(x, y, sign=1):
+        xs, ys = int_digits(x, p, width), int_digits(y, p, width)
+        return int_undigits([(u + sign * v) % p for u, v in zip(xs, ys)], p)
+
+    m = len(ext_modulus) - 1
+    a = int_digits(a_code, q, m)
+    b = int_digits(b_code, q, m)
+    prod = [0] * (2 * m - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = add(prod[i + j], poly_product_mod(ai, bj, p, base_modulus))
+    for top in range(len(prod) - 1, m - 1, -1):
+        coeff = prod[top]
+        prod[top] = 0
+        for k in range(m):
+            prod[top - m + k] = add(prod[top - m + k], poly_product_mod(coeff, ext_modulus[k], p, base_modulus), -1)
+    return int_undigits(prod[:m], q)
+
+
 def monic_remainder(num, den, field):
     """Remainder of ``num`` by the monic ``den`` by long division.
 

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from helpers import int_digits, poly_product_mod, trial_division_irreducible
+from helpers import int_digits, poly_product_mod, tower_product, trial_division_irreducible
 from ranklab.errors import InfeasibleError
 from ranklab.fields import (
     ExtCtx,
@@ -362,6 +362,80 @@ def test_untabulated_base_field_paths():
     for _ in range(10):
         a = rng.randrange(1, big_ext.q)
         assert big_ext.mul(a, big_ext.inv(a)) == 1
+
+
+def test_tower_oracle_matches_small_tabulated_towers():
+    # the oracle first agrees with the log tables where every product is
+    # checked against the field axioms
+    for ctx in (ExtCtx(FieldCtx(2, 2), 2), ExtCtx(FieldCtx(3, 2), 2)):
+        for a, b in itertools.product(range(ctx.order), repeat=2):
+            assert ctx.mul(a, b) == tower_product(a, b, ctx.base, ctx.ext_modulus)
+
+
+@pytest.mark.parametrize("p, s", ((3, 6), (257, 1)))
+def test_towers_over_untabulated_bases_match_the_tower_oracle(p, s):
+    # F_{3^12} over F_{3^6} and F_{257^2} over F_257: neither level has tables
+    ctx = ExtCtx(FieldCtx(p, s), 2)
+    assert ctx.base._mul_table is None
+    rng = random.Random(f"tower {p}^{s}")
+
+    def oracle_pow(a, e):
+        out = 1
+        while e:
+            if e & 1:
+                out = tower_product(out, a, ctx.base, ctx.ext_modulus)
+            a = tower_product(a, a, ctx.base, ctx.ext_modulus)
+            e >>= 1
+        return out
+
+    for _ in range(60):
+        a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+        assert ctx.mul(a, b) == tower_product(a, b, ctx.base, ctx.ext_modulus)
+    for _ in range(6):
+        a = rng.randrange(1, ctx.order)
+        assert tower_product(a, ctx.inv(a), ctx.base, ctx.ext_modulus) == 1
+        e = rng.randrange(ctx.order)
+        assert ctx.pow(a, e) == oracle_pow(a, e)
+    assert ctx._log is None and ctx._exp is None
+
+
+def broken_product(original):
+    """``original`` except that 9 comes out as 8: in F_16 with x^4 + x + 1
+    the powers of x then repeat, since x^3 = 8 and x^14 = 9."""
+    return lambda self, a, b: 8 if original(self, a, b) == 9 else original(self, a, b)
+
+
+def test_base_tables_refuse_a_product_whose_powers_repeat(monkeypatch):
+    monkeypatch.setattr(FieldCtx, "_mul_generic", broken_product(FieldCtx._mul_generic))
+    with pytest.raises(RuntimeError):
+        FieldCtx(2, 4)
+
+
+def test_extension_tables_refuse_a_product_whose_powers_repeat(monkeypatch):
+    ctx = ExtCtx(FieldCtx(2), 4, (1, 1, 0, 0, 1))
+    monkeypatch.setattr(ExtCtx, "_mul_reduce", broken_product(ExtCtx._mul_reduce))
+    with pytest.raises(RuntimeError):
+        ctx.mul(3, 5)
+    assert ctx._log is None and ctx._exp is None
+    # nothing was published, so the true product builds the tables afresh
+    monkeypatch.undo()
+    assert ctx.mul(3, 5) == poly_product_mod(3, 5, 2, ctx.ext_modulus)
+    assert ctx._log is not None
+
+
+def test_extension_tables_refuse_bad_codes():
+    for ctx in (ExtCtx(FieldCtx(2), 4), ExtCtx(FieldCtx(3), 2)):
+        ctx.mul(1, 1)
+        assert ctx._log is not None
+        for call in (
+            lambda: ctx.mul(-1, 1),
+            lambda: ctx.mul(1, ctx.order),
+            lambda: ctx.inv(ctx.order),
+            lambda: ctx.inv(-1),
+            lambda: ctx.pow(-1, 2),
+        ):
+            with pytest.raises(KeyError):
+                call()
 
 
 def test_pow_matches_repeated_multiplication():

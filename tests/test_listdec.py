@@ -98,6 +98,15 @@ def test_pigeonhole_errors():
         pigeonhole_loose_form(4, 2, 2, 2, 3)
 
 
+def test_pigeonhole_floor_names_its_radius_parameter():
+    # the radius argument is s: both pigeonhole forms refuse it in its own name
+    for bad in (3, -1):
+        for form in (pigeonhole_lower_bound, pigeonhole_loose_form):
+            with pytest.raises(ValueError) as info:
+                form(4, 2, 3, 2, bad)
+            assert str(info.value) == f"need 0 <= s <= n, got s = {bad}"
+
+
 def test_exhaustive_matches_brute_force():
     ctx = default_context(2, 2)
     codes = [

@@ -115,3 +115,88 @@ def test_rank_vectors_skip_their_checks_only_in_the_unchecked_helpers():
             if is_attribute(node, "object", "__setattr__") and id(node) not in on_self:
                 found.append(f"{where}:{node.lineno} object.__setattr__")
     assert found == []
+
+
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+PRODUCTS = {"mul", "_mul_generic", "_mul_reduce", "_poly_mul"}
+
+
+def own_nodes(func):
+    """The nodes of a function body, without those of functions nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def has_product(node) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult):
+            return True
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in PRODUCTS:
+                return True
+    return False
+
+
+def fields_functions():
+    tree = ast.parse((SOURCE / "fields.py").read_text(encoding="utf-8"))
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield (f"{scope}.{node.name}" if scope else node.name), node
+
+
+def test_fields_has_one_product_remainder_and_power_loop():
+    # a loop over coefficient products inside another loop is a schoolbook
+    # product or a long division: only _poly_mul and _poly_mod hold one;
+    # the halving step of square-and-multiply is only in _poly_powmod;
+    # the untabulated oracles and the table readers have no loop at all
+    loop_free = {
+        "FieldCtx._mul_generic", "FieldCtx._pow_generic", "FieldCtx.mul", "FieldCtx.inv",
+        "ExtCtx._mul_reduce", "ExtCtx._pow_generic", "ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow",
+    }
+    found = []
+    seen = set()
+    for name, func in fields_functions():
+        seen.add(name)
+        loops = [node for node in own_nodes(func) if isinstance(node, LOOPS)]
+        if name in loop_free and loops:
+            found.append(f"{name}: loop")
+        nested = any(
+            inner is not outer and isinstance(inner, LOOPS) and has_product(inner)
+            for outer in loops
+            for inner in ast.walk(outer)
+        )
+        if nested and name not in ("_poly_mul", "_poly_mod"):
+            found.append(f"{name}: nested product loop")
+        for node in own_nodes(func):
+            op = getattr(node, "op", None)
+            if isinstance(op, ast.RShift) and name != "_poly_powmod":
+                found.append(f"{name}:{node.lineno} >>")
+    assert loop_free <= seen
+    assert found == []
+
+
+def test_fields_has_one_primitive_element_search_and_one_table_reader():
+    # the search needs the prime factors of order - 1, so one user of
+    # _prime_factors means one search; both classes take their tables
+    # from _log_tables, and ExtCtx's mul, inv and pow reach them through
+    # the one accessor that knows the table limit
+    expected = {
+        "_prime_factors": {"_log_tables"},
+        "_log_tables": {"FieldCtx._build_tables", "ExtCtx._log_table"},
+        "_EXT_LOG_LIMIT": {"ExtCtx._log_table"},
+        "_log_table": {"ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow"},
+    }
+    users = {name: set() for name in expected}
+    for name, func in fields_functions():
+        for node in own_nodes(func):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref in users and isinstance(node, (ast.Name, ast.Attribute)):
+                users[ref].add(name)
+    assert users == expected
