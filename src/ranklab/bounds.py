@@ -8,21 +8,20 @@ R = log_q |C| / (mn) and distances as delta = d/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rankmetric
+from .rankmetric import _Fresh, _Record
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Outcome of one bound evaluation: the value, the verdict, the inputs."""
 
     name: str
     inputs: dict
     value: object
     satisfied: bool | None = None
-    details: dict = field(default_factory=dict)
+    details: dict = _Fresh(dict)
 
     def as_dict(self) -> dict:
         def norm(v):
@@ -135,8 +134,9 @@ def theta_threshold(rate, eps):
     return 2 * eps / ((1 - rate - eps) * (rate + eps))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(_Record):
+    """Singleton and denser-ensemble rate barriers at one radius fraction."""
+
     rho: Fraction
     singleton: Fraction
     gv: Fraction

@@ -16,7 +16,6 @@ subspace with equal multiplicity |GL_k(F_q)|.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EnumerationCapExceeded
@@ -24,6 +23,7 @@ from .fields import ExtCtx
 from .rankmetric import (
     RankVector,
     _echelon,
+    _Record,
     flatten_vector,
     rank_of_vector,
     unflatten_vector,
@@ -34,8 +34,7 @@ from .rng import make_rng
 DEFAULT_WORD_CAP = 2**20
 
 
-@dataclass(frozen=True)
-class ExplicitCode:
+class ExplicitCode(_Record):
     """A finite set of distinct words of F_{q^m}^n, in a fixed order."""
 
     ctx: ExtCtx
@@ -65,8 +64,7 @@ class ExplicitCode:
         return code_rate(self.size, self.ctx.base.q, self.ctx.m, self.n)
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(_Record):
     """An F_q-linear code given by a basis of k independent words."""
 
     ctx: ExtCtx
@@ -97,8 +95,7 @@ class LinearCode:
         return Fraction(self.k, self.ctx.m * self.n)
 
 
-@dataclass(frozen=True)
-class GabidulinCode:
+class GabidulinCode(_Record):
     """Evaluations of q-degree < k linearized polynomials at fixed points."""
 
     ctx: ExtCtx

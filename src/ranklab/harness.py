@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -39,6 +38,7 @@ from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
     _ball_size,
+    _Record,
     flatten_vector,
     rref_fq,
     unflatten_vector,
@@ -49,8 +49,7 @@ from .rng import content_hash, substream_seed  # content_hash is re-exported her
 ENSEMBLE_KINDS = ("random", "random_linear")
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
+class EnsembleSpec(_Record):
     """Parameters of one seeded ensemble experiment."""
 
     kind: str
@@ -101,16 +100,16 @@ class EnsembleSpec:
         }
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(_Record):
+    """The worst list size of one ensemble trial and how it was found."""
+
     index: int
     l_max: int
     exact: bool
     failed: bool
 
 
-@dataclass(frozen=True)
-class TrialReport:
+class TrialReport(_Record):
     """Full record of one ensemble run; equality ignores wall time."""
 
     spec: EnsembleSpec
@@ -118,7 +117,9 @@ class TrialReport:
     failures: int
     failure_fraction: Fraction
     metadata: tuple[tuple[str, str], ...]
-    wall_time_s: float = field(compare=False, default=0.0)
+    wall_time_s: float = 0.0
+
+    _uncompared = ("wall_time_s",)
 
     def canonical_dict(self) -> dict:
         """Everything reproducible, wall time excluded."""
@@ -207,8 +208,7 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_C
     )
 
 
-@dataclass(frozen=True)
-class CosetCheckReport:
+class CosetCheckReport(_Record):
     """Exact tally of a rank ball across the cosets of a linear code."""
 
     radius_s: int
@@ -299,8 +299,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     )
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(_Record):
     """Sign analysis of the random-ensemble failure exponent at one (m, n)."""
 
     m: int

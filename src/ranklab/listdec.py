@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
@@ -88,6 +87,7 @@ from .rankmetric import (
     _index_of_entries,
     _iter_ball_tables,
     _rank_of_entries,
+    _Record,
     _shifter,
     _xor_basis,
     rref_fq,
@@ -99,8 +99,7 @@ DEFAULT_MC_CENTERS = 1000
 DEFAULT_NEIGHBORHOOD_CAP = 4096
 
 
-@dataclass(frozen=True)
-class ListReport:
+class ListReport(_Record):
     """Worst list size found for one code at one radius."""
 
     radius_s: int

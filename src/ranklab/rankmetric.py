@@ -14,14 +14,20 @@ handled as an exact rational enclosure so volume bounds are certified
 rather than approximated.
 
 Everything assumes the column-count convention n <= m.
+
+Records (``RankVector``, ``KqInterval``, ``VolumeResult``, the codes and
+reports) derive from ``_Record``, a frozen value class without
+``dataclasses``: the class annotations are its fields, class attributes
+their defaults (``_Fresh(factory)`` builds one per instance), and names in
+``_uncompared`` stay out of equality and hashing.
 """
 from __future__ import annotations
 
 import itertools
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import EnumerationCapExceeded
 from .fields import ExtCtx, FieldCtx, split_prime_power
@@ -29,19 +35,85 @@ from .fields import ExtCtx, FieldCtx, split_prime_power
 DEFAULT_ENUM_CAP = 2**24
 
 
-class RankVector:
+def _frozen(verb: str, name: str):
+    from dataclasses import FrozenInstanceError  # loaded only on this path
+
+    raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+
+class _Fresh:
+    """A record field default built anew for each instance by ``factory()``."""
+
+    def __init__(self, factory):
+        self.factory = factory
+
+
+class _Record:
+    """Frozen value record; see the module docstring."""
+
+    __slots__ = ()  # so a slotted subclass (RankVector) has no __dict__
+    _fields = _uncompared = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__annotations__ if name not in cls._fields]
+        cls._fields = cls.__match_args__ = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{k: v for k, v in vars(cls).items() if k in own}}
+        keys = tuple(name for name in cls._fields if name not in cls._uncompared)
+        if len(keys) < 2:  # a getter of one name returns it bare, not in a tuple
+            raise TypeError(f"{cls.__name__} needs at least two compared fields")
+        cls._key = attrgetter(*keys)  # a C callable: no method binding
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        names = self._fields
+        given = {**self._defaults, **kwargs, **dict(zip(names, args))}
+        extra = len(args) > len(names) or not kwargs.keys().isdisjoint(names[: len(args)])
+        if extra or given.keys() != set(names):  # too many or repeated; missing or unknown
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)} once each")
+        return [v.factory() if isinstance(v, _Fresh) else v for v in map(given.get, names)]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class RankVector(_Record):
     """A vector in F_{q^m}^n tied to its field context.
 
-    Frozen, with the value semantics of a frozen dataclass on the two
-    fields ``ctx`` and ``entries``: equal to a vector of the same class
-    with equal fields, hashed as the tuple of them, and never equal to or
-    ordered against anything else.  The fields are slots: there is no
+    A slotted ``_Record`` of the two fields ``ctx`` and ``entries``: no
     ``__dict__``.  ``__init__`` checks 1 <= n <= m and every entry, and a
     pickle or copy is rebuilt through it; ``_trusted`` and
     ``_trusted_batch`` are the only paths that skip that check.
     """
 
     __slots__ = ("ctx", "entries")
+    ctx: ExtCtx
+    entries: tuple[int, ...]
 
     def __init__(self, ctx: ExtCtx, entries):
         entries = tuple(entries)
@@ -52,23 +124,6 @@ class RankVector:
             ctx.check_element(e)
         RankVector.ctx.__set__(self, ctx)
         RankVector.entries.__set__(self, entries)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.entries) == (other.ctx, other.entries)
-
-    def __hash__(self):
-        return hash((self.ctx, self.entries))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(ctx={self.ctx!r}, entries={self.entries!r})"
 
     def __reduce__(self):
         return (RankVector, (self.ctx, self.entries))
@@ -330,8 +385,7 @@ def count_rank_u(q: int, m: int, n: int, u: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class KqInterval:
+class KqInterval(_Record):
     """Exact rational enclosure of K_q = prod_{j>=1} (1 - q^-j)."""
 
     q: int
@@ -368,8 +422,7 @@ def kq_constant(q: int, tol=Fraction(1, 10**9)) -> KqInterval:
             return KqInterval(q, partial * (1 - tail), partial)
 
 
-@dataclass(frozen=True)
-class VolumeResult:
+class VolumeResult(_Record):
     """Exact rank-ball volume with certified two-sided bounds.
 
     ``exact`` is |B_R(0, r)| and ``lower`` the closed-form q^(r(m+n-r)).

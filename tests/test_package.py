@@ -82,3 +82,26 @@ def test_import_loads_no_submodule_until_one_is_used():
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report == {"loaded": [], "same": [True] * len(EXPORTS), "unknown": False}
+
+
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # the frozen records are built without dataclasses, whose import (and
+    # inspect's through it) cost more start-up than most commands' work
+    probe = (
+        "import json, runpy, sys\n"
+        "def heavy():\n"
+        "    return [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "import ranklab.cli, ranklab.harness, ranklab.codefile\n"
+        "imported = heavy()\n"
+        "sys.argv = ['ranklab', 'volume', '--q', '2', '--m', '4', '--n', '3', '--r', '1']\n"
+        "try:\n"
+        "    runpy.run_module('ranklab', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps({'imported': imported, 'volume': heavy(), 'code': code}))\n"
+    )
+    proc = run_python(["-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert '"schema": "ranklab.volume/1"' in proc.stdout
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"imported": [], "volume": [], "code": 0}

@@ -94,7 +94,7 @@ def test_rank_vectors_skip_their_checks_only_in_the_unchecked_helpers():
     found = []
     for path, tree in parsed_modules():
         nodes = list(scoped_nodes(tree))
-        # object.__setattr__ is left to other frozen dataclasses' own
+        # object.__setattr__ is left to the frozen records' own
         # __post_init__, called on self
         on_self = {
             id(node.func)
@@ -114,6 +114,29 @@ def test_rank_vectors_skip_their_checks_only_in_the_unchecked_helpers():
                 found.append(f"{where}:{node.lineno} __set__")
             if is_attribute(node, "object", "__setattr__") and id(node) not in on_self:
                 found.append(f"{where}:{node.lineno} object.__setattr__")
+    assert found == []
+
+
+def test_dataclasses_is_imported_only_to_raise_and_nothing_compiles_code():
+    # the frozen records are plain classes: dataclasses is loaded only for
+    # the error a frozen field raises, and no method is built from source
+    imports = []
+    found = []
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            where = f"{path.name}:{scope}"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                names = []
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                imports.append(where)
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id in ("exec", "eval", "compile"):
+                found.append(f"{where}:{node.lineno} {func.id}")
+    assert imports == ["rankmetric.py:_frozen"]
     assert found == []
 
 
