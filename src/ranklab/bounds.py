@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from . import rankmetric
-from .rankmetric import _Fresh, _Record
+from .rankmetric import _fields_dict, _Fresh, _plain, _Record
 
 
 class BoundReport(_Record):
@@ -25,11 +25,8 @@ class BoundReport(_Record):
 
     def as_dict(self) -> dict:
         def norm(v):
-            if isinstance(v, Fraction):
-                return str(v)
-            if isinstance(v, int) and abs(v) >= 2**53:
-                return str(v)
-            return v
+            # an integer past 2^53 loses digits in a JSON reader's double
+            return str(v) if isinstance(v, int) and abs(v) >= 2**53 else _plain(v)
 
         return {
             "name": self.name,
@@ -142,14 +139,8 @@ class CurvePoint(_Record):
     gv: Fraction
 
     def as_dict(self) -> dict:
-        return {
-            "rho": str(self.rho),
-            "singleton": str(self.singleton),
-            "gv": str(self.gv),
-            "rho_float": float(self.rho),
-            "singleton_float": float(self.singleton),
-            "gv_float": float(self.gv),
-        }
+        floats = {f"{name}_float": float(getattr(self, name)) for name in self._fields}
+        return {**_fields_dict(self), **floats}
 
 
 def emit_barrier_curves(b, grid_points: int = 101) -> tuple[CurvePoint, ...]:

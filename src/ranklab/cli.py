@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError
 from .fields import context_from_descriptor, default_context
-from .rankmetric import DEFAULT_ENUM_CAP, ball_volume
+from .rankmetric import DEFAULT_ENUM_CAP, _plain, ball_volume
 
 
 def _fraction(text: str) -> Fraction:
@@ -53,6 +53,11 @@ def _emit(args, inputs: dict, result, rows=None, seed=None) -> None:
     sys.stdout.write("\n")
 
 
+def _echo(args, *names) -> dict:
+    """The named flags as report inputs, each value through the report value rule."""
+    return {name: _plain(getattr(args, name)) for name in names}
+
+
 def _resolve_context(args):
     if getattr(args, "field", None):
         return context_from_descriptor(args.field)
@@ -73,47 +78,33 @@ def _resolve_radius(args, n: int) -> int:
 
 def _cmd_volume(args) -> None:
     res = ball_volume(args.q, args.m, args.n, args.r, kq_tol=args.kq_tol)
-    inputs = {"q": args.q, "m": args.m, "n": args.n, "r": args.r, "kq_tol": str(args.kq_tol)}
-    _emit(args, inputs, res.as_dict())
+    _emit(args, _echo(args, "q", "m", "n", "r", "kq_tol"), res.as_dict())
 
 
-_BOUND_PARAMS = {
-    "singleton": ("q", "m", "n", "d"),
-    "hamming": ("code_size", "q", "m", "n", "d"),
-    "gv_lower": ("delta", "b"),
-    "alpha_exact": ("delta",),
-    "singleton_barrier": ("rate",),
-    "gv_barrier": ("rho", "b"),
-    "theta_threshold": ("rate", "eps"),
+# each bound's function in ``bounds`` (loaded only by this command) and its flags
+_BOUNDS = {
+    "singleton": ("singleton_max_log_size", ("q", "m", "n", "d")),
+    "hamming": ("hamming_check", ("code_size", "q", "m", "n", "d")),
+    "gv_lower": ("gv_alpha_lower", ("delta", "b")),
+    "alpha_exact": ("alpha_exact", ("delta",)),
+    "singleton_barrier": ("singleton_barrier", ("rate",)),
+    "gv_barrier": ("gv_barrier", ("rho", "b")),
+    "theta_threshold": ("theta_threshold", ("rate", "eps")),
 }
 
 
 def _cmd_bounds(args) -> None:
-    from . import bounds as bounds_mod
+    from . import bounds
 
-    needed = _BOUND_PARAMS[args.name]
-    kwargs = {}
-    for pname in needed:
-        value = getattr(args, pname)
-        if value is None:
+    func, params = _BOUNDS[args.name]
+    for pname in params:
+        if getattr(args, pname) is None:
             raise ValueError(f"bound {args.name!r} needs --{pname.replace('_', '-')}")
-        kwargs[pname] = value
-    if args.name == "singleton":
-        value = bounds_mod.singleton_max_log_size(**kwargs)
-        report = bounds_mod.BoundReport("singleton", kwargs, value)
-    elif args.name == "hamming":
-        report = bounds_mod.hamming_check(**kwargs)
-    else:
-        func = {
-            "gv_lower": lambda: bounds_mod.gv_alpha_lower(kwargs["delta"], kwargs["b"]),
-            "alpha_exact": lambda: bounds_mod.alpha_exact(kwargs["delta"]),
-            "singleton_barrier": lambda: bounds_mod.singleton_barrier(kwargs["rate"]),
-            "gv_barrier": lambda: bounds_mod.gv_barrier(kwargs["rho"], kwargs["b"]),
-            "theta_threshold": lambda: bounds_mod.theta_threshold(kwargs["rate"], kwargs["eps"]),
-        }[args.name]
-        report = bounds_mod.BoundReport(args.name, kwargs, func())
-    inputs = {k: str(v) if isinstance(v, Fraction) else v for k, v in kwargs.items()}
-    _emit(args, {"name": args.name, **inputs}, report.as_dict())
+    kwargs = {pname: getattr(args, pname) for pname in params}
+    report = getattr(bounds, func)(**kwargs)
+    if not isinstance(report, bounds.BoundReport):
+        report = bounds.BoundReport(args.name, kwargs, report)
+    _emit(args, {"name": args.name, **_echo(args, *params)}, report.as_dict())
 
 
 def _cmd_sample(args) -> None:
@@ -199,7 +190,7 @@ def _cmd_curves(args) -> None:
 
     points = emit_barrier_curves(args.b, args.grid)
     rows = [p.as_dict() for p in points]
-    _emit(args, {"b": str(Fraction(args.b)), "grid": args.grid}, None, rows=rows)
+    _emit(args, _echo(args, "b", "grid"), None, rows=rows)
 
 
 def _cmd_coset_check(args) -> None:
@@ -241,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate one named bound")
-    p.add_argument("--name", choices=sorted(_BOUND_PARAMS), required=True)
+    p.add_argument("--name", choices=sorted(_BOUNDS), required=True)
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)

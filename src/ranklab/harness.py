@@ -38,6 +38,7 @@ from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
     _ball_size,
+    _fields_dict,
     _Record,
     flatten_vector,
     rref_fq,
@@ -86,18 +87,7 @@ class EnsembleSpec(_Record):
     def realized_rate(self) -> Fraction:
         return Fraction(self.realized_log_size, self.m * self.n)
 
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "q": self.q,
-            "m": self.m,
-            "n": self.n,
-            "rate_target": str(self.rate_target),
-            "radius_s": self.radius_s,
-            "list_cap": self.list_cap,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+    as_dict = _fields_dict
 
 
 class TrialOutcome(_Record):
@@ -107,6 +97,8 @@ class TrialOutcome(_Record):
     l_max: int
     exact: bool
     failed: bool
+
+    as_dict = _fields_dict
 
 
 class TrialReport(_Record):
@@ -130,10 +122,7 @@ class TrialReport(_Record):
                 "log_size": self.spec.realized_log_size,
                 "rate": str(self.spec.realized_rate),
             },
-            "outcomes": [
-                {"index": o.index, "l_max": o.l_max, "exact": o.exact, "failed": o.failed}
-                for o in self.outcomes
-            ],
+            "outcomes": [o.as_dict() for o in self.outcomes],
             "failures": self.failures,
             "failure_fraction": str(self.failure_fraction),
             "metadata": dict(self.metadata),
@@ -223,18 +212,8 @@ class CosetCheckReport(_Record):
     meets_average_bound: bool
 
     def as_dict(self) -> dict:
-        return {
-            "radius_s": self.radius_s,
-            "k": self.k,
-            "coset_count": self.coset_count,
-            "ball": str(self.ball),
-            "total": str(self.total),
-            "identity_ok": self.identity_ok,
-            "max_count": self.max_count,
-            "max_rep": list(self.max_rep.entries),
-            "average_bound": self.average_bound,
-            "meets_average_bound": self.meets_average_bound,
-        }
+        # the counts are strings, as in VolumeResult; a key keeps its place
+        return {**_fields_dict(self), "ball": str(self.ball), "total": str(self.total)}
 
 
 def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> CosetCheckReport:
@@ -311,17 +290,7 @@ class ProbeRow(_Record):
     exceeds_one: bool
     aspect_ge_theta: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "aspect": str(self.aspect),
-            "theta": str(self.theta),
-            "bracket": str(self.bracket),
-            "exponent": str(self.exponent),
-            "exceeds_one": self.exceeds_one,
-            "aspect_ge_theta": self.aspect_ge_theta,
-        }
+    as_dict = _fields_dict
 
 
 def threshold_probe(rate, eps, q: int, pairs) -> tuple[ProbeRow, ...]:

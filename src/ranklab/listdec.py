@@ -84,6 +84,7 @@ from .rankmetric import (
     RankVector,
     _ball_size,
     _entries_of_index,
+    _fields_dict,
     _index_of_entries,
     _iter_ball_tables,
     _rank_of_entries,
@@ -109,15 +110,7 @@ class ListReport(_Record):
     centers_tried: int
     pigeonhole_lb: int
 
-    def as_dict(self) -> dict:
-        return {
-            "radius_s": self.radius_s,
-            "l_max": self.l_max,
-            "argmax_center": list(self.argmax_center.entries),
-            "exhaustive": self.exhaustive,
-            "centers_tried": self.centers_tried,
-            "pigeonhole_lb": self.pigeonhole_lb,
-        }
+    as_dict = _fields_dict
 
 
 def pigeonhole_lower_bound(code_size: int, q: int, m: int, n: int, s: int) -> int:
@@ -547,6 +540,11 @@ def max_list_size(
     space = order**n
     lb = pigeonhole_lower_bound(code.size, ctx.base.q, ctx.m, n, s)
     linear = isinstance(code, (LinearCode, GabidulinCode))
+
+    def report(best: int, index: int, tried: int) -> ListReport:
+        center = vector_from_index(ctx, n, index)
+        return ListReport(s, best, center, mode == "exhaustive", tried, lb)
+
     if mode == "exhaustive":
         if space > cap:
             raise EnumerationCapExceeded(
@@ -556,21 +554,12 @@ def max_list_size(
             # the list size at x is the number of offsets in the coset of x
             cosets = _CosetKeys(code)
             tally = Counter(cosets.ball(s))
-            best = max(tally.values())
-            # a coset's key is its least index, so this is the least center
-            best_index = cosets.index(min(key for key, count in tally.items() if count == best))
         else:
             tally = _tally(ctx, n, s, _scan_codewords(code, cap), workers)
-            best = max(tally.values())
-            best_index = min(key for key, count in tally.items() if count == best)
-        return ListReport(
-            radius_s=s,
-            l_max=best,
-            argmax_center=vector_from_index(ctx, n, best_index),
-            exhaustive=True,
-            centers_tried=space,
-            pigeonhole_lb=lb,
-        )
+        best = max(tally.values())
+        least = min(key for key, count in tally.items() if count == best)
+        # a coset's key is its least index, so this is the least center
+        return report(best, cosets.index(least) if linear else least, space)
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     _check_word_cap(code, cap)
@@ -590,14 +579,7 @@ def max_list_size(
                 tried += 1
                 if tally[key] > best:
                     best, best_index = tally[key], x
-        return ListReport(
-            radius_s=s,
-            l_max=best,
-            argmax_center=vector_from_index(ctx, n, best_index),
-            exhaustive=False,
-            centers_tried=tried,
-            pigeonhole_lb=lb,
-        )
+        return report(best, best_index, tried)
     words = _scan_codewords(code, cap)
     if neighborhood:
         # every center that sees any codeword at all lives in this tally,
@@ -607,8 +589,7 @@ def max_list_size(
     else:
         tally = None
         candidates = dict.fromkeys(_index_of_entries(order, w) for w in words)
-    for x in draws:
-        candidates.setdefault(x, None)
+    candidates.update(dict.fromkeys(draws))
     if tally is None:
         if bv <= n * len(candidates):
             # both give every candidate its exact count; the set probe
@@ -624,14 +605,7 @@ def max_list_size(
             }
     # the first candidate with the largest count
     best_key = max(candidates, key=tally.__getitem__)
-    return ListReport(
-        radius_s=s,
-        l_max=tally[best_key],
-        argmax_center=vector_from_index(ctx, n, best_key),
-        exhaustive=False,
-        centers_tried=len(candidates),
-        pigeonhole_lb=lb,
-    )
+    return report(tally[best_key], best_key, len(candidates))
 
 
 def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:

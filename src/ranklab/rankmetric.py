@@ -19,7 +19,10 @@ Records (``RankVector``, ``KqInterval``, ``VolumeResult``, the codes and
 reports) derive from ``_Record``, a frozen value class without
 ``dataclasses``: the class annotations are its fields, class attributes
 their defaults (``_Fresh(factory)`` builds one per instance), and names in
-``_uncompared`` stay out of equality and hashing.
+``_uncompared`` stay out of equality and hashing.  A report serializes
+through ``_fields_dict``, its fields in declaration order, each value
+through ``_plain``, the one JSON value rule: a ``Fraction`` becomes its
+string, a ``RankVector`` its entry list, anything else passes unchanged.
 """
 from __future__ import annotations
 
@@ -100,6 +103,20 @@ class _Record:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def _plain(value):
+    """A record value as JSON; see the module docstring."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, RankVector):
+        return list(value.entries)
+    return value
+
+
+def _fields_dict(record) -> dict:
+    """Every field of a report in declaration order, each through ``_plain``."""
+    return {name: _plain(getattr(record, name)) for name in record._fields}
 
 
 class RankVector(_Record):
@@ -466,10 +483,18 @@ class VolumeResult(_Record):
             "lower": str(self.lower),
             "upper_lo": str(self.upper_lo),
             "upper_hi": str(self.upper_hi),
-            "upper_lo_float": float(self.upper_lo),
-            "upper_hi_float": float(self.upper_hi),
+            "upper_lo_float": _float(self.upper_lo),
+            "upper_hi_float": _float(self.upper_hi),
             "strict_ok": self.strict_ok,
         }
+
+
+def _float(x: Fraction) -> float | None:
+    """The nearest double, or None past the largest (the string is exact)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 def _ball_size(q: int, m: int, n: int, r: int) -> int:

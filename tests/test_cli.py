@@ -42,6 +42,17 @@ def test_volume_csv(capsys):
     assert row["exact"] == "10"
 
 
+def test_volume_past_the_float_range(capsys):
+    # q^m = 2^32 is in range; the upper bound's float is not, so it is null
+    payload = run_json(capsys, ["volume", "--q", "2", "--m", "32", "--n", "32", "--r", "31"])
+    assert payload["result"]["upper_hi_float"] is None
+    assert int(payload["result"]["lower"]) == 2**1023
+    argv = ["volume", "--q", "2", "--m", "32", "--n", "32", "--r", "32", "--format", "csv"]
+    assert main(argv) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert row.split(",")[header.split(",").index("upper_hi_float")] == ""
+
+
 def test_volume_out_of_range_exits_2(capsys):
     assert main(["volume", "--q", "2", "--m", "2", "--n", "2", "--r", "5"]) == 2
     assert "error:" in capsys.readouterr().err

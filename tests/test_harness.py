@@ -393,6 +393,17 @@ def test_probe_row_serialization():
     assert d["aspect"] == "5/12"
     assert d["bracket"] == "0"
     assert d["exceeds_one"] is False
+    # no command prints a ProbeRow, so no golden file pins its key order
+    assert list(d.items()) == [
+        ("m", 12),
+        ("n", 5),
+        ("aspect", "5/12"),
+        ("theta", "5/6"),
+        ("bracket", "0"),
+        ("exponent", "0"),
+        ("exceeds_one", False),
+        ("aspect_ge_theta", False),
+    ]
 
 
 def test_content_hash_properties():

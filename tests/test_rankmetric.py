@@ -439,6 +439,15 @@ def test_ball_volume_as_dict():
     assert d["lower"] == "8"
     assert d["strict_ok"] is True
     assert 27.0 < d["upper_lo_float"] < d["upper_hi_float"] < 28.0
+    # 2^(r(m+n-r)) / K_2 passes the largest double from r = 31 on at
+    # m = n = 32: the float fields go null, the exact strings stay
+    assert ball_volume(2, 32, 32, 30).as_dict()["upper_hi_float"] > 1e307
+    for r in (31, 32):
+        v = ball_volume(2, 32, 32, r)
+        d = v.as_dict()
+        assert d["upper_lo_float"] is None and d["upper_hi_float"] is None
+        assert d["upper_lo"] == str(v.upper_lo) and d["upper_hi"] == str(v.upper_hi)
+        assert d["exact"] == str(v.exact) and d["lower"] == str(2 ** (r * (64 - r)))
 
 
 def test_ball_volume_errors():
