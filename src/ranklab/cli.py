@@ -136,6 +136,8 @@ def _cmd_listdecode(args) -> None:
     from . import codefile
     from .listdec import max_list_size, pigeonhole_loose_form
 
+    if args.list_cap is not None and args.list_cap < 1:
+        raise ValueError("list cap must be at least 1")
     with open(args.code, encoding="utf-8") as fh:
         code = codefile.load_code(fh)
     s = _resolve_radius(args, code.n)

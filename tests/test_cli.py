@@ -173,6 +173,18 @@ def test_listdecode_rho_and_cap_verdict(tmp_path, capsys):
     assert result["list_decodable"] is True
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_listdecode_list_cap_below_one_exit_2(tmp_path, capsys, cap):
+    # is_list_decodable and experiment reject such a cap too
+    path = sample_file(
+        tmp_path, capsys, ["sample", "--kind", "random", "--q", "2", "--m", "2", "--n", "2", "--size", "4"]
+    )
+    assert main(["listdecode", "--code", path, "--radius", "1", "--list-cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "list cap must be at least 1" in captured.err
+
+
 def test_listdecode_montecarlo(tmp_path, capsys):
     path = sample_file(
         tmp_path, capsys, ["sample", "--kind", "gabidulin", "--q", "2", "--m", "4", "--n", "4", "--k", "1"]

@@ -10,8 +10,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import far_branch_oracle, inline_executor
+from helpers import far_branch_oracle, inline_executor, int_undigits, xor_rank
 from ranklab import listdec
 from ranklab.codes import (
     ExplicitCode,
@@ -42,6 +44,7 @@ from ranklab.rankmetric import (
     vector_from_index,
     vector_index,
 )
+from ranklab.rng import make_rng
 
 
 def brute_force_report(code, s):
@@ -262,6 +265,15 @@ FAR_CASES = {
     "q2m16n2-linear8-scan": (
         lambda: sample_random_linear_code(default_context(2, 16), 2, 3, 4), 1, 200, 3, "scan"
     ),
+    # over F_2 at s = 2 the scan ranks only the codewords sharing one of a
+    # center's 7 dependency keys; with |C| <= 3 keys at s = 1 the probe
+    # tests every codeword
+    "q2m7n4-random128-scan-s2": (
+        lambda: sample_random_code(default_context(2, 7), 4, 128, 5), 2, 100, 6, "scan"
+    ),
+    "q2m4n3-random3-tally": (
+        lambda: sample_random_code(default_context(2, 4), 3, 3, 1), 1, 60, 4, "tally"
+    ),
 }
 
 # what each side must not call: the tallies rank no pair, the coset tally
@@ -288,17 +300,152 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
     else:
         assert side == ("coset" if ball <= code.n * code.size * (code.size + centers) else "scan")
     forbidden_names = FAR_FORBIDDEN[side]
+    probe = side == "tally" and code.ctx.base.p == 2 and expected[2] < ball
     if side == "tally" and code.ctx.base.p == 2:
-        forbidden_names += FAR_FORBIDDEN["probe" if expected[2] < ball else "scatter"]
+        forbidden_names += FAR_FORBIDDEN["probe" if probe else "scatter"]
+    # over F_2 the scan and the probe index the codewords by dependency
+    # key when a center has fewer keys than the code has words
+    keyed = code.ctx.base.q == 2 and s < code.n and 2 ** (s + 1) - 1 < code.size
+    uses_keys = keyed and (side == "scan" or probe)
 
     def forbidden(*args, **kwargs):
         raise AssertionError(f"the other side of the rule ran for {case}")
 
     for name in forbidden_names:
         monkeypatch.setattr(listdec, name, forbidden)
+    if uses_keys:
+        built = spy(monkeypatch, "_dependency_keys")
+    else:
+        # the q = 3 cases, the coset route, the scatter and small codes
+        built = []
+        monkeypatch.setattr(listdec, "_dependency_keys", forbidden)
     report = max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
+    assert bool(built) == uses_keys
+
+
+def spy(monkeypatch, name) -> list:
+    """Patch ``listdec.<name>`` to record its calls' arguments and run."""
+    calls = []
+    real = getattr(listdec, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(listdec, name, recorded)
+    return calls
+
+
+def first_best_by_list_size_at(code, s, centers, seed):
+    """The Monte Carlo far branch counted with ``list_size_at``, for any q:
+    the codewords, then the seeded draws, ties to the first candidate."""
+    ctx, n = code.ctx, code.n
+    candidates = dict.fromkeys(vector_index(w) for w in enumerate_codewords(code))
+    rng = make_rng(seed)
+    for _ in range(centers):
+        candidates.setdefault(rng.randrange(ctx.order**n), None)
+    counts = [list_size_at(code, vector_from_index(ctx, n, c), s) for c in candidates]
+    best = counts.index(max(counts))
+    return max(counts), vector_from_index(ctx, n, list(candidates)[best]).entries, len(candidates)
+
+
+@pytest.mark.parametrize(
+    "q, m, n, size, s, centers, route",
+    [(4, 2, 2, 8, 1, 50, "_probe"), (4, 3, 3, 8, 1, 100, "_scan"), (3, 3, 3, 9, 1, 60, "_scan")],
+)
+def test_no_key_index_is_built_outside_f2(q, m, n, size, s, centers, route, monkeypatch):
+    # q = 4 shares the set probe and the scan with F_2, but its rank is
+    # over F_4: a dependency key would need scalings, so none is built
+    code = sample_random_code(default_context(q, m), n, size, 3)
+    expected = first_best_by_list_size_at(code, s, centers, 7)
+    others = {"_probe", "_scan", "_scatter"} - {route}
+    for name in (*others, "_dependency_keys", "_key_sharers"):
+        monkeypatch.setattr(listdec, name, _raise)
+    calls = spy(monkeypatch, route)
+    report = max_list_size(code, s, "montecarlo", centers=centers, seed=7, neighborhood_cap=0)
+    assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
+    assert len(calls) == 1
+
+
+# (m, n) over F_2, m in 3..7 and n in 2..4
+F2_SHAPES = ((3, 2), (3, 3), (4, 2), (4, 4), (5, 3), (6, 4), (7, 2), (7, 4))
+
+
+def codes_around_the_key_count(ctx, n, s, seed):
+    """Explicit and linear codes with |C| <= 2^(s+1) - 1 and |C| above it."""
+    edge = 2 ** (s + 1) - 1
+    for size in (edge, edge + 1):
+        yield sample_random_code(ctx, n, size, seed)
+    for k in sorted({max(s, 1), s + 1}):
+        yield sample_random_linear_code(ctx, n, k, seed)
+
+
+@pytest.mark.parametrize("m, n", F2_SHAPES)
+def test_key_filter_counts_every_candidate_like_list_size_at(m, n, monkeypatch):
+    ctx = default_context(2, m)
+    rng = random.Random(100 * m + n)
+    built = spy(monkeypatch, "_dependency_keys")
+    sides = set()
+    for s in range(n + 1):
+        for code in codes_around_the_key_count(ctx, n, s, rng.randrange(1000)):
+            words = [w.entries for w in enumerate_codewords(code)]
+            candidates = dict.fromkeys(vector_index(w) for w in enumerate_codewords(code))
+            for _ in range(20):
+                candidates.setdefault(rng.randrange(ctx.order**n), None)
+            expected = [list_size_at(code, vector_from_index(ctx, n, c), s) for c in candidates]
+            keyed = s < n and 2 ** (s + 1) - 1 < code.size
+            sides.add(keyed)
+            kernels = [listdec._scan]
+            if ball_volume(2, m, n, s).exact <= 4096:
+                kernels.append(listdec._probe)
+            for kernel in kernels:
+                del built[:]
+                counts = kernel(ctx, n, s, words, candidates)
+                assert list(counts) == list(candidates)
+                assert list(counts.values()) == expected, (kernel.__name__, s, code.size)
+                assert bool(built) == keyed
+    assert sides == {True, False}
+
+
+def _entry_xors(entries, s):
+    """The XOR of the entries at T, for every nonempty T within 0..s."""
+    out = []
+    for t in range(1, 2 ** (s + 1)):
+        acc = 0
+        for j in range(s + 1):
+            if t >> j & 1:
+                acc ^= entries[j]
+        out.append(acc)
+    return sorted(out)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_vectors_within_rank_s_share_a_dependency_key(data):
+    m = data.draw(st.integers(2, 7), label="m")
+    n = data.draw(st.integers(2, m), label="n")
+    s = data.draw(st.integers(0, n - 1), label="s")
+    entry = st.integers(0, 2**m - 1)
+    c = data.draw(st.lists(entry, min_size=n, max_size=n), label="c")
+    # c ^ w: every entry an F_2-combination of s spanning elements
+    span = data.draw(st.lists(entry, min_size=s, max_size=s), label="span")
+    picks = data.draw(st.lists(st.integers(0, 2**s - 1), min_size=n, max_size=n), label="picks")
+    diff = [0] * n
+    for j, pick in enumerate(picks):
+        for i, x in enumerate(span):
+            if pick >> i & 1:
+                diff[j] ^= x
+    w = [a ^ b for a, b in zip(c, diff)]
+    assert xor_rank(diff) <= s
+    order = 2**m
+    packed = [int_undigits(list(reversed(v)), order) for v in (c, w)]
+    keys = listdec._dependency_keys(order, n, s, packed)
+    assert len(keys) == 2 ** (s + 1) - 1
+    assert sorted(key[0] for key in keys) == _entry_xors(c, s)
+    assert sorted(key[1] for key in keys) == _entry_xors(w, s)
+    assert any(kc == kw for kc, kw in keys)
 
 
 def test_ball_probes_count_like_the_restricted_scatter(monkeypatch):

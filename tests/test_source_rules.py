@@ -223,3 +223,33 @@ def test_fields_has_one_primitive_element_search_and_one_table_reader():
             if ref in users and isinstance(node, (ast.Name, ast.Attribute)):
                 users[ref].add(name)
     assert users == expected
+
+
+def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
+    # list_size_at is the unfiltered oracle the key filter is checked
+    # against: nothing it reaches may build a dependency key, and only
+    # _key_sharers, the one index builder, calls the one key helper
+    defined = []
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_dependency_keys":
+                defined.append(f"{path.name}:{scope}")
+    assert defined == ["listdec.py:"]
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    functions = {
+        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    refs = {
+        name: {node.id for node in ast.walk(func) if isinstance(node, ast.Name)} & set(functions)
+        for name, func in functions.items()
+    }
+    assert {name for name, used in refs.items() if "_dependency_keys" in used} == {"_key_sharers"}
+    reached = set()
+    stack = ["list_size_at", "_count_near"]
+    while stack:
+        name = stack.pop()
+        if name not in reached:
+            reached.add(name)
+            stack.extend(refs[name])
+    assert reached.isdisjoint({"_dependency_keys", "_key_sharers", "_keyed"})
+    assert "_count_near" in reached
