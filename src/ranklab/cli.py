@@ -4,7 +4,8 @@ Subcommands: volume, bounds, sample, listdecode, experiment, curves,
 coset-check.  Shared flags (--seed, --workers, --cap, --format) attach
 to every subcommand.  JSON output is a versioned envelope carrying the
 echoed inputs, a content hash of them, and the seed when one was used;
-CSV output is a bare table with a header row, UTF-8, LF line endings.
+CSV output is a bare table with a header row, UTF-8, LF line endings;
+a nested value (a dict or list) fills its cell as compact JSON.
 Exit status: 0 on success, 2 for infeasible or out-of-range parameters,
 1 for internal errors and for a reader that closed stdout early.  Each
 subcommand imports only the modules it runs.
@@ -37,7 +38,7 @@ def _emit(args, inputs: dict, result, rows=None, seed=None) -> None:
         table = rows if rows is not None else [result]
         writer = csv.DictWriter(sys.stdout, fieldnames=list(table[0]), lineterminator="\n")
         writer.writeheader()
-        writer.writerows(table)
+        writer.writerows({key: _cell(value) for key, value in row.items()} for row in table)
         return
     from .rng import content_hash
 
@@ -51,6 +52,13 @@ def _emit(args, inputs: dict, result, rows=None, seed=None) -> None:
     envelope["result"] = {"rows": rows} if rows is not None else result
     json.dump(envelope, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+def _cell(value):
+    """A CSV cell: a dict or list as compact JSON, any other value as is."""
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return value
 
 
 def _echo(args, *names) -> dict:

@@ -27,17 +27,26 @@ b of rank <= s add one to the tally of the center w + b, so one pass of
 |C| * |B_s| additions gives the list size of every center that sees any
 codeword at all, and the counts sum to |C| * |B_s|, the double count
 behind the pigeonhole floor.  In characteristic 2 entry codes add by
-XOR, and so do packed vectors, so the ball offsets are packed once per
-call and the key of w + b is w ^ b.  For odd q the span tables of the
-ball, side by side in one list, are shifted by each entry of w and
-scaled by that entry's place value, and a key is the sum of n table
-reads: addition is digitwise inside an entry, so no carry crosses an
-entry boundary.  A shift adds one base-p digit of the entry to one
-digit plane of the list at a time, and the planes are split off the
-list once per call, so no element is added with ``ExtCtx.add``.
+XOR, and so do packed vectors, so the key of w + b is w ^ b for the
+packed offset b.  For odd q the span tables of the ball, side by side
+in one list, are shifted by each entry of w and scaled by that entry's
+place value, and a key is the sum of n table reads: addition is
+digitwise inside an entry, so no carry crosses an entry boundary.  A
+shift adds one base-p digit of the entry to one digit plane of the list
+at a time, and the planes are split off the list once per ball, so no
+element is added with ``ExtCtx.add``.
 Splitting the codewords over workers sums partial tallies, so reports
 do not depend on the worker count, and exhaustive ties resolve to the
 least packed index, which is the first center in lexicographic order.
+
+Every kernel reads the ball through ``_ball``: for p = 2 its packed
+offsets, for odd p the list of span tables with its columns and its
+digit-plane shifter.  The most recent ball is kept, under its field,
+length and radius, so the trials of an ensemble, and any other run of
+calls at one (ctx, n, s), build it once.  Memory stays bounded without
+a setting: the slot holds one ball and is emptied before a different
+one is built, so at most one ball is alive at a time, as when each
+call built its own.
 
 Monte Carlo reads the scatter tally around the codewords of any code
 (the neighborhood) when |C| * |B_s| is small; the order in which that
@@ -184,14 +193,40 @@ def _ball_layout(ctx, n: int, s: int):
     return values, columns
 
 
-def _packed(values, columns, order: int) -> list[int]:
+def _packed(values, columns, order: int) -> tuple[int, ...]:
     """The packed index of every offset of a ``_ball_layout``, in order."""
     n = len(columns)
     reads = [
         map([x * order**j for x in values].__getitem__, column)
         for j, column in zip(range(n - 1, -1, -1), columns)
     ]
-    return list(map(sum, zip(*reads)))
+    return tuple(map(sum, zip(*reads)))
+
+
+# the most recent ball under its (ctx, n, s): emptied before a different
+# ball is built, so at most one is alive
+_BALL_SLOT: dict = {}
+
+
+def _ball(ctx, n: int, s: int):
+    """The radius-s ball as the kernels read it, kept in ``_BALL_SLOT``:
+    for p = 2 the packed offsets, in ``_iter_ball`` order (no p = 2
+    kernel reads the layout); for odd p ``(values, columns, shift)``, the
+    ``_ball_layout`` and the ``_shifter`` of ``values``, whose digit
+    planes are then split once per ball.  Callers only read it.
+    """
+    key = (ctx, n, s)
+    ball = _BALL_SLOT.get(key)
+    if ball is None:
+        _BALL_SLOT.clear()
+        values, columns = _ball_layout(ctx, n, s)
+        p = ctx.base.p
+        if p == 2:
+            ball = _packed(values, columns, ctx.order)
+        else:
+            ball = values, columns, _shifter(p, values)
+        _BALL_SLOT[key] = ball
+    return ball
 
 
 def _ball_keys(ctx, n: int, s: int):
@@ -200,16 +235,15 @@ def _ball_keys(ctx, n: int, s: int):
     The keys come in ``_iter_ball`` offset order, one per offset b of
     rank <= s, so a tally fed codeword by codeword keys its centers in
     (codeword, offset) order.  A codeword shifts the span list of
-    ``_ball_layout`` by each of its entries, once, with ``_shifter``,
-    whose digit planes of that list are split off once per call.
+    ``_ball_layout`` by each of its entries, once, with the ball's
+    ``_shifter``.
     """
-    values, columns = _ball_layout(ctx, n, s)
     order = ctx.order
     if ctx.base.p == 2:
-        offsets = _packed(values, columns, order)
+        offsets = _ball(ctx, n, s)
         return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
     places = [order**j for j in range(n - 1, -1, -1)]
-    shift = _shifter(ctx.base.p, values)
+    _, columns, shift = _ball(ctx, n, s)
 
     def keys(w):
         reads = [
@@ -246,7 +280,6 @@ class _CosetKeys:
         self.n = n = code.n
         self.p = p
         self.width = width = n * ctx.m * ctx.base.s  # base-p digits of an index
-        self.order = ctx.order
         self.ctx = ctx
         if p == 2:
             basis = _xor_basis(_fp_basis(code))
@@ -346,15 +379,15 @@ class _CosetKeys:
         ball's span values at that entry's position.  For p = 2 the
         offsets are packed and reduced instead.
         """
-        values, columns = _ball_layout(self.ctx, self.n, s)
         n, p, width = self.n, self.p, self.width
         if p == 2:
-            keys = _packed(values, columns, self.order)
+            keys = _ball(self.ctx, n, s)
             # of_index over the whole list, one window at a time
             for low, table in self.tables:
                 windows = map(and_, map(rshift, keys, repeat(low)), repeat(255))
                 keys = list(map(xor, keys, map(table.__getitem__, windows)))
             return keys
+        values, columns, _ = _ball(self.ctx, n, s)
         # each digit sits in its own slot, wide enough for a sum of n digits
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
         per_entry = width // n
@@ -498,7 +531,7 @@ def _probe(ctx, n: int, s: int, words, candidates) -> dict:
     distinct, and so are their differences with c.
     """
     order = ctx.order
-    offsets = set(_packed(*_ball_layout(ctx, n, s), order))
+    offsets = set(_ball(ctx, n, s))
     packed = [_index_of_entries(order, w) for w in words]
     if _keyed(ctx, n, s, len(packed)):
         near = _key_sharers(order, n, s, packed, candidates)

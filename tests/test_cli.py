@@ -1,6 +1,8 @@
 """End-to-end command-line checks through main() with captured output,
 and through ``python -m ranklab`` where a fresh interpreter matters."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -278,6 +280,20 @@ def test_curves_csv(capsys):
     assert len(lines) == 6
     assert lines[1] == "0,1,1,0.0,1.0,1.0"
     assert lines[3].startswith("1/2,1/2,3/8,")
+
+
+def test_experiment_csv_cells_read_back_as_json(capsys):
+    # a nested cell is compact JSON, so csv + json.loads give back the
+    # values the JSON report holds; scalar cells keep their str() form
+    argv = ["experiment", "--kind", "random", "--q", "2", "--m", "3", "--n", "2", "--rate", "1/3",
+            "--radius", "1", "--list-cap", "2", "--trials", "3", "--seed", "5"]
+    result = run_json(capsys, argv)["result"]
+    assert main([*argv, "--format", "csv"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    for name in ("spec", "realized", "outcomes", "metadata"):
+        assert json.loads(row[name]) == result[name]
+    assert row["outcomes"].startswith('[{"exact":true,"failed":true,"index":0,')
+    assert (row["schema"], row["failures"], row["failure_fraction"]) == (result["schema"], "3", "1")
 
 
 def test_curves_json_rows(capsys):

@@ -7,7 +7,9 @@ counts they are supposed to floor.
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from ranklab.codes import (
     sample_random_linear_code,
 )
 from ranklab.errors import EnumerationCapExceeded
-from ranklab.fields import default_context
+from ranklab.fields import context_from_descriptor, default_context
+from ranklab.harness import coset_partition_check
 from ranklab.listdec import (
     decoding_radius,
     is_list_decodable,
@@ -471,6 +474,150 @@ def test_ball_probes_count_like_the_restricted_scatter(monkeypatch):
 
 def _raise(*args, **kwargs):
     raise AssertionError("a patched-out helper ran")
+
+
+def memo_calls():
+    """Calls that read the ball, as (ball key, thunk): explicit, linear and
+    Gabidulin codes over q = 2, 3 and 5, each radius, exhaustive sweeps,
+    Monte Carlo on the neighborhood tally and on the far routes (with
+    fewer and with more candidates than offsets), and coset checks."""
+    for q, m, n in ((2, 3, 3), (3, 2, 2), (5, 2, 2)):
+        ctx = default_context(q, m)
+        codes = [
+            sample_random_code(ctx, n, 2 * q + 1, seed=q),
+            sample_random_linear_code(ctx, n, 1, seed=q),
+            gabidulin(ctx, n, 1),
+        ]
+        for code in codes:
+            for s in range(n + 1):
+                calls = [lambda code=code, s=s: max_list_size(code, s)]
+                for centers in (5, 300):
+                    calls += [
+                        lambda code=code, s=s, c=centers: max_list_size(
+                            code, s, "montecarlo", centers=c, seed=s, neighborhood_cap=0
+                        ),
+                        lambda code=code, s=s, c=centers: max_list_size(
+                            code, s, "montecarlo", centers=c, seed=s
+                        ),
+                    ]
+                if isinstance(code, LinearCode):
+                    calls.append(lambda code=code, s=s: coset_partition_check(code, s))
+                yield from (((ctx, n, s), call) for call in calls)
+
+
+def test_back_to_back_and_interleaved_calls_report_like_a_cold_start():
+    calls = list(memo_calls())
+    cold = []
+    for _, call in calls:
+        listdec._BALL_SLOT.clear()
+        cold.append(call())
+    # back to back: each call twice, every run of one key in a row
+    listdec._BALL_SLOT.clear()
+    assert [(call(), call()) for _, call in calls] == [(r, r) for r in cold]
+    # interleaved: consecutive calls mostly at different (ctx, n, s)
+    order = list(range(len(calls)))
+    random.Random(3).shuffle(order)
+    changes = sum(calls[i][0] != calls[j][0] for i, j in zip(order, order[1:]))
+    assert changes > len(calls) // 2
+    assert [calls[i][1]() for i in order] == [cold[i] for i in order]
+    assert [calls[i][1]() for i in reversed(order)] == [cold[i] for i in reversed(order)]
+
+
+def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
+    built = []
+    real = listdec._ball_layout
+
+    def checked(ctx, n, s):
+        assert listdec._BALL_SLOT == {}, f"a ball was alive while {(ctx, n, s)} was built"
+        built.append((ctx, n, s))
+        return real(ctx, n, s)
+
+    monkeypatch.setattr(listdec, "_ball_layout", checked)
+    reads = spy(monkeypatch, "_ball")
+    listdec._BALL_SLOT.clear()
+    calls = list(memo_calls())
+    for _, call in calls:
+        call()
+        call()
+    # one build per run of reads at one key
+    assert built == [key for i, key in enumerate(reads) if i == 0 or reads[i - 1] != key]
+    assert len(reads) > 2 * len(built) and set(built) == {key for key, _ in calls}
+    assert list(listdec._BALL_SLOT) == [built[-1]]
+    # a context equal to the slot's, though another object, reads the same ball
+    ctx, n, s = built[-1]
+    twin = context_from_descriptor(ctx.descriptor())
+    assert twin is not ctx
+    builds = len(built)
+    max_list_size(sample_random_code(twin, n, 4, seed=1), s)
+    assert reads[-1] == built[-1] and len(built) == builds
+
+
+def test_no_kernel_mutates_the_memoized_ball():
+    for q, m, n, s in ((2, 3, 3, 1), (2, 3, 2, 2), (3, 2, 2, 1), (5, 2, 2, 1)):
+        ctx = default_context(q, m)
+        listdec._BALL_SLOT.clear()
+        code = sample_random_code(ctx, n, 6, seed=q)
+        words = listdec._scan_codewords(code, 2**24)
+        candidates = dict.fromkeys(range(0, ctx.order**n, 3))
+        listdec._scatter(ctx, n, s, words)
+        listdec._scatter(ctx, n, s, words, keep=candidates)
+        if q == 2:
+            listdec._probe(ctx, n, s, words, candidates)
+        for linear in (sample_random_linear_code(ctx, n, 1, seed=q), gabidulin(ctx, n, 1)):
+            Counter(listdec._CosetKeys(linear).ball(s))
+        coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
+        memo = listdec._ball(ctx, n, s)
+        assert listdec._ball(ctx, n, s) is memo
+        listdec._BALL_SLOT.clear()
+        fresh = listdec._ball(ctx, n, s)
+        assert fresh is not memo
+        if q == 2:
+            assert memo == fresh
+        else:
+            assert memo[:2] == fresh[:2]
+            # the shifter's digit planes, split off on first use, are intact
+            assert [memo[2](e) for e in range(ctx.order)] == [fresh[2](e) for e in range(ctx.order)]
+
+
+def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
+    # one candidate set per code and radius, through each route in turn:
+    # the set probe (p = 2) and the scan, with and without the F_2
+    # dependency-key filter, the restricted scatter, and the coset tally
+    rng = random.Random(11)
+    routes_run = set()
+    for q, m, n in ((2, 3, 3), (2, 4, 2), (3, 2, 2), (3, 3, 2), (5, 2, 2)):
+        ctx = default_context(q, m)
+        codes = [sample_random_code(ctx, n, size, rng.randrange(100)) for size in (3, 9)]
+        codes += [sample_random_linear_code(ctx, n, k, rng.randrange(100)) for k in (1, 2)]
+        for code in codes:
+            words = listdec._scan_codewords(code, 2**24)
+            candidates = dict.fromkeys(vector_index(w) for w in enumerate_codewords(code))
+            for _ in range(30):
+                candidates.setdefault(rng.randrange(ctx.order**n), None)
+            for s in range(n + 1):
+                expected = [list_size_at(code, vector_from_index(ctx, n, c), s) for c in candidates]
+                routes = {"scatter": lambda: listdec._scatter(ctx, n, s, words, keep=candidates)}
+                # dependency keys exist over F_2 below s = n
+                for keyed in (False, True) if q == 2 and s < n else (False,):
+                    def forced(kernel, keyed=keyed):
+                        with monkeypatch.context() as patched:
+                            patched.setattr(listdec, "_keyed", lambda *args: keyed)
+                            return kernel(ctx, n, s, words, candidates)
+
+                    routes[f"scan keyed={keyed}"] = partial(forced, listdec._scan)
+                    if q == 2:
+                        routes[f"probe keyed={keyed}"] = partial(forced, listdec._probe)
+                if isinstance(code, LinearCode):
+                    cosets = listdec._CosetKeys(code)
+                    tally = Counter(cosets.ball(s))
+                    routes["coset"] = lambda: {c: tally[cosets.of_index(c)] for c in candidates}
+                for route, run in routes.items():
+                    counts = run()
+                    assert [counts[c] for c in candidates] == expected, (route, q, m, n, s, code.size)
+                    routes_run.add(route)
+    assert routes_run == {
+        "scatter", "coset", "scan keyed=False", "scan keyed=True", "probe keyed=False", "probe keyed=True",
+    }
 
 
 def twin_codes():

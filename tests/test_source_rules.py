@@ -253,3 +253,25 @@ def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
             stack.extend(refs[name])
     assert reached.isdisjoint({"_dependency_keys", "_key_sharers", "_keyed"})
     assert "_count_near" in reached
+
+
+def test_only_the_ball_memo_builds_the_ball():
+    # every kernel reads the radius-s ball through listdec._ball, which
+    # keeps the most recent one: nothing else may lay it out or pack it,
+    # and in listdec only the layout enumerates the span tables
+    builders = {
+        "_ball_layout": {"listdec.py:_ball"},
+        "_packed": {"listdec.py:_ball"},
+        "_iter_ball_tables": {"listdec.py:_ball_layout"},
+    }
+    found = []
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            ref = node.id if isinstance(node, ast.Name) else node.attr
+            where = f"{path.name}:{scope}"
+            # rankmetric's own enumerate_ball streams the span tables
+            if ref in builders and where not in builders[ref] and path.name != "rankmetric.py":
+                found.append(f"{where}:{node.lineno} {ref}")
+    assert found == []
