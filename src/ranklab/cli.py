@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import InfeasibleError
+from .errors import EnumerationCapExceeded, InfeasibleError
 from .fields import context_from_descriptor, default_context
 from .rankmetric import DEFAULT_ENUM_CAP, _plain, ball_volume
 
@@ -123,6 +123,8 @@ def _cmd_sample(args) -> None:
     if args.kind == "random":
         if args.size is None:
             raise ValueError("kind=random needs --size")
+        if args.size > args.cap:  # before the whole space or any draw is built
+            raise EnumerationCapExceeded(f"{args.size} words to sample, above the cap of {args.cap}")
         code = sample_random_code(ctx, args.n, args.size, args.seed)
     elif args.kind == "random_linear":
         if args.k is None:
@@ -223,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=DEFAULT_ENUM_CAP,
-        help=f"exhaustive enumeration cap (default {DEFAULT_ENUM_CAP})",
+        help=f"cap on centers swept, words held and ball offsets (default {DEFAULT_ENUM_CAP})",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
 

@@ -1,7 +1,7 @@
 """List-decodability probes: list sizes at centers, worst-case list
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
-Two kernels count lists, keyed by packed vector index (``vector_index``:
+Three kernels count lists, keyed by packed vector index (``vector_index``:
 base-q^m digits, entry 0 most significant).
 
 For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
@@ -39,56 +39,53 @@ Splitting the codewords over workers sums partial tallies, so reports
 do not depend on the worker count, and exhaustive ties resolve to the
 least packed index, which is the first center in lexicographic order.
 
-Every kernel reads the ball through ``_ball``: for p = 2 its packed
-offsets, for odd p the list of span tables with its columns and its
-digit-plane shifter.  The most recent ball is kept, under its field,
-length and radius, so the trials of an ensemble, and any other run of
-calls at one (ctx, n, s), build it once.  Memory stays bounded without
-a setting: the slot holds one ball and is emptied before a different
-one is built, so at most one ball is alive at a time, as when each
-call built its own.
+Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
+its packed offsets, for odd p the list of span tables with its columns
+and its digit-plane shifter, and the set of its offsets once a probe
+builds it.  The most recent ball is kept, under its field, length and
+radius, so the trials of an ensemble, and any other run of calls at one
+(ctx, n, s), build it once.  Memory stays bounded without a setting:
+the slot holds one ball and is emptied before a different one is
+built, so at most one ball is alive at a time, as when each call built
+its own.
 
-Monte Carlo reads the scatter tally around the codewords of any code
-(the neighborhood) when |C| * |B_s| is small; the order in which that
-tally first meets its centers breaks ties.  Random centers far from
-that neighborhood are scored, for a linear code, by the coset tally
-when its |B_s| keys cost no more than scanning |candidates| * |C|
-pairs, each n entry subtractions plus an elimination: that is when
-|B_s| <= n * |C| * (|C| + centers).  For an explicit code they are
-scored by the scatter restricted to the candidate set when its
-|C| * |B_s| probes, at most n table reads each, cost no more than the
-scan, which is when |B_s| <= n * |candidates|.  Otherwise, and for a
-single center, the codewords are scanned against each center.
-In characteristic 2 that restricted tally is turned around when the
-candidates are fewer than the offsets: w is within distance s of
-candidate c exactly when c ^ w packs an offset, so each candidate
-probes the set of packed offsets once per codeword, |C| * |candidates|
-probes in place of |C| * |B_s|.  Both orientations give every
-candidate its exact count, so the first-candidate tie rule holds.
+Monte Carlo scores the codewords, then ``centers`` random draws; the
+first candidate with the largest count wins.  When |C| * |B_s| <=
+min(neighborhood_cap, cap) it reads the scatter tally of every center
+near the code, candidates in the order the tally meets them.  Otherwise
+``_far_route`` prices each route for these far centers in CPython time
+per step (``_PRICES``) and takes the cheapest:
 
-Over F_2 (q = 2) the probe and the scan test a candidate only against
-the codewords that share one of its dependency keys, when those keys,
-2^(s+1) - 1 of them, are fewer than the codewords and s < n.  If
-rank(c ^ w) <= s < n, the first s + 1 entries of c ^ w are dependent, so
-for some nonempty T within those positions the XOR of c's entries at T
-equals w's: key T.  The codewords are indexed once by each key, and a
-candidate pays its keys plus the codewords that share one (about
-(2^(s+1) - 1) * |C| / q^m on random codes) in place of |C|.  For q > 2
-a key would need base-field scalings, so the probe and scan test every
-codeword there.  Timed against the restricted scatter once the
-candidates outnumber the offsets, the keyed probe is about 5 times
-slower at s = 0 (|B_s| = 1) and over 3 times faster at s = 1 for
-q2m7n4, |C| = 128, 3,000 candidates.  The rule still prices the
-scatter, not the probe.
+- the coset tally (linear codes): |B_s| coset keys, priced like ranked
+  pairs past the byte slots (n * (p - 1) > 255), and a key per center;
+- the candidate-side kernel ``_near``: when a vector has fewer
+  dependency keys than C has words, each candidate pays its keys and is
+  tested only against the codewords that share one, otherwise against
+  every codeword; a test is one probe of the ball's offset set ("probe";
+  p = 2, or p <= 127 and q <= 256) or a rank ("rank").
+
+A route that reads the ball adds |B_s| builds unless the slot holds it,
+and the probe |B_s| more unless its offset set is built, so a cold ball
+is not built to serve a few hundred pairs.  No route reads a ball of
+more than ``cap`` offsets; if |C| * |candidates| passes the cap too,
+the run is refused.  Every route gives each candidate its exact count,
+so reports do not depend on the route.
+
+Dependency keys: if rank(c - w) <= s < n, the first s + 1 entries of
+c - w are dependent over F_q: sum a_t c_t = sum a_t w_t for a nonzero a
+in F_q^(s+1) with first nonzero coordinate 1.  Key a of a vector is
+that sum, (q^(s+1) - 1) / (q - 1) keys per vector (over F_2 the XORs of
+nonempty subsets of the first s + 1 entries), and a random candidate
+shares one with about keys * |C| / q^m codewords.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import repeat
-from operator import and_, rshift, xor
+from functools import partial
+from itertools import compress, repeat
+from operator import add, and_, floordiv, mod, mul, rshift, xor
 
 from .codes import (
     Code,
@@ -203,56 +200,49 @@ def _packed(values, columns, order: int) -> tuple[int, ...]:
     return tuple(map(sum, zip(*reads)))
 
 
+class _Ball:
+    """The radius-s ball as the kernels read it: for p = 2 the ``packed``
+    offsets, in ``_iter_ball`` order (no p = 2 kernel reads the layout);
+    for odd p the ``_ball_layout`` and the ``_shifter`` of its values,
+    whose digit planes are then split once per ball.  Callers only read
+    it; ``probes`` adds the offset set on first use."""
+
+    __slots__ = ("ctx", "n", "packed", "values", "columns", "shift", "probe_set")
+
+    def __init__(self, ctx, n: int, values, columns):
+        self.ctx, self.n, self.probe_set = ctx, n, None
+        if ctx.base.p == 2:
+            self.packed = _packed(values, columns, ctx.order)
+        else:
+            self.values, self.columns = values, columns
+            self.shift = _shifter(ctx.base.p, values)
+
+    def probes(self) -> set:
+        """The offsets ``_near`` probes, built on first use: packed for
+        p = 2, else as the bytes of their ``_Encoder`` digits."""
+        ctx = self.ctx
+        if self.probe_set is None and ctx.base.p == 2:
+            self.probe_set = set(self.packed)
+        elif self.probe_set is None:
+            width = ctx.m * ctx.base.s
+            digits = _packed(_Encoder(ctx).scaled(1, self.values, ctx.m), self.columns, 256**width)
+            self.probe_set = set(map(int.to_bytes, digits, repeat(self.n * width), repeat("big")))
+        return self.probe_set
+
+
 # the most recent ball under its (ctx, n, s): emptied before a different
 # ball is built, so at most one is alive
 _BALL_SLOT: dict = {}
 
 
-def _ball(ctx, n: int, s: int):
-    """The radius-s ball as the kernels read it, kept in ``_BALL_SLOT``:
-    for p = 2 the packed offsets, in ``_iter_ball`` order (no p = 2
-    kernel reads the layout); for odd p ``(values, columns, shift)``, the
-    ``_ball_layout`` and the ``_shifter`` of ``values``, whose digit
-    planes are then split once per ball.  Callers only read it.
-    """
+def _ball(ctx, n: int, s: int) -> _Ball:
+    """The radius-s ball, kept in ``_BALL_SLOT``."""
     key = (ctx, n, s)
     ball = _BALL_SLOT.get(key)
     if ball is None:
         _BALL_SLOT.clear()
-        values, columns = _ball_layout(ctx, n, s)
-        p = ctx.base.p
-        if p == 2:
-            ball = _packed(values, columns, ctx.order)
-        else:
-            ball = values, columns, _shifter(p, values)
-        _BALL_SLOT[key] = ball
+        ball = _BALL_SLOT[key] = _Ball(ctx, n, *_ball_layout(ctx, n, s))
     return ball
-
-
-def _ball_keys(ctx, n: int, s: int):
-    """A function from a codeword's entries to the packed keys of w + b.
-
-    The keys come in ``_iter_ball`` offset order, one per offset b of
-    rank <= s, so a tally fed codeword by codeword keys its centers in
-    (codeword, offset) order.  A codeword shifts the span list of
-    ``_ball_layout`` by each of its entries, once, with the ball's
-    ``_shifter``.
-    """
-    order = ctx.order
-    if ctx.base.p == 2:
-        offsets = _ball(ctx, n, s)
-        return lambda w: map(_index_of_entries(order, w).__xor__, offsets)
-    places = [order**j for j in range(n - 1, -1, -1)]
-    _, columns, shift = _ball(ctx, n, s)
-
-    def keys(w):
-        reads = [
-            map(list(map(place.__mul__, shift(e))).__getitem__, column)
-            for e, place, column in zip(w, places, columns)
-        ]
-        return map(sum, zip(*reads))
-
-    return keys
 
 
 class _CosetKeys:
@@ -295,11 +285,12 @@ class _CosetKeys:
             self.zero = 0
         else:
             field = ctx.base if ctx.base.s == 1 else _default_base(p)
-            rows, pivots = rref_fq([_digits_of(v, p, width) for v in _fp_basis(code)], field)
+            rows, pivots = rref_fq([_entries_of_index(p, width, v) for v in _fp_basis(code)], field)
             self.rows = tuple(zip(pivots, rows))
             self.narrow = n * (p - 1) <= 255
-            self.mod = bytes(v % p for v in range(256))
-            self.chunk, self.chunk_digits, _ = _digit_chunks(p)
+            self.mod = _Encoder(ctx).mod
+            self.chunk_digits = _per_table(p)
+            self.chunk = p**self.chunk_digits
             # a byte slot holds the sum of one read per window of of_index
             self.windowed = self.narrow and -(-width // self.chunk_digits) * (p - 1) <= 255
             self.windows = None
@@ -318,7 +309,7 @@ class _CosetKeys:
 
     def _window_tables(self) -> list[list[int]]:
         """Key tables for ``of_index`` over windows of c base-p digits of
-        the index, p^c <= 256 as in ``_digit_chunks``, least significant
+        the index, p^c <= 256 as in ``_per_table``, least significant
         window first.
 
         Entry v of a window's table is the key of the vector whose digits
@@ -357,7 +348,7 @@ class _CosetKeys:
                 idx ^= table[idx >> low & 255]
             return idx
         if not self.windowed:
-            return self._finish(self._reduce(_digits_of(idx, self.p, self.width)))
+            return self._finish(self._reduce(_entries_of_index(self.p, self.width, idx)))
         if self.windows is None:
             self.windows = self._window_tables()
         chunk = self.chunk
@@ -381,22 +372,22 @@ class _CosetKeys:
         """
         n, p, width = self.n, self.p, self.width
         if p == 2:
-            keys = _ball(self.ctx, n, s)
+            keys = _ball(self.ctx, n, s).packed
             # of_index over the whole list, one window at a time
             for low, table in self.tables:
                 windows = map(and_, map(rshift, keys, repeat(low)), repeat(255))
                 keys = list(map(xor, keys, map(table.__getitem__, windows)))
             return keys
-        values, columns, _ = _ball(self.ctx, n, s)
+        ball = _ball(self.ctx, n, s)
         # each digit sits in its own slot, wide enough for a sum of n digits
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
         per_entry = width // n
         reads = []
-        for j, column in enumerate(columns):
+        for j, column in enumerate(ball.columns):
             table = []
-            for x in values:
+            for x in ball.values:
                 digits = [0] * width
-                digits[j * per_entry : (j + 1) * per_entry] = _digits_of(x, p, per_entry)
+                digits[j * per_entry : (j + 1) * per_entry] = _entries_of_index(p, per_entry, x)
                 table.append(_index_of_entries(1 << slot, self._reduce(digits)))
             reads.append(map(table.__getitem__, column))
         sums = map(sum, zip(*reads))
@@ -409,26 +400,9 @@ class _CosetKeys:
         return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
 
 
-@lru_cache(maxsize=None)
-def _digit_chunks(p: int) -> tuple[int, int, list]:
-    """(p^c, c, the c base-p digits of each v < p^c) for the largest p^c <= 256."""
-    c = 1
-    while p ** (c + 1) <= 256:
-        c += 1
-    digits = [()]
-    for _ in range(c):
-        digits = [d + (t,) for d in digits for t in range(p)]
-    return p**c, c, digits
-
-
-def _digits_of(idx: int, p: int, width: int) -> tuple[int, ...]:
-    """The ``width`` base-p digits of ``idx``, most significant first."""
-    size, c, chunk_digits = _digit_chunks(p)
-    parts = []
-    for _ in range(-(-width // c)):
-        idx, v = divmod(idx, size)
-        parts.append(chunk_digits[v])
-    return sum(reversed(parts), ())[-width:]
+def _per_table(q: int) -> int:
+    """The most base-q digits whose values index a 256-entry table, at least one."""
+    return next(c for c in range(8, 0, -1) if q**c <= 256 or c == 1)
 
 
 def _xor_rows(v: int, pivot_rows) -> int:
@@ -466,97 +440,145 @@ def _fp_basis(code) -> list[int]:
     return [_index_of_entries(order, w) for w in words]
 
 
-def _scatter(ctx, n: int, s: int, words, keep=None) -> Counter:
-    """Tally of w + b over codewords w and offsets b of rank <= s.
-
-    Centers are keyed by packed index; with ``keep``, only the centers
-    it contains are counted.
+def _scatter(ctx, n: int, s: int, words) -> Counter:
+    """Tally of w + b over codewords w and offsets b of rank <= s: the
+    scatter kernel of the module docstring, keyed by packed index in
+    (codeword, offset) order, offsets in ``_iter_ball`` order.
     """
-    keys = _ball_keys(ctx, n, s)
+    order = ctx.order
+    ball = _ball(ctx, n, s)
     tally = Counter()
+    if ctx.base.p == 2:
+        for w in words:
+            tally.update(map(_index_of_entries(order, w).__xor__, ball.packed))
+        return tally
+    places = [order**j for j in range(n - 1, -1, -1)]
     for w in words:
-        tally.update(keys(w) if keep is None else filter(keep.__contains__, keys(w)))
+        reads = [
+            map(list(map(place.__mul__, ball.shift(e))).__getitem__, column)
+            for e, place, column in zip(w, places, ball.columns)
+        ]
+        tally.update(map(sum, zip(*reads)))
     return tally
 
 
-def _keyed(ctx, n: int, s: int, size: int) -> bool:
-    """Whether a far center over F_2 tests only the codewords sharing one
-    of its 2^(s+1) - 1 dependency keys: when those are fewer than the
-    |C| codewords, and s < n, below which the keys exist."""
-    return ctx.base.q == 2 and s < n and 2 ** (s + 1) - 1 < size
+class _Encoder:
+    """Products lam * x of a base-field scalar and packed values, encoded
+    so that sums run in C: as they are for p = 2 (adding is XOR); for odd
+    p as base-p digits, one per byte of an int (``_index_of_entries`` in
+    base 256), reduced mod p by one ``translate`` by ``mod``, the byte-slot
+    form ``_CosetKeys`` also uses.  Scaling is coordinatewise in base q, so
+    a product is read from one table per lam, c coordinates at a time."""
+
+    def __init__(self, ctx):
+        base = ctx.base
+        p, e = base.p, base.s
+        self.q, self.p, self.mul = base.q, p, base.mul
+        self.c = _per_table(base.q)
+        # an encoded coordinate: as it is for p = 2, its e base-p digits for odd p
+        self.radix = base.q if p == 2 else 256**e
+        self.unit = lambda d: d if p == 2 else _index_of_entries(256, _entries_of_index(p, e, d))
+        self.mod = bytes(v % p for v in range(256))
+        self.tables = {}
+
+    def scaled(self, lam: int, values, coords: int) -> list[int]:
+        """lam * x, encoded, for each x of ``coords`` base-q coordinates."""
+        q, c, radix = self.q, self.c, self.radix
+        if lam == 1 and self.p == 2:
+            return values
+        table = self.tables.get(lam)
+        if table is None:
+            units = [self.unit(self.mul(lam, d)) for d in range(q)]
+            table = [0]
+            for _ in range(c):
+                table = [t * radix + u for t in table for u in units]
+            self.tables[lam] = table
+        if coords <= c:
+            return list(map(table.__getitem__, values))
+        reads = [
+            map(mul, map(table.__getitem__, map(mod, map(floordiv, values, repeat(q**w)), repeat(q**c))),
+                repeat(radix**w))
+            for w in range(0, coords, c)
+        ]
+        return list(map(sum, zip(*reads)))
 
 
-def _dependency_keys(order: int, n: int, s: int, packed) -> list[list[int]]:
-    """The dependency keys of packed vectors over F_2, one list per key,
-    each in the order of ``packed``.
+def _key_count(ctx, n: int, s: int) -> int:
+    """How many dependency keys a vector has at radius s; 0 at s = n, for
+    q > 256, and for odd p when a sum of s + 1 digits can pass a byte."""
+    q, p = ctx.base.q, ctx.base.p
+    if s >= n or q > 256 or (p > 2 and (s + 1) * (p - 1) > 255):
+        return 0
+    return (q ** (s + 1) - 1) // (q - 1)
 
-    Key T, for a nonempty T of the first s + 1 entry positions, is the
-    XOR of the entries at T.  If rank(c ^ w) <= s < n, the first s + 1
-    entries of c ^ w are dependent over F_2, so some T gives c and w the
-    same key T.  Keys come one ``map`` of ``xor`` over entry columns each.
-    """
-    bits = order.bit_length() - 1
-    keys = []
+
+def _keys(ctx, n: int, s: int, packed, enc: _Encoder) -> list[list]:
+    """The dependency keys (module docstring) of packed vectors, where
+    ``_key_count`` says they exist: one list per key, in the order of
+    ``packed``, each one C-level ``map`` of ``_Encoder`` sums."""
+    order, q, p = ctx.order, ctx.base.q, ctx.base.p
+    plus = xor if p == 2 else add
+    keys, sums = [], []
     for j in range(s + 1):
-        column = list(map(and_, map(rshift, packed, repeat((n - 1 - j) * bits)), repeat(order - 1)))
-        # the sets whose largest position is j: {j}, and each earlier set with j
-        keys += [column, *(list(map(xor, key, column)) for key in keys)]
-    return keys
+        column = list(map(mod, map(floordiv, packed, repeat(order ** (n - 1 - j))), repeat(order)))
+        multiples = [enc.scaled(lam, column, ctx.m) for lam in range(1, q)]
+        # the a whose first nonzero position is j: e_j, and each earlier a plus lam * e_j
+        sums += [False] + [True] * (len(keys) * len(multiples))
+        keys += [multiples[0], *(list(map(plus, key, x)) for key in keys for x in multiples)]
+    if p == 2:
+        return keys
+    # only a key of two or more terms needs reducing
+    width = ctx.m * ctx.base.s
+    out = []
+    for key, more in zip(keys, sums):
+        if more:
+            digits = map(int.to_bytes, key, repeat(width), repeat("big"))
+            key = list(map(bytes.translate, digits, repeat(enc.mod)))
+        out.append(key)
+    return out
 
 
-def _key_sharers(order: int, n: int, s: int, packed, candidates):
-    """For each candidate, in order, the set of packed codewords that share
-    one of its dependency keys: every codeword within rank distance s of
-    it, and others.  The codewords are indexed once by each key."""
-    indexes = []
-    for keys in _dependency_keys(order, n, s, packed):
-        index = {}
-        for key, w in zip(keys, packed):
-            index.setdefault(key, []).append(w)
-        indexes.append(index)
-    reads = [
-        map(index.get, keys, repeat(()))
-        for index, keys in zip(indexes, _dependency_keys(order, n, s, candidates))
-    ]
-    return map(set().union, *reads)
-
-
-def _probe(ctx, n: int, s: int, words, candidates) -> dict:
-    """The list size at each candidate center, for p = 2, by set probes.
-
-    Codeword w lies within rank distance s of candidate c exactly when
-    c ^ w packs an offset of rank <= s, so each candidate costs |C| probes
-    of the set of packed offsets, or over F_2 (``_keyed``) one probe per
-    codeword sharing one of its dependency keys; the codewords are
-    distinct, and so are their differences with c.
-    """
-    order = ctx.order
-    offsets = set(_ball(ctx, n, s))
+def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> dict:
+    """The list size at each candidate, in candidate order: the kernel of
+    the module docstring.  With ``probe`` a pair probes the offset set
+    with c - w: c ^ w for p = 2, else the digits of c and -w, reduced."""
+    order, p = ctx.order, ctx.base.p
     packed = [_index_of_entries(order, w) for w in words]
-    if _keyed(ctx, n, s, len(packed)):
-        near = _key_sharers(order, n, s, packed, candidates)
-    else:
-        near = repeat(packed)
-    return {c: len(offsets.intersection(map(c.__xor__, ws))) for c, ws in zip(candidates, near)}
+    enc = _Encoder(ctx) if keyed or (probe and p > 2) else None
+    if not probe:
+        forms = words
 
+        def counted(cs, near):
+            centers = (_entries_of_index(order, n, c) for c in cs)
+            return map(_count_near, repeat(ctx), near, centers, repeat(s))
+    elif p == 2:
+        offsets, forms = _ball(ctx, n, s).probes(), packed
 
-def _scan(ctx, n: int, s: int, words, candidates) -> dict:
-    """The list size at each candidate center, by ranking its difference
-    with each codeword, or over F_2 (``_keyed``) with each codeword that
-    shares one of its dependency keys."""
-    order = ctx.order
-    if _keyed(ctx, n, s, len(words)):
-        entries = {_index_of_entries(order, w): w for w in words}
-        near = (
-            map(entries.__getitem__, ws)
-            for ws in _key_sharers(order, n, s, list(entries), candidates)
-        )
+        def counted(cs, near):
+            return (len(offsets.intersection(map(c.__xor__, ws))) for c, ws in zip(cs, near))
     else:
-        near = repeat(words)
-    return {
-        c: _count_near(ctx, ws, _entries_of_index(order, n, c), s)
-        for c, ws in zip(candidates, near)
-    }
+        offsets, coords, width = _ball(ctx, n, s).probes(), n * ctx.m, n * ctx.m * ctx.base.s
+        forms = enc.scaled(p - 1, packed, coords)  # the digits of -w
+
+        def counted(cs, near):
+            for c, ws in zip(enc.scaled(1, cs, coords), near):
+                diffs = map(int.to_bytes, map(c.__add__, ws), repeat(width), repeat("big"))
+                yield len(offsets.intersection(map(bytes.translate, diffs, repeat(enc.mod))))
+    if keyed:
+        reads = []
+        for keys, wanted in zip(_keys(ctx, n, s, packed, enc), _keys(ctx, n, s, list(candidates), enc)):
+            index = {}
+            for key, w in zip(keys, forms):
+                index.setdefault(key, []).append(w)
+            reads.append(map(index.get, wanted, repeat(())))
+        near = list(map(set().union, *reads))
+        # only a candidate that shares a key with some codeword is tested
+        hits, near = list(compress(candidates, near)), filter(None, near)
+    else:
+        hits, near = list(candidates), repeat(forms)
+    counts = dict.fromkeys(candidates, 0)
+    counts.update(zip(hits, counted(hits, near)))
+    return counts
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -612,25 +634,12 @@ def max_list_size(
         code: any code object.
         s: rank radius, 0 <= s <= n.
         mode: "exhaustive" gives the maximum over every center of the
-            ambient space (requires q^(mn) <= cap): for linear and
-            Gabidulin codes it is read off the coset tally of the ball,
-            for explicit codes off the tally of every center near some
-            codeword.  "montecarlo" scores the codewords themselves,
-            their low-rank perturbations when |C| * |B_s| <=
-            min(neighborhood_cap, cap) (read off the center tally), and
-            ``centers`` uniform random centers, reporting a lower bound
-            flagged exhaustive=False.  Without the perturbations, a
-            linear or Gabidulin code's candidates are read off the coset
-            tally when |B_s| <= n * |C| * (|C| + centers), and an
-            explicit code's off the center tally restricted to them when
-            |B_s| <= n * |candidates| (for q even, with fewer candidates
-            than offsets, by probing the set of ball offsets with each
-            candidate minus each codeword); otherwise the codewords are
-            scanned against each candidate.  For q = 2, s < n and
-            |C| > 2^(s+1) - 1, the probe and the scan test a candidate
-            only against the codewords that share one of its
-            2^(s+1) - 1 dependency keys, which every codeword within
-            distance s does; the counts are the same.
+            ambient space (requires q^(mn) <= cap).  "montecarlo" scores
+            the codewords, their low-rank perturbations when
+            |C| * |B_s| <= min(neighborhood_cap, cap), and ``centers``
+            uniform random centers, reporting a lower bound flagged
+            exhaustive=False; it holds no ball of more than ``cap``
+            offsets.  The module docstring gives the route each takes.
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
         workers: process count, >= 1, for splitting the codewords of an
@@ -679,44 +688,79 @@ def max_list_size(
     _check_word_cap(code, cap)
     bv = _ball_size(ctx.base.q, ctx.m, n, s)
     rng = make_rng(seed)
-    draws = [rng.randrange(space) for _ in range(centers)]
-    neighborhood = code.size * bv <= min(neighborhood_cap, cap)
-    if not neighborhood and linear and bv <= n * code.size * (code.size + centers):
-        # the codewords lead the candidates, all in the coset of zero and
-        # led by the zero word; each new random center is scored by its coset
-        cosets = _CosetKeys(code)
-        tally = Counter(cosets.ball(s))
-        best, best_index, tried = tally[cosets.zero], 0, code.size
-        for x in dict.fromkeys(draws):
-            key = cosets.of_index(x)
-            if key != cosets.zero:
-                tried += 1
-                if tally[key] > best:
-                    best, best_index = tally[key], x
-        return report(best, best_index, tried)
-    words = _scan_codewords(code, cap)
-    if neighborhood:
+    draws = dict.fromkeys([rng.randrange(space) for _ in range(centers)])
+    if code.size * bv <= min(neighborhood_cap, cap):
         # every center that sees any codeword at all lives in this tally,
         # so small instances get the true maximum even in this mode
+        words = _scan_codewords(code, cap)
         tally = _tally(ctx, n, s, words)
         candidates = dict.fromkeys(tally)
+        candidates.update(draws)
     else:
-        tally = None
+        route, keyed = _far_route(ctx, n, s, bv, code.size, len(draws), cap, linear)
+        if route == "coset":
+            # the codewords lead the candidates, all in the coset of zero and
+            # led by the zero word; each new random center is scored by its coset
+            cosets = _CosetKeys(code)
+            tally = Counter(cosets.ball(s))
+            best, best_index, tried = tally[cosets.zero], 0, code.size
+            for x in draws:
+                key = cosets.of_index(x)
+                if key != cosets.zero:
+                    tried += 1
+                    if tally[key] > best:
+                        best, best_index = tally[key], x
+            return report(best, best_index, tried)
+        words = _scan_codewords(code, cap)
         candidates = dict.fromkeys(_index_of_entries(order, w) for w in words)
-    candidates.update(dict.fromkeys(draws))
-    if tally is None:
-        if bv <= n * len(candidates):
-            # both give every candidate its exact count; the set probe
-            # pays |C| per candidate, the restricted scatter |C| per offset
-            if ctx.base.p == 2 and len(candidates) < bv:
-                tally = _probe(ctx, n, s, words, candidates)
-            else:
-                tally = _scatter(ctx, n, s, words, keep=candidates)
-        else:
-            tally = _scan(ctx, n, s, words, candidates)
+        candidates.update(draws)
+        tally = _near(ctx, n, s, words, candidates, keyed, route == "probe")
     # the first candidate with the largest count
     best_key = max(candidates, key=tally.__getitem__)
     return report(tally[best_key], best_key, len(candidates))
+
+
+# CPython time per far-route step in about 0.1 us, (p = 2, odd p), fitted on
+# in-process timings of each route
+_PRICES = {
+    "coset": (2, 12),  # the coset key of a ball offset, in the byte slots
+    "center": (15, 30),  # the coset key of a random center
+    "key": (3, 4),  # one dependency key of a candidate
+    "hit": (15, 20),  # a candidate tested against its key sharers
+    "probe": (2, 5),  # one probe of the offset set
+    "set": (1, 4),  # one offset added to the offset set
+}
+
+
+def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, linear: bool):
+    """(route, keyed): the cheapest far route as the module docstring prices
+    it, "coset", "probe" or "rank", and whether ``_near`` keys."""
+    q, p, m = ctx.base.q, ctx.base.p, ctx.m
+    price = {step: cost[p > 2] for step, cost in _PRICES.items()}
+    tried = size + draws  # at most this many candidates
+    rank = 10 + 4 * n if q == 2 else 60 + 8 * n * m
+    keys = _key_count(ctx, n, s)
+    keyed = 0 < keys < size
+    # a random candidate shares a key with about keys * |C| / q^m codewords
+    pairs = min(tried * size, -(-tried * keys * size // ctx.order) + size) if keyed else tried * size
+    kernel = (tried * keys * price["key"] if keyed else 0) + min(tried, pairs) * price["hit"]
+    costs = {"rank": kernel + pairs * rank}
+    if bv <= cap:
+        held = _BALL_SLOT.get((ctx, n, s))
+        build = 0 if held else bv * (5 + 40 // n)
+        if p == 2 or (p <= 127 and q <= 256):
+            fresh = held is None or held.probe_set is None
+            costs["probe"] = kernel + pairs * price["probe"] + build + fresh * bv * price["set"]
+        if linear:
+            # past the byte slots a coset key is a tuple, priced like a ranked pair
+            key = rank if p > 2 and n * (p - 1) > 255 else price["coset"]
+            costs["coset"] = bv * key + build + draws * price["center"]
+    elif size * tried > cap:
+        raise EnumerationCapExceeded(
+            f"Monte Carlo needs {size * tried} codeword-center pairs"
+            f" and a ball of {bv} offsets, both above the cap of {cap}"
+        )
+    return min(costs, key=costs.get), keyed
 
 
 def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:

@@ -108,6 +108,17 @@ def test_sample_stdout_round_trip(capsys):
     assert capsys.readouterr().out != first
 
 
+def test_sample_refuses_more_words_than_the_cap(capsys):
+    # as reading a code refuses one past the cap; 16 words are the whole of
+    # F_{2^2}^2, which sample_random_code lists without drawing
+    for argv in (
+        ["--q", "2", "--m", "4", "--n", "2", "--size", "101", "--cap", "100"],
+        ["--q", "2", "--m", "2", "--n", "2", "--size", "16", "--cap", "15"],
+    ):
+        assert main(["sample", "--kind", "random", *argv]) == 2
+        assert "above the cap of" in capsys.readouterr().err
+
+
 def test_sample_kinds_and_field_flag(capsys):
     assert main(["sample", "--kind", "random_linear", "--q", "2", "--m", "3", "--n", "2", "--k", "3"]) == 0
     assert isinstance(loads_code(capsys.readouterr().out), LinearCode)

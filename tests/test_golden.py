@@ -66,8 +66,10 @@ CASES = {
     "listdecode_explicit_csv": "listdecode --code explicit.code --radius 2 --format csv",
     # |C| * |B_1| = 16 * 106 fits the neighbourhood cap
     "listdecode_mc_neighbourhood": MONTE_CARLO.format("explicit", 1, 50),
-    # far routes: the coset tally, the per-center scan, the set probe and
-    # (odd q) the restricted scatter
+    # far routes, named for the route each took when its output was frozen:
+    # the coset tally, the per-center scan, the set probe and (odd q) the
+    # restricted scatter, since replaced by the probe; no report depends
+    # on the route
     "listdecode_mc_coset": MONTE_CARLO.format("gabidulin", 1, 50),
     "listdecode_mc_scan": MONTE_CARLO.format("explicit", 2, 20),
     "listdecode_mc_probe": MONTE_CARLO.format("explicit", 2, 600),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import far_branch_oracle, inline_executor, int_undigits, xor_rank
+from helpers import far_branch_oracle, inline_executor
 from ranklab import listdec
 from ranklab.codes import (
     ExplicitCode,
@@ -239,103 +239,96 @@ def test_montecarlo_far_branch_tie_rule_q3():
     assert max_list_size(code, 1).argmax_center.entries == (5, 3)
 
 
-# far-branch cases: (code, s, centers, seed, side).  An explicit code's
-# candidates take the restricted tally ("tally") when |B_s| <= n *
-# |candidates| and the scan otherwise; a linear or Gabidulin code's take
-# the coset tally ("coset") when |B_s| <= n * |C| * (|C| + centers) and
-# the scan otherwise.  350 centers put q2m7n4 just inside its rule,
-# 1906 <= 4 * 478, with fewer candidates than offsets, so in
-# characteristic 2 they probe the ball; q2m4n3 has 332 candidates
-# against |B_1| = 106, so the scatter is restricted to them.  The q2m16n2
-# linear code has |B_1| = 196606 against n * |C| * (|C| + centers) = 3328
+# far-branch cases: (code, s, centers, seed, route), route the one
+# ``_far_route`` prices cheapest with no ball held: "coset" (the coset
+# tally), "probe" and "rank" (the candidate-side kernel ``_near``, testing
+# pairs by offset-set probes or by rank).  A case id ends in the side it
+# was first written for, "tally" (read off the ball), "coset" or "scan";
+# the gabidulin and linear9 cases now rank their few key-sharing pairs
+# cold in place of building the ball.  q2m16n2 and q2m7n4 at s = 2 have
+# balls too large to build for a few hundred pairs
 FAR_CASES = {
     "q2m7n4-random128-tally": (
-        lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, "tally"
+        lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, "probe"
     ),
     "q2m4n3-random40-tally": (
-        lambda: sample_random_code(default_context(2, 4), 3, 40, 3), 1, 300, 2, "tally"
+        lambda: sample_random_code(default_context(2, 4), 3, 40, 3), 1, 300, 2, "probe"
     ),
     "q3m2n2-random40-tally": (
-        lambda: sample_random_code(default_context(3, 2), 2, 40, 2), 1, 20, 1, "tally"
+        lambda: sample_random_code(default_context(3, 2), 2, 40, 2), 1, 20, 1, "probe"
     ),
-    "q2m7n7-gabidulin-coset": (lambda: gabidulin(default_context(2, 7), 7, 1), 1, 50, 0, "coset"),
+    "q3m4n4-random9-tally": (
+        lambda: sample_random_code(default_context(3, 4), 4, 9, 1), 1, 1000, 2, "probe"
+    ),
+    "q2m7n7-gabidulin-coset": (lambda: gabidulin(default_context(2, 7), 7, 1), 1, 50, 0, "rank"),
     "q3m4n4-linear9-coset": (
-        lambda: sample_random_linear_code(default_context(3, 4), 4, 2, 1), 1, 100, 2, "coset"
+        lambda: sample_random_linear_code(default_context(3, 4), 4, 2, 1), 1, 100, 2, "rank"
+    ),
+    "q2m4n3-linear64-coset": (
+        lambda: sample_random_linear_code(default_context(2, 4), 3, 6, 5), 1, 50, 3, "coset"
+    ),
+    "q3m2n2-linear27-coset": (
+        lambda: sample_random_linear_code(default_context(3, 2), 2, 3, 6), 1, 20, 4, "coset"
     ),
     "q2m16n2-random4-scan": (
-        lambda: sample_random_code(default_context(2, 16), 2, 4, 0), 1, 200, 3, "scan"
+        lambda: sample_random_code(default_context(2, 16), 2, 4, 0), 1, 200, 3, "rank"
     ),
     "q2m16n2-linear8-scan": (
-        lambda: sample_random_linear_code(default_context(2, 16), 2, 3, 4), 1, 200, 3, "scan"
+        lambda: sample_random_linear_code(default_context(2, 16), 2, 3, 4), 1, 200, 3, "rank"
     ),
-    # over F_2 at s = 2 the scan ranks only the codewords sharing one of a
-    # center's 7 dependency keys; with |C| <= 3 keys at s = 1 the probe
-    # tests every codeword
     "q2m7n4-random128-scan-s2": (
-        lambda: sample_random_code(default_context(2, 7), 4, 128, 5), 2, 100, 6, "scan"
+        lambda: sample_random_code(default_context(2, 7), 4, 128, 5), 2, 100, 6, "rank"
     ),
+    # |C| = 3 <= 2^(s+1) - 1 keys at s = 1: no key index
     "q2m4n3-random3-tally": (
-        lambda: sample_random_code(default_context(2, 4), 3, 3, 1), 1, 60, 4, "tally"
+        lambda: sample_random_code(default_context(2, 4), 3, 3, 1), 1, 60, 4, "probe"
     ),
 }
 
-# what each side must not call: the tallies rank no pair, the coset tally
-# scatters no codeword, and the scan builds no ball; in characteristic 2
-# the restricted tally probes from the side with fewer entries ("probe"
-# when the candidates are fewer than the offsets, "scatter" otherwise)
+# what each route must not call: only the kernel ranks pairs or indexes
+# keys, only the coset tally keys cosets, and only the ball routes build
+# the ball
 FAR_FORBIDDEN = {
-    "tally": ("_rank_of_entries",),
-    "coset": ("_scatter", "_rank_of_entries"),
-    "scan": ("_iter_ball_tables",),
-    "probe": ("_ball_keys", "_scatter"),
-    "scatter": ("_probe",),
+    "coset": ("_scatter", "_near", "_rank_of_entries"),
+    "probe": ("_scatter", "_CosetKeys", "_rank_of_entries"),
+    "rank": ("_scatter", "_CosetKeys", "_iter_ball_tables"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAR_CASES))
 def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatch):
-    make, s, centers, seed, side = FAR_CASES[case]
+    make, s, centers, seed, route = FAR_CASES[case]
     code = make()
     expected = far_branch_oracle(code, s, centers, seed)
-    ball = ball_volume(code.ctx.base.q, code.ctx.m, code.n, s).exact
-    if isinstance(code, ExplicitCode):
-        assert side == ("tally" if ball <= code.n * expected[2] else "scan")
-    else:
-        assert side == ("coset" if ball <= code.n * code.size * (code.size + centers) else "scan")
-    forbidden_names = FAR_FORBIDDEN[side]
-    probe = side == "tally" and code.ctx.base.p == 2 and expected[2] < ball
-    if side == "tally" and code.ctx.base.p == 2:
-        forbidden_names += FAR_FORBIDDEN["probe" if probe else "scatter"]
-    # over F_2 the scan and the probe index the codewords by dependency
-    # key when a center has fewer keys than the code has words
-    keyed = code.ctx.base.q == 2 and s < code.n and 2 ** (s + 1) - 1 < code.size
-    uses_keys = keyed and (side == "scan" or probe)
+    # the kernel indexes keys when a vector has fewer of them than C has words
+    keyed = 0 < listdec._key_count(code.ctx, code.n, s) < code.size
+    uses_keys = keyed and route in ("probe", "rank")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError(f"the other side of the rule ran for {case}")
+        raise AssertionError(f"another route ran for {case}")
 
-    for name in forbidden_names:
+    for name in FAR_FORBIDDEN[route] + (() if uses_keys else ("_keys",)):
         monkeypatch.setattr(listdec, name, forbidden)
-    if uses_keys:
-        built = spy(monkeypatch, "_dependency_keys")
-    else:
-        # the q = 3 cases, the coset route, the scatter and small codes
-        built = []
-        monkeypatch.setattr(listdec, "_dependency_keys", forbidden)
+    routes = spy(monkeypatch, "_far_route", result=True)
+    built = spy(monkeypatch, "_keys") if uses_keys else []
+    listdec._BALL_SLOT.clear()
     report = max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
+    assert [result for *_, result in routes] == [(route, keyed)]
     assert bool(built) == uses_keys
 
 
-def spy(monkeypatch, name) -> list:
-    """Patch ``listdec.<name>`` to record its calls' arguments and run."""
+def spy(monkeypatch, name, result=False) -> list:
+    """Patch ``listdec.<name>`` to record its calls' arguments, and with
+    ``result`` what each call returned as a last item, and run."""
     calls = []
     real = getattr(listdec, name)
 
     def recorded(*args):
-        calls.append(args)
-        return real(*args)
+        out = real(*args)
+        calls.append((*args, out) if result else args)
+        return out
 
     monkeypatch.setattr(listdec, name, recorded)
     return calls
@@ -355,21 +348,24 @@ def first_best_by_list_size_at(code, s, centers, seed):
 
 
 @pytest.mark.parametrize(
-    "q, m, n, size, s, centers, route",
-    [(4, 2, 2, 8, 1, 50, "_probe"), (4, 3, 3, 8, 1, 100, "_scan"), (3, 3, 3, 9, 1, 60, "_scan")],
+    "q, m, n, size, s, centers",
+    [(4, 2, 2, 8, 1, 50), (4, 3, 3, 8, 1, 100), (3, 3, 3, 9, 1, 60)],
 )
-def test_no_key_index_is_built_outside_f2(q, m, n, size, s, centers, route, monkeypatch):
-    # q = 4 shares the set probe and the scan with F_2, but its rank is
-    # over F_4: a dependency key would need scalings, so none is built
+def test_keys_outside_f2_count_like_list_size_at(q, m, n, size, s, centers, monkeypatch):
+    # rank over F_4 or F_3 needs base-field scalings in each key: with
+    # (q^2 - 1) / (q - 1) < |C| keys the kernel indexes them, probing the
+    # offset set or ranking each pair
     code = sample_random_code(default_context(q, m), n, size, 3)
     expected = first_best_by_list_size_at(code, s, centers, 7)
-    others = {"_probe", "_scan", "_scatter"} - {route}
-    for name in (*others, "_dependency_keys", "_key_sharers"):
-        monkeypatch.setattr(listdec, name, _raise)
-    calls = spy(monkeypatch, route)
-    report = max_list_size(code, s, "montecarlo", centers=centers, seed=7, neighborhood_cap=0)
-    assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
-    assert len(calls) == 1
+    assert 0 < listdec._key_count(code.ctx, n, s) < size
+    built = spy(monkeypatch, "_keys")
+    for route in ("probe", "rank"):
+        del built[:]
+        with monkeypatch.context() as patched:
+            patched.setattr(listdec, "_far_route", lambda *args, route=route: (route, True))
+            report = max_list_size(code, s, "montecarlo", centers=centers, seed=7, neighborhood_cap=0)
+        assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
+        assert len(built) == 2  # once for the codewords, once for the candidates
 
 
 # (m, n) over F_2, m in 3..7 and n in 2..4
@@ -389,7 +385,7 @@ def codes_around_the_key_count(ctx, n, s, seed):
 def test_key_filter_counts_every_candidate_like_list_size_at(m, n, monkeypatch):
     ctx = default_context(2, m)
     rng = random.Random(100 * m + n)
-    built = spy(monkeypatch, "_dependency_keys")
+    built = spy(monkeypatch, "_keys")
     sides = set()
     for s in range(n + 1):
         for code in codes_around_the_key_count(ctx, n, s, rng.randrange(1000)):
@@ -398,16 +394,14 @@ def test_key_filter_counts_every_candidate_like_list_size_at(m, n, monkeypatch):
             for _ in range(20):
                 candidates.setdefault(rng.randrange(ctx.order**n), None)
             expected = [list_size_at(code, vector_from_index(ctx, n, c), s) for c in candidates]
-            keyed = s < n and 2 ** (s + 1) - 1 < code.size
+            keyed = 0 < listdec._key_count(ctx, n, s) < code.size
+            assert keyed == (s < n and 2 ** (s + 1) - 1 < code.size)
             sides.add(keyed)
-            kernels = [listdec._scan]
-            if ball_volume(2, m, n, s).exact <= 4096:
-                kernels.append(listdec._probe)
-            for kernel in kernels:
+            for probe in (False, True) if ball_volume(2, m, n, s).exact <= 4096 else (False,):
                 del built[:]
-                counts = kernel(ctx, n, s, words, candidates)
+                counts = listdec._near(ctx, n, s, words, candidates, keyed, probe)
                 assert list(counts) == list(candidates)
-                assert list(counts.values()) == expected, (kernel.__name__, s, code.size)
+                assert list(counts.values()) == expected, (probe, s, code.size)
                 assert bool(built) == keyed
     assert sides == {True, False}
 
@@ -427,49 +421,63 @@ def _entry_xors(entries, s):
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.data())
 def test_vectors_within_rank_s_share_a_dependency_key(data):
-    m = data.draw(st.integers(2, 7), label="m")
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 7, 9)), label="q")
+    top = {2: 7, 3: 4, 4: 3, 5: 3, 7: 2, 9: 2}[q]
+    m = data.draw(st.integers(2, top), label="m")
     n = data.draw(st.integers(2, m), label="n")
     s = data.draw(st.integers(0, n - 1), label="s")
-    entry = st.integers(0, 2**m - 1)
+    ctx = default_context(q, m)
+    entry = st.integers(0, ctx.order - 1)
     c = data.draw(st.lists(entry, min_size=n, max_size=n), label="c")
-    # c ^ w: every entry an F_2-combination of s spanning elements
+    # c - w: every entry an F_q-combination of s spanning elements
     span = data.draw(st.lists(entry, min_size=s, max_size=s), label="span")
-    picks = data.draw(st.lists(st.integers(0, 2**s - 1), min_size=n, max_size=n), label="picks")
-    diff = [0] * n
-    for j, pick in enumerate(picks):
-        for i, x in enumerate(span):
-            if pick >> i & 1:
-                diff[j] ^= x
-    w = [a ^ b for a, b in zip(c, diff)]
-    assert xor_rank(diff) <= s
-    order = 2**m
-    packed = [int_undigits(list(reversed(v)), order) for v in (c, w)]
-    keys = listdec._dependency_keys(order, n, s, packed)
-    assert len(keys) == 2 ** (s + 1) - 1
-    assert sorted(key[0] for key in keys) == _entry_xors(c, s)
-    assert sorted(key[1] for key in keys) == _entry_xors(w, s)
-    assert any(kc == kw for kc, kw in keys)
+    scalars = st.lists(st.integers(0, q - 1), min_size=s, max_size=s)
+    diff = []
+    for picks in data.draw(st.lists(scalars, min_size=n, max_size=n), label="picks"):
+        d = 0
+        for a, x in zip(picks, span):
+            d = ctx.add(d, ctx.scale(a, x))
+        diff.append(d)
+    w = [ctx.sub(a, b) for a, b in zip(c, diff)]
+    assert rank_of_vector(RankVector(ctx, diff)) <= s
+    packed = [vector_index(RankVector(ctx, v)) for v in (c, w)]
+    keys = listdec._keys(ctx, n, s, packed, listdec._Encoder(ctx))
+    assert len(keys) == listdec._key_count(ctx, n, s) == (q ** (s + 1) - 1) // (q - 1)
+    if q == 2:
+        assert sorted(key[0] for key in keys) == _entry_xors(c, s)
+        assert sorted(key[1] for key in keys) == _entry_xors(w, s)
+    # c and w share key a exactly when sum a_t (c - w)_t = 0 over t <= s:
+    # for a up to scale in the kernel of a map of rank r on F_q^(s+1)
+    r = rank_of_vector(RankVector(ctx, diff[: s + 1]))
+    shared = sum(kc == kw for kc, kw in keys)
+    assert shared == (q ** (s + 1 - r) - 1) // (q - 1) >= 1
 
 
 def test_ball_probes_count_like_the_restricted_scatter(monkeypatch):
-    # both orientations of the characteristic-2 restricted tally, on
-    # candidates that see no codeword as well as ones that see several
-    for m, n, size, seed, s, centers in ((4, 3, 40, 3, 1, 300), (7, 4, 128, 2, 1, 350),
-                                         (3, 3, 20, 1, 2, 60), (4, 2, 9, 0, 0, 30)):
-        ctx = default_context(2, m)
+    # the offset-set probe, keyed and not, against the scatter tally read at
+    # each candidate, on candidates that see no codeword as well as ones
+    # that see several
+    for q, m, n, size, seed, s, centers in (
+        (2, 4, 3, 40, 3, 1, 300), (2, 7, 4, 128, 2, 1, 350), (2, 3, 3, 20, 1, 2, 60),
+        (2, 4, 2, 9, 0, 0, 30), (3, 3, 3, 30, 4, 1, 300), (5, 2, 2, 30, 5, 1, 100),
+        (9, 2, 2, 20, 6, 1, 100), (4, 3, 3, 40, 7, 1, 200),
+    ):
+        ctx = default_context(q, m)
         code = sample_random_code(ctx, n, size, seed)
         words = [w.entries for w in code.words]
         rng = random.Random(seed)
         candidates = dict.fromkeys(vector_index(w) for w in code.words)
         for _ in range(centers):
             candidates.setdefault(rng.randrange(ctx.order**n), None)
-        scattered = listdec._scatter(ctx, n, s, words, keep=candidates)
-        with monkeypatch.context() as patched:
-            patched.setattr(listdec, "_ball_keys", _raise)
-            probed = listdec._probe(ctx, n, s, words, candidates)
-        assert list(probed) == list(candidates)
-        assert all(probed[c] == scattered[c] for c in candidates)
-        assert sum(probed.values()) > 0
+        scattered = listdec._scatter(ctx, n, s, words)
+        for keyed in (False, True) if listdec._key_count(ctx, n, s) else (False,):
+            with monkeypatch.context() as patched:
+                patched.setattr(listdec, "_scatter", _raise)
+                patched.setattr(listdec, "_rank_of_entries", _raise)
+                probed = listdec._near(ctx, n, s, words, candidates, keyed, True)
+            assert list(probed) == list(candidates)
+            assert all(probed[c] == scattered[c] for c in candidates), (q, m, n, s, keyed)
+            assert sum(probed.values()) > 0
 
 
 def _raise(*args, **kwargs):
@@ -560,9 +568,8 @@ def test_no_kernel_mutates_the_memoized_ball():
         words = listdec._scan_codewords(code, 2**24)
         candidates = dict.fromkeys(range(0, ctx.order**n, 3))
         listdec._scatter(ctx, n, s, words)
-        listdec._scatter(ctx, n, s, words, keep=candidates)
-        if q == 2:
-            listdec._probe(ctx, n, s, words, candidates)
+        for keyed in (False, True) if s < n else (False,):
+            listdec._near(ctx, n, s, words, candidates, keyed, True)
         for linear in (sample_random_linear_code(ctx, n, 1, seed=q), gabidulin(ctx, n, 1)):
             Counter(listdec._CosetKeys(linear).ball(s))
         coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
@@ -571,21 +578,24 @@ def test_no_kernel_mutates_the_memoized_ball():
         listdec._BALL_SLOT.clear()
         fresh = listdec._ball(ctx, n, s)
         assert fresh is not memo
+        # the offset set is built once per ball and kept with it
+        assert memo.probes() is memo.probes() and memo.probes() == fresh.probes()
         if q == 2:
-            assert memo == fresh
+            assert memo.packed == fresh.packed
         else:
-            assert memo[:2] == fresh[:2]
+            assert (memo.values, memo.columns) == (fresh.values, fresh.columns)
             # the shifter's digit planes, split off on first use, are intact
-            assert [memo[2](e) for e in range(ctx.order)] == [fresh[2](e) for e in range(ctx.order)]
+            assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
 
 
 def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
     # one candidate set per code and radius, through each route in turn:
-    # the set probe (p = 2) and the scan, with and without the F_2
-    # dependency-key filter, the restricted scatter, and the coset tally
+    # the kernel with the dependency keys forced on and off, testing pairs
+    # by probe and by rank, and the coset tally
     rng = random.Random(11)
     routes_run = set()
-    for q, m, n in ((2, 3, 3), (2, 4, 2), (3, 2, 2), (3, 3, 2), (5, 2, 2)):
+    shapes = ((2, 3, 3), (2, 4, 2), (3, 2, 2), (3, 3, 2), (4, 2, 2), (5, 2, 2), (9, 2, 2))
+    for q, m, n in shapes:
         ctx = default_context(q, m)
         codes = [sample_random_code(ctx, n, size, rng.randrange(100)) for size in (3, 9)]
         codes += [sample_random_linear_code(ctx, n, k, rng.randrange(100)) for k in (1, 2)]
@@ -596,17 +606,13 @@ def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
                 candidates.setdefault(rng.randrange(ctx.order**n), None)
             for s in range(n + 1):
                 expected = [list_size_at(code, vector_from_index(ctx, n, c), s) for c in candidates]
-                routes = {"scatter": lambda: listdec._scatter(ctx, n, s, words, keep=candidates)}
-                # dependency keys exist over F_2 below s = n
-                for keyed in (False, True) if q == 2 and s < n else (False,):
-                    def forced(kernel, keyed=keyed):
-                        with monkeypatch.context() as patched:
-                            patched.setattr(listdec, "_keyed", lambda *args: keyed)
-                            return kernel(ctx, n, s, words, candidates)
-
-                    routes[f"scan keyed={keyed}"] = partial(forced, listdec._scan)
-                    if q == 2:
-                        routes[f"probe keyed={keyed}"] = partial(forced, listdec._probe)
+                routes = {}
+                # dependency keys exist below s = n
+                for keyed in (False, True) if s < n else (False,):
+                    for probe in (False, True):
+                        routes[f"near keyed={keyed} probe={probe}"] = partial(
+                            listdec._near, ctx, n, s, words, candidates, keyed, probe
+                        )
                 if isinstance(code, LinearCode):
                     cosets = listdec._CosetKeys(code)
                     tally = Counter(cosets.ball(s))
@@ -615,9 +621,49 @@ def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
                     counts = run()
                     assert [counts[c] for c in candidates] == expected, (route, q, m, n, s, code.size)
                     routes_run.add(route)
-    assert routes_run == {
-        "scatter", "coset", "scan keyed=False", "scan keyed=True", "probe keyed=False", "probe keyed=True",
-    }
+    near = {f"near keyed={k} probe={p}" for k in (False, True) for p in (False, True)}
+    assert routes_run == {"coset", *near}
+
+
+def test_cli_sized_far_centers_build_no_ball(monkeypatch):
+    # a few hundred ranked pairs cost less than building a ball of 2-3 * 10^5
+    # offsets: the shapes of the benchmark's listdecode jobs over F_{3^10}
+    # and F_{4^8}, with fewer codewords than dependency keys
+    monkeypatch.setattr(listdec, "_ball_layout", _raise)
+    for q, m, size in ((3, 10, 3), (4, 8, 4)):
+        code = sample_random_code(default_context(q, m), 2, size, 1)
+        assert listdec._key_count(code.ctx, 2, 1) >= size
+        report = max_list_size(code, 1, "montecarlo", centers=200, seed=2)
+        assert report.centers_tried == size + 200 and report.l_max >= 1
+
+
+def test_coset_keys_past_the_byte_slots_are_priced_like_ranked_pairs(monkeypatch):
+    # q = 257: a coset key is a tuple of digits, so 66,049 of them cost more
+    # than ranking the 257 codewords against 20 centers
+    ctx = default_context(257, 2)
+    code = sample_random_linear_code(ctx, 1, 1, seed=0)
+    routes = spy(monkeypatch, "_far_route", result=True)
+    listdec._BALL_SLOT.clear()
+    mc = {"centers": 20, "seed": 4, "neighborhood_cap": 0}
+    report = max_list_size(code, 1, "montecarlo", **mc)
+    assert [result for *_, result in routes] == [("rank", False)]
+    twin = ExplicitCode(ctx, 1, tuple(enumerate_codewords(code)))
+    assert report == max_list_size(twin, 1, "montecarlo", **mc)
+
+
+def test_no_far_route_holds_more_than_cap_offsets(monkeypatch):
+    # |B_1| = 106 in F_{2^4}^3: with a cap of 100 no route may build the
+    # ball, and when the pairs to rank pass the cap too the run refuses
+    ctx = default_context(2, 4)
+    for code in (sample_random_code(ctx, 3, 4, 1), sample_random_linear_code(ctx, 3, 2, 2)):
+        expected = max_list_size(code, 1, "montecarlo", centers=20, seed=5, neighborhood_cap=0)
+        with monkeypatch.context() as patched:
+            patched.setattr(listdec, "_ball_layout", _raise)
+            listdec._BALL_SLOT.clear()
+            # 4 codewords * at most 24 candidates <= 100
+            assert max_list_size(code, 1, "montecarlo", centers=20, seed=5, cap=100) == expected
+            with pytest.raises(EnumerationCapExceeded, match="Monte Carlo .* cap of 100"):
+                max_list_size(code, 1, "montecarlo", centers=40, seed=5, cap=100)
 
 
 def twin_codes():
@@ -713,7 +759,7 @@ def test_odd_q_keys_without_the_byte_slots():
 
 def digit_key(cosets, x):
     """The coset key of index x by row-by-row reduction of its digits."""
-    return cosets._finish(cosets._reduce(listdec._digits_of(x, cosets.p, cosets.width)))
+    return cosets._finish(cosets._reduce(listdec._entries_of_index(cosets.p, cosets.width, x)))
 
 
 def test_odd_q_window_keys_match_the_digit_reduction(monkeypatch):
@@ -734,7 +780,7 @@ def test_odd_q_window_keys_match_the_digit_reduction(monkeypatch):
         expected = [digit_key(cosets, x) for x in range(code.ctx.order**code.n)]
         with monkeypatch.context() as patched:
             # the window reads split the index themselves
-            patched.setattr(listdec, "_digits_of", _raise)
+            patched.setattr(listdec, "_entries_of_index", _raise)
             keys = [cosets.of_index(x) for x in range(code.ctx.order**code.n)]
         assert keys == expected
         assert all(type(key) is bytes for key in keys)
@@ -796,6 +842,8 @@ def test_odd_q_sweeps_and_coset_checks_build_no_window_table(monkeypatch):
 
     monkeypatch.setattr(listdec._CosetKeys, "_window_tables", forbidden)
     assert [max_list_size(code, s) for s in range(4)] + [coset_partition_check(code, 1)] == expected
+    # Monte Carlo centers keyed by their cosets build them
+    monkeypatch.setattr(listdec, "_far_route", lambda *args: ("coset", False))
     with pytest.raises(AssertionError, match="window tables"):
         max_list_size(code, 1, "montecarlo", centers=5, neighborhood_cap=0)
 

@@ -225,25 +225,33 @@ def test_fields_has_one_primitive_element_search_and_one_table_reader():
     assert users == expected
 
 
+def listdec_functions():
+    """The module-level functions of listdec, each with the module-level
+    functions and classes it names."""
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    return {
+        name: {node.id for node in ast.walk(func) if isinstance(node, ast.Name)} & set(defs)
+        for name, func in defs.items()
+    }
+
+
 def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
-    # list_size_at is the unfiltered oracle the key filter is checked
-    # against: nothing it reaches may build a dependency key, and only
-    # _key_sharers, the one index builder, calls the one key helper
+    # list_size_at is the unfiltered oracle the keys are checked against:
+    # nothing it reaches may build a dependency key, and only _near, the one
+    # candidate-side kernel, which indexes codewords by key, calls _keys
     defined = []
     for path, tree in parsed_modules():
         for scope, node in scoped_nodes(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_dependency_keys":
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_keys":
                 defined.append(f"{path.name}:{scope}")
     assert defined == ["listdec.py:"]
-    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
-    functions = {
-        node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    refs = {
-        name: {node.id for node in ast.walk(func) if isinstance(node, ast.Name)} & set(functions)
-        for name, func in functions.items()
-    }
-    assert {name for name, used in refs.items() if "_dependency_keys" in used} == {"_key_sharers"}
+    refs = listdec_functions()
+    assert {name for name, used in refs.items() if "_keys" in used} == {"_near"}
     reached = set()
     stack = ["list_size_at", "_count_near"]
     while stack:
@@ -251,27 +259,67 @@ def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
         if name not in reached:
             reached.add(name)
             stack.extend(refs[name])
-    assert reached.isdisjoint({"_dependency_keys", "_key_sharers", "_keyed"})
+    assert reached.isdisjoint({"_keys", "_key_count", "_Encoder", "_near"})
     assert "_count_near" in reached
 
 
 def test_only_the_ball_memo_builds_the_ball():
     # every kernel reads the radius-s ball through listdec._ball, which
-    # keeps the most recent one: nothing else may lay it out or pack it,
-    # and in listdec only the layout enumerates the span tables
+    # keeps the most recent one: nothing else may lay it out, make the
+    # record that packs it, or fill its offset set, and in listdec only
+    # the layout enumerates the span tables
     builders = {
         "_ball_layout": {"listdec.py:_ball"},
-        "_packed": {"listdec.py:_ball"},
+        "_Ball": {"listdec.py:_ball"},
+        "_packed": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes"},
         "_iter_ball_tables": {"listdec.py:_ball_layout"},
     }
     found = []
     for path, tree in parsed_modules():
         for scope, node in scoped_nodes(tree):
+            where = f"{path.name}:{scope}"
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr == "probe_set" and where not in builders["_packed"]:
+                    found.append(f"{where}:{node.lineno} probe_set written")
             if not isinstance(node, (ast.Name, ast.Attribute)):
                 continue
             ref = node.id if isinstance(node, ast.Name) else node.attr
-            where = f"{path.name}:{scope}"
             # rankmetric's own enumerate_ball streams the span tables
             if ref in builders and where not in builders[ref] and path.name != "rankmetric.py":
                 found.append(f"{where}:{node.lineno} {ref}")
     assert found == []
+
+
+MUTATORS = {"clear", "update", "setdefault", "pop", "popitem", "append", "extend", "add", "insert"}
+
+
+def test_listdec_keeps_one_module_level_cache():
+    # the ball slot is the one piece of state a listdec call leaves behind:
+    # no other module-level name is written by a function, and no function
+    # memoizes its results
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    module_names = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    written = set()
+    for scope, node in scoped_nodes(tree):
+        if not scope:
+            continue
+        if isinstance(node, ast.Global):
+            written.update(node.names)
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            written.add(getattr(node.value, "id", None))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+            written.add(getattr(node.func.value, "id", None))
+    assert written & module_names == {"_BALL_SLOT"}
+    decorators = [
+        ast.unparse(dec)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for dec in node.decorator_list
+    ]
+    assert not any("cache" in dec for dec in decorators)
