@@ -17,10 +17,9 @@ the least key among the cosets that reach it, which is the least
 center overall.  In characteristic 2 the reduction is an XOR of table
 reads; for odd p the key of an offset is the digitwise sum of
 per-entry keys, one digit per byte while n * (p - 1) fits in one.  A
-single index (a Monte Carlo center) is keyed by table reads over
-windows of its digits: XORed for p = 2; for odd p added in byte slots
-and taken mod p by one ``bytes.translate``, from tables built on the
-first such index, so sweeps and coset checks never build them.
+single index (a Monte Carlo center) is keyed by the same reduction: for
+p = 2 by XORed table reads over eight-bit windows, for odd p by
+clearing its base-p digits row by row.
 
 Explicit codes use the scatter kernel: every codeword w and every offset
 b of rank <= s add one to the tally of the center w + b, so one pass of
@@ -57,16 +56,18 @@ near the code, candidates in the order the tally meets them.  Otherwise
 per step (``_PRICES``) and takes the cheapest:
 
 - the coset tally (linear codes): |B_s| coset keys, priced like ranked
-  pairs past the byte slots (n * (p - 1) > 255), and a key per center;
+  pairs past the byte slots (n * (p - 1) > 255), and a key per center,
+  priced like a rank for odd p;
 - the candidate-side kernel ``_near``: when a vector has fewer
   dependency keys than C has words, each candidate pays its keys and is
   tested only against the codewords that share one, otherwise against
   every codeword; a test is one probe of the ball's offset set ("probe";
   p = 2, or p <= 127 and q <= 256) or a rank ("rank").
 
-A route that reads the ball adds |B_s| builds unless the slot holds it,
-and the probe |B_s| more unless its offset set is built, so a cold ball
-is not built to serve a few hundred pairs.  No route reads a ball of
+A route that reads the ball pays its |B_s| builds, and the probe |B_s|
+more for its offset set, whether or not the slot holds them, so a route
+depends on the call alone and a ball is not built to serve a few hundred
+pairs.  No route reads a ball of
 more than ``cap`` offsets; if |C| * |candidates| passes the cap too,
 the run is refused.  Every route gives each candidate its exact count,
 so reports do not depend on the route.
@@ -261,7 +262,9 @@ class _CosetKeys:
     tables, one per eight-bit window that holds a pivot, highest first.
     For odd p a key is the digit string of that index, most significant
     first: ``bytes`` when a sum of n digits fits in a byte, a tuple of
-    ints otherwise.  Both compare like the index they spell.
+    ints otherwise.  Both compare like the index they spell.  A single
+    index has its digits reduced row by row (``_reduce``); ``ball`` sums
+    per-entry keys reduced the same way.
     """
 
     def __init__(self, code):
@@ -289,11 +292,6 @@ class _CosetKeys:
             self.rows = tuple(zip(pivots, rows))
             self.narrow = n * (p - 1) <= 255
             self.mod = _Encoder(ctx).mod
-            self.chunk_digits = _per_table(p)
-            self.chunk = p**self.chunk_digits
-            # a byte slot holds the sum of one read per window of of_index
-            self.windowed = self.narrow and -(-width // self.chunk_digits) * (p - 1) <= 255
-            self.windows = None
             self.zero = self._finish([0] * width)
 
     def _finish(self, digits):
@@ -307,56 +305,13 @@ class _CosetKeys:
                 digits = [(a - c * r) % p for a, r in zip(digits, row)]
         return digits
 
-    def _window_tables(self) -> list[list[int]]:
-        """Key tables for ``of_index`` over windows of c base-p digits of
-        the index, p^c <= 256 as in ``_per_table``, least significant
-        window first.
-
-        Entry v of a window's table is the key of the vector whose digits
-        there spell v and are zero elsewhere, one digit per byte slot of
-        an int.  Keys are F_p-linear, so a table is built a digit at a time
-        from the multiples of that digit's unit key, each sum brought back
-        to digits below p with one ``translate``.  A sum of two digits fits
-        a byte: two or more windows fit one byte only for p <= 128, and a
-        lone window of two or more digits has p <= 16.
-        """
-        p, width, c, mod = self.p, self.width, self.chunk_digits, self.mod
-        tables = []
-        for high in range(width, 0, -c):
-            table = [0]
-            for i in range(max(high - c, 0), high):
-                unit = [0] * width
-                unit[i] = 1
-                key = self._reduce(unit)
-                multiples = [_index_of_entries(256, [d * x % p for x in key]) for d in range(p)]
-                table = [
-                    int.from_bytes((t + u).to_bytes(width, "big").translate(mod), "big")
-                    for t in table
-                    for u in multiples
-                ]
-            tables.append(table)
-        return tables
-
     def of_index(self, idx: int):
-        """The key of the coset of the vector at packed index ``idx``.
-
-        For odd p the window keys are summed when a byte slot holds one
-        read per window; otherwise the digits are reduced row by row.
-        """
+        """The key of the coset of the vector at packed index ``idx``."""
         if self.p == 2:
             for low, table in self.tables:
                 idx ^= table[idx >> low & 255]
             return idx
-        if not self.windowed:
-            return self._finish(self._reduce(_entries_of_index(self.p, self.width, idx)))
-        if self.windows is None:
-            self.windows = self._window_tables()
-        chunk = self.chunk
-        key = 0
-        for table in self.windows:
-            idx, v = divmod(idx, chunk)
-            key += table[v]
-        return key.to_bytes(self.width, "big").translate(self.mod)
+        return self._finish(self._reduce(_entries_of_index(self.p, self.width, idx)))
 
     def index(self, key) -> int:
         """The packed index a key spells: the least vector of its coset."""
@@ -724,7 +679,7 @@ def max_list_size(
 # in-process timings of each route
 _PRICES = {
     "coset": (2, 12),  # the coset key of a ball offset, in the byte slots
-    "center": (15, 30),  # the coset key of a random center
+    "center": (15, None),  # the coset key of a random center; odd p reduces its digits, priced as a rank
     "key": (3, 4),  # one dependency key of a candidate
     "hit": (15, 20),  # a candidate tested against its key sharers
     "probe": (2, 5),  # one probe of the offset set
@@ -734,7 +689,8 @@ _PRICES = {
 
 def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, linear: bool):
     """(route, keyed): the cheapest far route as the module docstring prices
-    it, "coset", "probe" or "rank", and whether ``_near`` keys."""
+    it, "coset", "probe" or "rank", and whether ``_near`` keys (never for
+    the coset tally, which builds no dependency key)."""
     q, p, m = ctx.base.q, ctx.base.p, ctx.m
     price = {step: cost[p > 2] for step, cost in _PRICES.items()}
     tried = size + draws  # at most this many candidates
@@ -746,21 +702,20 @@ def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, li
     kernel = (tried * keys * price["key"] if keyed else 0) + min(tried, pairs) * price["hit"]
     costs = {"rank": kernel + pairs * rank}
     if bv <= cap:
-        held = _BALL_SLOT.get((ctx, n, s))
-        build = 0 if held else bv * (5 + 40 // n)
+        build = bv * (5 + 40 // n)
         if p == 2 or (p <= 127 and q <= 256):
-            fresh = held is None or held.probe_set is None
-            costs["probe"] = kernel + pairs * price["probe"] + build + fresh * bv * price["set"]
+            costs["probe"] = kernel + pairs * price["probe"] + build + bv * price["set"]
         if linear:
             # past the byte slots a coset key is a tuple, priced like a ranked pair
             key = rank if p > 2 and n * (p - 1) > 255 else price["coset"]
-            costs["coset"] = bv * key + build + draws * price["center"]
+            costs["coset"] = bv * key + build + draws * (rank if p > 2 else price["center"])
     elif size * tried > cap:
         raise EnumerationCapExceeded(
             f"Monte Carlo needs {size * tried} codeword-center pairs"
             f" and a ball of {bv} offsets, both above the cap of {cap}"
         )
-    return min(costs, key=costs.get), keyed
+    route = min(costs, key=costs.get)
+    return route, keyed and route != "coset"
 
 
 def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:

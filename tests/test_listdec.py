@@ -240,13 +240,13 @@ def test_montecarlo_far_branch_tie_rule_q3():
 
 
 # far-branch cases: (code, s, centers, seed, route), route the one
-# ``_far_route`` prices cheapest with no ball held: "coset" (the coset
-# tally), "probe" and "rank" (the candidate-side kernel ``_near``, testing
-# pairs by offset-set probes or by rank).  A case id ends in the side it
-# was first written for, "tally" (read off the ball), "coset" or "scan";
-# the gabidulin and linear9 cases now rank their few key-sharing pairs
-# cold in place of building the ball.  q2m16n2 and q2m7n4 at s = 2 have
-# balls too large to build for a few hundred pairs
+# ``_far_route`` prices cheapest: "coset" (the coset tally), "probe" and
+# "rank" (the candidate-side kernel ``_near``, testing pairs by
+# offset-set probes or by rank).  A case id ends in the side it was first
+# written for, "tally" (read off the ball), "coset" or "scan"; the
+# gabidulin and linear9 cases now rank their few key-sharing pairs in
+# place of building the ball.  q2m16n2 and q2m7n4 at s = 2 have balls too
+# large to build for a few hundred pairs
 FAR_CASES = {
     "q2m7n4-random128-tally": (
         lambda: sample_random_code(default_context(2, 7), 4, 128, 2), 1, 350, 1, "probe"
@@ -307,16 +307,26 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
     def forbidden(*args, **kwargs):
         raise AssertionError(f"another route ran for {case}")
 
-    for name in FAR_FORBIDDEN[route] + (() if uses_keys else ("_keys",)):
-        monkeypatch.setattr(listdec, name, forbidden)
+    def run():
+        with monkeypatch.context() as patched:
+            for name in FAR_FORBIDDEN[route] + (() if uses_keys else ("_keys",)):
+                patched.setattr(listdec, name, forbidden)
+            return max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
+
     routes = spy(monkeypatch, "_far_route", result=True)
     built = spy(monkeypatch, "_keys") if uses_keys else []
     listdec._BALL_SLOT.clear()
-    report = max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
+    report = run()
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
-    assert [result for *_, result in routes] == [(route, keyed)]
     assert bool(built) == uses_keys
+    # a route is priced from the call alone: the same once the slot holds
+    # this ball and its offset set, as after an exhaustive call and a probe
+    # at the same (ctx, n, s)
+    listdec._ball(code.ctx, code.n, s).probes()
+    assert run() == report
+    assert [result for *_, result in routes] == [(route, uses_keys)] * 2
+    listdec._BALL_SLOT.clear()
 
 
 def spy(monkeypatch, name, result=False) -> list:
@@ -757,58 +767,13 @@ def test_odd_q_keys_without_the_byte_slots():
         assert max_list_size(code, s, "montecarlo", **mc) == max_list_size(twin, s, "montecarlo", **mc)
 
 
-def digit_key(cosets, x):
-    """The coset key of index x by row-by-row reduction of its digits."""
-    return cosets._finish(cosets._reduce(listdec._entries_of_index(cosets.p, cosets.width, x)))
-
-
-def test_odd_q_window_keys_match_the_digit_reduction(monkeypatch):
-    small = [
-        sample_random_linear_code(default_context(3, 2), 2, 1, seed=0),
-        sample_random_linear_code(default_context(3, 3), 2, 3, seed=1),
-        sample_random_linear_code(default_context(5, 2), 2, 2, seed=2),
-        sample_random_linear_code(default_context(7, 2), 2, 1, seed=3),
-        sample_random_linear_code(default_context(9, 2), 2, 2, seed=4),
-        gabidulin(default_context(3, 3), 2, 1),
-        gabidulin(default_context(5, 2), 2, 1),
-        gabidulin(default_context(7, 2), 1, 1),
-        gabidulin(default_context(9, 2), 2, 1),
-    ]
-    for code in small:
-        cosets = listdec._CosetKeys(code)
-        assert cosets.windowed
-        expected = [digit_key(cosets, x) for x in range(code.ctx.order**code.n)]
-        with monkeypatch.context() as patched:
-            # the window reads split the index themselves
-            patched.setattr(listdec, "_entries_of_index", _raise)
-            keys = [cosets.of_index(x) for x in range(code.ctx.order**code.n)]
-        assert keys == expected
-        assert all(type(key) is bytes for key in keys)
-    rng = random.Random(5)
-    for q, m, n, k in ((3, 4, 4, 2), (5, 3, 3, 2)):
-        code = sample_random_linear_code(default_context(q, m), n, k, seed=6)
-        cosets = listdec._CosetKeys(code)
-        assert cosets.windowed
-        for x in [rng.randrange(code.ctx.order**n) for _ in range(2000)]:
-            assert cosets.of_index(x) == digit_key(cosets, x)
-    # 25 windows of one base-17 digit each overflow a byte slot, so these
-    # keys keep the digit reduction, still in bytes
-    code = sample_random_linear_code(default_context(17, 5), 5, 2, seed=7)
-    cosets = listdec._CosetKeys(code)
-    assert cosets.narrow and not cosets.windowed
-    key = cosets.of_index(rng.randrange(code.ctx.order**5))
-    assert type(key) is bytes and len(key) == 25
-    # past the byte slots keys stay digit tuples
-    cosets = listdec._CosetKeys(sample_random_linear_code(default_context(257, 2), 1, 1, seed=0))
-    assert not cosets.windowed
-    assert cosets.of_index(66048) == digit_key(cosets, 66048) and type(cosets.of_index(5)) is tuple
-
-
-def test_char2_coset_keys_are_least_coset_indices():
+def test_coset_keys_are_least_coset_indices():
+    # characteristic 2 (XORed window tables) and odd q (the digit
+    # reduction, keys in byte slots), linear and Gabidulin codes
     codes = []
-    for q, m, n in ((2, 4, 3), (4, 3, 2), (8, 2, 2)):
+    for q, m, n in ((2, 4, 3), (4, 3, 2), (8, 2, 2), (3, 3, 2), (5, 2, 2), (9, 2, 2)):
         ctx = default_context(q, m)
-        codes += [sample_random_linear_code(ctx, n, k, seed=k) for k in (0, 1)]
+        codes += [sample_random_linear_code(ctx, n, k, seed=k) for k in (0, 1, n)]
         codes += [gabidulin(ctx, n, k) for k in range(1, n + 1)]
     # nine pivots in twelve bits: the rows span two eight-bit windows
     wide = sample_random_linear_code(default_context(2, 4), 3, 9, seed=2)
@@ -824,28 +789,13 @@ def test_char2_coset_keys_are_least_coset_indices():
                 coset = [vector_index(v + w) for w in words]
                 least.update(dict.fromkeys(coset, min(coset)))
         cosets = listdec._CosetKeys(code)
-        assert [cosets.index(cosets.of_index(x)) for x in range(space)] == [least[x] for x in range(space)]
+        keys = [cosets.of_index(x) for x in range(space)]
+        assert [cosets.index(key) for key in keys] == [least[x] for x in range(space)]
+        assert {type(key) for key in keys} == {int if ctx.base.p == 2 else bytes}
         zero = RankVector.zero(ctx, n)
         for s in range(n + 1):
             offsets = [vector_index(b) for b in enumerate_ball(zero, s)]
             assert list(cosets.ball(s)) == [cosets.of_index(b) for b in offsets]
-
-
-def test_odd_q_sweeps_and_coset_checks_build_no_window_table(monkeypatch):
-    from ranklab.harness import coset_partition_check
-
-    code = sample_random_linear_code(default_context(3, 3), 3, 2, seed=1)
-    expected = [max_list_size(code, s) for s in range(4)] + [coset_partition_check(code, 1)]
-
-    def forbidden(self):
-        raise AssertionError("an exhaustive sweep or a coset check built window tables")
-
-    monkeypatch.setattr(listdec._CosetKeys, "_window_tables", forbidden)
-    assert [max_list_size(code, s) for s in range(4)] + [coset_partition_check(code, 1)] == expected
-    # Monte Carlo centers keyed by their cosets build them
-    monkeypatch.setattr(listdec, "_far_route", lambda *args: ("coset", False))
-    with pytest.raises(AssertionError, match="window tables"):
-        max_list_size(code, 1, "montecarlo", centers=5, neighborhood_cap=0)
 
 
 def scaled(word, c):

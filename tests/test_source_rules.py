@@ -323,3 +323,15 @@ def test_listdec_keeps_one_module_level_cache():
         for dec in node.decorator_list
     ]
     assert not any("cache" in dec for dec in decorators)
+
+
+def test_only_the_ball_reader_names_the_ball_slot():
+    # a far route is priced from its call alone, never from what an earlier
+    # call left in the slot
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    readers = {
+        scope
+        for scope, node in scoped_nodes(tree)
+        if scope and isinstance(node, ast.Name) and node.id == "_BALL_SLOT"
+    }
+    assert readers == {"_ball"}
