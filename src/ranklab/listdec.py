@@ -39,14 +39,14 @@ do not depend on the worker count, and exhaustive ties resolve to the
 least packed index, which is the first center in lexicographic order.
 
 Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
-its packed offsets, for odd p the list of span tables with its columns
-and its digit-plane shifter, and the set of its offsets once a probe
-builds it.  The most recent ball is kept, under its field, length and
-radius, so the trials of an ensemble, and any other run of calls at one
-(ctx, n, s), build it once.  Memory stays bounded without a setting:
-the slot holds one ball and is emptied before a different one is
-built, so at most one ball is alive at a time, as when each call built
-its own.
+its packed offsets, for odd p the list of span tables (from
+``rankmetric._iter_ball_tables``) with its columns and its digit-plane
+shifter, and the set of its offsets once a probe builds it.  The most
+recent ball is kept, under its field, length and radius, so the trials
+of an ensemble, and any other run of calls at one (ctx, n, s), build
+it once.  Memory stays bounded without a setting: the slot holds one
+ball and is emptied before a different one is built, so at most one
+ball is alive at a time, as when each call built its own.
 
 Monte Carlo scores the codewords, then ``centers`` random draws; the
 first candidate with the largest count wins.  When |C| * |B_s| <=

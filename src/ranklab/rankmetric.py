@@ -523,28 +523,34 @@ def ball_volume(q: int, m: int, n: int, r: int, kq_tol=Fraction(1, 10**9)) -> Vo
     )
 
 
-def _iter_rref_matrices(field: FieldCtx, u: int, cols: int):
-    """All u x cols RREF matrices of full row rank u."""
-    if u == 0:
-        yield ()
-        return
+def _multiples(field: FieldCtx, lead: int, places) -> list[tuple[int, ...]]:
+    """Each value lead + sum_i d_i places[i], the digits d_i over F_q in
+    ``itertools.product`` order (places[0] outermost), as its q
+    F_q-multiples, scalar 0 first.  The places are distinct powers of q
+    above ``lead``'s, one base-q digit each, so the c-multiple is
+    c lead + sum_i (c d_i) places[i], built one list pass per place."""
     q = field.q
-    for pivots in itertools.combinations(range(cols), u):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(u)
-            for j in range(cols)
-            if j > pivots[i] and j not in pivot_set
-        ]
-        base = [[0] * cols for _ in range(u)]
-        for i, pc in enumerate(pivots):
-            base[i][pc] = 1
-        for assignment in itertools.product(range(q), repeat=len(free)):
-            M = [row[:] for row in base]
-            for (i, j), v in zip(free, assignment):
-                M[i][j] = v
-            yield tuple(tuple(r) for r in M)
+    by_scalar = []
+    for c in range(q):
+        values = [c * lead]
+        for place in places:
+            step = [field.mul(c, d) * place for d in range(q)]
+            values = [v + x for v in values for x in step]
+        by_scalar.append(values)
+    return list(zip(*by_scalar))
+
+
+def _children(p: int, parents, row):
+    """Each parent span table plus F_q t for every candidate t of ``row``,
+    given as its q multiples, parents in turn: the children of one parent
+    come from one comprehension and one ``_shifter``, one pass per scalar,
+    and those of the zero span [0] are the multiples themselves."""
+    for parent in parents:
+        if parent == [0]:
+            yield from map(list, row)
+            continue
+        shift = _shifter(p, parent)
+        yield from [list(itertools.chain.from_iterable(map(shift, multiples))) for multiples in row]
 
 
 def _shifter(p: int, values: list[int]):
@@ -579,73 +585,67 @@ def _shifter(p: int, values: list[int]):
     return shift
 
 
-def _full_rank_factors(field: FieldCtx, u: int, n: int) -> list[tuple[int, ...]]:
-    """Every full-rank u x n matrix R over F_q, as the n column values
-    sum_k R[k][j] q^k, in ``itertools.product`` order of its rows: the
-    prod_{i<u} (q^n - q^i) factors of a rank-u shell.
-
-    Row k runs over F_q^n in ``itertools.product`` order and skips the
-    span of rows 0..k-1; nesting the rows, row 0 outermost, is the
-    product order of the flattened matrix restricted to rank u, so no
-    candidate is ranked.  Row vectors are packed in base q, where the
-    span grows by ``_shifter``; the span of all u rows is never built.
-    """
-    if u == 0:
-        return [(0,) * n]
-    q = field.q
-    rows = list(itertools.product(range(q), repeat=n))
-    # row k contributes R[k][j] q^k to column value j
-    scaled = [[tuple(v * q**k for v in row) for row in rows] for k in range(u)]
-    factors = []
+def _factor_columns(field: FieldCtx, u: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Every full-rank u x n matrix R over F_q as its n column values
+    sum_k R[k][j] q^k, one tuple per column j: the prod_{i<u} (q^n - q^i)
+    factors of a rank-u shell.  Row k runs over F_q^n in
+    ``itertools.product`` order, packed in base q, and skips the span of
+    rows 0..k-1 (grown by ``_children``); nesting the rows, row 0
+    outermost, is the product order of the flattened matrix restricted
+    to rank u, so no candidate is ranked.  At each prefix of k rows,
+    column j of every allowed row k is cols[j] + R[k][j] q^k, one map
+    per column; the span of all u rows is never built."""
+    q, size = field.q, field.q**n
+    # part[k][j][idx]: entry j of row vector idx, times q^k
+    part = [[[i // q ** (n - 1 - j) % q * q**k for i in range(size)] for j in range(n)] for k in range(u)]
+    multiples = _multiples(field, 0, [q ** (n - 1 - j) for j in range(n)]) if u > 1 else None
+    columns = [[] for _ in range(n)] if u else [[0]] * n
 
     def extend(k, cols, span):
         taken = set(span)
+        allowed = [idx for idx in range(size) if idx not in taken]
         if k == u - 1:
-            factors.extend(
-                tuple(map(int.__add__, cols, t))
-                for idx, t in enumerate(scaled[k])
-                if idx not in taken
-            )
+            for column, c, values in zip(columns, cols, part[k]):
+                column.extend(map(c.__add__, map(values.__getitem__, allowed)))
             return
-        shift = _shifter(field.p, span)
-        for idx, row in enumerate(rows):
-            if idx not in taken:
-                multiples = [_index_of_entries(q, [field.mul(c, v) for v in row]) for c in range(q)]
-                extend(k + 1, tuple(map(int.__add__, cols, scaled[k][idx])),
-                       [y for mult in multiples for y in shift(mult)])
+        children = _children(field.p, [span], map(multiples.__getitem__, allowed))
+        for idx, child in zip(allowed, children):
+            extend(k + 1, [c + values[idx] for c, values in zip(cols, part[k])], child)
 
-    extend(0, (0,) * n, [0])
-    return factors
+    if u:
+        extend(0, [0] * n, [0])
+    return tuple(map(tuple, columns))
 
 
 def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
     """(span table, columns) for every F_q-subspace of dimension <= r of F_q^m.
 
     A rank-u matrix factors uniquely as C * R with C an m x u basis of
-    its column space (fixed per subspace via the RREF representative)
-    and R a full-rank u x n matrix.  The span table lists the q^u
-    elements of F_{q^m} spanned by the columns of C, the element with
-    coefficient digits t_k at index sum t_k q^k.  The factor list of
-    ``_full_rank_factors`` gives, for every R in ``itertools.product``
-    order, the span-table index of each of its columns, so entry j of
-    C * R is span[factor[j]]; ``columns`` is that list transposed, one
-    tuple per entry position j.  It is built once per u and shared by
-    the subspaces of dimension u, which come in ``_iter_rref_matrices``
-    order.  The zero subspace (u = 0) has the span table [0] and one
-    all-zero factor: the zero offset.
+    its column space (its RREF representative) and R a full-rank u x n
+    matrix.  The span table lists the q^u elements of F_{q^m} spanned by
+    the columns of C, the element with coefficient digits t_k at index
+    sum t_k q^k.  ``columns`` is ``_factor_columns``: entry j of C * R,
+    for the i-th R, is span[columns[j][i]].  It is built once per u and
+    shared by the subspaces of dimension u; the zero subspace has the
+    table [0] and one all-zero factor, the zero offset.
+
+    Subspaces come in RREF order: pivot tuple first, then the free
+    entries row-major, the last row fastest.  Row i's candidates depend
+    on the pivots alone, so each candidate list and its q multiples
+    (``_multiples``) are built once per pivot tuple, and tables grow
+    depth first from their parent, the span of the first k rows: each
+    child is the parent shifted by c t_k for c = 0..q-1 (``_children``),
+    the table and order of spanning its basis from scratch row by row.
     """
-    field = ctx.base
-    q = field.q
+    field, m, q = ctx.base, ctx.m, ctx.base.q
     for u in range(r + 1):
-        columns = tuple(zip(*_full_rank_factors(field, u, n)))
-        for basis in _iter_rref_matrices(field, u, ctx.m):
-            span = [0]
-            for row in basis:
-                # the element with coordinates row, constant term first
-                element = _index_of_entries(q, row[::-1])
-                shift = _shifter(field.p, span)
-                span = [y for c in range(q) for y in shift(ctx.scale(c, element))]
-            yield span, columns
+        columns = _factor_columns(field, u, n)
+        for pivots in itertools.combinations(range(m), u):
+            spans = [[0]]
+            for pc in pivots:
+                row = _multiples(field, q**pc, [q**j for j in range(pc + 1, m) if j not in pivots])
+                spans = _children(field.p, spans, row)
+            yield from zip(spans, itertools.repeat(columns))
 
 
 def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
@@ -677,10 +677,10 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
     refuses outright if the ambient space exceeds ``cap``.  Validation
-    is one ``check_element`` per value of each span table, in
-    ``_iter_ball``, so the vectors read off those tables are built by
-    ``_trusted_batch``, one batch per span table, without checking each
-    entry again.
+    is one ``check_element`` per value of each ``_iter_ball_tables``
+    span table, in ``_iter_ball``, so the vectors read off those tables
+    are built by ``_trusted_batch``, one batch per table, without
+    checking each entry again.
     """
     ctx = center.ctx
     n = center.n

@@ -247,6 +247,61 @@ def full_rank_factors_by_filter(field, u, n):
     return out
 
 
+def rref_pivots(rows):
+    """Pivot columns of a matrix over F_q if it is in reduced row echelon
+    form with no zero row, else None: each row's first nonzero entry is
+    a 1, strictly right of the row above, alone in its column."""
+    pivots = []
+    for row in rows:
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None or row[lead] != 1 or (pivots and lead <= pivots[-1]):
+            return None
+        pivots.append(lead)
+    for i, lead in enumerate(pivots):
+        if any(rows[h][lead] for h in range(len(rows)) if h != i):
+            return None
+    return tuple(pivots)
+
+
+def span_tables_by_rref(ctx, u):
+    """The F_q-span table of every u-dimensional subspace of F_q^m, in
+    the order ``_iter_ball_tables`` promises, by filtering all q^(um)
+    u x m matrices for the full-rank RREF ones.
+
+    They are ordered by (pivot tuple, free entries row-major).  Entry
+    sum_k t_k q^k of a table is the element with coordinate j equal to
+    sum_k t_k * rows[k][j], products by ``poly_product_mod`` and sums
+    digit by digit in base p, coordinate j the base-q digit of weight
+    q^j.
+    """
+    base = ctx.base
+    p, q, m = base.p, base.q, ctx.m
+    base_modulus = base.modulus or (0, 1)
+    width = len(base_modulus) - 1
+
+    def add(x, y):
+        return int_undigits([(a + b) % p for a, b in zip(int_digits(x, p, width), int_digits(y, p, width))], p)
+
+    found = []
+    for rows in itertools.product(itertools.product(range(q), repeat=m), repeat=u):
+        pivots = rref_pivots(rows)
+        if pivots is not None:
+            free = [rows[i][j] for i in range(u) for j in range(m) if j > pivots[i] and j not in pivots]
+            found.append(((pivots, free), rows))
+    tables = []
+    for _, rows in sorted(found):
+        table = []
+        for t in range(q**u):
+            coeffs = int_digits(t, q, u)
+            coords = [0] * m
+            for k, c in enumerate(coeffs):
+                for j in range(m):
+                    coords[j] = add(coords[j], poly_product_mod(c, rows[k][j], p, base_modulus))
+            table.append(int_undigits(coords, q))
+        tables.append(table)
+    return tables
+
+
 def far_branch_oracle(code, s, centers, seed):
     """The Monte Carlo far branch by brute force, over a prime base field.
 

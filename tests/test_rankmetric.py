@@ -15,14 +15,24 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import all_matrices, full_rank_factors_by_filter, minor_rank, rank_mod_p, span_rank, xor_rank
+from helpers import (
+    all_matrices,
+    full_rank_factors_by_filter,
+    minor_rank,
+    rank_mod_p,
+    span_rank,
+    span_tables_by_rref,
+    xor_rank,
+)
 from ranklab import rankmetric
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
 from ranklab.rankmetric import (
     RankVector,
-    _full_rank_factors,
+    _factor_columns,
     _iter_ball,
     _iter_ball_tables,
     _shifter,
@@ -539,6 +549,20 @@ def test_enumerate_ball_filter_path():
             assert len(got) == ball_volume(2, 3, 2, r).exact
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_enumerate_ball_is_the_filtered_space(data):
+    q = data.draw(st.sampled_from((2, 3, 4, 5, 9)))
+    m = data.draw(st.sampled_from([m for m in range(1, 13) if q**m <= 2**12]))
+    n = data.draw(st.sampled_from([n for n in range(1, m + 1) if q ** (m * n) <= 2**12]))
+    r = data.draw(st.integers(0, n))
+    ctx = default_context(q, m)
+    center = RankVector(ctx, data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=n, max_size=n)))
+    got = [v.entries for v in enumerate_ball(center, r)]
+    assert len(got) == len(set(got)) == ball_volume(q, m, n, r).exact
+    assert set(got) == {v.entries for v in iter_all_vectors(ctx, n) if rank_distance(v, center) <= r}
+
+
 def test_enumerate_ball_radius_zero():
     ctx = default_context(3, 2)
     center = RankVector(ctx, (4, 7))
@@ -578,9 +602,35 @@ def test_full_rank_factors_match_the_rank_filter():
             for u in range(n + 1):
                 if q ** (u * n) > 2 * 10**5:
                     continue
-                got = _full_rank_factors(field, u, n)
-                assert got == full_rank_factors_by_filter(field, u, n), (q, n, u)
-                assert len(got) == math.prod(q**n - q**i for i in range(u))
+                got = _factor_columns(field, u, n)
+                assert got == tuple(zip(*full_rank_factors_by_filter(field, u, n))), (q, n, u)
+                assert len(got) == n
+                assert len(got[0]) == math.prod(q**n - q**i for i in range(u))
+
+
+def test_ball_tables_match_the_rref_oracle_in_order():
+    # the Monte Carlo neighborhood tie rule reads this order
+    checked = 0
+    for q in (2, 3, 4, 5, 9):
+        field = default_context(q, 1).base
+        columns = {}
+        for m in range(1, 5):
+            ctx = default_context(q, m)
+            spans = {}
+            for n in range(1, m + 1):
+                for r in range(n + 1):
+                    if q ** (r * m) > 2**16:
+                        break
+                    expected = []
+                    for u in range(r + 1):
+                        if u not in spans:
+                            spans[u] = span_tables_by_rref(ctx, u)
+                        if (n, u) not in columns:
+                            columns[n, u] = tuple(zip(*full_rank_factors_by_filter(field, u, n)))
+                        expected += [(span, columns[n, u]) for span in spans[u]]
+                    assert list(_iter_ball_tables(ctx, n, r)) == expected, (q, m, n, r)
+                    checked += 1
+    assert checked == 127
 
 
 def test_ball_tables_rank_no_candidate(monkeypatch):

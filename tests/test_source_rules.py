@@ -335,3 +335,31 @@ def test_only_the_ball_reader_names_the_ball_slot():
         if scope and isinstance(node, ast.Name) and node.id == "_BALL_SLOT"
     }
     assert readers == {"_ball"}
+
+
+def test_every_private_helper_is_used():
+    # a helper that loses its last caller goes with it, so a replaced
+    # kernel cannot linger as dead code; a reference from inside the
+    # helper's own body (recursion) does not count
+    modules = parsed_modules()
+    private = {
+        (path.name, node.name)
+        for path, tree in modules
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = set()
+    for path, tree in modules:
+        for scope, node in scoped_nodes(tree):
+            if isinstance(node, ast.Name):
+                ref = node.id
+            elif isinstance(node, ast.Attribute):
+                ref = node.attr
+            else:
+                continue
+            own = (path.name, ref) in private and scope.split(".")[0] == ref
+            if not own:
+                used.add(ref)
+    assert sorted(f"{module}:{name}" for module, name in private if name not in used) == []
