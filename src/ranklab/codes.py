@@ -23,7 +23,12 @@ from .fields import ExtCtx
 from .rankmetric import (
     RankVector,
     _echelon,
+    _entries_of_index,
+    _index_of_entries,
+    _rank_of_entries,
     _Record,
+    _shifter,
+    _trusted,
     flatten_vector,
     rank_of_vector,
     unflatten_vector,
@@ -196,36 +201,60 @@ def _check_word_cap(code: Code, cap: int) -> None:
         )
 
 
-def enumerate_codewords(code: Code, cap: int = DEFAULT_WORD_CAP):
-    """Yield every codeword once, in a deterministic order."""
-    _check_word_cap(code, cap)
-    if isinstance(code, ExplicitCode):
-        yield from code.words
-        return
+def _fp_basis(code) -> list[int]:
+    """Packed indices of an F_p-basis of a linear or Gabidulin code.
+
+    A Gabidulin code is spanned over F_q by beta * (g_j^(q^i))_j for
+    beta in a basis of F_{q^m} and i < k; over F_p, beta runs over the
+    powers p^e, e < m*s, which are the monomials of the tower.  A linear
+    code's F_q-basis words are scaled by the F_p-basis p^u, u < s, of F_q
+    (an element of F_q has the same code in F_{q^m}).  Each word's
+    scalings come highest power first, as the base-p digits of a message
+    or coefficient code are most significant first.
+    """
     ctx = code.ctx
-    if isinstance(code, LinearCode):
-        if code.k == 0:
-            yield RankVector.zero(ctx, code.n)
-            return
-        q = ctx.base.q
-        basis_entries = [w.entries for w in code.basis]
-        for coeffs in itertools.product(range(q), repeat=code.k):
-            entries = [0] * code.n
-            for c, word in zip(coeffs, basis_entries):
-                if c:
-                    entries = [ctx.add(e, ctx.scale(c, we)) for e, we in zip(entries, word)]
-            yield RankVector(ctx, tuple(entries))
-        return
     if isinstance(code, GabidulinCode):
-        frob = [[ctx.frobenius(g, i) for g in code.points] for i in range(code.k)]
-        for message in itertools.product(range(ctx.order), repeat=code.k):
-            entries = [0] * code.n
-            for i, a in enumerate(message):
-                if a:
-                    entries = [ctx.add(e, ctx.mul(a, f)) for e, f in zip(entries, frob[i])]
-            yield RankVector(ctx, tuple(entries))
-        return
-    raise TypeError(f"not a code object: {code!r}")
+        rows = [[ctx.frobenius(g, i) for g in code.points] for i in range(code.k)]
+        digits = ctx.m * ctx.base.s
+    else:
+        rows, digits = [w.entries for w in code.basis], ctx.base.s
+    powers = [ctx.base.p**e for e in range(digits - 1, -1, -1)]
+    return [_index_of_entries(ctx.order, [ctx.mul(beta, x) for x in row]) for row in rows for beta in powers]
+
+
+def _packed_words(code: Code, cap: int) -> list[int]:
+    """The packed index of every codeword, in ``enumerate_codewords`` order.
+
+    A linear or Gabidulin code is the set of F_p-combinations of its
+    ``_fp_basis``, taken in ``itertools.product`` order of the digits,
+    the first basis word outermost: the basis is read last first, and
+    each word b turns the list L so far into L, b + L, ..., (p - 1)b + L,
+    one ``_shifter`` pass per nonzero digit of each multiple.
+    """
+    if not isinstance(code, (ExplicitCode, LinearCode, GabidulinCode)):
+        raise TypeError(f"not a code object: {code!r}")
+    _check_word_cap(code, cap)
+    order = code.ctx.order
+    if isinstance(code, ExplicitCode):
+        return [_index_of_entries(order, w.entries) for w in code.words]
+    p = code.ctx.base.p
+    width = code.n * code.ctx.m * code.ctx.base.s  # base-p digits of an index
+    words = [0]
+    for b in reversed(_fp_basis(code)):
+        digits = _entries_of_index(p, width, b)
+        multiples = [_index_of_entries(p, [d * c % p for c in digits]) for d in range(p)]
+        words = list(itertools.chain.from_iterable(map(_shifter(p, words), multiples)))
+    return words
+
+
+def enumerate_codewords(code: Code, cap: int = DEFAULT_WORD_CAP):
+    """Yield every codeword once, in a deterministic order: an explicit
+    code's words in turn, a linear code's F_q-combinations and a Gabidulin
+    code's messages in ``itertools.product`` order."""
+    words = _packed_words(code, cap)
+    ctx, n = code.ctx, code.n
+    for w in words:
+        yield _trusted(ctx, _entries_of_index(ctx.order, n, w))
 
 
 def min_rank_distance(code: Code, cap: int = DEFAULT_WORD_CAP) -> int:
@@ -235,27 +264,16 @@ def min_rank_distance(code: Code, cap: int = DEFAULT_WORD_CAP) -> int:
     the ranks of their nonzero words; explicit codes fall back to all
     pairs.
     """
-    if code.size < 2:
+    linear = not isinstance(code, ExplicitCode)
+    words = _packed_words(code, cap) if linear else code.words
+    if len(words) < 2:
         raise ValueError("minimum distance needs at least two codewords")
-    if isinstance(code, (LinearCode, GabidulinCode)):
-        best = None
-        for w in enumerate_codewords(code, cap):
-            if w.entries == (0,) * code.n:
-                continue
-            r = rank_of_vector(w)
-            if best is None or r < best:
-                best = r
-        return best
+    if linear:
+        ctx, n = code.ctx, code.n
+        return min(_rank_of_entries(ctx, _entries_of_index(ctx.order, n, w)) for w in words if w)
     pairs = code.size * (code.size - 1) // 2
     if pairs > cap:
         raise EnumerationCapExceeded(
             f"{pairs} codeword pairs to scan, above the cap of {cap}"
         )
-    words = code.words
-    best = None
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            r = rank_of_vector(words[i] - words[j])
-            if best is None or r < best:
-                best = r
-    return best
+    return min(rank_of_vector(x - y) for x, y in itertools.combinations(words, 2))

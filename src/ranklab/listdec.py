@@ -2,7 +2,9 @@
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
 Three kernels count lists, keyed by packed vector index (``vector_index``:
-base-q^m digits, entry 0 most significant).
+base-q^m digits, entry 0 most significant).  They take the codewords as
+packed indices too, from ``codes._packed_words``; only a rank test and
+the odd-p scatter unpack them, with ``_entries_of_index``.
 
 For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
 is F_{q^m}-linear) the list size at x is the number of offsets b of
@@ -93,7 +95,8 @@ from .codes import (
     GabidulinCode,
     LinearCode,
     _check_word_cap,
-    enumerate_codewords,
+    _fp_basis,
+    _packed_words,
 )
 from .errors import EnumerationCapExceeded
 from .fields import _default_base
@@ -156,10 +159,6 @@ def pigeonhole_loose_form(code_size: int, q: int, m: int, n: int, s: int) -> Fra
     return Fraction(code_size * q ** (s * m), q ** (m * n))
 
 
-def _scan_codewords(code: Code, cap: int) -> list[tuple[int, ...]]:
-    return [w.entries for w in enumerate_codewords(code, cap)]
-
-
 def _count_near(ctx, words, center_entries, s) -> int:
     """Codewords within rank distance s of one center, by direct scan."""
     sub = ctx.sub
@@ -172,7 +171,9 @@ def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM
         raise ValueError("center does not live in the code's ambient space")
     if not 0 <= s <= code.n:
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
-    return _count_near(code.ctx, _scan_codewords(code, cap), center.entries, s)
+    ctx, n = code.ctx, code.n
+    words = [_entries_of_index(ctx.order, n, w) for w in _packed_words(code, cap)]
+    return _count_near(ctx, words, center.entries, s)
 
 
 def _ball_layout(ctx, n: int, s: int):
@@ -369,35 +370,9 @@ def _xor_rows(v: int, pivot_rows) -> int:
     return out
 
 
-def _fp_basis(code) -> list[int]:
-    """Packed indices of an F_p-basis of a linear or Gabidulin code.
-
-    A Gabidulin code is spanned over F_q by beta * (g_j^(q^i))_j for
-    beta in a basis of F_{q^m} and i < k; over F_p, beta runs over the
-    powers p^e, e < m*s, which are the monomials of the tower.  A linear
-    code's F_q-basis words are scaled by the F_p-basis p^u, u < s, of F_q.
-    """
-    ctx = code.ctx
-    order = ctx.order
-    p = ctx.base.p
-    if isinstance(code, GabidulinCode):
-        words = []
-        for i in range(code.k):
-            frob = [ctx.frobenius(g, i) for g in code.points]
-            for e in range(ctx.m * ctx.base.s):
-                words.append([ctx.mul(p**e, f) for f in frob])
-    else:
-        words = [
-            [ctx.scale(p**u, e) for e in w.entries]
-            for w in code.basis
-            for u in range(ctx.base.s)
-        ]
-    return [_index_of_entries(order, w) for w in words]
-
-
 def _scatter(ctx, n: int, s: int, words) -> Counter:
-    """Tally of w + b over codewords w and offsets b of rank <= s: the
-    scatter kernel of the module docstring, keyed by packed index in
+    """Tally of w + b over packed codewords w and offsets b of rank <= s:
+    the scatter kernel of the module docstring, keyed by packed index in
     (codeword, offset) order, offsets in ``_iter_ball`` order.
     """
     order = ctx.order
@@ -405,13 +380,13 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
     tally = Counter()
     if ctx.base.p == 2:
         for w in words:
-            tally.update(map(_index_of_entries(order, w).__xor__, ball.packed))
+            tally.update(map(w.__xor__, ball.packed))
         return tally
     places = [order**j for j in range(n - 1, -1, -1)]
     for w in words:
         reads = [
             map(list(map(place.__mul__, ball.shift(e))).__getitem__, column)
-            for e, place, column in zip(w, places, ball.columns)
+            for e, place, column in zip(_entries_of_index(order, n, w), places, ball.columns)
         ]
         tally.update(map(sum, zip(*reads)))
     return tally
@@ -494,26 +469,26 @@ def _keys(ctx, n: int, s: int, packed, enc: _Encoder) -> list[list]:
 
 
 def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> dict:
-    """The list size at each candidate, in candidate order: the kernel of
-    the module docstring.  With ``probe`` a pair probes the offset set
-    with c - w: c ^ w for p = 2, else the digits of c and -w, reduced."""
+    """The list size at each candidate, in candidate order, for packed
+    codewords: the kernel of the module docstring.  With ``probe`` a pair
+    probes the offset set with c - w: c ^ w for p = 2, else the digits of
+    c and -w, reduced; else it ranks c - w on their entries."""
     order, p = ctx.order, ctx.base.p
-    packed = [_index_of_entries(order, w) for w in words]
     enc = _Encoder(ctx) if keyed or (probe and p > 2) else None
     if not probe:
-        forms = words
+        forms = [_entries_of_index(order, n, w) for w in words]
 
         def counted(cs, near):
             centers = (_entries_of_index(order, n, c) for c in cs)
             return map(_count_near, repeat(ctx), near, centers, repeat(s))
     elif p == 2:
-        offsets, forms = _ball(ctx, n, s).probes(), packed
+        offsets, forms = _ball(ctx, n, s).probes(), words
 
         def counted(cs, near):
             return (len(offsets.intersection(map(c.__xor__, ws))) for c, ws in zip(cs, near))
     else:
         offsets, coords, width = _ball(ctx, n, s).probes(), n * ctx.m, n * ctx.m * ctx.base.s
-        forms = enc.scaled(p - 1, packed, coords)  # the digits of -w
+        forms = enc.scaled(p - 1, words, coords)  # the digits of -w
 
         def counted(cs, near):
             for c, ws in zip(enc.scaled(1, cs, coords), near):
@@ -521,7 +496,7 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
                 yield len(offsets.intersection(map(bytes.translate, diffs, repeat(enc.mod))))
     if keyed:
         reads = []
-        for keys, wanted in zip(_keys(ctx, n, s, packed, enc), _keys(ctx, n, s, list(candidates), enc)):
+        for keys, wanted in zip(_keys(ctx, n, s, words, enc), _keys(ctx, n, s, list(candidates), enc)):
             index = {}
             for key, w in zip(keys, forms):
                 index.setdefault(key, []).append(w)
@@ -548,7 +523,8 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
-    """The list size of every center within rank distance s of some codeword.
+    """The list size of every center within rank distance s of some packed
+    codeword.
 
     Each pair (w, b) of a codeword and an offset of rank <= s adds one to
     the count of center w + b, so the counts sum to |C| * |B_s| and a
@@ -633,7 +609,7 @@ def max_list_size(
             cosets = _CosetKeys(code)
             tally = Counter(cosets.ball(s))
         else:
-            tally = _tally(ctx, n, s, _scan_codewords(code, cap), workers)
+            tally = _tally(ctx, n, s, _packed_words(code, cap), workers)
         best = max(tally.values())
         least = min(key for key, count in tally.items() if count == best)
         # a coset's key is its least index, so this is the least center
@@ -647,8 +623,7 @@ def max_list_size(
     if code.size * bv <= min(neighborhood_cap, cap):
         # every center that sees any codeword at all lives in this tally,
         # so small instances get the true maximum even in this mode
-        words = _scan_codewords(code, cap)
-        tally = _tally(ctx, n, s, words)
+        tally = _tally(ctx, n, s, _packed_words(code, cap))
         candidates = dict.fromkeys(tally)
         candidates.update(draws)
     else:
@@ -666,8 +641,8 @@ def max_list_size(
                     if tally[key] > best:
                         best, best_index = tally[key], x
             return report(best, best_index, tried)
-        words = _scan_codewords(code, cap)
-        candidates = dict.fromkeys(_index_of_entries(order, w) for w in words)
+        words = _packed_words(code, cap)
+        candidates = dict.fromkeys(words)
         candidates.update(draws)
         tally = _near(ctx, n, s, words, candidates, keyed, route == "probe")
     # the first candidate with the largest count

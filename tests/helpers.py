@@ -302,6 +302,33 @@ def span_tables_by_rref(ctx, u):
     return tables
 
 
+def codewords_by_kind(code):
+    """Every codeword's entry tuple, one loop per code kind: an explicit
+    code's words in turn; a linear code's F_q-combinations sum c_i w_i
+    and a Gabidulin code's evaluations sum a_i g^(q^i), each over its
+    coefficients in ``itertools.product`` order, combined entry by entry
+    with ``ExtCtx`` arithmetic."""
+    from ranklab.codes import ExplicitCode, LinearCode
+
+    if isinstance(code, ExplicitCode):
+        return [w.entries for w in code.words]
+    ctx, n = code.ctx, code.n
+    if isinstance(code, LinearCode):
+        rows = [w.entries for w in code.basis]
+        coeffs, times = range(ctx.base.q), ctx.scale
+    else:
+        rows = [[ctx.frobenius(g, i) for g in code.points] for i in range(code.k)]
+        coeffs, times = range(ctx.order), ctx.mul
+    out = []
+    for message in itertools.product(coeffs, repeat=len(rows)):
+        entries = [0] * n
+        for c, row in zip(message, rows):
+            if c:
+                entries = [ctx.add(e, times(c, x)) for e, x in zip(entries, row)]
+        out.append(tuple(entries))
+    return out
+
+
 def far_branch_oracle(code, s, centers, seed):
     """The Monte Carlo far branch by brute force, over a prime base field.
 

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import CHI2_DF15_ALPHA_001
+from helpers import CHI2_DF15_ALPHA_001, codewords_by_kind
 from ranklab.codes import (
     ExplicitCode,
     GabidulinCode,
     LinearCode,
+    _packed_words,
     enumerate_codewords,
     gabidulin,
     gabidulin_encode,
@@ -210,6 +211,43 @@ def test_enumerate_codewords_cap():
     code = gabidulin(ctx, 3, 2)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_codewords(code, cap=63))
+
+
+def reference_codes():
+    """Linear codes of dimension 0 to 3, Gabidulin codes of dimension 1
+    and 2, and explicit codes, over prime and non-prime base fields."""
+    for q, m, n in ((2, 3, 2), (3, 2, 2), (4, 2, 2), (5, 3, 1), (8, 2, 2), (9, 2, 2)):
+        ctx = default_context(q, m)
+        for k in range(4):
+            for seed in range(2):
+                yield sample_random_linear_code(ctx, n, k, seed)
+        for k in range(1, min(n, 2) + 1):
+            yield gabidulin(ctx, n, k)
+        yield gabidulin(ctx, n, 1, points=ctx.basis[m - n :])
+        yield sample_random_code(ctx, n, 7, seed=q)
+
+
+def test_codewords_come_in_the_reference_order():
+    kinds = set()
+    for code in reference_codes():
+        expected = codewords_by_kind(code)
+        assert len(expected) == code.size
+        packed = _packed_words(code, code.size)
+        assert packed == [vector_index(RankVector(code.ctx, w)) for w in expected], code
+        words = list(enumerate_codewords(code))
+        assert [w.entries for w in words] == expected, code
+        assert all(w == RankVector(code.ctx, w.entries) for w in words)
+        kinds.add((type(code).__name__, code.ctx.base.s > 1))
+    assert kinds == {(kind, wide) for kind in ("ExplicitCode", "LinearCode", "GabidulinCode")
+                     for wide in (False, True)}
+
+
+def test_code_functions_refuse_what_is_not_a_code():
+    for thing in (object(), None, RankVector.zero(default_context(2, 2), 2)):
+        with pytest.raises(TypeError, match="not a code object"):
+            list(enumerate_codewords(thing))
+        with pytest.raises(TypeError, match="not a code object"):
+            min_rank_distance(thing)
 
 
 def test_sample_random_code_determinism():

@@ -300,8 +300,7 @@ def test_coset_partition_check_enumerates_no_codeword(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the coset check enumerated codewords or scattered them")
 
-    for module, name in ((codes, "enumerate_codewords"), (listdec, "enumerate_codewords"),
-                         (listdec, "_scatter")):
+    for module, name in ((codes, "_packed_words"), (listdec, "_packed_words"), (listdec, "_scatter")):
         monkeypatch.setattr(module, name, forbidden)
     assert [coset_partition_check(code, s) for code, s in cases] == expected
 

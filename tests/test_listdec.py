@@ -20,6 +20,7 @@ from ranklab import listdec
 from ranklab.codes import (
     ExplicitCode,
     LinearCode,
+    _packed_words,
     enumerate_codewords,
     gabidulin,
     sample_random_code,
@@ -399,8 +400,8 @@ def test_key_filter_counts_every_candidate_like_list_size_at(m, n, monkeypatch):
     sides = set()
     for s in range(n + 1):
         for code in codes_around_the_key_count(ctx, n, s, rng.randrange(1000)):
-            words = [w.entries for w in enumerate_codewords(code)]
-            candidates = dict.fromkeys(vector_index(w) for w in enumerate_codewords(code))
+            words = _packed_words(code, 2**24)
+            candidates = dict.fromkeys(words)
             for _ in range(20):
                 candidates.setdefault(rng.randrange(ctx.order**n), None)
             expected = [list_size_at(code, vector_from_index(ctx, n, c), s) for c in candidates]
@@ -474,9 +475,9 @@ def test_ball_probes_count_like_the_restricted_scatter(monkeypatch):
     ):
         ctx = default_context(q, m)
         code = sample_random_code(ctx, n, size, seed)
-        words = [w.entries for w in code.words]
+        words = _packed_words(code, 2**24)
         rng = random.Random(seed)
-        candidates = dict.fromkeys(vector_index(w) for w in code.words)
+        candidates = dict.fromkeys(words)
         for _ in range(centers):
             candidates.setdefault(rng.randrange(ctx.order**n), None)
         scattered = listdec._scatter(ctx, n, s, words)
@@ -575,7 +576,7 @@ def test_no_kernel_mutates_the_memoized_ball():
         ctx = default_context(q, m)
         listdec._BALL_SLOT.clear()
         code = sample_random_code(ctx, n, 6, seed=q)
-        words = listdec._scan_codewords(code, 2**24)
+        words = _packed_words(code, 2**24)
         candidates = dict.fromkeys(range(0, ctx.order**n, 3))
         listdec._scatter(ctx, n, s, words)
         for keyed in (False, True) if s < n else (False,):
@@ -610,8 +611,8 @@ def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
         codes = [sample_random_code(ctx, n, size, rng.randrange(100)) for size in (3, 9)]
         codes += [sample_random_linear_code(ctx, n, k, rng.randrange(100)) for k in (1, 2)]
         for code in codes:
-            words = listdec._scan_codewords(code, 2**24)
-            candidates = dict.fromkeys(vector_index(w) for w in enumerate_codewords(code))
+            words = _packed_words(code, 2**24)
+            candidates = dict.fromkeys(words)
             for _ in range(30):
                 candidates.setdefault(rng.randrange(ctx.order**n), None)
             for s in range(n + 1):
@@ -715,8 +716,7 @@ def test_linear_sweeps_enumerate_no_codeword_and_start_no_pool(monkeypatch):
         raise AssertionError("a linear sweep enumerated codewords or scattered them")
 
     sizes = []
-    for module, name in ((codes, "enumerate_codewords"), (listdec, "enumerate_codewords"),
-                         (listdec, "_scatter")):
+    for module, name in ((codes, "_packed_words"), (listdec, "_packed_words"), (listdec, "_scatter")):
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     monkeypatch.setattr("os.cpu_count", lambda: 8)
@@ -927,7 +927,7 @@ def test_odd_q_scatter_tally_is_frozen(q, m, n, size, seed, s, centers, digest):
     # per-element ExtCtx.add shift of the ball's span list
     ctx = default_context(q, m)
     code = sample_random_code(ctx, n, size, seed)
-    tally = listdec._scatter(ctx, n, s, listdec._scan_codewords(code, 2**24))
+    tally = listdec._scatter(ctx, n, s, _packed_words(code, 2**24))
     assert len(tally) == centers
     assert sum(tally.values()) == size * ball_volume(q, m, n, s).exact
     text = "\n".join(f"{key}:{count}" for key, count in tally.items())

@@ -263,6 +263,22 @@ def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
     assert "_count_near" in reached
 
 
+def test_codes_alone_knows_how_a_code_is_spanned():
+    # codes builds every codeword and F_p basis: no other module takes a
+    # Frobenius power (fields defines it), and listdec's kernels read the
+    # packed words codes hands them instead of enumerating the code
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            # a name, an attribute, or an imported alias
+            ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if ref == "frobenius" and isinstance(node, ast.Attribute) and path.name not in ("codes.py", "fields.py"):
+                found.append(f"{path.name}:{node.lineno} frobenius")
+            if ref == "enumerate_codewords" and path.name == "listdec.py":
+                found.append(f"{path.name}:{node.lineno} enumerate_codewords")
+    assert found == []
+
+
 def test_only_the_ball_memo_builds_the_ball():
     # every kernel reads the radius-s ball through listdec._ball, which
     # keeps the most recent one: nothing else may lay it out, make the
