@@ -1,7 +1,7 @@
 """List-decodability probes: list sizes at centers, worst-case list
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
-Three kernels count lists, keyed by packed vector index (``vector_index``:
+Four kernels count lists, keyed by packed vector index (``vector_index``:
 base-q^m digits, entry 0 most significant).  They take the codewords as
 packed indices too, from ``codes._packed_words``; only a rank test and
 the odd-p scatter unpack them, with ``_entries_of_index``.
@@ -23,32 +23,52 @@ single index (a Monte Carlo center) is keyed by the same reduction: for
 p = 2 by XORed table reads over eight-bit windows, for odd p by
 clearing its base-p digits row by row.
 
-Explicit codes use the scatter kernel: every codeword w and every offset
-b of rank <= s add one to the tally of the center w + b, so one pass of
-|C| * |B_s| additions gives the list size of every center that sees any
-codeword at all, and the counts sum to |C| * |B_s|, the double count
-behind the pigeonhole floor.  In characteristic 2 entry codes add by
-XOR, and so do packed vectors, so the key of w + b is w ^ b for the
-packed offset b.  For odd q the span tables of the ball, side by side
-in one list, are shifted by each entry of w and scaled by that entry's
-place value, and a key is the sum of n table reads: addition is
-digitwise inside an entry, so no carry crosses an entry boundary.  A
-shift adds one base-p digit of the entry to one digit plane of the list
-at a time, and the planes are split off the list once per ball, so no
-element is added with ``ExtCtx.add``.
-Splitting the codewords over workers sums partial tallies, so reports
-do not depend on the worker count, and exhaustive ties resolve to the
-least packed index, which is the first center in lexicographic order.
+Explicit codes use one of two kernels.  In the scatter kernel every
+codeword w and every offset b of rank <= s add one to the tally of the
+center w + b, so one pass of |C| * |B_s| additions gives the list size
+of every center that sees any codeword at all, and the counts sum to
+|C| * |B_s|, the double count behind the pigeonhole floor.  In
+characteristic 2 entry codes add by XOR, and so do packed vectors, so
+the key of w + b is w ^ b for the packed offset b.  For odd q the span
+tables of the ball, side by side in one list, are shifted by each entry
+of w and scaled by that entry's place value, and a key is the sum of n
+table reads: addition is digitwise inside an entry, so no carry crosses
+an entry boundary.  A shift adds one base-p digit of the entry to one
+digit plane of the list at a time, and the planes are split off the
+list once per ball, so no element is added with ``ExtCtx.add``.
+
+The counter kernel (``_counters``) counts every center of the space at
+once.  The ball is one int with bit x set for each packed offset x
+(``_Ball.bits``).  Adding w is digitwise mod p on the base-p digits of a
+packed index, so for each nonzero digit d of w at place P = p^k the
+offsets whose digit k is below p - d move up by d * P and the others
+down by (p - d) * P: one mask, two shifts.  Each translate is added with
+a ripple carry to bit-sliced counters, slice i holding bit i of every
+center's count.  The maximum is read from the top slice down, and its
+least center is the lowest bit left.
+
+An exhaustive sweep of an explicit code takes the counters when they are
+priced cheaper (``_sweep_route``, in ``_PRICES`` units): per codeword
+about three big-int operations per base-p digit of an index, each over
+q^(mn) bits, plus the ball's bitset, against |C| * |B_s| tally updates
+for the scatter.  So balls that fill a fixed share of the space go to the
+counters, and sparse ones stay with the scatter.  The price depends on
+the call alone, never on what the ball slot holds.  Splitting the
+codewords over workers sums partial tallies, or partial counters by
+ripple carry, so reports do not depend on the worker count, and
+exhaustive ties resolve to the least packed index, which is the first
+center in lexicographic order.
 
 Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
 its packed offsets, for odd p the list of span tables (from
 ``rankmetric._iter_ball_tables``) with its columns and its digit-plane
-shifter, and the set of its offsets once a probe builds it.  The most
-recent ball is kept, under its field, length and radius, so the trials
-of an ensemble, and any other run of calls at one (ctx, n, s), build
-it once.  Memory stays bounded without a setting: the slot holds one
-ball and is emptied before a different one is built, so at most one
-ball is alive at a time, as when each call built its own.
+shifter, the set of its offsets once a probe builds it, and its bitset
+once the counters do.  The most recent ball is kept, under its field,
+length and radius, so the trials of an ensemble, and any other run of
+calls at one (ctx, n, s), build it once.  Memory stays bounded without a
+setting: the slot holds one ball and is emptied before a different one
+is built, so at most one ball is alive at a time, as when each call
+built its own.
 
 Monte Carlo scores the codewords, then ``centers`` random draws; the
 first candidate with the largest count wins.  When |C| * |B_s| <=
@@ -86,8 +106,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import partial
-from itertools import compress, repeat
+from functools import partial, reduce
+from itertools import compress, repeat, zip_longest
 from operator import add, and_, floordiv, mod, mul, rshift, xor
 
 from .codes import (
@@ -207,12 +227,12 @@ class _Ball:
     offsets, in ``_iter_ball`` order (no p = 2 kernel reads the layout);
     for odd p the ``_ball_layout`` and the ``_shifter`` of its values,
     whose digit planes are then split once per ball.  Callers only read
-    it; ``probes`` adds the offset set on first use."""
+    it; ``probes`` adds the offset set on first use, ``bits`` the bitset."""
 
-    __slots__ = ("ctx", "n", "packed", "values", "columns", "shift", "probe_set")
+    __slots__ = ("ctx", "n", "packed", "values", "columns", "shift", "probe_set", "bitset")
 
     def __init__(self, ctx, n: int, values, columns):
-        self.ctx, self.n, self.probe_set = ctx, n, None
+        self.ctx, self.n, self.probe_set, self.bitset = ctx, n, None, None
         if ctx.base.p == 2:
             self.packed = _packed(values, columns, ctx.order)
         else:
@@ -230,6 +250,20 @@ class _Ball:
             digits = _packed(_Encoder(ctx).scaled(1, self.values, ctx.m), self.columns, 256**width)
             self.probe_set = set(map(int.to_bytes, digits, repeat(self.n * width), repeat("big")))
         return self.probe_set
+
+    def bits(self) -> int:
+        """The ball as one int with bit x set for each packed offset x,
+        built on first use; ``_counters`` translates it."""
+        if self.bitset is None:
+            ctx = self.ctx
+            packed = self.packed if ctx.base.p == 2 else _packed(self.values, self.columns, ctx.order)
+            # one '1' per offset in a string of base-2 digits, read by int
+            digits = bytearray(b"0") * ctx.order**self.n
+            for x in packed:
+                digits[x] = 49
+            digits.reverse()
+            self.bitset = int(digits, 2)
+        return self.bitset
 
 
 # the most recent ball under its (ctx, n, s): emptied before a different
@@ -522,6 +556,22 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
+def _split(kernel, ctx, n: int, s: int, words, workers: int):
+    """``kernel(ctx, n, s, part)`` of each part of the packed codewords, in
+    order: one part, or with ``workers`` > 1 consecutive chunks, one per
+    process."""
+    chunks = _pool_size(workers, len(words))
+    if chunks <= 1:
+        yield kernel(ctx, n, s, words)
+        return
+    size = -(-len(words) // chunks)
+    parts = [words[i : i + size] for i in range(0, len(words), size)]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=len(parts)) as ex:
+        yield from ex.map(partial(kernel, ctx, n, s), parts)
+
+
 def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
     """The list size of every center within rank distance s of some packed
     codeword.
@@ -530,22 +580,69 @@ def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
     the count of center w + b, so the counts sum to |C| * |B_s| and a
     center missing from the tally sees no codeword.  Centers are keyed
     by packed index, in order of their first (codeword, offset) pair.
-    With ``workers`` > 1 the codewords are split into consecutive chunks,
-    one per process, whose partial tallies are summed in chunk order,
+    Partial tallies of the ``_split`` chunks are summed in chunk order,
     which gives the same counts in the same key order.
     """
-    chunks = _pool_size(workers, len(words))
-    if chunks <= 1:
-        return _scatter(ctx, n, s, words)
-    size = -(-len(words) // chunks)
-    parts = [words[i : i + size] for i in range(0, len(words), size)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    tally = Counter()
-    with ProcessPoolExecutor(max_workers=len(parts)) as ex:
-        for part in ex.map(partial(_scatter, ctx, n, s), parts):
-            tally.update(part)
+    parts = _split(_scatter, ctx, n, s, words, workers)
+    tally = next(parts)
+    for part in parts:
+        tally.update(part)
     return tally
+
+
+def _counters(ctx, n: int, s: int, words) -> list[int]:
+    """The list size of every center as bit-sliced counters, bit x of
+    slice i being bit i of the count at packed index x: the counter kernel
+    of the module docstring, one translate of the ball's bitset per packed
+    codeword, the offsets in ``below`` moving up."""
+    p, space = ctx.base.p, ctx.order**n
+    ball = _ball(ctx, n, s).bits()
+    full = (1 << space) - 1
+    masks = {}
+    slices = []
+    for w in words:
+        bits, place = ball, 1
+        while w:
+            w, d = divmod(w, p)
+            if d:
+                below = masks.get((place, d))
+                if below is None:
+                    # one period of the pattern, doubled to cover the space
+                    below, period = (1 << (p - d) * place) - 1, p * place
+                    while period < space:
+                        below |= below << period
+                        period *= 2
+                    below = masks[place, d] = below & full
+                low = bits & below
+                bits = low << d * place | (bits ^ low) >> (p - d) * place
+            place *= p
+        for i, old in enumerate(slices):
+            slices[i], bits = old ^ bits, old & bits
+            if not bits:
+                break
+        else:
+            slices.append(bits)
+    return slices
+
+
+def _add_slices(a: list[int], b: list[int]) -> list[int]:
+    """The bit-sliced sum of two sets of ``_counters``, by ripple carry."""
+    out, carry = [], 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        out.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    return out + [carry] if carry else out
+
+
+def _top(slices: list[int]) -> tuple[int, int]:
+    """(the largest count, the least packed index that has it), read from
+    the top slice down: keep the centers of the slice whenever any is left."""
+    centers, best = -1, 0
+    for i in range(len(slices) - 1, -1, -1):
+        top = centers & slices[i]
+        if top:
+            centers, best = top, best | 1 << i
+    return best, (centers & -centers).bit_length() - 1
 
 
 def max_list_size(
@@ -574,7 +671,7 @@ def max_list_size(
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
         workers: process count, >= 1, for splitting the codewords of an
-            explicit code's exhaustive tally; the report is identical for
+            explicit code's exhaustive sweep; the report is identical for
             any worker count.
 
     Returns:
@@ -609,7 +706,11 @@ def max_list_size(
             cosets = _CosetKeys(code)
             tally = Counter(cosets.ball(s))
         else:
-            tally = _tally(ctx, n, s, _packed_words(code, cap), workers)
+            words = _packed_words(code, cap)
+            if _sweep_route(ctx, n, s, code.size) == "counters":
+                slices = reduce(_add_slices, _split(_counters, ctx, n, s, words, workers))
+                return report(*_top(slices), space)
+            tally = _tally(ctx, n, s, words, workers)
         best = max(tally.values())
         least = min(key for key, count in tally.items() if count == best)
         # a coset's key is its least index, so this is the least center
@@ -650,9 +751,13 @@ def max_list_size(
     return report(tally[best_key], best_key, len(candidates))
 
 
-# CPython time per far-route step in about 0.1 us, (p = 2, odd p), fitted on
+# CPython time per step in about 0.1 us, (p = 2, odd p), fitted on
 # in-process timings of each route
 _PRICES = {
+    "pair": (2, 5),  # one (codeword, offset) count of the scatter tally
+    "op": (2, 5),  # one big-int operation of the counters
+    "kb": (3, 5),  # and per KB of the space's bitset
+    "bit": (1, 4),  # one ball offset set in its bitset; odd p packs it first
     "coset": (2, 12),  # the coset key of a ball offset, in the byte slots
     "center": (15, None),  # the coset key of a random center; odd p reduces its digits, priced as a rank
     "key": (3, 4),  # one dependency key of a candidate
@@ -691,6 +796,18 @@ def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, li
         )
     route = min(costs, key=costs.get)
     return route, keyed and route != "coset"
+
+
+def _sweep_route(ctx, n: int, s: int, size: int) -> str:
+    """The cheaper exhaustive kernel for an explicit code of ``size`` words,
+    "counters" or "scatter", as the module docstring prices them."""
+    p, space = ctx.base.p, ctx.order**n
+    price = {step: cost[p > 2] for step, cost in _PRICES.items()}
+    bv = _ball_size(ctx.base.q, ctx.m, n, s)
+    op = price["op"] + price["kb"] * space // 8192
+    digits = n * ctx.m * ctx.base.s
+    counters = size * 3 * digits * op + 10 * op + bv * price["bit"]
+    return "counters" if counters < size * bv * price["pair"] else "scatter"
 
 
 def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:

@@ -140,12 +140,57 @@ def test_exhaustive_extremes():
     assert max_list_size(code, code.n).l_max == code.size
 
 
-def test_worker_partitioning_is_invisible():
+def test_worker_partitioning_is_invisible(monkeypatch):
+    # real processes on both exhaustive routes: partial tallies summed, and
+    # bit-sliced counters added by ripple carry
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
+    routes = spy(monkeypatch, "_sweep_route", result=True)
     solo = max_list_size(code, 1, workers=1)
-    multi = max_list_size(code, 1, workers=3)
-    assert solo == multi
+    assert max_list_size(code, 1, workers=3) == solo
+    monkeypatch.setitem(listdec._PRICES, "pair", (0, 0))
+    assert max_list_size(code, 1, workers=3) == solo
+    assert [route for *_, route in routes] == ["counters", "counters", "scatter"]
+
+
+def forced_sweeps(code, s):
+    """The exhaustive report of an explicit code on each route, forced by
+    its price, with one process and with the codewords in two chunks."""
+    reports = {}
+    sizes = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+        patched.setattr("os.cpu_count", lambda: 2)
+        routes = spy(patched, "_sweep_route", result=True)
+        for route, price in (("scatter", (0, 0)), ("counters", (10**9, 10**9))):
+            patched.setitem(listdec._PRICES, "pair", price)
+            reports[route] = max_list_size(code, s)
+            reports[route, 2] = max_list_size(code, s, workers=2)
+            assert [taken for *_, taken in routes[-2:]] == [route, route]
+    assert sizes == ([2, 2] if code.size > 1 else [])
+    return reports
+
+
+SWEEP_SHAPES = ((2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 2, 2), (4, 2, 2), (5, 2, 2), (9, 2, 1))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_both_exhaustive_routes_report_like_brute_force(data):
+    # ties are the rule here: every word ties at s = 0 and every center at
+    # s = n, so the least-index rule decides most examples
+    q, m, n = data.draw(st.sampled_from(SWEEP_SHAPES), label="shape")
+    ctx = default_context(q, m)
+    space = ctx.order**n
+    indices = st.lists(st.integers(0, space - 1), min_size=1, max_size=10, unique=True)
+    picked = data.draw(indices, label="words")
+    code = ExplicitCode(ctx, n, [vector_from_index(ctx, n, i) for i in picked])
+    for s in range(n + 1):
+        reports = forced_sweeps(code, s)
+        assert len(set(reports.values())) == 1
+        report = reports["counters"]
+        assert (report.l_max, vector_index(report.argmax_center)) == brute_force_report(code, s)
+        assert report.exhaustive and report.centers_tried == space
 
 
 def test_worker_partitioning_is_invisible_under_ties_q3():
@@ -524,15 +569,22 @@ def memo_calls():
                 yield from (((ctx, n, s), call) for call in calls)
 
 
-def test_back_to_back_and_interleaved_calls_report_like_a_cold_start():
+def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch):
     calls = list(memo_calls())
+    routes = spy(monkeypatch, "_sweep_route", result=True)
     cold = []
     for _, call in calls:
         listdec._BALL_SLOT.clear()
         cold.append(call())
-    # back to back: each call twice, every run of one key in a row
+    cold_routes = list(routes)
+    assert {route for *_, route in cold_routes} == {"scatter", "counters"}
+    # back to back: each call twice, every run of one key in a row, and an
+    # exhaustive sweep takes the route it took cold also when the slot holds
+    # its ball and the ball's bitset
     listdec._BALL_SLOT.clear()
+    del routes[:]
     assert [(call(), call()) for _, call in calls] == [(r, r) for r in cold]
+    assert routes == [call for call in cold_routes for _ in range(2)]
     # interleaved: consecutive calls mostly at different (ctx, n, s)
     order = list(range(len(calls)))
     random.Random(3).shuffle(order)
@@ -579,6 +631,7 @@ def test_no_kernel_mutates_the_memoized_ball():
         words = _packed_words(code, 2**24)
         candidates = dict.fromkeys(range(0, ctx.order**n, 3))
         listdec._scatter(ctx, n, s, words)
+        listdec._counters(ctx, n, s, words)
         for keyed in (False, True) if s < n else (False,):
             listdec._near(ctx, n, s, words, candidates, keyed, True)
         for linear in (sample_random_linear_code(ctx, n, 1, seed=q), gabidulin(ctx, n, 1)):
@@ -589,8 +642,11 @@ def test_no_kernel_mutates_the_memoized_ball():
         listdec._BALL_SLOT.clear()
         fresh = listdec._ball(ctx, n, s)
         assert fresh is not memo
-        # the offset set is built once per ball and kept with it
+        # the offset set and the bitset are built once per ball and kept with it
         assert memo.probes() is memo.probes() and memo.probes() == fresh.probes()
+        assert memo.bitset is not None  # left by the counter run
+        assert memo.bits() is memo.bits() and memo.bits() == fresh.bits()
+        assert memo.bits() == sum(1 << vector_index(b) for b in enumerate_ball(RankVector.zero(ctx, n), s))
         if q == 2:
             assert memo.packed == fresh.packed
         else:

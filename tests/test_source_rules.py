@@ -282,21 +282,26 @@ def test_codes_alone_knows_how_a_code_is_spanned():
 def test_only_the_ball_memo_builds_the_ball():
     # every kernel reads the radius-s ball through listdec._ball, which
     # keeps the most recent one: nothing else may lay it out, make the
-    # record that packs it, or fill its offset set, and in listdec only
-    # the layout enumerates the span tables
+    # record that packs it, or fill its offset set or its bitset, and in
+    # listdec only the layout enumerates the span tables
     builders = {
         "_ball_layout": {"listdec.py:_ball"},
         "_Ball": {"listdec.py:_ball"},
-        "_packed": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes"},
+        "_packed": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes", "listdec.py:_Ball.bits"},
         "_iter_ball_tables": {"listdec.py:_ball_layout"},
+    }
+    # each lazily built part of the ball is written only where it is built
+    writers = {
+        "probe_set": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes"},
+        "bitset": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.bits"},
     }
     found = []
     for path, tree in parsed_modules():
         for scope, node in scoped_nodes(tree):
             where = f"{path.name}:{scope}"
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-                if node.attr == "probe_set" and where not in builders["_packed"]:
-                    found.append(f"{where}:{node.lineno} probe_set written")
+                if node.attr in writers and where not in writers[node.attr]:
+                    found.append(f"{where}:{node.lineno} {node.attr} written")
             if not isinstance(node, (ast.Name, ast.Attribute)):
                 continue
             ref = node.id if isinstance(node, ast.Name) else node.attr
