@@ -28,7 +28,7 @@ from .rankmetric import (
     _rank_of_entries,
     _Record,
     _shifter,
-    _trusted,
+    _trusted_batch,
     flatten_vector,
     rank_of_vector,
     unflatten_vector,
@@ -253,8 +253,9 @@ def enumerate_codewords(code: Code, cap: int = DEFAULT_WORD_CAP):
     code's messages in ``itertools.product`` order."""
     words = _packed_words(code, cap)
     ctx, n = code.ctx, code.n
-    for w in words:
-        yield _trusted(ctx, _entries_of_index(ctx.order, n, w))
+    entries = (_entries_of_index(ctx.order, n, w) for w in words)
+    while batch := list(itertools.islice(entries, 1024)):
+        yield from _trusted_batch(ctx, batch)
 
 
 def min_rank_distance(code: Code, cap: int = DEFAULT_WORD_CAP) -> int:

@@ -26,11 +26,16 @@ file headers:
 
 with decimal little-endian coefficients; the d_i are F_q element codes.
 
-Both levels share one routine per job: ``_poly_mul``, ``_poly_mod`` and
-``_poly_powmod`` are the only polynomial product, remainder and power
-(Ben-Or's test and the untabulated ``mul``, ``inv`` and ``pow`` of both
-classes run on them), and ``_log_tables`` is the only primitive-element
-search and log/antilog builder.
+Both levels share one routine per job.  ``FieldCtx`` and ``ExtCtx``
+derive from ``_Residues``, which writes the element check, addition,
+the untabulated product and power, modulus selection and equality once.
+``_poly_mul``, ``_poly_mod`` and ``_poly_powmod`` are the only polynomial
+product, remainder and power, ``_log_tables`` the only primitive-element
+search and log/antilog builder, and ``_prime_factors`` the only trial
+division.  The table strategies differ on purpose: the base field's
+tuple table is the fast path of every elimination, and the extension's
+log is a dict, so a bad code raises ``KeyError`` where a tuple index
+would wrap -1.
 
 A context's field (its moduli, equality and hash) is fixed once built,
 and contexts are safe to share across threads and forked workers.
@@ -54,39 +59,8 @@ _EXT_LOG_LIMIT = 2**16
 _MAX_EXT_ORDER = 2**32
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def split_prime_power(q: int) -> tuple[int, int]:
-    """Write q as p^s with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"not a prime power: {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    s = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
-        s += 1
-    if rest != 1:
-        raise ValueError(f"not a prime power: {q}")
-    return p, s
-
-
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n, ascending; none for n < 2."""
     out = []
     d = 2
     while d * d <= n:
@@ -98,6 +72,21 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def split_prime_power(q: int) -> tuple[int, int]:
+    """Write q as p^s with p prime, or raise ValueError."""
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"not a prime power: {q}")
+    p, s = factors[0], 1
+    while p**s < q:
+        s += 1
+    return p, s
 
 
 def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
@@ -281,7 +270,80 @@ def _log_tables(order: int, mul, power, add, missing="no primitive element found
     return exp, log
 
 
-class FieldCtx:
+class _Residues:
+    """What both tower levels share, each job written once.
+
+    Elements are residue polynomials of degree below ``_deg`` over the
+    coefficient field ``_coef``, coded in base ``_coef.q`` and reduced by
+    the monic irreducible ``_mod``; a prime field has neither and works
+    mod ``_char``.  ``_key`` (the level, what it is built over, the degree
+    and the modulus) decides equality and hash.
+    """
+
+    def __init__(self, over, coef, deg: int, modulus, label: str, name: str):
+        # ``over`` is p for F_q and the base field for F_{q^m}; ``label``
+        # and ``name`` name the field and its modulus in errors
+        self._coef, self._deg, self._label = coef, deg, label
+        if coef is None:
+            self._char = self._size = over
+        else:
+            self._char, self._size = coef.p, coef.q**deg
+            if modulus is None:
+                modulus = _first_irreducible(coef, deg)
+            else:
+                modulus = tuple(int(c) for c in modulus)
+                if len(modulus) != deg + 1 or modulus[deg] != 1:
+                    raise ValueError(f"{name} must be monic of degree {deg}")
+                for c in modulus:
+                    coef.check_element(c)
+                if not _is_irreducible(modulus, coef):
+                    raise ValueError(f"{name} {modulus} is reducible over F_{coef.q}")
+        self._mod = modulus
+        self._key = (type(self), over, deg, modulus)
+
+    def check_element(self, a: int) -> int:
+        if not isinstance(a, int) or not 0 <= a < self._size:
+            raise ValueError(f"not an {self._label} element code: {a!r}")
+        return a
+
+    def elements(self):
+        return range(self._size)
+
+    def add(self, a: int, b: int) -> int:
+        if self._mod is None:
+            return (a + b) % self._char
+        # digitwise base-p addition covers every tower level at once
+        return _digitwise_mod_p(a, b, self._char, 1)
+
+    def sub(self, a: int, b: int) -> int:
+        if self._mod is None:
+            return (a - b) % self._char
+        return _digitwise_mod_p(a, b, self._char, -1)
+
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
+
+    def _mul_generic(self, a: int, b: int) -> int:
+        if self._mod is None:
+            return (a * b) % self._char
+        coef, deg = self._coef, self._deg
+        prod = _poly_mul(_digits(a, coef.q, deg), _digits(b, coef.q, deg), coef)
+        return _undigits(_poly_mod(prod, self._mod, coef), coef.q)
+
+    def _pow_generic(self, a: int, e: int) -> int:
+        if self._mod is None:
+            return pow(a, e, self._char)
+        coef = self._coef
+        return _undigits(_poly_powmod(_digits(a, coef.q, self._deg), e, self._mod, coef), coef.q)
+
+    def __eq__(self, other):
+        return isinstance(other, _Residues) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+class FieldCtx(_Residues):
     """Arithmetic for F_q with q = p^s on integer element codes.
 
     For s = 1 the modulus is None and arithmetic is mod p.  For s > 1
@@ -294,27 +356,14 @@ class FieldCtx:
             raise ValueError(f"p must be prime, got {p}")
         if s < 1:
             raise ValueError(f"s must be a positive integer, got {s}")
+        if s == 1 and modulus is not None:
+            raise ValueError("modulus is only meaningful for s > 1")
         self.p = p
         self.s = s
         self.q = p**s
-        if s == 1:
-            if modulus is not None:
-                raise ValueError("modulus is only meaningful for s > 1")
-            self.modulus = None
-        else:
-            # the prime subfield, over which the residue polynomials multiply
-            self._prime = prime = FieldCtx(p)
-            if modulus is None:
-                modulus = _first_irreducible(prime, s)
-            else:
-                modulus = tuple(int(c) for c in modulus)
-                if len(modulus) != s + 1 or modulus[s] != 1:
-                    raise ValueError("modulus must be monic of degree s")
-                if any(not 0 <= c < p for c in modulus):
-                    raise ValueError("modulus coefficients out of range")
-                if not _is_irreducible(modulus, prime):
-                    raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-            self.modulus = modulus
+        # for s > 1 the residue polynomials multiply over the prime subfield
+        super().__init__(p, FieldCtx(p) if s > 1 else None, s, modulus, f"F_{self.q}", "modulus")
+        self.modulus = self._mod
         self._mul_table = None
         self._inv_table = None
         if self.q <= _BASE_TABLE_LIMIT:
@@ -331,41 +380,6 @@ class FieldCtx:
         self._mul_table = ((0,) * q, *((0, *map(exp[i : i + period].__getitem__, logs)) for i in logs))
         self._inv_table = (0, *(exp[period - i] for i in logs))
 
-    # -- element arithmetic -------------------------------------------------
-
-    def check_element(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"not an F_{self.q} element code: {a!r}")
-        return a
-
-    def elements(self):
-        return range(self.q)
-
-    def add(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a + b) % self.p
-        return _digitwise_mod_p(a, b, self.p, 1)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a - b) % self.p
-        return _digitwise_mod_p(a, b, self.p, -1)
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
-
-    def _mul_generic(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a * b) % self.p
-        p, s = self.p, self.s
-        prod = _poly_mul(_digits(a, p, s), _digits(b, p, s), self._prime)
-        return _undigits(_poly_mod(prod, self.modulus, self._prime), p)
-
-    def _pow_generic(self, a: int, e: int) -> int:
-        if self.s == 1:
-            return pow(a, e, self.p)
-        return _undigits(_poly_powmod(_digits(a, self.p, self.s), e, self.modulus, self._prime), self.p)
-
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
@@ -378,22 +392,13 @@ class FieldCtx:
             return self._inv_table[a]
         return self._pow_generic(a, self.q - 2)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx)
-            and (self.p, self.s, self.modulus) == (other.p, other.s, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((FieldCtx, self.p, self.s, self.modulus))
-
     def __repr__(self):
         if self.s == 1:
             return f"FieldCtx(p={self.p})"
         return f"FieldCtx(p={self.p}, s={self.s}, modulus={self.modulus})"
 
 
-class ExtCtx:
+class ExtCtx(_Residues):
     """F_{q^m} over a base FieldCtx, in the polynomial basis (1, x, ..., x^(m-1))."""
 
     def __init__(self, base: FieldCtx, m: int, ext_modulus=None):
@@ -407,17 +412,8 @@ class ExtCtx:
         self.base = base
         self.m = m
         self.order = order
-        if ext_modulus is None:
-            ext_modulus = _first_irreducible(base, m)
-        else:
-            ext_modulus = tuple(int(c) for c in ext_modulus)
-            if len(ext_modulus) != m + 1 or ext_modulus[m] != 1:
-                raise ValueError("ext_modulus must be monic of degree m")
-            for c in ext_modulus:
-                base.check_element(c)
-            if not _is_irreducible(ext_modulus, base):
-                raise ValueError(f"ext_modulus {ext_modulus} is reducible over F_{base.q}")
-        self.ext_modulus = ext_modulus
+        super().__init__(base, base, m, ext_modulus, f"F_{base.q}^{m}", "ext_modulus")
+        self.ext_modulus = self._mod
         self.basis = tuple(base.q**i for i in range(m))
         # log/antilog tables, built by the first mul, inv or pow that needs them
         self._exp = None
@@ -434,20 +430,12 @@ class ExtCtx:
         """
         log = self._log
         if log is None and self.order <= _EXT_LOG_LIMIT:
-            exp, log = _log_tables(self.order, self._mul_reduce, self._pow_generic, self.add)
+            exp, log = _log_tables(self.order, self._mul_generic, self._pow_generic, self.add)
             self._exp = tuple(exp)
             self._log = log
         return log
 
     # -- element codec ------------------------------------------------------
-
-    def check_element(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise ValueError(f"not an F_{self.base.q}^{self.m} element code: {a!r}")
-        return a
-
-    def elements(self):
-        return range(self.order)
 
     def ext_to_vec(self, a: int) -> tuple[int, ...]:
         """Coordinates of ``a`` on the polynomial basis, constant term first."""
@@ -462,16 +450,6 @@ class ExtCtx:
         return _undigits(coords, self.base.q)
 
     # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        # digitwise base-p addition covers both tower levels at once
-        return _digitwise_mod_p(a, b, self.base.p, 1)
-
-    def sub(self, a: int, b: int) -> int:
-        return _digitwise_mod_p(a, b, self.base.p, -1)
-
-    def neg(self, a: int) -> int:
-        return self.sub(0, a)
 
     def scale(self, c: int, a: int) -> int:
         """c * a for c in the base field: each coordinate of a times c.
@@ -492,22 +470,13 @@ class ExtCtx:
             place *= q
         return out
 
-    def _mul_reduce(self, a: int, b: int) -> int:
-        q, m = self.base.q, self.m
-        prod = _poly_mul(_digits(a, q, m), _digits(b, q, m), self.base)
-        return _undigits(_poly_mod(prod, self.ext_modulus, self.base), q)
-
-    def _pow_generic(self, a: int, e: int) -> int:
-        q, m = self.base.q, self.m
-        return _undigits(_poly_powmod(_digits(a, q, m), e, self.ext_modulus, self.base), q)
-
     # ``_log or _log_table()`` skips a call once the tables exist; a bad
     # code is then a KeyError from the log map, where a list would wrap -1
 
     def mul(self, a: int, b: int) -> int:
         log = self._log or self._log_table()
         if log is None:
-            return self._mul_reduce(a, b)
+            return self._mul_generic(a, b)
         if a == 0 or b == 0:
             return 0
         return self._exp[(log[a] + log[b]) % (self.order - 1)]
@@ -548,16 +517,6 @@ class ExtCtx:
             head = f"{base.p}^{base.s}:" + ",".join(str(c) for c in base.modulus)
         tail = f"{self.m}:" + ",".join(str(c) for c in self.ext_modulus)
         return head + "/" + tail
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtCtx)
-            and self.base == other.base
-            and (self.m, self.ext_modulus) == (other.m, other.ext_modulus)
-        )
-
-    def __hash__(self):
-        return hash((ExtCtx, self.base, self.m, self.ext_modulus))
 
     def __repr__(self):
         return f"ExtCtx({self.descriptor()!r})"

@@ -57,7 +57,9 @@ the call alone, never on what the ball slot holds.  Splitting the
 codewords over workers sums partial tallies, or partial counters by
 ripple carry, so reports do not depend on the worker count, and
 exhaustive ties resolve to the least packed index, which is the first
-center in lexicographic order.
+center in lexicographic order.  After that merge every exhaustive sweep
+checks its double count against |B_s| from the shell counts
+(``_double_count``).
 
 Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
 its packed offsets, for odd p the list of span tables (from
@@ -645,6 +647,13 @@ def _top(slices: list[int]) -> tuple[int, int]:
     return best, (centers & -centers).bit_length() - 1
 
 
+def _double_count(kernel: str, total: int, expected: int) -> None:
+    """Refuse a sweep whose counts do not sum to their closed form: |C| *
+    |B_s| for the scatter and the counters, |B_s| for the coset tally."""
+    if total != expected:
+        raise RuntimeError(f"{kernel} counts sum to {total}, not {expected}")
+
+
 def max_list_size(
     code: Code,
     s: int,
@@ -696,6 +705,7 @@ def max_list_size(
         center = vector_from_index(ctx, n, index)
         return ListReport(s, best, center, mode == "exhaustive", tried, lb)
 
+    bv = _ball_size(ctx.base.q, ctx.m, n, s)
     if mode == "exhaustive":
         if space > cap:
             raise EnumerationCapExceeded(
@@ -705,12 +715,16 @@ def max_list_size(
             # the list size at x is the number of offsets in the coset of x
             cosets = _CosetKeys(code)
             tally = Counter(cosets.ball(s))
+            _double_count("coset tally", sum(tally.values()), bv)
         else:
             words = _packed_words(code, cap)
             if _sweep_route(ctx, n, s, code.size) == "counters":
                 slices = reduce(_add_slices, _split(_counters, ctx, n, s, words, workers))
+                total = sum(x.bit_count() << i for i, x in enumerate(slices))
+                _double_count("counters", total, code.size * bv)
                 return report(*_top(slices), space)
             tally = _tally(ctx, n, s, words, workers)
+            _double_count("scatter tally", sum(tally.values()), code.size * bv)
         best = max(tally.values())
         least = min(key for key, count in tally.items() if count == best)
         # a coset's key is its least index, so this is the least center
@@ -718,7 +732,6 @@ def max_list_size(
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     _check_word_cap(code, cap)
-    bv = _ball_size(ctx.base.q, ctx.m, n, s)
     rng = make_rng(seed)
     draws = dict.fromkeys([rng.randrange(space) for _ in range(centers)])
     if code.size * bv <= min(neighborhood_cap, cap):

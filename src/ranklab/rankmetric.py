@@ -124,8 +124,8 @@ class RankVector(_Record):
 
     A slotted ``_Record`` of the two fields ``ctx`` and ``entries``: no
     ``__dict__``.  ``__init__`` checks 1 <= n <= m and every entry, and a
-    pickle or copy is rebuilt through it; ``_trusted`` and
-    ``_trusted_batch`` are the only paths that skip that check.
+    pickle or copy is rebuilt through it; ``_trusted_batch`` is the only
+    path that skips that check.
     """
 
     __slots__ = ("ctx", "entries")
@@ -229,25 +229,15 @@ def vector_from_index(ctx: ExtCtx, n: int, idx: int) -> RankVector:
     return RankVector(ctx, _entries_of_index(ctx.order, n, idx))
 
 
-def _trusted(ctx: ExtCtx, entries: tuple[int, ...]) -> RankVector:
-    """A ``RankVector`` of entries the caller has already validated.
-
-    One of the two unchecked construction paths, with ``_trusted_batch``:
-    it skips ``RankVector.__init__`` and sets the two slots directly, so
-    ``entries`` must be a tuple of 1 to m valid element codes.
-    """
-    v = object.__new__(RankVector)
-    RankVector.ctx.__set__(v, ctx)
-    RankVector.entries.__set__(v, entries)
-    return v
-
-
 def _trusted_batch(ctx: ExtCtx, batch: list[tuple[int, ...]]) -> list[RankVector]:
-    """``_trusted`` over a list of validated entry tuples, in order.
+    """``RankVector``s of entry tuples the caller has already validated.
 
-    The vectors are allocated in one ``map`` over ``object.__new__`` and
-    their two slots filled by two more, each drained by a zero-length
-    ``deque``, so the per-vector work runs in C with no Python frame.
+    The one unchecked construction path, in order: it skips
+    ``RankVector.__init__`` and sets the two slots directly, so each tuple
+    must hold 1 to m valid element codes.  The vectors are allocated in
+    one ``map`` over ``object.__new__`` and their two slots filled by two
+    more, each drained by a zero-length ``deque``, so the per-vector work
+    runs in C with no Python frame.
     """
     k = len(batch)
     vectors = list(map(object.__new__, itertools.repeat(RankVector, k)))
@@ -261,8 +251,9 @@ def iter_all_vectors(ctx: ExtCtx, n: int):
     if not 1 <= n <= ctx.m:
         raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
     # entries drawn from range(order) are valid by construction
-    for entries in itertools.product(range(ctx.order), repeat=n):
-        yield _trusted(ctx, entries)
+    entries = itertools.product(range(ctx.order), repeat=n)
+    while batch := list(itertools.islice(entries, 1024)):
+        yield from _trusted_batch(ctx, batch)
 
 
 def _xor_basis(masks) -> dict[int, int]:

@@ -166,7 +166,7 @@ def test_f81_pairwise_checks():
     elements = list(f81.elements())
     for a, b in itertools.product(elements, repeat=2):
         assert f81.mul(a, b) == f81.mul(b, a)
-        assert f81.mul(a, b) == f81._mul_reduce(a, b)
+        assert f81.mul(a, b) == f81._mul_generic(a, b)
     for a in elements[1:]:
         assert f81.mul(a, f81.inv(a)) == 1
 
@@ -321,6 +321,25 @@ def test_context_equality_and_identity_cache():
     assert a != b
 
 
+def test_equality_keys_hold_the_level_the_field_below_and_every_modulus():
+    # both degree-1 default moduli are (0, 1), so only the characteristic
+    # tells F_2 from F_3; listdec keys its ball slot by context
+    assert FieldCtx(2) != FieldCtx(3)
+    assert default_context(2, 1).ext_modulus == default_context(3, 1).ext_modulus
+    assert default_context(2, 1) != default_context(3, 1)
+    assert FieldCtx(2, 2) != ExtCtx(FieldCtx(2), 2, (1, 1, 1))
+    builds = (
+        lambda: FieldCtx(3),
+        lambda: FieldCtx(3, 2),
+        lambda: ExtCtx(FieldCtx(2), 3),
+        lambda: ExtCtx(FieldCtx(2, 2), 2, (2, 1, 1)),
+    )
+    for build in builds:
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
 def test_extension_order_guard():
     with pytest.raises(InfeasibleError):
         ExtCtx(FieldCtx(2), 33)
@@ -413,7 +432,7 @@ def test_base_tables_refuse_a_product_whose_powers_repeat(monkeypatch):
 
 def test_extension_tables_refuse_a_product_whose_powers_repeat(monkeypatch):
     ctx = ExtCtx(FieldCtx(2), 4, (1, 1, 0, 0, 1))
-    monkeypatch.setattr(ExtCtx, "_mul_reduce", broken_product(ExtCtx._mul_reduce))
+    monkeypatch.setattr(ExtCtx, "_mul_generic", broken_product(ExtCtx._mul_generic))
     with pytest.raises(RuntimeError):
         ctx.mul(3, 5)
     assert ctx._log is None and ctx._exp is None
@@ -525,10 +544,10 @@ def test_extension_tables_are_built_on_first_mul():
         assert ctx._log is None
         rng = random.Random(20261018)
         pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(200)]
-        assert ctx.mul(*pairs[0]) == ctx._mul_reduce(*pairs[0])
+        assert ctx.mul(*pairs[0]) == ctx._mul_generic(*pairs[0])
         assert ctx._log is not None
         for a, b in pairs:
-            assert ctx.mul(a, b) == ctx._mul_reduce(a, b)
+            assert ctx.mul(a, b) == ctx._mul_generic(a, b)
         for _ in range(50):
             a, e = rng.randrange(1, ctx.order), rng.randrange(ctx.order)
             assert ctx.inv(a) == ctx._pow_generic(a, ctx.order - 2)
@@ -548,7 +567,7 @@ def test_inv_and_pow_build_the_tables_too():
         assert ctx._log is not None
     # above the table limit, using the field never builds them
     big = ExtCtx(FieldCtx(2), 17)
-    assert big.mul(5, 7) == big._mul_reduce(5, 7)
+    assert big.mul(5, 7) == big._mul_generic(5, 7)
     assert big.inv(7) == big._pow_generic(7, big.order - 2)
     assert big.pow(7, 100) == big._pow_generic(7, 100)
     assert big.frobenius(7, 2) == big._pow_generic(7, 4)
@@ -561,7 +580,7 @@ def test_concurrent_first_mul_gives_identical_results():
     ctx = ExtCtx(FieldCtx(2), 12)
     rng = random.Random(12)
     pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(300)]
-    expected = [ctx._mul_reduce(a, b) for a, b in pairs]
+    expected = [ctx._mul_generic(a, b) for a, b in pairs]
     assert ctx._log is None
     barrier = threading.Barrier(4)
     results = [None] * 4

@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,55 @@ def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: cpus)
         assert max_list_size(code, 1, workers=100000) == solo
         assert sizes == expected
+
+
+def short_ball(monkeypatch):
+    """Build every ball from here on one offset short, its last offset
+    dropped from each entry column; ``_ball_size`` is left as it is."""
+    layout = listdec._ball_layout
+
+    def short(ctx, n, s):
+        values, columns = layout(ctx, n, s)
+        return values, [column[:-1] for column in columns]
+
+    monkeypatch.setattr(listdec, "_ball_layout", short)
+    monkeypatch.setattr(listdec, "_BALL_SLOT", {})
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatch):
+    # each route's counts must sum to |B_s| (coset tally) or |C| * |B_s|
+    ctx = default_context(q, 2)
+    linear = sample_random_linear_code(ctx, 2, 1, seed=1)
+    explicit = sample_random_code(ctx, 2, 4, seed=1)
+    routes = spy(monkeypatch, "_sweep_route", result=True)
+    short_ball(monkeypatch)
+    with pytest.raises(RuntimeError, match="coset tally"):
+        max_list_size(linear, 1)
+    for route, price in (("scatter", (0, 0)), ("counters", (10**9, 10**9))):
+        monkeypatch.setitem(listdec._PRICES, "pair", price)
+        with pytest.raises(RuntimeError, match=route):
+            max_list_size(explicit, 1)
+    assert [route for *_, route in routes] == ["scatter", "counters"]
+
+
+def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
+    ctx = default_context(2, 3)
+    code = sample_random_code(ctx, 2, 8, seed=5)
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setitem(listdec._PRICES, "pair", (10**9, 10**9))
+    routes = spy(monkeypatch, "_sweep_route", result=True)
+    assert max_list_size(code, 1, workers=2) == max_list_size(code, 1)
+    # the two partial counters summed slice by slice, every carry lost
+    monkeypatch.setattr(
+        listdec, "_add_slices", lambda a, b: [x ^ y for x, y in zip_longest(a, b, fillvalue=0)]
+    )
+    with pytest.raises(RuntimeError, match="counters"):
+        max_list_size(code, 1, workers=2)
+    assert sizes == [2, 2]
+    assert [route for *_, route in routes] == ["counters"] * 3
 
 
 def test_exhaustive_cap_refusal_mentions_fallback():

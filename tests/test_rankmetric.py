@@ -114,7 +114,7 @@ def test_rank_vector_pickles_and_copies_through_the_checked_constructor():
             assert type(w) is RankVector and w == v and hash(w) == hash(v)
         # an unpickled vector is validated again
         with pytest.raises(ValueError):
-            pickle.loads(pickle.dumps(rankmetric._trusted(ctx, (0, ctx.order))))
+            pickle.loads(pickle.dumps(rankmetric._trusted_batch(ctx, [(0, ctx.order)])[0]))
 
 
 def test_rank_vector_has_the_frozen_dataclass_value_semantics():

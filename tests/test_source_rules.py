@@ -87,9 +87,9 @@ def test_package_init_imports_no_submodule():
 
 def test_rank_vectors_skip_their_checks_only_in_the_unchecked_helpers():
     # object.__new__ and the slot setters build a RankVector without
-    # __init__'s checks: only rankmetric's two unchecked helpers may, and
+    # __init__'s checks: only rankmetric's one unchecked helper may, and
     # __init__ itself stores the checked fields through the setters
-    helpers = {"rankmetric.py:_trusted", "rankmetric.py:_trusted_batch"}
+    helpers = {"rankmetric.py:_trusted_batch"}
     setters = helpers | {"rankmetric.py:RankVector.__init__"}
     found = []
     for path, tree in parsed_modules():
@@ -141,7 +141,7 @@ def test_dataclasses_is_imported_only_to_raise_and_nothing_compiles_code():
 
 
 LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-PRODUCTS = {"mul", "_mul_generic", "_mul_reduce", "_poly_mul"}
+PRODUCTS = {"mul", "_mul_generic", "_poly_mul"}
 
 
 def own_nodes(func):
@@ -178,10 +178,11 @@ def test_fields_has_one_product_remainder_and_power_loop():
     # a loop over coefficient products inside another loop is a schoolbook
     # product or a long division: only _poly_mul and _poly_mod hold one;
     # the halving step of square-and-multiply is only in _poly_powmod;
-    # the untabulated oracles and the table readers have no loop at all
+    # the shared untabulated product and power and both levels' table
+    # readers have no loop at all
     loop_free = {
-        "FieldCtx._mul_generic", "FieldCtx._pow_generic", "FieldCtx.mul", "FieldCtx.inv",
-        "ExtCtx._mul_reduce", "ExtCtx._pow_generic", "ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow",
+        "_Residues._mul_generic", "_Residues._pow_generic",
+        "FieldCtx.mul", "FieldCtx.inv", "ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow",
     }
     found = []
     seen = set()
@@ -206,12 +207,14 @@ def test_fields_has_one_product_remainder_and_power_loop():
 
 
 def test_fields_has_one_primitive_element_search_and_one_table_reader():
-    # the search needs the prime factors of order - 1, so one user of
-    # _prime_factors means one search; both classes take their tables
-    # from _log_tables, and ExtCtx's mul, inv and pow reach them through
-    # the one accessor that knows the table limit
+    # the search needs the prime factors of order - 1, so _log_tables as
+    # its one searching user means one search; is_prime and
+    # split_prime_power read the same factors instead of running trial
+    # divisions of their own, and search for nothing; both classes take
+    # their tables from _log_tables, and ExtCtx's mul, inv and pow reach
+    # them through the one accessor that knows the table limit
     expected = {
-        "_prime_factors": {"_log_tables"},
+        "_prime_factors": {"_log_tables", "is_prime", "split_prime_power"},
         "_log_tables": {"FieldCtx._build_tables", "ExtCtx._log_table"},
         "_EXT_LOG_LIMIT": {"ExtCtx._log_table"},
         "_log_table": {"ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow"},
@@ -223,6 +226,17 @@ def test_fields_has_one_primitive_element_search_and_one_table_reader():
             if ref in users and isinstance(node, (ast.Name, ast.Attribute)):
                 users[ref].add(name)
     assert users == expected
+
+
+def test_fields_writes_each_shared_job_of_both_levels_once():
+    # FieldCtx and ExtCtx take these from their one base class, so a
+    # second definition would be a second copy of the same job
+    shared = (
+        "check_element", "elements", "add", "sub", "neg",
+        "_mul_generic", "_pow_generic", "__eq__", "__hash__",
+    )
+    defined = [name.rpartition(".")[2] for name, _ in fields_functions()]
+    assert {name: defined.count(name) for name in shared} == dict.fromkeys(shared, 1)
 
 
 def listdec_functions():
