@@ -1,10 +1,11 @@
 """List-decodability probes: list sizes at centers, worst-case list
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
-Four kernels count lists, keyed by packed vector index (``vector_index``:
+Five kernels count lists, keyed by packed vector index (``vector_index``:
 base-q^m digits, entry 0 most significant).  They take the codewords as
-packed indices too, from ``codes._packed_words``; only a rank test and
-the odd-p scatter unpack them, with ``_entries_of_index``.
+packed indices too, from ``codes._packed_words``, or a linear code's F_p
+basis words, from ``codes._fp_basis``; only a rank test and the odd-p
+scatter unpack them, with ``_entries_of_index``.
 
 For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
 is F_{q^m}-linear) the list size at x is the number of offsets b of
@@ -13,15 +14,15 @@ coset key of a vector is the least packed index in its coset: C is
 taken as an F_p-space, its basis brought to echelon form on the base-p
 digits of the packed index (for p = 2 an ``_xor_basis`` keyed by top
 bit), pivots most significant first, and a vector reduced by it.  One
-pass over the |B_s| ball offsets tallies every coset; no codeword is
-enumerated.  The exhaustive maximum is the largest count, its center
-the least key among the cosets that reach it, which is the least
-center overall.  In characteristic 2 the reduction is an XOR of table
-reads; for odd p the key of an offset is the digitwise sum of
-per-entry keys, one digit per byte while n * (p - 1) fits in one.  A
-single index (a Monte Carlo center) is keyed by the same reduction: for
-p = 2 by XORed table reads over eight-bit windows, for odd p by
-clearing its base-p digits row by row.
+pass over the |B_s| ball offsets tallies every coset.  The exhaustive
+maximum is the largest count, its center the least key among the
+cosets that reach it, which is the least center overall.  In
+characteristic 2 the reduction is an XOR of table reads; for odd p the
+key of an offset is the digitwise sum of per-entry keys, one digit per
+byte while n * (p - 1) fits in one.  A single index (a Monte Carlo
+center) is keyed by the same reduction: for p = 2 by XORed table reads
+over eight-bit windows, for odd p by clearing its base-p digits row by
+row.
 
 Explicit codes use one of two kernels.  In the scatter kernel every
 codeword w and every offset b of rank <= s add one to the tally of the
@@ -47,27 +48,43 @@ a ripple carry to bit-sliced counters, slice i holding bit i of every
 center's count.  The maximum is read from the top slice down, and its
 least center is the lowest bit left.
 
-An exhaustive sweep of an explicit code takes the counters when they are
-priced cheaper (``_sweep_route``, in ``_PRICES`` units): per codeword
+The fold (``_fold``) gives a linear code the same counters from its F_p
+basis alone.  The list size is the convolution 1_{B_s} * 1_C, and C, an
+F_p-space, is the direct sum of the lines {a c : a in F_p} of its k'
+basis words c, so 1_C is the convolution of their indicators.  The
+ball's bitset starts as the one slice; each basis word c adds to the
+slices their translates by c, 2c, ..., (p - 1)c, every slice moved by
+the counters' digit step (``_translator``) and added by ripple carry.
+``_top`` reads the maximum and its least center, the coset tally's
+answer too.  Neither linear route enumerates a codeword.
+
+Each exhaustive sweep takes the cheaper of its two kernels, the counters
+or the scatter for an explicit code, the fold or the coset tally for a
+linear one, as ``_sweep_route`` prices them in ``_PRICES`` units from
+the call alone, never from what the ball slot holds.  A translate costs
 about three big-int operations per base-p digit of an index, each over
-q^(mn) bits, plus the ball's bitset, against |C| * |B_s| tally updates
-for the scatter.  So balls that fill a fixed share of the space go to the
-counters, and sparse ones stay with the scatter.  The price depends on
-the call alone, never on what the ball slot holds.  Splitting the
-codewords over workers sums partial tallies, or partial counters by
-ripple carry, so reports do not depend on the worker count, and
-exhaustive ties resolve to the least packed index, which is the first
-center in lexicographic order.  After that merge every exhaustive sweep
-checks its double count against |B_s| from the shell counts
-(``_double_count``).
+q^(mn) bits, and the ball's bitset one step per offset.  The counters
+pay one translate per codeword, the scatter |C| * |B_s| tally updates;
+the fold pays p - 1 translates of every slice per basis word, the slices
+before word j holding counts up to min(p^j, |B_s|), and the coset tally
+|B_s| keys plus the entries of its key tables.  So balls that fill a
+fixed share of the space go to the counters or the fold, and sparse ones
+stay with the scatter or the coset tally, which also serves Monte Carlo
+and ``harness.coset_partition_check``, whose representative follows
+another order.  Splitting an explicit code's codewords over workers sums
+partial tallies, or partial counters by ripple carry, so reports do not
+depend on the worker count, and exhaustive ties resolve to the least
+packed index, which is the first center in lexicographic order.  After
+that merge every exhaustive sweep checks its double count against |B_s|
+from the shell counts (``_double_count``).
 
 Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
 its packed offsets, for odd p the list of span tables (from
 ``rankmetric._iter_ball_tables``) with its columns and its digit-plane
 shifter, the set of its offsets once a probe builds it, and its bitset
-once the counters do.  The most recent ball is kept, under its field,
-length and radius, so the trials of an ensemble, and any other run of
-calls at one (ctx, n, s), build it once.  Memory stays bounded without a
+once the counters or the fold do.  The most recent ball is kept, under
+its field, length and radius, so the trials of an ensemble, and any
+other run of calls at one (ctx, n, s), build it once.  Memory stays bounded without a
 setting: the slot holds one ball and is emptied before a different one
 is built, so at most one ball is alive at a time, as when each call
 built its own.
@@ -162,9 +179,13 @@ def pigeonhole_lower_bound(code_size: int, q: int, m: int, n: int, s: int) -> in
         raise ValueError("code size must be positive")
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s = {s}")
-    ball = _ball_size(q, m, n, s)
-    space = q ** (m * n)
-    return -((-code_size * ball) // space)
+    return _pigeonhole_floor(code_size, _ball_size(q, m, n, s), q ** (m * n))
+
+
+def _pigeonhole_floor(code_size: int, bv: int, space: int) -> int:
+    """ceil(|C| * |B_s| / q^(mn)) for a ball of ``bv`` offsets in a space of
+    ``space`` vectors."""
+    return -((-code_size * bv) // space)
 
 
 def pigeonhole_loose_form(code_size: int, q: int, m: int, n: int, s: int) -> Fraction:
@@ -255,7 +276,7 @@ class _Ball:
 
     def bits(self) -> int:
         """The ball as one int with bit x set for each packed offset x,
-        built on first use; ``_counters`` translates it."""
+        built on first use; ``_counters`` and ``_fold`` translate it."""
         if self.bitset is None:
             ctx = self.ctx
             packed = self.packed if ctx.base.p == 2 else _packed(self.values, self.columns, ctx.order)
@@ -592,18 +613,16 @@ def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
     return tally
 
 
-def _counters(ctx, n: int, s: int, words) -> list[int]:
-    """The list size of every center as bit-sliced counters, bit x of
-    slice i being bit i of the count at packed index x: the counter kernel
-    of the module docstring, one translate of the ball's bitset per packed
-    codeword, the offsets in ``below`` moving up."""
-    p, space = ctx.base.p, ctx.order**n
-    ball = _ball(ctx, n, s).bits()
-    full = (1 << space) - 1
-    masks = {}
-    slices = []
-    for w in words:
-        bits, place = ball, 1
+def _translator(p: int, space: int):
+    """The one digit step of the counters and the fold: a function that
+    moves a bitset of the space by a packed vector w, digitwise mod p.  For
+    each nonzero base-p digit d of w at place P the positions whose digit
+    there is below p - d move up by d * P, the others down by (p - d) * P.
+    Each (P, d) mask is built once and kept only as long as the function."""
+    full, masks = (1 << space) - 1, {}
+
+    def move(bits: int, w: int) -> int:
+        place = 1
         while w:
             w, d = divmod(w, p)
             if d:
@@ -618,12 +637,44 @@ def _counters(ctx, n: int, s: int, words) -> list[int]:
                 low = bits & below
                 bits = low << d * place | (bits ^ low) >> (p - d) * place
             place *= p
+        return bits
+
+    return move
+
+
+def _counters(ctx, n: int, s: int, words) -> list[int]:
+    """The list size of every center as bit-sliced counters, bit x of
+    slice i being bit i of the count at packed index x: the counter kernel
+    of the module docstring, one translate of the ball's bitset per packed
+    codeword."""
+    move = _translator(ctx.base.p, ctx.order**n)
+    ball = _ball(ctx, n, s).bits()
+    slices = []
+    for w in words:
+        bits = move(ball, w)
         for i, old in enumerate(slices):
             slices[i], bits = old ^ bits, old & bits
             if not bits:
                 break
         else:
             slices.append(bits)
+    return slices
+
+
+def _fold(ctx, n: int, s: int, basis) -> list[int]:
+    """The list size of every center for the F_p-span of the packed
+    ``basis``, as ``_counters`` slices: the fold of the module docstring,
+    the ball's bitset taken as one slice, and for each basis word c every
+    slice moved by c, 2c, ..., (p - 1)c, each translate added by ripple
+    carry."""
+    p = ctx.base.p
+    move = _translator(p, ctx.order**n)
+    slices = [_ball(ctx, n, s).bits()]
+    for c in basis:
+        moved = slices
+        for _ in range(p - 1):
+            moved = [move(x, c) for x in moved]
+            slices = _add_slices(slices, moved)
     return slices
 
 
@@ -649,7 +700,8 @@ def _top(slices: list[int]) -> tuple[int, int]:
 
 def _double_count(kernel: str, total: int, expected: int) -> None:
     """Refuse a sweep whose counts do not sum to their closed form: |C| *
-    |B_s| for the scatter and the counters, |B_s| for the coset tally."""
+    |B_s| for the scatter, the counters and the fold, |B_s| for the coset
+    tally."""
     if total != expected:
         raise RuntimeError(f"{kernel} counts sum to {total}, not {expected}")
 
@@ -680,8 +732,9 @@ def max_list_size(
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
         workers: process count, >= 1, for splitting the codewords of an
-            explicit code's exhaustive sweep; the report is identical for
-            any worker count.
+            explicit code's exhaustive sweep; a linear or Gabidulin code
+            runs in this process alone.  The report is identical for any
+            worker count.
 
     Returns:
         A ListReport; exhaustive ties for the maximum resolve to the
@@ -696,34 +749,36 @@ def max_list_size(
         raise ValueError(f"need workers >= 1, got {workers}")
     ctx = code.ctx
     n = code.n
-    order = ctx.order
-    space = order**n
-    lb = pigeonhole_lower_bound(code.size, ctx.base.q, ctx.m, n, s)
+    space = ctx.order**n
+    bv = _ball_size(ctx.base.q, ctx.m, n, s)
+    lb = _pigeonhole_floor(code.size, bv, space)
     linear = isinstance(code, (LinearCode, GabidulinCode))
 
     def report(best: int, index: int, tried: int) -> ListReport:
         center = vector_from_index(ctx, n, index)
         return ListReport(s, best, center, mode == "exhaustive", tried, lb)
 
-    bv = _ball_size(ctx.base.q, ctx.m, n, s)
     if mode == "exhaustive":
         if space > cap:
             raise EnumerationCapExceeded(
                 f"{space} centers to scan, above the cap of {cap}; use montecarlo"
             )
-        if linear:
+        route = _sweep_route(ctx, n, s, bv, code.size, linear)
+        if route in ("fold", "counters"):
+            if route == "fold":
+                slices = _fold(ctx, n, s, _fp_basis(code))
+            else:
+                slices = reduce(_add_slices, _split(_counters, ctx, n, s, _packed_words(code, cap), workers))
+            total = sum(x.bit_count() << i for i, x in enumerate(slices))
+            _double_count(route, total, code.size * bv)
+            return report(*_top(slices), space)
+        if route == "coset":
             # the list size at x is the number of offsets in the coset of x
             cosets = _CosetKeys(code)
             tally = Counter(cosets.ball(s))
             _double_count("coset tally", sum(tally.values()), bv)
         else:
-            words = _packed_words(code, cap)
-            if _sweep_route(ctx, n, s, code.size) == "counters":
-                slices = reduce(_add_slices, _split(_counters, ctx, n, s, words, workers))
-                total = sum(x.bit_count() << i for i, x in enumerate(slices))
-                _double_count("counters", total, code.size * bv)
-                return report(*_top(slices), space)
-            tally = _tally(ctx, n, s, words, workers)
+            tally = _tally(ctx, n, s, _packed_words(code, cap), workers)
             _double_count("scatter tally", sum(tally.values()), code.size * bv)
         best = max(tally.values())
         least = min(key for key, count in tally.items() if count == best)
@@ -772,6 +827,7 @@ _PRICES = {
     "kb": (3, 5),  # and per KB of the space's bitset
     "bit": (1, 4),  # one ball offset set in its bitset; odd p packs it first
     "coset": (2, 12),  # the coset key of a ball offset, in the byte slots
+    "table": (1, 30),  # a coset key table entry: per window and pivot row for p = 2, a span value for odd p
     "center": (15, None),  # the coset key of a random center; odd p reduces its digits, priced as a rank
     "key": (3, 4),  # one dependency key of a candidate
     "hit": (15, 20),  # a candidate tested against its key sharers
@@ -811,16 +867,38 @@ def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, li
     return route, keyed and route != "coset"
 
 
-def _sweep_route(ctx, n: int, s: int, size: int) -> str:
-    """The cheaper exhaustive kernel for an explicit code of ``size`` words,
-    "counters" or "scatter", as the module docstring prices them."""
+def _sweep_route(ctx, n: int, s: int, bv: int, size: int, linear: bool) -> str:
+    """The cheaper exhaustive kernel for a code of ``size`` words and a ball
+    of ``bv`` offsets, as the module docstring prices them: "fold" or
+    "coset" for a linear or Gabidulin code, "counters" or "scatter" for an
+    explicit one."""
     p, space = ctx.base.p, ctx.order**n
     price = {step: cost[p > 2] for step, cost in _PRICES.items()}
-    bv = _ball_size(ctx.base.q, ctx.m, n, s)
     op = price["op"] + price["kb"] * space // 8192
     digits = n * ctx.m * ctx.base.s
-    counters = size * 3 * digits * op + 10 * op + bv * price["bit"]
-    return "counters" if counters < size * bv * price["pair"] else "scatter"
+    translate = 3 * digits * op
+    bitset = 10 * op + bv * price["bit"]
+    if not linear:
+        counters = size * translate + bitset
+        return "counters" if counters < size * bv * price["pair"] else "scatter"
+    dim = round(math.log(size, p))  # words in the F_p basis
+    # before basis word j a count is at most min(p^j, |B_s|); each translate
+    # of a slice is added by ripple carry, about five ops
+    slices = sum(min(p**j, bv).bit_length() for j in range(dim))
+    fold = (p - 1) * slices * (translate + 5 * op) + bitset
+    # the key tables: for p = 2, 256 entries per eight-bit window and per
+    # pivot row; for odd p one per span value at each entry position, the
+    # span values being q^u for each u-dimensional subspace of F_q^m, u <= s
+    if p == 2:
+        tables = 256 * (min(dim, -(-digits // 8)) + dim)
+    else:
+        q, m = ctx.base.q, ctx.m
+        tables, subspaces = 0, 1
+        for u in range(s + 1):
+            tables += n * subspaces * q**u
+            subspaces = subspaces * (q ** (m - u) - 1) // (q ** (u + 1) - 1)
+    coset = bv * price["coset"] + tables * price["table"]
+    return "fold" if fold < coset else "coset"
 
 
 def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:

@@ -21,6 +21,7 @@ from ranklab import listdec
 from ranklab.codes import (
     ExplicitCode,
     LinearCode,
+    _fp_basis,
     _packed_words,
     enumerate_codewords,
     gabidulin,
@@ -41,6 +42,7 @@ from ranklab.listdec import (
 )
 from ranklab.rankmetric import (
     RankVector,
+    _ball_size,
     ball_volume,
     enumerate_ball,
     iter_all_vectors,
@@ -194,6 +196,101 @@ def test_both_exhaustive_routes_report_like_brute_force(data):
         assert report.exhaustive and report.centers_tried == space
 
 
+# the coset key price that forces each exhaustive route of a linear code
+LINEAR_ROUTES = (("coset", (0, 0)), ("fold", (10**9, 10**9)))
+
+
+def force_linear_route(patch, key):
+    """Price the coset keys at ``key`` and their tables at nothing."""
+    patch.setitem(listdec._PRICES, "coset", key)
+    patch.setitem(listdec._PRICES, "table", (0, 0))
+
+
+def forced_linear_sweeps(code, s):
+    """The exhaustive report of a linear or Gabidulin code on each route,
+    forced by its price."""
+    reports = {}
+    with pytest.MonkeyPatch.context() as patched:
+        routes = spy(patched, "_sweep_route", result=True)
+        for route, key in LINEAR_ROUTES:
+            force_linear_route(patched, key)
+            reports[route] = max_list_size(code, s)
+            assert routes[-1][-1] == route
+    return reports
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_both_linear_routes_report_like_brute_force(data):
+    # the fold reads the least center of the largest count off its slices,
+    # the coset tally the least key of the largest coset: both must give
+    # the brute-force maximum and its first center
+    q, m, n = data.draw(st.sampled_from(SWEEP_SHAPES), label="shape")
+    ctx = default_context(q, m)
+    if data.draw(st.booleans(), label="gabidulin"):
+        code = gabidulin(ctx, n, 1)
+    else:
+        # at most 32 words, so that the brute force stays quick
+        k = data.draw(st.integers(1, max(k for k in range(1, m * n + 1) if q**k <= 32)), label="k")
+        code = sample_random_linear_code(ctx, n, k, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    for s in range(n + 1):
+        reports = forced_linear_sweeps(code, s)
+        assert reports["coset"] == reports["fold"]
+        report = reports["fold"]
+        assert (report.l_max, vector_index(report.argmax_center)) == brute_force_report(code, s)
+        assert report.exhaustive and report.centers_tried == ctx.order**n
+
+
+@pytest.mark.parametrize(
+    "q, m, n, kind, k, s, route",
+    [
+        # the sweep workload's linear and Gabidulin jobs: dense enough to fold
+        (3, 3, 3, "linear", 1, 2, "fold"),
+        (2, 5, 3, "linear", 2, 2, "fold"),
+        (2, 4, 3, "linear", 3, 1, "fold"),
+        (2, 4, 3, "linear", 3, 2, "fold"),
+        (2, 4, 3, "gabidulin", 1, 1, "fold"),
+        (3, 3, 2, "gabidulin", 1, 1, "fold"),
+        # sparse balls in a space of 2^24 bits: the coset tally wins
+        (2, 6, 4, "linear", 8, 1, "coset"),
+        (2, 6, 4, "linear", 8, 2, "coset"),
+        (2, 8, 3, "linear", 6, 2, "coset"),
+    ],
+)
+def test_sweep_route_folds_dense_balls_and_keys_sparse_ones(q, m, n, kind, k, s, route):
+    # the price reads the call alone: no code, ball or timing
+    size = q ** (k * m if kind == "gabidulin" else k)
+    ctx = default_context(q, m)
+    assert listdec._sweep_route(ctx, n, s, _ball_size(q, m, n, s), size, True) == route
+
+
+def test_each_call_sizes_its_ball_once(monkeypatch):
+    # |B_s| feeds the pigeonhole floor, the route price and the double
+    # count, and is computed once for all three
+    ctx = default_context(3, 2)
+    codes = (
+        sample_random_code(ctx, 2, 5, seed=1),
+        sample_random_linear_code(ctx, 2, 1, seed=1),
+        gabidulin(ctx, 2, 1),
+    )
+    routes = spy(monkeypatch, "_sweep_route", result=True)
+    sizes = spy(monkeypatch, "_ball_size")
+    for forced in (False, True):
+        if forced:
+            # the scatter and the coset tally cost nothing
+            monkeypatch.setitem(listdec._PRICES, "pair", (0, 0))
+            force_linear_route(monkeypatch, (0, 0))
+        for code in codes:
+            for s in range(3):
+                del sizes[:]
+                max_list_size(code, s)
+                assert sizes == [(3, 2, 2, s)]
+                del sizes[:]
+                max_list_size(code, s, "montecarlo", centers=5)
+                assert sizes == [(3, 2, 2, s)]
+    assert {route for *_, route in routes} == {"scatter", "counters", "coset", "fold"}
+
+
 def test_worker_partitioning_is_invisible_under_ties_q3():
     # five centers tie for the maximum of 4, so the min-index rule decides
     ctx = default_context(3, 2)
@@ -244,19 +341,22 @@ def short_ball(monkeypatch):
 
 @pytest.mark.parametrize("q", (2, 3))
 def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatch):
-    # each route's counts must sum to |B_s| (coset tally) or |C| * |B_s|
+    # each route's counts must sum to |B_s| (coset tally) or |C| * |B_s|,
+    # the linear code forced onto the coset tally and the fold
     ctx = default_context(q, 2)
     linear = sample_random_linear_code(ctx, 2, 1, seed=1)
     explicit = sample_random_code(ctx, 2, 4, seed=1)
     routes = spy(monkeypatch, "_sweep_route", result=True)
     short_ball(monkeypatch)
-    with pytest.raises(RuntimeError, match="coset tally"):
-        max_list_size(linear, 1)
+    for route, key in LINEAR_ROUTES:
+        force_linear_route(monkeypatch, key)
+        with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
+            max_list_size(linear, 1)
     for route, price in (("scatter", (0, 0)), ("counters", (10**9, 10**9))):
         monkeypatch.setitem(listdec._PRICES, "pair", price)
         with pytest.raises(RuntimeError, match=route):
             max_list_size(explicit, 1)
-    assert [route for *_, route in routes] == ["scatter", "counters"]
+    assert [route for *_, route in routes] == ["coset", "fold", "scatter", "counters"]
 
 
 def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
@@ -627,7 +727,7 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
         listdec._BALL_SLOT.clear()
         cold.append(call())
     cold_routes = list(routes)
-    assert {route for *_, route in cold_routes} == {"scatter", "counters"}
+    assert {route for *_, route in cold_routes} == {"scatter", "counters", "coset", "fold"}
     # back to back: each call twice, every run of one key in a row, and an
     # exhaustive sweep takes the route it took cold also when the slot holds
     # its ball and the ball's bitset
@@ -686,6 +786,7 @@ def test_no_kernel_mutates_the_memoized_ball():
             listdec._near(ctx, n, s, words, candidates, keyed, True)
         for linear in (sample_random_linear_code(ctx, n, 1, seed=q), gabidulin(ctx, n, 1)):
             Counter(listdec._CosetKeys(linear).ball(s))
+            listdec._fold(ctx, n, s, _fp_basis(linear))
         coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
         memo = listdec._ball(ctx, n, s)
         assert listdec._ball(ctx, n, s) is memo

@@ -277,6 +277,21 @@ def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
     assert "_count_near" in reached
 
 
+def test_the_counters_and_the_fold_share_one_digit_step():
+    # both kernels move a bitset by a packed vector through one routine, so
+    # the step is written once and neither kernel holds a copy of it
+    step = "low << d * place"
+    source = (SOURCE / "listdec.py").read_text(encoding="utf-8")
+    assert source.count(step) == 1
+    tree = ast.parse(source)
+    holders = [
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef) and step in ast.unparse(node)
+    ]
+    assert len(holders) == 1 and holders[0] not in ("_counters", "_fold")
+    refs = listdec_functions()
+    assert holders[0] in refs["_counters"] and holders[0] in refs.get("_fold", ())
+
+
 def test_codes_alone_knows_how_a_code_is_spanned():
     # codes builds every codeword and F_p basis: no other module takes a
     # Frobenius power (fields defines it), and listdec's kernels read the
