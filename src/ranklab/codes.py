@@ -32,7 +32,6 @@ from .rankmetric import (
     flatten_vector,
     rank_of_vector,
     unflatten_vector,
-    vector_from_index,
 )
 from .rng import make_rng
 
@@ -168,14 +167,11 @@ def sample_random_code(ctx: ExtCtx, n: int, size: int, seed: int) -> ExplicitCod
     space = ctx.order**n
     if not 1 <= size <= space:
         raise ValueError(f"need 1 <= size <= {space}, got {size}")
-    if size == space:
-        words = tuple(vector_from_index(ctx, n, i) for i in range(space))
-        return ExplicitCode(ctx, n, words)
     rng = make_rng(seed)
-    picked: dict[int, None] = {}
+    picked = dict.fromkeys(range(space)) if size == space else {}
     while len(picked) < size:
         picked.setdefault(rng.randrange(space), None)
-    words = tuple(vector_from_index(ctx, n, i) for i in picked)
+    words = _trusted_batch(ctx, [_entries_of_index(ctx.order, n, i) for i in picked])
     return ExplicitCode(ctx, n, words)
 
 
@@ -269,12 +265,16 @@ def min_rank_distance(code: Code, cap: int = DEFAULT_WORD_CAP) -> int:
     words = _packed_words(code, cap) if linear else code.words
     if len(words) < 2:
         raise ValueError("minimum distance needs at least two codewords")
+    ctx, n = code.ctx, code.n
     if linear:
-        ctx, n = code.ctx, code.n
         return min(_rank_of_entries(ctx, _entries_of_index(ctx.order, n, w)) for w in words if w)
     pairs = code.size * (code.size - 1) // 2
     if pairs > cap:
         raise EnumerationCapExceeded(
             f"{pairs} codeword pairs to scan, above the cap of {cap}"
         )
-    return min(rank_of_vector(x - y) for x, y in itertools.combinations(words, 2))
+    sub = ctx.sub
+    return min(
+        _rank_of_entries(ctx, tuple(map(sub, x.entries, y.entries)))
+        for x, y in itertools.combinations(words, 2)
+    )

@@ -11,8 +11,9 @@ out of equality and canonical serialization.
 per ball vector, the least vector of its coset) for a linear code, one
 count per coset the ball meets, and checks that these counts sum to the
 closed-form ball volume, with the max coset compared against the
-ceil(|B|/|S|) average floor.  Only the cosets that reach the maximum
-are mapped to their representatives; the others are never visited.
+ceil(|B|/|S|) average floor.  The keys are taken on the code with each
+entry's coordinates reversed, so the least key among the maximal cosets,
+reversed back, is the reported representative; no coset is reduced here.
 """
 from __future__ import annotations
 
@@ -38,12 +39,10 @@ from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
     _ball_size,
+    _entries_of_index,
     _fields_dict,
+    _index_of_entries,
     _Record,
-    flatten_vector,
-    rref_fq,
-    unflatten_vector,
-    vector_from_index,
 )
 from .rng import content_hash, substream_seed  # content_hash is re-exported here
 
@@ -226,11 +225,16 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     coset the ball misses counts zero.  The cosets partition the space,
     so the counts must sum to the closed-form ball volume, which
     certifies that the offsets behind the tally are exactly the |B_s|
-    vectors the shell counts predict.  The reported representative of a
-    coset has its pivot coordinates zeroed, pivots taken in
-    ``flatten_vector`` order; that makes it the first vector of its coset
-    in that order, and the maximal coset reported is the one whose
-    representative comes first.
+    vectors the shell counts predict.
+
+    The reported representative of the maximal coset is its first vector
+    in ``flatten_vector`` order, and of the maximal cosets the one whose
+    representative comes first.  That order is the packed order of the
+    vector with each entry's F_q coordinates reversed.  The reversal
+    permutes the rows of the m x n matrix of every vector, so it keeps
+    rank, the ball B_s and the coset partition: the keys are taken on the
+    reversed code, whose least key among the maximal cosets spells the
+    reversed representative.
     """
     if not isinstance(code, LinearCode):
         raise ValueError("coset partition needs a linear code")
@@ -247,23 +251,15 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     coset_count = q ** (m * n - code.k)
     average_bound = -((-ball) // coset_count)
 
-    cosets = _CosetKeys(code)
+    def reversed_entries(entries):
+        return tuple(_index_of_entries(q, _entries_of_index(q, m, e)[::-1]) for e in entries)
+
+    mirror = tuple(RankVector(ctx, reversed_entries(w.entries)) for w in code.basis)
+    cosets = _CosetKeys(LinearCode(ctx, n, mirror))
     tally = Counter(cosets.ball(s))
     total = sum(tally.values())
     max_count = max(tally.values())
-
-    field = ctx.base
-    rows, pivots = rref_fq([flatten_vector(w) for w in code.basis], field)
-
-    def representative(key):
-        y = list(flatten_vector(vector_from_index(ctx, n, cosets.index(key))))
-        for piv, row in zip(pivots, rows):
-            c = y[piv]
-            if c:
-                y = [field.sub(a, field.mul(c, r)) for a, r in zip(y, row)]
-        return tuple(y)
-
-    max_rep = min(representative(key) for key, count in tally.items() if count == max_count)
+    least = cosets.index(min(key for key, count in tally.items() if count == max_count))
     return CosetCheckReport(
         radius_s=s,
         k=code.k,
@@ -272,7 +268,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
         total=total,
         identity_ok=total == ball,
         max_count=max_count,
-        max_rep=unflatten_vector(ctx, n, max_rep),
+        max_rep=RankVector(ctx, reversed_entries(_entries_of_index(ctx.order, n, least))),
         average_bound=average_bound,
         meets_average_bound=max_count >= average_bound,
     )

@@ -70,13 +70,13 @@ before word j holding counts up to min(p^j, |B_s|), and the coset tally
 |B_s| keys plus the entries of its key tables.  So balls that fill a
 fixed share of the space go to the counters or the fold, and sparse ones
 stay with the scatter or the coset tally, which also serves Monte Carlo
-and ``harness.coset_partition_check``, whose representative follows
-another order.  Splitting an explicit code's codewords over workers sums
-partial tallies, or partial counters by ripple carry, so reports do not
-depend on the worker count, and exhaustive ties resolve to the least
-packed index, which is the first center in lexicographic order.  After
-that merge every exhaustive sweep checks its double count against |B_s|
-from the shell counts (``_double_count``).
+and ``harness.coset_partition_check``, there keyed on the code with each
+entry's coordinates reversed.  Splitting an explicit code's codewords
+over workers sums partial tallies, or partial counters by ripple carry,
+so reports do not depend on the worker count, and exhaustive ties
+resolve to the least packed index, which is the first center in
+lexicographic order.  After that merge every exhaustive sweep checks its
+double count against |B_s| from the shell counts (``_double_count``).
 
 Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
 its packed offsets, for odd p the list of span tables (from

@@ -8,6 +8,7 @@ division.  Expected values frozen into the
 tests were produced by these oracles.
 """
 
+import functools
 import itertools
 import os
 import subprocess
@@ -231,6 +232,9 @@ def span_rank(ctx, entries):
     return u
 
 
+memo_span_rank = functools.cache(span_rank)
+
+
 def full_rank_factors_by_filter(field, u, n):
     """Every full-rank u x n matrix over F_q as its n column values
     sum_k R[k][j] q^k, by ranking all q^(un) candidates in
@@ -372,29 +376,25 @@ def far_branch_oracle(code, s, centers, seed):
 
 
 def coset_oracle(code, s):
-    """``coset_partition_check`` by brute force, over a prime base field.
+    """``coset_partition_check`` by brute force.
 
     Walks every vector y of the space in ``flatten_vector`` order (entry
     0's coordinates first, constant term first), so the first vector of
-    each coset seen is the first of that coset in this order.  The count
-    of the coset is the number of its members of rank <= s, each ranked
-    on its coordinates with ``xor_rank`` or ``rank_mod_p``.  Returns
-    (coset count, total, max count, entries of the first coset attaining
-    the max).
+    each coset seen is the first of that coset in this order.  A coset is
+    y plus every codeword, added coordinate by coordinate in F_q.  Its
+    count is the number of its members of rank <= s, each ranked by the
+    size of its entries' F_q-span (``span_rank``, memoized across calls,
+    as a test calls the oracle once per radius).  Returns (coset count,
+    total, max count, entries of the first coset attaining the max).
     """
     from ranklab.codes import enumerate_codewords
 
     ctx, n = code.ctx, code.n
-    q, m = ctx.base.q, ctx.m
-    if ctx.base.s != 1:
-        raise ValueError("the oracle ranks over a prime base field")
+    field, q, m = ctx.base, ctx.base.q, ctx.m
     words = [[c for e in w.entries for c in int_digits(e, q, m)] for w in enumerate_codewords(code)]
 
-    def rank(coords):
-        cols = [coords[j * m : (j + 1) * m] for j in range(n)]
-        if q == 2:
-            return xor_rank([int_undigits(c, 2) for c in cols])
-        return rank_mod_p(cols, q)
+    def entries(coords):
+        return tuple(int_undigits(coords[j * m : (j + 1) * m], q) for j in range(n))
 
     seen = set()
     cosets = total = 0
@@ -402,15 +402,14 @@ def coset_oracle(code, s):
     for y in itertools.product(range(q), repeat=m * n):
         if y in seen:
             continue
-        coset = [tuple((a + b) % q for a, b in zip(y, w)) for w in words]
+        coset = [tuple(map(field.add, y, w)) for w in words]
         seen.update(coset)
-        count = sum(1 for v in coset if rank(v) <= s)
+        count = sum(1 for v in coset if memo_span_rank(ctx, entries(v)) <= s)
         cosets += 1
         total += count
         if count > best:
             best, best_rep = count, y
-    rep = tuple(int_undigits(best_rep[j * m : (j + 1) * m], q) for j in range(n))
-    return cosets, total, best, rep
+    return cosets, total, best, entries(best_rep)
 
 
 # Critical value of the chi-squared distribution with 15 degrees of

@@ -251,7 +251,8 @@ def test_coset_partition_check_ternary():
 
 
 @pytest.mark.parametrize("q, m, n, k", [(2, 3, 2, 2), (2, 4, 2, 3), (2, 3, 3, 5), (3, 2, 2, 1),
-                                        (3, 2, 2, 2), (3, 3, 2, 3), (5, 2, 2, 2)])
+                                        (3, 2, 2, 2), (3, 3, 2, 3), (5, 2, 2, 2), (4, 2, 2, 1),
+                                        (4, 2, 2, 2), (8, 2, 2, 2), (9, 2, 2, 3)])
 def test_coset_partition_check_matches_the_brute_force_oracle(q, m, n, k):
     ctx = default_context(q, m)
     for seed in range(2):
@@ -264,21 +265,29 @@ def test_coset_partition_check_matches_the_brute_force_oracle(q, m, n, k):
 
 
 def test_coset_partition_check_tie_cases_frozen():
-    # frozen from the transversal walk the coset keys replaced: each code
-    # has several maximal cosets, and the first representative in
+    # the first three frozen from the transversal walk the coset keys
+    # replaced, the rest from the reduction in flatten_vector coordinates,
+    # beyond the brute-force oracle's reach.  The first four codes have
+    # several maximal cosets, and the first representative in
     # flatten_vector order is not the least center (see test_listdec);
-    # q = 4 reduces over the F_2-span of the basis
+    # q = 4 reduces over the F_2-span of the basis, and at q = 257 a key
+    # is a tuple of digits, as n * (p - 1) > 255
     cases = (
-        (2, 3, 2, [(3, 7), (7, 4)], 16, 22, 3, [0, 4], 2),
-        (3, 2, 2, [(6, 2), (7, 7)], 9, 33, 6, [0, 7], 4),
-        (4, 2, 2, [(9, 7), (1, 4)], 16, 76, 8, [0, 9], 5),
+        (2, 3, 2, [(3, 7), (7, 4)], 1, 16, 22, 3, [0, 4], 2),
+        (3, 2, 2, [(6, 2), (7, 7)], 1, 9, 33, 6, [0, 7], 4),
+        (4, 2, 2, [(9, 7), (1, 4)], 1, 16, 76, 8, [0, 9], 5),
+        (16, 2, 2, [(220, 129), (207, 249)], 1, 256, 4336, 17, [0, 16], 17),
+        (16, 2, 1, [(36,)], 0, 16, 1, 1, [0], 1),
+        (16, 2, 1, [(36,)], 1, 16, 256, 16, [0], 16),
+        (257, 2, 1, [(8292,)], 0, 257, 1, 1, [0], 1),
+        (257, 2, 1, [(8292,)], 1, 257, 66049, 257, [0], 257),
     )
-    for q, m, n, basis, cosets, ball, max_count, max_rep, average in cases:
+    for q, m, n, basis, s, cosets, ball, max_count, max_rep, average in cases:
         ctx = default_context(q, m)
         code = LinearCode(ctx, n, tuple(RankVector(ctx, b) for b in basis))
-        assert coset_partition_check(code, 1).as_dict() == {
-            "radius_s": 1,
-            "k": 2,
+        assert coset_partition_check(code, s).as_dict() == {
+            "radius_s": s,
+            "k": len(basis),
             "coset_count": cosets,
             "ball": str(ball),
             "total": str(ball),

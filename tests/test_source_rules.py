@@ -413,3 +413,17 @@ def test_every_private_helper_is_used():
             if not own:
                 used.add(ref)
     assert sorted(f"{module}:{name}" for module, name in private if name not in used) == []
+
+
+def test_only_the_coset_keys_compute_a_coset_least_vector():
+    # the coset check reads its representatives from listdec._CosetKeys:
+    # harness reduces no coset of its own, so it builds no echelon form and
+    # walks no flatten_vector coordinates
+    banned = {"rref_fq", "_echelon", "flatten_vector", "unflatten_vector"}
+    tree = ast.parse((SOURCE / "harness.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if ref in banned:
+            found.append(f"harness.py:{node.lineno} {ref}")
+    assert found == []
