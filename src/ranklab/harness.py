@@ -159,11 +159,9 @@ def _run_trial(spec: EnsembleSpec, cap: int, index: int) -> TrialOutcome:
         code = sample_random_code(ctx, spec.n, spec.q**spec.realized_log_size, sample_seed)
     else:
         code = sample_random_linear_code(ctx, spec.n, spec.realized_log_size, sample_seed)
-    space = ctx.order**spec.n
-    if space <= cap:
-        report = max_list_size(code, spec.radius_s, "exhaustive", cap=cap)
-    else:
-        report = max_list_size(code, spec.radius_s, "montecarlo", seed=scan_seed, cap=cap)
+    # exhaustive whenever the space fits the cap; only Monte Carlo reads the seed
+    mode = "exhaustive" if ctx.order**spec.n <= cap else "montecarlo"
+    report = max_list_size(code, spec.radius_s, mode, seed=scan_seed, cap=cap)
     return TrialOutcome(
         index=index,
         l_max=report.l_max,

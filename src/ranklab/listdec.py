@@ -78,16 +78,17 @@ resolve to the least packed index, which is the first center in
 lexicographic order.  After that merge every exhaustive sweep checks its
 double count against |B_s| from the shell counts (``_double_count``).
 
-Every kernel reads the ball through ``_ball``, as a ``_Ball``: for p = 2
-its packed offsets, for odd p the list of span tables (from
-``rankmetric._iter_ball_tables``) with its columns and its digit-plane
-shifter, the set of its offsets once a probe builds it, and its bitset
-once the counters or the fold do.  The most recent ball is kept, under
-its field, length and radius, so the trials of an ensemble, and any
-other run of calls at one (ctx, n, s), build it once.  Memory stays bounded without a
-setting: the slot holds one ball and is emptied before a different one
-is built, so at most one ball is alive at a time, as when each call
-built its own.
+Every kernel reads the ball through ``_ball``, as a ``_Ball`` laid out
+from ``rankmetric._ball_chunks``: its span tables side by side, and per
+shell the slice of each table and one getter per entry position, which
+``_read`` applies to any table aligned with the values; no per-offset
+index list is kept.  It holds for p = 2 its packed offsets, for odd p
+its values, runs and digit-plane shifter, the set of its offsets once a
+probe builds it, and its bitset once the counters or the fold do.  The
+most recent ball is kept under its field, length and radius, so the
+trials of an ensemble, and any other run of calls at one (ctx, n, s),
+build it once.  The slot holds one ball and is emptied before a
+different one is built, so at most one ball is alive at a time.
 
 Monte Carlo scores the codewords, then ``centers`` random draws; the
 first candidate with the largest count wins.  When |C| * |B_s| <=
@@ -142,14 +143,16 @@ from .fields import _default_base
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
+    _ball_chunks,
     _ball_size,
     _entries_of_index,
     _fields_dict,
     _index_of_entries,
-    _iter_ball_tables,
     _rank_of_entries,
+    _read,
     _Record,
     _shifter,
+    _slices,
     _xor_basis,
     rref_fq,
     vector_from_index,
@@ -220,46 +223,41 @@ def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM
 
 
 def _ball_layout(ctx, n: int, s: int):
-    """The span tables of the radius-s ball side by side in one list, and,
-    per entry position j, where entry j of each offset sits in that list.
-
-    Offsets come in ``_iter_ball`` order, one per vector of rank <= s.
-    """
-    values = []
-    columns = [[] for _ in range(n)]
-    for span, cols_by_entry in _iter_ball_tables(ctx, n, s):
-        start = len(values)
-        for column, cols in zip(columns, cols_by_entry):
-            column.extend([start + c for c in cols])
-        values.extend(span)
-    return values, columns
+    """The span tables of the radius-s ball side by side in one list, and
+    its runs: per shell, the slice of each of its tables in that list and
+    the shell's ``_ball_chunks`` getters, one per entry position."""
+    values, runs = [], []
+    for chunk, width, getters in _ball_chunks(ctx, n, s):
+        if not runs or runs[-1][1] is not getters:
+            runs.append(([], getters))
+        runs[-1][0].extend(_slices(len(values), len(values) + len(chunk), width))
+        values += chunk
+    return values, runs
 
 
-def _packed(values, columns, order: int) -> tuple[int, ...]:
-    """The packed index of every offset of a ``_ball_layout``, in order."""
-    n = len(columns)
-    reads = [
-        map([x * order**j for x in values].__getitem__, column)
-        for j, column in zip(range(n - 1, -1, -1), columns)
-    ]
-    return tuple(map(sum, zip(*reads)))
+def _packed(values, runs, n: int, order: int) -> tuple[int, ...]:
+    """The packed index of every offset, in order, its entries read off
+    ``values`` taken as digits in base ``order``."""
+    tables = ([x * order**j for x in values] for j in range(n - 1, -1, -1))
+    return tuple(map(sum, zip(*map(_read, repeat(runs), range(n), tables))))
 
 
 class _Ball:
     """The radius-s ball as the kernels read it: for p = 2 the ``packed``
-    offsets, in ``_iter_ball`` order (no p = 2 kernel reads the layout);
-    for odd p the ``_ball_layout`` and the ``_shifter`` of its values,
+    offsets, in ``_iter_ball_tables`` order (no p = 2 kernel reads the
+    tables); for odd p the ``_ball_layout`` values and runs, which the
+    kernels read with ``_read``, and the ``_shifter`` of the values,
     whose digit planes are then split once per ball.  Callers only read
     it; ``probes`` adds the offset set on first use, ``bits`` the bitset."""
 
-    __slots__ = ("ctx", "n", "packed", "values", "columns", "shift", "probe_set", "bitset")
+    __slots__ = ("ctx", "n", "packed", "values", "runs", "shift", "probe_set", "bitset")
 
-    def __init__(self, ctx, n: int, values, columns):
+    def __init__(self, ctx, n: int, values, runs):
         self.ctx, self.n, self.probe_set, self.bitset = ctx, n, None, None
         if ctx.base.p == 2:
-            self.packed = _packed(values, columns, ctx.order)
+            self.packed = _packed(values, runs, n, ctx.order)
         else:
-            self.values, self.columns = values, columns
+            self.values, self.runs = values, runs
             self.shift = _shifter(ctx.base.p, values)
 
     def probes(self) -> set:
@@ -270,7 +268,7 @@ class _Ball:
             self.probe_set = set(self.packed)
         elif self.probe_set is None:
             width = ctx.m * ctx.base.s
-            digits = _packed(_Encoder(ctx).scaled(1, self.values, ctx.m), self.columns, 256**width)
+            digits = _packed(_Encoder(ctx).scaled(1, self.values, ctx.m), self.runs, self.n, 256**width)
             self.probe_set = set(map(int.to_bytes, digits, repeat(self.n * width), repeat("big")))
         return self.probe_set
 
@@ -279,7 +277,7 @@ class _Ball:
         built on first use; ``_counters`` and ``_fold`` translate it."""
         if self.bitset is None:
             ctx = self.ctx
-            packed = self.packed if ctx.base.p == 2 else _packed(self.values, self.columns, ctx.order)
+            packed = self.packed if ctx.base.p == 2 else _packed(self.values, self.runs, self.n, ctx.order)
             # one '1' per offset in a string of base-2 digits, read by int
             digits = bytearray(b"0") * ctx.order**self.n
             for x in packed:
@@ -396,13 +394,13 @@ class _CosetKeys:
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
         per_entry = width // n
         reads = []
-        for j, column in enumerate(ball.columns):
+        for j in range(n):
             table = []
             for x in ball.values:
                 digits = [0] * width
                 digits[j * per_entry : (j + 1) * per_entry] = _entries_of_index(p, per_entry, x)
                 table.append(_index_of_entries(1 << slot, self._reduce(digits)))
-            reads.append(map(table.__getitem__, column))
+            reads.append(_read(ball.runs, j, table))
         sums = map(sum, zip(*reads))
         if self.narrow:
             return map(
@@ -430,7 +428,7 @@ def _xor_rows(v: int, pivot_rows) -> int:
 def _scatter(ctx, n: int, s: int, words) -> Counter:
     """Tally of w + b over packed codewords w and offsets b of rank <= s:
     the scatter kernel of the module docstring, keyed by packed index in
-    (codeword, offset) order, offsets in ``_iter_ball`` order.
+    (codeword, offset) order, offsets in ``_iter_ball_tables`` order.
     """
     order = ctx.order
     ball = _ball(ctx, n, s)
@@ -441,11 +439,8 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
         return tally
     places = [order**j for j in range(n - 1, -1, -1)]
     for w in words:
-        reads = [
-            map(list(map(place.__mul__, ball.shift(e))).__getitem__, column)
-            for e, place, column in zip(_entries_of_index(order, n, w), places, ball.columns)
-        ]
-        tally.update(map(sum, zip(*reads)))
+        tables = (list(map(place.__mul__, ball.shift(e))) for e, place in zip(_entries_of_index(order, n, w), places))
+        tally.update(map(sum, zip(*map(_read, repeat(ball.runs), range(n), tables))))
     return tally
 
 
@@ -914,14 +909,9 @@ def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:
 
 def decoding_radius(code: Code, list_cap: int, **kwargs) -> Fraction:
     """Largest s/n such that the code is (s/n, list_cap)-list-decodable."""
-    if list_cap < 1:
-        raise ValueError("list cap must be at least 1")
-    best = 0
-    for s in range(code.n + 1):
-        if max_list_size(code, s, **kwargs).l_max <= list_cap:
-            best = s
-        else:
-            break
+    best = 0  # a radius-0 ball holds at most one of the distinct codewords
+    while best < code.n and is_list_decodable(code, best + 1, list_cap, **kwargs):
+        best += 1
     return Fraction(best, code.n)
 
 

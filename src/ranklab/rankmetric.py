@@ -30,7 +30,7 @@ import itertools
 from collections import deque
 from collections.abc import Iterable
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import EnumerationCapExceeded
 from .fields import ExtCtx, FieldCtx, split_prime_power
@@ -617,8 +617,9 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
     the columns of C, the element with coefficient digits t_k at index
     sum t_k q^k.  ``columns`` is ``_factor_columns``: entry j of C * R,
     for the i-th R, is span[columns[j][i]].  It is built once per u and
-    shared by the subspaces of dimension u; the zero subspace has the
-    table [0] and one all-zero factor, the zero offset.
+    shared by the subspaces of dimension u, which ``_ball_chunks``, the
+    only reader, relies on; the zero subspace has the table [0] and one
+    all-zero factor, the zero offset.
 
     Subspaces come in RREF order: pivot tuple first, then the free
     entries row-major, the last row fastest.  Row i's candidates depend
@@ -639,27 +640,35 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
             yield from zip(spans, itertools.repeat(columns))
 
 
-def _iter_ball(ctx: ExtCtx, center: tuple[int, ...], tables):
-    """Entries of center + b for every b the tables describe, in table
-    order: one list of entry tuples per span table, as long as its
-    factor list.
+def _ball_chunks(ctx: ExtCtx, n: int, r: int):
+    """The one ball reader: the ``_iter_ball_tables`` tables, in order, as
+    chunks (values, width, getters).  The tables of shell u, which share
+    one factor-columns tuple, are cut into chunks of at most 512 offsets
+    or one table: ``enumerate_ball`` keeps a chunk's vectors alive
+    together, and larger batches cost it garbage-collector passes.
+    ``values`` is a chunk's span tables side by side, each ``width`` = q^u
+    long; ``getters[j]``, built once per shell, reads entry j of every
+    factor off one table (a one-element column as a 1-list)."""
+    for columns, run in itertools.groupby(_iter_ball_tables(ctx, n, r), key=itemgetter(1)):
+        getters = [itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)) for c in columns]
+        per = max(1, 512 // len(columns[0]))
+        for width, spans in itertools.groupby(map(itemgetter(0), run), key=len):
+            while chunk := list(itertools.chain.from_iterable(itertools.islice(spans, per))):
+                yield chunk, width, getters
 
-    Every value of a span table passes ``check_element`` once, before
-    the table is shifted by each distinct center entry with
-    ``_shifter``: a shift by a valid entry keeps a valid value valid and
-    a bad value bad, so this refuses the same tables as checking every
-    shifted copy.  Entry j of each vector is then read off the table
-    shifted by center entry j at ``columns[j]``, with no further field
-    arithmetic or check.
-    """
-    p = ctx.base.p
-    check = ctx.check_element
-    for span, columns in tables:
-        for x in span:
-            check(x)
-        shift = _shifter(p, span)
-        by_entry = {e: shift(e) for e in center}
-        yield list(zip(*[map(by_entry[e].__getitem__, col) for e, col in zip(center, columns)]))
+
+def _slices(start: int, stop: int, width: int) -> list[slice]:
+    """The slice of each ``width``-long span table between start and stop."""
+    return list(map(slice, range(start, stop, width), range(start + width, stop + width, width)))
+
+
+def _read(runs, j: int, table):
+    """Entry j of every offset of the ``runs``, (slices, getters) pairs, in
+    order: ``table`` is aligned with the span values (shifted, scaled,
+    encoded or keyed), each slice cuts one span table out of it, and
+    ``getters[j]`` reads entry j of every factor off that table."""
+    chain = itertools.chain.from_iterable
+    return chain(chain(map(getters[j], map(table.__getitem__, slices))) for slices, getters in runs)
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
@@ -667,11 +676,12 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
 
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
-    refuses outright if the ambient space exceeds ``cap``.  Validation
-    is one ``check_element`` per value of each ``_iter_ball_tables``
-    span table, in ``_iter_ball``, so the vectors read off those tables
-    are built by ``_trusted_batch``, one batch per table, without
-    checking each entry again.
+    refuses outright if the ambient space exceeds ``cap``.  Each
+    ``_ball_chunks`` chunk is read as it comes: its values pass
+    ``check_element`` once, then it is shifted by each distinct center
+    entry with ``_shifter`` (a shift by a valid entry keeps a valid value
+    valid and a bad value bad), entry j of each vector is ``_read`` off the
+    shift by center entry j, and one ``_trusted_batch`` builds its vectors.
     """
     ctx = center.ctx
     n = center.n
@@ -682,5 +692,10 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(
             f"ambient space has {space} vectors, above the cap of {cap}"
         )
-    for batch in _iter_ball(ctx, center.entries, _iter_ball_tables(ctx, n, r)):
-        yield from _trusted_batch(ctx, batch)
+    for values, width, getters in _ball_chunks(ctx, n, r):
+        deque(map(ctx.check_element, values), 0)
+        shift = _shifter(ctx.base.p, values)
+        shifted = map({e: shift(e) for e in center.entries}.__getitem__, center.entries)
+        runs = [(_slices(0, len(values), width), getters)]
+        reads = map(_read, itertools.repeat(runs), range(n), shifted)
+        yield from _trusted_batch(ctx, list(zip(*reads)))

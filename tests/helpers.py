@@ -306,6 +306,22 @@ def span_tables_by_rref(ctx, u):
     return tables
 
 
+def ball_by_tables(ctx, center, r):
+    """The entry tuples of center + b for every offset b of rank <= r, in
+    the order the package reads the ball: one ``_iter_ball_tables`` table
+    at a time, each span value added to every distinct center entry with
+    ``ExtCtx.add``, and entry j of the i-th factor read by plain indexing
+    at ``columns[j][i]``."""
+    from ranklab.rankmetric import _iter_ball_tables
+
+    out = []
+    for span, columns in _iter_ball_tables(ctx, len(center), r):
+        shifted = {e: [ctx.add(e, x) for x in span] for e in center}
+        for i in range(len(columns[0])):
+            out.append(tuple(shifted[e][column[i]] for e, column in zip(center, columns)))
+    return out
+
+
 def codewords_by_kind(code):
     """Every codeword's entry tuple, one loop per code kind: an explicit
     code's words in turn; a linear code's F_q-combinations sum c_i w_i

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import far_branch_oracle, inline_executor
+from helpers import ball_by_tables, far_branch_oracle, inline_executor
 from ranklab import listdec
 from ranklab.codes import (
     ExplicitCode,
@@ -43,6 +43,8 @@ from ranklab.listdec import (
 from ranklab.rankmetric import (
     RankVector,
     _ball_size,
+    _entries_of_index,
+    _index_of_entries,
     ball_volume,
     enumerate_ball,
     iter_all_vectors,
@@ -327,13 +329,16 @@ def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
 
 
 def short_ball(monkeypatch):
-    """Build every ball from here on one offset short, its last offset
-    dropped from each entry column; ``_ball_size`` is left as it is."""
+    """Build every ball from here on one offset short, the last offset of
+    its last span table dropped: that table gets a run of its own whose
+    getters drop their last read.  ``_ball_size`` is left as it is."""
     layout = listdec._ball_layout
 
     def short(ctx, n, s):
-        values, columns = layout(ctx, n, s)
-        return values, [column[:-1] for column in columns]
+        values, runs = layout(ctx, n, s)
+        slices, getters = runs.pop()
+        last = [lambda table, getter=getter: getter(table)[:-1] for getter in getters]
+        return values, runs + [(slices[:-1], getters), (slices[-1:], last)]
 
     monkeypatch.setattr(listdec, "_ball_layout", short)
     monkeypatch.setattr(listdec, "_BALL_SLOT", {})
@@ -348,6 +353,12 @@ def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatc
     explicit = sample_random_code(ctx, 2, 4, seed=1)
     routes = spy(monkeypatch, "_sweep_route", result=True)
     short_ball(monkeypatch)
+    # every route reads the ball without its last offset, and only that one
+    offsets = [_index_of_entries(ctx.order, b) for b in ball_by_tables(ctx, (0, 0), 1)][:-1]
+    cosets = listdec._CosetKeys(linear)
+    assert list(listdec._scatter(ctx, 2, 1, [0])) == offsets
+    assert listdec._ball(ctx, 2, 1).bits() == sum(1 << x for x in offsets)
+    assert list(cosets.ball(1)) == list(map(cosets.of_index, offsets))
     for route, key in LINEAR_ROUTES:
         force_linear_route(monkeypatch, key)
         with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
@@ -487,7 +498,7 @@ FAR_CASES = {
 FAR_FORBIDDEN = {
     "coset": ("_scatter", "_near", "_rank_of_entries"),
     "probe": ("_scatter", "_CosetKeys", "_rank_of_entries"),
-    "rank": ("_scatter", "_CosetKeys", "_iter_ball_tables"),
+    "rank": ("_scatter", "_CosetKeys", "_ball_chunks"),
 }
 
 
@@ -801,9 +812,41 @@ def test_no_kernel_mutates_the_memoized_ball():
         if q == 2:
             assert memo.packed == fresh.packed
         else:
-            assert (memo.values, memo.columns) == (fresh.values, fresh.columns)
+            # the values, each run's table slices, and what its getters read
+            assert memo.values == fresh.values
+            assert [slices for slices, _ in memo.runs] == [slices for slices, _ in fresh.runs]
+            reads = [[list(listdec._read(b.runs, j, b.values)) for j in range(n)] for b in (memo, fresh)]
+            assert reads[0] == reads[1]
             # the shifter's digit planes, split off on first use, are intact
             assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
+
+
+def test_the_ball_reads_like_the_span_tables_one_by_one():
+    # packed offsets, bitset, offset set, odd-p scatter tallies and coset
+    # keys against the per-table oracle; q2m6n3 and q3m4n3 at s = 2 have
+    # shells cut into many chunks
+    shapes = [(q, m, n, s) for q, m, n in ((2, 3, 3), (3, 2, 2), (3, 3, 2), (4, 2, 2), (5, 2, 2), (9, 2, 2))
+              for s in range(n + 1)]
+    for q, m, n, s in shapes + [(2, 6, 3, 2), (3, 4, 3, 2)]:
+        ctx = default_context(q, m)
+        p, order, width = ctx.base.p, ctx.order, n * m * ctx.base.s
+        listdec._BALL_SLOT.clear()
+        ball = listdec._ball(ctx, n, s)
+        offsets = [_index_of_entries(order, b) for b in ball_by_tables(ctx, (0,) * n, s)]
+        if p == 2:
+            assert list(ball.packed) == offsets
+            assert ball.probes() == set(offsets)
+        else:
+            # the base-p digits of each packed offset, one byte each
+            assert ball.probes() == {bytes(_entries_of_index(p, width, x)) for x in offsets}
+            words = _packed_words(sample_random_code(ctx, n, 3, seed=q + s), 2**24)
+            centers = [_entries_of_index(order, n, w) for w in words]
+            expected = Counter(_index_of_entries(order, b) for c in centers for b in ball_by_tables(ctx, c, s))
+            assert list(listdec._scatter(ctx, n, s, words).items()) == list(expected.items()), (q, m, n, s)
+        assert ball.bits() == sum(1 << x for x in offsets)
+        for code in (sample_random_linear_code(ctx, n, 1, seed=s), gabidulin(ctx, n, 1)):
+            cosets = listdec._CosetKeys(code)
+            assert list(cosets.ball(s)) == list(map(cosets.of_index, offsets)), (q, m, n, s)
 
 
 def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_matrices,
+    ball_by_tables,
     full_rank_factors_by_filter,
     minor_rank,
     rank_mod_p,
@@ -32,9 +33,11 @@ from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
 from ranklab.rankmetric import (
     RankVector,
+    _ball_chunks,
     _factor_columns,
-    _iter_ball,
     _iter_ball_tables,
+    _read,
+    _slices,
     _shifter,
     ball_volume,
     count_rank_u,
@@ -514,27 +517,63 @@ def test_ball_sizes_reject_what_ball_volume_rejects():
         assert message is None or str(size.value) == message
 
 
+def chunk_entries(values, width, getters):
+    """The offsets of one ``_ball_chunks`` chunk as entry tuples, each
+    entry read off the span values themselves (a zero center)."""
+    runs = [(_slices(0, len(values), width), getters)]
+    return list(zip(*(_read(runs, j, values) for j in range(len(getters)))))
+
+
 def test_rank_u_matrix_iterator_is_exact():
     # (4, 2, 2) has a non-prime base field, (2, 4, 3) a shell of 3 x 3 factors
     for q, m, n in ((2, 3, 2), (3, 2, 2), (4, 2, 2), (2, 4, 3)):
         ctx = default_context(q, m)
         zero = (0,) * n
         for u in range(n + 1):
-            # the rank-u shell is spanned by the u-dimensional column spaces
-            shell = [t for t in _iter_ball_tables(ctx, n, u) if len(t[0]) == q**u]
-            out = [entries for batch in _iter_ball(ctx, zero, shell) for entries in batch]
+            # the rank-u shell is read off the u-dimensional column spaces
+            out = [e for chunk in _ball_chunks(ctx, n, u) if chunk[1] == q**u for e in chunk_entries(*chunk)]
+            assert out == ball_by_tables(ctx, zero, u)[-len(out) :]
             assert len(out) == count_rank_u(q, m, n, u)
             assert len(set(out)) == len(out)
             for entries in out:
                 assert rank_fq(vector_to_matrix(RankVector(ctx, entries)), ctx.base) == u
 
 
-def test_ball_batches_are_one_per_span_table():
-    for q, m, n, r in ((2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1)):
+def test_ball_chunks_are_bounded_runs_of_one_shell():
+    # q2m6n3 and q3m4n3 at r = 2 have shells cut into many chunks
+    for q, m, n, r in ((2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1), (2, 6, 3, 2), (3, 4, 3, 2)):
         ctx = default_context(q, m)
-        tables = list(_iter_ball_tables(ctx, n, r))
-        batches = list(_iter_ball(ctx, tuple(range(1, n + 1)), tables))
-        assert [len(b) for b in batches] == [len(columns[0]) for _, columns in tables]
+        chunks = list(_ball_chunks(ctx, n, r))
+        out = [entries for chunk in chunks for entries in chunk_entries(*chunk)]
+        assert out == ball_by_tables(ctx, (0,) * n, r), (q, m, n, r)
+        # one getter list per shell, shared by its chunks in a row; a shell of
+        # F factors per table takes 512 // F tables a chunk, at least one
+        expected = []
+        for u in range(r + 1):
+            factors = math.prod(q**n - q**i for i in range(u))
+            tables = math.prod(q**m - q**i for i in range(u)) // math.prod(q**u - q**i for i in range(u))
+            expected += [u] * -(-tables // max(1, 512 // factors))
+        shells = [g for i, (_, _, g) in enumerate(chunks) if i == 0 or chunks[i - 1][2] is not g]
+        assert len({id(getters) for getters in shells}) == len(shells) == r + 1
+        assert [shells.index(getters) for _, _, getters in chunks] == expected
+        for values, width, getters in chunks:
+            assert width == q ** shells.index(getters) and len(values) % width == 0
+            assert len(getters) == n
+            offsets = len(chunk_entries(values, width, getters))
+            assert offsets <= 512 or len(values) == width
+
+
+def test_enumerate_ball_reads_the_tables_in_order():
+    # every radius, for q = 2, 3, 4, 5, 9, balls whose shells span several
+    # chunks included; at q2m3n1 every column of the rank-1 shell has one entry
+    rng = random.Random(5)
+    shapes = ((2, 3, 1), (2, 4, 3), (2, 6, 3), (3, 3, 3), (3, 4, 3), (4, 3, 2), (5, 2, 2), (9, 2, 2))
+    for q, m, n in shapes:
+        ctx = default_context(q, m)
+        for r in range(n + 1):
+            center = tuple(rng.randrange(ctx.order) for _ in range(n))
+            got = [v.entries for v in enumerate_ball(RankVector(ctx, center), r)]
+            assert got == ball_by_tables(ctx, center, r), (q, m, n, r, center)
 
 
 def test_enumerate_ball_filter_path():

@@ -311,20 +311,22 @@ def test_codes_alone_knows_how_a_code_is_spanned():
 def test_only_the_ball_memo_builds_the_ball():
     # every kernel reads the radius-s ball through listdec._ball, which
     # keeps the most recent one: nothing else may lay it out, make the
-    # record that packs it, or fill its offset set or its bitset, and in
-    # listdec only the layout enumerates the span tables
+    # record that packs it, or fill its offset set or its bitset.  Only the
+    # one ball reader, rankmetric._ball_chunks, walks the span tables, and
+    # both enumerate_ball and the layout read the ball through it
     builders = {
         "_ball_layout": {"listdec.py:_ball"},
         "_Ball": {"listdec.py:_ball"},
         "_packed": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes", "listdec.py:_Ball.bits"},
-        "_iter_ball_tables": {"listdec.py:_ball_layout"},
+        "_iter_ball_tables": {"rankmetric.py:_ball_chunks"},
+        "_ball_chunks": {"rankmetric.py:enumerate_ball", "listdec.py:_ball_layout"},
     }
     # each lazily built part of the ball is written only where it is built
     writers = {
         "probe_set": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes"},
         "bitset": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.bits"},
     }
-    found = []
+    found, readers = [], {name: set() for name in builders}
     for path, tree in parsed_modules():
         for scope, node in scoped_nodes(tree):
             where = f"{path.name}:{scope}"
@@ -334,10 +336,10 @@ def test_only_the_ball_memo_builds_the_ball():
             if not isinstance(node, (ast.Name, ast.Attribute)):
                 continue
             ref = node.id if isinstance(node, ast.Name) else node.attr
-            # rankmetric's own enumerate_ball streams the span tables
-            if ref in builders and where not in builders[ref] and path.name != "rankmetric.py":
-                found.append(f"{where}:{node.lineno} {ref}")
+            if ref in builders:
+                readers[ref].add(where)
     assert found == []
+    assert readers == builders
 
 
 MUTATORS = {"clear", "update", "setdefault", "pop", "popitem", "append", "extend", "add", "insert"}
