@@ -39,14 +39,14 @@ digit plane of the list at a time, and the planes are split off the
 list once per ball, so no element is added with ``ExtCtx.add``.
 
 The counter kernel (``_counters``) counts every center of the space at
-once.  The ball is one int with bit x set for each packed offset x
-(``_Ball.bits``).  Adding w is digitwise mod p on the base-p digits of a
-packed index, so for each nonzero digit d of w at place P = p^k the
-offsets whose digit k is below p - d move up by d * P and the others
-down by (p - d) * P: one mask, two shifts.  Each translate is added with
-a ripple carry to bit-sliced counters, slice i holding bit i of every
-center's count.  The maximum is read from the top slice down, and its
-least center is the lowest bit left.
+once.  The ball is one int, bit x set for each packed offset x, from its
+s-dimensional subspaces (``_Ball.bits``).  Adding w is digitwise mod p
+on the base-p digits of a packed index, so for each nonzero digit d of w
+at place P = p^k the offsets whose digit k is below p - d move up by
+d * P and the others down by (p - d) * P: one mask, two shifts.  Each
+translate is added with a ripple carry to bit-sliced counters, slice i
+holding bit i of every center's count.  The maximum is read from the top
+slice down, and its least center is the lowest bit left.
 
 The fold (``_fold``) gives a linear code the same counters from its F_p
 basis alone.  The list size is the convolution 1_{B_s} * 1_C, and C, an
@@ -63,7 +63,7 @@ or the scatter for an explicit code, the fold or the coset tally for a
 linear one, as ``_sweep_route`` prices them in ``_PRICES`` units from
 the call alone, never from what the ball slot holds.  A translate costs
 about three big-int operations per base-p digit of an index, each over
-q^(mn) bits, and the ball's bitset one step per offset.  The counters
+q^(mn) bits, and the bitset is priced one step per offset.  The counters
 pay one translate per codeword, the scatter |C| * |B_s| tally updates;
 the fold pays p - 1 translates of every slice per basis word, the slices
 before word j holding counts up to min(p^j, |B_s|), and the coset tally
@@ -78,16 +78,18 @@ resolve to the least packed index, which is the first center in
 lexicographic order.  After that merge every exhaustive sweep checks its
 double count against |B_s| from the shell counts (``_double_count``).
 
-Every kernel reads the ball through ``_ball``, as a ``_Ball`` laid out
-from ``rankmetric._ball_chunks``: its span tables side by side, and per
-shell the slice of each table and one getter per entry position, which
-``_read`` applies to any table aligned with the values; no per-offset
-index list is kept.  It holds for p = 2 its packed offsets, for odd p
-its values, runs and digit-plane shifter, the set of its offsets once a
-probe builds it, and its bitset once the counters or the fold do.  The
-most recent ball is kept under its field, length and radius, so the
-trials of an ensemble, and any other run of calls at one (ctx, n, s),
-build it once.  The slot holds one ball and is emptied before a
+Every kernel reads the ball through ``_ball``, a ``_Ball`` whose parts
+are built on first use.  The counters and the fold read its bitset
+alone, set from the span tables of dimension s (``_ball_bits``): as
+s <= n <= m, B_s is the union of T^n over the s-dimensional subspaces T
+of F_q^m.  The other kernels read its layout, built whole from
+``rankmetric._ball_chunks``: for p = 2 the packed offsets, for odd p the
+span tables side by side, per shell the slice of each table and one
+getter per entry position (``_read`` applies them to any table aligned
+with the values), and the digit-plane shifter.  A probe adds the offset
+set.  The most recent ball is kept under its field, length and radius,
+so a run of calls at one (ctx, n, s), such as the trials of an ensemble,
+builds each part once.  The slot holds one ball and is emptied before a
 different one is built, so at most one ball is alive at a time.
 
 Monte Carlo scores the codewords, then ``centers`` random draws; the
@@ -128,7 +130,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import compress, repeat, zip_longest
-from operator import add, and_, floordiv, mod, mul, rshift, xor
+from operator import add, and_, floordiv, mod, mul, or_, rshift, xor
 
 from .codes import (
     Code,
@@ -153,6 +155,7 @@ from .rankmetric import (
     _Record,
     _shifter,
     _slices,
+    _span_tables,
     _xor_basis,
     rref_fq,
     vector_from_index,
@@ -243,22 +246,25 @@ def _packed(values, runs, n: int, order: int) -> tuple[int, ...]:
 
 
 class _Ball:
-    """The radius-s ball as the kernels read it: for p = 2 the ``packed``
-    offsets, in ``_iter_ball_tables`` order (no p = 2 kernel reads the
-    tables); for odd p the ``_ball_layout`` values and runs, which the
-    kernels read with ``_read``, and the ``_shifter`` of the values,
-    whose digit planes are then split once per ball.  Callers only read
-    it; ``probes`` adds the offset set on first use, ``bits`` the bitset."""
+    """The radius-s ball, each part built on first use; callers only read
+    it.  A first read of the layout builds ``packed`` (p = 2, in
+    ``_iter_ball_tables`` order) or the ``_ball_layout`` values and runs
+    and their ``_shifter`` (odd p), the other parts left None."""
 
-    __slots__ = ("ctx", "n", "packed", "values", "runs", "shift", "probe_set", "bitset")
+    __slots__ = ("ctx", "n", "s", "packed", "values", "runs", "shift", "probe_set", "bitset")
 
-    def __init__(self, ctx, n: int, values, runs):
-        self.ctx, self.n, self.probe_set, self.bitset = ctx, n, None, None
-        if ctx.base.p == 2:
-            self.packed = _packed(values, runs, n, ctx.order)
-        else:
-            self.values, self.runs = values, runs
-            self.shift = _shifter(ctx.base.p, values)
+    def __init__(self, ctx, n: int, s: int):
+        self.ctx, self.n, self.s, self.probe_set, self.bitset = ctx, n, s, None, None
+
+    def __getattr__(self, name: str):
+        # only a read of an unset slot lands here: lay the ball out
+        if name not in ("packed", "values", "runs", "shift"):
+            raise AttributeError(name)
+        ctx, n, p = self.ctx, self.n, self.ctx.base.p
+        values, runs = _ball_layout(ctx, n, self.s)
+        self.packed = _packed(values, runs, n, ctx.order) if p == 2 else None
+        self.values, self.runs, self.shift = (values, runs, _shifter(p, values)) if p > 2 else (None,) * 3
+        return getattr(self, name)
 
     def probes(self) -> set:
         """The offsets ``_near`` probes, built on first use: packed for
@@ -273,18 +279,29 @@ class _Ball:
         return self.probe_set
 
     def bits(self) -> int:
-        """The ball as one int with bit x set for each packed offset x,
-        built on first use; ``_counters`` and ``_fold`` translate it."""
+        """The ``_ball_bits`` bitset, built on first use."""
         if self.bitset is None:
-            ctx = self.ctx
-            packed = self.packed if ctx.base.p == 2 else _packed(self.values, self.runs, self.n, ctx.order)
-            # one '1' per offset in a string of base-2 digits, read by int
-            digits = bytearray(b"0") * ctx.order**self.n
-            for x in packed:
-                digits[x] = 49
-            digits.reverse()
-            self.bitset = int(digits, 2)
+            self.bitset = _ball_bits(self.ctx, self.n, self.s)
         return self.bitset
+
+
+def _ball_bits(ctx, n: int, s: int) -> int:
+    """The radius-s ball as one int, bit x set for each packed offset x,
+    the union of T^n over the ``_span_tables`` T of dimension s: T^(n-1)
+    grown on the last n - 1 entries, one shift per element of T and entry,
+    ORed into the block of each leading entry in T, blocks joined pairwise."""
+    order, blocks = ctx.order, [0] * ctx.order
+    for table in _span_tables(ctx.base, ctx.m, s):
+        tail = 1
+        for j in range(n - 1):
+            tail = reduce(or_, map(tail.__lshift__, [t * order**j for t in table]))
+        for t in table:
+            blocks[t] |= tail
+    width = order ** (n - 1)
+    while len(blocks) > 1:
+        blocks = [lo | hi << width for lo, hi in zip_longest(blocks[::2], blocks[1::2], fillvalue=0)]
+        width *= 2
+    return blocks[0]
 
 
 # the most recent ball under its (ctx, n, s): emptied before a different
@@ -298,7 +315,7 @@ def _ball(ctx, n: int, s: int) -> _Ball:
     ball = _BALL_SLOT.get(key)
     if ball is None:
         _BALL_SLOT.clear()
-        ball = _BALL_SLOT[key] = _Ball(ctx, n, *_ball_layout(ctx, n, s))
+        ball = _BALL_SLOT[key] = _Ball(ctx, n, s)
     return ball
 
 
@@ -820,7 +837,7 @@ _PRICES = {
     "pair": (2, 5),  # one (codeword, offset) count of the scatter tally
     "op": (2, 5),  # one big-int operation of the counters
     "kb": (3, 5),  # and per KB of the space's bitset
-    "bit": (1, 4),  # one ball offset set in its bitset; odd p packs it first
+    "bit": (1, 4),  # per ball offset of its bitset, above the cost of the span-table build
     "coset": (2, 12),  # the coset key of a ball offset, in the byte slots
     "table": (1, 30),  # a coset key table entry: per window and pivot row for p = 2, a span value for odd p
     "center": (15, None),  # the coset key of a random center; odd p reduces its digits, priced as a rank

@@ -608,36 +608,30 @@ def _factor_columns(field: FieldCtx, u: int, n: int) -> tuple[tuple[int, ...], .
     return tuple(map(tuple, columns))
 
 
+def _span_tables(field: FieldCtx, m: int, u: int):
+    """Every u-dimensional F_q-subspace of F_q^m as its span table, in RREF
+    order (pivot tuple first, then free entries row-major, last row
+    fastest): the q^u elements spanned by its RREF basis, coefficient
+    digits t_k at index sum t_k q^k.  Row candidates and their multiples
+    (``_multiples``) are built once per pivot tuple, and each table grows
+    from its parent, the span of its first k rows, by c t_k (``_children``)."""
+    q = field.q
+    for pivots in itertools.combinations(range(m), u):
+        spans = [[0]]
+        for pc in pivots:
+            row = _multiples(field, q**pc, [q**j for j in range(pc + 1, m) if j not in pivots])
+            spans = _children(field.p, spans, row)
+        yield from spans
+
+
 def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
-    """(span table, columns) for every F_q-subspace of dimension <= r of F_q^m.
-
-    A rank-u matrix factors uniquely as C * R with C an m x u basis of
-    its column space (its RREF representative) and R a full-rank u x n
-    matrix.  The span table lists the q^u elements of F_{q^m} spanned by
-    the columns of C, the element with coefficient digits t_k at index
-    sum t_k q^k.  ``columns`` is ``_factor_columns``: entry j of C * R,
-    for the i-th R, is span[columns[j][i]].  It is built once per u and
-    shared by the subspaces of dimension u, which ``_ball_chunks``, the
-    only reader, relies on; the zero subspace has the table [0] and one
-    all-zero factor, the zero offset.
-
-    Subspaces come in RREF order: pivot tuple first, then the free
-    entries row-major, the last row fastest.  Row i's candidates depend
-    on the pivots alone, so each candidate list and its q multiples
-    (``_multiples``) are built once per pivot tuple, and tables grow
-    depth first from their parent, the span of the first k rows: each
-    child is the parent shifted by c t_k for c = 0..q-1 (``_children``),
-    the table and order of spanning its basis from scratch row by row.
-    """
-    field, m, q = ctx.base, ctx.m, ctx.base.q
+    """(span table, columns) for every F_q-subspace of dimension <= r of
+    F_q^m: a rank-u matrix is uniquely C * R, C the RREF basis of its
+    column space and R full-rank u x n; entry j of C * R for the i-th R is
+    span[columns[j][i]].  One ``_factor_columns`` serves a shell, which
+    ``_ball_chunks``, the only reader, relies on; u = 0 is the zero offset."""
     for u in range(r + 1):
-        columns = _factor_columns(field, u, n)
-        for pivots in itertools.combinations(range(m), u):
-            spans = [[0]]
-            for pc in pivots:
-                row = _multiples(field, q**pc, [q**j for j in range(pc + 1, m) if j not in pivots])
-                spans = _children(field.p, spans, row)
-            yield from zip(spans, itertools.repeat(columns))
+        yield from zip(_span_tables(ctx.base, ctx.m, u), itertools.repeat(_factor_columns(ctx.base, u, n)))
 
 
 def _ball_chunks(ctx: ExtCtx, n: int, r: int):

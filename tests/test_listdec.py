@@ -330,9 +330,10 @@ def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
 
 def short_ball(monkeypatch):
     """Build every ball from here on one offset short, the last offset of
-    its last span table dropped: that table gets a run of its own whose
-    getters drop their last read.  ``_ball_size`` is left as it is."""
-    layout = listdec._ball_layout
+    its last span table dropped: in the layout that table gets a run of
+    its own whose getters drop their last read, and the bitset loses that
+    offset's bit.  ``_ball_size`` is left as it is."""
+    layout, bits = listdec._ball_layout, listdec._ball_bits
 
     def short(ctx, n, s):
         values, runs = layout(ctx, n, s)
@@ -340,7 +341,12 @@ def short_ball(monkeypatch):
         last = [lambda table, getter=getter: getter(table)[:-1] for getter in getters]
         return values, runs + [(slices[:-1], getters), (slices[-1:], last)]
 
+    def short_bits(ctx, n, s):
+        last = _index_of_entries(ctx.order, ball_by_tables(ctx, (0,) * n, s)[-1])
+        return bits(ctx, n, s) & ~(1 << last)
+
     monkeypatch.setattr(listdec, "_ball_layout", short)
+    monkeypatch.setattr(listdec, "_ball_bits", short_bits)
     monkeypatch.setattr(listdec, "_BALL_SLOT", {})
 
 
@@ -756,32 +762,42 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
 
 
 def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
-    built = []
-    real = listdec._ball_layout
-
-    def checked(ctx, n, s):
-        assert listdec._BALL_SLOT == {}, f"a ball was alive while {(ctx, n, s)} was built"
-        built.append((ctx, n, s))
-        return real(ctx, n, s)
-
-    monkeypatch.setattr(listdec, "_ball_layout", checked)
+    # the parts of a ball, its layout and its bitset, are built while the
+    # slot holds that ball alone, each at most once per run of reads at one key
     reads = spy(monkeypatch, "_ball")
+    built = []
+
+    def checked(part, real):
+        def build(ctx, n, s):
+            assert list(listdec._BALL_SLOT) == [(ctx, n, s)], f"another ball was alive at {(ctx, n, s)}"
+            run = sum(i == 0 or reads[i - 1] != key for i, key in enumerate(reads))
+            built.append((run, (ctx, n, s), part))
+            return real(ctx, n, s)
+
+        return build
+
+    for part in ("_ball_layout", "_ball_bits"):
+        monkeypatch.setattr(listdec, part, checked(part, getattr(listdec, part)))
     listdec._BALL_SLOT.clear()
     calls = list(memo_calls())
     for _, call in calls:
         call()
         call()
-    # one build per run of reads at one key
-    assert built == [key for i, key in enumerate(reads) if i == 0 or reads[i - 1] != key]
-    assert len(reads) > 2 * len(built) and set(built) == {key for key, _ in calls}
-    assert list(listdec._BALL_SLOT) == [built[-1]]
     # a context equal to the slot's, though another object, reads the same ball
-    ctx, n, s = built[-1]
+    ctx, n, s = reads[-1]
     twin = context_from_descriptor(ctx.descriptor())
     assert twin is not ctx
-    builds = len(built)
+    ball = listdec._BALL_SLOT[ctx, n, s]
     max_list_size(sample_random_code(twin, n, 4, seed=1), s)
-    assert reads[-1] == built[-1] and len(built) == builds
+    assert reads[-1] == (ctx, n, s) and listdec._BALL_SLOT[twin, n, s] is ball
+    # every run of reads at one key builds what it reads, each part once
+    runs = [key for i, key in enumerate(reads) if i == 0 or reads[i - 1] != key]
+    assert len({(run, part) for run, _, part in built}) == len(built)
+    assert [runs[run - 1] for run, _, _ in built] == [key for _, key, _ in built]
+    assert sorted({run for run, _, _ in built}) == list(range(1, len(runs) + 1))
+    assert {part for _, _, part in built} == {"_ball_layout", "_ball_bits"}
+    assert len(reads) > 2 * len(runs) and {key for _, key, _ in built} == {key for key, _ in calls}
+    assert list(listdec._BALL_SLOT) == [runs[-1]]
 
 
 def test_no_kernel_mutates_the_memoized_ball():
@@ -847,6 +863,91 @@ def test_the_ball_reads_like_the_span_tables_one_by_one():
         for code in (sample_random_linear_code(ctx, n, 1, seed=s), gabidulin(ctx, n, 1)):
             cosets = listdec._CosetKeys(code)
             assert list(cosets.ball(s)) == list(map(cosets.of_index, offsets)), (q, m, n, s)
+
+
+def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
+    # B_s is the union of T^n over the subspaces T of dimension s: every
+    # shape with q^(mn) <= 2^16, n = 1, s = 0 and s = n among them, with
+    # blocks of order^(n-1) bits both within one 64-bit word and past it
+    wide = set()
+    for q in (2, 3, 4, 5, 8, 9):
+        for m in range(1, 17):
+            for n in range(1, m + 1):
+                if q ** (m * n) > 2**16:
+                    break
+                ctx = default_context(q, m)
+                wide.add(ctx.order ** (n - 1) > 64)
+                for s in range(n + 1):
+                    listdec._BALL_SLOT.clear()
+                    bits = listdec._ball(ctx, n, s).bits()
+                    offsets = ball_by_tables(ctx, (0,) * n, s)
+                    assert bits == sum(1 << _index_of_entries(ctx.order, b) for b in offsets), (q, m, n, s)
+                    assert bits.bit_count() == _ball_size(q, m, n, s), (q, m, n, s)
+    assert wide == {False, True}
+    listdec._BALL_SLOT.clear()
+
+
+def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
+    # the counters and the fold read the bitset alone; the scatter, the
+    # coset tally, the neighborhood tally and the probe lay the ball out
+    # once, packing its offsets for p = 2 (the odd-p probe packs the
+    # digits of its offset set instead)
+    layouts, packs = spy(monkeypatch, "_ball_layout"), spy(monkeypatch, "_packed")
+    routes = spy(monkeypatch, "_sweep_route", result=True)
+    mc = {"mode": "montecarlo", "centers": 20, "seed": 1}
+    for q, m, n, s in ((2, 3, 3, 2), (3, 2, 2, 1)):
+        ctx = default_context(q, m)
+        explicit = sample_random_code(ctx, n, 6, seed=q)
+        linear = sample_random_linear_code(ctx, n, 1, seed=q)
+        # small enough for the neighborhood tally
+        assert explicit.size * _ball_size(q, m, n, s) <= listdec.DEFAULT_NEIGHBORHOOD_CAP
+        cases = {
+            "counters": (explicit, {}, lambda patched: patched.setitem(listdec._PRICES, "pair", (10**9, 10**9))),
+            "scatter": (explicit, {}, lambda patched: patched.setitem(listdec._PRICES, "pair", (0, 0))),
+            "fold": (linear, {}, lambda patched: force_linear_route(patched, (10**9, 10**9))),
+            "coset": (linear, {}, lambda patched: force_linear_route(patched, (0, 0))),
+            "neighborhood": (explicit, mc, lambda patched: None),
+            "probe": (
+                explicit,
+                {**mc, "neighborhood_cap": 0},
+                lambda patched: patched.setattr(listdec, "_far_route", lambda *args: ("probe", False)),
+            ),
+        }
+        for route, (code, kwargs, force) in cases.items():
+            listdec._BALL_SLOT.clear()
+            del layouts[:], packs[:], routes[:]
+            with monkeypatch.context() as patched:
+                force(patched)
+                max_list_size(code, s, workers=1, **kwargs)
+            assert [result for *_, result in routes] == ([route] if not kwargs else [])
+            if route in ("counters", "fold"):
+                assert layouts == packs == [], route
+            else:
+                assert layouts == [(ctx, n, s)], route
+                assert len(packs) == (1 if q == 2 or route == "probe" else 0), route
+        # the bitset and the layout in either order build what a cold ball does
+        parts = []
+        for first in (True, False):
+            listdec._BALL_SLOT.clear()
+            ball = listdec._ball(ctx, n, s)
+            # reading one part of the layout lays the whole ball out
+            [ball.bits() if bits else ball.runs for bits in (first, not first)]
+            parts.append(ball)
+        listdec._BALL_SLOT.clear()
+        bits = listdec._ball(ctx, n, s).bits()
+        listdec._BALL_SLOT.clear()
+        cold = listdec._ball(ctx, n, s)
+        assert cold.bitset is None and (cold.packed is None) == (q > 2)
+        for ball in parts:
+            assert ball.bitset == bits and ball.packed == cold.packed and ball.values == cold.values
+            if q > 2:
+                assert [slices for slices, _ in ball.runs] == [slices for slices, _ in cold.runs]
+                assert [list(listdec._read(ball.runs, j, ball.values)) for j in range(n)] == [
+                    list(listdec._read(cold.runs, j, cold.values)) for j in range(n)
+                ]
+            else:
+                assert ball.runs is cold.runs is None
+    listdec._BALL_SLOT.clear()
 
 
 def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):

@@ -312,20 +312,34 @@ def test_only_the_ball_memo_builds_the_ball():
     # every kernel reads the radius-s ball through listdec._ball, which
     # keeps the most recent one: nothing else may lay it out, make the
     # record that packs it, or fill its offset set or its bitset.  Only the
-    # one ball reader, rankmetric._ball_chunks, walks the span tables, and
-    # both enumerate_ball and the layout read the ball through it
+    # one ball reader, rankmetric._ball_chunks, walks the span tables with
+    # their factors, and both enumerate_ball and the layout read the ball
+    # through it; the bitset reads the span tables of dimension s alone
     builders = {
-        "_ball_layout": {"listdec.py:_ball"},
+        "_ball_layout": {"listdec.py:_Ball.__getattr__"},
+        "_ball_bits": {"listdec.py:_Ball.bits"},
         "_Ball": {"listdec.py:_ball"},
-        "_packed": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes", "listdec.py:_Ball.bits"},
+        "_packed": {"listdec.py:_Ball.__getattr__", "listdec.py:_Ball.probes"},
+        "_span_tables": {"rankmetric.py:_iter_ball_tables", "listdec.py:_ball_bits"},
         "_iter_ball_tables": {"rankmetric.py:_ball_chunks"},
         "_ball_chunks": {"rankmetric.py:enumerate_ball", "listdec.py:_ball_layout"},
     }
     # each lazily built part of the ball is written only where it is built
+    layout = {"listdec.py:_Ball.__getattr__"}
     writers = {
         "probe_set": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes"},
         "bitset": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.bits"},
+        "packed": layout,
+        "values": layout,
+        "runs": layout,
+        "shift": layout,
     }
+    # the bitset is built without the layout or the ball reader, and the
+    # counters and the fold read the bitset alone
+    layout_readers = {
+        "_ball_layout", "_packed", "_ball_chunks", "_read", "packed", "values", "runs", "shift", "probes",
+    }
+    bitset_builders = {f"listdec.py:{name}" for name in ("_Ball.bits", "_ball_bits", "_counters", "_fold")}
     found, readers = [], {name: set() for name in builders}
     for path, tree in parsed_modules():
         for scope, node in scoped_nodes(tree):
@@ -338,6 +352,8 @@ def test_only_the_ball_memo_builds_the_ball():
             ref = node.id if isinstance(node, ast.Name) else node.attr
             if ref in builders:
                 readers[ref].add(where)
+            if ref in layout_readers and where in bitset_builders:
+                found.append(f"{where}:{node.lineno} {ref} read by the bitset")
     assert found == []
     assert readers == builders
 
