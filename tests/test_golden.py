@@ -27,6 +27,9 @@ CODES = {
     "linear.code": "sample --kind random_linear --q 3 --m 3 --n 2 --k 1 --seed 2",
     "gabidulin.code": "sample --kind gabidulin --q 2 --m 4 --n 4 --k 2",
     "odd.code": "sample --kind random --q 3 --m 3 --n 3 --size 25 --seed 7",
+    "odd_keyed.code": "sample --kind random --q 3 --m 4 --n 4 --size 9 --seed 1",
+    "odd_linear.code": "sample --kind random_linear --q 3 --m 3 --n 3 --k 6 --seed 2",
+    "q4_linear.code": "sample --kind random_linear --q 4 --m 3 --n 3 --k 2 --seed 2",
 }
 
 EXPERIMENT_RANDOM = (
@@ -74,6 +77,10 @@ CASES = {
     "listdecode_mc_scan": MONTE_CARLO.format("explicit", 2, 20),
     "listdecode_mc_probe": MONTE_CARLO.format("explicit", 2, 600),
     "listdecode_mc_scatter": MONTE_CARLO.format("odd", 1, 200),
+    # odd q: the keyed probe, and the coset tally for p = 3 and for q = 4
+    "listdecode_mc_odd_keyed_probe": MONTE_CARLO.format("odd_keyed", 1, 1000),
+    "listdecode_mc_odd_coset": MONTE_CARLO.format("odd_linear", 1, 200),
+    "listdecode_mc_q4_coset": MONTE_CARLO.format("q4_linear", 1, 200),
     "experiment_random": EXPERIMENT_RANDOM,
     "experiment_random_csv": EXPERIMENT_RANDOM + " --format csv",
     "experiment_linear": EXPERIMENT_LINEAR,
