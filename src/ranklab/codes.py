@@ -33,7 +33,7 @@ from .rankmetric import (
     rank_of_vector,
     unflatten_vector,
 )
-from .rng import make_rng
+from .rng import draws
 
 DEFAULT_WORD_CAP = 2**20
 
@@ -167,10 +167,11 @@ def sample_random_code(ctx: ExtCtx, n: int, size: int, seed: int) -> ExplicitCod
     space = ctx.order**n
     if not 1 <= size <= space:
         raise ValueError(f"need 1 <= size <= {space}, got {size}")
-    rng = make_rng(seed)
+    stream = draws(seed, space)
     picked = dict.fromkeys(range(space)) if size == space else {}
+    # a batch of as many draws as words missing never overshoots
     while len(picked) < size:
-        picked.setdefault(rng.randrange(space), None)
+        picked.update(zip(itertools.islice(stream, size - len(picked)), itertools.repeat(None)))
     words = _trusted_batch(ctx, [_entries_of_index(ctx.order, n, i) for i in picked])
     return ExplicitCode(ctx, n, words)
 
@@ -181,10 +182,9 @@ def sample_random_linear_code(ctx: ExtCtx, n: int, k: int, seed: int) -> LinearC
         raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
     if not 0 <= k <= ctx.m * n:
         raise ValueError(f"need 0 <= k <= {ctx.m * n}, got {k}")
-    q = ctx.base.q
-    rng = make_rng(seed)
+    stream = draws(seed, ctx.base.q)
     while True:
-        rows = [[rng.randrange(q) for _ in range(ctx.m * n)] for _ in range(k)]
+        rows = [list(itertools.islice(stream, ctx.m * n)) for _ in range(k)]
         if len(_echelon(rows, ctx.base)[1]) == k:
             break
     return LinearCode(ctx, n, tuple(unflatten_vector(ctx, n, row) for row in rows))

@@ -19,10 +19,10 @@ maximum is the largest count, its center the least key among the
 cosets that reach it, which is the least center overall.  In
 characteristic 2 the reduction is an XOR of table reads; for odd p the
 key of an offset is the digitwise sum of per-entry keys, one digit per
-byte while n * (p - 1) fits in one.  A single index (a Monte Carlo
-center) is keyed by the same reduction: for p = 2 by XORed table reads
-over eight-bit windows, for odd p by clearing its base-p digits row by
-row.
+byte while n * (p - 1) fits in one.  The Monte Carlo centers are keyed
+by the same reduction, all in one call: for p = 2 by XORed table reads
+over eight-bit windows, one pass of the list per window, for odd p by
+clearing each one's base-p digits row by row.
 
 Explicit codes use one of two kernels.  In the scatter kernel every
 codeword w and every offset b of rank <= s add one to the tally of the
@@ -92,12 +92,13 @@ so a run of calls at one (ctx, n, s), such as the trials of an ensemble,
 builds each part once.  The slot holds one ball and is emptied before a
 different one is built, so at most one ball is alive at a time.
 
-Monte Carlo scores the codewords, then ``centers`` random draws; the
-first candidate with the largest count wins.  When |C| * |B_s| <=
-min(neighborhood_cap, cap) it reads the scatter tally of every center
-near the code, candidates in the order the tally meets them.  Otherwise
-``_far_route`` prices each route for these far centers in CPython time
-per step (``_PRICES``) and takes the cheapest:
+Monte Carlo scores the codewords, then ``centers`` random draws from
+one ``rng.draws`` stream; the first candidate with the largest count
+wins.  When |C| * |B_s| <= min(neighborhood_cap, cap) it reads the
+scatter tally of every center near the code, candidates in the order
+the tally meets them.  Otherwise ``_far_route`` prices each route for
+these far centers in CPython time per step (``_PRICES``) and takes the
+cheapest:
 
 - the coset tally (linear codes): |B_s| coset keys, priced like ranked
   pairs past the byte slots (n * (p - 1) > 255), and a key per center,
@@ -106,7 +107,9 @@ per step (``_PRICES``) and takes the cheapest:
   dependency keys than C has words, each candidate pays its keys and is
   tested only against the codewords that share one, otherwise against
   every codeword; a test is one probe of the ball's offset set ("probe";
-  p = 2, or p <= 127 and q <= 256) or a rank ("rank").
+  p = 2, or p <= 127 and q <= 256) or a rank ("rank").  The pairs run
+  as flat lists, at most ``_PAIR_BLOCK`` at a time, so memory stays
+  bounded by the block, not by |C| * candidates.
 
 A route that reads the ball pays its |B_s| builds, and the probe |B_s|
 more for its offset set, whether or not the slot holds them, so a route
@@ -129,7 +132,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import compress, repeat, zip_longest
+from itertools import chain, compress, islice, repeat, zip_longest
 from operator import add, and_, floordiv, mod, mul, or_, rshift, xor
 
 from .codes import (
@@ -160,7 +163,7 @@ from .rankmetric import (
     rref_fq,
     vector_from_index,
 )
-from .rng import make_rng
+from .rng import draws
 
 DEFAULT_MC_CENTERS = 1000
 DEFAULT_NEIGHBORHOOD_CAP = 4096
@@ -332,8 +335,10 @@ class _CosetKeys:
 
     For p = 2 a key is that packed index itself; the rows, keyed by top
     bit (``_xor_basis``), are read on the running value through 256-entry
-    tables, one per eight-bit window that holds a pivot, highest first.
-    For odd p a key is the digit string of that index, most significant
+    tables, one per eight-bit window that holds a pivot, highest first;
+    ``of_indices`` runs each window's reads over a whole list in one pass,
+    for the ball's packed offsets and the Monte Carlo draws alike.  For
+    odd p a key is the digit string of that index, most significant
     first: ``bytes`` when a sum of n digits fits in a byte, a tuple of
     ints otherwise.  Both compare like the index they spell.  A single
     index has its digits reduced row by row (``_reduce``); ``ball`` sums
@@ -386,6 +391,16 @@ class _CosetKeys:
             return idx
         return self._finish(self._reduce(_entries_of_index(self.p, self.width, idx)))
 
+    def of_indices(self, indices):
+        """``of_index`` of each packed index, in order: for p = 2 one pass
+        over the whole list per window."""
+        if self.p > 2:
+            return list(map(self.of_index, indices))
+        for low, table in self.tables:
+            windows = map(and_, map(rshift, indices, repeat(low)), repeat(255))
+            indices = list(map(xor, indices, map(table.__getitem__, windows)))
+        return indices
+
     def index(self, key) -> int:
         """The packed index a key spells: the least vector of its coset."""
         return key if self.p == 2 else _index_of_entries(self.p, key)
@@ -400,12 +415,7 @@ class _CosetKeys:
         """
         n, p, width = self.n, self.p, self.width
         if p == 2:
-            keys = _ball(self.ctx, n, s).packed
-            # of_index over the whole list, one window at a time
-            for low, table in self.tables:
-                windows = map(and_, map(rshift, keys, repeat(low)), repeat(255))
-                keys = list(map(xor, keys, map(table.__getitem__, windows)))
-            return keys
+            return self.of_indices(_ball(self.ctx, n, s).packed)
         ball = _ball(self.ctx, n, s)
         # each digit sits in its own slot, wide enough for a sum of n digits
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
@@ -537,47 +547,60 @@ def _keys(ctx, n: int, s: int, packed, enc: _Encoder) -> list[list]:
     return out
 
 
+# (candidate, codeword) pairs that ``_near`` tests at a time, so that its
+# memory does not grow with |C| * candidates
+_PAIR_BLOCK = 2**16
+
+
 def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> dict:
     """The list size at each candidate, in candidate order, for packed
-    codewords: the kernel of the module docstring.  With ``probe`` a pair
-    probes the offset set with c - w: c ^ w for p = 2, else the digits of
-    c and -w, reduced; else it ranks c - w on their entries."""
+    codewords: the kernel of the module docstring.  The pairs it tests run
+    in blocks of ``_PAIR_BLOCK``, as flat lists: each tested candidate
+    repeated once per codeword it is tested against, beside those
+    codewords.  With ``probe`` a pair probes the offset set with c - w:
+    c ^ w for p = 2, else the digits of c and -w, summed and reduced;
+    else it ranks c - w on their entries."""
     order, p = ctx.order, ctx.base.p
     enc = _Encoder(ctx) if keyed or (probe and p > 2) else None
-    if not probe:
-        forms = [_entries_of_index(order, n, w) for w in words]
+    coords, width = n * ctx.m, n * ctx.m * ctx.base.s
+    offsets = _ball(ctx, n, s).probes() if probe else None
 
-        def counted(cs, near):
-            centers = (_entries_of_index(order, n, c) for c in cs)
-            return map(_count_near, repeat(ctx), near, centers, repeat(s))
-    elif p == 2:
-        offsets, forms = _ball(ctx, n, s).probes(), words
+    def forms(xs, lam: int):
+        # what a pair reads of a candidate (lam = 1) or of -w (lam = p - 1)
+        if not probe:
+            return [_entries_of_index(order, n, x) for x in xs]
+        return xs if p == 2 else enc.scaled(lam, xs, coords)
 
-        def counted(cs, near):
-            return (len(offsets.intersection(map(c.__xor__, ws))) for c, ws in zip(cs, near))
-    else:
-        offsets, coords, width = _ball(ctx, n, s).probes(), n * ctx.m, n * ctx.m * ctx.base.s
-        forms = enc.scaled(p - 1, words, coords)  # the digits of -w
-
-        def counted(cs, near):
-            for c, ws in zip(enc.scaled(1, cs, coords), near):
-                diffs = map(int.to_bytes, map(c.__add__, ws), repeat(width), repeat("big"))
-                yield len(offsets.intersection(map(bytes.translate, diffs, repeat(enc.mod))))
+    words_forms = forms(words, p - 1)
     if keyed:
         reads = []
         for keys, wanted in zip(_keys(ctx, n, s, words, enc), _keys(ctx, n, s, list(candidates), enc)):
             index = {}
-            for key, w in zip(keys, forms):
+            for key, w in zip(keys, words_forms):
                 index.setdefault(key, []).append(w)
             reads.append(map(index.get, wanted, repeat(())))
         near = list(map(set().union, *reads))
-        # only a candidate that shares a key with some codeword is tested
-        hits, near = list(compress(candidates, near)), filter(None, near)
     else:
-        hits, near = list(candidates), repeat(forms)
-    counts = dict.fromkeys(candidates, 0)
-    counts.update(zip(hits, counted(hits, near)))
-    return counts
+        near = [words_forms] * len(candidates)
+    # only a candidate that shares a key with some codeword is tested
+    tested, near = list(compress(candidates, near)), list(filter(None, near))
+    sharers = list(map(len, near))
+    owners = chain.from_iterable(map(repeat, tested, sharers))
+    owner_forms = chain.from_iterable(map(repeat, forms(tested, 1), sharers))
+    partners = chain.from_iterable(near)
+    tally = Counter()
+    while block := list(islice(owners, _PAIR_BLOCK)):
+        cs, ws = list(islice(owner_forms, len(block))), list(islice(partners, len(block)))
+        if not probe:
+            diffs = map(tuple, map(map, repeat(ctx.sub), ws, cs))
+            hits = map(s.__ge__, map(_rank_of_entries, repeat(ctx), diffs))
+        elif p == 2:
+            hits = map(offsets.__contains__, map(xor, cs, ws))
+        else:
+            diffs = map(int.to_bytes, map(add, cs, ws), repeat(width), repeat("big"))
+            hits = map(offsets.__contains__, map(bytes.translate, diffs, repeat(enc.mod)))
+        tally.update(compress(block, hits))
+    return {**dict.fromkeys(candidates, 0), **tally}
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -799,36 +822,32 @@ def max_list_size(
     if mode != "montecarlo":
         raise ValueError(f"unknown mode {mode!r}")
     _check_word_cap(code, cap)
-    rng = make_rng(seed)
-    draws = dict.fromkeys([rng.randrange(space) for _ in range(centers)])
+    drawn = list(dict.fromkeys(islice(draws(seed, space), centers)))
     if code.size * bv <= min(neighborhood_cap, cap):
         # every center that sees any codeword at all lives in this tally,
-        # so small instances get the true maximum even in this mode
+        # so small instances get the true maximum even in this mode; a
+        # draw it never met sees no codeword and cannot lead
         tally = _tally(ctx, n, s, _packed_words(code, cap))
-        candidates = dict.fromkeys(tally)
-        candidates.update(draws)
+        tried = len(tally.keys() | drawn)
     else:
-        route, keyed = _far_route(ctx, n, s, bv, code.size, len(draws), cap, linear)
+        route, keyed = _far_route(ctx, n, s, bv, code.size, len(drawn), cap, linear)
         if route == "coset":
             # the codewords lead the candidates, all in the coset of zero and
-            # led by the zero word; each new random center is scored by its coset
+            # led by the zero word; each new random center is scored by its
+            # coset, and one in the zero coset cannot beat the zero word
             cosets = _CosetKeys(code)
             tally = Counter(cosets.ball(s))
-            best, best_index, tried = tally[cosets.zero], 0, code.size
-            for x in draws:
-                key = cosets.of_index(x)
-                if key != cosets.zero:
-                    tried += 1
-                    if tally[key] > best:
-                        best, best_index = tally[key], x
-            return report(best, best_index, tried)
+            keys = cosets.of_indices(drawn)
+            counts = [tally[cosets.zero], *map(tally.get, keys, repeat(0))]
+            first = counts.index(max(counts))
+            tried = code.size + len(keys) - keys.count(cosets.zero)
+            return report(counts[first], drawn[first - 1] if first else 0, tried)
         words = _packed_words(code, cap)
-        candidates = dict.fromkeys(words)
-        candidates.update(draws)
-        tally = _near(ctx, n, s, words, candidates, keyed, route == "probe")
+        tally = _near(ctx, n, s, words, dict.fromkeys([*words, *drawn]), keyed, route == "probe")
+        tried = len(tally)
     # the first candidate with the largest count
-    best_key = max(candidates, key=tally.__getitem__)
-    return report(tally[best_key], best_key, len(candidates))
+    best_key = max(tally, key=tally.__getitem__)
+    return report(tally[best_key], best_key, tried)
 
 
 # CPython time per step in about 0.1 us, (p = 2, odd p), fitted on

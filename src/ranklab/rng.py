@@ -5,13 +5,17 @@ explicitly; nothing reads global RNG state.  Independent substreams for
 trial i of a seeded run are derived as ``substream_seed(seed, i)``:
 the 64-bit trial index is folded into the seed with the splitmix64
 finalizer, so substreams are decorrelated, reproducible, and do not
-depend on how trials are scheduled across workers.  ``content_hash``
-names the inputs of a report by a digest of their canonical JSON.
+depend on how trials are scheduled across workers.  Uniform draws
+below a bound come from one stream (``draws``) that consumes the
+generator exactly as ``randrange`` does, so a batch of draws costs no
+Python frame per draw.  ``content_hash`` names the inputs of a report by
+a digest of their canonical JSON.
 """
 from __future__ import annotations
 
 import json
 import random
+from itertools import repeat
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,6 +39,13 @@ def substream_seed(seed: int, index: int) -> int:
 def make_rng(seed: int) -> random.Random:
     """A fresh deterministic generator for the given 64-bit seed."""
     return random.Random(seed & _MASK64)
+
+
+def draws(seed: int, bound: int):
+    """The endless stream of ``make_rng(seed).randrange(bound)`` draws,
+    bound >= 1: one ``getrandbits(bound.bit_length())`` per try, a try of
+    bound or more rejected, as ``randrange`` does it."""
+    return filter(bound.__gt__, map(make_rng(seed).getrandbits, repeat(bound.bit_length())))
 
 
 def content_hash(payload: dict) -> str:

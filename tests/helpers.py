@@ -13,6 +13,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import ranklab
@@ -389,6 +390,26 @@ def far_branch_oracle(code, s, centers, seed):
         if count > best:
             best, best_center = count, center
     return best, best_center, len(candidates)
+
+
+def coset_route_oracle(code, s, drawn):
+    """The Monte Carlo coset route, one draw at a time: the zero word's
+    count leads, then each distinct draw outside the zero coset is keyed
+    alone (``_CosetKeys.of_index``), counted as tried, and wins only with
+    a strictly larger count.  Returns (l_max, argmax index, candidates
+    tried)."""
+    from ranklab.listdec import _CosetKeys
+
+    cosets = _CosetKeys(code)
+    tally = Counter(cosets.ball(s))
+    best, best_index, tried = tally[cosets.zero], 0, code.size
+    for x in dict.fromkeys(drawn):
+        key = cosets.of_index(x)
+        if key != cosets.zero:
+            tried += 1
+            if tally[key] > best:
+                best, best_index = tally[key], x
+    return best, best_index, tried
 
 
 def coset_oracle(code, s):

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ball_by_tables, far_branch_oracle, inline_executor
+from helpers import (
+    ball_by_tables,
+    coset_route_oracle,
+    far_branch_oracle,
+    inline_executor,
+    memo_span_rank,
+)
 from ranklab import listdec
 from ranklab.codes import (
     ExplicitCode,
@@ -985,6 +991,162 @@ def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
                     routes_run.add(route)
     near = {f"near keyed={k} probe={p}" for k in (False, True) for p in (False, True)}
     assert routes_run == {"coset", *near}
+
+
+# (q, m, n, code) for the flat pair probes: explicit codes below and above
+# the key count at s = 1, and a linear code, over prime q as the far-branch
+# oracle needs
+NEAR_CASES = {
+    "q2m4n3-random3": (2, 4, 3, lambda ctx: sample_random_code(ctx, 3, 3, 1)),
+    "q2m4n3-random40": (2, 4, 3, lambda ctx: sample_random_code(ctx, 3, 40, 3)),
+    "q2m3n3-linear16": (2, 3, 3, lambda ctx: sample_random_linear_code(ctx, 3, 4, 2)),
+    "q3m2n2-random40": (3, 2, 2, lambda ctx: sample_random_code(ctx, 2, 40, 2)),
+    "q3m3n2-random9": (3, 3, 2, lambda ctx: sample_random_code(ctx, 2, 9, 4)),
+    "q5m2n2-random30": (5, 2, 2, lambda ctx: sample_random_code(ctx, 2, 30, 1)),
+    "q5m2n2-linear25": (5, 2, 2, lambda ctx: sample_random_linear_code(ctx, 2, 2, 3)),
+}
+# the cases where some candidate shares no dependency key with any codeword
+# at some radius; in the others the keys of the codewords take every value
+NEAR_LONELY = {"q2m4n3-random3", "q2m4n3-random40", "q3m3n2-random9", "q5m2n2-random30"}
+
+
+@pytest.mark.parametrize("block", (1, 7, listdec._PAIR_BLOCK))
+@pytest.mark.parametrize("case", sorted(NEAR_CASES))
+def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
+    # every candidate's count, keyed and unkeyed, by probe and by rank,
+    # against a count ranked on F_q-spans, and the Monte Carlo report
+    # against the far-branch oracle; blocks of 1 and 7 pairs split one
+    # candidate's pairs over two blocks
+    q, m, n, make = NEAR_CASES[case]
+    ctx = default_context(q, m)
+    code = make(ctx)
+    monkeypatch.setattr(listdec, "_PAIR_BLOCK", block)
+    words = _packed_words(code, 2**24)
+    entries = [_entries_of_index(ctx.order, n, w) for w in words]
+    rng = random.Random(q * 100 + len(words))
+    candidates = dict.fromkeys(words)
+    for _ in range(40):
+        candidates.setdefault(rng.randrange(ctx.order**n), None)
+    order = list(candidates)
+    enc = listdec._Encoder(ctx)
+    straddled, lonely_seen = set(), False
+    for s in range(n + 1):
+        centers = [_entries_of_index(ctx.order, n, c) for c in order]
+        expected = [
+            sum(memo_span_rank(ctx, tuple(map(ctx.sub, c, w))) <= s for w in entries) for c in centers
+        ]
+        oracle = far_branch_oracle(code, s, 40, 5)
+        for keyed in (False, True) if listdec._key_count(ctx, n, s) else (False,):
+            if keyed:
+                # the codewords sharing some dependency key with each candidate
+                shared = [set() for _ in order]
+                for ks, kc in zip(listdec._keys(ctx, n, s, words, enc), listdec._keys(ctx, n, s, order, enc)):
+                    index = {}
+                    for key, w in zip(ks, words):
+                        index.setdefault(key, set()).add(w)
+                    for near, key in zip(shared, kc):
+                        near |= index.get(key, set())
+                sharers = list(map(len, shared))
+                # a candidate with no sharer, after one with some, keeps its place
+                lonely = [i for i, c in enumerate(sharers) if not c and any(sharers[:i])]
+                assert all(expected[i] == 0 for i in lonely)
+                lonely_seen = lonely_seen or bool(lonely)
+            else:
+                sharers, lonely = [len(words)] * len(order), []
+            ends = [sum(sharers[: i + 1]) for i in range(len(order))]
+            straddled.update(
+                (keyed, s) for i, c in enumerate(sharers) if c and (ends[i] - c) // block != (ends[i] - 1) // block
+            )
+            for probe in (False, True):
+                counts = listdec._near(ctx, n, s, words, candidates, keyed, probe)
+                assert list(counts) == order
+                assert list(counts.values()) == expected, (s, keyed, probe)
+                assert all(counts[order[i]] == 0 for i in lonely)
+                with monkeypatch.context() as patched:
+                    route = "probe" if probe else "rank"
+                    patched.setattr(listdec, "_far_route", lambda *args, r=(route, keyed): r)
+                    report = max_list_size(code, s, "montecarlo", centers=40, seed=5, neighborhood_cap=0)
+                assert (report.l_max, report.argmax_center.entries, report.centers_tried) == oracle
+    assert lonely_seen == (case in NEAR_LONELY)
+    if block < listdec._PAIR_BLOCK:
+        assert (False, 0) in straddled
+
+
+def test_flat_pair_probes_hold_one_block_of_pairs_at_a_time(monkeypatch):
+    # 256 codewords against 800 candidates, none keyed: 204,800 pairs,
+    # whose three flat lists would take 4.9 MB of references alone
+    import tracemalloc
+
+    ctx = default_context(2, 5)
+    code = sample_random_code(ctx, 3, 256, 1)
+    words = _packed_words(code, 2**24)
+    rng = random.Random(2)
+    candidates = dict.fromkeys(words)
+    while len(candidates) < 800:
+        candidates.setdefault(rng.randrange(ctx.order**3), None)
+    expected = listdec._near(ctx, 3, 1, words, candidates, False, True)
+    monkeypatch.setattr(listdec, "_PAIR_BLOCK", 1000)
+    tracemalloc.start()
+    try:
+        counts = listdec._near(ctx, 3, 1, words, candidates, False, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == expected
+    assert peak < 500_000
+
+
+# (q, m, n, k) of the linear codes whose Monte Carlo draws the coset
+# route scores: one per characteristic-2 field shape and one odd q
+COSET_ROUTE_CODES = ((2, 4, 3, 4), (4, 3, 2, 2), (3, 3, 2, 2))
+
+
+def plus(ctx, n, x: int, y: int) -> int:
+    """The packed index of the sum of the vectors at packed x and y."""
+    pair = zip(_entries_of_index(ctx.order, n, x), _entries_of_index(ctx.order, n, y))
+    return _index_of_entries(ctx.order, [ctx.add(a, b) for a, b in pair])
+
+
+@pytest.mark.parametrize("q, m, n, k", COSET_ROUTE_CODES)
+def test_the_coset_route_picks_like_the_per_draw_loop(q, m, n, k, monkeypatch):
+    # the draws are chosen: the route keys them in one pass and picks the
+    # first largest count, where the oracle keys and compares one by one
+    ctx = default_context(q, m)
+    code = sample_random_linear_code(ctx, n, k, 3)
+    words = _packed_words(code, 2**24)
+    cosets = listdec._CosetKeys(code)
+    tally = Counter(cosets.ball(1))
+    # the least member of the coset with the largest count, and of one that
+    # ties the zero coset where there is one
+    top = cosets.index(min(tally, key=lambda key: (-tally[key], key)))
+    assert tally[cosets.of_index(top)] > tally[cosets.zero]
+    ties = [cosets.index(key) for key in tally if key != cosets.zero and tally[key] == tally[cosets.zero]]
+    rng = random.Random(q)
+    loose = [rng.randrange(ctx.order**n) for _ in range(30)]
+    draw_sets = {
+        "mixed, zero coset included": loose[:10] + words[1:4] + loose[10:] + [0, loose[3]],
+        "one coset": [plus(ctx, n, top, w) for w in words[::3]],
+        "ties, then the top coset twice": ties[:3] + [plus(ctx, n, top, words[-1]), top],
+        "zero coset only": words[::-1],
+        "none": [],
+    }
+    for name, chosen in draw_sets.items():
+        assert cosets.of_indices(list(chosen)) == list(map(cosets.of_index, chosen))
+        monkeypatch.setattr(listdec, "draws", lambda seed, bound, chosen=chosen: iter(chosen))
+        monkeypatch.setattr(listdec, "_far_route", lambda *args: ("coset", False))
+        report = max_list_size(code, 1, "montecarlo", centers=len(chosen), neighborhood_cap=0)
+        got = (report.l_max, vector_index(report.argmax_center), report.centers_tried)
+        assert got == coset_route_oracle(code, 1, chosen), name
+    assert report.centers_tried == code.size
+
+
+@pytest.mark.xfail(strict=True, reason="Monte Carlo centers replay the codewords sampled at the same seed")
+def test_montecarlo_centers_do_not_replay_the_sampled_code():
+    # the sampler and the centers read one draw stream per seed, so at one
+    # seed the first 50 centers are the 50 codewords, already scored
+    code = sample_random_code(default_context(3, 4), 4, 50, 0)
+    report = max_list_size(code, 1, "montecarlo", centers=200, seed=0)
+    assert report.centers_tried == 250
 
 
 def test_cli_sized_far_centers_build_no_ball(monkeypatch):

@@ -445,3 +445,24 @@ def test_only_the_coset_keys_compute_a_coset_least_vector():
         if ref in banned:
             found.append(f"harness.py:{node.lineno} {ref}")
     assert found == []
+
+
+def test_every_uniform_draw_comes_from_the_draw_stream():
+    # ``rng.draws`` consumes the generator exactly as ``randrange`` does,
+    # with no Python frame per draw: no module calls ``randrange``, and
+    # only rng.py reads ``getrandbits``
+    def names(tree):
+        for node in ast.walk(tree):
+            ref = getattr(node, "id", None) or getattr(node, "attr", None)
+            if ref in ("randrange", "getrandbits"):
+                yield ref, node.lineno
+
+    found = {
+        f"{path.name}:{line} {ref}"
+        for path, tree in parsed_modules()
+        for ref, line in names(tree)
+        if ref == "randrange" or path.name != "rng.py"
+    }
+    assert found == set()
+    rng = ast.parse((SOURCE / "rng.py").read_text(encoding="utf-8"))
+    assert "getrandbits" in {ref for ref, _ in names(rng)}
