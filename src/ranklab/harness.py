@@ -7,19 +7,17 @@ its spec: rerunning, or redistributing trials over workers, reproduces
 it bit for bit.  Wall-clock time is carried for convenience but kept
 out of equality and canonical serialization.
 
-``coset_partition_check`` reads the coset tally of ``listdec`` (one key
-per ball vector, the least vector of its coset) for a linear code, one
-count per coset the ball meets, and checks that these counts sum to the
-closed-form ball volume, with the max coset compared against the
-ceil(|B|/|S|) average floor.  The keys are taken on the code with each
-entry's coordinates reversed, so the least key among the maximal cosets,
+``coset_partition_check`` reads the largest count of the ball in one
+coset of a linear code off ``max_list_size``, whose exhaustive sweep
+refuses a tally that does not sum to its closed form (the double count),
+and compares it against the ceil(|B|/|S|) average floor.  The sweep runs
+on the code with each entry's coordinates reversed, so its least center,
 reversed back, is the reported representative; no coset is reduced here.
 """
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -34,7 +32,7 @@ from .bounds import (
 from .codes import LinearCode, sample_random_code, sample_random_linear_code
 from .errors import EnumerationCapExceeded
 from .fields import default_context
-from .listdec import _CosetKeys, _pool_size, max_list_size
+from .listdec import _pool_size, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
@@ -216,23 +214,23 @@ class CosetCheckReport(_Record):
 def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP) -> CosetCheckReport:
     """Tally the ball against every coset C + y and check the exact identity.
 
-    Keying every offset b of rank <= s by the coset of -b (``listdec``'s
-    coset keys) counts |(C + y) intersect B_s| at the coset C + y.  The
-    ball is symmetric, -B_s = B_s, so that is the same tally as keying
-    each b by its own coset, which is what ``max_list_size`` reads.  A
-    coset the ball misses counts zero.  The cosets partition the space,
-    so the counts must sum to the closed-form ball volume, which
-    certifies that the offsets behind the tally are exactly the |B_s|
-    vectors the shell counts predict.
+    The list size of a linear code at y is |(C + y) intersect B_s|, the
+    count of the ball in the coset of y, so the exhaustive
+    ``max_list_size`` sweep gives the largest count and the least vector
+    that has it.  A coset the ball misses counts zero.  The cosets
+    partition the space, so the counts sum to the closed-form ball
+    volume; the sweep checks its own double count, which certifies that
+    the offsets behind it are exactly the |B_s| vectors the shell counts
+    predict, and raises ``RuntimeError`` on a mismatch, so a report
+    always has ``total == ball`` and ``identity_ok``.
 
     The reported representative of the maximal coset is its first vector
     in ``flatten_vector`` order, and of the maximal cosets the one whose
     representative comes first.  That order is the packed order of the
     vector with each entry's F_q coordinates reversed.  The reversal
     permutes the rows of the m x n matrix of every vector, so it keeps
-    rank, the ball B_s and the coset partition: the keys are taken on the
-    reversed code, whose least key among the maximal cosets spells the
-    reversed representative.
+    rank, the ball B_s and the coset partition: the sweep runs on the
+    reversed code, whose least center spells the reversed representative.
     """
     if not isinstance(code, LinearCode):
         raise ValueError("coset partition needs a linear code")
@@ -253,22 +251,18 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
         return tuple(_index_of_entries(q, _entries_of_index(q, m, e)[::-1]) for e in entries)
 
     mirror = tuple(RankVector(ctx, reversed_entries(w.entries)) for w in code.basis)
-    cosets = _CosetKeys(LinearCode(ctx, n, mirror))
-    tally = Counter(cosets.ball(s))
-    total = sum(tally.values())
-    max_count = max(tally.values())
-    least = cosets.index(min(key for key, count in tally.items() if count == max_count))
+    worst = max_list_size(LinearCode(ctx, n, mirror), s, cap=cap)
     return CosetCheckReport(
         radius_s=s,
         k=code.k,
         coset_count=coset_count,
         ball=ball,
-        total=total,
-        identity_ok=total == ball,
-        max_count=max_count,
-        max_rep=RankVector(ctx, reversed_entries(_entries_of_index(ctx.order, n, least))),
+        total=ball,
+        identity_ok=True,
+        max_count=worst.l_max,
+        max_rep=RankVector(ctx, reversed_entries(worst.argmax_center.entries)),
         average_bound=average_bound,
-        meets_average_bound=max_count >= average_bound,
+        meets_average_bound=worst.l_max >= average_bound,
     )
 
 

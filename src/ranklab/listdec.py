@@ -61,7 +61,7 @@ answer too.  Neither linear route enumerates a codeword.
 Each exhaustive sweep takes the cheaper of its two kernels, the counters
 or the scatter for an explicit code, the fold or the coset tally for a
 linear one, as ``_sweep_route`` prices them in ``_PRICES`` units from
-the call alone, never from what the ball slot holds.  A translate costs
+the call alone, never from what the ball memo holds.  A translate costs
 about three big-int operations per base-p digit of an index, each over
 q^(mn) bits, and the bitset is priced one step per offset.  The counters
 pay one translate per codeword, the scatter |C| * |B_s| tally updates;
@@ -69,28 +69,28 @@ the fold pays p - 1 translates of every slice per basis word, the slices
 before word j holding counts up to min(p^j, |B_s|), and the coset tally
 |B_s| keys plus the entries of its key tables.  So balls that fill a
 fixed share of the space go to the counters or the fold, and sparse ones
-stay with the scatter or the coset tally, which also serves Monte Carlo
-and ``harness.coset_partition_check``, there keyed on the code with each
-entry's coordinates reversed.  Splitting an explicit code's codewords
-over workers sums partial tallies, or partial counters by ripple carry,
-so reports do not depend on the worker count, and exhaustive ties
-resolve to the least packed index, which is the first center in
-lexicographic order.  After that merge every exhaustive sweep checks its
-double count against |B_s| from the shell counts (``_double_count``).
+stay with the scatter or the coset tally, which also serves Monte Carlo.
+Splitting an explicit code's codewords over workers sums partial
+tallies, or partial counters by ripple carry, so reports do not depend
+on the worker count, and exhaustive ties resolve to the least packed
+index, which is the first center in lexicographic order.  After that
+merge every exhaustive sweep checks its double count against |B_s| from
+the shell counts (``_double_count``).
 
 Every kernel reads the ball through ``_ball``, a ``_Ball`` whose parts
-are built on first use.  The counters and the fold read its bitset
-alone, set from the span tables of dimension s (``_ball_bits``): as
-s <= n <= m, B_s is the union of T^n over the s-dimensional subspaces T
-of F_q^m.  The other kernels read its layout, built whole from
-``rankmetric._ball_chunks``: for p = 2 the packed offsets, for odd p the
-span tables side by side, per shell the slice of each table and one
-getter per entry position (``_read`` applies them to any table aligned
-with the values), and the digit-plane shifter.  A probe adds the offset
-set.  The most recent ball is kept under its field, length and radius,
-so a run of calls at one (ctx, n, s), such as the trials of an ensemble,
-builds each part once.  The slot holds one ball and is emptied before a
-different one is built, so at most one ball is alive at a time.
+are cached properties, each built on first read.  The counters and the
+fold read its bitset alone, set from the span tables of dimension s
+(``_ball_bits``): as s <= n <= m, B_s is the union of T^n over the
+s-dimensional subspaces T of F_q^m.  The other kernels read its layout,
+built whole from ``rankmetric._ball_chunks``: the span tables side by
+side, per shell the slice of each table and one getter per entry
+position (``_read`` applies them to any table aligned with the values).
+The packed offsets (p = 2), the digit-plane shifter (odd p) and the
+probe's offset set are read off the layout.  ``_ball`` is an
+``lru_cache`` of one entry keyed by field, length and radius, so a run
+of calls at one (ctx, n, s), such as the trials of an ensemble, builds
+each part once.  A new ball builds nothing until a part is read, and by
+then the cache has dropped the old one, so at most one ball is alive.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
 one ``rng.draws`` stream; the first candidate with the largest count
@@ -112,7 +112,7 @@ cheapest:
   bounded by the block, not by |C| * candidates.
 
 A route that reads the ball pays its |B_s| builds, and the probe |B_s|
-more for its offset set, whether or not the slot holds them, so a route
+more for its offset set, whether or not the memo holds them, so a route
 depends on the call alone and a ball is not built to serve a few hundred
 pairs.  No route reads a ball of
 more than ``cap`` offsets; if |C| * |candidates| passes the cap too,
@@ -131,7 +131,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import chain, compress, islice, repeat, zip_longest
 from operator import add, and_, floordiv, mod, mul, or_, rshift, xor
 
@@ -249,43 +249,43 @@ def _packed(values, runs, n: int, order: int) -> tuple[int, ...]:
 
 
 class _Ball:
-    """The radius-s ball, each part built on first use; callers only read
-    it.  A first read of the layout builds ``packed`` (p = 2, in
-    ``_iter_ball_tables`` order) or the ``_ball_layout`` values and runs
-    and their ``_shifter`` (odd p), the other parts left None."""
-
-    __slots__ = ("ctx", "n", "s", "packed", "values", "runs", "shift", "probe_set", "bitset")
+    """The radius-s ball, each part built on first use and kept; callers
+    only read it."""
 
     def __init__(self, ctx, n: int, s: int):
-        self.ctx, self.n, self.s, self.probe_set, self.bitset = ctx, n, s, None, None
+        self.ctx, self.n, self.s = ctx, n, s
 
-    def __getattr__(self, name: str):
-        # only a read of an unset slot lands here: lay the ball out
-        if name not in ("packed", "values", "runs", "shift"):
-            raise AttributeError(name)
-        ctx, n, p = self.ctx, self.n, self.ctx.base.p
-        values, runs = _ball_layout(ctx, n, self.s)
-        self.packed = _packed(values, runs, n, ctx.order) if p == 2 else None
-        self.values, self.runs, self.shift = (values, runs, _shifter(p, values)) if p > 2 else (None,) * 3
-        return getattr(self, name)
+    @cached_property
+    def layout(self):
+        """The ``_ball_layout`` values and runs."""
+        return _ball_layout(self.ctx, self.n, self.s)
 
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The packed offsets, in ``_iter_ball_tables`` order."""
+        return _packed(*self.layout, self.n, self.ctx.order)
+
+    @cached_property
+    def shift(self):
+        """The ``_shifter`` of the layout's values."""
+        return _shifter(self.ctx.base.p, self.layout[0])
+
+    @cached_property
     def probes(self) -> set:
-        """The offsets ``_near`` probes, built on first use: packed for
-        p = 2, else as the bytes of their ``_Encoder`` digits."""
+        """The offsets ``_near`` probes: packed for p = 2, else as the
+        bytes of their ``_Encoder`` digits."""
         ctx = self.ctx
-        if self.probe_set is None and ctx.base.p == 2:
-            self.probe_set = set(self.packed)
-        elif self.probe_set is None:
-            width = ctx.m * ctx.base.s
-            digits = _packed(_Encoder(ctx).scaled(1, self.values, ctx.m), self.runs, self.n, 256**width)
-            self.probe_set = set(map(int.to_bytes, digits, repeat(self.n * width), repeat("big")))
-        return self.probe_set
+        if ctx.base.p == 2:
+            return set(self.packed)
+        width = ctx.m * ctx.base.s
+        values, runs = self.layout
+        digits = _packed(_Encoder(ctx).scaled(1, values, ctx.m), runs, self.n, 256**width)
+        return set(map(int.to_bytes, digits, repeat(self.n * width), repeat("big")))
 
+    @cached_property
     def bits(self) -> int:
-        """The ``_ball_bits`` bitset, built on first use."""
-        if self.bitset is None:
-            self.bitset = _ball_bits(self.ctx, self.n, self.s)
-        return self.bitset
+        """The ``_ball_bits`` bitset."""
+        return _ball_bits(self.ctx, self.n, self.s)
 
 
 def _ball_bits(ctx, n: int, s: int) -> int:
@@ -307,19 +307,10 @@ def _ball_bits(ctx, n: int, s: int) -> int:
     return blocks[0]
 
 
-# the most recent ball under its (ctx, n, s): emptied before a different
-# ball is built, so at most one is alive
-_BALL_SLOT: dict = {}
-
-
+@lru_cache(maxsize=1)
 def _ball(ctx, n: int, s: int) -> _Ball:
-    """The radius-s ball, kept in ``_BALL_SLOT``."""
-    key = (ctx, n, s)
-    ball = _BALL_SLOT.get(key)
-    if ball is None:
-        _BALL_SLOT.clear()
-        ball = _BALL_SLOT[key] = _Ball(ctx, n, s)
-    return ball
+    """The radius-s ball, the most recent one kept."""
+    return _Ball(ctx, n, s)
 
 
 class _CosetKeys:
@@ -357,12 +348,17 @@ class _CosetKeys:
             windows = []
             for top in sorted(basis, reverse=True):
                 if not windows or top <= windows[-1][0]:
-                    windows.append((max(top - 8, 0), []))
-                windows[-1][1].append((top - 1, basis[top]))
-            self.tables = [
-                (low, [_xor_rows(v << low, pivot_rows) for v in range(256)])
-                for low, pivot_rows in windows
-            ]
+                    windows.append((max(top - 8, 0), {}))
+                windows[-1][1][top] = basis[top]
+            self.tables = []
+            for low, rows in windows:
+                # the reduction is F_2-linear: each window bit doubles the
+                # table, the new half cleared by that bit's pivot row if any
+                table = [0]
+                for top in range(low + 1, low + 9):
+                    row = rows.get(top, 0)
+                    table += [t ^ row ^ table[row >> low & len(table) - 1] for t in table] if row else table
+                self.tables.append((low, table))
             self.zero = 0
         else:
             field = ctx.base if ctx.base.s == 1 else _default_base(p)
@@ -416,18 +412,18 @@ class _CosetKeys:
         n, p, width = self.n, self.p, self.width
         if p == 2:
             return self.of_indices(_ball(self.ctx, n, s).packed)
-        ball = _ball(self.ctx, n, s)
+        values, runs = _ball(self.ctx, n, s).layout
         # each digit sits in its own slot, wide enough for a sum of n digits
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
         per_entry = width // n
         reads = []
         for j in range(n):
             table = []
-            for x in ball.values:
+            for x in values:
                 digits = [0] * width
                 digits[j * per_entry : (j + 1) * per_entry] = _entries_of_index(p, per_entry, x)
                 table.append(_index_of_entries(1 << slot, self._reduce(digits)))
-            reads.append(_read(ball.runs, j, table))
+            reads.append(_read(runs, j, table))
         sums = map(sum, zip(*reads))
         if self.narrow:
             return map(
@@ -443,15 +439,6 @@ def _per_table(q: int) -> int:
     return next(c for c in range(8, 0, -1) if q**c <= 256 or c == 1)
 
 
-def _xor_rows(v: int, pivot_rows) -> int:
-    """XOR of the rows, highest pivot first, clearing each pivot bit of ``v``."""
-    out = 0
-    for bit, row in pivot_rows:
-        if (v ^ out) >> bit & 1:
-            out ^= row
-    return out
-
-
 def _scatter(ctx, n: int, s: int, words) -> Counter:
     """Tally of w + b over packed codewords w and offsets b of rank <= s:
     the scatter kernel of the module docstring, keyed by packed index in
@@ -465,9 +452,10 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
             tally.update(map(w.__xor__, ball.packed))
         return tally
     places = [order**j for j in range(n - 1, -1, -1)]
+    runs = ball.layout[1]
     for w in words:
         tables = (list(map(place.__mul__, ball.shift(e))) for e, place in zip(_entries_of_index(order, n, w), places))
-        tally.update(map(sum, zip(*map(_read, repeat(ball.runs), range(n), tables))))
+        tally.update(map(sum, zip(*map(_read, repeat(runs), range(n), tables))))
     return tally
 
 
@@ -563,7 +551,7 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
     order, p = ctx.order, ctx.base.p
     enc = _Encoder(ctx) if keyed or (probe and p > 2) else None
     coords, width = n * ctx.m, n * ctx.m * ctx.base.s
-    offsets = _ball(ctx, n, s).probes() if probe else None
+    offsets = _ball(ctx, n, s).probes if probe else None
 
     def forms(xs, lam: int):
         # what a pair reads of a candidate (lam = 1) or of -w (lam = p - 1)
@@ -683,7 +671,7 @@ def _counters(ctx, n: int, s: int, words) -> list[int]:
     of the module docstring, one translate of the ball's bitset per packed
     codeword."""
     move = _translator(ctx.base.p, ctx.order**n)
-    ball = _ball(ctx, n, s).bits()
+    ball = _ball(ctx, n, s).bits
     slices = []
     for w in words:
         bits = move(ball, w)
@@ -704,7 +692,7 @@ def _fold(ctx, n: int, s: int, basis) -> list[int]:
     carry."""
     p = ctx.base.p
     move = _translator(p, ctx.order**n)
-    slices = [_ball(ctx, n, s).bits()]
+    slices = [_ball(ctx, n, s).bits]
     for c in basis:
         moved = slices
         for _ in range(p - 1):

@@ -412,6 +412,35 @@ def coset_route_oracle(code, s, drawn):
     return best, best_index, tried
 
 
+def xor_window_tables(code):
+    """The characteristic-2 coset key tables entry by entry: the rows of
+    the code's ``_xor_basis``, keyed by top bit, go to eight-bit windows
+    from the highest pivot down, a window reaching eight bits below its
+    first pivot's top; entry v of a window's table is the XOR of its rows,
+    highest pivot first, that clears each pivot bit of v shifted to the
+    window.  Returns [(low bit, 256 entries)] per window, highest first."""
+    from ranklab.codes import _fp_basis
+    from ranklab.rankmetric import _xor_basis
+
+    basis = _xor_basis(_fp_basis(code))
+    windows = []
+    for top in sorted(basis, reverse=True):
+        if not windows or top <= windows[-1][0]:
+            windows.append((max(top - 8, 0), []))
+        windows[-1][1].append((top - 1, basis[top]))
+    tables = []
+    for low, pivot_rows in windows:
+        table = []
+        for v in range(256):
+            out = 0
+            for bit, row in pivot_rows:
+                if ((v << low) ^ out) >> bit & 1:
+                    out ^= row
+            table.append(out)
+        tables.append((low, table))
+    return tables
+
+
 def coset_oracle(code, s):
     """``coset_partition_check`` by brute force.
 

@@ -323,7 +323,7 @@ def test_context_equality_and_identity_cache():
 
 def test_equality_keys_hold_the_level_the_field_below_and_every_modulus():
     # both degree-1 default moduli are (0, 1), so only the characteristic
-    # tells F_2 from F_3; listdec keys its ball slot by context
+    # tells F_2 from F_3; listdec keys its ball memo by context
     assert FieldCtx(2) != FieldCtx(3)
     assert default_context(2, 1).ext_modulus == default_context(3, 1).ext_modulus
     assert default_context(2, 1) != default_context(3, 1)

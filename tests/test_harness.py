@@ -264,6 +264,33 @@ def test_coset_partition_check_matches_the_brute_force_oracle(q, m, n, k):
             ) == coset_oracle(code, s)
 
 
+@pytest.mark.parametrize("route", ("fold", "coset"))
+def test_coset_partition_check_does_not_depend_on_the_route(route, monkeypatch):
+    # the check reads max_list_size, whichever linear route it takes; k = 0
+    # is the empty basis
+    from ranklab import listdec
+
+    routes = []
+
+    def forced(*args):
+        routes.append(route)
+        return route
+
+    monkeypatch.setattr(listdec, "_sweep_route", forced)
+    for q, m, n in ((2, 3, 3), (3, 3, 2), (4, 2, 2), (5, 2, 2), (9, 2, 2)):
+        ctx = default_context(q, m)
+        for k in (0, 1, 2):
+            code = sample_random_linear_code(ctx, n, k, seed=q + k)
+            assert code.k == k
+            for s in range(n + 1):
+                report = coset_partition_check(code, s)
+                assert (
+                    report.coset_count, report.total, report.max_count, report.max_rep.entries
+                ) == coset_oracle(code, s), (q, k, s)
+                assert report.identity_ok and report.total == report.ball
+    assert routes == [route] * 3 * (4 + 3 + 3 + 3 + 3)
+
+
 def test_coset_partition_check_tie_cases_frozen():
     # the first three frozen from the transversal walk the coset keys
     # replaced, the rest from the reduction in flatten_vector coordinates,

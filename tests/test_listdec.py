@@ -7,6 +7,7 @@ counts they are supposed to floor.
 
 import hashlib
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -22,6 +23,7 @@ from helpers import (
     far_branch_oracle,
     inline_executor,
     memo_span_rank,
+    xor_window_tables,
 )
 from ranklab import listdec
 from ranklab.codes import (
@@ -334,11 +336,13 @@ def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
         assert sizes == expected
 
 
+@pytest.fixture
 def short_ball(monkeypatch):
-    """Build every ball from here on one offset short, the last offset of
+    """Build every ball of the test one offset short, the last offset of
     its last span table dropped: in the layout that table gets a run of
     its own whose getters drop their last read, and the bitset loses that
-    offset's bit.  ``_ball_size`` is left as it is."""
+    offset's bit.  ``_ball_size`` is left as it is, and no short ball
+    outlives the test."""
     layout, bits = listdec._ball_layout, listdec._ball_bits
 
     def short(ctx, n, s):
@@ -353,33 +357,37 @@ def short_ball(monkeypatch):
 
     monkeypatch.setattr(listdec, "_ball_layout", short)
     monkeypatch.setattr(listdec, "_ball_bits", short_bits)
-    monkeypatch.setattr(listdec, "_BALL_SLOT", {})
+    listdec._ball.cache_clear()
+    yield
+    listdec._ball.cache_clear()
 
 
 @pytest.mark.parametrize("q", (2, 3))
-def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatch):
+def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatch, short_ball):
     # each route's counts must sum to |B_s| (coset tally) or |C| * |B_s|,
-    # the linear code forced onto the coset tally and the fold
+    # the linear code and the coset check forced onto the coset tally and
+    # the fold
     ctx = default_context(q, 2)
     linear = sample_random_linear_code(ctx, 2, 1, seed=1)
     explicit = sample_random_code(ctx, 2, 4, seed=1)
     routes = spy(monkeypatch, "_sweep_route", result=True)
-    short_ball(monkeypatch)
     # every route reads the ball without its last offset, and only that one
     offsets = [_index_of_entries(ctx.order, b) for b in ball_by_tables(ctx, (0, 0), 1)][:-1]
     cosets = listdec._CosetKeys(linear)
     assert list(listdec._scatter(ctx, 2, 1, [0])) == offsets
-    assert listdec._ball(ctx, 2, 1).bits() == sum(1 << x for x in offsets)
+    assert listdec._ball(ctx, 2, 1).bits == sum(1 << x for x in offsets)
     assert list(cosets.ball(1)) == list(map(cosets.of_index, offsets))
     for route, key in LINEAR_ROUTES:
         force_linear_route(monkeypatch, key)
         with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
             max_list_size(linear, 1)
+        with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
+            coset_partition_check(linear, 1)
     for route, price in (("scatter", (0, 0)), ("counters", (10**9, 10**9))):
         monkeypatch.setitem(listdec._PRICES, "pair", price)
         with pytest.raises(RuntimeError, match=route):
             max_list_size(explicit, 1)
-    assert [route for *_, route in routes] == ["coset", "fold", "scatter", "counters"]
+    assert [route for *_, route in routes] == ["coset", "coset", "fold", "fold", "scatter", "counters"]
 
 
 def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
@@ -534,18 +542,18 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
 
     routes = spy(monkeypatch, "_far_route", result=True)
     built = spy(monkeypatch, "_keys") if uses_keys else []
-    listdec._BALL_SLOT.clear()
+    listdec._ball.cache_clear()
     report = run()
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
     assert bool(built) == uses_keys
-    # a route is priced from the call alone: the same once the slot holds
+    # a route is priced from the call alone: the same once the memo holds
     # this ball and its offset set, as after an exhaustive call and a probe
     # at the same (ctx, n, s)
-    listdec._ball(code.ctx, code.n, s).probes()
+    listdec._ball(code.ctx, code.n, s).probes
     assert run() == report
     assert [result for *_, result in routes] == [(route, uses_keys)] * 2
-    listdec._BALL_SLOT.clear()
+    listdec._ball.cache_clear()
 
 
 def spy(monkeypatch, name, result=False) -> list:
@@ -747,14 +755,14 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
     routes = spy(monkeypatch, "_sweep_route", result=True)
     cold = []
     for _, call in calls:
-        listdec._BALL_SLOT.clear()
+        listdec._ball.cache_clear()
         cold.append(call())
     cold_routes = list(routes)
     assert {route for *_, route in cold_routes} == {"scatter", "counters", "coset", "fold"}
     # back to back: each call twice, every run of one key in a row, and an
-    # exhaustive sweep takes the route it took cold also when the slot holds
+    # exhaustive sweep takes the route it took cold also when the memo holds
     # its ball and the ball's bitset
-    listdec._BALL_SLOT.clear()
+    listdec._ball.cache_clear()
     del routes[:]
     assert [(call(), call()) for _, call in calls] == [(r, r) for r in cold]
     assert routes == [call for call in cold_routes for _ in range(2)]
@@ -768,34 +776,46 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
 
 
 def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
-    # the parts of a ball, its layout and its bitset, are built while the
-    # slot holds that ball alone, each at most once per run of reads at one key
+    # the parts of a ball, its layout and its bitset, are built while that
+    # ball alone is alive, each at most once per run of reads at one key
+    memo = listdec._ball
+    memo.cache_clear()
     reads = spy(monkeypatch, "_ball")
-    built = []
+    built, balls = [], []  # balls: a weak reference to every ball made
+    real_ball = listdec._Ball
+
+    def made(*args):
+        ball = real_ball(*args)
+        balls.append(weakref.ref(ball))
+        return ball
+
+    def alive():
+        return [(ball.ctx, ball.n, ball.s) for ball in (ref() for ref in balls) if ball is not None]
 
     def checked(part, real):
         def build(ctx, n, s):
-            assert list(listdec._BALL_SLOT) == [(ctx, n, s)], f"another ball was alive at {(ctx, n, s)}"
+            assert alive() == [(ctx, n, s)], f"another ball was alive at {(ctx, n, s)}"
             run = sum(i == 0 or reads[i - 1] != key for i, key in enumerate(reads))
             built.append((run, (ctx, n, s), part))
             return real(ctx, n, s)
 
         return build
 
+    monkeypatch.setattr(listdec, "_Ball", made)
     for part in ("_ball_layout", "_ball_bits"):
         monkeypatch.setattr(listdec, part, checked(part, getattr(listdec, part)))
-    listdec._BALL_SLOT.clear()
     calls = list(memo_calls())
     for _, call in calls:
         call()
         call()
-    # a context equal to the slot's, though another object, reads the same ball
+    # a context equal to the memo's, though another object, reads the same ball
     ctx, n, s = reads[-1]
     twin = context_from_descriptor(ctx.descriptor())
     assert twin is not ctx
-    ball = listdec._BALL_SLOT[ctx, n, s]
+    ball = memo(ctx, n, s)
     max_list_size(sample_random_code(twin, n, 4, seed=1), s)
-    assert reads[-1] == (ctx, n, s) and listdec._BALL_SLOT[twin, n, s] is ball
+    assert reads[-1] == (ctx, n, s) and memo(twin, n, s) is ball
+    del ball
     # every run of reads at one key builds what it reads, each part once
     runs = [key for i, key in enumerate(reads) if i == 0 or reads[i - 1] != key]
     assert len({(run, part) for run, _, part in built}) == len(built)
@@ -803,13 +823,15 @@ def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
     assert sorted({run for run, _, _ in built}) == list(range(1, len(runs) + 1))
     assert {part for _, _, part in built} == {"_ball_layout", "_ball_bits"}
     assert len(reads) > 2 * len(runs) and {key for _, key, _ in built} == {key for key, _ in calls}
-    assert list(listdec._BALL_SLOT) == [runs[-1]]
+    assert alive() == [runs[-1]]
+    # a ball is built once per run of reads at one key
+    assert len(balls) == len(runs)
 
 
 def test_no_kernel_mutates_the_memoized_ball():
     for q, m, n, s in ((2, 3, 3, 1), (2, 3, 2, 2), (3, 2, 2, 1), (5, 2, 2, 1)):
         ctx = default_context(q, m)
-        listdec._BALL_SLOT.clear()
+        listdec._ball.cache_clear()
         code = sample_random_code(ctx, n, 6, seed=q)
         words = _packed_words(code, 2**24)
         candidates = dict.fromkeys(range(0, ctx.order**n, 3))
@@ -823,24 +845,23 @@ def test_no_kernel_mutates_the_memoized_ball():
         coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
         memo = listdec._ball(ctx, n, s)
         assert listdec._ball(ctx, n, s) is memo
-        listdec._BALL_SLOT.clear()
+        listdec._ball.cache_clear()
         fresh = listdec._ball(ctx, n, s)
         assert fresh is not memo
         # the offset set and the bitset are built once per ball and kept with it
-        assert memo.probes() is memo.probes() and memo.probes() == fresh.probes()
-        assert memo.bitset is not None  # left by the counter run
-        assert memo.bits() is memo.bits() and memo.bits() == fresh.bits()
-        assert memo.bits() == sum(1 << vector_index(b) for b in enumerate_ball(RankVector.zero(ctx, n), s))
-        if q == 2:
-            assert memo.packed == fresh.packed
-        else:
-            # the values, each run's table slices, and what its getters read
-            assert memo.values == fresh.values
-            assert [slices for slices, _ in memo.runs] == [slices for slices, _ in fresh.runs]
-            reads = [[list(listdec._read(b.runs, j, b.values)) for j in range(n)] for b in (memo, fresh)]
-            assert reads[0] == reads[1]
-            # the shifter's digit planes, split off on first use, are intact
-            assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
+        assert memo.probes is memo.probes and memo.probes == fresh.probes
+        assert "bits" in vars(memo)  # left by the counter run
+        assert memo.bits is memo.bits and memo.bits == fresh.bits
+        assert memo.bits == sum(1 << vector_index(b) for b in enumerate_ball(RankVector.zero(ctx, n), s))
+        assert memo.packed == fresh.packed
+        # the values, each run's table slices, and what its getters read
+        (values, runs), (fresh_values, fresh_runs) = memo.layout, fresh.layout
+        assert values == fresh_values
+        assert [slices for slices, _ in runs] == [slices for slices, _ in fresh_runs]
+        reads = [[list(listdec._read(r, j, v)) for j in range(n)] for v, r in (memo.layout, fresh.layout)]
+        assert reads[0] == reads[1]
+        # the shifter's digit planes, split off on first use, are intact
+        assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
 
 
 def test_the_ball_reads_like_the_span_tables_one_by_one():
@@ -852,20 +873,20 @@ def test_the_ball_reads_like_the_span_tables_one_by_one():
     for q, m, n, s in shapes + [(2, 6, 3, 2), (3, 4, 3, 2)]:
         ctx = default_context(q, m)
         p, order, width = ctx.base.p, ctx.order, n * m * ctx.base.s
-        listdec._BALL_SLOT.clear()
+        listdec._ball.cache_clear()
         ball = listdec._ball(ctx, n, s)
         offsets = [_index_of_entries(order, b) for b in ball_by_tables(ctx, (0,) * n, s)]
+        assert list(ball.packed) == offsets
         if p == 2:
-            assert list(ball.packed) == offsets
-            assert ball.probes() == set(offsets)
+            assert ball.probes == set(offsets)
         else:
             # the base-p digits of each packed offset, one byte each
-            assert ball.probes() == {bytes(_entries_of_index(p, width, x)) for x in offsets}
+            assert ball.probes == {bytes(_entries_of_index(p, width, x)) for x in offsets}
             words = _packed_words(sample_random_code(ctx, n, 3, seed=q + s), 2**24)
             centers = [_entries_of_index(order, n, w) for w in words]
             expected = Counter(_index_of_entries(order, b) for c in centers for b in ball_by_tables(ctx, c, s))
             assert list(listdec._scatter(ctx, n, s, words).items()) == list(expected.items()), (q, m, n, s)
-        assert ball.bits() == sum(1 << x for x in offsets)
+        assert ball.bits == sum(1 << x for x in offsets)
         for code in (sample_random_linear_code(ctx, n, 1, seed=s), gabidulin(ctx, n, 1)):
             cosets = listdec._CosetKeys(code)
             assert list(cosets.ball(s)) == list(map(cosets.of_index, offsets)), (q, m, n, s)
@@ -884,13 +905,13 @@ def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
                 ctx = default_context(q, m)
                 wide.add(ctx.order ** (n - 1) > 64)
                 for s in range(n + 1):
-                    listdec._BALL_SLOT.clear()
-                    bits = listdec._ball(ctx, n, s).bits()
+                    listdec._ball.cache_clear()
+                    bits = listdec._ball(ctx, n, s).bits
                     offsets = ball_by_tables(ctx, (0,) * n, s)
                     assert bits == sum(1 << _index_of_entries(ctx.order, b) for b in offsets), (q, m, n, s)
                     assert bits.bit_count() == _ball_size(q, m, n, s), (q, m, n, s)
     assert wide == {False, True}
-    listdec._BALL_SLOT.clear()
+    listdec._ball.cache_clear()
 
 
 def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
@@ -920,40 +941,46 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
             ),
         }
         for route, (code, kwargs, force) in cases.items():
-            listdec._BALL_SLOT.clear()
+            listdec._ball.cache_clear()
             del layouts[:], packs[:], routes[:]
             with monkeypatch.context() as patched:
                 force(patched)
                 max_list_size(code, s, workers=1, **kwargs)
             assert [result for *_, result in routes] == ([route] if not kwargs else [])
+            # what the route left built: the bitset alone, or the layout,
+            # packed for p = 2 alone
+            left = vars(listdec._ball(ctx, n, s)).keys() - {"ctx", "n", "s"}
             if route in ("counters", "fold"):
                 assert layouts == packs == [], route
+                assert left == {"bits"}, route
             else:
                 assert layouts == [(ctx, n, s)], route
                 assert len(packs) == (1 if q == 2 or route == "probe" else 0), route
+                assert "layout" in left and "bits" not in left, route
+                assert ("packed" in left) == (q == 2), route
         # the bitset and the layout in either order build what a cold ball does
         parts = []
         for first in (True, False):
-            listdec._BALL_SLOT.clear()
+            listdec._ball.cache_clear()
             ball = listdec._ball(ctx, n, s)
-            # reading one part of the layout lays the whole ball out
-            [ball.bits() if bits else ball.runs for bits in (first, not first)]
+            # reading the layout builds no other part
+            [ball.bits if bits else ball.layout for bits in (first, not first)]
+            assert vars(ball).keys() == {"ctx", "n", "s", "bits", "layout"}
             parts.append(ball)
-        listdec._BALL_SLOT.clear()
-        bits = listdec._ball(ctx, n, s).bits()
-        listdec._BALL_SLOT.clear()
+        listdec._ball.cache_clear()
+        bits = listdec._ball(ctx, n, s).bits
+        listdec._ball.cache_clear()
         cold = listdec._ball(ctx, n, s)
-        assert cold.bitset is None and (cold.packed is None) == (q > 2)
+        assert vars(cold).keys() == {"ctx", "n", "s"}
+        cold_values, cold_runs = cold.layout
         for ball in parts:
-            assert ball.bitset == bits and ball.packed == cold.packed and ball.values == cold.values
-            if q > 2:
-                assert [slices for slices, _ in ball.runs] == [slices for slices, _ in cold.runs]
-                assert [list(listdec._read(ball.runs, j, ball.values)) for j in range(n)] == [
-                    list(listdec._read(cold.runs, j, cold.values)) for j in range(n)
-                ]
-            else:
-                assert ball.runs is cold.runs is None
-    listdec._BALL_SLOT.clear()
+            values, runs = ball.layout
+            assert vars(ball)["bits"] == bits and ball.packed == cold.packed and values == cold_values
+            assert [slices for slices, _ in runs] == [slices for slices, _ in cold_runs]
+            assert [list(listdec._read(runs, j, values)) for j in range(n)] == [
+                list(listdec._read(cold_runs, j, cold_values)) for j in range(n)
+            ]
+    listdec._ball.cache_clear()
 
 
 def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
@@ -1167,7 +1194,7 @@ def test_coset_keys_past_the_byte_slots_are_priced_like_ranked_pairs(monkeypatch
     ctx = default_context(257, 2)
     code = sample_random_linear_code(ctx, 1, 1, seed=0)
     routes = spy(monkeypatch, "_far_route", result=True)
-    listdec._BALL_SLOT.clear()
+    listdec._ball.cache_clear()
     mc = {"centers": 20, "seed": 4, "neighborhood_cap": 0}
     report = max_list_size(code, 1, "montecarlo", **mc)
     assert [result for *_, result in routes] == [("rank", False)]
@@ -1183,7 +1210,7 @@ def test_no_far_route_holds_more_than_cap_offsets(monkeypatch):
         expected = max_list_size(code, 1, "montecarlo", centers=20, seed=5, neighborhood_cap=0)
         with monkeypatch.context() as patched:
             patched.setattr(listdec, "_ball_layout", _raise)
-            listdec._BALL_SLOT.clear()
+            listdec._ball.cache_clear()
             # 4 codewords * at most 24 candidates <= 100
             assert max_list_size(code, 1, "montecarlo", centers=20, seed=5, cap=100) == expected
             with pytest.raises(EnumerationCapExceeded, match="Monte Carlo .* cap of 100"):
@@ -1309,6 +1336,29 @@ def test_coset_keys_are_least_coset_indices():
         for s in range(n + 1):
             offsets = [vector_index(b) for b in enumerate_ball(zero, s)]
             assert list(cosets.ball(s)) == [cosets.of_index(b) for b in offsets]
+
+
+def test_coset_window_tables_match_the_per_entry_oracle():
+    # the tables doubled bit by bit equal the entry-by-entry XOR of pivot
+    # rows for q = 2, 4 and 8, linear and Gabidulin codes, up to 16 rows
+    # over 36 bits
+    codes = []
+    for q, m, n, ks in ((2, 4, 3, (1, 5, 9, 12)), (2, 6, 3, (4, 10, 17)), (2, 6, 6, (16,)),
+                        (4, 3, 2, (1, 3)), (8, 2, 2, (1, 2))):
+        ctx = default_context(q, m)
+        codes += [sample_random_linear_code(ctx, n, k, seed=k) for k in ks]
+        codes += [gabidulin(ctx, n, k) for k in range(1, n + 1)]
+    # pivots at bits 11, 4 and 0: the window of bit 0 spans bits 0 to 7,
+    # over the pivot at bit 4 of the window above, whose row it must not use
+    ctx = default_context(2, 4)
+    overlap = LinearCode(ctx, 3, tuple(vector_from_index(ctx, 3, 1 << b) for b in (11, 4, 0)))
+    assert [low for low, _ in xor_window_tables(overlap)] == [4, 0]
+    windows = []
+    for code in codes + [overlap]:
+        tables = listdec._CosetKeys(code).tables
+        assert tables == xor_window_tables(code)
+        windows.append(len(tables))
+    assert max(windows) >= 3
 
 
 def scaled(word, c):

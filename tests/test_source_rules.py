@@ -308,37 +308,39 @@ def test_codes_alone_knows_how_a_code_is_spanned():
     assert found == []
 
 
+BALL_PARTS = {"layout", "packed", "shift", "probes", "bits"}
+
+
 def test_only_the_ball_memo_builds_the_ball():
     # every kernel reads the radius-s ball through listdec._ball, which
-    # keeps the most recent one: nothing else may lay it out, make the
-    # record that packs it, or fill its offset set or its bitset.  Only the
+    # keeps the most recent one: nothing else may make the record, lay the
+    # ball out, pack it, or fill its offset set or its bitset.  Only the
     # one ball reader, rankmetric._ball_chunks, walks the span tables with
     # their factors, and both enumerate_ball and the layout read the ball
     # through it; the bitset reads the span tables of dimension s alone
     builders = {
-        "_ball_layout": {"listdec.py:_Ball.__getattr__"},
+        "_ball_layout": {"listdec.py:_Ball.layout"},
         "_ball_bits": {"listdec.py:_Ball.bits"},
         "_Ball": {"listdec.py:_ball"},
-        "_packed": {"listdec.py:_Ball.__getattr__", "listdec.py:_Ball.probes"},
+        "_packed": {"listdec.py:_Ball.packed", "listdec.py:_Ball.probes"},
         "_span_tables": {"rankmetric.py:_iter_ball_tables", "listdec.py:_ball_bits"},
         "_iter_ball_tables": {"rankmetric.py:_ball_chunks"},
         "_ball_chunks": {"rankmetric.py:enumerate_ball", "listdec.py:_ball_layout"},
     }
-    # each lazily built part of the ball is written only where it is built
-    layout = {"listdec.py:_Ball.__getattr__"}
-    writers = {
-        "probe_set": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.probes"},
-        "bitset": {"listdec.py:_Ball.__init__", "listdec.py:_Ball.bits"},
-        "packed": layout,
-        "values": layout,
-        "runs": layout,
-        "shift": layout,
+    # each part of the ball is a cached_property of _Ball, built on first
+    # read and kept by the record itself, so no code writes one
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    (ball,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Ball"]
+    methods = {
+        node.name: [ast.unparse(dec) for dec in node.decorator_list]
+        for node in ball.body
+        if isinstance(node, ast.FunctionDef)
     }
+    assert methods == {"__init__": [], **{part: ["cached_property"] for part in BALL_PARTS}}
+    writers = {part: set() for part in BALL_PARTS}
     # the bitset is built without the layout or the ball reader, and the
     # counters and the fold read the bitset alone
-    layout_readers = {
-        "_ball_layout", "_packed", "_ball_chunks", "_read", "packed", "values", "runs", "shift", "probes",
-    }
+    layout_readers = {"_ball_layout", "_packed", "_ball_chunks", "_read", "packed", "layout", "shift", "probes"}
     bitset_builders = {f"listdec.py:{name}" for name in ("_Ball.bits", "_ball_bits", "_counters", "_fold")}
     found, readers = [], {name: set() for name in builders}
     for path, tree in parsed_modules():
@@ -362,9 +364,10 @@ MUTATORS = {"clear", "update", "setdefault", "pop", "popitem", "append", "extend
 
 
 def test_listdec_keeps_one_module_level_cache():
-    # the ball slot is the one piece of state a listdec call leaves behind:
-    # no other module-level name is written by a function, and no function
-    # memoizes its results
+    # the ball memo is the one piece of state a listdec call leaves behind:
+    # no module-level name is written by a function, and no function but
+    # _ball memoizes its results, in one slot; the parts of the one ball
+    # it keeps are cached on that record
     tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
     module_names = {
         target.id
@@ -383,26 +386,43 @@ def test_listdec_keeps_one_module_level_cache():
             written.add(getattr(node.value, "id", None))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
             written.add(getattr(node.func.value, "id", None))
-    assert written & module_names == {"_BALL_SLOT"}
+    assert written & module_names == set()
     decorators = [
-        ast.unparse(dec)
-        for node in ast.walk(tree)
+        (f"{scope}.{node.name}" if scope else node.name, ast.unparse(dec))
+        for scope, node in scoped_nodes(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         for dec in node.decorator_list
     ]
-    assert not any("cache" in dec for dec in decorators)
+    assert sorted(dec for dec in decorators if "cache" in dec[1]) == sorted(
+        [("_ball", "lru_cache(maxsize=1)"), *((f"_Ball.{part}", "cached_property") for part in BALL_PARTS)]
+    )
+    # no cache is made but by those decorators
+    calls = [
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "cache" in ast.unparse(node.func)
+    ]
+    assert calls == ["lru_cache"]
 
 
 def test_only_the_ball_reader_names_the_ball_slot():
     # a far route is priced from its call alone, never from what an earlier
-    # call left in the slot
+    # call left in the memo: no function reads the memo's state or what a
+    # ball has built so far, and the routers never read the ball
     tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
-    readers = {
-        scope
+    peeks = {"cache_info", "cache_clear", "cache_parameters", "__wrapped__", "__dict__", "vars"}
+    found = [
+        f"{scope}:{node.lineno}"
         for scope, node in scoped_nodes(tree)
-        if scope and isinstance(node, ast.Name) and node.id == "_BALL_SLOT"
+        if (getattr(node, "id", None) or getattr(node, "attr", None)) in peeks
+    ]
+    assert found == []
+    readers = {
+        scope.split(".")[0]
+        for scope, node in scoped_nodes(tree)
+        if scope and isinstance(node, ast.Name) and node.id == "_ball"
     }
-    assert readers == {"_ball"}
+    assert readers.isdisjoint({"_sweep_route", "_far_route"})
 
 
 def test_every_private_helper_is_used():
@@ -434,7 +454,7 @@ def test_every_private_helper_is_used():
 
 
 def test_only_the_coset_keys_compute_a_coset_least_vector():
-    # the coset check reads its representatives from listdec._CosetKeys:
+    # the coset check reads its representatives from max_list_size:
     # harness reduces no coset of its own, so it builds no echelon form and
     # walks no flatten_vector coordinates
     banned = {"rref_fq", "_echelon", "flatten_vector", "unflatten_vector"}
@@ -444,6 +464,22 @@ def test_only_the_coset_keys_compute_a_coset_least_vector():
         ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
         if ref in banned:
             found.append(f"harness.py:{node.lineno} {ref}")
+    assert found == []
+
+
+def test_one_path_to_the_coset_answer():
+    # the coset check answers through max_list_size alone: harness takes
+    # nothing else from listdec but the pool size, and no module but
+    # listdec names the coset keys
+    found, imported = [], []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "listdec" and path.name == "harness.py":
+                imported += [alias.name for alias in node.names]
+            ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if ref == "_CosetKeys" and path.name != "listdec.py":
+                found.append(f"{path.name}:{node.lineno}")
+    assert sorted(imported) == ["_pool_size", "max_list_size"]
     assert found == []
 
 
