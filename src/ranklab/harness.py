@@ -20,6 +20,7 @@ import math
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 # CurvePoint and emit_barrier_curves are re-exported here
 from .bounds import (
@@ -32,7 +33,7 @@ from .bounds import (
 from .codes import LinearCode, sample_random_code, sample_random_linear_code
 from .errors import EnumerationCapExceeded
 from .fields import default_context
-from .listdec import _pool_size, max_list_size
+from .listdec import _split, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
@@ -149,23 +150,23 @@ def _ensemble_metadata(spec: EnsembleSpec) -> tuple[tuple[str, str], ...]:
     return tuple(meta)
 
 
-def _run_trial(spec: EnsembleSpec, cap: int, index: int) -> TrialOutcome:
+def _run_trials(spec: EnsembleSpec, cap: int, indices) -> list[TrialOutcome]:
+    """The outcome of each trial in ``indices``, in order."""
     ctx = default_context(spec.q, spec.m)
-    sample_seed = substream_seed(spec.seed, 2 * index)
-    scan_seed = substream_seed(spec.seed, 2 * index + 1)
-    if spec.kind == "random":
-        code = sample_random_code(ctx, spec.n, spec.q**spec.realized_log_size, sample_seed)
-    else:
-        code = sample_random_linear_code(ctx, spec.n, spec.realized_log_size, sample_seed)
     # exhaustive whenever the space fits the cap; only Monte Carlo reads the seed
     mode = "exhaustive" if ctx.order**spec.n <= cap else "montecarlo"
-    report = max_list_size(code, spec.radius_s, mode, seed=scan_seed, cap=cap)
-    return TrialOutcome(
-        index=index,
-        l_max=report.l_max,
-        exact=report.exhaustive,
-        failed=report.l_max > spec.list_cap,
-    )
+    outcomes = []
+    for index in indices:
+        sample_seed = substream_seed(spec.seed, 2 * index)
+        scan_seed = substream_seed(spec.seed, 2 * index + 1)
+        if spec.kind == "random":
+            code = sample_random_code(ctx, spec.n, spec.q**spec.realized_log_size, sample_seed)
+        else:
+            code = sample_random_linear_code(ctx, spec.n, spec.realized_log_size, sample_seed)
+        report = max_list_size(code, spec.radius_s, mode, seed=scan_seed, cap=cap)
+        failed = report.l_max > spec.list_cap
+        outcomes.append(TrialOutcome(index=index, l_max=report.l_max, exact=report.exhaustive, failed=failed))
+    return outcomes
 
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
@@ -173,14 +174,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_C
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     t0 = time.perf_counter()
-    workers = _pool_size(workers, spec.trials)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            outcomes = tuple(ex.map(partial(_run_trial, spec, cap), range(spec.trials)))
-    else:
-        outcomes = tuple(_run_trial(spec, cap, i) for i in range(spec.trials))
+    parts = _split(partial(_run_trials, spec, cap), range(spec.trials), workers)
+    outcomes = tuple(chain.from_iterable(parts))
     failures = sum(1 for o in outcomes if o.failed)
     return TrialReport(
         spec=spec,

@@ -19,10 +19,12 @@ maximum is the largest count, its center the least key among the
 cosets that reach it, which is the least center overall.  In
 characteristic 2 the reduction is an XOR of table reads; for odd p the
 key of an offset is the digitwise sum of per-entry keys, one digit per
-byte while n * (p - 1) fits in one.  The Monte Carlo centers are keyed
-by the same reduction, all in one call: for p = 2 by XORed table reads
-over eight-bit windows, one pass of the list per window, for odd p by
-clearing each one's base-p digits row by row.
+byte while a sum of n digits fits in one.  That byte-slot form has one
+home: ``_Encoder`` writes, sums and reduces it, and ``_fits`` is the one
+rule for when a sum of digits fits a byte.  The Monte Carlo centers are
+keyed by the same reduction, all in one call: for p = 2 by XORed table
+reads over eight-bit windows, one pass of the list per window, for odd p
+by clearing each one's base-p digits row by row.
 
 Explicit codes use one of two kernels.  In the scatter kernel every
 codeword w and every offset b of rank <= s add one to the tally of the
@@ -75,7 +77,8 @@ tallies, or partial counters by ripple carry, so reports do not depend
 on the worker count, and exhaustive ties resolve to the least packed
 index, which is the first center in lexicographic order.  After that
 merge every exhaustive sweep checks its double count against |B_s| from
-the shell counts (``_double_count``).
+the shell counts (``_double_count``).  The split is ``_split``, the one
+process fan-out, which also splits the trials of ``harness.run_ensemble``.
 
 Every kernel reads the ball through ``_ball``, a ``_Ball`` whose parts
 are cached properties, each built on first read.  The counters and the
@@ -101,15 +104,15 @@ these far centers in CPython time per step (``_PRICES``) and takes the
 cheapest:
 
 - the coset tally (linear codes): |B_s| coset keys, priced like ranked
-  pairs past the byte slots (n * (p - 1) > 255), and a key per center,
-  priced like a rank for odd p;
+  pairs past the byte slots (when n digits do not ``_fits``), and a key
+  per center, priced like a rank for odd p;
 - the candidate-side kernel ``_near``: when a vector has fewer
   dependency keys than C has words, each candidate pays its keys and is
   tested only against the codewords that share one, otherwise against
   every codeword; a test is one probe of the ball's offset set ("probe";
-  p = 2, or p <= 127 and q <= 256) or a rank ("rank").  The pairs run
-  as flat lists, at most ``_PAIR_BLOCK`` at a time, so memory stays
-  bounded by the block, not by |C| * candidates.
+  p = 2, or q <= 256 and two digits ``_fits``) or a rank ("rank").  The
+  pairs run as flat lists, at most ``_PAIR_BLOCK`` at a time, so memory
+  stays bounded by the block, not by |C| * candidates.
 
 A route that reads the ball pays its |B_s| builds, and the probe |B_s|
 more for its offset set, whether or not the memo holds them, so a route
@@ -272,15 +275,11 @@ class _Ball:
 
     @cached_property
     def probes(self) -> set:
-        """The offsets ``_near`` probes: packed for p = 2, else as the
-        bytes of their ``_Encoder`` digits."""
-        ctx = self.ctx
-        if ctx.base.p == 2:
-            return set(self.packed)
-        width = ctx.m * ctx.base.s
+        """The offsets ``_near`` probes, in their ``_Encoder`` form."""
+        ctx, enc, n = self.ctx, _Encoder(self.ctx), self.n
         values, runs = self.layout
-        digits = _packed(_Encoder(ctx).scaled(1, values, ctx.m), runs, self.n, 256**width)
-        return set(map(int.to_bytes, digits, repeat(self.n * width), repeat("big")))
+        sums = _packed(enc.scaled(1, values, ctx.m), runs, n, enc.radix**ctx.m)
+        return set(enc.reduced(sums, n * ctx.m * ctx.base.s))
 
     @cached_property
     def bits(self) -> int:
@@ -330,10 +329,10 @@ class _CosetKeys:
     ``of_indices`` runs each window's reads over a whole list in one pass,
     for the ball's packed offsets and the Monte Carlo draws alike.  For
     odd p a key is the digit string of that index, most significant
-    first: ``bytes`` when a sum of n digits fits in a byte, a tuple of
-    ints otherwise.  Both compare like the index they spell.  A single
-    index has its digits reduced row by row (``_reduce``); ``ball`` sums
-    per-entry keys reduced the same way.
+    first: ``bytes`` when n digits ``_fits``, a tuple of ints otherwise.
+    Both compare like the index they spell.  ``of_indices`` reduces each
+    index's digits row by row (``_reduce``); ``ball`` sums per-entry keys
+    reduced the same way.
     """
 
     def __init__(self, code):
@@ -361,11 +360,11 @@ class _CosetKeys:
                 self.tables.append((low, table))
             self.zero = 0
         else:
-            field = ctx.base if ctx.base.s == 1 else _default_base(p)
-            rows, pivots = rref_fq([_entries_of_index(p, width, v) for v in _fp_basis(code)], field)
+            digits = [_entries_of_index(p, width, v) for v in _fp_basis(code)]
+            rows, pivots = rref_fq(digits, _default_base(p))
             self.rows = tuple(zip(pivots, rows))
-            self.narrow = n * (p - 1) <= 255
-            self.mod = _Encoder(ctx).mod
+            self.narrow = _fits(p, n)
+            self.enc = _Encoder(ctx)
             self.zero = self._finish([0] * width)
 
     def _finish(self, digits):
@@ -381,17 +380,13 @@ class _CosetKeys:
 
     def of_index(self, idx: int):
         """The key of the coset of the vector at packed index ``idx``."""
-        if self.p == 2:
-            for low, table in self.tables:
-                idx ^= table[idx >> low & 255]
-            return idx
-        return self._finish(self._reduce(_entries_of_index(self.p, self.width, idx)))
+        return self.of_indices([idx])[0]
 
     def of_indices(self, indices):
-        """``of_index`` of each packed index, in order: for p = 2 one pass
-        over the whole list per window."""
+        """The coset key of each packed index, in order: for p = 2 one pass
+        over the whole list per window, for odd p its digits reduced."""
         if self.p > 2:
-            return list(map(self.of_index, indices))
+            return [self._finish(self._reduce(_entries_of_index(self.p, self.width, x))) for x in indices]
         for low, table in self.tables:
             windows = map(and_, map(rshift, indices, repeat(low)), repeat(255))
             indices = list(map(xor, indices, map(table.__getitem__, windows)))
@@ -426,9 +421,7 @@ class _CosetKeys:
             reads.append(_read(runs, j, table))
         sums = map(sum, zip(*reads))
         if self.narrow:
-            return map(
-                bytes.translate, map(int.to_bytes, sums, repeat(width), repeat("big")), repeat(self.mod)
-            )
+            return self.enc.reduced(sums, width)
         mask = (1 << slot) - 1
         shifts = range(slot * (width - 1), -1, -slot)
         return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
@@ -459,13 +452,21 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
     return tally
 
 
+def _fits(p: int, terms: int) -> bool:
+    """Whether a sum of ``terms`` base-p digits fits in a byte slot: the one
+    byte limit of the ``_Encoder`` form (p = 2 sums by XOR, so always)."""
+    return p == 2 or terms * (p - 1) <= 255
+
+
 class _Encoder:
     """Products lam * x of a base-field scalar and packed values, encoded
-    so that sums run in C: as they are for p = 2 (adding is XOR); for odd
-    p as base-p digits, one per byte of an int (``_index_of_entries`` in
-    base 256), reduced mod p by one ``translate`` by ``mod``, the byte-slot
-    form ``_CosetKeys`` also uses.  Scaling is coordinatewise in base q, so
-    a product is read from one table per lam, c coordinates at a time."""
+    so that sums run in C, by ``plus``: as they are for p = 2 (adding is
+    XOR); for odd p as base-p digits, one per byte of an int
+    (``_index_of_entries`` in base 256), added as ints while the sum
+    ``_fits`` and then reduced mod p once by ``reduced``.  This byte-slot
+    form is written here alone, for ``_keys``, ``_near``, the ball's
+    probes and ``_CosetKeys``.  Scaling is coordinatewise in base q, so a
+    product is read from one table per lam, c coordinates at a time."""
 
     def __init__(self, ctx):
         base = ctx.base
@@ -475,8 +476,17 @@ class _Encoder:
         # an encoded coordinate: as it is for p = 2, its e base-p digits for odd p
         self.radix = base.q if p == 2 else 256**e
         self.unit = lambda d: d if p == 2 else _index_of_entries(256, _entries_of_index(p, e, d))
+        self.plus = xor if p == 2 else add
         self.mod = bytes(v % p for v in range(256))
         self.tables = {}
+
+    def reduced(self, sums, digits: int):
+        """Encoded sums in their final form, to compare and not to add to:
+        as they are for p = 2, else the ``digits`` bytes of each reduced
+        mod p, as one C-level ``map``."""
+        if self.p == 2:
+            return sums
+        return map(bytes.translate, map(int.to_bytes, sums, repeat(digits), repeat("big")), repeat(self.mod))
 
     def scaled(self, lam: int, values, coords: int) -> list[int]:
         """lam * x, encoded, for each x of ``coords`` base-q coordinates."""
@@ -502,37 +512,29 @@ class _Encoder:
 
 def _key_count(ctx, n: int, s: int) -> int:
     """How many dependency keys a vector has at radius s; 0 at s = n, for
-    q > 256, and for odd p when a sum of s + 1 digits can pass a byte."""
-    q, p = ctx.base.q, ctx.base.p
-    if s >= n or q > 256 or (p > 2 and (s + 1) * (p - 1) > 255):
+    q > 256, and when a sum of s + 1 digits does not ``_fits``."""
+    q = ctx.base.q
+    if s >= n or q > 256 or not _fits(ctx.base.p, s + 1):
         return 0
     return (q ** (s + 1) - 1) // (q - 1)
 
 
-def _keys(ctx, n: int, s: int, packed, enc: _Encoder) -> list[list]:
+def _keys(ctx, n: int, s: int, packed, enc: _Encoder) -> list:
     """The dependency keys (module docstring) of packed vectors, where
-    ``_key_count`` says they exist: one list per key, in the order of
-    ``packed``, each one C-level ``map`` of ``_Encoder`` sums."""
-    order, q, p = ctx.order, ctx.base.q, ctx.base.p
-    plus = xor if p == 2 else add
+    ``_key_count`` says they exist: one iterable per key, in the order of
+    ``packed``, each one C-level ``map`` of ``_Encoder`` sums, to be read
+    once."""
+    order, q = ctx.order, ctx.base.q
     keys, sums = [], []
     for j in range(s + 1):
         column = list(map(mod, map(floordiv, packed, repeat(order ** (n - 1 - j))), repeat(order)))
         multiples = [enc.scaled(lam, column, ctx.m) for lam in range(1, q)]
         # the a whose first nonzero position is j: e_j, and each earlier a plus lam * e_j
         sums += [False] + [True] * (len(keys) * len(multiples))
-        keys += [multiples[0], *(list(map(plus, key, x)) for key in keys for x in multiples)]
-    if p == 2:
-        return keys
-    # only a key of two or more terms needs reducing
+        keys += [multiples[0], *(list(map(enc.plus, key, x)) for key in keys for x in multiples)]
+    # only a key of two or more terms is reduced, once all are summed
     width = ctx.m * ctx.base.s
-    out = []
-    for key, more in zip(keys, sums):
-        if more:
-            digits = map(int.to_bytes, key, repeat(width), repeat("big"))
-            key = list(map(bytes.translate, digits, repeat(enc.mod)))
-        out.append(key)
-    return out
+    return [enc.reduced(key, width) if more else key for key, more in zip(keys, sums)]
 
 
 # (candidate, codeword) pairs that ``_near`` tests at a time, so that its
@@ -548,8 +550,7 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
     codewords.  With ``probe`` a pair probes the offset set with c - w:
     c ^ w for p = 2, else the digits of c and -w, summed and reduced;
     else it ranks c - w on their entries."""
-    order, p = ctx.order, ctx.base.p
-    enc = _Encoder(ctx) if keyed or (probe and p > 2) else None
+    order, enc = ctx.order, _Encoder(ctx)
     coords, width = n * ctx.m, n * ctx.m * ctx.base.s
     offsets = _ball(ctx, n, s).probes if probe else None
 
@@ -557,9 +558,9 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
         # what a pair reads of a candidate (lam = 1) or of -w (lam = p - 1)
         if not probe:
             return [_entries_of_index(order, n, x) for x in xs]
-        return xs if p == 2 else enc.scaled(lam, xs, coords)
+        return enc.scaled(lam, xs, coords)
 
-    words_forms = forms(words, p - 1)
+    words_forms = forms(words, ctx.base.p - 1)
     if keyed:
         reads = []
         for keys, wanted in zip(_keys(ctx, n, s, words, enc), _keys(ctx, n, s, list(candidates), enc)):
@@ -582,40 +583,32 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
         if not probe:
             diffs = map(tuple, map(map, repeat(ctx.sub), ws, cs))
             hits = map(s.__ge__, map(_rank_of_entries, repeat(ctx), diffs))
-        elif p == 2:
-            hits = map(offsets.__contains__, map(xor, cs, ws))
         else:
-            diffs = map(int.to_bytes, map(add, cs, ws), repeat(width), repeat("big"))
-            hits = map(offsets.__contains__, map(bytes.translate, diffs, repeat(enc.mod)))
+            hits = map(offsets.__contains__, enc.reduced(map(enc.plus, cs, ws), width))
         tally.update(compress(block, hits))
     return {**dict.fromkeys(candidates, 0), **tally}
 
 
-def _pool_size(workers: int, tasks: int) -> int:
-    """Processes worth starting: at most one per task and one per CPU.
+def _split(func, items, workers: int) -> list:
+    """``func`` of the items, in a list: ``[func(items)]`` in this process,
+    or ``func`` of consecutive parts, one per process, with as many
+    processes as are worth starting: at most ``workers``, one per item and
+    one per CPU.
 
     The CPU count, not the affinity mask, so a process pinned to fewer
     CPUs still gets the pool it asks for; an unknown count counts as one.
     """
     import os
 
-    return min(workers, tasks, os.cpu_count() or 1)
-
-
-def _split(kernel, ctx, n: int, s: int, words, workers: int):
-    """``kernel(ctx, n, s, part)`` of each part of the packed codewords, in
-    order: one part, or with ``workers`` > 1 consecutive chunks, one per
-    process."""
-    chunks = _pool_size(workers, len(words))
+    chunks = min(workers, len(items), os.cpu_count() or 1)
     if chunks <= 1:
-        yield kernel(ctx, n, s, words)
-        return
-    size = -(-len(words) // chunks)
-    parts = [words[i : i + size] for i in range(0, len(words), size)]
+        return [func(items)]
+    size = -(-len(items) // chunks)
+    parts = [items[i : i + size] for i in range(0, len(items), size)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=len(parts)) as ex:
-        yield from ex.map(partial(kernel, ctx, n, s), parts)
+        return list(ex.map(func, parts))
 
 
 def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
@@ -629,8 +622,7 @@ def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
     Partial tallies of the ``_split`` chunks are summed in chunk order,
     which gives the same counts in the same key order.
     """
-    parts = _split(_scatter, ctx, n, s, words, workers)
-    tally = next(parts)
+    tally, *parts = _split(partial(_scatter, ctx, n, s), words, workers)
     for part in parts:
         tally.update(part)
     return tally
@@ -791,7 +783,7 @@ def max_list_size(
             if route == "fold":
                 slices = _fold(ctx, n, s, _fp_basis(code))
             else:
-                slices = reduce(_add_slices, _split(_counters, ctx, n, s, _packed_words(code, cap), workers))
+                slices = reduce(_add_slices, _split(partial(_counters, ctx, n, s), _packed_words(code, cap), workers))
             total = sum(x.bit_count() << i for i, x in enumerate(slices))
             _double_count(route, total, code.size * bv)
             return report(*_top(slices), space)
@@ -871,11 +863,11 @@ def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, li
     costs = {"rank": kernel + pairs * rank}
     if bv <= cap:
         build = bv * (5 + 40 // n)
-        if p == 2 or (p <= 127 and q <= 256):
+        if p == 2 or (_fits(p, 2) and q <= 256):
             costs["probe"] = kernel + pairs * price["probe"] + build + bv * price["set"]
         if linear:
             # past the byte slots a coset key is a tuple, priced like a ranked pair
-            key = rank if p > 2 and n * (p - 1) > 255 else price["coset"]
+            key = price["coset"] if _fits(p, n) else rank
             costs["coset"] = bv * key + build + draws * (rank if p > 2 else price["center"])
     elif size * tried > cap:
         raise EnumerationCapExceeded(

@@ -484,6 +484,73 @@ def coset_oracle(code, s):
 CHI2_DF15_ALPHA_001 = 37.697
 
 
+def key_count_oracle(ctx, n, s):
+    """``listdec._key_count`` with its byte limit written inline, as it was
+    before the limit moved behind ``listdec._fits``."""
+    q, p = ctx.base.q, ctx.base.p
+    if s >= n or q > 256 or (p > 2 and (s + 1) * (p - 1) > 255):
+        return 0
+    return (q ** (s + 1) - 1) // (q - 1)
+
+
+def far_route_oracle(ctx, n, s, bv, size, draws, cap, linear):
+    """``listdec._far_route`` with its byte limits written inline: the
+    probe offered for p = 2, or p <= 127 and q <= 256, and a coset key
+    priced like a rank for odd p when n * (p - 1) > 255."""
+    from ranklab.errors import EnumerationCapExceeded
+    from ranklab.listdec import _PRICES
+
+    q, p, m = ctx.base.q, ctx.base.p, ctx.m
+    price = {step: cost[p > 2] for step, cost in _PRICES.items()}
+    tried = size + draws
+    rank = 10 + 4 * n if q == 2 else 60 + 8 * n * m
+    keys = key_count_oracle(ctx, n, s)
+    keyed = 0 < keys < size
+    pairs = min(tried * size, -(-tried * keys * size // ctx.order) + size) if keyed else tried * size
+    kernel = (tried * keys * price["key"] if keyed else 0) + min(tried, pairs) * price["hit"]
+    costs = {"rank": kernel + pairs * rank}
+    if bv <= cap:
+        build = bv * (5 + 40 // n)
+        if p == 2 or (p <= 127 and q <= 256):
+            costs["probe"] = kernel + pairs * price["probe"] + build + bv * price["set"]
+        if linear:
+            key = rank if p > 2 and n * (p - 1) > 255 else price["coset"]
+            costs["coset"] = bv * key + build + draws * (rank if p > 2 else price["center"])
+    elif size * tried > cap:
+        raise EnumerationCapExceeded(f"{size * tried} pairs and a ball of {bv} offsets above {cap}")
+    route = min(costs, key=costs.get)
+    return route, keyed and route != "coset"
+
+
+def sweep_route_oracle(ctx, n, s, bv, size, linear):
+    """``listdec._sweep_route`` as it was written beside the inline byte
+    limits, for the boundary shapes to be checked against."""
+    import math
+
+    from ranklab.listdec import _PRICES
+
+    p, space = ctx.base.p, ctx.order**n
+    price = {step: cost[p > 2] for step, cost in _PRICES.items()}
+    op = price["op"] + price["kb"] * space // 8192
+    digits = n * ctx.m * ctx.base.s
+    translate = 3 * digits * op
+    bitset = 10 * op + bv * price["bit"]
+    if not linear:
+        return "counters" if size * translate + bitset < size * bv * price["pair"] else "scatter"
+    dim = round(math.log(size, p))
+    slices = sum(min(p**j, bv).bit_length() for j in range(dim))
+    fold = (p - 1) * slices * (translate + 5 * op) + bitset
+    if p == 2:
+        tables = 256 * (min(dim, -(-digits // 8)) + dim)
+    else:
+        q, m = ctx.base.q, ctx.m
+        tables, subspaces = 0, 1
+        for u in range(s + 1):
+            tables += n * subspaces * q**u
+            subspaces = subspaces * (q ** (m - u) - 1) // (q ** (u + 1) - 1)
+    return "fold" if fold < bv * price["coset"] + tables * price["table"] else "coset"
+
+
 def inline_executor(sizes):
     """A ProcessPoolExecutor stand-in that maps in-process.
 

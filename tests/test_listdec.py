@@ -21,8 +21,11 @@ from helpers import (
     ball_by_tables,
     coset_route_oracle,
     far_branch_oracle,
+    far_route_oracle,
     inline_executor,
+    key_count_oracle,
     memo_span_rank,
+    sweep_route_oracle,
     xor_window_tables,
 )
 from ranklab import listdec
@@ -49,6 +52,7 @@ from ranklab.listdec import (
     radius_from_fraction,
 )
 from ranklab.rankmetric import (
+    DEFAULT_ENUM_CAP,
     RankVector,
     _ball_size,
     _entries_of_index,
@@ -917,8 +921,8 @@ def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
 def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
     # the counters and the fold read the bitset alone; the scatter, the
     # coset tally, the neighborhood tally and the probe lay the ball out
-    # once, packing its offsets for p = 2 (the odd-p probe packs the
-    # digits of its offset set instead)
+    # once, the scatter and the coset tally packing its offsets for p = 2
+    # (the probe packs its offset set in its encoded form for every p)
     layouts, packs = spy(monkeypatch, "_ball_layout"), spy(monkeypatch, "_packed")
     routes = spy(monkeypatch, "_sweep_route", result=True)
     mc = {"mode": "montecarlo", "centers": 20, "seed": 1}
@@ -948,7 +952,8 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
                 max_list_size(code, s, workers=1, **kwargs)
             assert [result for *_, result in routes] == ([route] if not kwargs else [])
             # what the route left built: the bitset alone, or the layout,
-            # packed for p = 2 alone
+            # packed for p = 2 alone by every route but the probe, which
+            # leaves its offset set beside the layout for every p
             left = vars(listdec._ball(ctx, n, s)).keys() - {"ctx", "n", "s"}
             if route in ("counters", "fold"):
                 assert layouts == packs == [], route
@@ -957,7 +962,9 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
                 assert layouts == [(ctx, n, s)], route
                 assert len(packs) == (1 if q == 2 or route == "probe" else 0), route
                 assert "layout" in left and "bits" not in left, route
-                assert ("packed" in left) == (q == 2), route
+                assert ("packed" in left) == (q == 2 and route != "probe"), route
+                if route == "probe":
+                    assert left == {"layout", "probes"}, route
         # the bitset and the layout in either order build what a cold ball does
         parts = []
         for first in (True, False):
@@ -1200,6 +1207,53 @@ def test_coset_keys_past_the_byte_slots_are_priced_like_ranked_pairs(monkeypatch
     assert [result for *_, result in routes] == [("rank", False)]
     twin = ExplicitCode(ctx, 1, tuple(enumerate_codewords(code)))
     assert report == max_list_size(twin, 1, "montecarlo", **mc)
+
+
+# (q, m, n, s) on both sides of each byte limit: the probe and the coset
+# key form at n(p - 1) = 252 against 260, the coset key form at 208
+# against 260, and dependency keys at (s + 1)(p - 1) = 252 against 378
+# and 260
+BYTE_LIMIT_SHAPES = (
+    (127, 2, 2, 1), (131, 2, 2, 1), (53, 5, 4, 1), (53, 5, 5, 1),
+    (127, 4, 3, 1), (127, 4, 3, 2), (131, 4, 3, 1),
+)
+
+
+def test_byte_limits_route_like_the_inline_rules():
+    # the limits behind listdec._fits route every call as the rules written
+    # inline beside each router did, for linear and explicit codes, sizes on
+    # both sides of the key count, and balls on both sides of the cap
+    def outcome(route, *args):
+        try:
+            return route(*args)
+        except EnumerationCapExceeded:
+            return "refused"
+
+    routes = {}
+    for q, m, n, s in BYTE_LIMIT_SHAPES:
+        ctx = default_context(q, m)
+        bv = _ball_size(q, m, n, s)
+        keys = key_count_oracle(ctx, n, s)
+        assert listdec._key_count(ctx, n, s) == keys, (q, m, n, s)
+        sizes = {1, q, q**2, q**3, q**4} | ({keys - 1, keys, keys + 1} if keys else set())
+        for linear in (False, True):
+            for size in sorted(sizes):
+                args = (ctx, n, s, bv, size)
+                assert listdec._sweep_route(*args, linear) == sweep_route_oracle(*args, linear)
+                for draws in (0, 7, 300, 10**4):
+                    for cap in (bv - 1, DEFAULT_ENUM_CAP, 10**16):
+                        far = outcome(listdec._far_route, *args, draws, cap, linear)
+                        assert far == outcome(far_route_oracle, *args, draws, cap, linear), (args, draws, cap)
+                        routes.setdefault((q, m, n, s), set()).add(far[0] if far != "refused" else far)
+    # each limit falls between the shapes on its two sides
+    assert "probe" in routes[127, 2, 2, 1] and "probe" not in routes[131, 2, 2, 1]
+    assert [key_count_oracle(default_context(q, m), n, s) > 0 for q, m, n, s in BYTE_LIMIT_SHAPES[4:]] == [
+        True, False, False,
+    ]
+    # a coset key is bytes while n digits sum within a byte, else a tuple
+    for q, m, n, narrow in ((127, 2, 2, True), (131, 2, 2, False), (53, 5, 4, True), (53, 5, 5, False)):
+        cosets = listdec._CosetKeys(sample_random_linear_code(default_context(q, m), n, 1, seed=q))
+        assert isinstance(cosets.zero, bytes if narrow else tuple), (q, m, n)
 
 
 def test_no_far_route_holds_more_than_cap_offsets(monkeypatch):

@@ -469,8 +469,8 @@ def test_only_the_coset_keys_compute_a_coset_least_vector():
 
 def test_one_path_to_the_coset_answer():
     # the coset check answers through max_list_size alone: harness takes
-    # nothing else from listdec but the pool size, and no module but
-    # listdec names the coset keys
+    # nothing else from listdec but the one process fan-out, and no module
+    # but listdec names the coset keys
     found, imported = [], []
     for path, tree in parsed_modules():
         for node in ast.walk(tree):
@@ -479,8 +479,51 @@ def test_one_path_to_the_coset_answer():
             ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
             if ref == "_CosetKeys" and path.name != "listdec.py":
                 found.append(f"{path.name}:{node.lineno}")
-    assert sorted(imported) == ["_pool_size", "max_list_size"]
+    assert sorted(imported) == ["_split", "max_list_size"]
     assert found == []
+
+
+POOL_MODULES = ("concurrent", "multiprocessing")
+
+
+def pool_references(tree):
+    """(scope, line) of each import of the process pool machinery and of
+    each name or attribute that names an executor or a pool."""
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(alias.name for alias in node.names)]
+        else:
+            ref = getattr(node, "id", None) or getattr(node, "attr", None)
+            names = [ref] if isinstance(ref, str) else []
+        if any(name.partition(".")[0] in POOL_MODULES or name.endswith(("Executor", "Pool")) for name in names):
+            yield scope, node.lineno
+
+
+def test_the_byte_slot_form_and_the_process_fan_out_have_one_owner():
+    # odd-p sums run as base-p digits, one per byte: only _Encoder's methods
+    # turn a sum into its bytes or reduce them (int.to_bytes,
+    # bytes.translate, the .mod table), and only _fits compares a digit sum
+    # with the byte limit (p <= 127 is its two-digit form; the p = 2 window
+    # masks ``& 255`` are no sum).  One fan-out starts processes, for the
+    # codeword splits and the ensemble trials alike
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    found = []
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "translate", "mod"):
+            if not scope.startswith("_Encoder."):
+                found.append(f"{scope}:{node.lineno} .{node.attr}")
+        if isinstance(node, ast.Compare) and scope != "_fits":
+            limits = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)} & {127, 255}
+            if limits:
+                found.append(f"{scope}:{node.lineno} compares with {sorted(limits)}")
+    found += [f"{scope}:{line} pool" for scope, line in pool_references(tree) if scope != "_split"]
+    harness = ast.parse((SOURCE / "harness.py").read_text(encoding="utf-8"))
+    found += [f"harness.py:{scope}:{line} pool" for scope, line in pool_references(harness)]
+    assert found == []
+    # the rule has something to hold: each owner is where it is named
+    assert {scope for scope, _ in pool_references(tree)} == {"_split"}
 
 
 def test_every_uniform_draw_comes_from_the_draw_stream():
