@@ -72,13 +72,15 @@ before word j holding counts up to min(p^j, |B_s|), and the coset tally
 |B_s| keys plus the entries of its key tables.  So balls that fill a
 fixed share of the space go to the counters or the fold, and sparse ones
 stay with the scatter or the coset tally, which also serves Monte Carlo.
-Splitting an explicit code's codewords over workers sums partial
-tallies, or partial counters by ripple carry, so reports do not depend
-on the worker count, and exhaustive ties resolve to the least packed
-index, which is the first center in lexicographic order.  After that
-merge every exhaustive sweep checks its double count against |B_s| from
-the shell counts (``_double_count``).  The split is ``_split``, the one
-process fan-out, which also splits the trials of ``harness.run_ensemble``.
+Only the counters split an explicit code's codewords over workers, the
+partial slices added by ripple carry (``_add_slices``); a sparse scatter
+tally would cost the parent about as much to merge as to count, so it
+runs in this process, as linear and Gabidulin sweeps do.  Reports do not
+depend on the worker count, and exhaustive ties resolve to the least
+packed index, the first center in lexicographic order.  Every exhaustive
+sweep checks its double count against |B_s| from the shell counts
+(``_double_count``).  ``_split`` is the one process fan-out, which also
+splits the trials of ``harness.run_ensemble``.
 
 Every kernel reads the ball through ``_ball``, a ``_Ball`` whose parts
 are cached properties, each built on first read.  The counters and the
@@ -276,6 +278,8 @@ class _Ball:
     @cached_property
     def probes(self) -> set:
         """The offsets ``_near`` probes, in their ``_Encoder`` form."""
+        if self.ctx.base.p == 2:
+            return set(self.packed)
         ctx, enc, n = self.ctx, _Encoder(self.ctx), self.n
         values, runs = self.layout
         sums = _packed(enc.scaled(1, values, ctx.m), runs, n, enc.radix**ctx.m)
@@ -378,10 +382,6 @@ class _CosetKeys:
                 digits = [(a - c * r) % p for a, r in zip(digits, row)]
         return digits
 
-    def of_index(self, idx: int):
-        """The key of the coset of the vector at packed index ``idx``."""
-        return self.of_indices([idx])[0]
-
     def of_indices(self, indices):
         """The coset key of each packed index, in order: for p = 2 one pass
         over the whole list per window, for odd p its digits reduced."""
@@ -433,10 +433,12 @@ def _per_table(q: int) -> int:
 
 
 def _scatter(ctx, n: int, s: int, words) -> Counter:
-    """Tally of w + b over packed codewords w and offsets b of rank <= s:
-    the scatter kernel of the module docstring, keyed by packed index in
-    (codeword, offset) order, offsets in ``_iter_ball_tables`` order.
-    """
+    """The list size of every center within rank distance s of some packed
+    codeword, the scatter kernel of the module docstring: each pair (w, b)
+    of a codeword and an offset of rank <= s adds one to center w + b, so
+    the counts sum to |C| * |B_s| and a missing center sees no codeword.
+    Keys are packed indices, in order of their first (codeword, offset)
+    pair, offsets in ``_iter_ball_tables`` order."""
     order = ctx.order
     ball = _ball(ctx, n, s)
     tally = Counter()
@@ -611,23 +613,6 @@ def _split(func, items, workers: int) -> list:
         return list(ex.map(func, parts))
 
 
-def _tally(ctx, n: int, s: int, words, workers: int = 1) -> Counter:
-    """The list size of every center within rank distance s of some packed
-    codeword.
-
-    Each pair (w, b) of a codeword and an offset of rank <= s adds one to
-    the count of center w + b, so the counts sum to |C| * |B_s| and a
-    center missing from the tally sees no codeword.  Centers are keyed
-    by packed index, in order of their first (codeword, offset) pair.
-    Partial tallies of the ``_split`` chunks are summed in chunk order,
-    which gives the same counts in the same key order.
-    """
-    tally, *parts = _split(partial(_scatter, ctx, n, s), words, workers)
-    for part in parts:
-        tally.update(part)
-    return tally
-
-
 def _translator(p: int, space: int):
     """The one digit step of the counters and the fold: a function that
     moves a bitset of the space by a packed vector w, digitwise mod p.  For
@@ -747,8 +732,8 @@ def max_list_size(
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
         workers: process count, >= 1, for splitting the codewords of an
-            explicit code's exhaustive sweep; a linear or Gabidulin code
-            runs in this process alone.  The report is identical for any
+            explicit code's sweep on the counters; every other route runs
+            in this process alone.  The report is identical for any
             worker count.
 
     Returns:
@@ -793,7 +778,7 @@ def max_list_size(
             tally = Counter(cosets.ball(s))
             _double_count("coset tally", sum(tally.values()), bv)
         else:
-            tally = _tally(ctx, n, s, _packed_words(code, cap), workers)
+            tally = _scatter(ctx, n, s, _packed_words(code, cap))
             _double_count("scatter tally", sum(tally.values()), code.size * bv)
         best = max(tally.values())
         least = min(key for key, count in tally.items() if count == best)
@@ -807,7 +792,7 @@ def max_list_size(
         # every center that sees any codeword at all lives in this tally,
         # so small instances get the true maximum even in this mode; a
         # draw it never met sees no codeword and cannot lead
-        tally = _tally(ctx, n, s, _packed_words(code, cap))
+        tally = _scatter(ctx, n, s, _packed_words(code, cap))
         tried = len(tally.keys() | drawn)
     else:
         route, keyed = _far_route(ctx, n, s, bv, code.size, len(drawn), cap, linear)

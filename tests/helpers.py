@@ -395,16 +395,16 @@ def far_branch_oracle(code, s, centers, seed):
 def coset_route_oracle(code, s, drawn):
     """The Monte Carlo coset route, one draw at a time: the zero word's
     count leads, then each distinct draw outside the zero coset is keyed
-    alone (``_CosetKeys.of_index``), counted as tried, and wins only with
-    a strictly larger count.  Returns (l_max, argmax index, candidates
-    tried)."""
+    alone (``_CosetKeys.of_indices`` of that draw only), counted as tried,
+    and wins only with a strictly larger count.  Returns (l_max, argmax
+    index, candidates tried)."""
     from ranklab.listdec import _CosetKeys
 
     cosets = _CosetKeys(code)
     tally = Counter(cosets.ball(s))
     best, best_index, tried = tally[cosets.zero], 0, code.size
     for x in dict.fromkeys(drawn):
-        key = cosets.of_index(x)
+        (key,) = cosets.of_indices([x])
         if key != cosets.zero:
             tried += 1
             if tally[key] > best:

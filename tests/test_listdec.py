@@ -158,8 +158,8 @@ def test_exhaustive_extremes():
 
 
 def test_worker_partitioning_is_invisible(monkeypatch):
-    # real processes on both exhaustive routes: partial tallies summed, and
-    # bit-sliced counters added by ripple carry
+    # real processes on the counters, bit-sliced partial counters added by
+    # ripple carry, and the scatter, which runs in this process at any count
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
     routes = spy(monkeypatch, "_sweep_route", result=True)
@@ -172,7 +172,8 @@ def test_worker_partitioning_is_invisible(monkeypatch):
 
 def forced_sweeps(code, s):
     """The exhaustive report of an explicit code on each route, forced by
-    its price, with one process and with the codewords in two chunks."""
+    its price, at one worker and at two, which split only the counters'
+    codewords, in two chunks."""
     reports = {}
     sizes = []
     with pytest.MonkeyPatch.context() as patched:
@@ -184,7 +185,7 @@ def forced_sweeps(code, s):
             reports[route] = max_list_size(code, s)
             reports[route, 2] = max_list_size(code, s, workers=2)
             assert [taken for *_, taken in routes[-2:]] == [route, route]
-    assert sizes == ([2, 2] if code.size > 1 else [])
+    assert sizes == ([2] if code.size > 1 else [])
     return reports
 
 
@@ -319,11 +320,31 @@ def test_codeword_split_pool_is_sized_to_the_work(monkeypatch):
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     monkeypatch.setattr("os.cpu_count", lambda: 8)  # more CPUs than codewords
+    # the counters are the route that splits its codewords
+    monkeypatch.setitem(listdec._PRICES, "pair", (10**9, 10**9))
+    routes = spy(monkeypatch, "_sweep_route", result=True)
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 3, seed=5)
     report = max_list_size(code, 1, workers=4)
     assert sizes == [3]  # one process per codeword, not per requested worker
     assert report == max_list_size(code, 1)
+    assert [route for *_, route in routes] == ["counters"] * 2
+
+
+def test_a_scatter_sweep_starts_no_pool(monkeypatch):
+    # partial scatter tallies would cost as much to merge as to count, so
+    # the scatter runs in this process at any worker count
+    ctx = default_context(2, 3)
+    code = sample_random_code(ctx, 2, 8, seed=5)
+    monkeypatch.setitem(listdec._PRICES, "pair", (0, 0))
+    routes = spy(monkeypatch, "_sweep_route", result=True)
+    solo = max_list_size(code, 1, workers=1)
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert max_list_size(code, 1, workers=4) == solo
+    assert sizes == []
+    assert [route for *_, route in routes] == ["scatter"] * 2
 
 
 def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -380,7 +401,7 @@ def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatc
     cosets = listdec._CosetKeys(linear)
     assert list(listdec._scatter(ctx, 2, 1, [0])) == offsets
     assert listdec._ball(ctx, 2, 1).bits == sum(1 << x for x in offsets)
-    assert list(cosets.ball(1)) == list(map(cosets.of_index, offsets))
+    assert list(cosets.ball(1)) == cosets.of_indices(offsets)
     for route, key in LINEAR_ROUTES:
         force_linear_route(monkeypatch, key)
         with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
@@ -893,7 +914,7 @@ def test_the_ball_reads_like_the_span_tables_one_by_one():
         assert ball.bits == sum(1 << x for x in offsets)
         for code in (sample_random_linear_code(ctx, n, 1, seed=s), gabidulin(ctx, n, 1)):
             cosets = listdec._CosetKeys(code)
-            assert list(cosets.ball(s)) == list(map(cosets.of_index, offsets)), (q, m, n, s)
+            assert list(cosets.ball(s)) == cosets.of_indices(offsets), (q, m, n, s)
 
 
 def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
@@ -921,8 +942,8 @@ def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
 def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
     # the counters and the fold read the bitset alone; the scatter, the
     # coset tally, the neighborhood tally and the probe lay the ball out
-    # once, the scatter and the coset tally packing its offsets for p = 2
-    # (the probe packs its offset set in its encoded form for every p)
+    # once, packing its offsets for p = 2, where the probe reads its offset
+    # set off them (for odd p it packs that set in its encoded form)
     layouts, packs = spy(monkeypatch, "_ball_layout"), spy(monkeypatch, "_packed")
     routes = spy(monkeypatch, "_sweep_route", result=True)
     mc = {"mode": "montecarlo", "centers": 20, "seed": 1}
@@ -952,8 +973,8 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
                 max_list_size(code, s, workers=1, **kwargs)
             assert [result for *_, result in routes] == ([route] if not kwargs else [])
             # what the route left built: the bitset alone, or the layout,
-            # packed for p = 2 alone by every route but the probe, which
-            # leaves its offset set beside the layout for every p
+            # packed for p = 2 alone by every route, the probe leaving its
+            # offset set beside them for every p
             left = vars(listdec._ball(ctx, n, s)).keys() - {"ctx", "n", "s"}
             if route in ("counters", "fold"):
                 assert layouts == packs == [], route
@@ -962,9 +983,9 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
                 assert layouts == [(ctx, n, s)], route
                 assert len(packs) == (1 if q == 2 or route == "probe" else 0), route
                 assert "layout" in left and "bits" not in left, route
-                assert ("packed" in left) == (q == 2 and route != "probe"), route
+                assert ("packed" in left) == (q == 2), route
                 if route == "probe":
-                    assert left == {"layout", "probes"}, route
+                    assert left == {"layout", "probes"} | ({"packed"} if q == 2 else set()), route
         # the bitset and the layout in either order build what a cold ball does
         parts = []
         for first in (True, False):
@@ -1018,7 +1039,8 @@ def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
                 if isinstance(code, LinearCode):
                     cosets = listdec._CosetKeys(code)
                     tally = Counter(cosets.ball(s))
-                    routes["coset"] = lambda: {c: tally[cosets.of_index(c)] for c in candidates}
+                    keys = cosets.of_indices(list(candidates))
+                    routes["coset"] = lambda: dict(zip(candidates, map(tally.__getitem__, keys)))
                 for route, run in routes.items():
                     counts = run()
                     assert [counts[c] for c in candidates] == expected, (route, q, m, n, s, code.size)
@@ -1153,7 +1175,7 @@ def test_the_coset_route_picks_like_the_per_draw_loop(q, m, n, k, monkeypatch):
     # the least member of the coset with the largest count, and of one that
     # ties the zero coset where there is one
     top = cosets.index(min(tally, key=lambda key: (-tally[key], key)))
-    assert tally[cosets.of_index(top)] > tally[cosets.zero]
+    assert tally[cosets.of_indices([top])[0]] > tally[cosets.zero]
     ties = [cosets.index(key) for key in tally if key != cosets.zero and tally[key] == tally[cosets.zero]]
     rng = random.Random(q)
     loose = [rng.randrange(ctx.order**n) for _ in range(30)]
@@ -1165,7 +1187,7 @@ def test_the_coset_route_picks_like_the_per_draw_loop(q, m, n, k, monkeypatch):
         "none": [],
     }
     for name, chosen in draw_sets.items():
-        assert cosets.of_indices(list(chosen)) == list(map(cosets.of_index, chosen))
+        assert cosets.of_indices(list(chosen)) == [cosets.of_indices([x])[0] for x in chosen]
         monkeypatch.setattr(listdec, "draws", lambda seed, bound, chosen=chosen: iter(chosen))
         monkeypatch.setattr(listdec, "_far_route", lambda *args: ("coset", False))
         report = max_list_size(code, 1, "montecarlo", centers=len(chosen), neighborhood_cap=0)
@@ -1351,7 +1373,7 @@ def test_odd_q_keys_without_the_byte_slots():
     cosets = listdec._CosetKeys(code)
     for x in (0, 1, 300, 257 * 256 + 17, 66048):
         coset = [vector_index(RankVector(ctx, (x,)) + scaled(word, c)) for c in range(257)]
-        assert cosets.index(cosets.of_index(x)) == min(coset)
+        assert cosets.index(cosets.of_indices([x])[0]) == min(coset)
     # the radius-1 ball is the whole space, so every coset is maximal
     assert max_list_size(code, 1).as_dict()["l_max"] == 257
     twin = ExplicitCode(ctx, 1, tuple(enumerate_codewords(code)))
@@ -1383,13 +1405,13 @@ def test_coset_keys_are_least_coset_indices():
                 coset = [vector_index(v + w) for w in words]
                 least.update(dict.fromkeys(coset, min(coset)))
         cosets = listdec._CosetKeys(code)
-        keys = [cosets.of_index(x) for x in range(space)]
+        keys = cosets.of_indices(range(space))
         assert [cosets.index(key) for key in keys] == [least[x] for x in range(space)]
         assert {type(key) for key in keys} == {int if ctx.base.p == 2 else bytes}
         zero = RankVector.zero(ctx, n)
         for s in range(n + 1):
             offsets = [vector_index(b) for b in enumerate_ball(zero, s)]
-            assert list(cosets.ball(s)) == [cosets.of_index(b) for b in offsets]
+            assert list(cosets.ball(s)) == cosets.of_indices(offsets)
 
 
 def test_coset_window_tables_match_the_per_entry_oracle():

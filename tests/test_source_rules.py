@@ -526,6 +526,34 @@ def test_the_byte_slot_form_and_the_process_fan_out_have_one_owner():
     assert {scope for scope, _ in pool_references(tree)} == {"_split"}
 
 
+def test_only_the_counters_and_the_ensemble_trials_are_split():
+    # work goes to processes only where its parts add cheaply: the
+    # counters' slices by ripple carry and the ensemble's trials end to
+    # end.  A scatter tally would cost the parent about as much to merge
+    # as to count, so no caller hands ``_scatter`` to the fan-out
+    calls, found = [], []
+    for path, tree in parsed_modules():
+        called = set()
+        for scope, node in scoped_nodes(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split":
+                called.add(id(node.func))
+                work = node.args[0]
+                if isinstance(work, ast.Call) and getattr(work.func, "id", None) == "partial":
+                    work = work.args[0]
+                calls.append((f"{path.name}:{scope}", ast.unparse(work)))
+                names = {sub.id for arg in node.args for sub in ast.walk(arg) if isinstance(sub, ast.Name)}
+                if "_scatter" in names:
+                    found.append(f"{path.name}:{node.lineno} _scatter split")
+        for scope, node in scoped_nodes(tree):
+            if isinstance(node, ast.Name) and node.id == "_split" and id(node) not in called:
+                found.append(f"{path.name}:{node.lineno} _split passed on")
+    assert found == []
+    assert sorted(calls) == [
+        ("harness.py:run_ensemble", "_run_trials"),
+        ("listdec.py:max_list_size", "_counters"),
+    ]
+
+
 def test_every_uniform_draw_comes_from_the_draw_stream():
     # ``rng.draws`` consumes the generator exactly as ``randrange`` does,
     # with no Python frame per draw: no module calls ``randrange``, and
