@@ -88,14 +88,16 @@ fold read its bitset alone, set from the span tables of dimension s
 (``_ball_bits``): as s <= n <= m, B_s is the union of T^n over the
 s-dimensional subspaces T of F_q^m.  The other kernels read its layout,
 built whole from ``rankmetric._ball_chunks``: the span tables side by
-side, per shell the slice of each table and one getter per entry
-position (``_read`` applies them to any table aligned with the values).
-The packed offsets (p = 2), the digit-plane shifter (odd p) and the
-probe's offset set are read off the layout.  ``_ball`` is an
-``lru_cache`` of one entry keyed by field, length and radius, so a run
-of calls at one (ctx, n, s), such as the trials of an ensemble, builds
-each part once.  A new ball builds nothing until a part is read, and by
-then the cache has dropped the old one, so at most one ball is alive.
+side, and per chunk its bounds in that list and its getters, one per
+entry position.  ``_packed`` is the one per-entry sum over them, one
+weighted table per entry position, read one slice and one getter call per
+chunk (``_read``): the packed offsets, the odd-p offset set and the odd-p
+scatter and coset keys.  The odd-p shifter is read off the layout too.
+``_ball`` is an ``lru_cache`` of one entry keyed by field, length and
+radius, so a run of calls at one (ctx, n, s), such as the trials of an
+ensemble, builds each part once.  A new ball builds nothing until a part
+is read, and by then the cache has dropped the old one, so at most one
+ball is alive.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
 one ``rng.draws`` stream; the first candidate with the largest count
@@ -159,10 +161,8 @@ from .rankmetric import (
     _fields_dict,
     _index_of_entries,
     _rank_of_entries,
-    _read,
     _Record,
     _shifter,
-    _slices,
     _span_tables,
     _xor_basis,
     rref_fq,
@@ -235,22 +235,31 @@ def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM
 
 def _ball_layout(ctx, n: int, s: int):
     """The span tables of the radius-s ball side by side in one list, and
-    its runs: per shell, the slice of each of its tables in that list and
-    the shell's ``_ball_chunks`` getters, one per entry position."""
+    its runs: per ``_ball_chunks`` chunk, (start, stop, getters), its
+    bounds in that list and its getters, one per entry position."""
     values, runs = [], []
-    for chunk, width, getters in _ball_chunks(ctx, n, s):
-        if not runs or runs[-1][1] is not getters:
-            runs.append(([], getters))
-        runs[-1][0].extend(_slices(len(values), len(values) + len(chunk), width))
+    for chunk, getters in _ball_chunks(ctx, n, s):
+        runs.append((len(values), len(values) + len(chunk), getters))
         values += chunk
     return values, runs
 
 
-def _packed(values, runs, n: int, order: int) -> tuple[int, ...]:
-    """The packed index of every offset, in order, its entries read off
-    ``values`` taken as digits in base ``order``."""
-    tables = ([x * order**j for x in values] for j in range(n - 1, -1, -1))
-    return tuple(map(sum, zip(*map(_read, repeat(runs), range(n), tables))))
+def _read(runs, j: int, table):
+    """Entry j of every offset of the ``runs``, in order: ``table`` is
+    aligned with the layout's values (shifted, scaled, encoded or keyed),
+    and each run takes one slice of it and one call of its getter j."""
+    return chain.from_iterable(getters[j](table[start:stop]) for start, stop, getters in runs)
+
+
+def _packed(runs, tables, radix: int):
+    """The one per-entry sum: for each offset of the ``runs``, in order, the
+    sum over positions j of its entry j read off ``tables[j]`` times
+    radix^(n - 1 - j), each table weighted once before it is read (radix 1
+    adds the reads as they are)."""
+    n = len(tables)
+    weights = [radix**j for j in range(n - 1, -1, -1)]
+    tables = [t if w == 1 else list(map(w.__mul__, t)) for t, w in zip(tables, weights)]
+    return map(sum, zip(*map(_read, repeat(runs), range(n), tables)))
 
 
 class _Ball:
@@ -268,7 +277,7 @@ class _Ball:
     @cached_property
     def packed(self) -> tuple[int, ...]:
         """The packed offsets, in ``_iter_ball_tables`` order."""
-        return _packed(*self.layout, self.n, self.ctx.order)
+        return tuple(_packed(self.layout[1], [self.layout[0]] * self.n, self.ctx.order))
 
     @cached_property
     def shift(self):
@@ -282,7 +291,7 @@ class _Ball:
             return set(self.packed)
         ctx, enc, n = self.ctx, _Encoder(self.ctx), self.n
         values, runs = self.layout
-        sums = _packed(enc.scaled(1, values, ctx.m), runs, n, enc.radix**ctx.m)
+        sums = _packed(runs, [enc.scaled(1, values, ctx.m)] * n, enc.radix**ctx.m)
         return set(enc.reduced(sums, n * ctx.m * ctx.base.s))
 
     @cached_property
@@ -410,16 +419,12 @@ class _CosetKeys:
         values, runs = _ball(self.ctx, n, s).layout
         # each digit sits in its own slot, wide enough for a sum of n digits
         slot = 8 if self.narrow else (n * (p - 1)).bit_length()
-        per_entry = width // n
-        reads = []
-        for j in range(n):
-            table = []
-            for x in values:
-                digits = [0] * width
-                digits[j * per_entry : (j + 1) * per_entry] = _entries_of_index(p, per_entry, x)
-                table.append(_index_of_entries(1 << slot, self._reduce(digits)))
-            reads.append(_read(runs, j, table))
-        sums = map(sum, zip(*reads))
+
+        def keys(place):
+            # the key of each span value x as an entry of place value ``place``
+            return [_index_of_entries(1 << slot, self._reduce(_entries_of_index(p, width, x * place))) for x in values]
+
+        sums = _packed(runs, [keys(self.ctx.order**j) for j in range(n - 1, -1, -1)], 1)
         if self.narrow:
             return self.enc.reduced(sums, width)
         mask = (1 << slot) - 1
@@ -446,11 +451,9 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
         for w in words:
             tally.update(map(w.__xor__, ball.packed))
         return tally
-    places = [order**j for j in range(n - 1, -1, -1)]
     runs = ball.layout[1]
     for w in words:
-        tables = (list(map(place.__mul__, ball.shift(e))) for e, place in zip(_entries_of_index(order, n, w), places))
-        tally.update(map(sum, zip(*map(_read, repeat(runs), range(n), tables))))
+        tally.update(_packed(runs, list(map(ball.shift, _entries_of_index(order, n, w))), order))
     return tally
 
 
@@ -550,8 +553,8 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
     in blocks of ``_PAIR_BLOCK``, as flat lists: each tested candidate
     repeated once per codeword it is tested against, beside those
     codewords.  With ``probe`` a pair probes the offset set with c - w:
-    c ^ w for p = 2, else the digits of c and -w, summed and reduced;
-    else it ranks c - w on their entries."""
+    c ^ w for p = 2, else the digits of c and -w, summed and reduced; else
+    it ranks c - w on their entries."""
     order, enc = ctx.order, _Encoder(ctx)
     coords, width = n * ctx.m, n * ctx.m * ctx.base.s
     offsets = _ball(ctx, n, s).probes if probe else None
@@ -569,12 +572,15 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
             index = {}
             for key, w in zip(keys, words_forms):
                 index.setdefault(key, []).append(w)
-            reads.append(map(index.get, wanted, repeat(())))
-        near = list(map(set().union, *reads))
+            # tuples, so a sum of reads but one empty builds no new one
+            reads.append(map(dict(zip(index, map(tuple, index.values()))).get, wanted, repeat(())))
+        near = list(reduce(partial(map, add), reads))  # each one's sharers under every key
     else:
         near = [words_forms] * len(candidates)
     # only a candidate that shares a key with some codeword is tested
     tested, near = list(compress(candidates, near)), list(filter(None, near))
+    if keyed:  # against each sharer once, though it may share several keys
+        near = list(map(dict.fromkeys, near))
     sharers = list(map(len, near))
     owners = chain.from_iterable(map(repeat, tested, sharers))
     owner_forms = chain.from_iterable(map(repeat, forms(tested, 1), sharers))

@@ -636,33 +636,22 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
 
 def _ball_chunks(ctx: ExtCtx, n: int, r: int):
     """The one ball reader: the ``_iter_ball_tables`` tables, in order, as
-    chunks (values, width, getters).  The tables of shell u, which share
-    one factor-columns tuple, are cut into chunks of at most 512 offsets
-    or one table: ``enumerate_ball`` keeps a chunk's vectors alive
-    together, and larger batches cost it garbage-collector passes.
-    ``values`` is a chunk's span tables side by side, each ``width`` = q^u
-    long; ``getters[j]``, built once per shell, reads entry j of every
-    factor off one table (a one-element column as a 1-list)."""
+    chunks (values, getters).  The tables of shell u, which share one
+    factor-columns tuple, are cut into chunks of at most 512 offsets or
+    one table: ``enumerate_ball`` keeps a chunk's vectors alive together,
+    and larger batches cost it garbage-collector passes.  ``values`` is a
+    chunk's span tables side by side; ``getters[j]`` reads entry j of every
+    offset off any list aligned with it in one call (one offset as a
+    1-list), built once per chunk shape and shared by a shell's full chunks."""
     for columns, run in itertools.groupby(_iter_ball_tables(ctx, n, r), key=itemgetter(1)):
-        getters = [itemgetter(*c) if len(c) > 1 else itemgetter(slice(c[0], c[0] + 1)) for c in columns]
+        tables, getters = map(itemgetter(0), run), None
         per = max(1, 512 // len(columns[0]))
-        for width, spans in itertools.groupby(map(itemgetter(0), run), key=len):
-            while chunk := list(itertools.chain.from_iterable(itertools.islice(spans, per))):
-                yield chunk, width, getters
-
-
-def _slices(start: int, stop: int, width: int) -> list[slice]:
-    """The slice of each ``width``-long span table between start and stop."""
-    return list(map(slice, range(start, stop, width), range(start + width, stop + width, width)))
-
-
-def _read(runs, j: int, table):
-    """Entry j of every offset of the ``runs``, (slices, getters) pairs, in
-    order: ``table`` is aligned with the span values (shifted, scaled,
-    encoded or keyed), each slice cuts one span table out of it, and
-    ``getters[j]`` reads entry j of every factor off that table."""
-    chain = itertools.chain.from_iterable
-    return chain(chain(map(getters[j], map(table.__getitem__, slices))) for slices, getters in runs)
+        while chunk := list(itertools.islice(tables, per)):
+            if getters is None or len(chunk) < per:
+                width = len(chunk[0])
+                at = [[t + i for t in range(0, len(chunk) * width, width) for i in c] for c in columns]
+                getters = [itemgetter(*a) if len(a) > 1 else itemgetter(slice(a[0], a[0] + 1)) for a in at]
+            yield list(itertools.chain.from_iterable(chunk)), getters
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
@@ -674,8 +663,9 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     ``_ball_chunks`` chunk is read as it comes: its values pass
     ``check_element`` once, then it is shifted by each distinct center
     entry with ``_shifter`` (a shift by a valid entry keeps a valid value
-    valid and a bad value bad), entry j of each vector is ``_read`` off the
-    shift by center entry j, and one ``_trusted_batch`` builds its vectors.
+    valid and a bad value bad), the chunk's getter j reads entry j of every
+    vector off the shift by center entry j, and one ``_trusted_batch``
+    builds its vectors.
     """
     ctx = center.ctx
     n = center.n
@@ -686,10 +676,9 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(
             f"ambient space has {space} vectors, above the cap of {cap}"
         )
-    for values, width, getters in _ball_chunks(ctx, n, r):
+    for values, getters in _ball_chunks(ctx, n, r):
         deque(map(ctx.check_element, values), 0)
         shift = _shifter(ctx.base.p, values)
-        shifted = map({e: shift(e) for e in center.entries}.__getitem__, center.entries)
-        runs = [(_slices(0, len(values), width), getters)]
-        reads = map(_read, itertools.repeat(runs), range(n), shifted)
+        shifted = {e: shift(e) for e in center.entries}
+        reads = [get(shifted[e]) for get, e in zip(getters, center.entries)]
         yield from _trusted_batch(ctx, list(zip(*reads)))

@@ -364,17 +364,16 @@ def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
 @pytest.fixture
 def short_ball(monkeypatch):
     """Build every ball of the test one offset short, the last offset of
-    its last span table dropped: in the layout that table gets a run of
-    its own whose getters drop their last read, and the bitset loses that
-    offset's bit.  ``_ball_size`` is left as it is, and no short ball
-    outlives the test."""
+    its last span table dropped: in the layout the getters of the last
+    chunk drop their last read, and the bitset loses that offset's bit.
+    ``_ball_size`` is left as it is, and no short ball outlives the test."""
     layout, bits = listdec._ball_layout, listdec._ball_bits
 
     def short(ctx, n, s):
         values, runs = layout(ctx, n, s)
-        slices, getters = runs.pop()
+        start, stop, getters = runs.pop()
         last = [lambda table, getter=getter: getter(table)[:-1] for getter in getters]
-        return values, runs + [(slices[:-1], getters), (slices[-1:], last)]
+        return values, runs + [(start, stop, last)]
 
     def short_bits(ctx, n, s):
         last = _index_of_entries(ctx.order, ball_by_tables(ctx, (0,) * n, s)[-1])
@@ -879,10 +878,10 @@ def test_no_kernel_mutates_the_memoized_ball():
         assert memo.bits is memo.bits and memo.bits == fresh.bits
         assert memo.bits == sum(1 << vector_index(b) for b in enumerate_ball(RankVector.zero(ctx, n), s))
         assert memo.packed == fresh.packed
-        # the values, each run's table slices, and what its getters read
+        # the values, each run's bounds, and what its getters read
         (values, runs), (fresh_values, fresh_runs) = memo.layout, fresh.layout
         assert values == fresh_values
-        assert [slices for slices, _ in runs] == [slices for slices, _ in fresh_runs]
+        assert [run[:2] for run in runs] == [run[:2] for run in fresh_runs]
         reads = [[list(listdec._read(r, j, v)) for j in range(n)] for v, r in (memo.layout, fresh.layout)]
         assert reads[0] == reads[1]
         # the shifter's digit planes, split off on first use, are intact
@@ -943,7 +942,9 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
     # the counters and the fold read the bitset alone; the scatter, the
     # coset tally, the neighborhood tally and the probe lay the ball out
     # once, packing its offsets for p = 2, where the probe reads its offset
-    # set off them (for odd p it packs that set in its encoded form)
+    # set off them (for odd p it packs that set in its encoded form); for
+    # odd p every per-entry sum goes through _packed too, once per codeword
+    # for the scatter and once for the coset keys
     layouts, packs = spy(monkeypatch, "_ball_layout"), spy(monkeypatch, "_packed")
     routes = spy(monkeypatch, "_sweep_route", result=True)
     mc = {"mode": "montecarlo", "centers": 20, "seed": 1}
@@ -981,7 +982,8 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
                 assert left == {"bits"}, route
             else:
                 assert layouts == [(ctx, n, s)], route
-                assert len(packs) == (1 if q == 2 or route == "probe" else 0), route
+                sums = {"coset": 1, "probe": 1}.get(route, explicit.size)
+                assert len(packs) == (1 if q == 2 else sums), route
                 assert "layout" in left and "bits" not in left, route
                 assert ("packed" in left) == (q == 2), route
                 if route == "probe":
@@ -1004,7 +1006,7 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
         for ball in parts:
             values, runs = ball.layout
             assert vars(ball)["bits"] == bits and ball.packed == cold.packed and values == cold_values
-            assert [slices for slices, _ in runs] == [slices for slices, _ in cold_runs]
+            assert [run[:2] for run in runs] == [run[:2] for run in cold_runs]
             assert [list(listdec._read(runs, j, values)) for j in range(n)] == [
                 list(listdec._read(cold_runs, j, cold_values)) for j in range(n)
             ]

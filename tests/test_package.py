@@ -100,7 +100,9 @@ def test_commands_load_neither_dataclasses_nor_inspect():
         "    code = exc.code\n"
         "print(json.dumps({'imported': imported, 'volume': heavy(), 'code': code}))\n"
     )
-    proc = run_python(["-c", probe], capture_output=True, text=True)
+    # -S: the interpreter's site set-up (.pth files, site-packages) may
+    # import inspect itself, which says nothing of ranklab
+    proc = run_python(["-S", "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert '"schema": "ranklab.volume/1"' in proc.stdout
     report = json.loads(proc.stdout.splitlines()[-1])

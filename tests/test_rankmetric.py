@@ -13,6 +13,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -36,8 +37,6 @@ from ranklab.rankmetric import (
     _ball_chunks,
     _factor_columns,
     _iter_ball_tables,
-    _read,
-    _slices,
     _shifter,
     ball_volume,
     count_rank_u,
@@ -517,11 +516,14 @@ def test_ball_sizes_reject_what_ball_volume_rejects():
         assert message is None or str(size.value) == message
 
 
-def chunk_entries(values, width, getters):
+def chunk_entries(values, getters):
     """The offsets of one ``_ball_chunks`` chunk as entry tuples, each
     entry read off the span values themselves (a zero center)."""
-    runs = [(_slices(0, len(values), width), getters)]
-    return list(zip(*(_read(runs, j, values) for j in range(len(getters)))))
+    return list(zip(*(get(values) for get in getters)))
+
+
+def ball_entries(ctx, n, r):
+    return [entries for chunk in _ball_chunks(ctx, n, r) for entries in chunk_entries(*chunk)]
 
 
 def test_rank_u_matrix_iterator_is_exact():
@@ -530,8 +532,8 @@ def test_rank_u_matrix_iterator_is_exact():
         ctx = default_context(q, m)
         zero = (0,) * n
         for u in range(n + 1):
-            # the rank-u shell is read off the u-dimensional column spaces
-            out = [e for chunk in _ball_chunks(ctx, n, u) if chunk[1] == q**u for e in chunk_entries(*chunk)]
+            # the rank-u shell follows the ball of radius u - 1
+            out = ball_entries(ctx, n, u)[len(ball_entries(ctx, n, u - 1)) if u else 0 :]
             assert out == ball_by_tables(ctx, zero, u)[-len(out) :]
             assert len(out) == count_rank_u(q, m, n, u)
             assert len(set(out)) == len(out)
@@ -540,27 +542,38 @@ def test_rank_u_matrix_iterator_is_exact():
 
 
 def test_ball_chunks_are_bounded_runs_of_one_shell():
-    # q2m6n3 and q3m4n3 at r = 2 have shells cut into many chunks
-    for q, m, n, r in ((2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1), (2, 6, 3, 2), (3, 4, 3, 2)):
+    # q2m6n3 and q3m4n3 at r = 2 have shells cut into many chunks, each
+    # with a shorter last one; q2m1n1 has a one-offset rank-1 shell
+    for q, m, n, r in ((2, 1, 1, 1), (2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1), (2, 6, 3, 2), (3, 4, 3, 2)):
         ctx = default_context(q, m)
-        chunks = list(_ball_chunks(ctx, n, r))
-        out = [entries for chunk in chunks for entries in chunk_entries(*chunk)]
-        assert out == ball_by_tables(ctx, (0,) * n, r), (q, m, n, r)
-        # one getter list per shell, shared by its chunks in a row; a shell of
-        # F factors per table takes 512 // F tables a chunk, at least one
-        expected = []
+        chunks = iter(_ball_chunks(ctx, n, r))
+        spans = map(itemgetter(0), _iter_ball_tables(ctx, n, r))
+        out, shells = [], []
         for u in range(r + 1):
+            # a shell of T tables and F factors per table takes 512 // F
+            # tables a chunk, at least one, and its last chunk the rest
             factors = math.prod(q**n - q**i for i in range(u))
             tables = math.prod(q**m - q**i for i in range(u)) // math.prod(q**u - q**i for i in range(u))
-            expected += [u] * -(-tables // max(1, 512 // factors))
-        shells = [g for i, (_, _, g) in enumerate(chunks) if i == 0 or chunks[i - 1][2] is not g]
-        assert len({id(getters) for getters in shells}) == len(shells) == r + 1
-        assert [shells.index(getters) for _, _, getters in chunks] == expected
-        for values, width, getters in chunks:
-            assert width == q ** shells.index(getters) and len(values) % width == 0
-            assert len(getters) == n
-            offsets = len(chunk_entries(values, width, getters))
-            assert offsets <= 512 or len(values) == width
+            per = max(1, 512 // factors)
+            sizes = [per] * (tables // per) + [tables % per] * (tables % per > 0)
+            shell = list(itertools.islice(chunks, len(sizes)))
+            for size, (values, getters) in zip(sizes, shell):
+                # each chunk reads its own span tables, in order, with one
+                # getter per entry position; the one-offset read is a 1-list
+                assert values == list(itertools.chain.from_iterable(itertools.islice(spans, size)))
+                reads = [get(values) for get in getters]
+                assert len(reads) == n and {len(read) for read in reads} == {size * factors}
+                assert size * factors <= 512 or size == 1
+                assert size * factors > 1 or {type(read) for read in reads} == {list}
+                out += zip(*reads)
+            # the full chunks of a shell share one getter list, and a shorter
+            # last chunk has its own
+            lists = [getters for size, (_, getters) in zip(sizes, shell) if size == per]
+            assert all(getters is lists[0] for getters in lists)
+            shells += lists[:1] + [getters for size, (_, getters) in zip(sizes, shell) if size < per]
+        assert next(chunks, None) is next(spans, None) is None
+        assert out == ball_by_tables(ctx, (0,) * n, r), (q, m, n, r)
+        assert len({id(getters) for getters in shells}) == len(shells)
 
 
 def test_enumerate_ball_reads_the_tables_in_order():
@@ -703,10 +716,11 @@ def test_enumerate_ball_checks_every_shifted_span_table(monkeypatch):
         ctx = default_context(q, m)
 
         def tables(ctx_, n, r, order=ctx.order):
-            # a valid zero table, then one whose second value is out of range;
-            # no factor reads that value, yet it must still be refused
+            # a valid zero shell, then a shell of one table whose second value
+            # is out of range; no factor reads that value, yet it must still
+            # be refused
             yield [0], ((0,), (0,))
-            yield [0, order], ((0,), (0,))
+            yield [0, order], ((0, 0), (0, 0))
 
         monkeypatch.setattr(rankmetric, "_iter_ball_tables", tables)
         ball = enumerate_ball(RankVector(ctx, (1, 0)), 1)

@@ -317,12 +317,21 @@ def test_only_the_ball_memo_builds_the_ball():
     # ball out, pack it, or fill its offset set or its bitset.  Only the
     # one ball reader, rankmetric._ball_chunks, walks the span tables with
     # their factors, and both enumerate_ball and the layout read the ball
-    # through it; the bitset reads the span tables of dimension s alone
+    # through it; the bitset reads the span tables of dimension s alone.
+    # _packed is the one per-entry sum: the layout's entries are read by
+    # _read for it alone, and the packed offsets, the odd-p offset set, the
+    # odd-p scatter and the odd-p coset keys all sum their reads through it
     builders = {
         "_ball_layout": {"listdec.py:_Ball.layout"},
         "_ball_bits": {"listdec.py:_Ball.bits"},
         "_Ball": {"listdec.py:_ball"},
-        "_packed": {"listdec.py:_Ball.packed", "listdec.py:_Ball.probes"},
+        "_packed": {
+            "listdec.py:_Ball.packed",
+            "listdec.py:_Ball.probes",
+            "listdec.py:_scatter",
+            "listdec.py:_CosetKeys.ball",
+        },
+        "_read": {"listdec.py:_packed"},
         "_span_tables": {"rankmetric.py:_iter_ball_tables", "listdec.py:_ball_bits"},
         "_iter_ball_tables": {"rankmetric.py:_ball_chunks"},
         "_ball_chunks": {"rankmetric.py:enumerate_ball", "listdec.py:_ball_layout"},
@@ -358,6 +367,15 @@ def test_only_the_ball_memo_builds_the_ball():
                 found.append(f"{where}:{node.lineno} {ref} read by the bitset")
     assert found == []
     assert readers == builders
+    # no other sum of reads runs over zipped tables, but the one that adds
+    # the base-q windows of a scaled value, which reads no ball entry
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    sums = {
+        scope
+        for scope, node in scoped_nodes(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "map" and ast.unparse(node.args[0]) == "sum"
+    }
+    assert sums == {"_packed", "_Encoder.scaled"}
 
 
 MUTATORS = {"clear", "update", "setdefault", "pop", "popitem", "append", "extend", "add", "insert"}
