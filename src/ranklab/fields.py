@@ -222,12 +222,14 @@ def _first_irreducible(field, degree: int) -> tuple[int, ...]:
 
     Candidates are ordered by the integer code of their non-leading
     coefficient block (little-endian), which makes the choice
-    deterministic and reproducible across runs.
+    deterministic and reproducible across runs.  A candidate with zero
+    derivative, every nonzero coefficient at a multiple of p, is a p-th
+    power and so reducible: it skips the Ben-Or test.
     """
-    q = field.q
+    q, p = field.q, field.p
     for code in range(q**degree):
         candidate = _digits(code, q, degree) + (1,)
-        if _is_irreducible(candidate, field):
+        if any(c for i, c in enumerate(candidate) if i % p) and _is_irreducible(candidate, field):
             return candidate
     raise RuntimeError(f"no irreducible polynomial of degree {degree} found")
 

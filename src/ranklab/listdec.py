@@ -60,14 +60,15 @@ the counters' digit step (``_translator``) and added by ripple carry.
 ``_top`` reads the maximum and its least center, the coset tally's
 answer too.  Neither linear route enumerates a codeword.
 
-Each exhaustive sweep takes the cheaper of its two kernels, the counters
-or the scatter for an explicit code, the fold or the coset tally for a
-linear one, as ``_sweep_route`` prices them in ``_PRICES`` units from
-the call alone, never from what the ball memo holds.  A translate costs
-about three big-int operations per base-p digit of an index, each over
-q^(mn) bits, and the bitset is priced one step per offset.  The counters
-pay one translate per codeword, the scatter |C| * |B_s| tally updates;
-the fold pays p - 1 translates of every slice per basis word, the slices
+One picker, ``_route``, names the route of every ``max_list_size`` call,
+one of ten, priced in ``_PRICES`` units from the call alone, never from
+what the ball memo holds.  An exhaustive sweep takes the cheaper of its
+two kernels: "counters" or "scatter" for an explicit code, "fold" or
+"coset" (the coset tally) for a linear one.  A translate costs about
+three big-int operations per base-p digit of an index, each over q^(mn)
+bits, and the bitset is priced one step per offset.  The counters pay
+one translate per codeword, the scatter |C| * |B_s| tally updates; the
+fold pays p - 1 translates of every slice per basis word, the slices
 before word j holding counts up to min(p^j, |B_s|), and the coset tally
 |B_s| keys plus the entries of its key tables.  So balls that fill a
 fixed share of the space go to the counters or the fold, and sparse ones
@@ -101,22 +102,23 @@ ball is alive.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
 one ``rng.draws`` stream; the first candidate with the largest count
-wins.  When |C| * |B_s| <= min(neighborhood_cap, cap) it reads the
-scatter tally of every center near the code, candidates in the order
-the tally meets them.  Otherwise ``_far_route`` prices each route for
-these far centers in CPython time per step (``_PRICES``) and takes the
+wins.  When |C| * |B_s| <= min(neighborhood_cap, cap) the picker says
+"neighborhood": the scatter tally of every center near the code,
+candidates in the order the tally meets them.  Otherwise it prices each
+route for these far centers in CPython time per step and takes the
 cheapest:
 
-- the coset tally (linear codes): |B_s| coset keys, priced like ranked
-  pairs past the byte slots (when n digits do not ``_fits``), and a key
-  per center, priced like a rank for odd p;
+- "far-coset" (linear codes), the coset tally: |B_s| coset keys, priced
+  like ranked pairs past the byte slots (when n digits do not
+  ``_fits``), and a key per center, priced like a rank for odd p;
 - the candidate-side kernel ``_near``: when a vector has fewer
   dependency keys than C has words, each candidate pays its keys and is
-  tested only against the codewords that share one, otherwise against
-  every codeword; a test is one probe of the ball's offset set ("probe";
-  p = 2, or q <= 256 and two digits ``_fits``) or a rank ("rank").  The
-  pairs run as flat lists, at most ``_PAIR_BLOCK`` at a time, so memory
-  stays bounded by the block, not by |C| * candidates.
+  tested only against the codewords that share one ("-keyed"), otherwise
+  against every codeword; a test is one probe of the ball's offset set
+  ("probe" or "probe-keyed"; p = 2, or q <= 256 and two digits
+  ``_fits``) or a rank ("rank" or "rank-keyed").  The pairs run as flat
+  lists, at most ``_PAIR_BLOCK`` at a time, so memory stays bounded by
+  the block, not by |C| * candidates.
 
 A route that reads the ball pays its |B_s| builds, and the probe |B_s|
 more for its offset set, whether or not the memo holds them, so a route
@@ -758,67 +760,59 @@ def max_list_size(
     space = ctx.order**n
     bv = _ball_size(ctx.base.q, ctx.m, n, s)
     lb = _pigeonhole_floor(code.size, bv, space)
-    linear = isinstance(code, (LinearCode, GabidulinCode))
-
-    def report(best: int, index: int, tried: int) -> ListReport:
-        center = vector_from_index(ctx, n, index)
-        return ListReport(s, best, center, mode == "exhaustive", tried, lb)
-
-    if mode == "exhaustive":
-        if space > cap:
-            raise EnumerationCapExceeded(
-                f"{space} centers to scan, above the cap of {cap}; use montecarlo"
-            )
-        route = _sweep_route(ctx, n, s, bv, code.size, linear)
-        if route in ("fold", "counters"):
-            if route == "fold":
-                slices = _fold(ctx, n, s, _fp_basis(code))
-            else:
-                slices = reduce(_add_slices, _split(partial(_counters, ctx, n, s), _packed_words(code, cap), workers))
-            total = sum(x.bit_count() << i for i, x in enumerate(slices))
-            _double_count(route, total, code.size * bv)
-            return report(*_top(slices), space)
-        if route == "coset":
-            # the list size at x is the number of offsets in the coset of x
-            cosets = _CosetKeys(code)
-            tally = Counter(cosets.ball(s))
-            _double_count("coset tally", sum(tally.values()), bv)
-        else:
-            tally = _scatter(ctx, n, s, _packed_words(code, cap))
-            _double_count("scatter tally", sum(tally.values()), code.size * bv)
-        best = max(tally.values())
-        least = min(key for key, count in tally.items() if count == best)
-        # a coset's key is its least index, so this is the least center
-        return report(best, cosets.index(least) if linear else least, space)
-    if mode != "montecarlo":
+    drawn = None  # exhaustive
+    if mode == "montecarlo":
+        _check_word_cap(code, cap)
+        drawn = list(dict.fromkeys(islice(draws(seed, space), centers)))
+    elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    _check_word_cap(code, cap)
-    drawn = list(dict.fromkeys(islice(draws(seed, space), centers)))
-    if code.size * bv <= min(neighborhood_cap, cap):
-        # every center that sees any codeword at all lives in this tally,
-        # so small instances get the true maximum even in this mode; a
-        # draw it never met sees no codeword and cannot lead
+    elif space > cap:
+        raise EnumerationCapExceeded(
+            f"{space} centers to scan, above the cap of {cap}; use montecarlo"
+        )
+    linear = isinstance(code, (LinearCode, GabidulinCode))
+    route = _route(ctx, n, s, bv, code.size, linear, None if drawn is None else len(drawn), cap, neighborhood_cap)
+    tried = space
+    if route == "fold":
+        slices = _fold(ctx, n, s, _fp_basis(code))
+    elif route == "counters":
+        slices = reduce(_add_slices, _split(partial(_counters, ctx, n, s), _packed_words(code, cap), workers))
+    elif route in ("coset", "far-coset"):
+        # the list size at x is the number of offsets in the coset of x
+        cosets = _CosetKeys(code)
+        tally = Counter(cosets.ball(s))
+    elif route in ("scatter", "neighborhood"):
         tally = _scatter(ctx, n, s, _packed_words(code, cap))
-        tried = len(tally.keys() | drawn)
     else:
-        route, keyed = _far_route(ctx, n, s, bv, code.size, len(drawn), cap, linear)
-        if route == "coset":
-            # the codewords lead the candidates, all in the coset of zero and
-            # led by the zero word; each new random center is scored by its
-            # coset, and one in the zero coset cannot beat the zero word
-            cosets = _CosetKeys(code)
-            tally = Counter(cosets.ball(s))
-            keys = cosets.of_indices(drawn)
-            counts = [tally[cosets.zero], *map(tally.get, keys, repeat(0))]
-            first = counts.index(max(counts))
-            tried = code.size + len(keys) - keys.count(cosets.zero)
-            return report(counts[first], drawn[first - 1] if first else 0, tried)
         words = _packed_words(code, cap)
-        tally = _near(ctx, n, s, words, dict.fromkeys([*words, *drawn]), keyed, route == "probe")
-        tried = len(tally)
-    # the first candidate with the largest count
-    best_key = max(tally, key=tally.__getitem__)
-    return report(tally[best_key], best_key, tried)
+        candidates = dict.fromkeys([*words, *drawn])
+        tally = _near(ctx, n, s, words, candidates, route.endswith("-keyed"), route.startswith("probe"))
+    if route in ("fold", "counters"):
+        _double_count(route, sum(x.bit_count() << i for i, x in enumerate(slices)), code.size * bv)
+        best, center = _top(slices)
+    elif route in ("coset", "scatter"):
+        _double_count(f"{route} tally", sum(tally.values()), bv if route == "coset" else code.size * bv)
+        best = max(tally.values())
+        center = min(key for key, count in tally.items() if count == best)
+        # a coset's key is its least index, so this is the least center
+        center = cosets.index(center) if route == "coset" else center
+    elif route == "far-coset":
+        # the codewords lead the candidates, all in the coset of zero and
+        # led by the zero word; each new random center is scored by its
+        # coset, and one in the zero coset cannot beat the zero word
+        keys = cosets.of_indices(drawn)
+        counts = [tally[cosets.zero], *map(tally.get, keys, repeat(0))]
+        first = counts.index(max(counts))
+        best, center = counts[first], drawn[first - 1] if first else 0
+        tried = code.size + len(keys) - keys.count(cosets.zero)
+    else:
+        # the first candidate with the largest count; the neighborhood
+        # tally holds every center that sees any codeword at all, so a
+        # draw it never met sees none and cannot lead
+        center = max(tally, key=tally.__getitem__)
+        best = tally[center]
+        tried = len(tally.keys() | drawn)
+    return ListReport(s, best, vector_from_index(ctx, n, center), drawn is None, tried, lb)
 
 
 # CPython time per step in about 0.1 us, (p = 2, odd p), fitted on
@@ -838,69 +832,63 @@ _PRICES = {
 }
 
 
-def _far_route(ctx, n: int, s: int, bv: int, size: int, draws: int, cap: int, linear: bool):
-    """(route, keyed): the cheapest far route as the module docstring prices
-    it, "coset", "probe" or "rank", and whether ``_near`` keys (never for
-    the coset tally, which builds no dependency key)."""
+def _route(ctx, n: int, s: int, bv: int, size: int, linear: bool, draws, cap: int, neighborhood_cap: int) -> str:
+    """The name of the route a ``max_list_size`` call takes, for a code of
+    ``size`` words, a ball of ``bv`` offsets and ``draws`` random centers
+    (None in exhaustive mode), priced as the module docstring says: one of
+    "counters", "scatter", "fold", "coset" (exhaustive) or "neighborhood",
+    "far-coset", "probe", "probe-keyed", "rank", "rank-keyed"."""
     q, p, m = ctx.base.q, ctx.base.p, ctx.m
     price = {step: cost[p > 2] for step, cost in _PRICES.items()}
+    if draws is None:
+        op = price["op"] + price["kb"] * ctx.order**n // 8192
+        digits = n * m * ctx.base.s
+        translate = 3 * digits * op
+        bitset = 10 * op + bv * price["bit"]
+        if not linear:
+            counters = size * translate + bitset
+            return "counters" if counters < size * bv * price["pair"] else "scatter"
+        dim = round(math.log(size, p))  # words in the F_p basis
+        # before basis word j a count is at most min(p^j, |B_s|); each translate
+        # of a slice is added by ripple carry, about five ops
+        slices = sum(min(p**j, bv).bit_length() for j in range(dim))
+        fold = (p - 1) * slices * (translate + 5 * op) + bitset
+        # the key tables: for p = 2, 256 entries per eight-bit window and per
+        # pivot row; for odd p one per span value at each entry position, the
+        # span values being q^u for each u-dimensional subspace of F_q^m, u <= s
+        if p == 2:
+            tables = 256 * (min(dim, -(-digits // 8)) + dim)
+        else:
+            tables, subspaces = 0, 1
+            for u in range(s + 1):
+                tables += n * subspaces * q**u
+                subspaces = subspaces * (q ** (m - u) - 1) // (q ** (u + 1) - 1)
+        coset = bv * price["coset"] + tables * price["table"]
+        return "fold" if fold < coset else "coset"
+    if size * bv <= min(neighborhood_cap, cap):
+        return "neighborhood"
     tried = size + draws  # at most this many candidates
     rank = 10 + 4 * n if q == 2 else 60 + 8 * n * m
     keys = _key_count(ctx, n, s)
-    keyed = 0 < keys < size
+    keyed = "-keyed" if 0 < keys < size else ""  # the suffix of a kernel that keys
     # a random candidate shares a key with about keys * |C| / q^m codewords
     pairs = min(tried * size, -(-tried * keys * size // ctx.order) + size) if keyed else tried * size
     kernel = (tried * keys * price["key"] if keyed else 0) + min(tried, pairs) * price["hit"]
-    costs = {"rank": kernel + pairs * rank}
+    costs = {"rank" + keyed: kernel + pairs * rank}
     if bv <= cap:
         build = bv * (5 + 40 // n)
         if p == 2 or (_fits(p, 2) and q <= 256):
-            costs["probe"] = kernel + pairs * price["probe"] + build + bv * price["set"]
+            costs["probe" + keyed] = kernel + pairs * price["probe"] + build + bv * price["set"]
         if linear:
             # past the byte slots a coset key is a tuple, priced like a ranked pair
             key = price["coset"] if _fits(p, n) else rank
-            costs["coset"] = bv * key + build + draws * (rank if p > 2 else price["center"])
+            costs["far-coset"] = bv * key + build + draws * (rank if p > 2 else price["center"])
     elif size * tried > cap:
         raise EnumerationCapExceeded(
             f"Monte Carlo needs {size * tried} codeword-center pairs"
             f" and a ball of {bv} offsets, both above the cap of {cap}"
         )
-    route = min(costs, key=costs.get)
-    return route, keyed and route != "coset"
-
-
-def _sweep_route(ctx, n: int, s: int, bv: int, size: int, linear: bool) -> str:
-    """The cheaper exhaustive kernel for a code of ``size`` words and a ball
-    of ``bv`` offsets, as the module docstring prices them: "fold" or
-    "coset" for a linear or Gabidulin code, "counters" or "scatter" for an
-    explicit one."""
-    p, space = ctx.base.p, ctx.order**n
-    price = {step: cost[p > 2] for step, cost in _PRICES.items()}
-    op = price["op"] + price["kb"] * space // 8192
-    digits = n * ctx.m * ctx.base.s
-    translate = 3 * digits * op
-    bitset = 10 * op + bv * price["bit"]
-    if not linear:
-        counters = size * translate + bitset
-        return "counters" if counters < size * bv * price["pair"] else "scatter"
-    dim = round(math.log(size, p))  # words in the F_p basis
-    # before basis word j a count is at most min(p^j, |B_s|); each translate
-    # of a slice is added by ripple carry, about five ops
-    slices = sum(min(p**j, bv).bit_length() for j in range(dim))
-    fold = (p - 1) * slices * (translate + 5 * op) + bitset
-    # the key tables: for p = 2, 256 entries per eight-bit window and per
-    # pivot row; for odd p one per span value at each entry position, the
-    # span values being q^u for each u-dimensional subspace of F_q^m, u <= s
-    if p == 2:
-        tables = 256 * (min(dim, -(-digits // 8)) + dim)
-    else:
-        q, m = ctx.base.q, ctx.m
-        tables, subspaces = 0, 1
-        for u in range(s + 1):
-            tables += n * subspaces * q**u
-            subspaces = subspaces * (q ** (m - u) - 1) // (q ** (u + 1) - 1)
-    coset = bv * price["coset"] + tables * price["table"]
-    return "fold" if fold < coset else "coset"
+    return min(costs, key=costs.get)
 
 
 def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:

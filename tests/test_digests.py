@@ -2,13 +2,14 @@
 
 Each case is one report: the order of ``enumerate_ball``, a
 ``max_list_size`` sweep with each exhaustive route forced and with the
-router's own choice, a Monte Carlo run on each far route and on the
+picker's own choice, a Monte Carlo run on each far route and on the
 neighbourhood tally, or a ``coset_partition_check``.  Its digest is the
 SHA-256 of the report's canonical JSON (sorted keys, no spaces), and
 ``tests/golden/digests.json`` holds one per case.  The grid covers q in
-{2, 3, 4, 5, 9}, small shapes and every radius, and runs in a few
-seconds.  A route is forced by patching ``listdec._sweep_route`` or
-``listdec._far_route``.
+{2, 3, 4, 5, 8, 9}, small shapes, every radius, explicit, linear (k = 0,
+1 and 2) and Gabidulin codes, and far runs at 0, 30 and 300 centers, and
+runs in a few seconds.  A route is forced by patching the one route picker,
+``listdec._route``, to answer its name.
 
 A change meant to alter report bytes regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py`` and names each case that
@@ -32,12 +33,20 @@ from ranklab.rankmetric import RankVector, enumerate_ball
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 
-# (q, m, n): q = 4 and 9 have a non-prime base field
-SHAPES = ((2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 2), (3, 3, 3), (4, 2, 2), (5, 2, 2), (9, 2, 2))
+# (q, m, n): q = 4, 9 and 8 have a non-prime base field; a new shape goes
+# last, so the random centers of the others stay as they were drawn
+SHAPES = ((2, 3, 2), (2, 4, 3), (3, 2, 2), (3, 3, 2), (3, 3, 3), (4, 2, 2), (5, 2, 2), (9, 2, 2), (8, 2, 2))
 # (q, m, n, s) whose balls are read in many chunks, on the routes that read
 # the offsets: the order, the scatter, the coset tally and the probe
 CHUNKED = ((2, 6, 3, 2), (3, 4, 3, 2))
 EXPLICIT_SIZES = (1, 5, 20)
+# F_q-dimensions of the linear codes beside k = 1 (kind "linear"): the zero
+# code and a code of q^2 words
+LINEAR_DIMS = (0, 2)
+# random centers of the far runs beside ``MC``'s, none and more than the
+# small spaces hold, for one explicit and one linear kind
+FAR_CENTERS = (0, 300)
+FAR_CENTERS_KINDS = ("explicit5", "linear")
 MC = {"mode": "montecarlo", "centers": 30, "seed": 1}
 FAR = {"neighborhood_cap": 0, **MC}  # past the neighbourhood tally
 
@@ -47,14 +56,14 @@ def digest(payload) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def forced(name: str, result):
-    """A thunk factory: run ``call`` with ``listdec.<name>`` returning
-    ``result``, or as it is when ``result`` is None."""
+def forced(route):
+    """A thunk factory: run ``call`` with ``listdec._route`` answering
+    ``route``, or as it is when ``route`` is None."""
 
     def run(call):
         with pytest.MonkeyPatch.context() as patched:
-            if result is not None:
-                patched.setattr(listdec, name, lambda *args: result)
+            if route is not None:
+                patched.setattr(listdec, "_route", lambda *args: route)
             return call()
 
     return run
@@ -74,26 +83,34 @@ def cases():
                 yield f"ball/{shape}/r{r}/{label}", lambda c=center, r=r: [v.entries for v in enumerate_ball(c, r)]
         explicit = {f"explicit{size}": sample_random_code(ctx, n, size, seed=size) for size in EXPLICIT_SIZES}
         linear = {"linear": sample_random_linear_code(ctx, n, 1, seed=q), "gabidulin": gabidulin(ctx, n, 1)}
+        linear |= {f"linear-k{k}": sample_random_linear_code(ctx, n, k, seed=q) for k in LINEAR_DIMS}
         for s in range(n + 1):
             keyed = listdec._key_count(ctx, n, s) > 0
             for kind, code in {**explicit, **linear}.items():
                 routes = ("fold", "coset") if kind in linear else ("counters", "scatter")
                 for route in (None, *routes):
-                    run = forced("_sweep_route", route)
+                    run = forced(route)
                     yield (
                         f"exhaustive/{shape}/s{s}/{kind}/{route or 'routed'}",
                         lambda run=run, code=code, s=s: run(lambda: max_list_size(code, s).as_dict()),
                     )
-                far = [None, ("probe", False), ("rank", False)]
-                far += [("probe", True), ("rank", True)] if keyed else []
-                far += [("coset", False)] if kind in linear else []
-                for route in far:
-                    run = forced("_far_route", route)
-                    name = "routed" if route is None else route[0] + ("_keyed" if route[1] else "")
+                # (case name, route)
+                far = [("routed", None), ("probe", "probe"), ("rank", "rank")]
+                far += [("probe_keyed", "probe-keyed"), ("rank_keyed", "rank-keyed")] if keyed else []
+                far += [("coset", "far-coset")] if kind in linear else []
+                for name, route in far:
+                    run = forced(route)
                     yield (
                         f"montecarlo/{shape}/s{s}/{kind}/{name}",
                         lambda run=run, code=code, s=s: run(lambda: max_list_size(code, s, **FAR).as_dict()),
                     )
+                    for drawn in FAR_CENTERS if kind in FAR_CENTERS_KINDS else ():
+                        yield (
+                            f"centers{drawn}/{shape}/s{s}/{kind}/{name}",
+                            lambda run=run, code=code, s=s, kw={**FAR, "centers": drawn}: run(
+                                lambda: max_list_size(code, s, **kw).as_dict()
+                            ),
+                        )
                 yield (
                     f"montecarlo/{shape}/s{s}/{kind}/neighbourhood",
                     lambda code=code, s=s: max_list_size(code, s, neighborhood_cap=2**24, **MC).as_dict(),
@@ -112,15 +129,15 @@ def chunked_cases():
         explicit = sample_random_code(ctx, n, 5, seed=5)
         linear = sample_random_linear_code(ctx, n, 1, seed=q)
         runs = {
-            "exhaustive/explicit5/scatter": ("_sweep_route", "scatter", explicit, {}),
-            "exhaustive/linear/coset": ("_sweep_route", "coset", linear, {}),
-            "montecarlo/linear/coset": ("_far_route", ("coset", False), linear, FAR),
-            "montecarlo/explicit5/probe": ("_far_route", ("probe", False), explicit, FAR),
-            "montecarlo/explicit5/probe_keyed": ("_far_route", ("probe", True), explicit, FAR),
+            "exhaustive/explicit5/scatter": ("scatter", explicit, {}),
+            "exhaustive/linear/coset": ("coset", linear, {}),
+            "montecarlo/linear/coset": ("far-coset", linear, FAR),
+            "montecarlo/explicit5/probe": ("probe", explicit, FAR),
+            "montecarlo/explicit5/probe_keyed": ("probe-keyed", explicit, FAR),
         }
-        for label, (name, route, code, kwargs) in runs.items():
+        for label, (route, code, kwargs) in runs.items():
             mode, _, rest = label.partition("/")
-            run = forced(name, route)
+            run = forced(route)
             yield (
                 f"{mode}/{shape}/s{s}/{rest}",
                 lambda run=run, code=code, s=s, kw=kwargs: run(lambda: max_list_size(code, s, **kw).as_dict()),

@@ -17,9 +17,11 @@ import pytest
 
 from helpers import int_digits, poly_product_mod, tower_product, trial_division_irreducible
 from ranklab.errors import InfeasibleError
+from ranklab import fields
 from ranklab.fields import (
     ExtCtx,
     FieldCtx,
+    _first_irreducible,
     _is_irreducible,
     context_from_descriptor,
     default_context,
@@ -504,6 +506,43 @@ def test_irreducibility_test_agrees_with_trial_division():
             gauss = sum(_mobius(k) * q ** (d // k) for k in range(1, d + 1) if d % k == 0) // d
             assert found == gauss, (q, d)
     assert checked == 7837
+
+
+def test_the_modulus_search_skips_only_reducible_p_th_powers():
+    # a monic candidate whose nonzero coefficients all sit at multiples of
+    # p has zero derivative, so it is a p-th power: Ben-Or rejects each
+    # one, and the search that skips them finds the first irreducible the
+    # unfiltered search finds
+    skipped = 0
+    for q in (2, 3, 4, 8, 9):
+        field = FieldCtx(*split_prime_power(q))
+        for d in range(1, 5):
+            if q**d > 5000:
+                break
+            candidates = [tuple(int_digits(code, q, d)) + (1,) for code in range(q**d)]
+            for poly in candidates:
+                if not any(c for i, c in enumerate(poly) if i % field.p):
+                    assert not _is_irreducible(poly, field), (q, poly)
+                    skipped += 1
+            first = next(poly for poly in candidates if _is_irreducible(poly, field))
+            assert _first_irreducible(field, d) == first, (q, d)
+    assert skipped > 100
+
+
+def test_a_quadratic_extension_of_a_large_binary_field_runs_two_ben_or_tests(monkeypatch):
+    # over F_(2^15) the q candidates x^2 + c come first and are squares;
+    # x^2 + x is the first tested and x^2 + x + 1 the modulus
+    tested = []
+    real = fields._is_irreducible
+
+    def counted(poly, field):
+        tested.append(field.q)
+        return real(poly, field)
+
+    monkeypatch.setattr(fields, "_is_irreducible", counted)
+    ctx = default_context.__wrapped__(2**15, 2)
+    assert ctx.descriptor().endswith("/2:1,1,1")
+    assert tested.count(2**15) <= 2
 
 
 def test_default_descriptors_are_unchanged():

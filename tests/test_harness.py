@@ -276,7 +276,7 @@ def test_coset_partition_check_does_not_depend_on_the_route(route, monkeypatch):
         routes.append(route)
         return route
 
-    monkeypatch.setattr(listdec, "_sweep_route", forced)
+    monkeypatch.setattr(listdec, "_route", forced)
     for q, m, n in ((2, 3, 3), (3, 3, 2), (4, 2, 2), (5, 2, 2), (9, 2, 2)):
         ctx = default_context(q, m)
         for k in (0, 1, 2):

@@ -162,29 +162,29 @@ def test_worker_partitioning_is_invisible(monkeypatch):
     # ripple carry, and the scatter, which runs in this process at any count
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch)
     solo = max_list_size(code, 1, workers=1)
     assert max_list_size(code, 1, workers=3) == solo
-    monkeypatch.setitem(listdec._PRICES, "pair", (0, 0))
+    seam.route = "scatter"
     assert max_list_size(code, 1, workers=3) == solo
-    assert [route for *_, route in routes] == ["counters", "counters", "scatter"]
+    assert seam.names == ["counters", "counters", "scatter"]
 
 
 def forced_sweeps(code, s):
-    """The exhaustive report of an explicit code on each route, forced by
-    its price, at one worker and at two, which split only the counters'
+    """The exhaustive report of an explicit code on each route, forced at
+    the seam, at one worker and at two, which split only the counters'
     codewords, in two chunks."""
     reports = {}
     sizes = []
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
         patched.setattr("os.cpu_count", lambda: 2)
-        routes = spy(patched, "_sweep_route", result=True)
-        for route, price in (("scatter", (0, 0)), ("counters", (10**9, 10**9))):
-            patched.setitem(listdec._PRICES, "pair", price)
+        seam = Seam(patched)
+        for route in ("scatter", "counters"):
+            seam.route = route
             reports[route] = max_list_size(code, s)
             reports[route, 2] = max_list_size(code, s, workers=2)
-            assert [taken for *_, taken in routes[-2:]] == [route, route]
+            assert seam.names[-2:] == [route, route]
     assert sizes == ([2] if code.size > 1 else [])
     return reports
 
@@ -211,26 +211,20 @@ def test_both_exhaustive_routes_report_like_brute_force(data):
         assert report.exhaustive and report.centers_tried == space
 
 
-# the coset key price that forces each exhaustive route of a linear code
-LINEAR_ROUTES = (("coset", (0, 0)), ("fold", (10**9, 10**9)))
-
-
-def force_linear_route(patch, key):
-    """Price the coset keys at ``key`` and their tables at nothing."""
-    patch.setitem(listdec._PRICES, "coset", key)
-    patch.setitem(listdec._PRICES, "table", (0, 0))
+# the exhaustive routes of a linear code
+LINEAR_ROUTES = ("coset", "fold")
 
 
 def forced_linear_sweeps(code, s):
     """The exhaustive report of a linear or Gabidulin code on each route,
-    forced by its price."""
+    forced at the seam."""
     reports = {}
     with pytest.MonkeyPatch.context() as patched:
-        routes = spy(patched, "_sweep_route", result=True)
-        for route, key in LINEAR_ROUTES:
-            force_linear_route(patched, key)
+        seam = Seam(patched)
+        for route in LINEAR_ROUTES:
+            seam.route = route
             reports[route] = max_list_size(code, s)
-            assert routes[-1][-1] == route
+            assert seam.names[-1] == route
     return reports
 
 
@@ -276,7 +270,7 @@ def test_sweep_route_folds_dense_balls_and_keys_sparse_ones(q, m, n, kind, k, s,
     # the price reads the call alone: no code, ball or timing
     size = q ** (k * m if kind == "gabidulin" else k)
     ctx = default_context(q, m)
-    assert listdec._sweep_route(ctx, n, s, _ball_size(q, m, n, s), size, True) == route
+    assert listdec._route(ctx, n, s, _ball_size(q, m, n, s), size, True, None, DEFAULT_ENUM_CAP, 0) == route
 
 
 def test_each_call_sizes_its_ball_once(monkeypatch):
@@ -288,22 +282,26 @@ def test_each_call_sizes_its_ball_once(monkeypatch):
         sample_random_linear_code(ctx, 2, 1, seed=1),
         gabidulin(ctx, 2, 1),
     )
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch)
     sizes = spy(monkeypatch, "_ball_size")
     for forced in (False, True):
-        if forced:
-            # the scatter and the coset tally cost nothing
-            monkeypatch.setitem(listdec._PRICES, "pair", (0, 0))
-            force_linear_route(monkeypatch, (0, 0))
         for code in codes:
+            linear = not isinstance(code, ExplicitCode)
             for s in range(3):
+                # the picker's own routes, then the scatter or the coset
+                # tally and a far route, forced at the seam
                 del sizes[:]
+                seam.route = ("coset" if linear else "scatter") if forced else None
                 max_list_size(code, s)
                 assert sizes == [(3, 2, 2, s)]
                 del sizes[:]
+                seam.route = ("far-coset" if linear else "probe") if forced else None
                 max_list_size(code, s, "montecarlo", centers=5)
                 assert sizes == [(3, 2, 2, s)]
-    assert {route for *_, route in routes} == {"scatter", "counters", "coset", "fold"}
+    # one pick per call
+    assert len(seam.calls) == 2 * 2 * 3 * 3
+    exhaustive = {name for *args, name in seam.calls if args[6] is None}
+    assert exhaustive == {"scatter", "counters", "coset", "fold"}
 
 
 def test_worker_partitioning_is_invisible_under_ties_q3():
@@ -321,14 +319,13 @@ def test_codeword_split_pool_is_sized_to_the_work(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     monkeypatch.setattr("os.cpu_count", lambda: 8)  # more CPUs than codewords
     # the counters are the route that splits its codewords
-    monkeypatch.setitem(listdec._PRICES, "pair", (10**9, 10**9))
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch, "counters")
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 3, seed=5)
     report = max_list_size(code, 1, workers=4)
     assert sizes == [3]  # one process per codeword, not per requested worker
     assert report == max_list_size(code, 1)
-    assert [route for *_, route in routes] == ["counters"] * 2
+    assert seam.names == ["counters"] * 2
 
 
 def test_a_scatter_sweep_starts_no_pool(monkeypatch):
@@ -336,15 +333,14 @@ def test_a_scatter_sweep_starts_no_pool(monkeypatch):
     # the scatter runs in this process at any worker count
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
-    monkeypatch.setitem(listdec._PRICES, "pair", (0, 0))
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch, "scatter")
     solo = max_list_size(code, 1, workers=1)
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     assert max_list_size(code, 1, workers=4) == solo
     assert sizes == []
-    assert [route for *_, route in routes] == ["scatter"] * 2
+    assert seam.names == ["scatter"] * 2
 
 
 def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
@@ -394,24 +390,24 @@ def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatc
     ctx = default_context(q, 2)
     linear = sample_random_linear_code(ctx, 2, 1, seed=1)
     explicit = sample_random_code(ctx, 2, 4, seed=1)
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch)
     # every route reads the ball without its last offset, and only that one
     offsets = [_index_of_entries(ctx.order, b) for b in ball_by_tables(ctx, (0, 0), 1)][:-1]
     cosets = listdec._CosetKeys(linear)
     assert list(listdec._scatter(ctx, 2, 1, [0])) == offsets
     assert listdec._ball(ctx, 2, 1).bits == sum(1 << x for x in offsets)
     assert list(cosets.ball(1)) == cosets.of_indices(offsets)
-    for route, key in LINEAR_ROUTES:
-        force_linear_route(monkeypatch, key)
+    for route in LINEAR_ROUTES:
+        seam.route = route
         with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
             max_list_size(linear, 1)
         with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
             coset_partition_check(linear, 1)
-    for route, price in (("scatter", (0, 0)), ("counters", (10**9, 10**9))):
-        monkeypatch.setitem(listdec._PRICES, "pair", price)
+    for route in ("scatter", "counters"):
+        seam.route = route
         with pytest.raises(RuntimeError, match=route):
             max_list_size(explicit, 1)
-    assert [route for *_, route in routes] == ["coset", "coset", "fold", "fold", "scatter", "counters"]
+    assert seam.names == ["coset", "coset", "fold", "fold", "scatter", "counters"]
 
 
 def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
@@ -420,8 +416,7 @@ def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setitem(listdec._PRICES, "pair", (10**9, 10**9))
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch, "counters")
     assert max_list_size(code, 1, workers=2) == max_list_size(code, 1)
     # the two partial counters summed slice by slice, every carry lost
     monkeypatch.setattr(
@@ -430,7 +425,7 @@ def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
     with pytest.raises(RuntimeError, match="counters"):
         max_list_size(code, 1, workers=2)
     assert sizes == [2, 2]
-    assert [route for *_, route in routes] == ["counters"] * 3
+    assert seam.names == ["counters"] * 3
 
 
 def test_exhaustive_cap_refusal_mentions_fallback():
@@ -490,8 +485,8 @@ def test_montecarlo_far_branch_tie_rule_q3():
     assert max_list_size(code, 1).argmax_center.entries == (5, 3)
 
 
-# far-branch cases: (code, s, centers, seed, route), route the one
-# ``_far_route`` prices cheapest: "coset" (the coset tally), "probe" and
+# far-branch cases: (code, s, centers, seed, route), route the far route
+# ``_route`` prices cheapest: "far-coset" (the coset tally), "probe" and
 # "rank" (the candidate-side kernel ``_near``, testing pairs by
 # offset-set probes or by rank).  A case id ends in the side it was first
 # written for, "tally" (read off the ball), "coset" or "scan"; the
@@ -516,10 +511,10 @@ FAR_CASES = {
         lambda: sample_random_linear_code(default_context(3, 4), 4, 2, 1), 1, 100, 2, "rank"
     ),
     "q2m4n3-linear64-coset": (
-        lambda: sample_random_linear_code(default_context(2, 4), 3, 6, 5), 1, 50, 3, "coset"
+        lambda: sample_random_linear_code(default_context(2, 4), 3, 6, 5), 1, 50, 3, "far-coset"
     ),
     "q3m2n2-linear27-coset": (
-        lambda: sample_random_linear_code(default_context(3, 2), 2, 3, 6), 1, 20, 4, "coset"
+        lambda: sample_random_linear_code(default_context(3, 2), 2, 3, 6), 1, 20, 4, "far-coset"
     ),
     "q2m16n2-random4-scan": (
         lambda: sample_random_code(default_context(2, 16), 2, 4, 0), 1, 200, 3, "rank"
@@ -540,7 +535,7 @@ FAR_CASES = {
 # keys, only the coset tally keys cosets, and only the ball routes build
 # the ball
 FAR_FORBIDDEN = {
-    "coset": ("_scatter", "_near", "_rank_of_entries"),
+    "far-coset": ("_scatter", "_near", "_rank_of_entries"),
     "probe": ("_scatter", "_CosetKeys", "_rank_of_entries"),
     "rank": ("_scatter", "_CosetKeys", "_ball_chunks"),
 }
@@ -564,7 +559,7 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
                 patched.setattr(listdec, name, forbidden)
             return max_list_size(code, s, "montecarlo", centers=centers, seed=seed, neighborhood_cap=0)
 
-    routes = spy(monkeypatch, "_far_route", result=True)
+    seam = Seam(monkeypatch)
     built = spy(monkeypatch, "_keys") if uses_keys else []
     listdec._ball.cache_clear()
     report = run()
@@ -576,8 +571,27 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
     # at the same (ctx, n, s)
     listdec._ball(code.ctx, code.n, s).probes
     assert run() == report
-    assert [result for *_, result in routes] == [(route, uses_keys)] * 2
+    assert seam.names == [route + "-keyed" if uses_keys else route] * 2
     listdec._ball.cache_clear()
+
+
+class Seam:
+    """The one route seam, ``listdec._route``, patched to record each call:
+    its arguments and, last, the name it answered (``calls``).  It answers
+    ``route`` while that is set, else the picker's own choice."""
+
+    def __init__(self, patch, route=None):
+        self.calls, self.route, self.real = [], route, listdec._route
+        patch.setattr(listdec, "_route", self.pick)
+
+    def pick(self, *args):
+        name = self.route or self.real(*args)
+        self.calls.append((*args, name))
+        return name
+
+    @property
+    def names(self) -> list:
+        return [call[-1] for call in self.calls]
 
 
 def spy(monkeypatch, name, result=False) -> list:
@@ -623,7 +637,7 @@ def test_keys_outside_f2_count_like_list_size_at(q, m, n, size, s, centers, monk
     for route in ("probe", "rank"):
         del built[:]
         with monkeypatch.context() as patched:
-            patched.setattr(listdec, "_far_route", lambda *args, route=route: (route, True))
+            Seam(patched, route + "-keyed")
             report = max_list_size(code, s, "montecarlo", centers=centers, seed=7, neighborhood_cap=0)
         assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
         assert len(built) == 2  # once for the codewords, once for the candidates
@@ -776,20 +790,20 @@ def memo_calls():
 
 def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch):
     calls = list(memo_calls())
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch)
     cold = []
     for _, call in calls:
         listdec._ball.cache_clear()
         cold.append(call())
-    cold_routes = list(routes)
-    assert {route for *_, route in cold_routes} == {"scatter", "counters", "coset", "fold"}
-    # back to back: each call twice, every run of one key in a row, and an
-    # exhaustive sweep takes the route it took cold also when the memo holds
-    # its ball and the ball's bitset
+    cold_routes = list(seam.calls)
+    assert {name for *args, name in cold_routes if args[6] is None} == {"scatter", "counters", "coset", "fold"}
+    # back to back: each call twice, every run of one key in a row, and a
+    # call takes the route it took cold also when the memo holds its ball,
+    # the ball's bitset and its offset set
     listdec._ball.cache_clear()
-    del routes[:]
+    del seam.calls[:]
     assert [(call(), call()) for _, call in calls] == [(r, r) for r in cold]
-    assert routes == [call for call in cold_routes for _ in range(2)]
+    assert seam.calls == [call for call in cold_routes for _ in range(2)]
     # interleaved: consecutive calls mostly at different (ctx, n, s)
     order = list(range(len(calls)))
     random.Random(3).shuffle(order)
@@ -946,7 +960,7 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
     # odd p every per-entry sum goes through _packed too, once per codeword
     # for the scatter and once for the coset keys
     layouts, packs = spy(monkeypatch, "_ball_layout"), spy(monkeypatch, "_packed")
-    routes = spy(monkeypatch, "_sweep_route", result=True)
+    seam = Seam(monkeypatch)
     mc = {"mode": "montecarlo", "centers": 20, "seed": 1}
     for q, m, n, s in ((2, 3, 3, 2), (3, 2, 2, 1)):
         ctx = default_context(q, m)
@@ -954,25 +968,21 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
         linear = sample_random_linear_code(ctx, n, 1, seed=q)
         # small enough for the neighborhood tally
         assert explicit.size * _ball_size(q, m, n, s) <= listdec.DEFAULT_NEIGHBORHOOD_CAP
+        # (code, keywords, whether the route is forced at the seam)
         cases = {
-            "counters": (explicit, {}, lambda patched: patched.setitem(listdec._PRICES, "pair", (10**9, 10**9))),
-            "scatter": (explicit, {}, lambda patched: patched.setitem(listdec._PRICES, "pair", (0, 0))),
-            "fold": (linear, {}, lambda patched: force_linear_route(patched, (10**9, 10**9))),
-            "coset": (linear, {}, lambda patched: force_linear_route(patched, (0, 0))),
-            "neighborhood": (explicit, mc, lambda patched: None),
-            "probe": (
-                explicit,
-                {**mc, "neighborhood_cap": 0},
-                lambda patched: patched.setattr(listdec, "_far_route", lambda *args: ("probe", False)),
-            ),
+            "counters": (explicit, {}, True),
+            "scatter": (explicit, {}, True),
+            "fold": (linear, {}, True),
+            "coset": (linear, {}, True),
+            "neighborhood": (explicit, mc, False),
+            "probe": (explicit, {**mc, "neighborhood_cap": 0}, True),
         }
-        for route, (code, kwargs, force) in cases.items():
+        for route, (code, kwargs, forced) in cases.items():
             listdec._ball.cache_clear()
-            del layouts[:], packs[:], routes[:]
-            with monkeypatch.context() as patched:
-                force(patched)
-                max_list_size(code, s, workers=1, **kwargs)
-            assert [result for *_, result in routes] == ([route] if not kwargs else [])
+            del layouts[:], packs[:], seam.calls[:]
+            seam.route = route if forced else None
+            max_list_size(code, s, workers=1, **kwargs)
+            assert seam.names == [route]
             # what the route left built: the bitset alone, or the layout,
             # packed for p = 2 alone by every route, the probe leaving its
             # offset set beside them for every p
@@ -1121,8 +1131,7 @@ def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
                 assert list(counts.values()) == expected, (s, keyed, probe)
                 assert all(counts[order[i]] == 0 for i in lonely)
                 with monkeypatch.context() as patched:
-                    route = "probe" if probe else "rank"
-                    patched.setattr(listdec, "_far_route", lambda *args, r=(route, keyed): r)
+                    Seam(patched, ("probe" if probe else "rank") + ("-keyed" if keyed else ""))
                     report = max_list_size(code, s, "montecarlo", centers=40, seed=5, neighborhood_cap=0)
                 assert (report.l_max, report.argmax_center.entries, report.centers_tried) == oracle
     assert lonely_seen == (case in NEAR_LONELY)
@@ -1181,6 +1190,7 @@ def test_the_coset_route_picks_like_the_per_draw_loop(q, m, n, k, monkeypatch):
     ties = [cosets.index(key) for key in tally if key != cosets.zero and tally[key] == tally[cosets.zero]]
     rng = random.Random(q)
     loose = [rng.randrange(ctx.order**n) for _ in range(30)]
+    Seam(monkeypatch, "far-coset")
     draw_sets = {
         "mixed, zero coset included": loose[:10] + words[1:4] + loose[10:] + [0, loose[3]],
         "one coset": [plus(ctx, n, top, w) for w in words[::3]],
@@ -1191,7 +1201,6 @@ def test_the_coset_route_picks_like_the_per_draw_loop(q, m, n, k, monkeypatch):
     for name, chosen in draw_sets.items():
         assert cosets.of_indices(list(chosen)) == [cosets.of_indices([x])[0] for x in chosen]
         monkeypatch.setattr(listdec, "draws", lambda seed, bound, chosen=chosen: iter(chosen))
-        monkeypatch.setattr(listdec, "_far_route", lambda *args: ("coset", False))
         report = max_list_size(code, 1, "montecarlo", centers=len(chosen), neighborhood_cap=0)
         got = (report.l_max, vector_index(report.argmax_center), report.centers_tried)
         assert got == coset_route_oracle(code, 1, chosen), name
@@ -1224,11 +1233,11 @@ def test_coset_keys_past_the_byte_slots_are_priced_like_ranked_pairs(monkeypatch
     # than ranking the 257 codewords against 20 centers
     ctx = default_context(257, 2)
     code = sample_random_linear_code(ctx, 1, 1, seed=0)
-    routes = spy(monkeypatch, "_far_route", result=True)
+    seam = Seam(monkeypatch)
     listdec._ball.cache_clear()
     mc = {"centers": 20, "seed": 4, "neighborhood_cap": 0}
     report = max_list_size(code, 1, "montecarlo", **mc)
-    assert [result for *_, result in routes] == [("rank", False)]
+    assert seam.names == ["rank"]
     twin = ExplicitCode(ctx, 1, tuple(enumerate_codewords(code)))
     assert report == max_list_size(twin, 1, "montecarlo", **mc)
 
@@ -1241,36 +1250,56 @@ BYTE_LIMIT_SHAPES = (
     (127, 2, 2, 1), (131, 2, 2, 1), (53, 5, 4, 1), (53, 5, 5, 1),
     (127, 4, 3, 1), (127, 4, 3, 2), (131, 4, 3, 1),
 )
+# q of the (q, 2, 2, s) shapes the route grid adds to them, every radius
+ROUTE_GRID_Q = (2, 3, 4, 5, 8, 9, 16, 257)
 
 
 def test_byte_limits_route_like_the_inline_rules():
-    # the limits behind listdec._fits route every call as the rules written
-    # inline beside each router did, for linear and explicit codes, sizes on
-    # both sides of the key count, and balls on both sides of the cap
+    # the one picker routes every call as the rules written inline beside
+    # the two routers it replaced did: the limits behind listdec._fits, the
+    # sweep and far prices and the neighbourhood rule, for linear and
+    # explicit codes, sizes on both sides of the key count, draws, caps on
+    # both sides of |B_s| and neighbourhood caps on both sides of |C| * |B_s|
     def outcome(route, *args):
         try:
             return route(*args)
         except EnumerationCapExceeded:
             return "refused"
 
+    def montecarlo_oracle(ctx, n, s, bv, size, linear, draws, cap, neighborhood_cap):
+        if size * bv <= min(neighborhood_cap, cap):
+            return "neighborhood"
+        route, keyed = far_route_oracle(ctx, n, s, bv, size, draws, cap, linear)
+        return "far-coset" if route == "coset" else route + ("-keyed" if keyed else "")
+
+    shapes = BYTE_LIMIT_SHAPES + tuple((q, 2, 2, s) for q in ROUTE_GRID_Q for s in range(3))
     routes = {}
-    for q, m, n, s in BYTE_LIMIT_SHAPES:
+    for q, m, n, s in shapes:
         ctx = default_context(q, m)
         bv = _ball_size(q, m, n, s)
         keys = key_count_oracle(ctx, n, s)
         assert listdec._key_count(ctx, n, s) == keys, (q, m, n, s)
         sizes = {1, q, q**2, q**3, q**4} | ({keys - 1, keys, keys + 1} if keys else set())
         for linear in (False, True):
-            for size in sorted(sizes):
-                args = (ctx, n, s, bv, size)
-                assert listdec._sweep_route(*args, linear) == sweep_route_oracle(*args, linear)
-                for draws in (0, 7, 300, 10**4):
-                    for cap in (bv - 1, DEFAULT_ENUM_CAP, 10**16):
-                        far = outcome(listdec._far_route, *args, draws, cap, linear)
-                        assert far == outcome(far_route_oracle, *args, draws, cap, linear), (args, draws, cap)
-                        routes.setdefault((q, m, n, s), set()).add(far[0] if far != "refused" else far)
+            for size in sorted(sizes - {0}):
+                args = (ctx, n, s, bv, size, linear)
+                sweep = sweep_route_oracle(*args)
+                for cap in (bv - 1, bv, DEFAULT_ENUM_CAP, 10**16):
+                    for neighborhood_cap in (0, listdec.DEFAULT_NEIGHBORHOOD_CAP):
+                        assert listdec._route(*args, None, cap, neighborhood_cap) == sweep, (args, cap)
+                        for draws in (0, 7, 300, 10**4):
+                            mc = (*args, draws, cap, neighborhood_cap)
+                            picked = outcome(listdec._route, *mc)
+                            assert picked == outcome(montecarlo_oracle, *mc), mc
+                            routes.setdefault((q, m, n, s), set()).update((sweep, picked))
+    # every name the picker answers, and the refusal
+    assert set().union(*routes.values()) == {
+        "counters", "scatter", "fold", "coset",
+        "neighborhood", "far-coset", "probe", "probe-keyed", "rank", "rank-keyed", "refused",
+    }
     # each limit falls between the shapes on its two sides
-    assert "probe" in routes[127, 2, 2, 1] and "probe" not in routes[131, 2, 2, 1]
+    probes = {"probe", "probe-keyed"}
+    assert probes & routes[127, 2, 2, 1] and not probes & routes[131, 2, 2, 1]
     assert [key_count_oracle(default_context(q, m), n, s) > 0 for q, m, n, s in BYTE_LIMIT_SHAPES[4:]] == [
         True, False, False,
     ]

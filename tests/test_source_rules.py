@@ -424,9 +424,9 @@ def test_listdec_keeps_one_module_level_cache():
 
 
 def test_only_the_ball_reader_names_the_ball_slot():
-    # a far route is priced from its call alone, never from what an earlier
+    # a route is priced from its call alone, never from what an earlier
     # call left in the memo: no function reads the memo's state or what a
-    # ball has built so far, and the routers never read the ball
+    # ball has built so far, and the route picker never reads the ball
     tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
     peeks = {"cache_info", "cache_clear", "cache_parameters", "__wrapped__", "__dict__", "vars"}
     found = [
@@ -440,7 +440,54 @@ def test_only_the_ball_reader_names_the_ball_slot():
         for scope, node in scoped_nodes(tree)
         if scope and isinstance(node, ast.Name) and node.id == "_ball"
     }
-    assert readers.isdisjoint({"_sweep_route", "_far_route"})
+    assert "_route" not in readers
+
+
+def test_one_picker_reads_the_route_prices_and_one_call_asks_it():
+    # every route choice is made in one place: only _route reads _PRICES
+    # (the module level only defines it), and max_list_size is the one
+    # caller of _route
+    found, callers = [], []
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            ref = node.id if isinstance(node, ast.Name) else node.attr
+            defined = scope == "" and isinstance(node.ctx, ast.Store)
+            if ref == "_PRICES" and scope != "_route" and not defined:
+                found.append(f"{path.name}:{scope}:{node.lineno}")
+            if ref == "_route":
+                callers.append(f"{path.name}:{scope}")
+    assert found == []
+    assert callers == ["listdec.py:max_list_size"]
+
+
+def test_no_test_writes_the_route_prices():
+    # a test forces a route at the one seam, by patching listdec._route, so
+    # a refit of the prices cannot un-force it: no test module names
+    # _PRICES, but the route oracles of helpers.py, which import it and
+    # read its items
+    found, reads = [], 0
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        oracle = path.name == "helpers.py"
+        items = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "items"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                named = node.name == "_PRICES" and not oracle
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                ref = node.id if isinstance(node, ast.Name) else node.attr
+                named = ref == "_PRICES" and not (oracle and id(node) in items)
+                reads += ref == "_PRICES" and not named
+            elif isinstance(node, ast.Call):
+                named = any(isinstance(arg, ast.Constant) and arg.value == "_PRICES" for arg in node.args)
+            else:
+                continue
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    # the rule has something to hold: the oracles do read the prices
+    assert reads > 0
 
 
 def test_every_private_helper_is_used():
