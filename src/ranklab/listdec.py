@@ -84,21 +84,23 @@ sweep checks its double count against |B_s| from the shell counts
 splits the trials of ``harness.run_ensemble``.
 
 Every kernel reads the ball through ``_ball``, a ``_Ball`` whose parts
-are cached properties, each built on first read.  The counters and the
-fold read its bitset alone, set from the span tables of dimension s
-(``_ball_bits``): as s <= n <= m, B_s is the union of T^n over the
-s-dimensional subspaces T of F_q^m.  The other kernels read its layout,
-built whole from ``rankmetric._ball_chunks``: the span tables side by
-side, and per chunk its bounds in that list and its getters, one per
-entry position.  ``_packed`` is the one per-entry sum over them, one
-weighted table per entry position, read one slice and one getter call per
-chunk (``_read``): the packed offsets, the odd-p offset set and the odd-p
+are cached properties, each built on first read; so does
+``rankmetric.enumerate_ball``, which shifts the layout's values by the
+center's entries one chunk at a time.  The counters and the fold read its bitset alone, set
+from the span tables of dimension s (``_ball_bits``): as s <= n <= m,
+B_s is the union of T^n over the s-dimensional subspaces T of F_q^m.
+The other kernels read its layout, built whole from
+``rankmetric._ball_chunks``: the span tables side by side, and per chunk
+its bounds in that list and its getters, one per entry position.
+``_packed`` is the one per-entry sum over them, one weighted table per
+entry position, read one slice and one getter call per chunk
+(``_read``): the packed offsets, the odd-p offset set and the odd-p
 scatter and coset keys.  The odd-p shifter is read off the layout too.
 ``_ball`` is an ``lru_cache`` of one entry keyed by field, length and
 radius, so a run of calls at one (ctx, n, s), such as the trials of an
-ensemble, builds each part once.  A new ball builds nothing until a part
-is read, and by then the cache has dropped the old one, so at most one
-ball is alive.
+ensemble or enumerations around many centers, builds each part once.  A
+new ball builds nothing until a part is read, and by then the cache has
+dropped the old one, so at most one ball is alive.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
 one ``rng.draws`` stream; the first candidate with the largest count

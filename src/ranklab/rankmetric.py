@@ -636,13 +636,14 @@ def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
 
 def _ball_chunks(ctx: ExtCtx, n: int, r: int):
     """The one ball reader: the ``_iter_ball_tables`` tables, in order, as
-    chunks (values, getters).  The tables of shell u, which share one
-    factor-columns tuple, are cut into chunks of at most 512 offsets or
-    one table: ``enumerate_ball`` keeps a chunk's vectors alive together,
-    and larger batches cost it garbage-collector passes.  ``values`` is a
-    chunk's span tables side by side; ``getters[j]`` reads entry j of every
-    offset off any list aligned with it in one call (one offset as a
-    1-list), built once per chunk shape and shared by a shell's full chunks."""
+    chunks (values, getters), the runs of ``listdec._ball_layout``.  The
+    tables of shell u, which share one factor-columns tuple, are cut into
+    chunks of at most 512 offsets or one table: ``enumerate_ball`` builds
+    and keeps a run's vectors together, and larger batches cost it
+    garbage-collector passes.  ``values`` is a chunk's span tables side by
+    side; ``getters[j]`` reads entry j of every offset off any list
+    aligned with it in one call (one offset as a 1-list), built once per
+    chunk shape and shared by a shell's full chunks."""
     for columns, run in itertools.groupby(_iter_ball_tables(ctx, n, r), key=itemgetter(1)):
         tables, getters = map(itemgetter(0), run), None
         per = max(1, 512 // len(columns[0]))
@@ -659,14 +660,19 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
 
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
-    refuses outright if the ambient space exceeds ``cap``.  Each
-    ``_ball_chunks`` chunk is read as it comes: its values pass
-    ``check_element`` once, then it is shifted by each distinct center
-    entry with ``_shifter`` (a shift by a valid entry keeps a valid value
-    valid and a bad value bad), the chunk's getter j reads entry j of every
-    vector off the shift by center entry j, and one ``_trusted_batch``
-    builds its vectors.
+    refuses outright if the ambient space exceeds ``cap``.  It reads the
+    layout of the ball memo, ``listdec._ball``, built whole once per
+    (field, n, r) before the first vector, then kept by the memo and by
+    the generator until both let it go (about 250 MB at q = 2, m = 12,
+    n = r = 2).  Each run of the layout is read as it comes: its values
+    pass ``check_element``, are shifted by each distinct center entry
+    with ``_shifter`` (a shift by a valid entry keeps a valid value valid
+    and a bad value bad), its getter j reads entry j of every vector off
+    the shift by center entry j, and one ``_trusted_batch`` builds its
+    vectors; a memo evicted mid-iteration changes nothing.
     """
+    from .listdec import _ball  # listdec imports this module
+
     ctx = center.ctx
     n = center.n
     if not 0 <= r <= n:
@@ -676,9 +682,12 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
         raise EnumerationCapExceeded(
             f"ambient space has {space} vectors, above the cap of {cap}"
         )
-    for values, getters in _ball_chunks(ctx, n, r):
-        deque(map(ctx.check_element, values), 0)
-        shift = _shifter(ctx.base.p, values)
+    # the layout, not the ball: a suspended generator keeps no other part alive
+    values, runs = _ball(ctx, n, r).layout
+    for start, stop, getters in runs:
+        window = values[start:stop]
+        deque(map(ctx.check_element, window), 0)
+        shift = _shifter(ctx.base.p, window)
         shifted = {e: shift(e) for e in center.entries}
         reads = [get(shifted[e]) for get, e in zip(getters, center.entries)]
         yield from _trusted_batch(ctx, list(zip(*reads)))

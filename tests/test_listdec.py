@@ -8,10 +8,10 @@ counts they are supposed to floor.
 import hashlib
 import random
 import weakref
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import partial
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -881,6 +881,8 @@ def test_no_kernel_mutates_the_memoized_ball():
             Counter(listdec._CosetKeys(linear).ball(s))
             listdec._fold(ctx, n, s, _fp_basis(linear))
         coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
+        for center in (RankVector.zero(ctx, n), RankVector(ctx, [(q + j) % ctx.order for j in range(n)])):
+            deque(enumerate_ball(center, s), 0)
         memo = listdec._ball(ctx, n, s)
         assert listdec._ball(ctx, n, s) is memo
         listdec._ball.cache_clear()
@@ -900,6 +902,41 @@ def test_no_kernel_mutates_the_memoized_ball():
         assert reads[0] == reads[1]
         # the shifter's digit planes, split off on first use, are intact
         assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
+
+
+def test_enumerations_at_one_key_lay_the_ball_out_once(monkeypatch):
+    # the layout is built once per (ctx, n, r), whatever the centers, and
+    # each enumeration is the per-table oracle around its center
+    for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
+        ctx = default_context(q, m)
+        listdec._ball.cache_clear()
+        built = spy(monkeypatch, "_ball_layout")
+        for entries in ((0,) * n, tuple(range(1, n + 1)), (5,) * n):
+            out = [v.entries for v in enumerate_ball(RankVector(ctx, entries), r)]
+            assert out == ball_by_tables(ctx, entries, r), (q, m, n, r, entries)
+        assert built == [(ctx, n, r)]
+        monkeypatch.undo()
+    listdec._ball.cache_clear()
+
+
+def test_enumerate_ball_outlives_the_eviction_of_its_ball():
+    # a max_list_size call at another radius drops the ball an enumeration
+    # is reading mid-iteration; the rest of it comes out as it would have
+    for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
+        ctx = default_context(q, m)
+        center = RankVector(ctx, tuple(range(2, n + 2)))
+        listdec._ball.cache_clear()
+        expected = list(enumerate_ball(center, r))
+        code = sample_random_code(ctx, n, 4, seed=q)
+        ball = enumerate_ball(center, r)
+        head = list(islice(ball, 300))
+        memo = listdec._ball(ctx, n, r)
+        max_list_size(code, r - 1)
+        listdec._ball(ctx, n, r - 1).layout  # another ball laid out
+        assert listdec._ball(ctx, n, r) is not memo
+        del memo
+        assert head + list(ball) == expected, (q, m, n, r)
+    listdec._ball.cache_clear()
 
 
 def test_the_ball_reads_like_the_span_tables_one_by_one():

@@ -11,6 +11,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from operator import itemgetter
@@ -29,7 +30,7 @@ from helpers import (
     span_tables_by_rref,
     xor_rank,
 )
-from ranklab import rankmetric
+from ranklab import listdec, rankmetric
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
 from ranklab.rankmetric import (
@@ -163,6 +164,29 @@ def test_matrix_to_vector_rejects_ragged_rows():
         matrix_to_vector(((1, 0), (1, 1, 1), (0, 1)), ctx)
     with pytest.raises(ValueError):
         matrix_to_vector(((1, 0), (1, 2), (0, 1)), ctx)  # 2 is not in F_2
+
+
+def test_a_bad_matrix_raises_the_message_of_its_first_fault():
+    # rows are checked in order, each row's length before its entries
+    cases = [
+        (2, ((1, 0), (1, 1, 1)), "matrix rows have unequal lengths"),
+        (2, ((1, 0.0), (0, 1)), "not an F_2 element code: 0.0"),
+        (3, ((1, 2), (-1, 0)), "not an F_3 element code: -1"),
+        (3, ((1, 3), (0, 1)), "not an F_3 element code: 3"),
+        (4, ((3, 1), (4, 0)), "not an F_4 element code: 4"),
+        (3, ((0, 5), (1, 1, 1)), "not an F_3 element code: 5"),
+        (3, ((1, 1, 1), (0, 5)), "matrix rows have unequal lengths"),
+        (2, ((1, "1"), (0, 1)), "not an F_2 element code: '1'"),
+    ]
+    for q, rows, message in cases:
+        field = default_context(q, 2).base
+        for check in (rank_fq, rref_fq, lambda rows, f: matrix_to_vector(rows, default_context(q, 2))):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(rows, field)
+    # good matrices pass, bools among them, as they pass check_element
+    assert rank_fq(((True, 0), (0, 1)), default_context(2, 2).base) == 2
+    assert rank_fq(((3, 0), (1, 3)), default_context(4, 2).base) == 2
+    assert rank_fq([], default_context(3, 2).base) == 0
 
 
 def test_vector_index_bijection_and_order():
@@ -712,21 +736,27 @@ def test_shifter_adds_like_the_field():
 
 
 def test_enumerate_ball_checks_every_shifted_span_table(monkeypatch):
-    for q, m in ((2, 3), (3, 2)):
-        ctx = default_context(q, m)
+    # enumerate_ball reads the ball memo: a memoized real ball would hide
+    # the patch, and the patched ball must not outlive the test
+    listdec._ball.cache_clear()
+    try:
+        for q, m in ((2, 3), (3, 2)):
+            ctx = default_context(q, m)
 
-        def tables(ctx_, n, r, order=ctx.order):
-            # a valid zero shell, then a shell of one table whose second value
-            # is out of range; no factor reads that value, yet it must still
-            # be refused
-            yield [0], ((0,), (0,))
-            yield [0, order], ((0, 0), (0, 0))
+            def tables(ctx_, n, r, order=ctx.order):
+                # a valid zero shell, then a shell of one table whose second
+                # value is out of range; no factor reads that value, yet it
+                # must still be refused
+                yield [0], ((0,), (0,))
+                yield [0, order], ((0, 0), (0, 0))
 
-        monkeypatch.setattr(rankmetric, "_iter_ball_tables", tables)
-        ball = enumerate_ball(RankVector(ctx, (1, 0)), 1)
-        assert next(ball).entries == (1, 0)
-        with pytest.raises(ValueError):
-            next(ball)
+            monkeypatch.setattr(rankmetric, "_iter_ball_tables", tables)
+            ball = enumerate_ball(RankVector(ctx, (1, 0)), 1)
+            assert next(ball).entries == (1, 0)
+            with pytest.raises(ValueError):
+                next(ball)
+    finally:
+        listdec._ball.cache_clear()
 
 
 def test_enumerate_ball_yields_plain_rank_vectors():

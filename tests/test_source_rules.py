@@ -312,12 +312,13 @@ BALL_PARTS = {"layout", "packed", "shift", "probes", "bits"}
 
 
 def test_only_the_ball_memo_builds_the_ball():
-    # every kernel reads the radius-s ball through listdec._ball, which
-    # keeps the most recent one: nothing else may make the record, lay the
-    # ball out, pack it, or fill its offset set or its bitset.  Only the
-    # one ball reader, rankmetric._ball_chunks, walks the span tables with
-    # their factors, and both enumerate_ball and the layout read the ball
-    # through it; the bitset reads the span tables of dimension s alone.
+    # every kernel, and rankmetric.enumerate_ball, reads the radius-s ball
+    # through listdec._ball, which keeps the most recent one: nothing else
+    # may make the record, lay the ball out, pack it, or fill its offset
+    # set or its bitset.  Only the one ball reader, rankmetric._ball_chunks,
+    # walks the span tables with their factors, and the layout alone reads
+    # the ball through it; the bitset reads the span tables of dimension s
+    # alone.
     # _packed is the one per-entry sum: the layout's entries are read by
     # _read for it alone, and the packed offsets, the odd-p offset set, the
     # odd-p scatter and the odd-p coset keys all sum their reads through it
@@ -334,7 +335,7 @@ def test_only_the_ball_memo_builds_the_ball():
         "_read": {"listdec.py:_packed"},
         "_span_tables": {"rankmetric.py:_iter_ball_tables", "listdec.py:_ball_bits"},
         "_iter_ball_tables": {"rankmetric.py:_ball_chunks"},
-        "_ball_chunks": {"rankmetric.py:enumerate_ball", "listdec.py:_ball_layout"},
+        "_ball_chunks": {"listdec.py:_ball_layout"},
     }
     # each part of the ball is a cached_property of _Ball, built on first
     # read and kept by the record itself, so no code writes one
