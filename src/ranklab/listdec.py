@@ -20,11 +20,12 @@ cosets that reach it, which is the least center overall.  In
 characteristic 2 the reduction is an XOR of table reads; for odd p the
 key of an offset is the digitwise sum of per-entry keys, one digit per
 byte while a sum of n digits fits in one.  That byte-slot form has one
-home: ``_Encoder`` writes, sums and reduces it, and ``_fits`` is the one
-rule for when a sum of digits fits a byte.  The Monte Carlo centers are
-keyed by the same reduction, all in one call: for p = 2 by XORed table
-reads over eight-bit windows, one pass of the list per window, for odd p
-by clearing each one's base-p digits row by row.
+home: ``rankmetric._Encoder`` writes, sums and reduces it, and
+``rankmetric._fits`` is the one rule for when a sum of digits fits a
+byte.  The Monte Carlo centers are keyed by the same reduction, all in
+one call: for p = 2 by XORed table reads over eight-bit windows, one
+pass of the list per window, for odd p by clearing each one's base-p
+digits row by row.
 
 Explicit codes use one of two kernels.  In the scatter kernel every
 codeword w and every offset b of rank <= s add one to the tally of the
@@ -41,14 +42,15 @@ digit plane of the list at a time, and the planes are split off the
 list once per ball, so no element is added with ``ExtCtx.add``.
 
 The counter kernel (``_counters``) counts every center of the space at
-once.  The ball is one int, bit x set for each packed offset x, from its
-s-dimensional subspaces (``_Ball.bits``).  Adding w is digitwise mod p
-on the base-p digits of a packed index, so for each nonzero digit d of w
-at place P = p^k the offsets whose digit k is below p - d move up by
-d * P and the others down by (p - d) * P: one mask, two shifts.  Each
-translate is added with a ripple carry to bit-sliced counters, slice i
-holding bit i of every center's count.  The maximum is read from the top
-slice down, and its least center is the lowest bit left.
+once.  The ball is one int, bit x set for each packed offset x, from
+its s-dimensional subspaces (``rankmetric._ball_bits``).  Adding w is
+digitwise mod p on the base-p digits of a packed index, so for each
+nonzero digit d of w at place P = p^k the offsets whose digit k is below
+p - d move up by d * P and the others down by (p - d) * P: one mask, two
+shifts.  Each translate is added with a ripple carry to bit-sliced
+counters, slice i holding bit i of every center's count.  The maximum is
+read from the top slice down, and its least center is the lowest bit
+left.
 
 The fold (``_fold``) gives a linear code the same counters from its F_p
 basis alone.  The list size is the convolution 1_{B_s} * 1_C, and C, an
@@ -83,24 +85,10 @@ sweep checks its double count against |B_s| from the shell counts
 (``_double_count``).  ``_split`` is the one process fan-out, which also
 splits the trials of ``harness.run_ensemble``.
 
-Every kernel reads the ball through ``_ball``, a ``_Ball`` whose parts
-are cached properties, each built on first read; so does
-``rankmetric.enumerate_ball``, which shifts the layout's values by the
-center's entries one chunk at a time.  The counters and the fold read its bitset alone, set
-from the span tables of dimension s (``_ball_bits``): as s <= n <= m,
-B_s is the union of T^n over the s-dimensional subspaces T of F_q^m.
-The other kernels read its layout, built whole from
-``rankmetric._ball_chunks``: the span tables side by side, and per chunk
-its bounds in that list and its getters, one per entry position.
-``_packed`` is the one per-entry sum over them, one weighted table per
-entry position, read one slice and one getter call per chunk
-(``_read``): the packed offsets, the odd-p offset set and the odd-p
-scatter and coset keys.  The odd-p shifter is read off the layout too.
-``_ball`` is an ``lru_cache`` of one entry keyed by field, length and
-radius, so a run of calls at one (ctx, n, s), such as the trials of an
-ensemble or enumerations around many centers, builds each part once.  A
-new ball builds nothing until a part is read, and by then the cache has
-dropped the old one, so at most one ball is alive.
+Every kernel reads the ball through ``rankmetric._ball``, the one ball
+memo (the ``rankmetric`` module docstring): the counters and the fold
+its bitset alone, the other kernels its layout, through
+``rankmetric._packed``, the one per-entry sum.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
 one ``rng.draws`` stream; the first candidate with the largest count
@@ -142,9 +130,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import chain, compress, islice, repeat, zip_longest
-from operator import add, and_, floordiv, mod, mul, or_, rshift, xor
+from operator import add, and_, floordiv, mod, rshift, xor
 
 from .codes import (
     Code,
@@ -159,15 +147,16 @@ from .fields import _default_base
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
-    _ball_chunks,
+    _ball,
     _ball_size,
+    _Encoder,
     _entries_of_index,
     _fields_dict,
+    _fits,
     _index_of_entries,
+    _packed,
     _rank_of_entries,
     _Record,
-    _shifter,
-    _span_tables,
     _xor_basis,
     rref_fq,
     vector_from_index,
@@ -235,98 +224,6 @@ def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM
     ctx, n = code.ctx, code.n
     words = [_entries_of_index(ctx.order, n, w) for w in _packed_words(code, cap)]
     return _count_near(ctx, words, center.entries, s)
-
-
-def _ball_layout(ctx, n: int, s: int):
-    """The span tables of the radius-s ball side by side in one list, and
-    its runs: per ``_ball_chunks`` chunk, (start, stop, getters), its
-    bounds in that list and its getters, one per entry position."""
-    values, runs = [], []
-    for chunk, getters in _ball_chunks(ctx, n, s):
-        runs.append((len(values), len(values) + len(chunk), getters))
-        values += chunk
-    return values, runs
-
-
-def _read(runs, j: int, table):
-    """Entry j of every offset of the ``runs``, in order: ``table`` is
-    aligned with the layout's values (shifted, scaled, encoded or keyed),
-    and each run takes one slice of it and one call of its getter j."""
-    return chain.from_iterable(getters[j](table[start:stop]) for start, stop, getters in runs)
-
-
-def _packed(runs, tables, radix: int):
-    """The one per-entry sum: for each offset of the ``runs``, in order, the
-    sum over positions j of its entry j read off ``tables[j]`` times
-    radix^(n - 1 - j), each table weighted once before it is read (radix 1
-    adds the reads as they are)."""
-    n = len(tables)
-    weights = [radix**j for j in range(n - 1, -1, -1)]
-    tables = [t if w == 1 else list(map(w.__mul__, t)) for t, w in zip(tables, weights)]
-    return map(sum, zip(*map(_read, repeat(runs), range(n), tables)))
-
-
-class _Ball:
-    """The radius-s ball, each part built on first use and kept; callers
-    only read it."""
-
-    def __init__(self, ctx, n: int, s: int):
-        self.ctx, self.n, self.s = ctx, n, s
-
-    @cached_property
-    def layout(self):
-        """The ``_ball_layout`` values and runs."""
-        return _ball_layout(self.ctx, self.n, self.s)
-
-    @cached_property
-    def packed(self) -> tuple[int, ...]:
-        """The packed offsets, in ``_iter_ball_tables`` order."""
-        return tuple(_packed(self.layout[1], [self.layout[0]] * self.n, self.ctx.order))
-
-    @cached_property
-    def shift(self):
-        """The ``_shifter`` of the layout's values."""
-        return _shifter(self.ctx.base.p, self.layout[0])
-
-    @cached_property
-    def probes(self) -> set:
-        """The offsets ``_near`` probes, in their ``_Encoder`` form."""
-        if self.ctx.base.p == 2:
-            return set(self.packed)
-        ctx, enc, n = self.ctx, _Encoder(self.ctx), self.n
-        values, runs = self.layout
-        sums = _packed(runs, [enc.scaled(1, values, ctx.m)] * n, enc.radix**ctx.m)
-        return set(enc.reduced(sums, n * ctx.m * ctx.base.s))
-
-    @cached_property
-    def bits(self) -> int:
-        """The ``_ball_bits`` bitset."""
-        return _ball_bits(self.ctx, self.n, self.s)
-
-
-def _ball_bits(ctx, n: int, s: int) -> int:
-    """The radius-s ball as one int, bit x set for each packed offset x,
-    the union of T^n over the ``_span_tables`` T of dimension s: T^(n-1)
-    grown on the last n - 1 entries, one shift per element of T and entry,
-    ORed into the block of each leading entry in T, blocks joined pairwise."""
-    order, blocks = ctx.order, [0] * ctx.order
-    for table in _span_tables(ctx.base, ctx.m, s):
-        tail = 1
-        for j in range(n - 1):
-            tail = reduce(or_, map(tail.__lshift__, [t * order**j for t in table]))
-        for t in table:
-            blocks[t] |= tail
-    width = order ** (n - 1)
-    while len(blocks) > 1:
-        blocks = [lo | hi << width for lo, hi in zip_longest(blocks[::2], blocks[1::2], fillvalue=0)]
-        width *= 2
-    return blocks[0]
-
-
-@lru_cache(maxsize=1)
-def _ball(ctx, n: int, s: int) -> _Ball:
-    """The radius-s ball, the most recent one kept."""
-    return _Ball(ctx, n, s)
 
 
 class _CosetKeys:
@@ -436,18 +333,13 @@ class _CosetKeys:
         return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
 
 
-def _per_table(q: int) -> int:
-    """The most base-q digits whose values index a 256-entry table, at least one."""
-    return next(c for c in range(8, 0, -1) if q**c <= 256 or c == 1)
-
-
 def _scatter(ctx, n: int, s: int, words) -> Counter:
     """The list size of every center within rank distance s of some packed
     codeword, the scatter kernel of the module docstring: each pair (w, b)
     of a codeword and an offset of rank <= s adds one to center w + b, so
     the counts sum to |C| * |B_s| and a missing center sees no codeword.
     Keys are packed indices, in order of their first (codeword, offset)
-    pair, offsets in ``_iter_ball_tables`` order."""
+    pair, offsets in ``rankmetric._ball_layout`` order."""
     order = ctx.order
     ball = _ball(ctx, n, s)
     tally = Counter()
@@ -459,64 +351,6 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
     for w in words:
         tally.update(_packed(runs, list(map(ball.shift, _entries_of_index(order, n, w))), order))
     return tally
-
-
-def _fits(p: int, terms: int) -> bool:
-    """Whether a sum of ``terms`` base-p digits fits in a byte slot: the one
-    byte limit of the ``_Encoder`` form (p = 2 sums by XOR, so always)."""
-    return p == 2 or terms * (p - 1) <= 255
-
-
-class _Encoder:
-    """Products lam * x of a base-field scalar and packed values, encoded
-    so that sums run in C, by ``plus``: as they are for p = 2 (adding is
-    XOR); for odd p as base-p digits, one per byte of an int
-    (``_index_of_entries`` in base 256), added as ints while the sum
-    ``_fits`` and then reduced mod p once by ``reduced``.  This byte-slot
-    form is written here alone, for ``_keys``, ``_near``, the ball's
-    probes and ``_CosetKeys``.  Scaling is coordinatewise in base q, so a
-    product is read from one table per lam, c coordinates at a time."""
-
-    def __init__(self, ctx):
-        base = ctx.base
-        p, e = base.p, base.s
-        self.q, self.p, self.mul = base.q, p, base.mul
-        self.c = _per_table(base.q)
-        # an encoded coordinate: as it is for p = 2, its e base-p digits for odd p
-        self.radix = base.q if p == 2 else 256**e
-        self.unit = lambda d: d if p == 2 else _index_of_entries(256, _entries_of_index(p, e, d))
-        self.plus = xor if p == 2 else add
-        self.mod = bytes(v % p for v in range(256))
-        self.tables = {}
-
-    def reduced(self, sums, digits: int):
-        """Encoded sums in their final form, to compare and not to add to:
-        as they are for p = 2, else the ``digits`` bytes of each reduced
-        mod p, as one C-level ``map``."""
-        if self.p == 2:
-            return sums
-        return map(bytes.translate, map(int.to_bytes, sums, repeat(digits), repeat("big")), repeat(self.mod))
-
-    def scaled(self, lam: int, values, coords: int) -> list[int]:
-        """lam * x, encoded, for each x of ``coords`` base-q coordinates."""
-        q, c, radix = self.q, self.c, self.radix
-        if lam == 1 and self.p == 2:
-            return values
-        table = self.tables.get(lam)
-        if table is None:
-            units = [self.unit(self.mul(lam, d)) for d in range(q)]
-            table = [0]
-            for _ in range(c):
-                table = [t * radix + u for t in table for u in units]
-            self.tables[lam] = table
-        if coords <= c:
-            return list(map(table.__getitem__, values))
-        reads = [
-            map(mul, map(table.__getitem__, map(mod, map(floordiv, values, repeat(q**w)), repeat(q**c))),
-                repeat(radix**w))
-            for w in range(0, coords, c)
-        ]
-        return list(map(sum, zip(*reads)))
 
 
 def _key_count(ctx, n: int, s: int) -> int:

@@ -23,6 +23,24 @@ their defaults (``_Fresh(factory)`` builds one per instance), and names in
 through ``_fields_dict``, its fields in declaration order, each value
 through ``_plain``, the one JSON value rule: a ``Fraction`` becomes its
 string, a ``RankVector`` its entry list, anything else passes unchanged.
+
+The rank ball has one owner, this module.  ``_ball_layout`` lays it
+out: the span tables side by side in one list, and per chunk its bounds
+in that list and its getters, one per entry position.  Every reader,
+``enumerate_ball`` and each list-count kernel of ``listdec``, reads the
+ball through ``_ball``, a ``_Ball`` whose parts are cached properties,
+each built on first read.  The bitset is set from the span tables of
+dimension s alone (``_ball_bits``): as s <= n <= m, B_s is the union of
+T^n over the s-dimensional subspaces T of F_q^m.  ``_packed`` is the one
+per-entry sum over the layout, one weighted table per entry position,
+read one slice and one getter call per chunk (``_read``): the packed
+offsets, the odd-p offset set (in the byte-slot form of ``_Encoder``)
+and listdec's odd-p scatter and coset keys.  The odd-p shifter is read
+off the layout too.  ``_ball`` is an ``lru_cache`` of one entry keyed by
+field, length and radius, so a run of calls at one (ctx, n, s), such as
+the trials of an ensemble or enumerations around many centers, builds
+each part once.  A new ball builds nothing until a part is read, and by
+then the cache has dropped the old one, so at most one ball is alive.
 """
 from __future__ import annotations
 
@@ -30,7 +48,8 @@ import itertools
 from collections import deque
 from collections.abc import Iterable
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from functools import cached_property, lru_cache, reduce
+from operator import add, attrgetter, floordiv, itemgetter, mod, mul, or_, xor
 
 from .errors import EnumerationCapExceeded
 from .fields import ExtCtx, FieldCtx, split_prime_power
@@ -624,35 +643,178 @@ def _span_tables(field: FieldCtx, m: int, u: int):
         yield from spans
 
 
-def _iter_ball_tables(ctx: ExtCtx, n: int, r: int):
-    """(span table, columns) for every F_q-subspace of dimension <= r of
-    F_q^m: a rank-u matrix is uniquely C * R, C the RREF basis of its
-    column space and R full-rank u x n; entry j of C * R for the i-th R is
-    span[columns[j][i]].  One ``_factor_columns`` serves a shell, which
-    ``_ball_chunks``, the only reader, relies on; u = 0 is the zero offset."""
+def _ball_layout(ctx: ExtCtx, n: int, r: int):
+    """The radius-r ball as (values, runs), shell by shell in ascending
+    rank u: a rank-u matrix is uniquely C * R, C the RREF basis of its
+    column space (a ``_span_tables`` table) and R full-rank u x n, and
+    entry j of C * R for the i-th R is span[columns[j][i]], the columns of
+    the shell's one ``_factor_columns``; u = 0 is the zero offset.
+    ``values`` holds the span tables side by side.  A shell's tables are
+    cut into chunks of at most 512 offsets or one table, one run (start,
+    stop, getters) each: ``enumerate_ball`` builds and keeps a run's
+    vectors together, and larger batches cost it garbage-collector
+    passes.  ``start:stop`` bounds the chunk in ``values``, and
+    ``getters[j]`` reads entry j of every offset off any list aligned with
+    it in one call (one offset as a 1-list), built once per chunk shape
+    and shared by a shell's full chunks."""
+    values, runs = [], []
     for u in range(r + 1):
-        yield from zip(_span_tables(ctx.base, ctx.m, u), itertools.repeat(_factor_columns(ctx.base, u, n)))
-
-
-def _ball_chunks(ctx: ExtCtx, n: int, r: int):
-    """The one ball reader: the ``_iter_ball_tables`` tables, in order, as
-    chunks (values, getters), the runs of ``listdec._ball_layout``.  The
-    tables of shell u, which share one factor-columns tuple, are cut into
-    chunks of at most 512 offsets or one table: ``enumerate_ball`` builds
-    and keeps a run's vectors together, and larger batches cost it
-    garbage-collector passes.  ``values`` is a chunk's span tables side by
-    side; ``getters[j]`` reads entry j of every offset off any list
-    aligned with it in one call (one offset as a 1-list), built once per
-    chunk shape and shared by a shell's full chunks."""
-    for columns, run in itertools.groupby(_iter_ball_tables(ctx, n, r), key=itemgetter(1)):
-        tables, getters = map(itemgetter(0), run), None
+        columns = _factor_columns(ctx.base, u, n)
+        tables, getters = _span_tables(ctx.base, ctx.m, u), None
         per = max(1, 512 // len(columns[0]))
         while chunk := list(itertools.islice(tables, per)):
+            width = len(chunk[0])
             if getters is None or len(chunk) < per:
-                width = len(chunk[0])
                 at = [[t + i for t in range(0, len(chunk) * width, width) for i in c] for c in columns]
                 getters = [itemgetter(*a) if len(a) > 1 else itemgetter(slice(a[0], a[0] + 1)) for a in at]
-            yield list(itertools.chain.from_iterable(chunk)), getters
+            runs.append((len(values), len(values) + len(chunk) * width, getters))
+            values += itertools.chain.from_iterable(chunk)
+    return values, runs
+
+
+def _read(runs, j: int, table):
+    """Entry j of every offset of the ``runs``, in order: ``table`` is
+    aligned with the layout's values (shifted, scaled, encoded or keyed),
+    and each run takes one slice of it and one call of its getter j."""
+    return itertools.chain.from_iterable(getters[j](table[start:stop]) for start, stop, getters in runs)
+
+
+def _packed(runs, tables, radix: int):
+    """The one per-entry sum: for each offset of the ``runs``, in order, the
+    sum over positions j of its entry j read off ``tables[j]`` times
+    radix^(n - 1 - j), each table weighted once before it is read (radix 1
+    adds the reads as they are)."""
+    n = len(tables)
+    weights = [radix**j for j in range(n - 1, -1, -1)]
+    tables = [t if w == 1 else list(map(w.__mul__, t)) for t, w in zip(tables, weights)]
+    return map(sum, zip(*map(_read, itertools.repeat(runs), range(n), tables)))
+
+
+def _per_table(q: int) -> int:
+    """The most base-q digits whose values index a 256-entry table, at least one."""
+    return next(c for c in range(8, 0, -1) if q**c <= 256 or c == 1)
+
+
+def _fits(p: int, terms: int) -> bool:
+    """Whether a sum of ``terms`` base-p digits fits in a byte slot: the one
+    byte limit of the ``_Encoder`` form (p = 2 sums by XOR, so always)."""
+    return p == 2 or terms * (p - 1) <= 255
+
+
+class _Encoder:
+    """Products lam * x of a base-field scalar and packed values, encoded
+    so that sums run in C, by ``plus``: as they are for p = 2 (adding is
+    XOR); for odd p as base-p digits, one per byte of an int
+    (``_index_of_entries`` in base 256), added as ints while the sum
+    ``_fits`` and then reduced mod p once by ``reduced``.  This byte-slot
+    form is written here alone, for the ball's probes and listdec's
+    ``_keys``, ``_near`` and ``_CosetKeys``.  Scaling is coordinatewise in base q, so a
+    product is read from one table per lam, c coordinates at a time."""
+
+    def __init__(self, ctx):
+        base = ctx.base
+        p, e = base.p, base.s
+        self.q, self.p, self.mul = base.q, p, base.mul
+        self.c = _per_table(base.q)
+        # an encoded coordinate: as it is for p = 2, its e base-p digits for odd p
+        self.radix = base.q if p == 2 else 256**e
+        self.unit = lambda d: d if p == 2 else _index_of_entries(256, _entries_of_index(p, e, d))
+        self.plus = xor if p == 2 else add
+        self.mod = bytes(v % p for v in range(256))
+        self.tables = {}
+
+    def reduced(self, sums, digits: int):
+        """Encoded sums in their final form, to compare and not to add to:
+        as they are for p = 2, else the ``digits`` bytes of each reduced
+        mod p, as one C-level ``map``."""
+        if self.p == 2:
+            return sums
+        encoded = map(int.to_bytes, sums, itertools.repeat(digits), itertools.repeat("big"))
+        return map(bytes.translate, encoded, itertools.repeat(self.mod))
+
+    def scaled(self, lam: int, values, coords: int) -> list[int]:
+        """lam * x, encoded, for each x of ``coords`` base-q coordinates."""
+        q, c, radix = self.q, self.c, self.radix
+        if lam == 1 and self.p == 2:
+            return values
+        table = self.tables.get(lam)
+        if table is None:
+            units = [self.unit(self.mul(lam, d)) for d in range(q)]
+            table = [0]
+            for _ in range(c):
+                table = [t * radix + u for t in table for u in units]
+            self.tables[lam] = table
+        if coords <= c:
+            return list(map(table.__getitem__, values))
+        reads = [
+            map(mul, map(table.__getitem__, map(mod, map(floordiv, values, itertools.repeat(q**w)),
+                                                 itertools.repeat(q**c))), itertools.repeat(radix**w))
+            for w in range(0, coords, c)
+        ]
+        return list(map(sum, zip(*reads)))
+
+
+class _Ball:
+    """The radius-s ball, each part built on first use and kept; callers
+    only read it."""
+
+    def __init__(self, ctx, n: int, s: int):
+        self.ctx, self.n, self.s = ctx, n, s
+
+    @cached_property
+    def layout(self):
+        """The ``_ball_layout`` values and runs."""
+        return _ball_layout(self.ctx, self.n, self.s)
+
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The packed offsets, in ``_ball_layout`` order."""
+        return tuple(_packed(self.layout[1], [self.layout[0]] * self.n, self.ctx.order))
+
+    @cached_property
+    def shift(self):
+        """The ``_shifter`` of the layout's values."""
+        return _shifter(self.ctx.base.p, self.layout[0])
+
+    @cached_property
+    def probes(self) -> set:
+        """The offsets ``listdec._near`` probes, in their ``_Encoder`` form."""
+        if self.ctx.base.p == 2:
+            return set(self.packed)
+        ctx, enc, n = self.ctx, _Encoder(self.ctx), self.n
+        values, runs = self.layout
+        sums = _packed(runs, [enc.scaled(1, values, ctx.m)] * n, enc.radix**ctx.m)
+        return set(enc.reduced(sums, n * ctx.m * ctx.base.s))
+
+    @cached_property
+    def bits(self) -> int:
+        """The ``_ball_bits`` bitset."""
+        return _ball_bits(self.ctx, self.n, self.s)
+
+
+def _ball_bits(ctx, n: int, s: int) -> int:
+    """The radius-s ball as one int, bit x set for each packed offset x,
+    the union of T^n over the ``_span_tables`` T of dimension s: T^(n-1)
+    grown on the last n - 1 entries, one shift per element of T and entry,
+    ORed into the block of each leading entry in T, blocks joined pairwise."""
+    order, blocks = ctx.order, [0] * ctx.order
+    for table in _span_tables(ctx.base, ctx.m, s):
+        tail = 1
+        for j in range(n - 1):
+            tail = reduce(or_, map(tail.__lshift__, [t * order**j for t in table]))
+        for t in table:
+            blocks[t] |= tail
+    width = order ** (n - 1)
+    while len(blocks) > 1:
+        blocks = [lo | hi << width for lo, hi in itertools.zip_longest(blocks[::2], blocks[1::2], fillvalue=0)]
+        width *= 2
+    return blocks[0]
+
+
+@lru_cache(maxsize=1)
+def _ball(ctx, n: int, s: int) -> _Ball:
+    """The radius-s ball, the most recent one kept."""
+    return _Ball(ctx, n, s)
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
@@ -661,7 +823,7 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
     refuses outright if the ambient space exceeds ``cap``.  It reads the
-    layout of the ball memo, ``listdec._ball``, built whole once per
+    layout of the ball memo, ``_ball``, built whole once per
     (field, n, r) before the first vector, then kept by the memo and by
     the generator until both let it go (about 250 MB at q = 2, m = 12,
     n = r = 2).  Each run of the layout is read as it comes: its values
@@ -671,8 +833,6 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     the shift by center entry j, and one ``_trusted_batch`` builds its
     vectors; a memo evicted mid-iteration changes nothing.
     """
-    from .listdec import _ball  # listdec imports this module
-
     ctx = center.ctx
     n = center.n
     if not 0 <= r <= n:

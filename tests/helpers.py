@@ -270,7 +270,7 @@ def rref_pivots(rows):
 
 def span_tables_by_rref(ctx, u):
     """The F_q-span table of every u-dimensional subspace of F_q^m, in
-    the order ``_iter_ball_tables`` promises, by filtering all q^(um)
+    the order ``_span_tables`` promises, by filtering all q^(um)
     u x m matrices for the full-rank RREF ones.
 
     They are ordered by (pivot tuple, free entries row-major).  Entry
@@ -309,17 +309,20 @@ def span_tables_by_rref(ctx, u):
 
 def ball_by_tables(ctx, center, r):
     """The entry tuples of center + b for every offset b of rank <= r, in
-    the order the package reads the ball: one ``_iter_ball_tables`` table
-    at a time, each span value added to every distinct center entry with
-    ``ExtCtx.add``, and entry j of the i-th factor read by plain indexing
-    at ``columns[j][i]``."""
-    from ranklab.rankmetric import _iter_ball_tables
+    the order the package reads the ball: shell by shell in ascending
+    rank u, one ``_span_tables`` table at a time with the shell's
+    ``_factor_columns``, each span value added to every distinct center
+    entry with ``ExtCtx.add``, and entry j of the i-th factor read by
+    plain indexing at ``columns[j][i]``."""
+    from ranklab.rankmetric import _factor_columns, _span_tables
 
     out = []
-    for span, columns in _iter_ball_tables(ctx, len(center), r):
-        shifted = {e: [ctx.add(e, x) for x in span] for e in center}
-        for i in range(len(columns[0])):
-            out.append(tuple(shifted[e][column[i]] for e, column in zip(center, columns)))
+    for u in range(r + 1):
+        columns = _factor_columns(ctx.base, u, len(center))
+        for span in _span_tables(ctx.base, ctx.m, u):
+            shifted = {e: [ctx.add(e, x) for x in span] for e in center}
+            for i in range(len(columns[0])):
+                out.append(tuple(shifted[e][column[i]] for e, column in zip(center, columns)))
     return out
 
 
@@ -486,7 +489,7 @@ CHI2_DF15_ALPHA_001 = 37.697
 
 def key_count_oracle(ctx, n, s):
     """``listdec._key_count`` with its byte limit written inline, as it was
-    before the limit moved behind ``listdec._fits``."""
+    before the limit moved behind ``rankmetric._fits``."""
     q, p = ctx.base.q, ctx.base.p
     if s >= n or q > 256 or (p > 2 and (s + 1) * (p - 1) > 255):
         return 0

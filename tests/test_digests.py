@@ -9,7 +9,9 @@ SHA-256 of the report's canonical JSON (sorted keys, no spaces), and
 {2, 3, 4, 5, 8, 9}, small shapes, every radius, explicit, linear (k = 0,
 1 and 2) and Gabidulin codes, and far runs at 0, 30 and 300 centers, and
 runs in a few seconds.  A route is forced by patching the one route picker,
-``listdec._route``, to answer its name.
+``listdec._route``, to answer its name.  Beside the reports, the grid
+holds the rows of ``run_ensemble`` for both ensembles, exhaustive and,
+under a small cap, Monte Carlo, and the words each code sampler draws.
 
 A change meant to alter report bytes regenerates the file with
 ``PYTHONPATH=src python tests/test_digests.py`` and names each case that
@@ -19,15 +21,16 @@ changed and why.
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
 import pytest
 
 from ranklab import listdec
-from ranklab.codes import gabidulin, sample_random_code, sample_random_linear_code
+from ranklab.codes import enumerate_codewords, gabidulin, sample_random_code, sample_random_linear_code
 from ranklab.fields import default_context
-from ranklab.harness import coset_partition_check
+from ranklab.harness import EnsembleSpec, coset_partition_check, run_ensemble
 from ranklab.listdec import max_list_size
 from ranklab.rankmetric import RankVector, enumerate_ball
 
@@ -49,6 +52,11 @@ FAR_CENTERS = (0, 300)
 FAR_CENTERS_KINDS = ("explicit5", "linear")
 MC = {"mode": "montecarlo", "centers": 30, "seed": 1}
 FAR = {"neighborhood_cap": 0, **MC}  # past the neighbourhood tally
+# (q, m, n) of the ensembles: a cap of 48 is below both spaces (64 and 81
+# vectors) and above both radius-1 balls, so every trial falls back to
+# Monte Carlo at one (ctx, n, s) and reads one memoized ball
+ENSEMBLE_SHAPES = ((2, 3, 2), (3, 2, 2))
+ENSEMBLE_CAPS = {"exhaustive": 2**24, "montecarlo": 48}
 
 
 def digest(payload) -> str:
@@ -144,8 +152,47 @@ def chunked_cases():
             )
 
 
+def sampler_cases():
+    """(name, thunk) for the words of each code sampler over ``SHAPES``:
+    explicit codes of ``EXPLICIT_SIZES`` words and, in spaces of at most
+    256 vectors, of every vector; linear codes of F_q-dimension 0, 1 and 2,
+    their basis and their codewords in enumeration order."""
+    for q, m, n in SHAPES:
+        ctx = default_context(q, m)
+        shape = f"q{q}m{m}n{n}"
+        space = ctx.order**n
+        for size in (*EXPLICIT_SIZES, space) if space <= 256 else EXPLICIT_SIZES:
+
+            def explicit(ctx=ctx, n=n, size=size):
+                return [w.entries for w in sample_random_code(ctx, n, size, seed=size).words]
+
+            yield f"codes/{shape}/explicit{size}", explicit
+        for k in (0, 1, 2):
+
+            def linear(ctx=ctx, n=n, k=k, seed=q + k):
+                code = sample_random_linear_code(ctx, n, k, seed=seed)
+                words = [w.entries for w in enumerate_codewords(code)]
+                return {"basis": [w.entries for w in code.basis], "words": words}
+
+            yield f"codes/{shape}/linear-k{k}", linear
+
+
+def ensemble_cases():
+    """(name, thunk) for the canonical rows of ``run_ensemble``, both
+    kinds, over ``ENSEMBLE_SHAPES`` at each of ``ENSEMBLE_CAPS``."""
+    for kind in ("random", "random_linear"):
+        for q, m, n in ENSEMBLE_SHAPES:
+            spec = EnsembleSpec(kind, q, m, n, Fraction(1, 3), 1, 2, 4, 7)
+            for mode, cap in ENSEMBLE_CAPS.items():
+                yield (
+                    f"ensemble/q{q}m{m}n{n}/{kind}/{mode}",
+                    lambda spec=spec, cap=cap: run_ensemble(spec, cap=cap).canonical_dict(),
+                )
+
+
 def compute() -> dict:
-    return {name: digest(thunk()) for name, thunk in chain(cases(), chunked_cases())}
+    every = chain(cases(), chunked_cases(), sampler_cases(), ensemble_cases())
+    return {name: digest(thunk()) for name, thunk in every}
 
 
 def test_every_report_matches_its_digest():

@@ -28,7 +28,7 @@ from helpers import (
     sweep_route_oracle,
     xor_window_tables,
 )
-from ranklab import listdec
+from ranklab import listdec, rankmetric
 from ranklab.codes import (
     ExplicitCode,
     LinearCode,
@@ -363,7 +363,7 @@ def short_ball(monkeypatch):
     its last span table dropped: in the layout the getters of the last
     chunk drop their last read, and the bitset loses that offset's bit.
     ``_ball_size`` is left as it is, and no short ball outlives the test."""
-    layout, bits = listdec._ball_layout, listdec._ball_bits
+    layout, bits = rankmetric._ball_layout, rankmetric._ball_bits
 
     def short(ctx, n, s):
         values, runs = layout(ctx, n, s)
@@ -375,11 +375,11 @@ def short_ball(monkeypatch):
         last = _index_of_entries(ctx.order, ball_by_tables(ctx, (0,) * n, s)[-1])
         return bits(ctx, n, s) & ~(1 << last)
 
-    monkeypatch.setattr(listdec, "_ball_layout", short)
-    monkeypatch.setattr(listdec, "_ball_bits", short_bits)
-    listdec._ball.cache_clear()
+    monkeypatch.setattr(rankmetric, "_ball_layout", short)
+    monkeypatch.setattr(rankmetric, "_ball_bits", short_bits)
+    rankmetric._ball.cache_clear()
     yield
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -395,7 +395,7 @@ def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatc
     offsets = [_index_of_entries(ctx.order, b) for b in ball_by_tables(ctx, (0, 0), 1)][:-1]
     cosets = listdec._CosetKeys(linear)
     assert list(listdec._scatter(ctx, 2, 1, [0])) == offsets
-    assert listdec._ball(ctx, 2, 1).bits == sum(1 << x for x in offsets)
+    assert rankmetric._ball(ctx, 2, 1).bits == sum(1 << x for x in offsets)
     assert list(cosets.ball(1)) == cosets.of_indices(offsets)
     for route in LINEAR_ROUTES:
         seam.route = route
@@ -537,7 +537,7 @@ FAR_CASES = {
 FAR_FORBIDDEN = {
     "far-coset": ("_scatter", "_near", "_rank_of_entries"),
     "probe": ("_scatter", "_CosetKeys", "_rank_of_entries"),
-    "rank": ("_scatter", "_CosetKeys", "_ball_chunks"),
+    "rank": ("_scatter", "_CosetKeys", "_ball"),
 }
 
 
@@ -561,7 +561,7 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
 
     seam = Seam(monkeypatch)
     built = spy(monkeypatch, "_keys") if uses_keys else []
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
     report = run()
     assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
     assert report.exhaustive is False
@@ -569,10 +569,10 @@ def test_far_branch_matches_brute_force_on_its_side_of_the_rule(case, monkeypatc
     # a route is priced from the call alone: the same once the memo holds
     # this ball and its offset set, as after an exhaustive call and a probe
     # at the same (ctx, n, s)
-    listdec._ball(code.ctx, code.n, s).probes
+    rankmetric._ball(code.ctx, code.n, s).probes
     assert run() == report
     assert seam.names == [route + "-keyed" if uses_keys else route] * 2
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
 
 
 class Seam:
@@ -595,17 +595,21 @@ class Seam:
 
 
 def spy(monkeypatch, name, result=False) -> list:
-    """Patch ``listdec.<name>`` to record its calls' arguments, and with
-    ``result`` what each call returned as a last item, and run."""
+    """Patch ``<name>`` of rankmetric, or of listdec if rankmetric has no
+    such name, wherever either module holds it, to record its calls'
+    arguments, and with ``result`` what each call returned as a last
+    item, and run."""
     calls = []
-    real = getattr(listdec, name)
+    real = getattr(rankmetric, name, None) or getattr(listdec, name)
 
     def recorded(*args):
         out = real(*args)
         calls.append((*args, out) if result else args)
         return out
 
-    monkeypatch.setattr(listdec, name, recorded)
+    for module in (listdec, rankmetric):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -716,7 +720,7 @@ def test_vectors_within_rank_s_share_a_dependency_key(data):
     w = [ctx.sub(a, b) for a, b in zip(c, diff)]
     assert rank_of_vector(RankVector(ctx, diff)) <= s
     packed = [vector_index(RankVector(ctx, v)) for v in (c, w)]
-    keys = listdec._keys(ctx, n, s, packed, listdec._Encoder(ctx))
+    keys = listdec._keys(ctx, n, s, packed, rankmetric._Encoder(ctx))
     assert len(keys) == listdec._key_count(ctx, n, s) == (q ** (s + 1) - 1) // (q - 1)
     if q == 2:
         assert sorted(key[0] for key in keys) == _entry_xors(c, s)
@@ -793,14 +797,14 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
     seam = Seam(monkeypatch)
     cold = []
     for _, call in calls:
-        listdec._ball.cache_clear()
+        rankmetric._ball.cache_clear()
         cold.append(call())
     cold_routes = list(seam.calls)
     assert {name for *args, name in cold_routes if args[6] is None} == {"scatter", "counters", "coset", "fold"}
     # back to back: each call twice, every run of one key in a row, and a
     # call takes the route it took cold also when the memo holds its ball,
     # the ball's bitset and its offset set
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
     del seam.calls[:]
     assert [(call(), call()) for _, call in calls] == [(r, r) for r in cold]
     assert seam.calls == [call for call in cold_routes for _ in range(2)]
@@ -816,11 +820,11 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
 def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
     # the parts of a ball, its layout and its bitset, are built while that
     # ball alone is alive, each at most once per run of reads at one key
-    memo = listdec._ball
+    memo = rankmetric._ball
     memo.cache_clear()
     reads = spy(monkeypatch, "_ball")
     built, balls = [], []  # balls: a weak reference to every ball made
-    real_ball = listdec._Ball
+    real_ball = rankmetric._Ball
 
     def made(*args):
         ball = real_ball(*args)
@@ -839,9 +843,9 @@ def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
 
         return build
 
-    monkeypatch.setattr(listdec, "_Ball", made)
+    monkeypatch.setattr(rankmetric, "_Ball", made)
     for part in ("_ball_layout", "_ball_bits"):
-        monkeypatch.setattr(listdec, part, checked(part, getattr(listdec, part)))
+        monkeypatch.setattr(rankmetric, part, checked(part, getattr(rankmetric, part)))
     calls = list(memo_calls())
     for _, call in calls:
         call()
@@ -869,7 +873,7 @@ def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
 def test_no_kernel_mutates_the_memoized_ball():
     for q, m, n, s in ((2, 3, 3, 1), (2, 3, 2, 2), (3, 2, 2, 1), (5, 2, 2, 1)):
         ctx = default_context(q, m)
-        listdec._ball.cache_clear()
+        rankmetric._ball.cache_clear()
         code = sample_random_code(ctx, n, 6, seed=q)
         words = _packed_words(code, 2**24)
         candidates = dict.fromkeys(range(0, ctx.order**n, 3))
@@ -883,10 +887,10 @@ def test_no_kernel_mutates_the_memoized_ball():
         coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
         for center in (RankVector.zero(ctx, n), RankVector(ctx, [(q + j) % ctx.order for j in range(n)])):
             deque(enumerate_ball(center, s), 0)
-        memo = listdec._ball(ctx, n, s)
-        assert listdec._ball(ctx, n, s) is memo
-        listdec._ball.cache_clear()
-        fresh = listdec._ball(ctx, n, s)
+        memo = rankmetric._ball(ctx, n, s)
+        assert rankmetric._ball(ctx, n, s) is memo
+        rankmetric._ball.cache_clear()
+        fresh = rankmetric._ball(ctx, n, s)
         assert fresh is not memo
         # the offset set and the bitset are built once per ball and kept with it
         assert memo.probes is memo.probes and memo.probes == fresh.probes
@@ -898,7 +902,7 @@ def test_no_kernel_mutates_the_memoized_ball():
         (values, runs), (fresh_values, fresh_runs) = memo.layout, fresh.layout
         assert values == fresh_values
         assert [run[:2] for run in runs] == [run[:2] for run in fresh_runs]
-        reads = [[list(listdec._read(r, j, v)) for j in range(n)] for v, r in (memo.layout, fresh.layout)]
+        reads = [[list(rankmetric._read(r, j, v)) for j in range(n)] for v, r in (memo.layout, fresh.layout)]
         assert reads[0] == reads[1]
         # the shifter's digit planes, split off on first use, are intact
         assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
@@ -909,14 +913,14 @@ def test_enumerations_at_one_key_lay_the_ball_out_once(monkeypatch):
     # each enumeration is the per-table oracle around its center
     for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
         ctx = default_context(q, m)
-        listdec._ball.cache_clear()
+        rankmetric._ball.cache_clear()
         built = spy(monkeypatch, "_ball_layout")
         for entries in ((0,) * n, tuple(range(1, n + 1)), (5,) * n):
             out = [v.entries for v in enumerate_ball(RankVector(ctx, entries), r)]
             assert out == ball_by_tables(ctx, entries, r), (q, m, n, r, entries)
         assert built == [(ctx, n, r)]
         monkeypatch.undo()
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
 
 
 def test_enumerate_ball_outlives_the_eviction_of_its_ball():
@@ -925,18 +929,18 @@ def test_enumerate_ball_outlives_the_eviction_of_its_ball():
     for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
         ctx = default_context(q, m)
         center = RankVector(ctx, tuple(range(2, n + 2)))
-        listdec._ball.cache_clear()
+        rankmetric._ball.cache_clear()
         expected = list(enumerate_ball(center, r))
         code = sample_random_code(ctx, n, 4, seed=q)
         ball = enumerate_ball(center, r)
         head = list(islice(ball, 300))
-        memo = listdec._ball(ctx, n, r)
+        memo = rankmetric._ball(ctx, n, r)
         max_list_size(code, r - 1)
-        listdec._ball(ctx, n, r - 1).layout  # another ball laid out
-        assert listdec._ball(ctx, n, r) is not memo
+        rankmetric._ball(ctx, n, r - 1).layout  # another ball laid out
+        assert rankmetric._ball(ctx, n, r) is not memo
         del memo
         assert head + list(ball) == expected, (q, m, n, r)
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
 
 
 def test_the_ball_reads_like_the_span_tables_one_by_one():
@@ -948,8 +952,8 @@ def test_the_ball_reads_like_the_span_tables_one_by_one():
     for q, m, n, s in shapes + [(2, 6, 3, 2), (3, 4, 3, 2)]:
         ctx = default_context(q, m)
         p, order, width = ctx.base.p, ctx.order, n * m * ctx.base.s
-        listdec._ball.cache_clear()
-        ball = listdec._ball(ctx, n, s)
+        rankmetric._ball.cache_clear()
+        ball = rankmetric._ball(ctx, n, s)
         offsets = [_index_of_entries(order, b) for b in ball_by_tables(ctx, (0,) * n, s)]
         assert list(ball.packed) == offsets
         if p == 2:
@@ -980,13 +984,13 @@ def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
                 ctx = default_context(q, m)
                 wide.add(ctx.order ** (n - 1) > 64)
                 for s in range(n + 1):
-                    listdec._ball.cache_clear()
-                    bits = listdec._ball(ctx, n, s).bits
+                    rankmetric._ball.cache_clear()
+                    bits = rankmetric._ball(ctx, n, s).bits
                     offsets = ball_by_tables(ctx, (0,) * n, s)
                     assert bits == sum(1 << _index_of_entries(ctx.order, b) for b in offsets), (q, m, n, s)
                     assert bits.bit_count() == _ball_size(q, m, n, s), (q, m, n, s)
     assert wide == {False, True}
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
 
 
 def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
@@ -1015,7 +1019,7 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
             "probe": (explicit, {**mc, "neighborhood_cap": 0}, True),
         }
         for route, (code, kwargs, forced) in cases.items():
-            listdec._ball.cache_clear()
+            rankmetric._ball.cache_clear()
             del layouts[:], packs[:], seam.calls[:]
             seam.route = route if forced else None
             max_list_size(code, s, workers=1, **kwargs)
@@ -1023,7 +1027,7 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
             # what the route left built: the bitset alone, or the layout,
             # packed for p = 2 alone by every route, the probe leaving its
             # offset set beside them for every p
-            left = vars(listdec._ball(ctx, n, s)).keys() - {"ctx", "n", "s"}
+            left = vars(rankmetric._ball(ctx, n, s)).keys() - {"ctx", "n", "s"}
             if route in ("counters", "fold"):
                 assert layouts == packs == [], route
                 assert left == {"bits"}, route
@@ -1038,26 +1042,26 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
         # the bitset and the layout in either order build what a cold ball does
         parts = []
         for first in (True, False):
-            listdec._ball.cache_clear()
-            ball = listdec._ball(ctx, n, s)
+            rankmetric._ball.cache_clear()
+            ball = rankmetric._ball(ctx, n, s)
             # reading the layout builds no other part
             [ball.bits if bits else ball.layout for bits in (first, not first)]
             assert vars(ball).keys() == {"ctx", "n", "s", "bits", "layout"}
             parts.append(ball)
-        listdec._ball.cache_clear()
-        bits = listdec._ball(ctx, n, s).bits
-        listdec._ball.cache_clear()
-        cold = listdec._ball(ctx, n, s)
+        rankmetric._ball.cache_clear()
+        bits = rankmetric._ball(ctx, n, s).bits
+        rankmetric._ball.cache_clear()
+        cold = rankmetric._ball(ctx, n, s)
         assert vars(cold).keys() == {"ctx", "n", "s"}
         cold_values, cold_runs = cold.layout
         for ball in parts:
             values, runs = ball.layout
             assert vars(ball)["bits"] == bits and ball.packed == cold.packed and values == cold_values
             assert [run[:2] for run in runs] == [run[:2] for run in cold_runs]
-            assert [list(listdec._read(runs, j, values)) for j in range(n)] == [
-                list(listdec._read(cold_runs, j, cold_values)) for j in range(n)
+            assert [list(rankmetric._read(runs, j, values)) for j in range(n)] == [
+                list(rankmetric._read(cold_runs, j, cold_values)) for j in range(n)
             ]
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
 
 
 def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
@@ -1133,7 +1137,7 @@ def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
     for _ in range(40):
         candidates.setdefault(rng.randrange(ctx.order**n), None)
     order = list(candidates)
-    enc = listdec._Encoder(ctx)
+    enc = rankmetric._Encoder(ctx)
     straddled, lonely_seen = set(), False
     for s in range(n + 1):
         centers = [_entries_of_index(ctx.order, n, c) for c in order]
@@ -1257,7 +1261,7 @@ def test_cli_sized_far_centers_build_no_ball(monkeypatch):
     # a few hundred ranked pairs cost less than building a ball of 2-3 * 10^5
     # offsets: the shapes of the benchmark's listdecode jobs over F_{3^10}
     # and F_{4^8}, with fewer codewords than dependency keys
-    monkeypatch.setattr(listdec, "_ball_layout", _raise)
+    monkeypatch.setattr(rankmetric, "_ball_layout", _raise)
     for q, m, size in ((3, 10, 3), (4, 8, 4)):
         code = sample_random_code(default_context(q, m), 2, size, 1)
         assert listdec._key_count(code.ctx, 2, 1) >= size
@@ -1271,7 +1275,7 @@ def test_coset_keys_past_the_byte_slots_are_priced_like_ranked_pairs(monkeypatch
     ctx = default_context(257, 2)
     code = sample_random_linear_code(ctx, 1, 1, seed=0)
     seam = Seam(monkeypatch)
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
     mc = {"centers": 20, "seed": 4, "neighborhood_cap": 0}
     report = max_list_size(code, 1, "montecarlo", **mc)
     assert seam.names == ["rank"]
@@ -1293,7 +1297,7 @@ ROUTE_GRID_Q = (2, 3, 4, 5, 8, 9, 16, 257)
 
 def test_byte_limits_route_like_the_inline_rules():
     # the one picker routes every call as the rules written inline beside
-    # the two routers it replaced did: the limits behind listdec._fits, the
+    # the two routers it replaced did: the limits behind rankmetric._fits, the
     # sweep and far prices and the neighbourhood rule, for linear and
     # explicit codes, sizes on both sides of the key count, draws, caps on
     # both sides of |B_s| and neighbourhood caps on both sides of |C| * |B_s|
@@ -1353,8 +1357,8 @@ def test_no_far_route_holds_more_than_cap_offsets(monkeypatch):
     for code in (sample_random_code(ctx, 3, 4, 1), sample_random_linear_code(ctx, 3, 2, 2)):
         expected = max_list_size(code, 1, "montecarlo", centers=20, seed=5, neighborhood_cap=0)
         with monkeypatch.context() as patched:
-            patched.setattr(listdec, "_ball_layout", _raise)
-            listdec._ball.cache_clear()
+            patched.setattr(rankmetric, "_ball_layout", _raise)
+            rankmetric._ball.cache_clear()
             # 4 codewords * at most 24 candidates <= 100
             assert max_list_size(code, 1, "montecarlo", centers=20, seed=5, cap=100) == expected
             with pytest.raises(EnumerationCapExceeded, match="Monte Carlo .* cap of 100"):

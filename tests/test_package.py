@@ -107,3 +107,20 @@ def test_commands_load_neither_dataclasses_nor_inspect():
     assert '"schema": "ranklab.volume/1"' in proc.stdout
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"imported": [], "volume": [], "code": 0}
+
+
+def test_enumerate_ball_loads_neither_listdec_nor_codes():
+    # the ball, its layout and its memo live in rankmetric: enumerating a
+    # ball reaches no module above it
+    probe = (
+        "import json, sys\n"
+        "from ranklab.fields import default_context\n"
+        "from ranklab.rankmetric import RankVector, ball_volume, enumerate_ball\n"
+        "center = RankVector(default_context(2, 4), (3, 9, 1))\n"
+        "size = sum(1 for _ in enumerate_ball(center, 2))\n"
+        "loaded = [m for m in ('ranklab.listdec', 'ranklab.codes') if m in sys.modules]\n"
+        "print(json.dumps({'size': size, 'volume': ball_volume(2, 4, 3, 2).exact, 'loaded': loaded}))\n"
+    )
+    proc = run_python(["-S", "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"size": 1576, "volume": 1576, "loaded": []}

@@ -14,7 +14,6 @@ import random
 import re
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -30,15 +29,15 @@ from helpers import (
     span_tables_by_rref,
     xor_rank,
 )
-from ranklab import listdec, rankmetric
+from ranklab import rankmetric
 from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import ExtCtx, FieldCtx, default_context
 from ranklab.rankmetric import (
     RankVector,
-    _ball_chunks,
+    _ball_layout,
     _factor_columns,
-    _iter_ball_tables,
     _shifter,
+    _span_tables,
     ball_volume,
     count_rank_u,
     enumerate_ball,
@@ -540,14 +539,11 @@ def test_ball_sizes_reject_what_ball_volume_rejects():
         assert message is None or str(size.value) == message
 
 
-def chunk_entries(values, getters):
-    """The offsets of one ``_ball_chunks`` chunk as entry tuples, each
-    entry read off the span values themselves (a zero center)."""
-    return list(zip(*(get(values) for get in getters)))
-
-
 def ball_entries(ctx, n, r):
-    return [entries for chunk in _ball_chunks(ctx, n, r) for entries in chunk_entries(*chunk)]
+    """The offsets of the ``_ball_layout`` as entry tuples, each entry
+    read off the span values themselves (a zero center)."""
+    values, runs = _ball_layout(ctx, n, r)
+    return [entries for start, stop, getters in runs for entries in zip(*(get(values[start:stop]) for get in getters))]
 
 
 def test_rank_u_matrix_iterator_is_exact():
@@ -570,32 +566,38 @@ def test_ball_chunks_are_bounded_runs_of_one_shell():
     # with a shorter last one; q2m1n1 has a one-offset rank-1 shell
     for q, m, n, r in ((2, 1, 1, 1), (2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1), (2, 6, 3, 2), (3, 4, 3, 2)):
         ctx = default_context(q, m)
-        chunks = iter(_ball_chunks(ctx, n, r))
-        spans = map(itemgetter(0), _iter_ball_tables(ctx, n, r))
-        out, shells = [], []
+        values, runs = _ball_layout(ctx, n, r)
+        chunks = iter(runs)
+        out, shells, end = [], [], 0
         for u in range(r + 1):
             # a shell of T tables and F factors per table takes 512 // F
             # tables a chunk, at least one, and its last chunk the rest
+            spans = _span_tables(ctx.base, m, u)
             factors = math.prod(q**n - q**i for i in range(u))
             tables = math.prod(q**m - q**i for i in range(u)) // math.prod(q**u - q**i for i in range(u))
             per = max(1, 512 // factors)
             sizes = [per] * (tables // per) + [tables % per] * (tables % per > 0)
             shell = list(itertools.islice(chunks, len(sizes)))
-            for size, (values, getters) in zip(sizes, shell):
-                # each chunk reads its own span tables, in order, with one
-                # getter per entry position; the one-offset read is a 1-list
-                assert values == list(itertools.chain.from_iterable(itertools.islice(spans, size)))
-                reads = [get(values) for get in getters]
+            for size, (start, stop, getters) in zip(sizes, shell):
+                # each run bounds its own span tables in the values, in order,
+                # right after the last, with one getter per entry position;
+                # the one-offset read is a 1-list
+                assert start == end
+                end = stop
+                chunk = values[start:stop]
+                assert chunk == list(itertools.chain.from_iterable(itertools.islice(spans, size)))
+                reads = [get(chunk) for get in getters]
                 assert len(reads) == n and {len(read) for read in reads} == {size * factors}
                 assert size * factors <= 512 or size == 1
                 assert size * factors > 1 or {type(read) for read in reads} == {list}
                 out += zip(*reads)
+            assert next(spans, None) is None
             # the full chunks of a shell share one getter list, and a shorter
             # last chunk has its own
-            lists = [getters for size, (_, getters) in zip(sizes, shell) if size == per]
+            lists = [getters for size, (*_, getters) in zip(sizes, shell) if size == per]
             assert all(getters is lists[0] for getters in lists)
-            shells += lists[:1] + [getters for size, (_, getters) in zip(sizes, shell) if size < per]
-        assert next(chunks, None) is next(spans, None) is None
+            shells += lists[:1] + [getters for size, (*_, getters) in zip(sizes, shell) if size < per]
+        assert next(chunks, None) is None and end == len(values)
         assert out == ball_by_tables(ctx, (0,) * n, r), (q, m, n, r)
         assert len({id(getters) for getters in shells}) == len(shells)
 
@@ -685,7 +687,8 @@ def test_full_rank_factors_match_the_rank_filter():
 
 
 def test_ball_tables_match_the_rref_oracle_in_order():
-    # the Monte Carlo neighborhood tie rule reads this order
+    # the Monte Carlo neighborhood tie rule reads this order: the span
+    # tables and the factor columns of every shell of every ball
     checked = 0
     for q in (2, 3, 4, 5, 9):
         field = default_context(q, 1).base
@@ -697,14 +700,13 @@ def test_ball_tables_match_the_rref_oracle_in_order():
                 for r in range(n + 1):
                     if q ** (r * m) > 2**16:
                         break
-                    expected = []
                     for u in range(r + 1):
                         if u not in spans:
                             spans[u] = span_tables_by_rref(ctx, u)
                         if (n, u) not in columns:
                             columns[n, u] = tuple(zip(*full_rank_factors_by_filter(field, u, n)))
-                        expected += [(span, columns[n, u]) for span in spans[u]]
-                    assert list(_iter_ball_tables(ctx, n, r)) == expected, (q, m, n, r)
+                        assert list(_span_tables(ctx.base, m, u)) == spans[u], (q, m, n, r, u)
+                        assert _factor_columns(ctx.base, u, n) == columns[n, u], (q, m, n, r, u)
                     checked += 1
     assert checked == 127
 
@@ -714,12 +716,15 @@ def test_ball_tables_rank_no_candidate(monkeypatch):
         raise AssertionError("rank_fq called while building ball tables")
 
     monkeypatch.setattr(rankmetric, "rank_fq", refuse)
+    # enumerate_ball reads the ball memo: a memoized ball would be built
+    # before the patch
+    rankmetric._ball.cache_clear()
     for q, m, n in ((2, 4, 3), (3, 3, 3), (4, 2, 2), (9, 2, 2)):
         ctx = default_context(q, m)
-        tables = list(_iter_ball_tables(ctx, n, n))
-        assert sum(len(columns[0]) for _, columns in tables) == ball_volume(q, m, n, n).exact
+        assert len(ball_entries(ctx, n, n)) == ball_volume(q, m, n, n).exact
         center = RankVector(ctx, tuple(range(1, n + 1)))
         assert sum(1 for _ in enumerate_ball(center, 1)) == ball_volume(q, m, n, 1).exact
+    rankmetric._ball.cache_clear()
 
 
 def test_shifter_adds_like_the_field():
@@ -738,25 +743,28 @@ def test_shifter_adds_like_the_field():
 def test_enumerate_ball_checks_every_shifted_span_table(monkeypatch):
     # enumerate_ball reads the ball memo: a memoized real ball would hide
     # the patch, and the patched ball must not outlive the test
-    listdec._ball.cache_clear()
+    rankmetric._ball.cache_clear()
     try:
         for q, m in ((2, 3), (3, 2)):
             ctx = default_context(q, m)
 
-            def tables(ctx_, n, r, order=ctx.order):
-                # a valid zero shell, then a shell of one table whose second
-                # value is out of range; no factor reads that value, yet it
-                # must still be refused
-                yield [0], ((0,), (0,))
-                yield [0, order], ((0, 0), (0, 0))
+            # a valid zero shell, then a shell of one table whose second
+            # value is out of range; no factor reads that value, yet it
+            # must still be refused
+            def tables(field, m, u, order=ctx.order):
+                yield [[0], [0, order]][u]
 
-            monkeypatch.setattr(rankmetric, "_iter_ball_tables", tables)
+            def columns(field, u, n):
+                return [((0,), (0,)), ((0, 0), (0, 0))][u]
+
+            monkeypatch.setattr(rankmetric, "_span_tables", tables)
+            monkeypatch.setattr(rankmetric, "_factor_columns", columns)
             ball = enumerate_ball(RankVector(ctx, (1, 0)), 1)
             assert next(ball).entries == (1, 0)
             with pytest.raises(ValueError):
                 next(ball)
     finally:
-        listdec._ball.cache_clear()
+        rankmetric._ball.cache_clear()
 
 
 def test_enumerate_ball_yields_plain_rank_vectors():

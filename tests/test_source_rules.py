@@ -1,6 +1,7 @@
 """Rules on the package source itself, checked by parsing it."""
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import ranklab
@@ -53,6 +54,53 @@ def test_package_has_no_assert_statements():
     for path, tree in parsed_modules():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def relative_imports(tree):
+    """The module of every ``from .x import ...`` in a module, at module
+    and at function level; ``from . import x`` names each x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield from [node.module] if node.module else (alias.name for alias in node.names)
+
+
+def test_the_package_imports_form_no_cycle():
+    # a module imports only modules below it, also inside a function: a
+    # cycle means a layer reaching back up into one that builds on it
+    graph = {path.stem: set(relative_imports(tree)) for path, tree in parsed_modules()}
+    assert graph["listdec"] and graph["rankmetric"]  # the rule has something to hold
+    cycle = None
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None
+
+
+# names a module imports only to re-export them, each commented where it
+# is imported
+REEXPORTS = {"harness.py": {"CurvePoint", "emit_barrier_curves", "content_hash"}}
+
+
+def test_every_imported_name_is_read():
+    # an import left behind when its last reader moved away is dead code:
+    # every name a module imports, at any level, is read in that module
+    found = []
+    for path, tree in parsed_modules():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread = imported.keys() - read - REEXPORTS.get(path.name, set())
+        found += [f"{path.name}:{imported[name]} {name}" for name in sorted(unread)]
+    assert found == []
+    # the re-exports are still imported, and still read by no code of their own
+    harness = ast.parse((SOURCE / "harness.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(harness) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert REEXPORTS["harness.py"] <= names
 
 
 def test_process_pools_are_imported_only_where_they_start():
@@ -312,34 +360,32 @@ BALL_PARTS = {"layout", "packed", "shift", "probes", "bits"}
 
 
 def test_only_the_ball_memo_builds_the_ball():
-    # every kernel, and rankmetric.enumerate_ball, reads the radius-s ball
-    # through listdec._ball, which keeps the most recent one: nothing else
-    # may make the record, lay the ball out, pack it, or fill its offset
-    # set or its bitset.  Only the one ball reader, rankmetric._ball_chunks,
-    # walks the span tables with their factors, and the layout alone reads
-    # the ball through it; the bitset reads the span tables of dimension s
-    # alone.
+    # the ball has one owner, rankmetric: enumerate_ball and every listdec
+    # kernel read the radius-s ball through rankmetric._ball, which keeps
+    # the most recent one, and nothing else may make the record, lay the
+    # ball out, pack it, or fill its offset set or its bitset.  Only the
+    # one layout builder, _ball_layout, walks the span tables with their
+    # factors; the bitset reads the span tables of dimension s alone.
     # _packed is the one per-entry sum: the layout's entries are read by
     # _read for it alone, and the packed offsets, the odd-p offset set, the
     # odd-p scatter and the odd-p coset keys all sum their reads through it
     builders = {
-        "_ball_layout": {"listdec.py:_Ball.layout"},
-        "_ball_bits": {"listdec.py:_Ball.bits"},
-        "_Ball": {"listdec.py:_ball"},
+        "_ball_layout": {"rankmetric.py:_Ball.layout"},
+        "_ball_bits": {"rankmetric.py:_Ball.bits"},
+        "_Ball": {"rankmetric.py:_ball"},
         "_packed": {
-            "listdec.py:_Ball.packed",
-            "listdec.py:_Ball.probes",
+            "rankmetric.py:_Ball.packed",
+            "rankmetric.py:_Ball.probes",
             "listdec.py:_scatter",
             "listdec.py:_CosetKeys.ball",
         },
-        "_read": {"listdec.py:_packed"},
-        "_span_tables": {"rankmetric.py:_iter_ball_tables", "listdec.py:_ball_bits"},
-        "_iter_ball_tables": {"rankmetric.py:_ball_chunks"},
-        "_ball_chunks": {"listdec.py:_ball_layout"},
+        "_read": {"rankmetric.py:_packed"},
+        "_span_tables": {"rankmetric.py:_ball_layout", "rankmetric.py:_ball_bits"},
+        "_factor_columns": {"rankmetric.py:_ball_layout"},
     }
     # each part of the ball is a cached_property of _Ball, built on first
     # read and kept by the record itself, so no code writes one
-    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    tree = ast.parse((SOURCE / "rankmetric.py").read_text(encoding="utf-8"))
     (ball,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Ball"]
     methods = {
         node.name: [ast.unparse(dec) for dec in node.decorator_list]
@@ -348,14 +394,20 @@ def test_only_the_ball_memo_builds_the_ball():
     }
     assert methods == {"__init__": [], **{part: ["cached_property"] for part in BALL_PARTS}}
     writers = {part: set() for part in BALL_PARTS}
-    # the bitset is built without the layout or the ball reader, and the
-    # counters and the fold read the bitset alone
-    layout_readers = {"_ball_layout", "_packed", "_ball_chunks", "_read", "packed", "layout", "shift", "probes"}
-    bitset_builders = {f"listdec.py:{name}" for name in ("_Ball.bits", "_ball_bits", "_counters", "_fold")}
-    found, readers = [], {name: set() for name in builders}
+    # the bitset is built without the layout, and the counters and the
+    # fold read the bitset alone
+    layout_readers = {"_ball_layout", "_factor_columns", "_packed", "_read", "packed", "layout", "shift", "probes"}
+    bitset_builders = {
+        "rankmetric.py:_Ball.bits", "rankmetric.py:_ball_bits", "listdec.py:_counters", "listdec.py:_fold",
+    }
+    found, readers, sums = [], {name: set() for name in builders}, set()
     for path, tree in parsed_modules():
         for scope, node in scoped_nodes(tree):
             where = f"{path.name}:{scope}"
+            # no other sum of reads runs over zipped tables, but the one that
+            # adds the base-q windows of a scaled value, which reads no ball entry
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "map" and ast.unparse(node.args[0]) == "sum":
+                sums.add(where)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 if node.attr in writers and where not in writers[node.attr]:
                     found.append(f"{where}:{node.lineno} {node.attr} written")
@@ -368,60 +420,58 @@ def test_only_the_ball_memo_builds_the_ball():
                 found.append(f"{where}:{node.lineno} {ref} read by the bitset")
     assert found == []
     assert readers == builders
-    # no other sum of reads runs over zipped tables, but the one that adds
-    # the base-q windows of a scaled value, which reads no ball entry
-    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
-    sums = {
-        scope
-        for scope, node in scoped_nodes(tree)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "map" and ast.unparse(node.args[0]) == "sum"
-    }
-    assert sums == {"_packed", "_Encoder.scaled"}
+    assert sums == {"rankmetric.py:_packed", "rankmetric.py:_Encoder.scaled"}
 
 
 MUTATORS = {"clear", "update", "setdefault", "pop", "popitem", "append", "extend", "add", "insert"}
 
 
-def test_listdec_keeps_one_module_level_cache():
-    # the ball memo is the one piece of state a listdec call leaves behind:
-    # no module-level name is written by a function, and no function but
-    # _ball memoizes its results, in one slot; the parts of the one ball
-    # it keeps are cached on that record
-    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
-    module_names = {
-        target.id
-        for node in tree.body
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        if isinstance(target, ast.Name)
-    }
-    written = set()
-    for scope, node in scoped_nodes(tree):
-        if not scope:
-            continue
-        if isinstance(node, ast.Global):
-            written.update(node.names)
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            written.add(getattr(node.value, "id", None))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
-            written.add(getattr(node.func.value, "id", None))
-    assert written & module_names == set()
-    decorators = [
-        (f"{scope}.{node.name}" if scope else node.name, ast.unparse(dec))
-        for scope, node in scoped_nodes(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        for dec in node.decorator_list
-    ]
+def test_the_ball_memo_is_the_one_module_level_cache():
+    # the ball memo is the one piece of state a list-count or a ball
+    # enumeration leaves behind: in listdec and rankmetric no module-level
+    # name is written by a function, and no function but rankmetric._ball
+    # memoizes its results, in one slot; the parts of the one ball it
+    # keeps are cached on that record
+    decorators, calls = [], []
+    for name in ("listdec.py", "rankmetric.py"):
+        tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
+        module_names = {
+            target.id
+            for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)
+        }
+        written = set()
+        for scope, node in scoped_nodes(tree):
+            if not scope:
+                continue
+            if isinstance(node, ast.Global):
+                written.update(node.names)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                written.add(getattr(node.value, "id", None))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                written.add(getattr(node.func.value, "id", None))
+        assert written & module_names == set(), name
+        decorators += [
+            (f"{name}:{scope}.{node.name}" if scope else f"{name}:{node.name}", ast.unparse(dec))
+            for scope, node in scoped_nodes(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for dec in node.decorator_list
+        ]
+        # no cache is made but by those decorators
+        calls += [
+            f"{name}:{ast.unparse(node.func)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and "cache" in ast.unparse(node.func)
+        ]
     assert sorted(dec for dec in decorators if "cache" in dec[1]) == sorted(
-        [("_ball", "lru_cache(maxsize=1)"), *((f"_Ball.{part}", "cached_property") for part in BALL_PARTS)]
+        [
+            ("rankmetric.py:_ball", "lru_cache(maxsize=1)"),
+            *((f"rankmetric.py:_Ball.{part}", "cached_property") for part in BALL_PARTS),
+        ]
     )
-    # no cache is made but by those decorators
-    calls = [
-        ast.unparse(node.func)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and "cache" in ast.unparse(node.func)
-    ]
-    assert calls == ["lru_cache"]
+    assert calls == ["rankmetric.py:lru_cache"]
 
 
 def test_only_the_ball_reader_names_the_ball_slot():
@@ -568,22 +618,24 @@ def pool_references(tree):
 
 
 def test_the_byte_slot_form_and_the_process_fan_out_have_one_owner():
-    # odd-p sums run as base-p digits, one per byte: only _Encoder's methods
-    # turn a sum into its bytes or reduce them (int.to_bytes,
-    # bytes.translate, the .mod table), and only _fits compares a digit sum
-    # with the byte limit (p <= 127 is its two-digit form; the p = 2 window
+    # odd-p sums run as base-p digits, one per byte: only the methods of
+    # rankmetric._Encoder turn a sum into its bytes or reduce them
+    # (int.to_bytes, bytes.translate, the .mod table), and only
+    # rankmetric._fits compares a digit sum with the byte limit (p <= 127 is its two-digit form; the p = 2 window
     # masks ``& 255`` are no sum).  One fan-out starts processes, for the
     # codeword splits and the ensemble trials alike
-    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
     found = []
-    for scope, node in scoped_nodes(tree):
-        if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "translate", "mod"):
-            if not scope.startswith("_Encoder."):
-                found.append(f"{scope}:{node.lineno} .{node.attr}")
-        if isinstance(node, ast.Compare) and scope != "_fits":
-            limits = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)} & {127, 255}
-            if limits:
-                found.append(f"{scope}:{node.lineno} compares with {sorted(limits)}")
+    for name in ("listdec.py", "rankmetric.py"):
+        for scope, node in scoped_nodes(ast.parse((SOURCE / name).read_text(encoding="utf-8"))):
+            where = f"{name}:{scope}"
+            if isinstance(node, ast.Attribute) and node.attr in ("to_bytes", "translate", "mod"):
+                if not where.startswith("rankmetric.py:_Encoder."):
+                    found.append(f"{where}:{node.lineno} .{node.attr}")
+            if isinstance(node, ast.Compare) and where != "rankmetric.py:_fits":
+                limits = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)} & {127, 255}
+                if limits:
+                    found.append(f"{where}:{node.lineno} compares with {sorted(limits)}")
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
     found += [f"{scope}:{line} pool" for scope, line in pool_references(tree) if scope != "_split"]
     harness = ast.parse((SOURCE / "harness.py").read_text(encoding="utf-8"))
     found += [f"harness.py:{scope}:{line} pool" for scope, line in pool_references(harness)]
