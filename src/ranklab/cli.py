@@ -18,7 +18,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import EnumerationCapExceeded, InfeasibleError
+from .errors import InfeasibleError
 from .fields import context_from_descriptor, default_context
 from .rankmetric import DEFAULT_ENUM_CAP, _plain, ball_volume
 
@@ -117,14 +117,13 @@ def _cmd_bounds(args) -> None:
 
 def _cmd_sample(args) -> None:
     from . import codefile
-    from .codes import gabidulin, sample_random_code, sample_random_linear_code
+    from .codes import _check_word_cap, gabidulin, sample_random_code, sample_random_linear_code
 
     ctx = _resolve_context(args)
     if args.kind == "random":
         if args.size is None:
             raise ValueError("kind=random needs --size")
-        if args.size > args.cap:  # before the whole space or any draw is built
-            raise EnumerationCapExceeded(f"{args.size} words to sample, above the cap of {args.cap}")
+        _check_word_cap(args.size, args.cap)  # before the whole space or any draw is built
         code = sample_random_code(ctx, args.n, args.size, args.seed)
     elif args.kind == "random_linear":
         if args.k is None:

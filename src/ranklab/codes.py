@@ -22,6 +22,7 @@ from .errors import EnumerationCapExceeded
 from .fields import ExtCtx
 from .rankmetric import (
     RankVector,
+    _check_length,
     _echelon,
     _entries_of_index,
     _index_of_entries,
@@ -77,8 +78,7 @@ class LinearCode(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
-        if not 1 <= self.n <= self.ctx.m:
-            raise ValueError(f"need 1 <= n <= m = {self.ctx.m}, got n = {self.n}")
+        _check_length(self.n, self.ctx.m)
         for w in self.basis:
             if w.ctx != self.ctx or w.n != self.n:
                 raise ValueError("basis context mismatch")
@@ -109,8 +109,7 @@ class GabidulinCode(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
-        if not 1 <= self.n <= self.ctx.m:
-            raise ValueError(f"need 1 <= n <= m = {self.ctx.m}, got n = {self.n}")
+        _check_length(self.n, self.ctx.m)
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n = {self.n}, got k = {self.k}")
         if len(self.points) != self.n:
@@ -138,9 +137,7 @@ Code = ExplicitCode | LinearCode | GabidulinCode
 def gabidulin(ctx: ExtCtx, n: int, k: int, points=None) -> GabidulinCode:
     """Build the evaluation code; default points are the basis monomials."""
     if points is None:
-        if n > ctx.m:
-            raise ValueError(f"need n <= m = {ctx.m} for the default points")
-        points = ctx.basis[:n]
+        points = ctx.basis[:n]  # too few when n > m, which the code refuses first
     return GabidulinCode(ctx, n, k, tuple(points))
 
 
@@ -178,8 +175,7 @@ def sample_random_code(ctx: ExtCtx, n: int, size: int, seed: int) -> ExplicitCod
 
 def sample_random_linear_code(ctx: ExtCtx, n: int, k: int, seed: int) -> LinearCode:
     """Uniform k-dimensional F_q-subspace of F_{q^m}^n as a linear code."""
-    if not 1 <= n <= ctx.m:
-        raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
+    _check_length(n, ctx.m)
     if not 0 <= k <= ctx.m * n:
         raise ValueError(f"need 0 <= k <= {ctx.m * n}, got {k}")
     stream = draws(seed, ctx.base.q)
@@ -190,11 +186,11 @@ def sample_random_linear_code(ctx: ExtCtx, n: int, k: int, seed: int) -> LinearC
     return LinearCode(ctx, n, tuple(unflatten_vector(ctx, n, row) for row in rows))
 
 
-def _check_word_cap(code: Code, cap: int) -> None:
-    if code.size > cap:
-        raise EnumerationCapExceeded(
-            f"code has {code.size} words, above the cap of {cap}"
-        )
+def _check_word_cap(size: int, cap: int) -> None:
+    """The one word cap of the package: refuse a code of ``size`` words
+    above ``cap`` before any of them is drawn or listed."""
+    if size > cap:
+        raise EnumerationCapExceeded(f"code has {size} words, above the cap of {cap}")
 
 
 def _fp_basis(code) -> list[int]:
@@ -229,7 +225,7 @@ def _packed_words(code: Code, cap: int) -> list[int]:
     """
     if not isinstance(code, (ExplicitCode, LinearCode, GabidulinCode)):
         raise TypeError(f"not a code object: {code!r}")
-    _check_word_cap(code, cap)
+    _check_word_cap(code.size, cap)
     order = code.ctx.order
     if isinstance(code, ExplicitCode):
         return [_index_of_entries(order, w.entries) for w in code.words]

@@ -30,7 +30,7 @@ from .bounds import (
     singleton_barrier,
     theta_threshold,
 )
-from .codes import LinearCode, sample_random_code, sample_random_linear_code
+from .codes import LinearCode, _check_word_cap, sample_random_code, sample_random_linear_code
 from .errors import EnumerationCapExceeded
 from .fields import default_context
 from .listdec import _split, max_list_size
@@ -38,6 +38,8 @@ from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
     _ball_size,
+    _check_length,
+    _check_radius,
     _entries_of_index,
     _fields_dict,
     _index_of_entries,
@@ -64,13 +66,11 @@ class EnsembleSpec(_Record):
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {self.kind!r}")
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"need 1 <= n <= m, got n = {self.n}, m = {self.m}")
+        _check_length(self.n, self.m)
         object.__setattr__(self, "rate_target", Fraction(self.rate_target))
         if not 0 <= self.rate_target <= 1:
             raise ValueError(f"rate_target must lie in [0, 1], got {self.rate_target}")
-        if not 0 <= self.radius_s <= self.n:
-            raise ValueError(f"need 0 <= radius_s <= n, got {self.radius_s}")
+        _check_radius(self.radius_s, self.n, "radius_s")
         if self.list_cap < 1:
             raise ValueError("list_cap must be at least 1")
         if self.trials < 1:
@@ -173,6 +173,8 @@ def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_C
     """Run every trial of the ensemble; deterministic for any worker count >= 1."""
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    # both kinds draw q^k words, refused here before the first draw
+    _check_word_cap(spec.q**spec.realized_log_size, cap)
     t0 = time.perf_counter()
     parts = _split(partial(_run_trials, spec, cap), range(spec.trials), workers)
     outcomes = tuple(chain.from_iterable(parts))
@@ -229,8 +231,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     """
     if not isinstance(code, LinearCode):
         raise ValueError("coset partition needs a linear code")
-    if not 0 <= s <= code.n:
-        raise ValueError(f"need 0 <= s <= n, got s = {s}")
+    _check_radius(s, code.n)
     ctx = code.ctx
     m = ctx.m
     n = code.n
@@ -292,8 +293,7 @@ def threshold_probe(rate, eps, q: int, pairs) -> tuple[ProbeRow, ...]:
     theta = theta_threshold(rate, eps)
     rows = []
     for m, n in pairs:
-        if not 1 <= n <= m:
-            raise ValueError(f"need 1 <= n <= m, got n = {n}, m = {m}")
+        _check_length(n, m)
         bracket = -eps * m + (1 - rate - eps) * (rate + eps) * n
         exponent = n * bracket
         aspect = Fraction(n, m)

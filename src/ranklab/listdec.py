@@ -39,7 +39,7 @@ of w and scaled by that entry's place value, and a key is the sum of n
 table reads: addition is digitwise inside an entry, so no carry crosses
 an entry boundary.  A shift adds one base-p digit of the entry to one
 digit plane of the list at a time, and the planes are split off the
-list once per ball, so no element is added with ``ExtCtx.add``.
+list once per call, so no element is added with ``ExtCtx.add``.
 
 The counter kernel (``_counters``) counts every center of the space at
 once.  The ball is one int, bit x set for each packed offset x, from
@@ -149,6 +149,7 @@ from .rankmetric import (
     RankVector,
     _ball,
     _ball_size,
+    _check_radius,
     _Encoder,
     _entries_of_index,
     _fields_dict,
@@ -157,6 +158,7 @@ from .rankmetric import (
     _packed,
     _rank_of_entries,
     _Record,
+    _shifter,
     _xor_basis,
     rref_fq,
     vector_from_index,
@@ -184,8 +186,7 @@ def pigeonhole_lower_bound(code_size: int, q: int, m: int, n: int, s: int) -> in
     """ceil(|C| * |B(0, s)| / q^(mn)): some center must see this many words."""
     if code_size < 1:
         raise ValueError("code size must be positive")
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s = {s}")
+    _check_radius(s, n)
     return _pigeonhole_floor(code_size, _ball_size(q, m, n, s), q ** (m * n))
 
 
@@ -204,26 +205,19 @@ def pigeonhole_loose_form(code_size: int, q: int, m: int, n: int, s: int) -> Fra
     """
     if code_size < 1:
         raise ValueError("code size must be positive")
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s = {s}")
+    _check_radius(s, n)
     return Fraction(code_size * q ** (s * m), q ** (m * n))
 
 
-def _count_near(ctx, words, center_entries, s) -> int:
-    """Codewords within rank distance s of one center, by direct scan."""
-    sub = ctx.sub
-    return sum(1 for w in words if _rank_of_entries(ctx, tuple(map(sub, w, center_entries))) <= s)
-
-
 def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of codewords within rank distance s of the center."""
+    """Number of codewords within rank distance s of the center, by direct
+    scan: the rank of each difference."""
     if center.ctx != code.ctx or center.n != code.n:
         raise ValueError("center does not live in the code's ambient space")
-    if not 0 <= s <= code.n:
-        raise ValueError(f"need 0 <= s <= n, got s = {s}")
-    ctx, n = code.ctx, code.n
-    words = [_entries_of_index(ctx.order, n, w) for w in _packed_words(code, cap)]
-    return _count_near(ctx, words, center.entries, s)
+    _check_radius(s, code.n)
+    ctx, n, sub = code.ctx, code.n, code.ctx.sub
+    words = (_entries_of_index(ctx.order, n, w) for w in _packed_words(code, cap))
+    return sum(1 for w in words if _rank_of_entries(ctx, tuple(map(sub, w, center.entries))) <= s)
 
 
 class _CosetKeys:
@@ -347,9 +341,10 @@ def _scatter(ctx, n: int, s: int, words) -> Counter:
         for w in words:
             tally.update(map(w.__xor__, ball.packed))
         return tally
-    runs = ball.layout[1]
+    values, runs = ball.layout
+    shift = _shifter(ctx.base.p, values)  # its digit planes shared by every codeword
     for w in words:
-        tally.update(_packed(runs, list(map(ball.shift, _entries_of_index(order, n, w))), order))
+        tally.update(_packed(runs, list(map(shift, _entries_of_index(order, n, w))), order))
     return tally
 
 
@@ -585,8 +580,7 @@ def max_list_size(
         first center in lexicographic order, Monte Carlo ties to the
         first candidate scored.
     """
-    if not 0 <= s <= code.n:
-        raise ValueError(f"need 0 <= s <= n, got s = {s}")
+    _check_radius(s, code.n)
     if centers < 0:
         raise ValueError(f"need centers >= 0, got {centers}")
     if workers < 1:
@@ -598,7 +592,7 @@ def max_list_size(
     lb = _pigeonhole_floor(code.size, bv, space)
     drawn = None  # exhaustive
     if mode == "montecarlo":
-        _check_word_cap(code, cap)
+        _check_word_cap(code.size, cap)
         drawn = list(dict.fromkeys(islice(draws(seed, space), centers)))
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")

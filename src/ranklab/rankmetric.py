@@ -13,7 +13,9 @@ quantity is the infinite product K_q = prod_{j>=1} (1 - q^-j), which is
 handled as an exact rational enclosure so volume bounds are certified
 rather than approximated.
 
-Everything assumes the column-count convention n <= m.
+Everything assumes the column-count convention n <= m: ``_check_length``
+is the package's one check of it, and ``_check_radius`` its one check of
+a radius 0 <= s <= n, each called before any work.
 
 Records (``RankVector``, ``KqInterval``, ``VolumeResult``, the codes and
 reports) derive from ``_Record``, a frozen value class without
@@ -35,11 +37,11 @@ T^n over the s-dimensional subspaces T of F_q^m.  ``_packed`` is the one
 per-entry sum over the layout, one weighted table per entry position,
 read one slice and one getter call per chunk (``_read``): the packed
 offsets, the odd-p offset set (in the byte-slot form of ``_Encoder``)
-and listdec's odd-p scatter and coset keys.  The odd-p shifter is read
-off the layout too.  ``_ball`` is an ``lru_cache`` of one entry keyed by
-field, length and radius, so a run of calls at one (ctx, n, s), such as
-the trials of an ensemble or enumerations around many centers, builds
-each part once.  A new ball builds nothing until a part is read, and by
+and listdec's odd-p scatter and coset keys.  The parts are data, none a
+function.  ``_ball`` is an ``lru_cache`` of one entry keyed by field,
+length and radius, so a run of calls at one (ctx, n, s), such as the
+trials of an ensemble or enumerations around many centers, builds each
+part once.  A new ball builds nothing until a part is read, and by
 then the cache has dropped the old one, so at most one ball is alive.
 """
 from __future__ import annotations
@@ -153,9 +155,7 @@ class RankVector(_Record):
 
     def __init__(self, ctx: ExtCtx, entries):
         entries = tuple(entries)
-        n = len(entries)
-        if not 1 <= n <= ctx.m:
-            raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
+        _check_length(len(entries), ctx.m)
         for e in entries:
             ctx.check_element(e)
         RankVector.ctx.__set__(self, ctx)
@@ -267,8 +267,7 @@ def _trusted_batch(ctx: ExtCtx, batch: list[tuple[int, ...]]) -> list[RankVector
 
 def iter_all_vectors(ctx: ExtCtx, n: int):
     """All of F_{q^m}^n in lexicographic entry order."""
-    if not 1 <= n <= ctx.m:
-        raise ValueError(f"need 1 <= n <= m = {ctx.m}, got n = {n}")
+    _check_length(n, ctx.m)
     # entries drawn from range(order) are valid by construction
     entries = itertools.product(range(ctx.order), repeat=n)
     while batch := list(itertools.islice(entries, 1024)):
@@ -390,17 +389,28 @@ def rank_distance(x: RankVector, y: RankVector) -> int:
     return rank_of_vector(x - y)
 
 
-def _check_geometry(q: int, m: int, n: int) -> None:
-    split_prime_power(q)
+def _check_length(n: int, m: int) -> None:
+    """The one length rule of the package: 1 <= n <= m."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n = {n}, m = {m}")
+
+
+def _check_radius(value: int, n: int, name: str = "s") -> None:
+    """The one radius rule of the package: 0 <= value <= n, refused in the
+    argument's own ``name``."""
+    if not 0 <= value <= n:
+        raise ValueError(f"need 0 <= {name} <= n, got {name} = {value}")
+
+
+def _check_geometry(q: int, m: int, n: int) -> None:
+    split_prime_power(q)
+    _check_length(n, m)
 
 
 def count_rank_u(q: int, m: int, n: int, u: int) -> int:
     """Exact number of m x n matrices over F_q of rank exactly u."""
     _check_geometry(q, m, n)
-    if not 0 <= u <= n:
-        raise ValueError(f"need 0 <= u <= n, got u = {u}")
+    _check_radius(u, n, "u")
     num = 1
     den = 1
     for i in range(u):
@@ -510,8 +520,7 @@ def _float(x: Fraction) -> float | None:
 def _ball_size(q: int, m: int, n: int, r: int) -> int:
     """|B_R(0, r)| in F_{q^m}^n: the shell sum alone, no K_q enclosure."""
     _check_geometry(q, m, n)
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r = {r}")
+    _check_radius(r, n, "r")
     return sum(count_rank_u(q, m, n, u) for u in range(r + 1))
 
 
@@ -772,11 +781,6 @@ class _Ball:
         return tuple(_packed(self.layout[1], [self.layout[0]] * self.n, self.ctx.order))
 
     @cached_property
-    def shift(self):
-        """The ``_shifter`` of the layout's values."""
-        return _shifter(self.ctx.base.p, self.layout[0])
-
-    @cached_property
     def probes(self) -> set:
         """The offsets ``listdec._near`` probes, in their ``_Encoder`` form."""
         if self.ctx.base.p == 2:
@@ -835,8 +839,7 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     """
     ctx = center.ctx
     n = center.n
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= n, got r = {r}")
+    _check_radius(r, n, "r")
     space = ctx.order**n
     if space > cap:
         raise EnumerationCapExceeded(

@@ -11,14 +11,18 @@ from fractions import Fraction
 import pytest
 
 from helpers import coset_oracle, inline_executor
+from ranklab import harness
+from ranklab.cli import main
 from ranklab.codes import (
     LinearCode,
     enumerate_codewords,
     sample_random_code,
     sample_random_linear_code,
 )
+from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import default_context
 from ranklab.harness import (
+    ENSEMBLE_KINDS,
     EnsembleSpec,
     TrialReport,
     content_hash,
@@ -125,6 +129,28 @@ def test_run_ensemble_rejects_worker_counts_below_one():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             run_ensemble(spec, workers=workers)
+
+
+def test_run_ensemble_refuses_words_above_the_cap_before_the_first_draw(monkeypatch, capsys):
+    # rate 1 at q2m4n4 is 2^16 words a trial, above a cap of 1000: the run
+    # is refused before any code is sampled or any pool is started, with
+    # the word cap's own message, whatever the kind and the worker count
+    drawn, sizes = [], []
+    for name in ("sample_random_code", "sample_random_linear_code"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: drawn.append(name))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    for kind in ENSEMBLE_KINDS:
+        spec = EnsembleSpec(**spec_kwargs(kind=kind, m=4, n=4, rate_target=1, radius_s=1, trials=2))
+        for workers in (1, 2):
+            with pytest.raises(EnumerationCapExceeded) as info:
+                run_ensemble(spec, workers=workers, cap=1000)
+            assert str(info.value) == "code has 65536 words, above the cap of 1000"
+    argv = ["experiment", "--kind", "random", "--q", "2", "--m", "4", "--n", "4", "--rate", "1",
+            "--radius", "1", "--list-cap", "4", "--trials", "2", "--cap", "1000"]
+    assert main(argv) == 2
+    assert "code has 65536 words, above the cap of 1000" in capsys.readouterr().err
+    assert (drawn, sizes) == ([], [])
 
 
 def test_run_ensemble_outcome_shape():

@@ -10,7 +10,7 @@ import random
 import weakref
 from collections import Counter, deque
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice, zip_longest
 
 import pytest
@@ -904,8 +904,10 @@ def test_no_kernel_mutates_the_memoized_ball():
         assert [run[:2] for run in runs] == [run[:2] for run in fresh_runs]
         reads = [[list(rankmetric._read(r, j, v)) for j in range(n)] for v, r in (memo.layout, fresh.layout)]
         assert reads[0] == reads[1]
-        # the shifter's digit planes, split off on first use, are intact
-        assert [memo.shift(e) for e in range(ctx.order)] == [fresh.shift(e) for e in range(ctx.order)]
+        # the memo holds data alone: its parts are these four, none a function
+        parts = {"layout", "packed", "probes", "bits"}
+        assert {name for name, v in vars(rankmetric._Ball).items() if isinstance(v, cached_property)} == parts
+        assert not any(callable(getattr(memo, part)) for part in parts)
 
 
 def test_enumerations_at_one_key_lay_the_ball_out_once(monkeypatch):

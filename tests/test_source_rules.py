@@ -1,6 +1,7 @@
 """Rules on the package source itself, checked by parsing it."""
 
 import ast
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -314,15 +315,23 @@ def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
     assert defined == ["listdec.py:"]
     refs = listdec_functions()
     assert {name for name, used in refs.items() if "_keys" in used} == {"_near"}
+    # every name list_size_at reaches through listdec, imported ones too:
+    # it ranks each difference itself
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    named = {
+        node.name: {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
     reached = set()
-    stack = ["list_size_at", "_count_near"]
+    stack = ["list_size_at"]
     while stack:
         name = stack.pop()
         if name not in reached:
             reached.add(name)
-            stack.extend(refs[name])
+            stack.extend(named.get(name, ()))
     assert reached.isdisjoint({"_keys", "_key_count", "_Encoder", "_near"})
-    assert "_count_near" in reached
+    assert "_rank_of_entries" in reached
 
 
 def test_the_counters_and_the_fold_share_one_digit_step():
@@ -356,7 +365,7 @@ def test_codes_alone_knows_how_a_code_is_spanned():
     assert found == []
 
 
-BALL_PARTS = {"layout", "packed", "shift", "probes", "bits"}
+BALL_PARTS = {"layout", "packed", "probes", "bits"}
 
 
 def test_only_the_ball_memo_builds_the_ball():
@@ -396,7 +405,7 @@ def test_only_the_ball_memo_builds_the_ball():
     writers = {part: set() for part in BALL_PARTS}
     # the bitset is built without the layout, and the counters and the
     # fold read the bitset alone
-    layout_readers = {"_ball_layout", "_factor_columns", "_packed", "_read", "packed", "layout", "shift", "probes"}
+    layout_readers = {"_ball_layout", "_factor_columns", "_packed", "_read", "packed", "layout", "probes"}
     bitset_builders = {
         "rankmetric.py:_Ball.bits", "rankmetric.py:_ball_bits", "listdec.py:_counters", "listdec.py:_fold",
     }
@@ -691,3 +700,54 @@ def test_every_uniform_draw_comes_from_the_draw_stream():
     assert found == set()
     rng = ast.parse((SOURCE / "rng.py").read_text(encoding="utf-8"))
     assert "getrandbits" in {ref for ref, _ in names(rng)}
+
+
+# each argument rule of the package, its refusal text, its one owner, and
+# the functions that call it
+ARGUMENT_RULES = {
+    "length": (
+        r"need 1 <= n <= m",
+        "rankmetric.py:_check_length",
+        {
+            "rankmetric.py:RankVector.__init__", "rankmetric.py:iter_all_vectors", "rankmetric.py:_check_geometry",
+            "codes.py:LinearCode.__post_init__", "codes.py:GabidulinCode.__post_init__",
+            "codes.py:sample_random_linear_code", "harness.py:EnsembleSpec.__post_init__",
+            "harness.py:threshold_probe",
+        },
+    ),
+    "radius": (
+        r"need 0 <= \S+ <= n,",
+        "rankmetric.py:_check_radius",
+        {
+            "rankmetric.py:count_rank_u", "rankmetric.py:_ball_size", "rankmetric.py:enumerate_ball",
+            "listdec.py:pigeonhole_lower_bound", "listdec.py:pigeonhole_loose_form", "listdec.py:list_size_at",
+            "listdec.py:max_list_size", "harness.py:EnsembleSpec.__post_init__",
+            "harness.py:coset_partition_check",
+        },
+    ),
+    "word cap": (
+        r"\bwords\b.*above the cap",
+        "codes.py:_check_word_cap",
+        {"codes.py:_packed_words", "listdec.py:max_list_size", "harness.py:run_ensemble", "cli.py:_cmd_sample"},
+    ),
+}
+
+
+def test_each_argument_rule_has_one_owner():
+    # the length 1 <= n <= m, the radius 0 <= s <= n and the word cap are
+    # each refused in one place, with one message: no other string of the
+    # package spells the refusal, and every site that checks it calls the owner
+    texts = {rule: set() for rule in ARGUMENT_RULES}
+    callers = {rule: set() for rule in ARGUMENT_RULES}
+    owners = {owner.partition(":")[2]: rule for rule, (_, owner, _) in ARGUMENT_RULES.items()}
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            where = f"{path.name}:{scope}"
+            if isinstance(node, ast.JoinedStr) or isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for rule, (pattern, _, _) in ARGUMENT_RULES.items():
+                    if re.search(pattern, ast.unparse(node)):
+                        texts[rule].add(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in owners:
+                callers[owners[node.func.id]].add(where)
+    assert texts == {rule: {owner} for rule, (_, owner, _) in ARGUMENT_RULES.items()}
+    assert callers == {rule: sites for rule, (_, _, sites) in ARGUMENT_RULES.items()}
