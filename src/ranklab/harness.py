@@ -31,7 +31,6 @@ from .bounds import (
     theta_threshold,
 )
 from .codes import LinearCode, _check_word_cap, sample_random_code, sample_random_linear_code
-from .errors import EnumerationCapExceeded
 from .fields import default_context
 from .listdec import _split, max_list_size
 from .rankmetric import (
@@ -40,10 +39,12 @@ from .rankmetric import (
     _ball_size,
     _check_length,
     _check_radius,
+    _check_space,
     _entries_of_index,
     _fields_dict,
     _index_of_entries,
     _Record,
+    _space_fits,
 )
 from .rng import content_hash, substream_seed  # content_hash is re-exported here
 
@@ -154,7 +155,7 @@ def _run_trials(spec: EnsembleSpec, cap: int, indices) -> list[TrialOutcome]:
     """The outcome of each trial in ``indices``, in order."""
     ctx = default_context(spec.q, spec.m)
     # exhaustive whenever the space fits the cap; only Monte Carlo reads the seed
-    mode = "exhaustive" if ctx.order**spec.n <= cap else "montecarlo"
+    mode = "exhaustive" if _space_fits(ctx, spec.n, cap) else "montecarlo"
     outcomes = []
     for index in indices:
         sample_seed = substream_seed(spec.seed, 2 * index)
@@ -236,9 +237,7 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     m = ctx.m
     n = code.n
     q = ctx.base.q
-    space = ctx.order**n
-    if space > cap:
-        raise EnumerationCapExceeded(f"{space} vectors in the ambient space, cap is {cap}")
+    _check_space(ctx, n, cap)
     ball = _ball_size(q, m, n, s)
     coset_count = q ** (m * n - code.k)
     average_bound = -((-ball) // coset_count)

@@ -150,6 +150,7 @@ from .rankmetric import (
     _ball,
     _ball_size,
     _check_radius,
+    _check_space,
     _Encoder,
     _entries_of_index,
     _fields_dict,
@@ -439,9 +440,11 @@ def _split(func, items, workers: int) -> list:
     The CPU count, not the affinity mask, so a process pinned to fewer
     CPUs still gets the pool it asks for; an unknown count counts as one.
     """
-    import os
+    chunks = min(workers, len(items))
+    if chunks > 1:  # the CPU count is asked only when the work could fan out
+        import os
 
-    chunks = min(workers, len(items), os.cpu_count() or 1)
+        chunks = min(chunks, os.cpu_count() or 1)
     if chunks <= 1:
         return [func(items)]
     size = -(-len(items) // chunks)
@@ -596,10 +599,8 @@ def max_list_size(
         drawn = list(dict.fromkeys(islice(draws(seed, space), centers)))
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    elif space > cap:
-        raise EnumerationCapExceeded(
-            f"{space} centers to scan, above the cap of {cap}; use montecarlo"
-        )
+    else:
+        _check_space(ctx, n, cap)
     linear = isinstance(code, (LinearCode, GabidulinCode))
     route = _route(ctx, n, s, bv, code.size, linear, None if drawn is None else len(drawn), cap, neighborhood_cap)
     tried = space

@@ -14,8 +14,9 @@ handled as an exact rational enclosure so volume bounds are certified
 rather than approximated.
 
 Everything assumes the column-count convention n <= m: ``_check_length``
-is the package's one check of it, and ``_check_radius`` its one check of
-a radius 0 <= s <= n, each called before any work.
+is the package's one check of it, ``_check_radius`` its one check of a
+radius 0 <= s <= n and ``_check_space`` of the space cap q^(mn) <= cap,
+each called before any work.
 
 Records (``RankVector``, ``KqInterval``, ``VolumeResult``, the codes and
 reports) derive from ``_Record``, a frozen value class without
@@ -27,22 +28,26 @@ through ``_plain``, the one JSON value rule: a ``Fraction`` becomes its
 string, a ``RankVector`` its entry list, anything else passes unchanged.
 
 The rank ball has one owner, this module.  ``_ball_layout`` lays it
-out: the span tables side by side in one list, and per chunk its bounds
-in that list and its getters, one per entry position.  Every reader,
+out: it yields the runs of the ball, per chunk its span tables side by
+side and its getters, one per entry position.  Every reader,
 ``enumerate_ball`` and each list-count kernel of ``listdec``, reads the
 ball through ``_ball``, a ``_Ball`` whose parts are cached properties,
-each built on first read.  The bitset is set from the span tables of
-dimension s alone (``_ball_bits``): as s <= n <= m, B_s is the union of
-T^n over the s-dimensional subspaces T of F_q^m.  ``_packed`` is the one
-per-entry sum over the layout, one weighted table per entry position,
-read one slice and one getter call per chunk (``_read``): the packed
-offsets, the odd-p offset set (in the byte-slot form of ``_Encoder``)
-and listdec's odd-p scatter and coset keys.  The parts are data, none a
-function.  ``_ball`` is an ``lru_cache`` of one entry keyed by field,
-length and radius, so a run of calls at one (ctx, n, s), such as the
-trials of an ensemble or enumerations around many centers, builds each
-part once.  A new ball builds nothing until a part is read, and by
-then the cache has dropped the old one, so at most one ball is alive.
+each built on first read; its layout joins the runs into one list.  The
+bitset is set from the span tables of dimension s alone (``_ball_bits``):
+as s <= n <= m, B_s is the union of T^n over the s-dimensional subspaces
+T of F_q^m.  ``_packed`` is the one per-entry sum over the layout, one
+weighted table per entry position, read one slice and one getter call
+per chunk (``_read``): the packed offsets, the odd-p offset set (in the
+byte-slot form of ``_Encoder``) and listdec's odd-p scatter and coset
+keys.  The parts are data, none a function.  ``_ball`` is a memo keyed by
+field, length and radius that keeps the most recently used balls while
+their prices (``_ball_price``, closed forms taken before any part is
+built) fit ``_BALL_BUDGET``, and always the most recent one, so calls
+that cycle through a few (ctx, n, s), such as the radii of
+``decoding_radius`` over many codes, build each part once.
+``enumerate_ball`` streams a ball priced above the whole budget that the
+memo does not hold: it reads the runs as they are laid out and keeps
+none.
 """
 from __future__ import annotations
 
@@ -50,8 +55,9 @@ import itertools
 from collections import deque
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 from operator import add, attrgetter, floordiv, itemgetter, mod, mul, or_, xor
+from threading import Lock
 
 from .errors import EnumerationCapExceeded
 from .fields import ExtCtx, FieldCtx, split_prime_power
@@ -402,6 +408,20 @@ def _check_radius(value: int, n: int, name: str = "s") -> None:
         raise ValueError(f"need 0 <= {name} <= n, got {name} = {value}")
 
 
+def _space_fits(ctx: ExtCtx, n: int, cap: int) -> bool:
+    """The one space rule of the package: the q^(mn) vectors of
+    F_{q^m}^n are at most ``cap``."""
+    return ctx.order**n <= cap
+
+
+def _check_space(ctx: ExtCtx, n: int, cap: int) -> None:
+    """Refuse a space above ``cap`` (``_space_fits``) before any work."""
+    if not _space_fits(ctx, n, cap):
+        raise EnumerationCapExceeded(
+            f"{ctx.order**n} vectors in the ambient space, above the cap of {cap}; use montecarlo"
+        )
+
+
 def _check_geometry(q: int, m: int, n: int) -> None:
     split_prime_power(q)
     _check_length(n, m)
@@ -653,20 +673,19 @@ def _span_tables(field: FieldCtx, m: int, u: int):
 
 
 def _ball_layout(ctx: ExtCtx, n: int, r: int):
-    """The radius-r ball as (values, runs), shell by shell in ascending
-    rank u: a rank-u matrix is uniquely C * R, C the RREF basis of its
-    column space (a ``_span_tables`` table) and R full-rank u x n, and
-    entry j of C * R for the i-th R is span[columns[j][i]], the columns of
-    the shell's one ``_factor_columns``; u = 0 is the zero offset.
-    ``values`` holds the span tables side by side.  A shell's tables are
-    cut into chunks of at most 512 offsets or one table, one run (start,
-    stop, getters) each: ``enumerate_ball`` builds and keeps a run's
+    """The radius-r ball as its runs, shell by shell in ascending rank u,
+    each yielded as it is built: a rank-u matrix is uniquely C * R, C the
+    RREF basis of its column space (a ``_span_tables`` table) and R
+    full-rank u x n, and entry j of C * R for the i-th R is
+    span[columns[j][i]], the columns of the shell's one
+    ``_factor_columns``; u = 0 is the zero offset.  A shell's tables are
+    cut into chunks of at most 512 offsets or one table, one run
+    (window, getters) each: ``enumerate_ball`` builds and keeps a run's
     vectors together, and larger batches cost it garbage-collector
-    passes.  ``start:stop`` bounds the chunk in ``values``, and
+    passes.  ``window`` holds the chunk's tables side by side, and
     ``getters[j]`` reads entry j of every offset off any list aligned with
     it in one call (one offset as a 1-list), built once per chunk shape
     and shared by a shell's full chunks."""
-    values, runs = [], []
     for u in range(r + 1):
         columns = _factor_columns(ctx.base, u, n)
         tables, getters = _span_tables(ctx.base, ctx.m, u), None
@@ -676,9 +695,7 @@ def _ball_layout(ctx: ExtCtx, n: int, r: int):
             if getters is None or len(chunk) < per:
                 at = [[t + i for t in range(0, len(chunk) * width, width) for i in c] for c in columns]
                 getters = [itemgetter(*a) if len(a) > 1 else itemgetter(slice(a[0], a[0] + 1)) for a in at]
-            runs.append((len(values), len(values) + len(chunk) * width, getters))
-            values += itertools.chain.from_iterable(chunk)
-    return values, runs
+            yield list(itertools.chain.from_iterable(chunk)), getters
 
 
 def _read(runs, j: int, table):
@@ -763,6 +780,23 @@ class _Encoder:
         return list(map(sum, zip(*reads)))
 
 
+def _ball_price(ctx, n: int, s: int) -> int:
+    """Bytes that bound every part the radius-s ball can hold, from closed
+    forms, before any is built: 4 KiB, 256 per offset for the layout, the
+    packed offsets and the offset set (73-203 measured, the most for odd
+    p's byte strings), and 4 per 30 bits of the q^(mn)-bit bitset.  The
+    offsets are counted by |B_s| < q^(s(m+n-s)) / K_q < 4 q^(s(m+n-s)),
+    which spares the caller's ``_ball_size`` a second run."""
+    return 4096 + 1024 * ctx.base.q ** (s * (ctx.m + n - s)) + ctx.order**n // 7
+
+
+# 64 MiB of prices: 4-6 times the parts measured (q2m6n3, s = 2: 3.3 MB of
+# parts, priced 16.8 MB), so about 10-18 MB held.  The benchmark's sweep
+# cycles through ten balls priced 30.5 MB in all; a ball near the
+# enumeration cap (q2m12n2, r = 2: 2^24 offsets) is kept alone or streamed.
+_BALL_BUDGET = 2**26
+
+
 class _Ball:
     """The radius-s ball, each part built on first use and kept; callers
     only read it."""
@@ -772,8 +806,13 @@ class _Ball:
 
     @cached_property
     def layout(self):
-        """The ``_ball_layout`` values and runs."""
-        return _ball_layout(self.ctx, self.n, self.s)
+        """The ``_ball_layout`` runs joined: one list of values, and per
+        run its bounds (start, stop) in that list and its getters."""
+        values, runs = [], []
+        for window, getters in _ball_layout(self.ctx, self.n, self.s):
+            runs.append((len(values), len(values) + len(window), getters))
+            values += window
+        return values, runs
 
     @cached_property
     def packed(self) -> tuple[int, ...]:
@@ -815,10 +854,42 @@ def _ball_bits(ctx, n: int, s: int) -> int:
     return blocks[0]
 
 
-@lru_cache(maxsize=1)
-def _ball(ctx, n: int, s: int) -> _Ball:
-    """The radius-s ball, the most recent one kept."""
-    return _Ball(ctx, n, s)
+class _BallMemo:
+    """The ball memo: ``_ball(ctx, n, s)`` is the radius-s ball, kept with
+    the most recently used others while their prices add up to at most
+    ``_BALL_BUDGET``.  A new ball is added as the most recent and the
+    least recently used are dropped until the rest fit; the most recent
+    is never dropped, whatever its price.  One lock guards the table, not
+    the parts, which each ball builds on first read."""
+
+    def __init__(self):
+        # key: (ball, price), least recently used first
+        self._kept, self._total, self._lock = {}, 0, Lock()
+
+    def __call__(self, ctx, n: int, s: int) -> _Ball:
+        key = (ctx, n, s)
+        with self._lock:
+            last = next(reversed(self._kept.items()), None)
+            if last is not None and last[0] == key:  # the most recent: found without hashing
+                return last[1][0]
+            kept = self._kept.pop(key, None)
+            if kept is None:
+                kept = _Ball(ctx, n, s), _ball_price(ctx, n, s)
+                self._total += kept[1]
+            self._kept[key] = kept
+            while self._total > _BALL_BUDGET and len(self._kept) > 1:
+                self._total -= self._kept.pop(next(iter(self._kept)))[1]
+            return kept[0]
+
+    def __contains__(self, key) -> bool:
+        return key in self._kept
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._kept, self._total = {}, 0
+
+
+_ball = _BallMemo()
 
 
 def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
@@ -828,27 +899,30 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     shell in ascending rank, so no vector outside it is ever built;
     refuses outright if the ambient space exceeds ``cap``.  It reads the
     layout of the ball memo, ``_ball``, built whole once per
-    (field, n, r) before the first vector, then kept by the memo and by
-    the generator until both let it go (about 250 MB at q = 2, m = 12,
-    n = r = 2).  Each run of the layout is read as it comes: its values
-    pass ``check_element``, are shifted by each distinct center entry
-    with ``_shifter`` (a shift by a valid entry keeps a valid value valid
-    and a bad value bad), its getter j reads entry j of every vector off
-    the shift by center entry j, and one ``_trusted_batch`` builds its
-    vectors; a memo evicted mid-iteration changes nothing.
+    (field, n, r) before the first vector and kept by the generator while
+    it runs.  A ball priced above the memo's whole budget that the memo
+    does not hold is streamed instead: its runs are read as
+    ``_ball_layout`` builds them and the memo is left as it was, so the
+    first vector comes before the last run is built (at q = 2, m = 12,
+    n = r = 2, the 2^24 offsets of the default cap).  Each run is read as
+    it comes: its values pass ``check_element``, are shifted by each
+    distinct center entry with ``_shifter`` (a shift by a valid entry
+    keeps a valid value valid and a bad value bad), its getter j reads
+    entry j of every vector off the shift by center entry j, and one
+    ``_trusted_batch`` builds its vectors; a memo evicted mid-iteration
+    changes nothing.
     """
     ctx = center.ctx
     n = center.n
     _check_radius(r, n, "r")
-    space = ctx.order**n
-    if space > cap:
-        raise EnumerationCapExceeded(
-            f"ambient space has {space} vectors, above the cap of {cap}"
-        )
-    # the layout, not the ball: a suspended generator keeps no other part alive
-    values, runs = _ball(ctx, n, r).layout
-    for start, stop, getters in runs:
-        window = values[start:stop]
+    _check_space(ctx, n, cap)
+    if (ctx, n, r) in _ball or _ball_price(ctx, n, r) <= _BALL_BUDGET:
+        # the layout, not the ball: a suspended generator keeps no other part alive
+        values, runs = _ball(ctx, n, r).layout
+        runs = ((values[start:stop], getters) for start, stop, getters in runs)
+    else:
+        runs = _ball_layout(ctx, n, r)
+    for window, getters in runs:
         deque(map(ctx.check_element, window), 0)
         shift = _shifter(ctx.base.p, window)
         shifted = {e: shift(e) for e in center.entries}

@@ -7,6 +7,7 @@ counts they are supposed to floor.
 
 import hashlib
 import random
+import sys
 import weakref
 from collections import Counter, deque
 from fractions import Fraction
@@ -357,6 +358,18 @@ def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
         assert sizes == expected
 
 
+def test_a_split_in_one_process_asks_no_cpu_count(monkeypatch):
+    # one worker, or one item, runs in this process without asking the CPU count
+    monkeypatch.setattr("os.cpu_count", _raise)
+    assert listdec._split(sum, [1, 2, 3], 1) == [6]
+    assert listdec._split(sum, [5], 4) == [5]
+    ctx = default_context(2, 3)
+    code = sample_random_code(ctx, 2, 8, seed=5)
+    seam = Seam(monkeypatch, "counters")
+    assert max_list_size(code, 1, workers=1).l_max >= 1
+    assert seam.names == ["counters"]
+
+
 @pytest.fixture
 def short_ball(monkeypatch):
     """Build every ball of the test one offset short, the last offset of
@@ -366,10 +379,10 @@ def short_ball(monkeypatch):
     layout, bits = rankmetric._ball_layout, rankmetric._ball_bits
 
     def short(ctx, n, s):
-        values, runs = layout(ctx, n, s)
-        start, stop, getters = runs.pop()
+        runs = list(layout(ctx, n, s))
+        window, getters = runs.pop()
         last = [lambda table, getter=getter: getter(table)[:-1] for getter in getters]
-        return values, runs + [(start, stop, last)]
+        return iter(runs + [(window, last)])
 
     def short_bits(ctx, n, s):
         last = _index_of_entries(ctx.order, ball_by_tables(ctx, (0,) * n, s)[-1])
@@ -817,57 +830,98 @@ def test_back_to_back_and_interleaved_calls_report_like_a_cold_start(monkeypatch
     assert [calls[i][1]() for i in reversed(order)] == [cold[i] for i in reversed(order)]
 
 
-def test_the_ball_slot_is_empty_when_a_different_ball_is_built(monkeypatch):
-    # the parts of a ball, its layout and its bitset, are built while that
-    # ball alone is alive, each at most once per run of reads at one key
+class BallWatch:
+    """``rankmetric._Ball`` and the two part builders, ``_ball_layout`` and
+    ``_ball_bits``, patched: each ball made is watched through a weak
+    reference, so ``alive()`` lists the keys of the balls the memo keeps
+    (no test holds one), and each builder call is recorded in ``built``
+    as (key, builder), after ``check(key)`` has run."""
+
+    def __init__(self, patch, check=lambda key: None):
+        self.refs, self.built, self.check = [], [], check
+        real_ball = rankmetric._Ball
+
+        def made(*args):
+            ball = real_ball(*args)
+            self.refs.append(weakref.ref(ball))
+            return ball
+
+        def watched(name, real):
+            def build(ctx, n, s):
+                self.check((ctx, n, s))
+                self.built.append(((ctx, n, s), name))
+                return real(ctx, n, s)
+
+            return build
+
+        patch.setattr(rankmetric, "_Ball", made)
+        for name in ("_ball_layout", "_ball_bits"):
+            patch.setattr(rankmetric, name, watched(name, getattr(rankmetric, name)))
+
+    def alive(self) -> list:
+        return [(ball.ctx, ball.n, ball.s) for ball in (ref() for ref in self.refs) if ball is not None]
+
+    def kept_price(self) -> int:
+        return sum(rankmetric._ball_price(*key) for key in self.alive())
+
+
+def test_the_kept_balls_fit_the_budget_but_the_most_recent(monkeypatch):
+    # a part of a ball, its layout or its bitset, is built while that ball
+    # is kept, and the kept balls fit the budget or are that ball alone;
+    # under the default budget the memo keeps every ball of these calls,
+    # so each part is built once, and a second pass in another order
+    # builds nothing; under a budget of about one ball it builds a ball no
+    # more often than once per run of reads at one key, as one slot did
     memo = rankmetric._ball
-    memo.cache_clear()
-    reads = spy(monkeypatch, "_ball")
-    built, balls = [], []  # balls: a weak reference to every ball made
-    real_ball = rankmetric._Ball
-
-    def made(*args):
-        ball = real_ball(*args)
-        balls.append(weakref.ref(ball))
-        return ball
-
-    def alive():
-        return [(ball.ctx, ball.n, ball.s) for ball in (ref() for ref in balls) if ball is not None]
-
-    def checked(part, real):
-        def build(ctx, n, s):
-            assert alive() == [(ctx, n, s)], f"another ball was alive at {(ctx, n, s)}"
-            run = sum(i == 0 or reads[i - 1] != key for i, key in enumerate(reads))
-            built.append((run, (ctx, n, s), part))
-            return real(ctx, n, s)
-
-        return build
-
-    monkeypatch.setattr(rankmetric, "_Ball", made)
-    for part in ("_ball_layout", "_ball_bits"):
-        monkeypatch.setattr(rankmetric, part, checked(part, getattr(rankmetric, part)))
     calls = list(memo_calls())
-    for _, call in calls:
-        call()
-        call()
-    # a context equal to the memo's, though another object, reads the same ball
-    ctx, n, s = reads[-1]
-    twin = context_from_descriptor(ctx.descriptor())
-    assert twin is not ctx
-    ball = memo(ctx, n, s)
-    max_list_size(sample_random_code(twin, n, 4, seed=1), s)
-    assert reads[-1] == (ctx, n, s) and memo(twin, n, s) is ball
-    del ball
-    # every run of reads at one key builds what it reads, each part once
-    runs = [key for i, key in enumerate(reads) if i == 0 or reads[i - 1] != key]
-    assert len({(run, part) for run, _, part in built}) == len(built)
-    assert [runs[run - 1] for run, _, _ in built] == [key for _, key, _ in built]
-    assert sorted({run for run, _, _ in built}) == list(range(1, len(runs) + 1))
-    assert {part for _, _, part in built} == {"_ball_layout", "_ball_bits"}
-    assert len(reads) > 2 * len(runs) and {key for _, key, _ in built} == {key for key, _ in calls}
-    assert alive() == [runs[-1]]
-    # a ball is built once per run of reads at one key
-    assert len(balls) == len(runs)
+    default = rankmetric._BALL_BUDGET
+    for budget in (default, max(rankmetric._ball_price(*key) for key, _ in calls)):
+        with monkeypatch.context() as patched:
+            patched.setattr(rankmetric, "_BALL_BUDGET", budget)
+            memo.cache_clear()
+            watch = BallWatch(patched, lambda key: check(key))
+
+            def check(key):
+                kept = watch.alive()
+                assert key in kept, f"{key} built while the memo does not keep it"
+                assert kept == [key] or watch.kept_price() <= budget
+
+            reads, real_call = [], rankmetric._BallMemo.__call__
+
+            def recorded(self, *key):
+                reads.append(key)
+                return real_call(self, *key)
+
+            patched.setattr(rankmetric._BallMemo, "__call__", recorded)
+            for _, call in calls:
+                call()
+                call()
+            runs = [key for i, key in enumerate(reads) if i == 0 or reads[i - 1] != key]
+            assert len(reads) > 2 * len(runs) and {key for key, _ in watch.built} == {key for key, _ in calls}
+            assert {name for _, name in watch.built} == {"_ball_layout", "_ball_bits"}
+            assert len(watch.refs) <= len(runs)
+            assert watch.alive() == [runs[-1]] or watch.kept_price() <= budget
+            if budget == default:
+                # every ball kept: each part built once, whatever comes next
+                assert len(set(watch.built)) == len(watch.built)
+                kept = watch.alive()
+                assert len(kept) == len(set(kept)) and set(kept) == {key for key, _ in calls}
+                before = len(watch.built)
+                for i in random.Random(5).sample(range(len(calls)), len(calls)):
+                    calls[i][1]()
+                assert len(watch.built) == before
+            else:
+                # some ball was dropped and made again
+                assert len(watch.refs) > len({key for key, _ in calls})
+            # a context equal to the memo's, though another object, reads the same ball
+            ctx, n, s = reads[-1]
+            twin = context_from_descriptor(ctx.descriptor())
+            assert twin is not ctx
+            ball = memo(ctx, n, s)
+            max_list_size(sample_random_code(twin, n, 4, seed=1), s)
+            assert reads[-1] == (ctx, n, s) and memo(twin, n, s) is ball
+            del ball
+    memo.cache_clear()
 
 
 def test_no_kernel_mutates_the_memoized_ball():
@@ -925,9 +979,135 @@ def test_enumerations_at_one_key_lay_the_ball_out_once(monkeypatch):
     rankmetric._ball.cache_clear()
 
 
+def test_decoding_radius_over_codes_builds_each_ball_part_once(monkeypatch):
+    # decoding_radius measures a code at s = 1, 2, ... (a list cap of 3
+    # passes s = 1 and fails s = 2 on each code here); over five codes of
+    # one shape the memo keeps the ball of every radius, so each part of
+    # each ball is built once, not once per code and radius
+    ctx = default_context(2, 4)
+    rankmetric._ball.cache_clear()
+    watch = BallWatch(monkeypatch)
+    for kind in ("random", "linear"):
+        codes = [
+            sample_random_code(ctx, 3, 8, seed) if kind == "random" else sample_random_linear_code(ctx, 3, 3, seed)
+            for seed in range(5)
+        ]
+        radii = [decoding_radius(code, 3) for code in codes]
+        assert radii == [Fraction(1, 3)] * 5, kind
+    assert {key for key, _ in watch.built} >= {(ctx, 3, 1), (ctx, 3, 2)}
+    assert len(set(watch.built)) == len(watch.built)
+    rankmetric._ball.cache_clear()
+
+
+def test_the_memo_builds_no_more_than_one_slot_and_keeps_to_its_budget(monkeypatch):
+    # under a seeded random interleaving of keys and parts the memo builds
+    # a part no more often than one slot (the most recent ball alone)
+    # would, and the balls it keeps fit the budget or are the most recent
+    # alone; budgets from none to all the balls at once
+    shapes = ((2, 3, 3, 1), (2, 3, 3, 2), (2, 4, 3, 1), (2, 4, 3, 2), (3, 2, 2, 1), (3, 2, 2, 2), (5, 2, 2, 1))
+    keys = [(default_context(q, m), n, s) for q, m, n, s in shapes]
+    prices = sorted(rankmetric._ball_price(*key) for key in keys)
+    builders = {"layout": "_ball_layout", "packed": "_ball_layout", "probes": "_ball_layout", "bits": "_ball_bits"}
+    for budget in (0, prices[0], prices[-1], prices[-1] + prices[-2], sum(prices)):
+        with monkeypatch.context() as patched:
+            patched.setattr(rankmetric, "_BALL_BUDGET", budget)
+            rankmetric._ball.cache_clear()
+            watch = BallWatch(patched)
+            rng = random.Random(budget)
+            slot, slot_built, one_slot = None, set(), 0
+            for _ in range(300):
+                key, part = rng.choice(keys), rng.choice(sorted(builders))
+                getattr(rankmetric._ball(*key), part)
+                if key != slot:
+                    slot, slot_built = key, set()
+                one_slot += builders[part] not in slot_built
+                slot_built.add(builders[part])
+                assert len(watch.built) <= one_slot
+                kept = watch.alive()
+                assert key in kept and len(kept) == len(set(kept))
+                assert kept == [key] or watch.kept_price() <= budget, budget
+            if budget == sum(prices):
+                assert len(watch.built) == len(set(watch.built))
+            if budget == 0:
+                assert len(watch.built) == one_slot
+    rankmetric._ball.cache_clear()
+
+
+def test_threads_at_interleaved_keys_report_like_a_cold_start(monkeypatch):
+    # four threads call max_list_size at interleaved keys, under the
+    # default budget and under one that keeps about one ball
+    from concurrent.futures import ThreadPoolExecutor
+
+    calls = []
+    for q, m, n in ((2, 3, 3), (3, 2, 2), (2, 4, 2)):
+        ctx = default_context(q, m)
+        for code in (sample_random_code(ctx, n, 2 * q + 1, seed=q), sample_random_linear_code(ctx, n, 1, seed=q)):
+            calls += [(code, s) for s in range(n + 1)]
+    cold = []
+    for code, s in calls:
+        rankmetric._ball.cache_clear()
+        cold.append(max_list_size(code, s))
+    orders = [random.Random(seed).sample(range(len(calls)), len(calls)) * 2 for seed in range(4)]
+
+    def run(order):
+        return [max_list_size(*calls[i]) for i in order]
+
+    memo, interval = rankmetric._ball, sys.getswitchinterval()
+    for budget in (rankmetric._BALL_BUDGET, max(rankmetric._ball_price(code.ctx, code.n, s) for code, s in calls)):
+        monkeypatch.setattr(rankmetric, "_BALL_BUDGET", budget)
+        memo.cache_clear()
+        sys.setswitchinterval(1e-5)  # threads switch often inside the memo
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                reports = list(pool.map(run, orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for order, got in zip(orders, reports):
+            assert got == [cold[i] for i in order]
+        # a lost update would leave the priced total apart from the kept balls
+        assert memo._total == sum(price for _, price in memo._kept.values())
+        assert memo._total <= budget or len(memo._kept) == 1
+    memo.cache_clear()
+
+
+def test_a_ball_above_the_budget_is_streamed_and_not_kept(monkeypatch):
+    # above the whole budget enumerate_ball reads the runs as they are
+    # laid out: its first vector comes before the last run is built, the
+    # memo does not gain the ball, and the order is the kept ball's; a
+    # ball the memo holds is read, however large, and not laid out again
+    for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
+        ctx = default_context(q, m)
+        center = RankVector(ctx, tuple(range(1, n + 1)))
+        rankmetric._ball.cache_clear()
+        expected = [v.entries for v in enumerate_ball(center, r)]
+        runs = len(rankmetric._ball(ctx, n, r).layout[1])
+        with monkeypatch.context() as patched:
+            patched.setattr(rankmetric, "_BALL_BUDGET", rankmetric._ball_price(ctx, n, r) - 1)
+            rankmetric._ball.cache_clear()
+            laid, real = [], rankmetric._ball_layout
+
+            def counted(*args):
+                for run in real(*args):
+                    laid.append(run)
+                    yield run
+
+            patched.setattr(rankmetric, "_ball_layout", counted)
+            ball = enumerate_ball(center, r)
+            first = next(ball)
+            assert 1 <= len(laid) < runs
+            assert (ctx, n, r) not in rankmetric._ball
+            assert [first.entries, *(v.entries for v in ball)] == expected
+            assert len(laid) == runs and (ctx, n, r) not in rankmetric._ball
+            rankmetric._ball(ctx, n, r).layout  # kept, as the most recent ball
+            del laid[:]
+            assert [v.entries for v in enumerate_ball(center, r)] == expected
+            assert laid == [] and (ctx, n, r) in rankmetric._ball
+        rankmetric._ball.cache_clear()
+
+
 def test_enumerate_ball_outlives_the_eviction_of_its_ball():
-    # a max_list_size call at another radius drops the ball an enumeration
-    # is reading mid-iteration; the rest of it comes out as it would have
+    # the memo is emptied in the middle of an enumeration and another ball
+    # laid out; the rest of it comes out as it would have
     for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
         ctx = default_context(q, m)
         center = RankVector(ctx, tuple(range(2, n + 2)))
@@ -937,8 +1117,10 @@ def test_enumerate_ball_outlives_the_eviction_of_its_ball():
         ball = enumerate_ball(center, r)
         head = list(islice(ball, 300))
         memo = rankmetric._ball(ctx, n, r)
+        rankmetric._ball.cache_clear()
         max_list_size(code, r - 1)
         rankmetric._ball(ctx, n, r - 1).layout  # another ball laid out
+        assert (ctx, n, r) not in rankmetric._ball
         assert rankmetric._ball(ctx, n, r) is not memo
         del memo
         assert head + list(ball) == expected, (q, m, n, r)

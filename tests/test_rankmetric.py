@@ -540,10 +540,10 @@ def test_ball_sizes_reject_what_ball_volume_rejects():
 
 
 def ball_entries(ctx, n, r):
-    """The offsets of the ``_ball_layout`` as entry tuples, each entry
+    """The offsets of the ``_ball_layout`` runs as entry tuples, each entry
     read off the span values themselves (a zero center)."""
-    values, runs = _ball_layout(ctx, n, r)
-    return [entries for start, stop, getters in runs for entries in zip(*(get(values[start:stop]) for get in getters))]
+    runs = _ball_layout(ctx, n, r)
+    return [entries for window, getters in runs for entries in zip(*(get(window) for get in getters))]
 
 
 def test_rank_u_matrix_iterator_is_exact():
@@ -566,7 +566,13 @@ def test_ball_chunks_are_bounded_runs_of_one_shell():
     # with a shorter last one; q2m1n1 has a one-offset rank-1 shell
     for q, m, n, r in ((2, 1, 1, 1), (2, 4, 3, 2), (3, 2, 2, 2), (4, 2, 2, 1), (2, 6, 3, 2), (3, 4, 3, 2)):
         ctx = default_context(q, m)
-        values, runs = _ball_layout(ctx, n, r)
+        # the runs as they are built, and joined in the ball's layout
+        windows = list(_ball_layout(ctx, n, r))
+        values, runs = rankmetric._Ball(ctx, n, r).layout
+        assert [values[start:stop] for start, stop, _ in runs] == [window for window, _ in windows]
+        assert [[get(values[start:stop]) for get in getters] for start, stop, getters in runs] == [
+            [get(window) for get in getters] for window, getters in windows
+        ]
         chunks = iter(runs)
         out, shells, end = [], [], 0
         for u in range(r + 1):
@@ -664,6 +670,59 @@ def test_enumerate_ball_cap_refusal():
     ctx = default_context(2, 5)
     with pytest.raises(EnumerationCapExceeded):
         list(enumerate_ball(RankVector.zero(ctx, 5), 1, cap=1000))
+
+
+def test_every_space_cap_refusal_comes_before_any_work(monkeypatch):
+    # one rule and one message: enumerate_ball refuses before any ball is
+    # made, laid out or streamed, max_list_size and coset_partition_check
+    # before any kernel runs
+    from ranklab.codes import sample_random_linear_code
+    from ranklab.harness import coset_partition_check
+    from ranklab.listdec import max_list_size
+
+    def refuse(*args):
+        raise AssertionError("work done above the cap")
+
+    for name in ("_Ball", "_ball_layout", "_ball_bits"):
+        monkeypatch.setattr(rankmetric, name, refuse)
+    rankmetric._ball.cache_clear()
+    ctx = default_context(2, 5)
+    message = "1048576 vectors in the ambient space, above the cap of 1000; use montecarlo"
+    code = sample_random_linear_code(ctx, 4, 1, seed=0)
+    for run in (
+        lambda: next(enumerate_ball(RankVector.zero(ctx, 4), 1, cap=1000)),
+        lambda: max_list_size(code, 1, cap=1000),
+        lambda: coset_partition_check(code, 1, cap=1000),
+    ):
+        with pytest.raises(EnumerationCapExceeded, match=f"^{re.escape(message)}$"):
+            run()
+    assert rankmetric._space_fits(ctx, 4, 2**20) and not rankmetric._space_fits(ctx, 4, 2**20 - 1)
+
+
+def test_the_ball_price_bounds_every_part_it_can_hold():
+    # the closed-form price, taken before any part is built, is at least
+    # the memory the layout, the packed offsets, the offset set and the
+    # bitset take once all are built, for p = 2 and odd p, n = 1 to n = m
+    import gc
+    import tracemalloc
+
+    shapes = ((2, 1, 1, 1), (3, 2, 1, 1), (2, 10, 1, 1), (2, 4, 3, 2), (2, 6, 3, 2), (2, 8, 2, 2),
+              (3, 3, 3, 3), (5, 2, 2, 1), (9, 2, 2, 1), (13, 2, 2, 2), (16, 2, 1, 1))
+    for q, m, n, s in shapes:
+        ctx = default_context(q, m)
+        price = rankmetric._ball_price(ctx, n, s)
+        assert price >= 256 * rankmetric._ball_size(q, m, n, s)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            ball = rankmetric._Ball(ctx, n, s)
+            for part in ("layout", "packed", "probes", "bits"):
+                getattr(ball, part)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= price, (q, m, n, s, held, price)
 
 
 def test_enumerate_ball_bad_radius():

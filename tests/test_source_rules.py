@@ -371,17 +371,19 @@ BALL_PARTS = {"layout", "packed", "probes", "bits"}
 def test_only_the_ball_memo_builds_the_ball():
     # the ball has one owner, rankmetric: enumerate_ball and every listdec
     # kernel read the radius-s ball through rankmetric._ball, which keeps
-    # the most recent one, and nothing else may make the record, lay the
-    # ball out, pack it, or fill its offset set or its bitset.  Only the
-    # one layout builder, _ball_layout, walks the span tables with their
-    # factors; the bitset reads the span tables of dimension s alone.
+    # the most recently used ones under a size budget, and nothing else
+    # may make the record, lay the ball out, pack it, or fill its offset
+    # set or its bitset, but enumerate_ball, which reads the runs of a
+    # ball too large to keep as they are laid out.  Only the one layout
+    # builder, _ball_layout, walks the span tables with their factors;
+    # the bitset reads the span tables of dimension s alone.
     # _packed is the one per-entry sum: the layout's entries are read by
     # _read for it alone, and the packed offsets, the odd-p offset set, the
     # odd-p scatter and the odd-p coset keys all sum their reads through it
     builders = {
-        "_ball_layout": {"rankmetric.py:_Ball.layout"},
+        "_ball_layout": {"rankmetric.py:_Ball.layout", "rankmetric.py:enumerate_ball"},
         "_ball_bits": {"rankmetric.py:_Ball.bits"},
-        "_Ball": {"rankmetric.py:_ball"},
+        "_Ball": {"rankmetric.py:_BallMemo.__call__"},
         "_packed": {
             "rankmetric.py:_Ball.packed",
             "rankmetric.py:_Ball.probes",
@@ -438,10 +440,10 @@ MUTATORS = {"clear", "update", "setdefault", "pop", "popitem", "append", "extend
 def test_the_ball_memo_is_the_one_module_level_cache():
     # the ball memo is the one piece of state a list-count or a ball
     # enumeration leaves behind: in listdec and rankmetric no module-level
-    # name is written by a function, and no function but rankmetric._ball
-    # memoizes its results, in one slot; the parts of the one ball it
-    # keeps are cached on that record
-    decorators, calls = [], []
+    # name is written by a function, no function memoizes its results,
+    # and the one module-level object made by a call is rankmetric._ball,
+    # a _BallMemo; the parts of each ball it keeps are cached on that record
+    decorators, made = [], []
     for name in ("listdec.py", "rankmetric.py"):
         tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
         module_names = {
@@ -468,19 +470,26 @@ def test_the_ball_memo_is_the_one_module_level_cache():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             for dec in node.decorator_list
         ]
-        # no cache is made but by those decorators
-        calls += [
-            f"{name}:{ast.unparse(node.func)}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and "cache" in ast.unparse(node.func)
+        made += [
+            f"{name}:{ast.unparse(node)}"
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
         ]
     assert sorted(dec for dec in decorators if "cache" in dec[1]) == sorted(
-        [
-            ("rankmetric.py:_ball", "lru_cache(maxsize=1)"),
-            *((f"rankmetric.py:_Ball.{part}", "cached_property") for part in BALL_PARTS),
-        ]
+        (f"rankmetric.py:_Ball.{part}", "cached_property") for part in BALL_PARTS
     )
-    assert calls == ["rankmetric.py:lru_cache"]
+    assert made == ["rankmetric.py:_ball = _BallMemo()"]
+    # the memo is called, asked whether it holds a key, and emptied; every
+    # method that changes its table holds its one lock
+    tree = ast.parse((SOURCE / "rankmetric.py").read_text(encoding="utf-8"))
+    (memo,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_BallMemo"]
+    methods = {node.name: node for node in memo.body if isinstance(node, ast.FunctionDef)}
+    assert set(methods) == {"__init__", "__call__", "__contains__", "cache_clear"}
+    assert "Lock()" in ast.unparse(methods["__init__"])
+    for method in ("__call__", "cache_clear"):
+        (body,) = methods[method].body[-1:]
+        assert isinstance(body, ast.With) and ast.unparse(body.items[0]) == "self._lock", method
+        assert all("_kept" not in ast.unparse(node) for node in methods[method].body[:-1]), method
 
 
 def test_only_the_ball_reader_names_the_ball_slot():
@@ -730,12 +739,17 @@ ARGUMENT_RULES = {
         "codes.py:_check_word_cap",
         {"codes.py:_packed_words", "listdec.py:max_list_size", "harness.py:run_ensemble", "cli.py:_cmd_sample"},
     ),
+    "space cap": (
+        r"ambient space, above the cap of .*; use montecarlo",
+        "rankmetric.py:_check_space",
+        {"rankmetric.py:enumerate_ball", "listdec.py:max_list_size", "harness.py:coset_partition_check"},
+    ),
 }
 
 
 def test_each_argument_rule_has_one_owner():
-    # the length 1 <= n <= m, the radius 0 <= s <= n and the word cap are
-    # each refused in one place, with one message: no other string of the
+    # the length 1 <= n <= m, the radius 0 <= s <= n, the word cap and the
+    # space cap q^(mn) <= cap are each refused in one place, with one message: no other string of the
     # package spells the refusal, and every site that checks it calls the owner
     texts = {rule: set() for rule in ARGUMENT_RULES}
     callers = {rule: set() for rule in ARGUMENT_RULES}
@@ -751,3 +765,18 @@ def test_each_argument_rule_has_one_owner():
                 callers[owners[node.func.id]].add(where)
     assert texts == {rule: {owner} for rule, (_, owner, _) in ARGUMENT_RULES.items()}
     assert callers == {rule: sites for rule, (_, _, sites) in ARGUMENT_RULES.items()}
+    # the space q^(mn) is compared with a cap in _space_fits alone: the
+    # refusal and the ensemble's choice of exhaustive trials both ask it
+    compared, asking = set(), set()
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            where = f"{path.name}:{scope}"
+            inside = list(ast.walk(node)) if isinstance(node, ast.Compare) else []
+            power = any(isinstance(part, ast.BinOp) and isinstance(part.op, ast.Pow) for part in inside)
+            space = power or any(isinstance(part, ast.Name) and part.id == "space" for part in inside)
+            if space and any(isinstance(part, ast.Name) and part.id == "cap" for part in inside):
+                compared.add(where)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_space_fits":
+                asking.add(where)
+    assert compared == {"rankmetric.py:_space_fits"}
+    assert asking == {"rankmetric.py:_check_space", "harness.py:_run_trials"}
