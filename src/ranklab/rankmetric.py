@@ -45,9 +45,9 @@ their prices (``_ball_price``, closed forms taken before any part is
 built) fit ``_BALL_BUDGET``, and always the most recent one, so calls
 that cycle through a few (ctx, n, s), such as the radii of
 ``decoding_radius`` over many codes, build each part once.
-``enumerate_ball`` streams a ball priced above the whole budget that the
-memo does not hold: it reads the runs as they are laid out and keeps
-none.
+``enumerate_ball`` streams every ball priced above the whole budget,
+whatever the memo holds: it reads the runs as they are laid out and
+keeps none.
 """
 from __future__ import annotations
 
@@ -869,9 +869,6 @@ class _BallMemo:
     def __call__(self, ctx, n: int, s: int) -> _Ball:
         key = (ctx, n, s)
         with self._lock:
-            last = next(reversed(self._kept.items()), None)
-            if last is not None and last[0] == key:  # the most recent: found without hashing
-                return last[1][0]
             kept = self._kept.pop(key, None)
             if kept is None:
                 kept = _Ball(ctx, n, s), _ball_price(ctx, n, s)
@@ -880,9 +877,6 @@ class _BallMemo:
             while self._total > _BALL_BUDGET and len(self._kept) > 1:
                 self._total -= self._kept.pop(next(iter(self._kept)))[1]
             return kept[0]
-
-    def __contains__(self, key) -> bool:
-        return key in self._kept
 
     def cache_clear(self) -> None:
         with self._lock:
@@ -897,11 +891,12 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
 
     The ball is center + b for every offset b of rank <= r, shell by
     shell in ascending rank, so no vector outside it is ever built;
-    refuses outright if the ambient space exceeds ``cap``.  It reads the
-    layout of the ball memo, ``_ball``, built whole once per
-    (field, n, r) before the first vector and kept by the generator while
-    it runs.  A ball priced above the memo's whole budget that the memo
-    does not hold is streamed instead: its runs are read as
+    refuses outright if the ambient space exceeds ``cap``.  The route
+    follows from the call alone, never from what the memo holds: a ball
+    priced within the memo's budget is read from the layout of the ball
+    memo, ``_ball``, built whole once per (field, n, r) before the first
+    vector and kept by the generator while it runs; every ball priced
+    above the whole budget is streamed: its runs are read as
     ``_ball_layout`` builds them and the memo is left as it was, so the
     first vector comes before the last run is built (at q = 2, m = 12,
     n = r = 2, the 2^24 offsets of the default cap).  Each run is read as
@@ -916,7 +911,7 @@ def enumerate_ball(center: RankVector, r: int, cap: int = DEFAULT_ENUM_CAP):
     n = center.n
     _check_radius(r, n, "r")
     _check_space(ctx, n, cap)
-    if (ctx, n, r) in _ball or _ball_price(ctx, n, r) <= _BALL_BUDGET:
+    if _ball_price(ctx, n, r) <= _BALL_BUDGET:
         # the layout, not the ball: a suspended generator keeps no other part alive
         values, runs = _ball(ctx, n, r).layout
         runs = ((values[start:stop], getters) for start, stop, getters in runs)

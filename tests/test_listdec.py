@@ -1070,39 +1070,78 @@ def test_threads_at_interleaved_keys_report_like_a_cold_start(monkeypatch):
     memo.cache_clear()
 
 
+def streamed(patched, center, r) -> tuple[int, int, list]:
+    """The runs ``_ball_layout`` laid out by ``enumerate_ball``'s first
+    vector and by its last, and the entries of every vector in order."""
+    laid, real = [], rankmetric._ball_layout
+
+    def counted(*args):
+        for run in real(*args):
+            laid.append(run)
+            yield run
+
+    patched.setattr(rankmetric, "_ball_layout", counted)
+    ball = enumerate_ball(center, r)
+    first = next(ball)
+    at_first = len(laid)
+    entries = [first.entries, *(v.entries for v in ball)]
+    patched.setattr(rankmetric, "_ball_layout", real)
+    return at_first, len(laid), entries
+
+
 def test_a_ball_above_the_budget_is_streamed_and_not_kept(monkeypatch):
     # above the whole budget enumerate_ball reads the runs as they are
     # laid out: its first vector comes before the last run is built, the
     # memo does not gain the ball, and the order is the kept ball's; a
-    # ball the memo holds is read, however large, and not laid out again
+    # ball the memo holds with its layout built is streamed again all the
+    # same, and the call leaves the memo's keys, their order and its total
+    # as they were
+    memo = rankmetric._ball
     for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
         ctx = default_context(q, m)
         center = RankVector(ctx, tuple(range(1, n + 1)))
-        rankmetric._ball.cache_clear()
+        memo.cache_clear()
         expected = [v.entries for v in enumerate_ball(center, r)]
-        runs = len(rankmetric._ball(ctx, n, r).layout[1])
+        runs = len(memo(ctx, n, r).layout[1])
         with monkeypatch.context() as patched:
             patched.setattr(rankmetric, "_BALL_BUDGET", rankmetric._ball_price(ctx, n, r) - 1)
-            rankmetric._ball.cache_clear()
-            laid, real = [], rankmetric._ball_layout
+            memo.cache_clear()
+            at_first, laid, entries = streamed(patched, center, r)
+            assert 1 <= at_first < runs and laid == runs and entries == expected
+            assert (ctx, n, r) not in memo._kept
+            memo(ctx, n, r).layout  # held, as the most recent ball, its layout built
+            before = list(memo._kept), memo._total
+            assert before[0][-1] == (ctx, n, r)
+            at_first, laid, entries = streamed(patched, center, r)
+            assert 1 <= at_first < runs and laid == runs and entries == expected
+            assert (list(memo._kept), memo._total) == before
+        memo.cache_clear()
 
-            def counted(*args):
-                for run in real(*args):
-                    laid.append(run)
-                    yield run
 
-            patched.setattr(rankmetric, "_ball_layout", counted)
-            ball = enumerate_ball(center, r)
-            first = next(ball)
-            assert 1 <= len(laid) < runs
-            assert (ctx, n, r) not in rankmetric._ball
-            assert [first.entries, *(v.entries for v in ball)] == expected
-            assert len(laid) == runs and (ctx, n, r) not in rankmetric._ball
-            rankmetric._ball(ctx, n, r).layout  # kept, as the most recent ball
-            del laid[:]
-            assert [v.entries for v in enumerate_ball(center, r)] == expected
-            assert laid == [] and (ctx, n, r) in rankmetric._ball
-        rankmetric._ball.cache_clear()
+def test_a_ball_above_the_budget_is_streamed_after_a_counters_call(monkeypatch):
+    # a counters call leaves an over-budget ball in the memo with its
+    # bitset alone; enumerate_ball streams it all the same, as it would a
+    # ball the memo does not hold: its first vector comes before the last
+    # run is laid out, the order is the unpatched one, and the ball the
+    # memo holds never gains a layout
+    memo = rankmetric._ball
+    for q, m, n, r in ((2, 4, 3, 2), (3, 3, 2, 2)):
+        ctx = default_context(q, m)
+        center = RankVector(ctx, tuple(range(1, n + 1)))
+        words = _packed_words(sample_random_code(ctx, n, 4, seed=q), 2**24)
+        memo.cache_clear()
+        expected = [v.entries for v in enumerate_ball(center, r)]
+        runs = len(memo(ctx, n, r).layout[1])
+        with monkeypatch.context() as patched:
+            patched.setattr(rankmetric, "_BALL_BUDGET", rankmetric._ball_price(ctx, n, r) - 1)
+            memo.cache_clear()
+            listdec._counters(ctx, n, r, words)
+            held = memo(ctx, n, r)
+            assert "bits" in vars(held) and "layout" not in vars(held)
+            at_first, laid, entries = streamed(patched, center, r)
+            assert 1 <= at_first < runs and laid == runs and entries == expected, (q, m, n, r)
+            assert "layout" not in vars(held) and memo(ctx, n, r) is held
+        memo.cache_clear()
 
 
 def test_enumerate_ball_outlives_the_eviction_of_its_ball():
@@ -1120,7 +1159,7 @@ def test_enumerate_ball_outlives_the_eviction_of_its_ball():
         rankmetric._ball.cache_clear()
         max_list_size(code, r - 1)
         rankmetric._ball(ctx, n, r - 1).layout  # another ball laid out
-        assert (ctx, n, r) not in rankmetric._ball
+        assert (ctx, n, r) not in rankmetric._ball._kept
         assert rankmetric._ball(ctx, n, r) is not memo
         del memo
         assert head + list(ball) == expected, (q, m, n, r)

@@ -479,12 +479,12 @@ def test_the_ball_memo_is_the_one_module_level_cache():
         (f"rankmetric.py:_Ball.{part}", "cached_property") for part in BALL_PARTS
     )
     assert made == ["rankmetric.py:_ball = _BallMemo()"]
-    # the memo is called, asked whether it holds a key, and emptied; every
-    # method that changes its table holds its one lock
+    # the memo is called and emptied, nothing else; every method that
+    # changes its table holds its one lock
     tree = ast.parse((SOURCE / "rankmetric.py").read_text(encoding="utf-8"))
     (memo,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_BallMemo"]
     methods = {node.name: node for node in memo.body if isinstance(node, ast.FunctionDef)}
-    assert set(methods) == {"__init__", "__call__", "__contains__", "cache_clear"}
+    assert set(methods) == {"__init__", "__call__", "cache_clear"}
     assert "Lock()" in ast.unparse(methods["__init__"])
     for method in ("__call__", "cache_clear"):
         (body,) = methods[method].body[-1:]
@@ -510,6 +510,28 @@ def test_only_the_ball_reader_names_the_ball_slot():
         if scope and isinstance(node, ast.Name) and node.id == "_ball"
     }
     assert "_route" not in readers
+    # nor does enumerate_ball, or any other function of the package: only
+    # _BallMemo names its table and total, _ball is only ever called (and
+    # defined once), and only the _Record base, which _Ball does not
+    # derive from, reads an instance's or a class's dict
+    names, named, dicts, modules = [], [], [], parsed_modules()
+    for path, tree in modules:
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for scope, node in scoped_nodes(tree):
+            ref = getattr(node, "id", None) or getattr(node, "attr", None)
+            where = f"{path.name}:{scope}"
+            if ref in ("_kept", "_total") and not scope.startswith("_BallMemo."):
+                names.append(f"{where}:{node.lineno}")
+            if ref == "_ball" and id(node) not in called:
+                named.append(f"{where}:{ast.unparse(node)}:{type(node.ctx).__name__}")
+            if ref in ("vars", "__dict__"):
+                dicts.append(where)
+    assert names == []
+    assert named == ["rankmetric.py::_ball:Store"]
+    assert sorted(set(dicts)) == ["rankmetric.py:_Record.__init__", "rankmetric.py:_Record.__init_subclass__"]
+    classes = [node for _, tree in modules for node in tree.body if isinstance(node, ast.ClassDef)]
+    (ball,) = [node for node in classes if node.name == "_Ball"]
+    assert ball.bases == []
 
 
 def test_one_picker_reads_the_route_prices_and_one_call_asks_it():
