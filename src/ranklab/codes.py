@@ -19,13 +19,11 @@ import itertools
 from fractions import Fraction
 
 from .errors import EnumerationCapExceeded
-from .fields import ExtCtx
+from .fields import ExtCtx, _entries_of_index, _index_of_entries
 from .rankmetric import (
     RankVector,
     _check_length,
     _echelon,
-    _entries_of_index,
-    _index_of_entries,
     _rank_of_entries,
     _Record,
     _shifter,

@@ -26,16 +26,23 @@ file headers:
 
 with decimal little-endian coefficients; the d_i are F_q element codes.
 
+``_index_of_entries`` and ``_entries_of_index`` are the package's one
+digit codec: they turn a sequence of base-b digits into its int and back,
+most significant digit first, for the field codes here (read reversed,
+constant term first) and the packed vectors of every other module.
+
 Both levels share one routine per job.  ``FieldCtx`` and ``ExtCtx``
 derive from ``_Residues``, which writes the element check, addition,
 the untabulated product and power, modulus selection and equality once.
 ``_poly_mul``, ``_poly_mod`` and ``_poly_powmod`` are the only polynomial
 product, remainder and power, ``_log_tables`` the only primitive-element
 search and log/antilog builder, and ``_prime_factors`` the only trial
-division.  The table strategies differ on purpose: the base field's
-tuple table is the fast path of every elimination, and the extension's
-log is a dict, so a bad code raises ``KeyError`` where a tuple index
-would wrap -1.
+division.  It divides by no d above 2^20, so every n <= 2^40 is
+factored, and a larger n whose cofactor could still be composite raises
+``InfeasibleError`` at once.  The table strategies differ on purpose:
+the base field's tuple table is the fast path of every elimination, and
+the extension's log is a dict, so a bad code raises ``KeyError`` where a
+tuple index would wrap -1.
 
 A context's field (its moduli, equality and hash) is fixed once built,
 and contexts are safe to share across threads and forked workers.
@@ -57,13 +64,18 @@ from .errors import InfeasibleError
 _BASE_TABLE_LIMIT = 256
 _EXT_LOG_LIMIT = 2**16
 _MAX_EXT_ORDER = 2**32
+_TRIAL_LIMIT = 2**20
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct prime factors of n, ascending; none for n < 2."""
+    """The distinct prime factors of n, ascending; none for n < 2.  Trial
+    division stops at ``_TRIAL_LIMIT``: a cofactor that could still be
+    composite is refused."""
     out = []
     d = 2
     while d * d <= n:
+        if d > _TRIAL_LIMIT:
+            raise InfeasibleError(f"{n} has no prime factor up to 2^20 and is too large to factor")
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -89,19 +101,20 @@ def split_prime_power(q: int) -> tuple[int, int]:
     return p, s
 
 
-def _digits(code: int, base: int, length: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        code, rem = divmod(code, base)
-        out.append(rem)
-    return tuple(out)
+def _index_of_entries(order: int, entries) -> int:
+    """``vector_index`` of a vector given by its entry codes."""
+    idx = 0
+    for e in entries:
+        idx = idx * order + e
+    return idx
 
 
-def _undigits(coeffs, base: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * base + c
-    return value
+def _entries_of_index(order: int, n: int, idx: int) -> tuple[int, ...]:
+    """Entry codes of the vector at ``idx``, the inverse of ``_index_of_entries``."""
+    entries = [0] * n
+    for j in range(n - 1, -1, -1):
+        idx, entries[j] = divmod(idx, order)
+    return tuple(entries)
 
 
 def _digitwise_mod_p(a: int, b: int, p: int, sign: int) -> int:
@@ -228,7 +241,7 @@ def _first_irreducible(field, degree: int) -> tuple[int, ...]:
     """
     q, p = field.q, field.p
     for code in range(q**degree):
-        candidate = _digits(code, q, degree) + (1,)
+        candidate = _entries_of_index(q, degree, code)[::-1] + (1,)
         if any(c for i, c in enumerate(candidate) if i % p) and _is_irreducible(candidate, field):
             return candidate
     raise RuntimeError(f"no irreducible polynomial of degree {degree} found")
@@ -329,14 +342,15 @@ class _Residues:
         if self._mod is None:
             return (a * b) % self._char
         coef, deg = self._coef, self._deg
-        prod = _poly_mul(_digits(a, coef.q, deg), _digits(b, coef.q, deg), coef)
-        return _undigits(_poly_mod(prod, self._mod, coef), coef.q)
+        prod = _poly_mul(_entries_of_index(coef.q, deg, a)[::-1], _entries_of_index(coef.q, deg, b)[::-1], coef)
+        return _index_of_entries(coef.q, reversed(_poly_mod(prod, self._mod, coef)))
 
     def _pow_generic(self, a: int, e: int) -> int:
         if self._mod is None:
             return pow(a, e, self._char)
         coef = self._coef
-        return _undigits(_poly_powmod(_digits(a, coef.q, self._deg), e, self._mod, coef), coef.q)
+        power = _poly_powmod(_entries_of_index(coef.q, self._deg, a)[::-1], e, self._mod, coef)
+        return _index_of_entries(coef.q, reversed(power))
 
     def __eq__(self, other):
         return isinstance(other, _Residues) and self._key == other._key
@@ -441,7 +455,7 @@ class ExtCtx(_Residues):
 
     def ext_to_vec(self, a: int) -> tuple[int, ...]:
         """Coordinates of ``a`` on the polynomial basis, constant term first."""
-        return _digits(self.check_element(a), self.base.q, self.m)
+        return _entries_of_index(self.base.q, self.m, self.check_element(a))[::-1]
 
     def vec_to_ext(self, coords) -> int:
         coords = tuple(coords)
@@ -449,7 +463,7 @@ class ExtCtx(_Residues):
             raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
         for c in coords:
             self.base.check_element(c)
-        return _undigits(coords, self.base.q)
+        return _index_of_entries(self.base.q, reversed(coords))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -458,19 +472,8 @@ class ExtCtx(_Residues):
 
         Equal to ``mul(c, a)``, without building extension tables.
         """
-        if c == 0:
-            return 0
-        if c == 1:
-            return a
-        q = self.base.q
-        mul = self.base.mul
-        out = 0
-        place = 1
-        while a:
-            a, d = divmod(a, q)
-            out += mul(c, d) * place
-            place *= q
-        return out
+        q, mul = self.base.q, self.base.mul
+        return _index_of_entries(q, [mul(c, d) for d in _entries_of_index(q, self.m, a)])
 
     # ``_log or _log_table()`` skips a call once the tables exist; a bad
     # code is then a KeyError from the log map, where a list would wrap -1

@@ -31,7 +31,7 @@ from .bounds import (
     theta_threshold,
 )
 from .codes import LinearCode, _check_word_cap, sample_random_code, sample_random_linear_code
-from .fields import default_context
+from .fields import _entries_of_index, _index_of_entries, default_context
 from .listdec import _split, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
@@ -40,9 +40,7 @@ from .rankmetric import (
     _check_length,
     _check_radius,
     _check_space,
-    _entries_of_index,
     _fields_dict,
-    _index_of_entries,
     _Record,
     _space_fits,
 )

@@ -5,7 +5,7 @@ Five kernels count lists, keyed by packed vector index (``vector_index``:
 base-q^m digits, entry 0 most significant).  They take the codewords as
 packed indices too, from ``codes._packed_words``, or a linear code's F_p
 basis words, from ``codes._fp_basis``; only a rank test and the odd-p
-scatter unpack them, with ``_entries_of_index``.
+scatter unpack them, with ``fields._entries_of_index``.
 
 For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
 is F_{q^m}-linear) the list size at x is the number of offsets b of
@@ -143,7 +143,7 @@ from .codes import (
     _packed_words,
 )
 from .errors import EnumerationCapExceeded
-from .fields import _default_base
+from .fields import _default_base, _entries_of_index, _index_of_entries
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
@@ -152,10 +152,8 @@ from .rankmetric import (
     _check_radius,
     _check_space,
     _Encoder,
-    _entries_of_index,
     _fields_dict,
     _fits,
-    _index_of_entries,
     _packed,
     _rank_of_entries,
     _Record,

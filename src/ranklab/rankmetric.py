@@ -60,7 +60,7 @@ from operator import add, attrgetter, floordiv, itemgetter, mod, mul, or_, xor
 from threading import Lock
 
 from .errors import EnumerationCapExceeded
-from .fields import ExtCtx, FieldCtx, split_prime_power
+from .fields import ExtCtx, FieldCtx, _entries_of_index, _index_of_entries, split_prime_power
 
 DEFAULT_ENUM_CAP = 2**24
 
@@ -229,22 +229,6 @@ def unflatten_vector(ctx: ExtCtx, n: int, coords) -> RankVector:
 def vector_index(x: RankVector) -> int:
     """Position of x in lexicographic entry order (entry 0 most significant)."""
     return _index_of_entries(x.ctx.order, x.entries)
-
-
-def _index_of_entries(order: int, entries) -> int:
-    """``vector_index`` of a vector given by its entry codes."""
-    idx = 0
-    for e in entries:
-        idx = idx * order + e
-    return idx
-
-
-def _entries_of_index(order: int, n: int, idx: int) -> tuple[int, ...]:
-    """Entry codes of the vector at ``idx``, the inverse of ``_index_of_entries``."""
-    entries = [0] * n
-    for j in range(n - 1, -1, -1):
-        idx, entries[j] = divmod(idx, order)
-    return tuple(entries)
 
 
 def vector_from_index(ctx: ExtCtx, n: int, idx: int) -> RankVector:

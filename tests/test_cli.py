@@ -2,19 +2,28 @@
 and through ``python -m ranklab`` where a fresh interpreter matters."""
 
 import csv
+import inspect
 import io
 import json
 import os
+import shlex
 import subprocess
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import run_python
-from ranklab.cli import main
+from ranklab.bounds import emit_barrier_curves
+from ranklab.cli import build_parser, main
 from ranklab.codefile import loads_code
 from ranklab.codes import GabidulinCode, LinearCode
-from ranklab.harness import content_hash
+from ranklab.harness import content_hash, run_ensemble
+from ranklab.listdec import DEFAULT_MC_CENTERS, max_list_size
+from ranklab.rankmetric import ball_volume, kq_constant
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(capsys, argv):
@@ -58,6 +67,22 @@ def test_volume_past_the_float_range(capsys):
 def test_volume_out_of_range_exits_2(capsys):
     assert main(["volume", "--q", "2", "--m", "2", "--n", "2", "--r", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "volume --q 2305843009213693951 --m 1 --n 1 --r 0",
+        "sample --kind random --q 2305843009213693951 --m 1 --n 1 --size 1",
+        "sample --kind random --field 2305843009213693951/1:0,1 --n 1 --size 1",
+    ],
+)
+def test_a_base_too_large_to_factor_exits_2_at_once(capsys, args):
+    # 2^61 - 1 is prime; trial division up to its square root took minutes
+    start = time.perf_counter()
+    assert main(args.split()) == 2
+    assert time.perf_counter() - start < 5
+    assert "no prime factor up to 2^20" in capsys.readouterr().err
 
 
 def test_bounds_singleton(capsys):
@@ -399,3 +424,41 @@ def test_closed_stdout_exits_1_without_an_error_line(args):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def readme_commands():
+    """The ``ranklab`` commands of README's "Command line" block, each with
+    its continuation lines joined."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("ranklab ")]
+
+
+def test_readme_command_line_examples_exit_0(tmp_path):
+    # in order, in one directory: later commands read the files earlier
+    # ones write; child processes, since ``experiment --workers 4`` forks
+    commands = readme_commands()
+    assert {argv[1] for argv in commands} == {
+        "volume", "bounds", "sample", "listdecode", "experiment", "curves", "coset-check",
+    }
+    for argv in commands:
+        proc = run_python(["-m", "ranklab", *argv[1:]], cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def default_of(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # the CLI echoes and hashes its defaults, so each must be the value the
+    # library would use when the option is left out
+    parse = build_parser().parse_args
+    listdecode = parse(["listdecode", "--code", "c.rankcode"])
+    assert listdecode.centers == DEFAULT_MC_CENTERS == default_of(max_list_size, "centers")
+    assert listdecode.seed == default_of(max_list_size, "seed")
+    assert listdecode.workers == default_of(max_list_size, "workers") == default_of(run_ensemble, "workers")
+    volume = parse(["volume", "--q", "2", "--m", "2", "--n", "2", "--r", "1"])
+    assert volume.kq_tol == default_of(ball_volume, "kq_tol") == default_of(kq_constant, "tol")
+    assert parse(["curves", "--b", "1/2"]).grid == default_of(emit_barrier_curves, "grid_points")

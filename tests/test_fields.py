@@ -92,6 +92,21 @@ def test_split_prime_power_rejects_non_prime_powers():
             split_prime_power(bad)
 
 
+def test_factoring_answers_up_to_two_to_the_forty_and_refuses_above():
+    # trial division stops at 2^20: every n <= 2^40 is factored as before,
+    # and above it a cofactor with no prime factor up to 2^20 is refused
+    # at once instead of divided for minutes
+    assert split_prime_power(2**40) == (2, 40)
+    assert split_prime_power(3**30) == (3, 30)
+    assert is_prime(2**40 - 87)  # the largest prime below 2^40
+    assert not is_prime((2**20 - 3) * (2**20 + 7))
+    start = time.perf_counter()
+    for call in (is_prime, split_prime_power, FieldCtx):
+        with pytest.raises(InfeasibleError, match="no prime factor up to 2"):
+            call(2**61 - 1)
+    assert time.perf_counter() - start < 5
+
+
 def test_prime_field_matches_integer_arithmetic():
     for p in (2, 3, 5, 7):
         fld = FieldCtx(p)
@@ -249,6 +264,9 @@ def test_coordinate_round_trip():
             vec = ctx.ext_to_vec(a)
             assert len(vec) == ctx.m
             assert ctx.vec_to_ext(vec) == a
+            # a base scalar scales each coordinate: the extension product
+            for c in ctx.base.elements():
+                assert ctx.scale(c, a) == ctx.mul(c, a), (ctx, c, a)
         # basis element i is the i-th unit coordinate vector
         for i, code in enumerate(ctx.basis):
             vec = ctx.ext_to_vec(code)

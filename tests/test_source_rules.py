@@ -802,3 +802,37 @@ def test_each_argument_rule_has_one_owner():
                 asking.add(where)
     assert compared == {"rankmetric.py:_space_fits"}
     assert asking == {"rankmetric.py:_check_space", "harness.py:_run_trials"}
+
+
+CODEC = {"_entries_of_index", "_index_of_entries"}
+# the codec's own digit loop, and the three digit steps that are no plain
+# conversion: each adds or shifts a digit as it reads it and stops after
+# the last nonzero one
+DIGIT_LOOPS = {
+    "fields.py:_entries_of_index", "fields.py:_digitwise_mod_p",
+    "rankmetric.py:_shifter.shift", "listdec.py:_translator.move",
+}
+
+
+def test_fields_owns_the_one_digit_codec():
+    # an int and its base-b digits convert in one place, most significant
+    # digit first; a little-endian caller reverses the tuple rather than
+    # writing a second loop, and every other module imports the pair from
+    # .fields
+    defined, naming, importing, sources, loops = set(), set(), set(), set(), set()
+    for path, tree in parsed_modules():
+        in_loops = {id(sub) for node in ast.walk(tree) if isinstance(node, LOOPS) for sub in ast.walk(node)}
+        for scope, node in scoped_nodes(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in CODEC:
+                defined.add(f"{path.name}:{node.name}")
+            if isinstance(node, ast.Name) and node.id in CODEC:
+                naming.add(path.name)
+            if isinstance(node, ast.ImportFrom) and CODEC & {alias.name for alias in node.names}:
+                importing.add(path.name)
+                sources.add("." * node.level + (node.module or ""))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "divmod" and id(node) in in_loops:
+                loops.add(f"{path.name}:{scope}")
+    assert defined == {f"fields.py:{name}" for name in CODEC}
+    assert sources == {".fields"}
+    assert importing == naming - {"fields.py"}
+    assert loops == DIGIT_LOOPS
