@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from . import rankmetric
-from .rankmetric import _fields_dict, _Fresh, _plain, _Record
+from .rankmetric import _check_count, _check_unit, _fields_dict, _Fresh, _plain, _Record
 
 
 class BoundReport(_Record):
@@ -37,15 +37,9 @@ class BoundReport(_Record):
         }
 
 
-def _check_unit(name: str, x) -> None:
-    if not 0 <= x <= 1:
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")
-
-
 def code_rate(size: int, q: int, m: int, n: int):
     """R = log_q(size) / (mn); exact Fraction when size is a power of q."""
-    if size < 1:
-        raise ValueError("code size must be positive")
+    _check_count(size, "code size")
     rankmetric._check_geometry(q, m, n)
     k, rest = 0, size
     while rest % q == 0:
@@ -70,8 +64,7 @@ def hamming_check(code_size: int, q: int, m: int, n: int, d: int) -> BoundReport
     ``satisfied`` is the packing inequality and ``details['perfect']``
     flags exact equality, the perfect-code condition.
     """
-    if code_size < 1:
-        raise ValueError("code size must be positive")
+    _check_count(code_size, "code size")
     rankmetric._check_geometry(q, m, n)
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d = {d}")
@@ -91,7 +84,7 @@ def gv_alpha_lower(delta, b):
     """Existence floor for the rate function: alpha(delta) >= (1-delta)(1-b*delta)."""
     if b < 0:
         raise ValueError(f"aspect ratio b must be non-negative, got {b}")
-    _check_unit("delta", delta)
+    _check_unit(delta, "delta")
     if b > 1 and delta > Fraction(1, 1) / b:
         raise ValueError(f"delta must be at most 1/b = {Fraction(1, 1) / b}")
     return (1 - delta) * (1 - b * delta)
@@ -99,20 +92,20 @@ def gv_alpha_lower(delta, b):
 
 def alpha_exact(delta):
     """The exact rate function 1 - delta (square-or-wider matrices)."""
-    _check_unit("delta", delta)
+    _check_unit(delta, "delta")
     return 1 - delta
 
 
 def singleton_barrier(rate):
     """Largest decoding radius fraction compatible with rate R: 1 - R."""
-    _check_unit("rate", rate)
+    _check_unit(rate, "rate")
     return 1 - rate
 
 
 def gv_barrier(rho, b):
     """Rate ceiling (1 - rho)(1 - b*rho) for list decoding at radius fraction rho."""
-    _check_unit("rho", rho)
-    _check_unit("b", b)
+    _check_unit(rho, "rho")
+    _check_unit(b, "b")
     return (1 - rho) * (1 - b * rho)
 
 
@@ -151,8 +144,7 @@ def emit_barrier_curves(b, grid_points: int = 101) -> tuple[CurvePoint, ...]:
     exact, so grid points like rho = 1/2 carry no rounding.
     """
     b = Fraction(b)
-    if not 0 <= b <= 1:
-        raise ValueError(f"b must lie in [0, 1], got {b}")
+    _check_unit(b, "b")
     if grid_points < 2:
         raise ValueError("grid needs at least 2 points")
     out = []

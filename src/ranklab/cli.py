@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleError
 from .fields import context_from_descriptor, default_context
-from .rankmetric import DEFAULT_ENUM_CAP, _plain, ball_volume
+from .rankmetric import DEFAULT_ENUM_CAP, _check_count, _plain, ball_volume
 
 
 def _fraction(text: str) -> Fraction:
@@ -66,18 +66,10 @@ def _echo(args, *names) -> dict:
     return {name: _plain(getattr(args, name)) for name in names}
 
 
-def _resolve_context(args):
-    if getattr(args, "field", None):
-        return context_from_descriptor(args.field)
-    if args.q is None or args.m is None:
-        raise ValueError("give either --field or both --q and --m")
-    return default_context(args.q, args.m)
-
-
 def _resolve_radius(args, n: int) -> int:
-    if getattr(args, "radius", None) is not None:
+    if args.radius is not None:
         return args.radius
-    if getattr(args, "rho", None) is not None:
+    if args.rho is not None:
         from .listdec import radius_from_fraction
 
         return radius_from_fraction(args.rho, n)
@@ -119,7 +111,9 @@ def _cmd_sample(args) -> None:
     from . import codefile
     from .codes import _check_word_cap, gabidulin, sample_random_code, sample_random_linear_code
 
-    ctx = _resolve_context(args)
+    if not args.field and (args.q is None or args.m is None):
+        raise ValueError("give either --field or both --q and --m")
+    ctx = context_from_descriptor(args.field) if args.field else default_context(args.q, args.m)
     if args.kind == "random":
         if args.size is None:
             raise ValueError("kind=random needs --size")
@@ -145,8 +139,8 @@ def _cmd_listdecode(args) -> None:
     from . import codefile
     from .listdec import max_list_size, pigeonhole_loose_form
 
-    if args.list_cap is not None and args.list_cap < 1:
-        raise ValueError("list cap must be at least 1")
+    if args.list_cap is not None:
+        _check_count(args.list_cap, "list cap")  # before the code is loaded
     with open(args.code, encoding="utf-8") as fh:
         code = codefile.load_code(fh)
     s = _resolve_radius(args, code.n)
@@ -227,6 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"cap on centers swept, words held and ball offsets (default {DEFAULT_ENUM_CAP})",
     )
     common.add_argument("--format", choices=("json", "csv"), default="json")
+    # the radius of listdecode, experiment and coset-check; _resolve_radius reads it
+    radius = argparse.ArgumentParser(add_help=False)
+    radius.add_argument("--radius", type=int, help="rank radius s")
+    radius.add_argument("--rho", type=_fraction, help="radius fraction; s = floor(rho*n)")
 
     parser = argparse.ArgumentParser(
         prog="ranklab",
@@ -267,23 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("listdecode", parents=[common], help="worst list size for a code file")
+    p = sub.add_parser("listdecode", parents=[common, radius], help="worst list size for a code file")
     p.add_argument("--code", required=True, help="path to a rankcode/1 file")
-    p.add_argument("--radius", type=int, help="rank radius s")
-    p.add_argument("--rho", type=_fraction, help="radius fraction; s = floor(rho*n)")
     p.add_argument("--mode", choices=("exhaustive", "montecarlo"), default="exhaustive")
     p.add_argument("--centers", type=int, default=1000, help="extra Monte Carlo centers")
     p.add_argument("--list-cap", dest="list_cap", type=int, help="report a verdict against this L")
     p.set_defaults(func=_cmd_listdecode)
 
-    p = sub.add_parser("experiment", parents=[common], help="seeded ensemble of sampled codes")
+    p = sub.add_parser("experiment", parents=[common, radius], help="seeded ensemble of sampled codes")
     p.add_argument("--kind", choices=("random", "random_linear"), required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=_fraction, required=True)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--rho", type=_fraction)
     p.add_argument("--list-cap", dest="list_cap", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=_cmd_experiment)
@@ -293,10 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=101)
     p.set_defaults(func=_cmd_curves)
 
-    p = sub.add_parser("coset-check", parents=[common], help="exact ball-across-cosets tally")
+    p = sub.add_parser("coset-check", parents=[common, radius], help="exact ball-across-cosets tally")
     p.add_argument("--code", required=True, help="path to a kind=linear rankcode/1 file")
-    p.add_argument("--radius", type=int)
-    p.add_argument("--rho", type=_fraction)
     p.set_defaults(func=_cmd_coset_check)
     return parser
 

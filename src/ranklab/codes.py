@@ -22,6 +22,7 @@ from .errors import EnumerationCapExceeded
 from .fields import ExtCtx, _entries_of_index, _index_of_entries
 from .rankmetric import (
     RankVector,
+    _check_count,
     _check_length,
     _echelon,
     _rank_of_entries,
@@ -46,8 +47,7 @@ class ExplicitCode(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
-        if not self.words:
-            raise ValueError("a code must contain at least one word")
+        _check_count(len(self.words), "code size")
         seen = set()
         for w in self.words:
             if w.ctx != self.ctx or w.n != self.n:
@@ -159,6 +159,7 @@ def gabidulin_encode(code: GabidulinCode, message) -> RankVector:
 
 def sample_random_code(ctx: ExtCtx, n: int, size: int, seed: int) -> ExplicitCode:
     """Uniform size-``size`` subset of F_{q^m}^n as an explicit code."""
+    _check_length(n, ctx.m)  # before the space q^(mn) is computed
     space = ctx.order**n
     if not 1 <= size <= space:
         raise ValueError(f"need 1 <= size <= {space}, got {size}")

@@ -37,9 +37,12 @@ from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
     _ball_size,
+    _check_count,
+    _check_geometry,
     _check_length,
     _check_radius,
     _check_space,
+    _check_unit,
     _fields_dict,
     _Record,
     _space_fits,
@@ -65,15 +68,12 @@ class EnsembleSpec(_Record):
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"kind must be one of {ENSEMBLE_KINDS}, got {self.kind!r}")
-        _check_length(self.n, self.m)
+        _check_geometry(self.q, self.m, self.n)
         object.__setattr__(self, "rate_target", Fraction(self.rate_target))
-        if not 0 <= self.rate_target <= 1:
-            raise ValueError(f"rate_target must lie in [0, 1], got {self.rate_target}")
+        _check_unit(self.rate_target, "rate_target")
         _check_radius(self.radius_s, self.n, "radius_s")
-        if self.list_cap < 1:
-            raise ValueError("list_cap must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        _check_count(self.list_cap, "list_cap")
+        _check_count(self.trials, "trials")
 
     @property
     def realized_log_size(self) -> int:
@@ -170,8 +170,7 @@ def _run_trials(spec: EnsembleSpec, cap: int, indices) -> list[TrialOutcome]:
 
 def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
     """Run every trial of the ensemble; deterministic for any worker count >= 1."""
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    _check_count(workers, "workers")
     # both kinds draw q^k words, refused here before the first draw
     _check_word_cap(spec.q**spec.realized_log_size, cap)
     t0 = time.perf_counter()

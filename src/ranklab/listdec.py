@@ -149,8 +149,11 @@ from .rankmetric import (
     RankVector,
     _ball,
     _ball_size,
+    _check_count,
+    _check_geometry,
     _check_radius,
     _check_space,
+    _check_unit,
     _Encoder,
     _fields_dict,
     _fits,
@@ -183,8 +186,7 @@ class ListReport(_Record):
 
 def pigeonhole_lower_bound(code_size: int, q: int, m: int, n: int, s: int) -> int:
     """ceil(|C| * |B(0, s)| / q^(mn)): some center must see this many words."""
-    if code_size < 1:
-        raise ValueError("code size must be positive")
+    _check_count(code_size, "code size")
     _check_radius(s, n)
     return _pigeonhole_floor(code_size, _ball_size(q, m, n, s), q ** (m * n))
 
@@ -202,8 +204,8 @@ def pigeonhole_loose_form(code_size: int, q: int, m: int, n: int, s: int) -> Fra
     drops the q^(s(n-s)) factor of the exact ball lower bound, so it
     exceeds 1 exactly when R + rho > 1.
     """
-    if code_size < 1:
-        raise ValueError("code size must be positive")
+    _check_count(code_size, "code size")
+    _check_geometry(q, m, n)
     _check_radius(s, n)
     return Fraction(code_size * q ** (s * m), q ** (m * n))
 
@@ -584,8 +586,7 @@ def max_list_size(
     _check_radius(s, code.n)
     if centers < 0:
         raise ValueError(f"need centers >= 0, got {centers}")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    _check_count(workers, "workers")
     ctx = code.ctx
     n = code.n
     space = ctx.order**n
@@ -726,8 +727,7 @@ def is_list_decodable(code: Code, s: int, list_cap: int, **kwargs) -> bool:
     Only meaningful as a certificate in exhaustive mode; in Monte Carlo
     mode a True answer is merely "no violation found".
     """
-    if list_cap < 1:
-        raise ValueError("list cap must be at least 1")
+    _check_count(list_cap, "list cap")
     return max_list_size(code, s, **kwargs).l_max <= list_cap
 
 
@@ -742,6 +742,5 @@ def decoding_radius(code: Code, list_cap: int, **kwargs) -> Fraction:
 def radius_from_fraction(rho, n: int) -> int:
     """Quantize a radius fraction onto the lattice: s = floor(rho * n)."""
     rho = Fraction(rho)
-    if not 0 <= rho <= 1:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _check_unit(rho, "rho")
     return math.floor(rho * n)

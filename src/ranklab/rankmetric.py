@@ -15,8 +15,10 @@ rather than approximated.
 
 Everything assumes the column-count convention n <= m: ``_check_length``
 is the package's one check of it, ``_check_radius`` its one check of a
-radius 0 <= s <= n and ``_check_space`` of the space cap q^(mn) <= cap,
-each called before any work.
+radius 0 <= s <= n, ``_check_space`` of the space cap q^(mn) <= cap,
+``_check_count`` of a count at least 1 (a code size, list cap, worker or
+trial count) and ``_check_unit`` of a rate, radius fraction or aspect
+ratio in [0, 1], each called before any work.
 
 Records (``RankVector``, ``KqInterval``, ``VolumeResult``, the codes and
 reports) derive from ``_Record``, a frozen value class without
@@ -365,8 +367,9 @@ def _rank_of_entries(ctx: ExtCtx, entries) -> int:
     if ctx.base.q == 2:
         # entry codes are already the m-bit coordinate columns
         return len(_xor_basis(entries))
-    # the n x m matrix of coordinate columns has the same rank
-    return len(_echelon([ctx.ext_to_vec(e) for e in entries], ctx.base)[1])
+    # the n x m matrix of coordinate columns, in any digit order, has the same rank
+    q, m = ctx.base.q, ctx.m
+    return len(_echelon([_entries_of_index(q, m, e) for e in entries], ctx.base)[1])
 
 
 def rank_distance(x: RankVector, y: RankVector) -> int:
@@ -390,6 +393,18 @@ def _check_radius(value: int, n: int, name: str = "s") -> None:
     argument's own ``name``."""
     if not 0 <= value <= n:
         raise ValueError(f"need 0 <= {name} <= n, got {name} = {value}")
+
+
+def _check_count(value: int, name: str) -> None:
+    """The one count rule of the package: value >= 1, refused in ``name``."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _check_unit(value, name: str) -> None:
+    """The one unit-interval rule of the package: 0 <= value <= 1."""
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
 def _space_fits(ctx: ExtCtx, n: int, cap: int) -> bool:

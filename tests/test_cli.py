@@ -174,6 +174,22 @@ def test_sample_input_validation(capsys):
     assert "--size" in capsys.readouterr().err
     assert main(["sample", "--kind", "random", "--n", "2", "--size", "4"]) == 2
     assert "--field" in capsys.readouterr().err
+    for kind in ("random_linear", "gabidulin"):
+        assert main(["sample", "--kind", kind, "--q", "2", "--m", "3", "--n", "2"]) == 2
+        assert f"kind={kind} needs --k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["3", "0", "300000000"])
+def test_sample_random_refuses_a_bad_length_before_any_draw(monkeypatch, capsys, n):
+    # n > m wrote a file listdecode refused, n = 0 wrote one, and n = 3 * 10^8
+    # computed the space q^(mn) for minutes
+    monkeypatch.setattr("ranklab.codes.draws", lambda *args: pytest.fail("drew from the stream"))
+    start = time.perf_counter()
+    assert main(["sample", "--kind", "random", "--q", "2", "--m", "2", "--n", n, "--size", "1"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"need 1 <= n <= m, got n = {n}, m = 2" in captured.err
 
 
 def sample_file(tmp_path, capsys, argv, name="c.rankcode"):
@@ -341,7 +357,11 @@ def test_curves_json_rows(capsys):
 
 def test_curves_domain_error_exits_2(capsys):
     assert main(["curves", "--b", "3/2"]) == 2
-    capsys.readouterr()
+    assert "b must lie in [0, 1], got 3/2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["curves", "--b", "x"])
+    assert info.value.code == 2
+    assert "not a rational number: 'x'" in capsys.readouterr().err
 
 
 def test_coset_check(tmp_path, capsys):
@@ -449,6 +469,18 @@ def test_readme_command_line_examples_exit_0(tmp_path):
 
 def default_of(func, name):
     return inspect.signature(func).parameters[name].default
+
+
+def test_the_radius_flags_are_declared_once():
+    # listdecode, experiment and coset-check share one --radius and one --rho
+    commands = build_parser()._subparsers._group_actions[0].choices
+    flags = {}
+    for name in ("listdecode", "experiment", "coset-check"):
+        for action in commands[name]._actions:
+            if action.dest in ("radius", "rho"):
+                flags.setdefault(action.dest, set()).add(id(action))
+                assert action.help and action.default is None
+    assert {dest: len(ids) for dest, ids in flags.items()} == {"radius": 1, "rho": 1}
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import CHI2_DF15_ALPHA_001, codewords_by_kind
+from ranklab import codes
 from ranklab.codes import (
     ExplicitCode,
     GabidulinCode,
@@ -55,7 +56,7 @@ def span_by_coordinates(code: LinearCode) -> set:
 def test_explicit_code_validation():
     ctx = default_context(2, 2)
     w = RankVector(ctx, (1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="code size must be at least 1, got 0"):
         ExplicitCode(ctx, 2, ())
     with pytest.raises(ValueError):
         ExplicitCode(ctx, 2, (w, w))  # duplicate
@@ -77,6 +78,8 @@ def test_linear_code_validation_and_sizes():
     assert code.rate == Fraction(2, 4)
     with pytest.raises(ValueError):
         LinearCode(ctx, 2, (a, b, c))  # dependent
+    with pytest.raises(ValueError, match="basis context mismatch"):
+        LinearCode(ctx, 2, (a, RankVector(default_context(2, 3), (1, 0))))
     empty = LinearCode(ctx, 2, ())
     assert empty.k == 0 and empty.size == 1
 
@@ -273,6 +276,15 @@ def test_sample_random_code_errors():
         sample_random_code(ctx, 2, 0, seed=0)
     with pytest.raises(ValueError):
         sample_random_code(ctx, 2, 17, seed=0)  # above the space size
+
+
+@pytest.mark.parametrize("n", [3, 0, 300_000_000])
+def test_sample_random_code_refuses_a_bad_length_before_any_draw(monkeypatch, n):
+    # the length rule comes before the space q^(mn), which n = 3 * 10^8
+    # would take minutes to compute, and before the draw stream
+    monkeypatch.setattr(codes, "draws", lambda *args: pytest.fail("drew from the stream"))
+    with pytest.raises(ValueError, match=f"need 1 <= n <= m, got n = {n}, m = 2"):
+        sample_random_code(default_context(2, 2), n, 1, seed=0)
 
 
 def test_sample_random_linear_code_determinism_and_errors():

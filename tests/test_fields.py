@@ -127,6 +127,10 @@ def test_field_ctx_rejects_bad_parameters():
         FieldCtx(2, 0)
     with pytest.raises(ValueError):
         FieldCtx(2, 1, modulus=(1, 1))
+    with pytest.raises(ValueError, match="base must be a FieldCtx"):
+        ExtCtx(2, 3)
+    with pytest.raises(ValueError, match="m must be a positive integer, got 0"):
+        ExtCtx(FieldCtx(2), 0)
 
 
 def test_field_ctx_rejects_bad_moduli():

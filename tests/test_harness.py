@@ -63,14 +63,30 @@ def test_spec_validation():
         EnsembleSpec(**spec_kwargs(kind="exotic"))
     with pytest.raises(ValueError):
         EnsembleSpec(**spec_kwargs(n=4))  # n > m
+    with pytest.raises(ValueError, match="not a prime power: 6"):
+        EnsembleSpec(**spec_kwargs(q=6))
     with pytest.raises(ValueError):
         EnsembleSpec(**spec_kwargs(rate_target=Fraction(3, 2)))
     with pytest.raises(ValueError):
         EnsembleSpec(**spec_kwargs(radius_s=3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="list_cap must be at least 1, got 0"):
         EnsembleSpec(**spec_kwargs(list_cap=0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
         EnsembleSpec(**spec_kwargs(trials=0))
+
+
+def test_an_experiment_over_no_field_is_refused_before_any_trial(monkeypatch, capsys):
+    # q = 6 is no prime power: the spec refuses it, so no pool starts and
+    # no trial runs
+    ran, sizes = [], []
+    monkeypatch.setattr(harness, "_run_trials", lambda *args: ran.append(args))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    argv = ["experiment", "--kind", "random", "--q", "6", "--m", "3", "--n", "2", "--rate", "1/2",
+            "--radius", "1", "--list-cap", "4", "--trials", "4", "--workers", "2"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, ran, sizes) == ("", [], [])
+    assert "not a prime power: 6" in captured.err
 
 
 def test_spec_realized_rate_floors_onto_the_lattice():

@@ -121,6 +121,14 @@ def test_pigeonhole_errors():
         pigeonhole_lower_bound(0, 2, 2, 2, 1)
     with pytest.raises(ValueError):
         pigeonhole_loose_form(4, 2, 2, 2, 3)
+    # both forms refuse an empty code, a base that is no prime power and n > m
+    for form in (pigeonhole_lower_bound, pigeonhole_loose_form):
+        with pytest.raises(ValueError, match="code size must be at least 1, got 0"):
+            form(0, 2, 2, 2, 1)
+        with pytest.raises(ValueError, match="not a prime power: 6"):
+            form(1, 6, 2, 3, 1)
+        with pytest.raises(ValueError, match="need 1 <= n <= m"):
+            form(1, 2, 2, 3, 1)
 
 
 def test_pigeonhole_floor_names_its_radius_parameter():

@@ -163,6 +163,10 @@ def test_matrix_to_vector_rejects_ragged_rows():
         matrix_to_vector(((1, 0), (1, 1, 1), (0, 1)), ctx)
     with pytest.raises(ValueError):
         matrix_to_vector(((1, 0), (1, 2), (0, 1)), ctx)  # 2 is not in F_2
+    with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+        matrix_to_vector(((1, 0), (0, 1)), ctx)
+    with pytest.raises(ValueError, match="expected 6 coordinates, got 5"):
+        unflatten_vector(ctx, 2, (1, 0, 1, 0, 1))
 
 
 def test_a_bad_matrix_raises_the_message_of_its_first_fault():

@@ -742,8 +742,7 @@ ARGUMENT_RULES = {
         {
             "rankmetric.py:RankVector.__init__", "rankmetric.py:iter_all_vectors", "rankmetric.py:_check_geometry",
             "codes.py:LinearCode.__post_init__", "codes.py:GabidulinCode.__post_init__",
-            "codes.py:sample_random_linear_code", "harness.py:EnsembleSpec.__post_init__",
-            "harness.py:threshold_probe",
+            "codes.py:sample_random_code", "codes.py:sample_random_linear_code", "harness.py:threshold_probe",
         },
     ),
     "radius": (
@@ -766,13 +765,34 @@ ARGUMENT_RULES = {
         "rankmetric.py:_check_space",
         {"rankmetric.py:enumerate_ball", "listdec.py:max_list_size", "harness.py:coset_partition_check"},
     ),
+    "count": (
+        r"must be at least 1\b",
+        "rankmetric.py:_check_count",
+        {
+            "bounds.py:code_rate", "bounds.py:hamming_check", "codes.py:ExplicitCode.__post_init__",
+            "listdec.py:pigeonhole_lower_bound", "listdec.py:pigeonhole_loose_form",
+            "listdec.py:max_list_size", "listdec.py:is_list_decodable", "harness.py:EnsembleSpec.__post_init__",
+            "harness.py:run_ensemble", "cli.py:_cmd_listdecode",
+        },
+    ),
+    "unit interval": (
+        r"must lie in \[0, 1\]",
+        "rankmetric.py:_check_unit",
+        {
+            "bounds.py:gv_alpha_lower", "bounds.py:alpha_exact", "bounds.py:singleton_barrier",
+            "bounds.py:gv_barrier", "bounds.py:emit_barrier_curves", "listdec.py:radius_from_fraction",
+            "harness.py:EnsembleSpec.__post_init__",
+        },
+    ),
 }
 
 
 def test_each_argument_rule_has_one_owner():
-    # the length 1 <= n <= m, the radius 0 <= s <= n, the word cap and the
-    # space cap q^(mn) <= cap are each refused in one place, with one message: no other string of the
-    # package spells the refusal, and every site that checks it calls the owner
+    # the length 1 <= n <= m, the radius 0 <= s <= n, the word cap, the
+    # space cap q^(mn) <= cap, a count >= 1 and the unit interval [0, 1]
+    # are each refused in one place, with one message: no other string of
+    # the package spells the refusal, and every site that checks it calls
+    # the owner
     texts = {rule: set() for rule in ARGUMENT_RULES}
     callers = {rule: set() for rule in ARGUMENT_RULES}
     owners = {owner.partition(":")[2]: rule for rule, (_, owner, _) in ARGUMENT_RULES.items()}
@@ -836,3 +856,23 @@ def test_fields_owns_the_one_digit_codec():
     assert sources == {".fields"}
     assert importing == naming - {"fields.py"}
     assert loops == DIGIT_LOOPS
+
+
+# the four conversions of a vector to and from its F_q coordinates, and the
+# code file's coordinate blocks
+COORDINATE_USERS = {
+    "rankmetric.py:vector_to_matrix", "rankmetric.py:matrix_to_vector",
+    "rankmetric.py:flatten_vector", "rankmetric.py:unflatten_vector",
+    "codefile.py:_format_vector", "codefile.py:_parse_vector",
+}
+
+
+def test_only_the_coordinate_conversions_read_coordinates_constant_term_first():
+    # ext_to_vec and vec_to_ext spell an element constant term first, the
+    # codec reversed; a rank or a key reads the codec's digits as they come
+    users = set()
+    for path, tree in parsed_modules():
+        for scope, node in scoped_nodes(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("ext_to_vec", "vec_to_ext"):
+                users.add(f"{path.name}:{scope}")
+    assert users == COORDINATE_USERS
