@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 from . import rankmetric
-from .rankmetric import _check_count, _check_unit, _fields_dict, _Fresh, _plain, _Record
+from .rankmetric import _check_count, _check_radius, _check_unit, _fields_dict, _Fresh, _plain, _Record
 
 
 class BoundReport(_Record):
@@ -53,8 +53,8 @@ def code_rate(size: int, q: int, m: int, n: int):
 def singleton_max_log_size(q: int, m: int, n: int, d: int) -> int:
     """Largest possible log_q |C| for minimum rank distance d."""
     rankmetric._check_geometry(q, m, n)
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d = {d}")
+    _check_count(d, "d")
+    _check_radius(d, n, "d")
     return min(n * (m - d + 1), m * (n - d + 1))
 
 
@@ -66,8 +66,8 @@ def hamming_check(code_size: int, q: int, m: int, n: int, d: int) -> BoundReport
     """
     _check_count(code_size, "code size")
     rankmetric._check_geometry(q, m, n)
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= n, got d = {d}")
+    _check_count(d, "d")
+    _check_radius(d, n, "d")
     radius = (d - 1) // 2
     ball = rankmetric._ball_size(q, m, n, radius)
     bound = Fraction(q ** (m * n), code_size)
@@ -81,12 +81,10 @@ def hamming_check(code_size: int, q: int, m: int, n: int, d: int) -> BoundReport
 
 
 def gv_alpha_lower(delta, b):
-    """Existence floor for the rate function: alpha(delta) >= (1-delta)(1-b*delta)."""
-    if b < 0:
-        raise ValueError(f"aspect ratio b must be non-negative, got {b}")
+    """Existence floor for the rate function: alpha(delta) >= (1-delta)(1-b*delta),
+    for the aspect ratio b = n/m in [0, 1]."""
     _check_unit(delta, "delta")
-    if b > 1 and delta > Fraction(1, 1) / b:
-        raise ValueError(f"delta must be at most 1/b = {Fraction(1, 1) / b}")
+    _check_unit(b, "b")
     return (1 - delta) * (1 - b * delta)
 
 

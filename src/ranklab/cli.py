@@ -76,6 +76,15 @@ def _resolve_radius(args, n: int) -> int:
     raise ValueError("give either --radius or --rho")
 
 
+def _load_code(args):
+    """The code of the ``--code`` file and its radius s (``_resolve_radius``)."""
+    from . import codefile
+
+    with open(args.code, encoding="utf-8") as fh:
+        code = codefile.load_code(fh)
+    return code, _resolve_radius(args, code.n)
+
+
 def _cmd_volume(args) -> None:
     res = ball_volume(args.q, args.m, args.n, args.r, kq_tol=args.kq_tol)
     _emit(args, _echo(args, "q", "m", "n", "r", "kq_tol"), res.as_dict())
@@ -136,14 +145,11 @@ def _cmd_sample(args) -> None:
 
 
 def _cmd_listdecode(args) -> None:
-    from . import codefile
     from .listdec import max_list_size, pigeonhole_loose_form
 
     if args.list_cap is not None:
         _check_count(args.list_cap, "list cap")  # before the code is loaded
-    with open(args.code, encoding="utf-8") as fh:
-        code = codefile.load_code(fh)
-    s = _resolve_radius(args, code.n)
+    code, s = _load_code(args)
     report = max_list_size(
         code,
         s,
@@ -161,14 +167,7 @@ def _cmd_listdecode(args) -> None:
     if args.list_cap is not None:
         result["list_cap"] = args.list_cap
         result["list_decodable"] = report.l_max <= args.list_cap
-    inputs = {
-        "code": args.code,
-        "radius_s": s,
-        "mode": args.mode,
-        "centers": args.centers,
-        "cap": args.cap,
-    }
-    _emit(args, inputs, result, seed=args.seed)
+    _emit(args, {**_echo(args, "code", "mode", "centers", "cap"), "radius_s": s}, result, seed=args.seed)
 
 
 def _cmd_experiment(args) -> None:
@@ -199,15 +198,11 @@ def _cmd_curves(args) -> None:
 
 
 def _cmd_coset_check(args) -> None:
-    from . import codefile
     from .harness import coset_partition_check
 
-    with open(args.code, encoding="utf-8") as fh:
-        code = codefile.load_code(fh)
-    s = _resolve_radius(args, code.n)
+    code, s = _load_code(args)
     report = coset_partition_check(code, s, cap=args.cap)
-    inputs = {"code": args.code, "radius_s": s, "cap": args.cap}
-    _emit(args, inputs, report.as_dict())
+    _emit(args, {**_echo(args, "code", "cap"), "radius_s": s}, report.as_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,8 @@ from .rankmetric import (
     RankVector,
     _check_count,
     _check_length,
+    _check_member,
+    _check_radius,
     _echelon,
     _rank_of_entries,
     _Record,
@@ -48,10 +50,9 @@ class ExplicitCode(_Record):
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
         _check_count(len(self.words), "code size")
+        _check_member(self.words, self.ctx, self.n, "codeword")
         seen = set()
         for w in self.words:
-            if w.ctx != self.ctx or w.n != self.n:
-                raise ValueError("codeword context mismatch")
             if w.entries in seen:
                 raise ValueError(f"duplicate codeword {w.entries}")
             seen.add(w.entries)
@@ -77,9 +78,7 @@ class LinearCode(_Record):
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
         _check_length(self.n, self.ctx.m)
-        for w in self.basis:
-            if w.ctx != self.ctx or w.n != self.n:
-                raise ValueError("basis context mismatch")
+        _check_member(self.basis, self.ctx, self.n, "basis")
         rows = [flatten_vector(w) for w in self.basis]
         if len(_echelon(rows, self.ctx.base)[1]) != len(rows):
             raise ValueError("basis words are linearly dependent over F_q")
@@ -108,8 +107,8 @@ class GabidulinCode(_Record):
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         _check_length(self.n, self.ctx.m)
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n = {self.n}, got k = {self.k}")
+        _check_count(self.k, "k")
+        _check_radius(self.k, self.n, "k")
         if len(self.points) != self.n:
             raise ValueError(f"expected {self.n} evaluation points")
         pts = RankVector(self.ctx, self.points)
@@ -192,6 +191,13 @@ def _check_word_cap(size: int, cap: int) -> None:
         raise EnumerationCapExceeded(f"code has {size} words, above the cap of {cap}")
 
 
+def _check_pair_cap(pairs: int, cap: int, what: str) -> None:
+    """The one pair cap of the package: refuse a scan of ``pairs`` pairs,
+    described by ``what``, above ``cap`` before any of them is scanned."""
+    if pairs > cap:
+        raise EnumerationCapExceeded(f"{pairs} {what}, above the cap of {cap}")
+
+
 def _fp_basis(code) -> list[int]:
     """Packed indices of an F_p-basis of a linear or Gabidulin code.
 
@@ -263,11 +269,7 @@ def min_rank_distance(code: Code, cap: int = DEFAULT_WORD_CAP) -> int:
     ctx, n = code.ctx, code.n
     if linear:
         return min(_rank_of_entries(ctx, _entries_of_index(ctx.order, n, w)) for w in words if w)
-    pairs = code.size * (code.size - 1) // 2
-    if pairs > cap:
-        raise EnumerationCapExceeded(
-            f"{pairs} codeword pairs to scan, above the cap of {cap}"
-        )
+    _check_pair_cap(code.size * (code.size - 1) // 2, cap, "codeword pairs to scan")
     sub = ctx.sub
     return min(
         _rank_of_entries(ctx, tuple(map(sub, x.entries, y.entries)))

@@ -31,7 +31,7 @@ from .bounds import (
     theta_threshold,
 )
 from .codes import LinearCode, _check_word_cap, sample_random_code, sample_random_linear_code
-from .fields import _entries_of_index, _index_of_entries, default_context
+from .fields import _entries_of_index, _index_of_entries, default_context, split_prime_power
 from .listdec import _split, max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
@@ -237,7 +237,6 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
     _check_space(ctx, n, cap)
     ball = _ball_size(q, m, n, s)
     coset_count = q ** (m * n - code.k)
-    average_bound = -((-ball) // coset_count)
 
     def reversed_entries(entries):
         return tuple(_index_of_entries(q, _entries_of_index(q, m, e)[::-1]) for e in entries)
@@ -253,8 +252,9 @@ def coset_partition_check(code: LinearCode, s: int, cap: int = DEFAULT_ENUM_CAP)
         identity_ok=True,
         max_count=worst.l_max,
         max_rep=RankVector(ctx, reversed_entries(worst.argmax_center.entries)),
-        average_bound=average_bound,
-        meets_average_bound=worst.l_max >= average_bound,
+        # ceil(|B_s| / q^(mn-k)) = ceil(|C| |B_s| / q^(mn)), as |C| = q^k
+        average_bound=worst.pigeonhole_lb,
+        meets_average_bound=worst.l_max >= worst.pigeonhole_lb,
     )
 
 
@@ -280,10 +280,9 @@ def threshold_probe(rate, eps, q: int, pairs) -> tuple[ProbeRow, ...]:
     bracket is positive, i.e. when n/m crosses theta/2; aspect ratios at
     or above theta additionally push the bracket past eps*m, which is
     the regime the threshold is named for.  ``q`` only scales the floor,
-    never its sign, and is echoed for context.
+    never its sign; it must be a prime power, checked before any row.
     """
-    if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+    split_prime_power(q)
     rate = Fraction(rate)
     eps = Fraction(eps)
     theta = theta_threshold(rate, eps)

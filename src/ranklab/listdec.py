@@ -138,11 +138,11 @@ from .codes import (
     Code,
     GabidulinCode,
     LinearCode,
+    _check_pair_cap,
     _check_word_cap,
     _fp_basis,
     _packed_words,
 )
-from .errors import EnumerationCapExceeded
 from .fields import _default_base, _entries_of_index, _index_of_entries
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
@@ -151,6 +151,7 @@ from .rankmetric import (
     _ball_size,
     _check_count,
     _check_geometry,
+    _check_member,
     _check_radius,
     _check_space,
     _check_unit,
@@ -213,8 +214,7 @@ def pigeonhole_loose_form(code_size: int, q: int, m: int, n: int, s: int) -> Fra
 def list_size_at(code: Code, center: RankVector, s: int, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of codewords within rank distance s of the center, by direct
     scan: the rank of each difference."""
-    if center.ctx != code.ctx or center.n != code.n:
-        raise ValueError("center does not live in the code's ambient space")
+    _check_member((center,), code.ctx, code.n, "center")
     _check_radius(s, code.n)
     ctx, n, sub = code.ctx, code.n, code.ctx.sub
     words = (_entries_of_index(ctx.order, n, w) for w in _packed_words(code, cap))
@@ -713,11 +713,8 @@ def _route(ctx, n: int, s: int, bv: int, size: int, linear: bool, draws, cap: in
             # past the byte slots a coset key is a tuple, priced like a ranked pair
             key = price["coset"] if _fits(p, n) else rank
             costs["far-coset"] = bv * key + build + draws * (rank if p > 2 else price["center"])
-    elif size * tried > cap:
-        raise EnumerationCapExceeded(
-            f"Monte Carlo needs {size * tried} codeword-center pairs"
-            f" and a ball of {bv} offsets, both above the cap of {cap}"
-        )
+    else:
+        _check_pair_cap(size * tried, cap, f"Monte Carlo codeword-center pairs, with a ball of {bv} offsets")
     return min(costs, key=costs.get)
 
 

@@ -15,10 +15,12 @@ rather than approximated.
 
 Everything assumes the column-count convention n <= m: ``_check_length``
 is the package's one check of it, ``_check_radius`` its one check of a
-radius 0 <= s <= n, ``_check_space`` of the space cap q^(mn) <= cap,
-``_check_count`` of a count at least 1 (a code size, list cap, worker or
-trial count) and ``_check_unit`` of a rate, radius fraction or aspect
-ratio in [0, 1], each called before any work.
+radius 0 <= s <= n (and of the upper end of a distance d or dimension k),
+``_check_member`` of vectors living in one F_{q^m}^n, ``_check_space`` of
+the space cap q^(mn) <= cap, ``_check_count`` of a count at least 1 (a
+code size, list cap, worker or trial count, a distance or a dimension)
+and ``_check_unit`` of a rate, radius fraction or aspect ratio in [0, 1],
+each called before any work.
 
 Records (``RankVector``, ``KqInterval``, ``VolumeResult``, the codes and
 reports) derive from ``_Record``, a frozen value class without
@@ -180,21 +182,17 @@ class RankVector(_Record):
     def zero(ctx: ExtCtx, n: int) -> "RankVector":
         return RankVector(ctx, (0,) * n)
 
-    def _compat(self, other: "RankVector") -> None:
-        if self.ctx != other.ctx or self.n != other.n:
-            raise ValueError("vectors come from different contexts")
-
     def __add__(self, other: "RankVector") -> "RankVector":
         if not isinstance(other, RankVector):
             return NotImplemented
-        self._compat(other)
+        _check_member((other,), self.ctx, self.n, "vector")
         add = self.ctx.add
         return RankVector(self.ctx, tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "RankVector") -> "RankVector":
         if not isinstance(other, RankVector):
             return NotImplemented
-        self._compat(other)
+        _check_member((other,), self.ctx, self.n, "vector")
         sub = self.ctx.sub
         return RankVector(self.ctx, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
 
@@ -393,6 +391,13 @@ def _check_radius(value: int, n: int, name: str = "s") -> None:
     argument's own ``name``."""
     if not 0 <= value <= n:
         raise ValueError(f"need 0 <= {name} <= n, got {name} = {value}")
+
+
+def _check_member(vectors, ctx: ExtCtx, n: int, name: str) -> None:
+    """The one membership rule of the package: every vector is a length-n
+    vector of ``ctx``, refused as a ``name`` context mismatch."""
+    if any(v.ctx is not ctx and v.ctx != ctx or len(v.entries) != n for v in vectors):
+        raise ValueError(f"{name} context mismatch")
 
 
 def _check_count(value: int, name: str) -> None:

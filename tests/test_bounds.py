@@ -52,9 +52,9 @@ def test_singleton_max_log_size():
 
 
 def test_singleton_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="d must be at least 1, got 0"):
         singleton_max_log_size(2, 3, 3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= d <= n, got d = 4"):
         singleton_max_log_size(2, 3, 3, 4)  # d > n
     with pytest.raises(ValueError):
         singleton_max_log_size(2, 2, 3, 1)  # n > m
@@ -102,6 +102,8 @@ def test_gv_alpha_lower_values():
 def test_gv_alpha_lower_domain():
     with pytest.raises(ValueError):
         gv_alpha_lower(Fraction(3, 4), 2)  # delta beyond 1/b
+    with pytest.raises(ValueError, match=r"b must lie in \[0, 1\], got 3"):
+        gv_alpha_lower(Fraction(1, 4), 3)  # b = n/m is at most 1, also where delta <= 1/b
     with pytest.raises(ValueError):
         gv_alpha_lower(Fraction(1, 2), -1)
     with pytest.raises(ValueError):

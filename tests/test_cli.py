@@ -115,6 +115,12 @@ def test_bounds_missing_parameter_exits_2(capsys):
     assert "needs --n" in capsys.readouterr().err
 
 
+def test_bounds_gv_lower_refuses_an_aspect_ratio_above_one(capsys):
+    # b = n/m, and the package holds n <= m
+    assert main(["bounds", "--name", "gv_lower", "--delta", "1/4", "--b", "3"]) == 2
+    assert "b must lie in [0, 1], got 3" in capsys.readouterr().err
+
+
 def test_bounds_unknown_name_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["bounds", "--name", "mystery"])

@@ -60,8 +60,10 @@ def test_explicit_code_validation():
         ExplicitCode(ctx, 2, ())
     with pytest.raises(ValueError):
         ExplicitCode(ctx, 2, (w, w))  # duplicate
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="codeword context mismatch"):
         ExplicitCode(ctx, 2, (RankVector(default_context(2, 3), (1, 2)),))
+    with pytest.raises(ValueError, match="codeword context mismatch"):
+        ExplicitCode(ctx, 2, (w, RankVector(ctx, (1,))))  # a shorter word
     code = ExplicitCode(ctx, 2, (w, RankVector(ctx, (0, 0))))
     assert code.size == 2
     assert code.rate == Fraction(1, 4)
@@ -112,9 +114,9 @@ def test_zero_dimensional_code_enumerates_only_zero():
 
 def test_gabidulin_validation():
     ctx = default_context(2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
         GabidulinCode(ctx, 3, 0, (1, 2, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= k <= n, got k = 4"):
         GabidulinCode(ctx, 3, 4, (1, 2, 4))  # k > n
     with pytest.raises(ValueError):
         GabidulinCode(ctx, 3, 1, (1, 2))  # wrong point count
@@ -205,8 +207,8 @@ def test_gabidulin_meets_designed_distance():
 def test_min_distance_pair_cap():
     ctx = default_context(2, 2)
     code = sample_random_code(ctx, 2, 12, seed=0)
-    with pytest.raises(EnumerationCapExceeded):
-        min_rank_distance(code, cap=10)  # 66 pairs > 10
+    with pytest.raises(EnumerationCapExceeded, match="^66 codeword pairs to scan, above the cap of 10$"):
+        min_rank_distance(code, cap=10)
 
 
 def test_enumerate_codewords_cap():

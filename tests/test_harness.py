@@ -273,6 +273,7 @@ def test_coset_partition_check_battery():
             assert report.total == report.ball == ball_volume(2, 2, 2, s).exact
             assert report.coset_count == 2 ** (4 - k)
             assert report.meets_average_bound
+            assert report.average_bound == -(-report.ball // report.coset_count)
             counts = oracle_partition_counts(code, s)
             assert len(counts) == report.coset_count
             assert sum(counts) == report.ball
@@ -288,6 +289,7 @@ def test_coset_partition_check_ternary():
         code = sample_random_linear_code(ctx, 1, k, seed=3)
         report = coset_partition_check(code, s)
         assert report.identity_ok and report.meets_average_bound
+        assert report.average_bound == -(-report.ball // report.coset_count)
         counts = oracle_partition_counts(code, s)
         assert max(counts) == report.max_count
 
@@ -456,8 +458,10 @@ def test_threshold_probe_supercritical_rows():
 
 
 def test_threshold_probe_errors():
-    with pytest.raises(ValueError):
-        threshold_probe(Fraction(1, 2), Fraction(1, 10), 1, [(4, 2)])
+    for q in (1, 6):  # no prime power, refused before the first row
+        for pairs in ([(4, 2)], []):
+            with pytest.raises(ValueError, match=f"not a prime power: {q}"):
+                threshold_probe(Fraction(1, 2), Fraction(1, 10), q, pairs)
     with pytest.raises(ValueError):
         threshold_probe(Fraction(1, 2), Fraction(1, 10), 2, [(2, 4)])  # n > m
     with pytest.raises(ValueError):

@@ -93,8 +93,10 @@ def test_list_size_at_matches_direct_count():
 def test_list_size_at_errors():
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 4, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="center context mismatch"):
         list_size_at(code, RankVector(default_context(2, 2), (0, 0)), 1)
+    with pytest.raises(ValueError, match="center context mismatch"):
+        list_size_at(code, RankVector.zero(ctx, 1), 1)
     with pytest.raises(ValueError):
         list_size_at(code, RankVector.zero(ctx, 2), 3)
 

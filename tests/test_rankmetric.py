@@ -75,10 +75,12 @@ def test_vector_addition_and_mismatch():
     b = RankVector(ctx, (3, 4))
     assert (a + b).entries == (ctx.add(1, 3), ctx.add(2, 4))
     assert (a - a).entries == (0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector context mismatch"):
         a + RankVector(ctx, (1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vector context mismatch"):
         a + RankVector(default_context(3, 2), (1, 2))
+    with pytest.raises(ValueError, match="vector context mismatch"):
+        a - RankVector(default_context(3, 2), (1, 2))
 
 
 def test_vector_arithmetic_with_a_non_vector_is_a_type_error():

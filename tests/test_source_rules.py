@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -63,6 +64,24 @@ def relative_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             yield from [node.module] if node.module else (alias.name for alias in node.names)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # the package promises the standard library alone (README, and
+    # ``dependencies = []`` in pyproject.toml): every absolute import, at
+    # any level, names a top-level module of the running Python's stdlib
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
 
 
 def test_the_package_imports_form_no_cycle():
@@ -752,13 +771,27 @@ ARGUMENT_RULES = {
             "rankmetric.py:count_rank_u", "rankmetric.py:_ball_size", "rankmetric.py:enumerate_ball",
             "listdec.py:pigeonhole_lower_bound", "listdec.py:pigeonhole_loose_form", "listdec.py:list_size_at",
             "listdec.py:max_list_size", "harness.py:EnsembleSpec.__post_init__",
-            "harness.py:coset_partition_check",
+            "harness.py:coset_partition_check", "bounds.py:singleton_max_log_size", "bounds.py:hamming_check",
+            "codes.py:GabidulinCode.__post_init__",
+        },
+    ),
+    "membership": (
+        r"context mismatch",
+        "rankmetric.py:_check_member",
+        {
+            "rankmetric.py:RankVector.__add__", "rankmetric.py:RankVector.__sub__",
+            "codes.py:ExplicitCode.__post_init__", "codes.py:LinearCode.__post_init__", "listdec.py:list_size_at",
         },
     ),
     "word cap": (
         r"\bwords\b.*above the cap",
         "codes.py:_check_word_cap",
         {"codes.py:_packed_words", "listdec.py:max_list_size", "harness.py:run_ensemble", "cli.py:_cmd_sample"},
+    ),
+    "pair cap": (
+        r"pairs.*above the cap",
+        "codes.py:_check_pair_cap",
+        {"codes.py:min_rank_distance", "listdec.py:_route"},
     ),
     "space cap": (
         r"ambient space, above the cap of .*; use montecarlo",
@@ -769,7 +802,8 @@ ARGUMENT_RULES = {
         r"must be at least 1\b",
         "rankmetric.py:_check_count",
         {
-            "bounds.py:code_rate", "bounds.py:hamming_check", "codes.py:ExplicitCode.__post_init__",
+            "bounds.py:code_rate", "bounds.py:hamming_check", "bounds.py:singleton_max_log_size",
+            "codes.py:ExplicitCode.__post_init__", "codes.py:GabidulinCode.__post_init__",
             "listdec.py:pigeonhole_lower_bound", "listdec.py:pigeonhole_loose_form",
             "listdec.py:max_list_size", "listdec.py:is_list_decodable", "harness.py:EnsembleSpec.__post_init__",
             "harness.py:run_ensemble", "cli.py:_cmd_listdecode",
@@ -788,11 +822,11 @@ ARGUMENT_RULES = {
 
 
 def test_each_argument_rule_has_one_owner():
-    # the length 1 <= n <= m, the radius 0 <= s <= n, the word cap, the
-    # space cap q^(mn) <= cap, a count >= 1 and the unit interval [0, 1]
-    # are each refused in one place, with one message: no other string of
-    # the package spells the refusal, and every site that checks it calls
-    # the owner
+    # the length 1 <= n <= m, the radius 0 <= s <= n, vectors of one
+    # F_{q^m}^n, the word cap, the pair cap, the space cap q^(mn) <= cap,
+    # a count >= 1 and the unit interval [0, 1] are each refused in one
+    # place, with one message: no other string of the package spells the
+    # refusal, and every site that checks it calls the owner
     texts = {rule: set() for rule in ARGUMENT_RULES}
     callers = {rule: set() for rule in ARGUMENT_RULES}
     owners = {owner.partition(":")[2]: rule for rule, (_, owner, _) in ARGUMENT_RULES.items()}
