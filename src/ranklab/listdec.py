@@ -1,11 +1,12 @@
 """List-decodability probes: list sizes at centers, worst-case list
 sizes over the whole space, decoding radii, and pigeonhole floors.
 
-Five kernels count lists, keyed by packed vector index (``vector_index``:
-base-q^m digits, entry 0 most significant).  They take the codewords as
-packed indices too, from ``codes._packed_words``, or a linear code's F_p
-basis words, from ``codes._fp_basis``; only a rank test and the odd-p
-scatter unpack them, with ``fields._entries_of_index``.
+Three kernels count lists, keyed by packed vector index
+(``vector_index``: base-q^m digits, entry 0 most significant): one
+sparse tally (``_tally``), one dense add (``_counters``) and, for Monte
+Carlo's far centers, ``_near``.  They take the codewords as packed
+indices, from ``codes._packed_words``, or a linear code's F_p basis, from
+``codes._fp_basis``; only a rank test and the odd-p tally unpack them.
 
 For an F_q-linear code C (``LinearCode``, and ``GabidulinCode``, which
 is F_{q^m}-linear) the list size at x is the number of offsets b of
@@ -13,10 +14,7 @@ rank <= s with b = x mod C, so it depends only on the coset of x.  The
 coset key of a vector is the least packed index in its coset: C is
 taken as an F_p-space, its basis brought to echelon form on the base-p
 digits of the packed index (for p = 2 an ``_xor_basis`` keyed by top
-bit), pivots most significant first, and a vector reduced by it.  One
-pass over the |B_s| ball offsets tallies every coset.  The exhaustive
-maximum is the largest count, its center the least key among the
-cosets that reach it, which is the least center overall.  In
+bit), pivots most significant first, and a vector reduced by it.  In
 characteristic 2 the reduction is an XOR of table reads; for odd p the
 key of an offset is the digitwise sum of per-entry keys, one digit per
 byte while a sum of n digits fits in one.  That byte-slot form has one
@@ -27,40 +25,38 @@ one call: for p = 2 by XORed table reads over eight-bit windows, one
 pass of the list per window, for odd p by clearing each one's base-p
 digits row by row.
 
-Explicit codes use one of two kernels.  In the scatter kernel every
-codeword w and every offset b of rank <= s add one to the tally of the
-center w + b, so one pass of |C| * |B_s| additions gives the list size
-of every center that sees any codeword at all, and the counts sum to
-|C| * |B_s|, the double count behind the pigeonhole floor.  In
-characteristic 2 entry codes add by XOR, and so do packed vectors, so
-the key of w + b is w ^ b for the packed offset b.  For odd q the span
-tables of the ball, side by side in one list, are shifted by each entry
-of w and scaled by that entry's place value, and a key is the sum of n
-table reads: addition is digitwise inside an entry, so no carry crosses
-an entry boundary.  A shift adds one base-p digit of the entry to one
-digit plane of the list at a time, and the planes are split off the
-list once per call, so no element is added with ``ExtCtx.add``.
+In the sparse tally every word w and every offset b of rank <= s add one
+to the center w + b, or to its coset key.  The scatter tallies an
+explicit code's codewords, so the counts sum to |C| * |B_s|, the double
+count behind the pigeonhole floor; the coset tally is the tally of the
+one word 0 keyed mod C, |B_s| additions.  In characteristic 2 the key
+of w + b is w ^ b for the packed offset b.  For odd q the span tables of
+the ball, side by side in one list, are shifted by each entry of w,
+read as that entry's packed value or coset key, and summed over the n
+entries: addition is digitwise inside an entry, so no carry crosses an
+entry boundary.  A shift adds one base-p digit of the entry to one digit
+plane of the list at a time, the planes split off once per call.
 
-The counter kernel (``_counters``) counts every center of the space at
-once.  The ball is one int, bit x set for each packed offset x, from
-its s-dimensional subspaces (``rankmetric._ball_bits``).  Adding w is
+The dense add (``_counters``) counts every center of the space at once.
+The ball is one int, bit x set for each packed offset x, from its
+s-dimensional subspaces (``rankmetric._ball_bits``).  Adding w is
 digitwise mod p on the base-p digits of a packed index, so for each
 nonzero digit d of w at place P = p^k the offsets whose digit k is below
 p - d move up by d * P and the others down by (p - d) * P: one mask, two
-shifts.  Each translate is added with a ripple carry to bit-sliced
-counters, slice i holding bit i of every center's count.  The maximum is
-read from the top slice down, and its least center is the lowest bit
-left.
+shifts (``_translator``).  Each translate is added by ripple carry
+(``_add_slices``) to bit-sliced counters, slice i holding bit i of every
+center's count: one translate per codeword.  A linear code folds
+instead, from its F_p basis: the list size is 1_{B_s} * 1_C, and 1_C the
+convolution of the lines {a c : a in F_p} of the basis words c, so the
+ball's bitset starts as the one slice and each c adds to the slices
+their translates by c, 2c, ..., (p - 1)c.  Neither linear route
+enumerates a codeword.
 
-The fold (``_fold``) gives a linear code the same counters from its F_p
-basis alone.  The list size is the convolution 1_{B_s} * 1_C, and C, an
-F_p-space, is the direct sum of the lines {a c : a in F_p} of its k'
-basis words c, so 1_C is the convolution of their indicators.  The
-ball's bitset starts as the one slice; each basis word c adds to the
-slices their translates by c, 2c, ..., (p - 1)c, every slice moved by
-the counters' digit step (``_translator``) and added by ripple carry.
-``_top`` reads the maximum and its least center, the coset tally's
-answer too.  Neither linear route enumerates a codeword.
+Every exhaustive route answers (the largest count, its least center, the
+sum of the counts), from the slices (``_top``) or a tally (``_least``:
+a coset's key is its least index, so the least key is the least
+center), and ``max_list_size`` checks the sum against |B_s| from the
+shell counts in one place (``_double_count``).
 
 One picker, ``_route``, names the route of every ``max_list_size`` call,
 one of ten, priced in ``_PRICES`` units from the call alone, never from
@@ -76,19 +72,17 @@ before word j holding counts up to min(p^j, |B_s|), and the coset tally
 fixed share of the space go to the counters or the fold, and sparse ones
 stay with the scatter or the coset tally, which also serves Monte Carlo.
 Only the counters split an explicit code's codewords over workers, the
-partial slices added by ripple carry (``_add_slices``); a sparse scatter
-tally would cost the parent about as much to merge as to count, so it
-runs in this process, as linear and Gabidulin sweeps do.  Reports do not
-depend on the worker count, and exhaustive ties resolve to the least
-packed index, the first center in lexicographic order.  Every exhaustive
-sweep checks its double count against |B_s| from the shell counts
-(``_double_count``).  ``_split`` is the one process fan-out, which also
-splits the trials of ``harness.run_ensemble``.
+partial slices added by ripple carry; a sparse scatter tally would cost
+the parent about as much to merge as to count, so it runs in this
+process, as linear and Gabidulin sweeps do.  Reports do not depend on
+the worker count, and exhaustive ties resolve to the least packed index,
+the first center in lexicographic order.  ``_split`` is the one process
+fan-out, which also splits the trials of ``harness.run_ensemble``.
 
 Every kernel reads the ball through ``rankmetric._ball``, the one ball
-memo (the ``rankmetric`` module docstring): the counters and the fold
-its bitset alone, the other kernels its layout, through
-``rankmetric._packed``, the one per-entry sum.
+memo (the ``rankmetric`` module docstring): the dense add its bitset
+alone, the other kernels its layout, through ``rankmetric._packed``, the
+one per-entry sum.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
 one ``rng.draws`` stream; the first candidate with the largest count
@@ -131,7 +125,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, compress, islice, repeat, zip_longest
+from itertools import chain, compress, islice, repeat
 from operator import add, and_, floordiv, mod, rshift, xor
 
 from .codes import (
@@ -240,8 +234,9 @@ class _CosetKeys:
     odd p a key is the digit string of that index, most significant
     first: ``bytes`` when n digits ``_fits``, a tuple of ints otherwise.
     Both compare like the index they spell.  ``of_indices`` reduces each
-    index's digits row by row (``_reduce``); ``ball`` sums per-entry keys
-    reduced the same way.
+    index's digits row by row (``_reduce``); ``entry_keys`` reduces the
+    entries of the ball's offsets the same way, for ``_tally`` to sum and
+    ``summed`` to finish.
     """
 
     def __init__(self, code):
@@ -273,6 +268,8 @@ class _CosetKeys:
             rows, pivots = rref_fq(digits, _default_base(p))
             self.rows = tuple(zip(pivots, rows))
             self.narrow = _fits(p, n)
+            # each digit of a summed key sits in its own slot, wide enough for a sum of n digits
+            self.slot = 8 if self.narrow else (n * (p - 1)).bit_length()
             self.enc = _Encoder(ctx)
             self.zero = self._finish([0] * width)
 
@@ -301,51 +298,47 @@ class _CosetKeys:
         """The packed index a key spells: the least vector of its coset."""
         return key if self.p == 2 else _index_of_entries(self.p, key)
 
-    def ball(self, s: int):
-        """The key of every offset of rank <= s, one per offset.
+    def entry_keys(self, tables) -> list[list[int]]:
+        """For odd p, the key of each value of ``tables[j]`` as entry j of a
+        vector, its digits in slots: keys are F_p-linear, so the key of a
+        vector is the slotwise sum of its entries' keys, then ``summed``."""
+        p, width, slot = self.p, self.width, self.slot
+        places = [self.ctx.order**j for j in range(self.n - 1, -1, -1)]
+        return [[_index_of_entries(1 << slot, self._reduce(_entries_of_index(p, width, x * place))) for x in table]
+                for table, place in zip(tables, places)]
 
-        Keys are F_p-linear, so the key of an offset is the digitwise sum
-        of the keys of its n entries, each read from a table over the
-        ball's span values at that entry's position.  For p = 2 the
-        offsets are packed and reduced instead.
-        """
-        n, p, width = self.n, self.p, self.width
-        if p == 2:
-            return self.of_indices(_ball(self.ctx, n, s).packed)
-        values, runs = _ball(self.ctx, n, s).layout
-        # each digit sits in its own slot, wide enough for a sum of n digits
-        slot = 8 if self.narrow else (n * (p - 1)).bit_length()
-
-        def keys(place):
-            # the key of each span value x as an entry of place value ``place``
-            return [_index_of_entries(1 << slot, self._reduce(_entries_of_index(p, width, x * place))) for x in values]
-
-        sums = _packed(runs, [keys(self.ctx.order**j) for j in range(n - 1, -1, -1)], 1)
+    def summed(self, sums):
+        """The keys whose ``entry_keys`` sum to each of ``sums``, each slot
+        reduced mod p."""
         if self.narrow:
-            return self.enc.reduced(sums, width)
-        mask = (1 << slot) - 1
-        shifts = range(slot * (width - 1), -1, -slot)
-        return (tuple((t >> sh & mask) % p for sh in shifts) for t in sums)
+            return self.enc.reduced(sums, self.width)
+        slot, p, mask = self.slot, self.p, (1 << self.slot) - 1
+        return (tuple((t >> sh & mask) % p for sh in range(slot * (self.width - 1), -1, -slot)) for t in sums)
 
 
-def _scatter(ctx, n: int, s: int, words) -> Counter:
-    """The list size of every center within rank distance s of some packed
-    codeword, the scatter kernel of the module docstring: each pair (w, b)
-    of a codeword and an offset of rank <= s adds one to center w + b, so
-    the counts sum to |C| * |B_s| and a missing center sees no codeword.
-    Keys are packed indices, in order of their first (codeword, offset)
-    pair, offsets in ``rankmetric._ball_layout`` order."""
-    order = ctx.order
+def _tally(ctx, n: int, s: int, words, cosets=None) -> Counter:
+    """The sparse tally of the module docstring: each pair (w, b) of a
+    packed word and an offset of rank <= s adds one to center w + b, or
+    with ``cosets`` to its coset key, so the counts sum to |words| * |B_s|
+    and a missing key sees no word.  Keys come in order of their first
+    (word, offset) pair, offsets in ``rankmetric._ball_layout`` order.
+    The scatter tallies the codewords, the coset tally the one word 0."""
+    order, p = ctx.order, ctx.base.p
     ball = _ball(ctx, n, s)
     tally = Counter()
-    if ctx.base.p == 2:
+    if p == 2:
         for w in words:
-            tally.update(map(w.__xor__, ball.packed))
+            keys = map(w.__xor__, ball.packed) if w else ball.packed
+            tally.update(keys if cosets is None else cosets.of_indices(list(keys)))
         return tally
     values, runs = ball.layout
-    shift = _shifter(ctx.base.p, values)  # its digit planes shared by every codeword
+    shift = _shifter(p, values)  # its digit planes shared by every word
     for w in words:
-        tally.update(_packed(runs, list(map(shift, _entries_of_index(order, n, w))), order))
+        tables = list(map(shift, _entries_of_index(order, n, w)))
+        if cosets is None:
+            tally.update(_packed(runs, tables, order))
+        else:
+            tally.update(cosets.summed(_packed(runs, cosets.entry_keys(tables), 1)))
     return tally
 
 
@@ -456,11 +449,11 @@ def _split(func, items, workers: int) -> list:
 
 
 def _translator(p: int, space: int):
-    """The one digit step of the counters and the fold: a function that
-    moves a bitset of the space by a packed vector w, digitwise mod p.  For
-    each nonzero base-p digit d of w at place P the positions whose digit
-    there is below p - d move up by d * P, the others down by (p - d) * P.
-    Each (P, d) mask is built once and kept only as long as the function."""
+    """The one digit step of the dense add: a function that moves a bitset
+    of the space by a packed vector w, digitwise mod p.  For each nonzero
+    base-p digit d of w at place P the positions whose digit there is below
+    p - d move up by d * P, the others down by (p - d) * P.  Each (P, d)
+    mask is built once and kept only as long as the function."""
     full, masks = (1 << space) - 1, {}
 
     def move(bits: int, w: int) -> int:
@@ -484,60 +477,64 @@ def _translator(p: int, space: int):
     return move
 
 
-def _counters(ctx, n: int, s: int, words) -> list[int]:
+def _counters(ctx, n: int, s: int, words, span: bool = False) -> list[int]:
     """The list size of every center as bit-sliced counters, bit x of
-    slice i being bit i of the count at packed index x: the counter kernel
-    of the module docstring, one translate of the ball's bitset per packed
-    codeword."""
-    move = _translator(ctx.base.p, ctx.order**n)
-    ball = _ball(ctx, n, s).bits
-    slices = []
-    for w in words:
-        bits = move(ball, w)
-        for i, old in enumerate(slices):
-            slices[i], bits = old ^ bits, old & bits
-            if not bits:
-                break
-        else:
-            slices.append(bits)
-    return slices
-
-
-def _fold(ctx, n: int, s: int, basis) -> list[int]:
-    """The list size of every center for the F_p-span of the packed
-    ``basis``, as ``_counters`` slices: the fold of the module docstring,
-    the ball's bitset taken as one slice, and for each basis word c every
-    slice moved by c, 2c, ..., (p - 1)c, each translate added by ripple
-    carry."""
+    slice i being bit i of the count at packed index x: the dense add of
+    the module docstring, the ball's bitset translated by each packed word,
+    or with ``span`` folded along the words as an F_p basis (each basis
+    word c adding to the slices their translates by c, 2c, ...,
+    (p - 1)c), every translate added by ``_add_slices``."""
     p = ctx.base.p
     move = _translator(p, ctx.order**n)
-    slices = [_ball(ctx, n, s).bits]
-    for c in basis:
-        moved = slices
-        for _ in range(p - 1):
-            moved = [move(x, c) for x in moved]
+    ball = [_ball(ctx, n, s).bits]
+    slices = ball if span else []
+    for w in words:
+        moved = slices if span else ball
+        for _ in range(p - 1 if span else 1):
+            moved = [move(x, w) for x in moved]
             slices = _add_slices(slices, moved)
     return slices
 
 
 def _add_slices(a: list[int], b: list[int]) -> list[int]:
-    """The bit-sliced sum of two sets of ``_counters``, by ripple carry."""
+    """The bit-sliced sum of two sets of ``_counters``, by ripple carry:
+    past the shorter set the longer one's slices take the carry alone and
+    are kept as they are once none is left."""
+    if len(a) < len(b):
+        a, b = b, a
     out, carry = [], 0
-    for x, y in zip_longest(a, b, fillvalue=0):
-        out.append(x ^ y ^ carry)
-        carry = x & y | carry & (x ^ y)
+    for x, y in zip(a, b):
+        t = x ^ y
+        out.append(t ^ carry if carry else t)
+        carry = x & y | carry & t if carry else x & y
+    for i in range(len(b), len(a)):
+        if not carry:
+            return out + a[i:]
+        out.append(a[i] ^ carry)
+        carry &= a[i]
     return out + [carry] if carry else out
 
 
-def _top(slices: list[int]) -> tuple[int, int]:
-    """(the largest count, the least packed index that has it), read from
-    the top slice down: keep the centers of the slice whenever any is left."""
+def _top(slices: list[int]) -> tuple[int, int, int]:
+    """The exhaustive answer of a dense add: (the largest count, the least
+    packed index that has it, the sum of the counts), the largest read from
+    the top slice down, keeping the centers of a slice whenever any is
+    left."""
     centers, best = -1, 0
     for i in range(len(slices) - 1, -1, -1):
         top = centers & slices[i]
         if top:
             centers, best = top, best | 1 << i
-    return best, (centers & -centers).bit_length() - 1
+    total = sum(x.bit_count() << i for i, x in enumerate(slices))
+    return best, (centers & -centers).bit_length() - 1, total
+
+
+def _least(tally: Counter, index=int) -> tuple[int, int, int]:
+    """The exhaustive answer of a sparse tally, as ``_top``'s: ``index``
+    spells a key as the packed index it is, or a coset key as the least
+    index of its coset, so the least key is the least center."""
+    best = max(tally.values())
+    return best, index(min(key for key, count in tally.items() if count == best)), sum(tally.values())
 
 
 def _double_count(kernel: str, total: int, expected: int) -> None:
@@ -602,30 +599,26 @@ def max_list_size(
         _check_space(ctx, n, cap)
     linear = isinstance(code, (LinearCode, GabidulinCode))
     route = _route(ctx, n, s, bv, code.size, linear, None if drawn is None else len(drawn), cap, neighborhood_cap)
-    tried = space
     if route == "fold":
-        slices = _fold(ctx, n, s, _fp_basis(code))
+        slices = _counters(ctx, n, s, _fp_basis(code), span=True)
     elif route == "counters":
         slices = reduce(_add_slices, _split(partial(_counters, ctx, n, s), _packed_words(code, cap), workers))
     elif route in ("coset", "far-coset"):
         # the list size at x is the number of offsets in the coset of x
         cosets = _CosetKeys(code)
-        tally = Counter(cosets.ball(s))
+        tally = _tally(ctx, n, s, [0], cosets)
     elif route in ("scatter", "neighborhood"):
-        tally = _scatter(ctx, n, s, _packed_words(code, cap))
+        tally = _tally(ctx, n, s, _packed_words(code, cap))
     else:
         words = _packed_words(code, cap)
         candidates = dict.fromkeys([*words, *drawn])
         tally = _near(ctx, n, s, words, candidates, route.endswith("-keyed"), route.startswith("probe"))
-    if route in ("fold", "counters"):
-        _double_count(route, sum(x.bit_count() << i for i, x in enumerate(slices)), code.size * bv)
-        best, center = _top(slices)
-    elif route in ("coset", "scatter"):
-        _double_count(f"{route} tally", sum(tally.values()), bv if route == "coset" else code.size * bv)
-        best = max(tally.values())
-        center = min(key for key, count in tally.items() if count == best)
-        # a coset's key is its least index, so this is the least center
-        center = cosets.index(center) if route == "coset" else center
+    if drawn is None:
+        # the one exhaustive answer: every route's counts, read and checked here
+        dense = route in ("fold", "counters")
+        best, center, total = _top(slices) if dense else _least(tally, cosets.index if route == "coset" else int)
+        _double_count(route if dense else f"{route} tally", total, bv if route == "coset" else code.size * bv)
+        tried = space
     elif route == "far-coset":
         # the codewords lead the candidates, all in the coset of zero and
         # led by the zero word; each new random center is scored by its

@@ -13,7 +13,6 @@ import itertools
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import ranklab
@@ -395,6 +394,29 @@ def far_branch_oracle(code, s, centers, seed):
     return best, best_center, len(candidates)
 
 
+def coset_tally(cosets, s):
+    """The coset tally of the code whose ``listdec._CosetKeys`` are
+    ``cosets``: the sparse tally of the one word 0, keyed mod C."""
+    from ranklab.listdec import _tally
+
+    return _tally(cosets.ctx, cosets.n, s, [0], cosets)
+
+
+def forbid_the_scatter(monkeypatch, message):
+    """Let ``listdec._tally`` run only as the coset tally: a call without
+    coset keys, or with a word other than 0, tallies codewords."""
+    from ranklab import listdec
+
+    real = listdec._tally
+
+    def coset_only(ctx, n, s, words, cosets=None):
+        if cosets is None or list(words) != [0]:
+            raise AssertionError(message)
+        return real(ctx, n, s, words, cosets)
+
+    monkeypatch.setattr(listdec, "_tally", coset_only)
+
+
 def coset_route_oracle(code, s, drawn):
     """The Monte Carlo coset route, one draw at a time: the zero word's
     count leads, then each distinct draw outside the zero coset is keyed
@@ -404,7 +426,7 @@ def coset_route_oracle(code, s, drawn):
     from ranklab.listdec import _CosetKeys
 
     cosets = _CosetKeys(code)
-    tally = Counter(cosets.ball(s))
+    tally = coset_tally(cosets, s)
     best, best_index, tried = tally[cosets.zero], 0, code.size
     for x in dict.fromkeys(drawn):
         (key,) = cosets.of_indices([x])
@@ -497,9 +519,9 @@ def key_count_oracle(ctx, n, s):
 
 
 def far_route_oracle(ctx, n, s, bv, size, draws, cap, linear):
-    """``listdec._far_route`` with its byte limits written inline: the
-    probe offered for p = 2, or p <= 127 and q <= 256, and a coset key
-    priced like a rank for odd p when n * (p - 1) > 255."""
+    """The far rows of ``listdec._route`` with their byte limits written
+    inline: the probe offered for p = 2, or p <= 127 and q <= 256, and a
+    coset key priced like a rank for odd p when n * (p - 1) > 255."""
     from ranklab.errors import EnumerationCapExceeded
     from ranklab.listdec import _PRICES
 
@@ -526,8 +548,8 @@ def far_route_oracle(ctx, n, s, bv, size, draws, cap, linear):
 
 
 def sweep_route_oracle(ctx, n, s, bv, size, linear):
-    """``listdec._sweep_route`` as it was written beside the inline byte
-    limits, for the boundary shapes to be checked against."""
+    """The sweep rows of ``listdec._route`` as they were written beside the
+    inline byte limits, for the boundary shapes to be checked against."""
     import math
 
     from ranklab.listdec import _PRICES

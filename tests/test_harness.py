@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import coset_oracle, inline_executor
+from helpers import coset_oracle, forbid_the_scatter, inline_executor
 from ranklab import harness
 from ranklab.cli import main
 from ranklab.codes import (
@@ -377,11 +377,14 @@ def test_coset_partition_check_enumerates_no_codeword(monkeypatch):
     cases = [(sample_random_linear_code(ctx, 2, k, seed=1), s) for k in (1, 2, 3) for s in (0, 1, 2)]
     expected = [coset_partition_check(code, s) for code, s in cases]
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the coset check enumerated codewords or scattered them")
+    message = "the coset check enumerated codewords or scattered them"
 
-    for module, name in ((codes, "_packed_words"), (listdec, "_packed_words"), (listdec, "_scatter")):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    for module, name in ((codes, "_packed_words"), (listdec, "_packed_words")):
         monkeypatch.setattr(module, name, forbidden)
+    forbid_the_scatter(monkeypatch, message)
     assert [coset_partition_check(code, s) for code, s in cases] == expected
 
 

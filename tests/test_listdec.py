@@ -11,8 +11,9 @@ import sys
 import weakref
 from collections import Counter, deque
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from itertools import islice, zip_longest
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,10 @@ from hypothesis import strategies as st
 from helpers import (
     ball_by_tables,
     coset_route_oracle,
+    coset_tally,
     far_branch_oracle,
     far_route_oracle,
+    forbid_the_scatter,
     inline_executor,
     key_count_oracle,
     memo_span_rank,
@@ -37,6 +40,7 @@ from ranklab.codes import (
     _packed_words,
     enumerate_codewords,
     gabidulin,
+    gabidulin_encode,
     sample_random_code,
     sample_random_linear_code,
 )
@@ -61,10 +65,13 @@ from ranklab.rankmetric import (
     ball_volume,
     enumerate_ball,
     iter_all_vectors,
+    matrix_to_vector,
     rank_distance,
+    rank_fq,
     rank_of_vector,
     vector_from_index,
     vector_index,
+    vector_to_matrix,
 )
 from ranklab.rng import make_rng
 
@@ -261,6 +268,106 @@ def test_both_linear_routes_report_like_brute_force(data):
         assert report.exhaustive and report.centers_tried == ctx.order**n
 
 
+def invertible(field, size: int, rng) -> tuple:
+    """A uniform size x size matrix of GL_size(F_q), drawn until one is."""
+    while True:
+        rows = tuple(tuple(rng.randrange(field.q) for _ in range(size)) for _ in range(size))
+        if rank_fq(rows, field) == size:
+            return rows
+
+
+def product(field, a, b) -> tuple:
+    """The matrix product a * b over F_q."""
+    return tuple(tuple(reduce(field.add, map(field.mul, row, col), 0) for col in zip(*b)) for row in a)
+
+
+def draw_isometry(data, ctx, n):
+    """phi(x) = A * M_x * B for A in GL_m(F_q) and B in GL_n(F_q), M_x the
+    m x n matrix of x, transposed first when m = n and drawn so: an
+    F_q-linear map that keeps every rank, so it maps each ball onto a
+    ball."""
+    field, m = ctx.base, ctx.m
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="isometry seed"))
+    a, b = invertible(field, m, rng), invertible(field, n, rng)
+    flip = m == n and data.draw(st.booleans(), label="transpose")
+
+    def phi(x):
+        matrix = vector_to_matrix(x)
+        return matrix_to_vector(product(field, product(field, a, tuple(zip(*matrix)) if flip else matrix), b), ctx)
+
+    return phi
+
+
+def image_code(code, phi):
+    """phi(C) as a code of the same ensemble: an explicit code's words
+    mapped, or a linear one spanned by the map of an F_q basis (for a
+    Gabidulin code its F_{q^m}-basis words times the basis of F_{q^m}, an
+    image that is in general F_q-linear alone)."""
+    ctx, n = code.ctx, code.n
+    if isinstance(code, ExplicitCode):
+        return ExplicitCode(ctx, n, tuple(map(phi, code.words)))
+    basis = code.basis if isinstance(code, LinearCode) else [
+        gabidulin_encode(code, [a if j == i else 0 for j in range(code.k)]) for i in range(code.k) for a in ctx.basis
+    ]
+    return LinearCode(ctx, n, tuple(map(phi, basis)))
+
+
+def check_isometry_invariance(code, phi, radii):
+    """l_max(phi(C)) = l_max(C) on every exhaustive route of the code's
+    kind, each forced at the seam, and phi of each argmax sees l_max words
+    of phi(C); the least center need not map to the least center."""
+    routes = ("scatter", "counters") if isinstance(code, ExplicitCode) else LINEAR_ROUTES
+    image = image_code(code, phi)
+    for s in radii:
+        reports = {}
+        with pytest.MonkeyPatch.context() as patched:
+            seam = Seam(patched)
+            for route in routes:
+                seam.route = route
+                reports[route] = max_list_size(code, s), max_list_size(image, s)
+            assert seam.names == [route for route in routes for _ in range(2)]
+        l_max = reports[routes[0]][0].l_max
+        for route, (before, after) in reports.items():
+            assert before.l_max == after.l_max == l_max, (route, s)
+            assert before.pigeonhole_lb == after.pigeonhole_lb
+            assert list_size_at(image, phi(before.argmax_center), s) == l_max, (route, s)
+            assert list_size_at(image, after.argmax_center, s) == l_max, (route, s)
+
+
+ISOMETRY_SHAPES = ((2, 3, 3), (2, 4, 2), (3, 2, 2), (3, 3, 2), (4, 2, 2), (5, 2, 2), (9, 2, 2))
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_every_exhaustive_route_is_invariant_under_rank_isometries(data):
+    # an oracle past brute force: each kind of code, every radius, on each
+    # of its forced routes against its image, q = 2, 3, 4, 5 and 9
+    q, m, n = data.draw(st.sampled_from(ISOMETRY_SHAPES), label="shape")
+    ctx = default_context(q, m)
+    kind = data.draw(st.sampled_from(("explicit", "linear", "gabidulin")), label="kind")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    if kind == "explicit":
+        code = sample_random_code(ctx, n, data.draw(st.integers(1, 12), label="size"), seed)
+    elif kind == "linear":
+        k = data.draw(st.integers(1, max(k for k in range(1, m * n + 1) if q**k <= 81)), label="k")
+        code = sample_random_linear_code(ctx, n, k, seed)
+    else:
+        code = gabidulin(ctx, n, data.draw(st.integers(1, n), label="k"))
+    check_isometry_invariance(code, draw_isometry(data, ctx, n), range(n + 1))
+
+
+@settings(max_examples=1)
+@given(st.data())
+def test_rank_isometries_keep_the_sweeps_of_a_large_space(data):
+    # q2m6n4 at s = 1, a 2^24-center space, past the brute force: three
+    # explicit words, a two-dimensional linear code and the 64-word
+    # Gabidulin code, whose image folds along six basis words
+    ctx = default_context(2, 6)
+    phi = draw_isometry(data, ctx, 4)
+    for code in (sample_random_code(ctx, 4, 3, 1), sample_random_linear_code(ctx, 4, 2, 1), gabidulin(ctx, 4, 1)):
+        check_isometry_invariance(code, phi, (1,))
+
+
 @pytest.mark.parametrize(
     "q, m, n, kind, k, s, route",
     [
@@ -417,9 +524,9 @@ def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatc
     # every route reads the ball without its last offset, and only that one
     offsets = [_index_of_entries(ctx.order, b) for b in ball_by_tables(ctx, (0, 0), 1)][:-1]
     cosets = listdec._CosetKeys(linear)
-    assert list(listdec._scatter(ctx, 2, 1, [0])) == offsets
+    assert list(listdec._tally(ctx, 2, 1, [0])) == offsets
     assert rankmetric._ball(ctx, 2, 1).bits == sum(1 << x for x in offsets)
-    assert list(cosets.ball(1)) == cosets.of_indices(offsets)
+    assert list(coset_tally(cosets, 1).items()) == list(Counter(cosets.of_indices(offsets)).items())
     for route in LINEAR_ROUTES:
         seam.route = route
         with pytest.raises(RuntimeError, match="coset tally" if route == "coset" else "fold"):
@@ -449,6 +556,24 @@ def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
         max_list_size(code, 1, workers=2)
     assert sizes == [2, 2]
     assert seam.names == ["counters"] * 3
+
+
+def counts_of(slices, centers: int) -> list[int]:
+    """The count at each of ``centers`` packed indices from bit-sliced counters."""
+    return [sum((x >> c & 1) << i for i, x in enumerate(slices)) for c in range(centers)]
+
+
+@given(st.lists(st.lists(st.integers(0, 2**12 - 1), max_size=6), min_size=1, max_size=5))
+def test_the_ripple_carry_adds_counters_of_any_heights(parts):
+    # sets of slices of unequal heights, a carry running past the shorter
+    # one or stopping inside the longer, and a one-slice translate added to
+    # counters as the dense add does
+    total = []
+    for part in parts:
+        summed = listdec._add_slices(total, part)
+        assert counts_of(summed, 12) == list(map(add, counts_of(total, 12), counts_of(part, 12)))
+        assert summed == listdec._add_slices(part, total)
+        total = summed
 
 
 def test_exhaustive_cap_refusal_mentions_fallback():
@@ -555,12 +680,13 @@ FAR_CASES = {
 }
 
 # what each route must not call: only the kernel ranks pairs or indexes
-# keys, only the coset tally keys cosets, and only the ball routes build
-# the ball
+# keys, only the coset tally keys cosets, no far route tallies centers
+# (the coset tally lists no codeword), and only the ball routes build the
+# ball
 FAR_FORBIDDEN = {
-    "far-coset": ("_scatter", "_near", "_rank_of_entries"),
-    "probe": ("_scatter", "_CosetKeys", "_rank_of_entries"),
-    "rank": ("_scatter", "_CosetKeys", "_ball"),
+    "far-coset": ("_packed_words", "_near", "_rank_of_entries"),
+    "probe": ("_tally", "_CosetKeys", "_rank_of_entries"),
+    "rank": ("_tally", "_CosetKeys", "_ball"),
 }
 
 
@@ -771,10 +897,10 @@ def test_ball_probes_count_like_the_restricted_scatter(monkeypatch):
         candidates = dict.fromkeys(words)
         for _ in range(centers):
             candidates.setdefault(rng.randrange(ctx.order**n), None)
-        scattered = listdec._scatter(ctx, n, s, words)
+        scattered = listdec._tally(ctx, n, s, words)
         for keyed in (False, True) if listdec._key_count(ctx, n, s) else (False,):
             with monkeypatch.context() as patched:
-                patched.setattr(listdec, "_scatter", _raise)
+                patched.setattr(listdec, "_tally", _raise)
                 patched.setattr(listdec, "_rank_of_entries", _raise)
                 probed = listdec._near(ctx, n, s, words, candidates, keyed, True)
             assert list(probed) == list(candidates)
@@ -941,13 +1067,13 @@ def test_no_kernel_mutates_the_memoized_ball():
         code = sample_random_code(ctx, n, 6, seed=q)
         words = _packed_words(code, 2**24)
         candidates = dict.fromkeys(range(0, ctx.order**n, 3))
-        listdec._scatter(ctx, n, s, words)
+        listdec._tally(ctx, n, s, words)
         listdec._counters(ctx, n, s, words)
         for keyed in (False, True) if s < n else (False,):
             listdec._near(ctx, n, s, words, candidates, keyed, True)
         for linear in (sample_random_linear_code(ctx, n, 1, seed=q), gabidulin(ctx, n, 1)):
-            Counter(listdec._CosetKeys(linear).ball(s))
-            listdec._fold(ctx, n, s, _fp_basis(linear))
+            coset_tally(listdec._CosetKeys(linear), s)
+            listdec._counters(ctx, n, s, _fp_basis(linear), span=True)
         coset_partition_check(sample_random_linear_code(ctx, n, 1, seed=q), s)
         for center in (RankVector.zero(ctx, n), RankVector(ctx, [(q + j) % ctx.order for j in range(n)])):
             deque(enumerate_ball(center, s), 0)
@@ -1197,11 +1323,12 @@ def test_the_ball_reads_like_the_span_tables_one_by_one():
             words = _packed_words(sample_random_code(ctx, n, 3, seed=q + s), 2**24)
             centers = [_entries_of_index(order, n, w) for w in words]
             expected = Counter(_index_of_entries(order, b) for c in centers for b in ball_by_tables(ctx, c, s))
-            assert list(listdec._scatter(ctx, n, s, words).items()) == list(expected.items()), (q, m, n, s)
+            assert list(listdec._tally(ctx, n, s, words).items()) == list(expected.items()), (q, m, n, s)
         assert ball.bits == sum(1 << x for x in offsets)
         for code in (sample_random_linear_code(ctx, n, 1, seed=s), gabidulin(ctx, n, 1)):
             cosets = listdec._CosetKeys(code)
-            assert list(cosets.ball(s)) == cosets.of_indices(offsets), (q, m, n, s)
+            expected = Counter(cosets.of_indices(offsets))
+            assert list(coset_tally(cosets, s).items()) == list(expected.items()), (q, m, n, s)
 
 
 def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
@@ -1324,7 +1451,7 @@ def test_every_far_route_counts_every_candidate_like_list_size_at(monkeypatch):
                         )
                 if isinstance(code, LinearCode):
                     cosets = listdec._CosetKeys(code)
-                    tally = Counter(cosets.ball(s))
+                    tally = coset_tally(cosets, s)
                     keys = cosets.of_indices(list(candidates))
                     routes["coset"] = lambda: dict(zip(candidates, map(tally.__getitem__, keys)))
                 for route, run in routes.items():
@@ -1456,7 +1583,7 @@ def test_the_coset_route_picks_like_the_per_draw_loop(q, m, n, k, monkeypatch):
     code = sample_random_linear_code(ctx, n, k, 3)
     words = _packed_words(code, 2**24)
     cosets = listdec._CosetKeys(code)
-    tally = Counter(cosets.ball(1))
+    tally = coset_tally(cosets, 1)
     # the least member of the coset with the largest count, and of one that
     # ties the zero coset where there is one
     top = cosets.index(min(tally, key=lambda key: (-tally[key], key)))
@@ -1633,12 +1760,15 @@ def test_linear_sweeps_enumerate_no_codeword_and_start_no_pool(monkeypatch):
         for s in range(code.n + 1)
     }
 
+    message = "a linear sweep enumerated codewords or scattered them"
+
     def forbidden(*args, **kwargs):
-        raise AssertionError("a linear sweep enumerated codewords or scattered them")
+        raise AssertionError(message)
 
     sizes = []
-    for module, name in ((codes, "_packed_words"), (listdec, "_packed_words"), (listdec, "_scatter")):
+    for module, name in ((codes, "_packed_words"), (listdec, "_packed_words")):
         monkeypatch.setattr(module, name, forbidden)
+    forbid_the_scatter(monkeypatch, message)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
     monkeypatch.setattr("os.cpu_count", lambda: 8)
     for name, code in twin_codes():
@@ -1716,7 +1846,7 @@ def test_coset_keys_are_least_coset_indices():
         zero = RankVector.zero(ctx, n)
         for s in range(n + 1):
             offsets = [vector_index(b) for b in enumerate_ball(zero, s)]
-            assert list(cosets.ball(s)) == cosets.of_indices(offsets)
+            assert list(coset_tally(cosets, s).items()) == list(Counter(cosets.of_indices(offsets)).items())
 
 
 def test_coset_window_tables_match_the_per_entry_oracle():
@@ -1871,7 +2001,7 @@ def test_odd_q_scatter_tally_is_frozen(q, m, n, size, seed, s, centers, digest):
     # per-element ExtCtx.add shift of the ball's span list
     ctx = default_context(q, m)
     code = sample_random_code(ctx, n, size, seed)
-    tally = listdec._scatter(ctx, n, s, _packed_words(code, 2**24))
+    tally = listdec._tally(ctx, n, s, _packed_words(code, 2**24))
     assert len(tally) == centers
     assert sum(tally.values()) == size * ball_volume(q, m, n, s).exact
     text = "\n".join(f"{key}:{count}" for key, count in tally.items())

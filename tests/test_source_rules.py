@@ -354,8 +354,10 @@ def test_one_helper_computes_dependency_keys_and_the_oracle_never_calls_it():
 
 
 def test_the_counters_and_the_fold_share_one_digit_step():
-    # both kernels move a bitset by a packed vector through one routine, so
-    # the step is written once and neither kernel holds a copy of it
+    # the fold is the dense add's ``span`` form, not a kernel of its own:
+    # both move a bitset by a packed vector through one routine, so the
+    # step is written once, the kernel holds no copy of it, and no other
+    # function moves a bitset
     step = "low << d * place"
     source = (SOURCE / "listdec.py").read_text(encoding="utf-8")
     assert source.count(step) == 1
@@ -363,9 +365,42 @@ def test_the_counters_and_the_fold_share_one_digit_step():
     holders = [
         node.name for node in tree.body if isinstance(node, ast.FunctionDef) and step in ast.unparse(node)
     ]
-    assert len(holders) == 1 and holders[0] not in ("_counters", "_fold")
+    assert len(holders) == 1 and holders[0] != "_counters"
     refs = listdec_functions()
-    assert holders[0] in refs["_counters"] and holders[0] in refs.get("_fold", ())
+    assert "_fold" not in refs
+    assert [name for name, names in refs.items() if holders[0] in names] == ["_counters"]
+    # max_list_size runs the fold and the counters through that one kernel
+    (sweep,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "max_list_size"]
+    spans = [
+        ast.unparse(node) for node in ast.walk(sweep)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_counters"
+    ]
+    assert spans == ["_counters(ctx, n, s, _fp_basis(code), span=True)"]
+
+
+def test_one_sparse_tally_and_one_exhaustive_answer():
+    # the scatter and the coset tally are one kernel, _tally: no other
+    # listdec code reads the ball's offsets or builds a tally (``_near``'s
+    # pair tally aside), and the two kernels it replaced are gone;
+    # max_list_size checks the double count of every exhaustive route in
+    # one call
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    tallies, offsets, checks, defined = set(), set(), [], set()
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(f"{scope}.{node.name}" if scope else node.name)
+        if isinstance(node, ast.Attribute) and node.attr in ("packed", "layout"):
+            offsets.add(scope)
+        called = getattr(node.func, "id", None) if isinstance(node, ast.Call) else None
+        if called == "Counter":
+            tallies.add(scope)
+        if called == "_double_count":
+            checks.append(scope)
+    assert tallies == {"_tally", "_near"}
+    assert offsets == {"_tally"}
+    assert checks == ["max_list_size"]
+    assert {"_tally", "_CosetKeys", "_counters", "_top", "_least"} <= defined
+    assert not {"_scatter", "_fold", "_CosetKeys.ball"} & defined
 
 
 def test_codes_alone_knows_how_a_code_is_spanned():
@@ -397,8 +432,8 @@ def test_only_the_ball_memo_builds_the_ball():
     # builder, _ball_layout, walks the span tables with their factors;
     # the bitset reads the span tables of dimension s alone.
     # _packed is the one per-entry sum: the layout's entries are read by
-    # _read for it alone, and the packed offsets, the odd-p offset set, the
-    # odd-p scatter and the odd-p coset keys all sum their reads through it
+    # _read for it alone, and the packed offsets, the odd-p offset set and
+    # the odd-p tally, by center or by coset, all sum their reads through it
     builders = {
         "_ball_layout": {"rankmetric.py:_Ball.layout", "rankmetric.py:enumerate_ball"},
         "_ball_bits": {"rankmetric.py:_Ball.bits"},
@@ -406,8 +441,7 @@ def test_only_the_ball_memo_builds_the_ball():
         "_packed": {
             "rankmetric.py:_Ball.packed",
             "rankmetric.py:_Ball.probes",
-            "listdec.py:_scatter",
-            "listdec.py:_CosetKeys.ball",
+            "listdec.py:_tally",
         },
         "_read": {"rankmetric.py:_packed"},
         "_span_tables": {"rankmetric.py:_ball_layout", "rankmetric.py:_ball_bits"},
@@ -424,11 +458,11 @@ def test_only_the_ball_memo_builds_the_ball():
     }
     assert methods == {"__init__": [], **{part: ["cached_property"] for part in BALL_PARTS}}
     writers = {part: set() for part in BALL_PARTS}
-    # the bitset is built without the layout, and the counters and the
-    # fold read the bitset alone
+    # the bitset is built without the layout, and the dense add reads the
+    # bitset alone
     layout_readers = {"_ball_layout", "_factor_columns", "_packed", "_read", "packed", "layout", "probes"}
     bitset_builders = {
-        "rankmetric.py:_Ball.bits", "rankmetric.py:_ball_bits", "listdec.py:_counters", "listdec.py:_fold",
+        "rankmetric.py:_Ball.bits", "rankmetric.py:_ball_bits", "listdec.py:_counters",
     }
     found, readers, sums = [], {name: set() for name in builders}, set()
     for path, tree in parsed_modules():
@@ -707,7 +741,7 @@ def test_only_the_counters_and_the_ensemble_trials_are_split():
     # work goes to processes only where its parts add cheaply: the
     # counters' slices by ripple carry and the ensemble's trials end to
     # end.  A scatter tally would cost the parent about as much to merge
-    # as to count, so no caller hands ``_scatter`` to the fan-out
+    # as to count, so no caller hands ``_tally`` to the fan-out
     calls, found = [], []
     for path, tree in parsed_modules():
         called = set()
@@ -719,8 +753,8 @@ def test_only_the_counters_and_the_ensemble_trials_are_split():
                     work = work.args[0]
                 calls.append((f"{path.name}:{scope}", ast.unparse(work)))
                 names = {sub.id for arg in node.args for sub in ast.walk(arg) if isinstance(sub, ast.Name)}
-                if "_scatter" in names:
-                    found.append(f"{path.name}:{node.lineno} _scatter split")
+                if "_tally" in names:
+                    found.append(f"{path.name}:{node.lineno} _tally split")
         for scope, node in scoped_nodes(tree):
             if isinstance(node, ast.Name) and node.id == "_split" and id(node) not in called:
                 found.append(f"{path.name}:{node.lineno} _split passed on")
