@@ -85,12 +85,14 @@ alone, the other kernels its layout, through ``rankmetric._packed``, the
 one per-entry sum.
 
 Monte Carlo scores the codewords, then ``centers`` random draws from
-one ``rng.draws`` stream; the first candidate with the largest count
-wins.  When |C| * |B_s| <= min(neighborhood_cap, cap) the picker says
-"neighborhood": the scatter tally of every center near the code,
-candidates in the order the tally meets them.  Otherwise it prices each
-route for these far centers in CPython time per step and takes the
-cheapest:
+one ``rng.draws`` stream.  Every route's counts come in candidate order
+to one reader in ``max_list_size``: the largest count, then the first
+candidate that has it, one pass each; a draw is tried unless it is
+already a candidate.  When |C| * |B_s| <= min(neighborhood_cap, cap)
+the picker says "neighborhood": the scatter tally of every center near
+the code, candidates in the order the tally meets them.  Otherwise it
+prices each route for these far centers in CPython time per step and
+takes the cheapest:
 
 - "far-coset" (linear codes), the coset tally: |B_s| coset keys, priced
   like ranked pairs past the byte slots (when n digits do not
@@ -578,7 +580,8 @@ def max_list_size(
     Returns:
         A ListReport; exhaustive ties for the maximum resolve to the
         first center in lexicographic order, Monte Carlo ties to the
-        first candidate scored.
+        first candidate scored, read by one reader for every Monte Carlo
+        route (the largest count, then its first candidate).
     """
     _check_radius(s, code.n)
     if centers < 0:
@@ -619,22 +622,23 @@ def max_list_size(
         best, center, total = _top(slices) if dense else _least(tally, cosets.index if route == "coset" else int)
         _double_count(route if dense else f"{route} tally", total, bv if route == "coset" else code.size * bv)
         tried = space
-    elif route == "far-coset":
-        # the codewords lead the candidates, all in the coset of zero and
-        # led by the zero word; each new random center is scored by its
-        # coset, and one in the zero coset cannot beat the zero word
-        keys = cosets.of_indices(drawn)
-        counts = [tally[cosets.zero], *map(tally.get, keys, repeat(0))]
-        first = counts.index(max(counts))
-        best, center = counts[first], drawn[first - 1] if first else 0
-        tried = code.size + len(keys) - keys.count(cosets.zero)
     else:
-        # the first candidate with the largest count; the neighborhood
-        # tally holds every center that sees any codeword at all, so a
-        # draw it never met sees none and cannot lead
-        center = max(tally, key=tally.__getitem__)
-        best = tally[center]
-        tried = len(tally.keys() | drawn)
+        if route == "far-coset":
+            # the codewords lead the candidates, all in the coset of zero and
+            # led by the zero word; each new random center is scored by its
+            # coset, and one in the zero coset is a codeword, already tried
+            keys = cosets.of_indices(drawn)
+            candidates, counts = [0, *drawn], [tally[cosets.zero], *map(tally.get, keys, repeat(0))]
+            tried = code.size + len(keys) - keys.count(cosets.zero)
+        else:
+            # the neighborhood tally holds every center that sees any
+            # codeword at all, so a draw it never met sees none and cannot
+            # lead; ``_near`` counts every candidate, draws included
+            candidates, counts = tally, tally.values()
+            tried = len(tally) + len(drawn) - sum(map(tally.__contains__, drawn))
+        # the one Monte Carlo answer: the first candidate with the largest count
+        best = max(counts)
+        center = next(compress(candidates, map(best.__eq__, counts)))
     return ListReport(s, best, vector_from_index(ctx, n, center), drawn is None, tried, lb)
 
 

@@ -48,6 +48,7 @@ from ranklab.errors import EnumerationCapExceeded
 from ranklab.fields import context_from_descriptor, default_context
 from ranklab.harness import coset_partition_check
 from ranklab.listdec import (
+    DEFAULT_NEIGHBORHOOD_CAP,
     decoding_radius,
     is_list_decodable,
     list_size_at,
@@ -73,7 +74,7 @@ from ranklab.rankmetric import (
     vector_index,
     vector_to_matrix,
 )
-from ranklab.rng import make_rng
+from ranklab.rng import draws, make_rng
 
 
 def brute_force_report(code, s):
@@ -631,6 +632,54 @@ def test_montecarlo_far_branch_tie_rule_q3():
         "pigeonhole_lb": 17,
     }
     assert max_list_size(code, 1).argmax_center.entries == (5, 3)
+
+
+def montecarlo_oracle(code, s, centers, seed, neighborhood_cap):
+    """The Monte Carlo answer rebuilt without ``listdec``'s kernels: the
+    candidates in the order the ``listdec`` docstring gives them (the
+    codewords' balls in code order for the neighborhood, else the
+    codewords), then each new draw of the ``rng.draws`` stream; each is
+    counted by ``list_size_at`` and the first with the largest count is
+    kept.  Returns (l_max, argmax entries, candidates tried)."""
+    ctx, n = code.ctx, code.n
+    words = list(enumerate_codewords(code))
+    bv = sum(1 for _ in enumerate_ball(words[0], s))
+    if code.size * bv <= min(neighborhood_cap, DEFAULT_ENUM_CAP):
+        near = (x for w in words for x in enumerate_ball(w, s))
+    else:
+        near = iter(words)
+    candidates = {x.entries: x for x in near}
+    for i in islice(draws(seed, ctx.order**n), centers):
+        x = vector_from_index(ctx, n, i)
+        candidates.setdefault(x.entries, x)
+    counts = [list_size_at(code, x, s) for x in candidates.values()]
+    first = counts.index(max(counts))
+    return counts[first], list(candidates)[first], len(candidates)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_montecarlo_answers_like_list_size_at_over_its_candidates(data):
+    # every Monte Carlo route, neighborhood or far, explicit or linear
+    # code: the largest count, its first candidate and the distinct
+    # candidates, draws that repeat a codeword or each other included
+    q, m, n = data.draw(st.sampled_from(SWEEP_SHAPES), label="shape")
+    ctx = default_context(q, m)
+    space = ctx.order**n
+    seed = data.draw(st.integers(0, 2**16), label="code seed")
+    if data.draw(st.booleans(), label="linear"):
+        top = max(k for k in range(m * n + 1) if q**k <= 64)
+        code = sample_random_linear_code(ctx, n, data.draw(st.integers(0, top), label="k"), seed)
+    else:
+        code = sample_random_code(ctx, n, data.draw(st.integers(1, min(space, 20)), label="size"), seed)
+    s = data.draw(st.integers(0, n), label="s")
+    centers = data.draw(st.integers(0, 40), label="centers")
+    draw_seed = data.draw(st.integers(0, 2**16), label="draw seed")
+    for cap in (DEFAULT_NEIGHBORHOOD_CAP, 0):
+        report = max_list_size(code, s, "montecarlo", centers=centers, seed=draw_seed, neighborhood_cap=cap)
+        expected = montecarlo_oracle(code, s, centers, draw_seed, cap)
+        assert (report.l_max, report.argmax_center.entries, report.centers_tried) == expected
+        assert report.exhaustive is False
 
 
 # far-branch cases: (code, s, centers, seed, route), route the far route

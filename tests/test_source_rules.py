@@ -403,6 +403,21 @@ def test_one_sparse_tally_and_one_exhaustive_answer():
     assert not {"_scatter", "_fold", "_CosetKeys.ball"} & defined
 
 
+def test_one_monte_carlo_answer():
+    # max_list_size reads every Monte Carlo route's counts in one place:
+    # one max over the counts, with no key to re-read a tally by, one
+    # first-candidate read, and neither a union of a tally's keys with the
+    # draws nor a search of the counts for their max
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    (func,) = [node for node in tree.body if getattr(node, "name", None) == "max_list_size"]
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+    maxes = [node for node in calls if getattr(node.func, "id", None) == "max"]
+    assert len(maxes) == 1 and not maxes[0].keywords
+    assert [getattr(node.func, "id", None) for node in calls].count("next") == 1
+    assert not [node for node in calls if getattr(node.func, "attr", None) in ("index", "keys")]
+    assert not [node for node in ast.walk(func) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)]
+
+
 def test_codes_alone_knows_how_a_code_is_spanned():
     # codes builds every codeword and F_p basis: no other module takes a
     # Frobenius power (fields defines it), and listdec's kernels read the
