@@ -123,18 +123,15 @@ def _cmd_sample(args) -> None:
     if not args.field and (args.q is None or args.m is None):
         raise ValueError("give either --field or both --q and --m")
     ctx = context_from_descriptor(args.field) if args.field else default_context(args.q, args.m)
+    need = "size" if args.kind == "random" else "k"
+    if getattr(args, need) is None:
+        raise ValueError(f"kind={args.kind} needs --{need}")
     if args.kind == "random":
-        if args.size is None:
-            raise ValueError("kind=random needs --size")
         _check_word_cap(args.size, args.cap)  # before the whole space or any draw is built
         code = sample_random_code(ctx, args.n, args.size, args.seed)
     elif args.kind == "random_linear":
-        if args.k is None:
-            raise ValueError("kind=random_linear needs --k")
         code = sample_random_linear_code(ctx, args.n, args.k, args.seed)
     else:
-        if args.k is None:
-            raise ValueError("kind=gabidulin needs --k")
         code = gabidulin(ctx, args.n, args.k)
     text = codefile.dumps_code(code)
     if args.out:

@@ -203,20 +203,23 @@ def _fp_basis(code) -> list[int]:
 
     A Gabidulin code is spanned over F_q by beta * (g_j^(q^i))_j for
     beta in a basis of F_{q^m} and i < k; over F_p, beta runs over the
-    powers p^e, e < m*s, which are the monomials of the tower.  A linear
-    code's F_q-basis words are scaled by the F_p-basis p^u, u < s, of F_q
-    (an element of F_q has the same code in F_{q^m}).  Each word's
-    scalings come highest power first, as the base-p digits of a message
-    or coefficient code are most significant first.
+    powers p^e, e < m*s, which are the monomials of the tower, and each
+    product is an extension ``mul``.  A linear code's F_q-basis words are
+    scaled by the F_p-basis p^u, u < s, of F_q with the base-scalar
+    ``scale`` alone, so no extension table is built.  Scaling by 1
+    leaves a row as it is.  Each word's scalings come highest power
+    first, as the base-p digits of a message or coefficient code are
+    most significant first.
     """
     ctx = code.ctx
     if isinstance(code, GabidulinCode):
         rows = [[ctx.frobenius(g, i) for g in code.points] for i in range(code.k)]
-        digits = ctx.m * ctx.base.s
+        digits, product = ctx.m * ctx.base.s, ctx.mul
     else:
-        rows, digits = [w.entries for w in code.basis], ctx.base.s
+        rows, digits, product = [w.entries for w in code.basis], ctx.base.s, ctx.scale
     powers = [ctx.base.p**e for e in range(digits - 1, -1, -1)]
-    return [_index_of_entries(ctx.order, [ctx.mul(beta, x) for x in row]) for row in rows for beta in powers]
+    return [_index_of_entries(ctx.order, row if beta == 1 else [product(beta, x) for x in row])
+            for row in rows for beta in powers]
 
 
 def _packed_words(code: Code, cap: int) -> list[int]:

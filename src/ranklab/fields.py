@@ -508,9 +508,7 @@ class ExtCtx(_Residues):
         """a^(q^i); i-fold q-power Frobenius, identity at i = 0 and i = m."""
         if i < 0:
             raise ValueError("frobenius power must be non-negative")
-        for _ in range(i % self.m):
-            a = self.pow(a, self.base.q)
-        return a
+        return self.pow(a, self.base.q ** (i % self.m))
 
     # -- descriptors --------------------------------------------------------
 

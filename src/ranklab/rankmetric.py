@@ -182,19 +182,18 @@ class RankVector(_Record):
     def zero(ctx: ExtCtx, n: int) -> "RankVector":
         return RankVector(ctx, (0,) * n)
 
-    def __add__(self, other: "RankVector") -> "RankVector":
+    def _entrywise(self, other, op):
+        """The one body of ``+`` and ``-``: ``op`` of each entry pair."""
         if not isinstance(other, RankVector):
             return NotImplemented
         _check_member((other,), self.ctx, self.n, "vector")
-        add = self.ctx.add
-        return RankVector(self.ctx, tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
+        return RankVector(self.ctx, tuple(map(op, self.entries, other.entries)))
+
+    def __add__(self, other: "RankVector") -> "RankVector":
+        return self._entrywise(other, self.ctx.add)
 
     def __sub__(self, other: "RankVector") -> "RankVector":
-        if not isinstance(other, RankVector):
-            return NotImplemented
-        _check_member((other,), self.ctx, self.n, "vector")
-        sub = self.ctx.sub
-        return RankVector(self.ctx, tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(other, self.ctx.sub)
 
 
 def vector_to_matrix(x: RankVector) -> tuple[tuple[int, ...], ...]:
@@ -826,8 +825,6 @@ class _Ball:
     @cached_property
     def probes(self) -> set:
         """The offsets ``listdec._near`` probes, in their ``_Encoder`` form."""
-        if self.ctx.base.p == 2:
-            return set(self.packed)
         ctx, enc, n = self.ctx, _Encoder(self.ctx), self.n
         values, runs = self.layout
         sums = _packed(runs, [enc.scaled(1, values, ctx.m)] * n, enc.radix**ctx.m)

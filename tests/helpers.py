@@ -607,3 +607,23 @@ def run_python(args, **kwargs):
     src = str(Path(ranklab.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def fp_basis_by_products(code):
+    """The F_p basis of a linear or Gabidulin code with every scaling an
+    extension product: each row is scaled by the powers p^e, highest
+    first, with ``ExtCtx.mul``, over e < m*s for a Gabidulin code's rows
+    g^(q^i) and over e < s for a linear code's basis words.  This is the
+    formula ``codes._fp_basis`` used before linear codes scaled by base
+    scalars alone, kept as the oracle of its values."""
+    from ranklab.codes import GabidulinCode
+    from ranklab.fields import _index_of_entries
+
+    ctx = code.ctx
+    if isinstance(code, GabidulinCode):
+        rows = [[ctx.frobenius(g, i) for g in code.points] for i in range(code.k)]
+        digits = ctx.m * ctx.base.s
+    else:
+        rows, digits = [w.entries for w in code.basis], ctx.base.s
+    powers = [ctx.base.p**e for e in range(digits - 1, -1, -1)]
+    return [_index_of_entries(ctx.order, [ctx.mul(beta, x) for x in row]) for row in rows for beta in powers]

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import CHI2_DF15_ALPHA_001, codewords_by_kind
-from ranklab import codes
+from helpers import CHI2_DF15_ALPHA_001, codewords_by_kind, fp_basis_by_products
+from ranklab import codes, fields
 from ranklab.codes import (
     ExplicitCode,
     GabidulinCode,
     LinearCode,
+    _fp_basis,
     _packed_words,
     enumerate_codewords,
     gabidulin,
@@ -26,7 +27,8 @@ from ranklab.codes import (
     sample_random_linear_code,
 )
 from ranklab.errors import EnumerationCapExceeded
-from ranklab.fields import default_context
+from ranklab.fields import context_from_descriptor, default_context
+from ranklab.listdec import max_list_size
 from ranklab.rankmetric import (
     RankVector,
     flatten_vector,
@@ -51,6 +53,41 @@ def span_by_coordinates(code: LinearCode) -> set:
                 acc[j] = ctx.base.add(acc[j], ctx.base.mul(c, v))
         out.add(unflatten_vector(ctx, code.n, acc).entries)
     return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_fp_basis_keeps_the_values_of_the_extension_products(q):
+    # a linear code scales its basis words by the base scalars p^u alone;
+    # the basis is word for word the one every scaling an extension
+    # product gave, for linear and Gabidulin codes alike
+    m, n = (3, 2) if q <= 4 else (2, 2)
+    ctx = default_context(q, m)
+    for seed in range(3):
+        for k in (1, 3):
+            linear = sample_random_linear_code(ctx, n, k, seed=seed)
+            assert _fp_basis(linear) == fp_basis_by_products(linear), (q, seed, k)
+    for k in range(1, n + 1):
+        code = gabidulin(ctx, n, k)
+        assert _fp_basis(code) == fp_basis_by_products(code), (q, k)
+
+
+@pytest.mark.parametrize("q, m", [(2, 16), (4, 8), (16, 4)])
+def test_linear_codes_build_no_extension_table(monkeypatch, q, m):
+    # a fresh F_{2^16} context, not the cached default one, whose log
+    # tables nothing has built yet: a linear code's F_p basis, a Monte
+    # Carlo list size and its codewords take no extension product
+    ctx = context_from_descriptor(default_context(q, m).descriptor())
+    code = sample_random_linear_code(ctx, 1, 3, seed=5)
+    built = []
+    real = fields._log_tables
+    monkeypatch.setattr(fields, "_log_tables", lambda *args, **kwargs: built.append(args[0]) or real(*args, **kwargs))
+    assert len(_fp_basis(code)) == 3 * ctx.base.s
+    for s in (0, 1):
+        # n = 1 keeps the ball small
+        report = max_list_size(code, s, "montecarlo", centers=50, seed=3)
+        assert report.l_max == (1 if s == 0 else code.size)
+    assert len(list(enumerate_codewords(code))) == code.size
+    assert built == [] and ctx._log is None
 
 
 def test_explicit_code_validation():

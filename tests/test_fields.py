@@ -262,6 +262,28 @@ def test_frobenius_properties():
             ctx.frobenius(1, -1)
 
 
+@pytest.mark.parametrize("q, m", [(2, 3), (3, 2), (4, 2), (2, 17)])
+def test_frobenius_is_the_repeated_q_th_power(q, m):
+    # one power a^(q^(i mod m)) is i q-th powers in a row, each a product
+    # of q copies by the schoolbook oracle, for every i in [0, 2m]: every
+    # element of the small fields, and a fixed sample of F_{2^17}, above
+    # the 2^16 log-table limit
+    ctx = ExtCtx(FieldCtx(*split_prime_power(q)), m)
+    if ctx.order <= 2**16:
+        elements = list(ctx.elements())
+    else:
+        rng = random.Random(20261020)
+        elements = [0, 1, *(rng.randrange(2, ctx.order) for _ in range(6))]
+    for a in elements:
+        power = a
+        for i in range(2 * m + 1):
+            assert ctx.frobenius(a, i) == power, (q, m, a, i)
+            step = power
+            for _ in range(q - 1):
+                step = tower_product(step, power, ctx.base, ctx.ext_modulus)
+            power = step
+
+
 def test_coordinate_round_trip():
     for ctx in (ExtCtx(FieldCtx(2), 3), ExtCtx(FieldCtx(3), 2), ExtCtx(FieldCtx(2, 2), 2)):
         for a in ctx.elements():

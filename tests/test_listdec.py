@@ -1405,10 +1405,11 @@ def test_the_ball_bitset_is_the_union_of_the_s_dimensional_subspaces():
 def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
     # the counters and the fold read the bitset alone; the scatter, the
     # coset tally, the neighborhood tally and the probe lay the ball out
-    # once, packing its offsets for p = 2, where the probe reads its offset
-    # set off them (for odd p it packs that set in its encoded form); for
-    # odd p every per-entry sum goes through _packed too, once per codeword
-    # for the scatter and once for the coset keys
+    # once; the first three pack its offsets for p = 2, and the probe packs
+    # its offset set in its encoded form for every p, which for p = 2 is
+    # the packed offsets themselves; for odd p every per-entry sum goes
+    # through _packed too, once per codeword for the scatter and once for
+    # the coset keys
     layouts, packs = spy(monkeypatch, "_ball_layout"), spy(monkeypatch, "_packed")
     seam = Seam(monkeypatch)
     mc = {"mode": "montecarlo", "centers": 20, "seed": 1}
@@ -1434,8 +1435,8 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
             max_list_size(code, s, workers=1, **kwargs)
             assert seam.names == [route]
             # what the route left built: the bitset alone, or the layout,
-            # packed for p = 2 alone by every route, the probe leaving its
-            # offset set beside them for every p
+            # packed for p = 2 alone by every route but the probe, which
+            # leaves its offset set beside the layout for every p
             left = vars(rankmetric._ball(ctx, n, s)).keys() - {"ctx", "n", "s"}
             if route in ("counters", "fold"):
                 assert layouts == packs == [], route
@@ -1445,9 +1446,10 @@ def test_only_the_routes_that_read_offsets_lay_the_ball_out(monkeypatch):
                 sums = {"coset": 1, "probe": 1}.get(route, explicit.size)
                 assert len(packs) == (1 if q == 2 else sums), route
                 assert "layout" in left and "bits" not in left, route
-                assert ("packed" in left) == (q == 2), route
                 if route == "probe":
-                    assert left == {"layout", "probes"} | ({"packed"} if q == 2 else set()), route
+                    assert left == {"layout", "probes"}, route
+                else:
+                    assert ("packed" in left) == (q == 2), route
         # the bitset and the layout in either order build what a cold ball does
         parts = []
         for first in (True, False):

@@ -828,7 +828,7 @@ ARGUMENT_RULES = {
         r"context mismatch",
         "rankmetric.py:_check_member",
         {
-            "rankmetric.py:RankVector.__add__", "rankmetric.py:RankVector.__sub__",
+            "rankmetric.py:RankVector._entrywise",
             "codes.py:ExplicitCode.__post_init__", "codes.py:LinearCode.__post_init__", "listdec.py:list_size_at",
         },
     ),

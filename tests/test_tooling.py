@@ -31,3 +31,50 @@ def test_a_failing_property_reports_its_falsifying_example(tmp_path):
     assert "Falsifying example" in report
     assert "AssertionError" in report
     assert "INTERNALERROR" not in report
+
+
+PASSING_XFAIL = """\
+import pytest
+
+
+@pytest.mark.xfail(reason="expected to fail")
+def test_that_passes():
+    assert True
+"""
+
+MISSPELT_MARKER = """\
+import pytest
+
+
+@pytest.mark.paramterize("x", [1])
+def test_with_a_misspelt_marker(x):
+    assert x
+"""
+
+
+def run_suite_on(tmp_path, source):
+    (tmp_path / "test_case.py").write_text(source)
+    out = run_python(
+        ["-m", "pytest", "-c", str(PYPROJECT), "-p", "no:cacheprovider", "test_case.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    return out.returncode, out.stdout + out.stderr
+
+
+def test_an_xfail_that_passes_fails_the_suite(tmp_path):
+    # every xfail is strict without saying so: the day it passes, its
+    # marker has to go
+    code, report = run_suite_on(tmp_path, PASSING_XFAIL)
+    assert code == 1, report
+    assert "XPASS(strict)" in report
+
+
+def test_a_misspelt_marker_fails_collection(tmp_path):
+    # refused by --strict-markers, or, where a pytest does not read that
+    # flag from addopts, by the warning filter that turns pytest's
+    # unknown-mark warning into an error
+    code, report = run_suite_on(tmp_path, MISSPELT_MARKER)
+    assert code != 0, report
+    assert "paramterize" in report and "error during collection" in report, report
