@@ -33,26 +33,27 @@ constant term first) and the packed vectors of every other module.
 
 Both levels share one routine per job.  ``FieldCtx`` and ``ExtCtx``
 derive from ``_Residues``, which writes the element check, addition,
-the untabulated product and power, modulus selection and equality once.
-``_poly_mul``, ``_poly_mod`` and ``_poly_powmod`` are the only polynomial
-product, remainder and power, ``_log_tables`` the only primitive-element
-search and log/antilog builder, and ``_prime_factors`` the only trial
-division.  It divides by no d above 2^20, so every n <= 2^40 is
-factored, and a larger n whose cofactor could still be composite raises
-``InfeasibleError`` at once.  The table strategies differ on purpose:
-the base field's tuple table is the fast path of every elimination, and
-the extension's log is a dict, so a bad code raises ``KeyError`` where a
-tuple index would wrap -1.
+the untabulated product and power, the log/antilog tables and the
+``mul``, ``inv`` and ``pow`` that read them, modulus selection and
+equality once.  ``_poly_mul``, ``_poly_mod`` and ``_poly_powmod`` are
+the only polynomial product, remainder and power, ``_log_tables`` the
+only primitive-element search and log/antilog builder, and
+``_prime_factors`` the only trial division.  It divides by no d above
+2^20, so every n <= 2^40 is factored, and a larger n whose cofactor
+could still be composite raises ``InfeasibleError`` at once.  The log
+is a dict, so a bad code raises ``KeyError`` from ``inv`` and ``pow`` at
+both levels where a list index would wrap -1.  The base level adds a
+tuple product table, the fast path of every elimination.
 
 A context's field (its moduli, equality and hash) is fixed once built,
-and contexts are safe to share across threads and forked workers.
-Base-field mul/inv tables are built with the context for q <= 256.
-Extension log/antilog tables (q^m <= 2^16) are built on the first
-``mul``, ``inv`` or ``pow`` that needs them, so a run that never
-multiplies in F_{q^m} never pays for them; they are built into locals
-and published by storing the log table last.  Larger extensions use
-on-demand polynomial reduction, and anything past q^m = 2^32 is refused
-outright.
+and contexts are safe to share across threads and forked workers.  Log
+tables exist up to q = 256 and q^m = 2^16.  The base field builds its
+tables, the product table from the log pair, with the context; the
+extension builds them on the first ``mul``, ``inv`` or ``pow`` that
+needs them, so a run that never multiplies in F_{q^m} never pays for
+them.  Both are built into locals and published by storing the log
+table last.  Larger fields use on-demand polynomial reduction, and
+anything past q^m = 2^32 is refused outright.
 """
 from __future__ import annotations
 
@@ -247,8 +248,8 @@ def _first_irreducible(field, degree: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {degree} found")
 
 
-def _log_tables(order: int, mul, power, add, missing="no primitive element found"):
-    """Antilog list and log map of the field with ``order`` elements.
+def _log_tables(order: int, mul, power, add, label: str):
+    """Antilog list and log map of the field ``label`` with ``order`` elements.
 
     ``mul``, ``power`` and ``add`` are the field's untabulated arithmetic.
     The generator g is the first code with power(g, (order - 1) / f) != 1
@@ -264,7 +265,7 @@ def _log_tables(order: int, mul, power, add, missing="no primitive element found
         orders = [(order - 1) // f for f in _prime_factors(order - 1)]
         g = next((g for g in range(2, order) if all(power(g, e) != 1 for e in orders)), None)
         if g is None:
-            raise RuntimeError(missing)
+            raise RuntimeError(f"no primitive element found in {label}")
         exp = [1] * (order - 1)
         log = {1: 0}
         for i in range(1, order - 1):
@@ -292,7 +293,8 @@ class _Residues:
     coefficient field ``_coef``, coded in base ``_coef.q`` and reduced by
     the monic irreducible ``_mod``; a prime field has neither and works
     mod ``_char``.  ``_key`` (the level, what it is built over, the degree
-    and the modulus) decides equality and hash.
+    and the modulus) decides equality and hash.  Each level sets
+    ``_table_limit``, the largest field with log/antilog tables.
     """
 
     def __init__(self, over, coef, deg: int, modulus, label: str, name: str):
@@ -315,6 +317,9 @@ class _Residues:
                     raise ValueError(f"{name} {modulus} is reducible over F_{coef.q}")
         self._mod = modulus
         self._key = (type(self), over, deg, modulus)
+        # log/antilog tables, built by the first ``_log_table`` call
+        self._exp = None
+        self._log = None
 
     def check_element(self, a: int) -> int:
         if not isinstance(a, int) or not 0 <= a < self._size:
@@ -352,6 +357,51 @@ class _Residues:
         power = _poly_powmod(_entries_of_index(coef.q, self._deg, a)[::-1], e, self._mod, coef)
         return _index_of_entries(coef.q, reversed(power))
 
+    def _log_table(self):
+        """The log table, built by the first call that needs it, or None
+        above the table limit; ``mul``, ``inv`` and ``pow`` read it here.
+
+        The tables are built into locals and ``_exp`` is stored before
+        ``_log``; readers test ``_log`` alone, so a thread that sees the
+        log table also sees its antilog table.  Threads that race here
+        build identical tables; the last store wins.
+        """
+        log = self._log
+        if log is None and self._size <= self._table_limit:
+            exp, log = _log_tables(self._size, self._mul_generic, self._pow_generic, self.add, self._label)
+            self._exp = tuple(exp)
+            self._log = log
+        return log
+
+    # ``_log or _log_table()`` skips a call once the tables exist; a bad
+    # code is then a KeyError from the log map, where a list would wrap -1
+
+    def mul(self, a: int, b: int) -> int:
+        log = self._log or self._log_table()
+        if log is None:
+            return self._mul_generic(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(log[a] + log[b]) % (self._size - 1)]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ValueError("zero has no multiplicative inverse")
+        log = self._log or self._log_table()
+        if log is None:
+            return self._pow_generic(a, self._size - 2)
+        return self._exp[(-log[a]) % (self._size - 1)]
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        if a == 0:
+            return 1 if e == 0 else 0
+        log = self._log or self._log_table()
+        if log is None:
+            return self._pow_generic(a, e)
+        return self._exp[(log[a] * e) % (self._size - 1)]
+
     def __eq__(self, other):
         return isinstance(other, _Residues) and self._key == other._key
 
@@ -367,6 +417,8 @@ class FieldCtx(_Residues):
     by a monic irreducible modulus of degree s.
     """
 
+    _table_limit = _BASE_TABLE_LIMIT
+
     def __init__(self, p: int, s: int = 1, modulus=None):
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
@@ -380,33 +432,24 @@ class FieldCtx(_Residues):
         # for s > 1 the residue polynomials multiply over the prime subfield
         super().__init__(p, FieldCtx(p) if s > 1 else None, s, modulus, f"F_{self.q}", "modulus")
         self.modulus = self._mod
-        self._mul_table = None
-        self._inv_table = None
-        if self.q <= _BASE_TABLE_LIMIT:
-            self._build_tables()
+        self._mul_table = self._build_tables()
 
-    def _build_tables(self) -> None:
-        """Fill the mul/inv tables from ``_log_tables``, about q products."""
+    def _build_tables(self):
+        """The product table from the log/antilog pair, about q products,
+        or None above the table limit."""
+        log = self._log_table()
+        if log is None:
+            return None
         q = self.q
-        exp, log = _log_tables(q, self._mul_generic, self._pow_generic, self.add,
-                               f"no primitive element found in F_{q}")
         period = q - 1
         logs = list(map(log.__getitem__, range(1, q)))
-        exp = exp * 2  # log a + log b < 2 * period needs no reduction
-        self._mul_table = ((0,) * q, *((0, *map(exp[i : i + period].__getitem__, logs)) for i in logs))
-        self._inv_table = (0, *(exp[period - i] for i in logs))
+        exp = self._exp * 2  # log a + log b < 2 * period needs no reduction
+        return ((0,) * q, *((0, *map(exp[i : i + period].__getitem__, logs)) for i in logs))
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
         return self._mul_generic(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._pow_generic(a, self.q - 2)
 
     def __repr__(self):
         if self.s == 1:
@@ -416,6 +459,8 @@ class FieldCtx(_Residues):
 
 class ExtCtx(_Residues):
     """F_{q^m} over a base FieldCtx, in the polynomial basis (1, x, ..., x^(m-1))."""
+
+    _table_limit = _EXT_LOG_LIMIT
 
     def __init__(self, base: FieldCtx, m: int, ext_modulus=None):
         if not isinstance(base, FieldCtx):
@@ -431,25 +476,6 @@ class ExtCtx(_Residues):
         super().__init__(base, base, m, ext_modulus, f"F_{base.q}^{m}", "ext_modulus")
         self.ext_modulus = self._mod
         self.basis = tuple(base.q**i for i in range(m))
-        # log/antilog tables, built by the first mul, inv or pow that needs them
-        self._exp = None
-        self._log = None
-
-    def _log_table(self):
-        """The log table, built by the first call that needs it, or None
-        above the table limit; ``mul``, ``inv`` and ``pow`` read it here.
-
-        The tables are built into locals and ``_exp`` is stored before
-        ``_log``; readers test ``_log`` alone, so a thread that sees the
-        log table also sees its antilog table.  Threads that race here
-        build identical tables; the last store wins.
-        """
-        log = self._log
-        if log is None and self.order <= _EXT_LOG_LIMIT:
-            exp, log = _log_tables(self.order, self._mul_generic, self._pow_generic, self.add)
-            self._exp = tuple(exp)
-            self._log = log
-        return log
 
     # -- element codec ------------------------------------------------------
 
@@ -474,35 +500,6 @@ class ExtCtx(_Residues):
         """
         q, mul = self.base.q, self.base.mul
         return _index_of_entries(q, [mul(c, d) for d in _entries_of_index(q, self.m, a)])
-
-    # ``_log or _log_table()`` skips a call once the tables exist; a bad
-    # code is then a KeyError from the log map, where a list would wrap -1
-
-    def mul(self, a: int, b: int) -> int:
-        log = self._log or self._log_table()
-        if log is None:
-            return self._mul_generic(a, b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(log[a] + log[b]) % (self.order - 1)]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no multiplicative inverse")
-        log = self._log or self._log_table()
-        if log is None:
-            return self._pow_generic(a, self.order - 2)
-        return self._exp[(-log[a]) % (self.order - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if a == 0:
-            return 1 if e == 0 else 0
-        log = self._log or self._log_table()
-        if log is None:
-            return self._pow_generic(a, e)
-        return self._exp[(log[a] * e) % (self.order - 1)]
 
     def frobenius(self, a: int, i: int) -> int:
         """a^(q^i); i-fold q-power Frobenius, identity at i = 0 and i = m."""

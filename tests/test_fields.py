@@ -218,8 +218,52 @@ def test_log_built_base_tables_match_generic_products(q):
     generic = fld._mul_generic
     for a in range(q):
         assert fld._mul_table[a] == tuple(generic(a, b) for b in range(q))
-    assert fld._inv_table[0] == 0
-    assert all(generic(a, fld._inv_table[a]) == 1 for a in range(1, q))
+    assert all(generic(a, fld.inv(a)) == 1 for a in range(1, q))
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 9, 243, 256))
+def test_base_inv_and_pow_match_the_untabulated_power(q):
+    # every element and every exponent in [-2, 2q].  The reference steps
+    # from _pow_generic(a, 0) by one untabulated product per exponent, and
+    # meets _pow_generic itself at the ends of each period: calling it at
+    # every exponent takes about nine times as long at q = 243 and 256
+    fld = FieldCtx(*split_prime_power(q))
+    assert fld._log is not None
+    for a in range(q):
+        want = fld._pow_generic(a, 0)
+        for e in range(2 * q + 1):
+            assert fld.pow(a, e) == want, (a, e)
+            want = fld._mul_generic(want, a)
+        for e in (1, q - 2, q - 1, q, 2 * q):
+            assert fld.pow(a, e) == fld._pow_generic(a, e), (a, e)
+        if a:
+            inverse = fld._pow_generic(a, q - 2)
+            assert fld.inv(a) == fld.pow(a, -1) == inverse
+            assert fld.pow(a, -2) == fld._pow_generic(inverse, 2)
+
+
+@pytest.mark.parametrize(
+    "build, tabulated",
+    (
+        (lambda: FieldCtx(257), False),
+        (lambda: FieldCtx(2, 9), False),
+        (lambda: ExtCtx(FieldCtx(2), 16), True),
+        (lambda: ExtCtx(FieldCtx(2), 17), False),
+    ),
+    ids=("F_257", "F_2^9", "F_2^16", "F_2^17"),
+)
+def test_inv_and_pow_on_both_sides_of_each_table_limit(build, tabulated):
+    # 257 and 2^9 are past the base limit of 256, and 2^17 past the
+    # extension's 2^16: those never build tables, whatever is called
+    ctx = build()
+    size = ctx._size
+    rng = random.Random(f"limit {size}")
+    for _ in range(20):
+        a, e = rng.randrange(1, size), rng.randrange(-2, 2 * size)
+        inverse = ctx._pow_generic(a, size - 2)
+        assert ctx.inv(a) == inverse
+        assert ctx.pow(a, e) == (ctx._pow_generic(a, e) if e >= 0 else ctx._pow_generic(inverse, -e))
+    assert (ctx._log is not None) == tabulated
 
 
 def test_base_tables_take_about_q_products(monkeypatch):
@@ -486,6 +530,22 @@ def test_extension_tables_refuse_a_product_whose_powers_repeat(monkeypatch):
     monkeypatch.undo()
     assert ctx.mul(3, 5) == poly_product_mod(3, 5, 2, ctx.ext_modulus)
     assert ctx._log is not None
+
+
+def test_base_tables_refuse_bad_codes():
+    # the log map refuses what a tuple index would wrap or miss
+    for fld in (FieldCtx(3), FieldCtx(2, 2), FieldCtx(2, 8)):
+        for call in (
+            lambda: fld.inv(-1),
+            lambda: fld.inv(fld.q),
+            lambda: fld.pow(-1, 2),
+            lambda: fld.pow(fld.q, 2),
+        ):
+            with pytest.raises(KeyError):
+                call()
+        for call in (lambda: fld.inv(0), lambda: fld.pow(0, -1)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_extension_tables_refuse_bad_codes():

@@ -246,11 +246,11 @@ def test_fields_has_one_product_remainder_and_power_loop():
     # a loop over coefficient products inside another loop is a schoolbook
     # product or a long division: only _poly_mul and _poly_mod hold one;
     # the halving step of square-and-multiply is only in _poly_powmod;
-    # the shared untabulated product and power and both levels' table
-    # readers have no loop at all
+    # the shared untabulated product and power, the shared table readers
+    # and the base level's product-table reader have no loop at all
     loop_free = {
         "_Residues._mul_generic", "_Residues._pow_generic",
-        "FieldCtx.mul", "FieldCtx.inv", "ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow",
+        "_Residues.mul", "_Residues.inv", "_Residues.pow", "FieldCtx.mul",
     }
     found = []
     seen = set()
@@ -278,14 +278,19 @@ def test_fields_has_one_primitive_element_search_and_one_table_reader():
     # the search needs the prime factors of order - 1, so _log_tables as
     # its one searching user means one search; is_prime and
     # split_prime_power read the same factors instead of running trial
-    # divisions of their own, and search for nothing; both classes take
-    # their tables from _log_tables, and ExtCtx's mul, inv and pow reach
-    # them through the one accessor that knows the table limit
+    # divisions of their own, and search for nothing; both levels take
+    # their log/antilog pair from _log_tables through the one accessor
+    # that reads the table limit, and only the shared mul, inv and pow
+    # and the base level's product-table builder call that accessor; no
+    # function reads either level's limit constant, which only sets
+    # _table_limit
     expected = {
         "_prime_factors": {"_log_tables", "is_prime", "split_prime_power"},
-        "_log_tables": {"FieldCtx._build_tables", "ExtCtx._log_table"},
-        "_EXT_LOG_LIMIT": {"ExtCtx._log_table"},
-        "_log_table": {"ExtCtx.mul", "ExtCtx.inv", "ExtCtx.pow"},
+        "_log_tables": {"_Residues._log_table"},
+        "_table_limit": {"_Residues._log_table"},
+        "_BASE_TABLE_LIMIT": set(),
+        "_EXT_LOG_LIMIT": set(),
+        "_log_table": {"_Residues.mul", "_Residues.inv", "_Residues.pow", "FieldCtx._build_tables"},
     }
     users = {name: set() for name in expected}
     for name, func in fields_functions():
@@ -298,10 +303,11 @@ def test_fields_has_one_primitive_element_search_and_one_table_reader():
 
 def test_fields_writes_each_shared_job_of_both_levels_once():
     # FieldCtx and ExtCtx take these from their one base class, so a
-    # second definition would be a second copy of the same job
+    # second definition would be a second copy of the same job; mul is
+    # not here, since the base level overrides it with its product table
     shared = (
         "check_element", "elements", "add", "sub", "neg",
-        "_mul_generic", "_pow_generic", "__eq__", "__hash__",
+        "_mul_generic", "_pow_generic", "_log_table", "inv", "pow", "__eq__", "__hash__",
     )
     defined = [name.rpartition(".")[2] for name, _ in fields_functions()]
     assert {name: defined.count(name) for name in shared} == dict.fromkeys(shared, 1)

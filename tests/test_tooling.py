@@ -72,9 +72,10 @@ def test_an_xfail_that_passes_fails_the_suite(tmp_path):
 
 
 def test_a_misspelt_marker_fails_collection(tmp_path):
-    # refused by --strict-markers, or, where a pytest does not read that
-    # flag from addopts, by the warning filter that turns pytest's
-    # unknown-mark warning into an error
+    # refused by the strict_markers setting itself: the warning filter
+    # that turns pytest's unknown-mark warning into an error would also
+    # stop collection, but with another message
     code, report = run_suite_on(tmp_path, MISSPELT_MARKER)
     assert code != 0, report
     assert "paramterize" in report and "error during collection" in report, report
+    assert "'paramterize' not found in `markers` configuration option" in report, report
