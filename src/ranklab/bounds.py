@@ -4,6 +4,9 @@ Every function here is a closed formula; arithmetic passes through the
 argument types, so feeding ``fractions.Fraction`` in gives exact
 rationals out and feeding floats gives floats.  Rates are normalized as
 R = log_q |C| / (mn) and distances as delta = d/n.
+
+The one GV curve (1 - x)(1 - b*x) is ``gv_barrier`` and the one Singleton
+line 1 - x is ``singleton_barrier``; the alpha bounds return them at delta.
 """
 from __future__ import annotations
 
@@ -84,14 +87,13 @@ def gv_alpha_lower(delta, b):
     """Existence floor for the rate function: alpha(delta) >= (1-delta)(1-b*delta),
     for the aspect ratio b = n/m in [0, 1]."""
     _check_unit(delta, "delta")
-    _check_unit(b, "b")
-    return (1 - delta) * (1 - b * delta)
+    return gv_barrier(delta, b)
 
 
 def alpha_exact(delta):
     """The exact rate function 1 - delta (square-or-wider matrices)."""
     _check_unit(delta, "delta")
-    return 1 - delta
+    return singleton_barrier(delta)
 
 
 def singleton_barrier(rate):

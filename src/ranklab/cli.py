@@ -217,6 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     radius = argparse.ArgumentParser(add_help=False)
     radius.add_argument("--radius", type=int, help="rank radius s")
     radius.add_argument("--rho", type=_fraction, help="radius fraction; s = floor(rho*n)")
+    # the required field and length of volume and experiment
+    shape = argparse.ArgumentParser(add_help=False)
+    for flag in ("--q", "--m", "--n"):
+        shape.add_argument(flag, type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="ranklab",
@@ -224,26 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("volume", parents=[common], help="exact rank-ball volume with bounds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("volume", parents=[common, shape], help="exact rank-ball volume with bounds")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--kq-tol", type=_fraction, default=Fraction(1, 10**9))
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate one named bound")
     p.add_argument("--name", choices=sorted(_BOUNDS), required=True)
-    p.add_argument("--q", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--code-size", dest="code_size", type=int)
-    p.add_argument("--b", type=_fraction)
-    p.add_argument("--rate", type=_fraction)
-    p.add_argument("--rho", type=_fraction)
-    p.add_argument("--delta", type=_fraction)
-    p.add_argument("--eps", type=_fraction)
+    # each parameter of _BOUNDS once: the sizes are ints, the rest rationals
+    for pname in dict.fromkeys(pname for _, params in _BOUNDS.values() for pname in params):
+        kind = int if pname in ("q", "m", "n", "d", "code_size") else _fraction
+        p.add_argument(f"--{pname.replace('_', '-')}", type=kind)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sample", parents=[common], help="sample or build a code file")
@@ -264,11 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list-cap", dest="list_cap", type=int, help="report a verdict against this L")
     p.set_defaults(func=_cmd_listdecode)
 
-    p = sub.add_parser("experiment", parents=[common, radius], help="seeded ensemble of sampled codes")
+    p = sub.add_parser("experiment", parents=[common, radius, shape], help="seeded ensemble of sampled codes")
     p.add_argument("--kind", choices=("random", "random_linear"), required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=_fraction, required=True)
     p.add_argument("--list-cap", dest="list_cap", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)

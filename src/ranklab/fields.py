@@ -40,10 +40,15 @@ the only polynomial product, remainder and power, ``_log_tables`` the
 only primitive-element search and log/antilog builder, and
 ``_prime_factors`` the only trial division.  It divides by no d above
 2^20, so every n <= 2^40 is factored, and a larger n whose cofactor
-could still be composite raises ``InfeasibleError`` at once.  The log
-is a dict, so a bad code raises ``KeyError`` from ``inv`` and ``pow`` at
-both levels where a list index would wrap -1.  The base level adds a
-tuple product table, the fast path of every elimination.
+could still be composite raises ``InfeasibleError`` at once.  The base
+level adds a tuple product table, the fast path of every elimination.
+
+Element codes are checked where they enter: every public entry point
+that takes codes from outside calls ``check_element``.  ``add``, ``sub``,
+``neg``, ``mul``, ``inv``, ``pow``, ``scale`` and ``frobenius`` take valid
+codes unchecked and on any other int promise only to return or raise:
+the log dict raises ``KeyError`` where a list would wrap -1, and the
+digit walk of ``add`` and ``sub`` stops at a non-positive operand.
 
 A context's field (its moduli, equality and hash) is fixed once built,
 and contexts are safe to share across threads and forked workers.  Log
@@ -124,7 +129,7 @@ def _digitwise_mod_p(a: int, b: int, p: int, sign: int) -> int:
         return a ^ b
     out = 0
     mult = 1
-    while a or b:
+    while a > 0 or b > 0:
         a, da = divmod(a, p)
         b, db = divmod(b, p)
         out += ((da + sign * db) % p) * mult
@@ -253,27 +258,24 @@ def _log_tables(order: int, mul, power, add, label: str):
 
     ``mul``, ``power`` and ``add`` are the field's untabulated arithmetic.
     The generator g is the first code with power(g, (order - 1) / f) != 1
-    for every prime f dividing order - 1; exp[i] = g^i is built with one
-    ``mul`` each and log[exp[i]] = i, so a * b is
-    exp[(log a + log b) % (order - 1)].  A repeated power, or a table
-    product that fails an associativity or distributivity spot check,
-    raises RuntimeError before the caller can store anything.
+    for every prime f dividing order - 1 (in F_2, with none, g = 1);
+    exp[i] = g^i is built with one ``mul`` each and log[exp[i]] = i, so
+    a * b is exp[(log a + log b) % (order - 1)].  A repeated power, or a
+    table product that fails an associativity or distributivity spot
+    check, raises RuntimeError before the caller can store anything.
     """
-    if order == 2:
-        exp, log = [1], {1: 0}
-    else:
-        orders = [(order - 1) // f for f in _prime_factors(order - 1)]
-        g = next((g for g in range(2, order) if all(power(g, e) != 1 for e in orders)), None)
-        if g is None:
-            raise RuntimeError(f"no primitive element found in {label}")
-        exp = [1] * (order - 1)
-        log = {1: 0}
-        for i in range(1, order - 1):
-            # g first: ``_poly_mul`` skips the zero coefficients of its first factor
-            exp[i] = x = mul(g, exp[i - 1])
-            log[x] = i
-        if len(log) != order - 1:
-            raise RuntimeError("candidate generator is not primitive")
+    orders = [(order - 1) // f for f in _prime_factors(order - 1)]
+    g = next((g for g in range(1, order) if all(power(g, e) != 1 for e in orders)), None)
+    if g is None:
+        raise RuntimeError(f"no primitive element found in {label}")
+    exp = [1] * (order - 1)
+    log = {1: 0}
+    for i in range(1, order - 1):
+        # g first: ``_poly_mul`` skips the zero coefficients of its first factor
+        exp[i] = x = mul(g, exp[i - 1])
+        log[x] = i
+    if len(log) != order - 1:
+        raise RuntimeError("candidate generator is not primitive")
 
     def product(a, b):
         return exp[(log[a] + log[b]) % (order - 1)] if a and b else 0

@@ -99,6 +99,25 @@ def test_gv_alpha_lower_values():
         assert gv_alpha_lower(d, 0) == alpha_exact(d) == 1 - d
 
 
+def test_the_alpha_bounds_are_the_barrier_curves():
+    # one GV curve and one Singleton line, for exact and float inputs alike
+    grid = [Fraction(i, 12) for i in range(13)]
+    for delta in grid:
+        for x in (delta, float(delta)):
+            assert alpha_exact(x) == singleton_barrier(x)
+            assert type(alpha_exact(x)) is type(singleton_barrier(x))
+            for b in grid:
+                for y in (b, float(b)):
+                    assert gv_alpha_lower(x, y) == gv_barrier(x, y)
+                    assert type(gv_alpha_lower(x, y)) is type(gv_barrier(x, y))
+    for bad in (Fraction(-1, 2), -0.5):
+        for call in (lambda: gv_alpha_lower(bad, Fraction(1, 2)), lambda: alpha_exact(bad)):
+            with pytest.raises(ValueError, match=rf"^delta must lie in \[0, 1\], got {bad}$"):
+                call()
+    with pytest.raises(ValueError, match=r"^b must lie in \[0, 1\], got 3$"):
+        gv_alpha_lower(Fraction(1, 2), 3)
+
+
 def test_gv_alpha_lower_domain():
     with pytest.raises(ValueError):
         gv_alpha_lower(Fraction(3, 4), 2)  # delta beyond 1/b

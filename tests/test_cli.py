@@ -16,7 +16,7 @@ import pytest
 
 from helpers import run_python
 from ranklab.bounds import emit_barrier_curves
-from ranklab.cli import build_parser, main
+from ranklab.cli import _BOUNDS, build_parser, main
 from ranklab.codefile import loads_code
 from ranklab.codes import GabidulinCode, LinearCode
 from ranklab.harness import content_hash, run_ensemble
@@ -110,9 +110,41 @@ def test_bounds_hamming(capsys):
     assert payload["result"]["details"]["ball"] == 50
 
 
+BOUND_ARGS = {
+    "q": ("2", 2), "m": ("3", 3), "n": ("3", 3), "d": ("2", 2), "code_size": ("8", 8),
+    "delta": ("1/4", Fraction(1, 4)), "b": ("1/2", Fraction(1, 2)), "rate": ("1/2", Fraction(1, 2)),
+    "rho": ("1/3", Fraction(1, 3)), "eps": ("1/10", Fraction(1, 10)),
+}
+
+
 def test_bounds_missing_parameter_exits_2(capsys):
     assert main(["bounds", "--name", "singleton", "--q", "2", "--m", "3"]) == 2
     assert "needs --n" in capsys.readouterr().err
+    # every bound, each of its flags left out in turn
+    for name, (_, params) in _BOUNDS.items():
+        for missing in params:
+            flag = f"--{missing.replace('_', '-')}"
+            argv = ["bounds", "--name", name]
+            for pname in params:
+                if pname != missing:
+                    argv += [f"--{pname.replace('_', '-')}", BOUND_ARGS[pname][0]]
+            assert main(argv) == 2, (name, missing)
+            assert f"needs {flag}" in capsys.readouterr().err
+
+
+def test_the_bounds_flags_are_the_parameters_of_the_bounds():
+    # declared from _BOUNDS, each parameter once, parsed as an int or a Fraction
+    commands = build_parser()._subparsers._group_actions[0].choices
+    shared = {action.dest for action in commands["curves"]._actions} - {"b", "grid"}
+    dests = [action.dest for action in commands["bounds"]._actions if action.dest not in shared | {"name"}]
+    assert sorted(dests) == sorted(BOUND_ARGS)
+    assert dests == list(dict.fromkeys(p for _, params in _BOUNDS.values() for p in params))
+    argv = ["bounds", "--name", "hamming"]
+    for pname, (text, _) in BOUND_ARGS.items():
+        argv += [f"--{pname.replace('_', '-')}", text]
+    args = build_parser().parse_args(argv)
+    for pname, (_, value) in BOUND_ARGS.items():
+        assert getattr(args, pname) == value and type(getattr(args, pname)) is type(value), pname
 
 
 def test_bounds_gv_lower_refuses_an_aspect_ratio_above_one(capsys):
@@ -478,7 +510,8 @@ def default_of(func, name):
 
 
 def test_the_radius_flags_are_declared_once():
-    # listdecode, experiment and coset-check share one --radius and one --rho
+    # listdecode, experiment and coset-check share one --radius and one --rho,
+    # and volume and experiment one required --q, --m and --n
     commands = build_parser()._subparsers._group_actions[0].choices
     flags = {}
     for name in ("listdecode", "experiment", "coset-check"):
@@ -486,7 +519,12 @@ def test_the_radius_flags_are_declared_once():
             if action.dest in ("radius", "rho"):
                 flags.setdefault(action.dest, set()).add(id(action))
                 assert action.help and action.default is None
-    assert {dest: len(ids) for dest, ids in flags.items()} == {"radius": 1, "rho": 1}
+    for name in ("volume", "experiment"):
+        for action in commands[name]._actions:
+            if action.dest in ("q", "m", "n"):
+                flags.setdefault(action.dest, set()).add(id(action))
+                assert action.required and action.type is int
+    assert {dest: len(ids) for dest, ids in flags.items()} == {"radius": 1, "rho": 1, "q": 1, "m": 1, "n": 1}
 
 
 def test_parser_defaults_are_the_library_defaults():

@@ -10,6 +10,7 @@ built extension tables against generic polynomial reduction.
 
 import itertools
 import random
+import signal
 import threading
 import time
 
@@ -272,6 +273,34 @@ def test_base_tables_take_about_q_products(monkeypatch):
     monkeypatch.setattr(FieldCtx, "_mul_generic", lambda self, a, b: calls.append(1) or original(self, a, b))
     FieldCtx(2, 8)
     assert len(calls) < 2 * 256  # q^2 / 2 = 32768 before
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: default_context(3, 2).add(-1, 1),
+        lambda: default_context(3, 2).sub(1, -1),
+        lambda: default_context(9, 2).neg(-5),
+        lambda: FieldCtx(3, 2).add(-1, 1),
+    ),
+    ids=("F_3^2 add", "F_3^2 sub", "F_9^2 neg", "F_9 add"),
+)
+def test_digitwise_addition_of_a_negative_code_ends(call):
+    # a bad code may give any answer or raise, but the digit walk must end:
+    # divmod(-1, p) is (-1, p - 1), so a walk on nonzero operands never did
+    def hang(signum, frame):
+        raise TimeoutError("digitwise addition did not end")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(2)
+    try:
+        try:
+            call()
+        except (ValueError, KeyError):
+            pass
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_characteristic_two_addition_is_xor():
@@ -673,6 +702,13 @@ def test_large_default_contexts_build_within_budget():
 def test_default_contexts_share_one_base_field():
     assert default_context(4, 2).base is default_context(4, 3).base
     assert default_context(2, 3).base is default_context(2, 5).base
+
+
+def test_f2_takes_its_tables_from_the_one_search():
+    # order - 1 = 1 has no prime factor, so the search accepts 1 in F_2 alone
+    for fld in (FieldCtx(2), default_context(2, 5).base):
+        assert fld._exp == (1,) and fld._log == {1: 0}
+        assert fld._mul_table == ((0, 0), (0, 1))
 
 
 def test_extension_tables_are_built_on_first_mul():

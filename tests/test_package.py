@@ -7,6 +7,17 @@ import pytest
 
 import ranklab
 from helpers import run_python
+from ranklab.codefile import loads_code
+from ranklab.codes import gabidulin, gabidulin_encode
+from ranklab.fields import ExtCtx, FieldCtx, context_from_descriptor, default_context
+from ranklab.rankmetric import (
+    RankVector,
+    matrix_to_vector,
+    rank_fq,
+    rref_fq,
+    unflatten_vector,
+    vector_from_index,
+)
 
 # frozen public surface: submodule -> the names ``from ranklab import *``
 # binds from it; with the nine submodules themselves, 71 names
@@ -124,3 +135,45 @@ def test_enumerate_ball_loads_neither_listdec_nor_codes():
     proc = run_python(["-S", "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"size": 1576, "volume": 1576, "loaded": []}
+
+
+# every public entry point that takes element codes from outside, each
+# given one code through ``code(order)``: an F_9 code (order 9), an F_3
+# coordinate or modulus coefficient (order 3), or a vector index (order 9
+# at n = 1); the modulus cases read x^2 + x + code, irreducible at code 2
+CODE_ENTRY_POINTS = {
+    "RankVector": lambda ctx, code: RankVector(ctx, (0, code(9))),
+    "ext_to_vec": lambda ctx, code: ctx.ext_to_vec(code(9)),
+    "vec_to_ext": lambda ctx, code: ctx.vec_to_ext((0, code(3))),
+    "matrix_to_vector": lambda ctx, code: matrix_to_vector(((0, 1), (code(3), 0)), ctx),
+    "unflatten_vector": lambda ctx, code: unflatten_vector(ctx, 2, (0, 1, code(3), 0)),
+    "rank_fq": lambda ctx, code: rank_fq(((1, code(3)),), ctx.base),
+    "rref_fq": lambda ctx, code: rref_fq(((1, code(3)),), ctx.base),
+    "gabidulin_encode": lambda ctx, code: gabidulin_encode(gabidulin(ctx, 2, 1), (code(9),)),
+    "gabidulin_points": lambda ctx, code: gabidulin(ctx, 2, 1, points=(1, code(9))),
+    "FieldCtx_modulus": lambda ctx, code: FieldCtx(3, 2, (code(3), 1, 1)),
+    "ExtCtx_modulus": lambda ctx, code: ExtCtx(ctx.base, 2, (code(3), 1, 1)),
+    "descriptor_base_modulus": lambda ctx, code: context_from_descriptor(f"3^2:{code(3)},1,1/1:0,1"),
+    "descriptor_ext_modulus": lambda ctx, code: context_from_descriptor(f"3/2:{code(3)},1,1"),
+    "loads_code_coordinate": lambda ctx, code: loads_code(
+        f"rankcode/1 field={ctx.descriptor()} n=1 kind=explicit size=1\n0:{code(3)}\n"
+    ),
+    "loads_code_modulus": lambda ctx, code: loads_code(
+        f"rankcode/1 field=3/2:{code(3)},1,1 n=1 kind=explicit size=1\n0:1\n"
+    ),
+    "loads_code_points": lambda ctx, code: loads_code(
+        f"rankcode/1 field={ctx.descriptor()} n=2 kind=gabidulin k=1\n1:0,{code(3)}:1\n"
+    ),
+    "vector_from_index": lambda ctx, code: vector_from_index(ctx, 1, code(9)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CODE_ENTRY_POINTS))
+def test_every_entry_point_checks_the_element_codes_it_takes(entry):
+    # the arithmetic takes codes unchecked, so each code from outside is
+    # checked where it enters: -1 and the order are refused, order - 1 is not
+    ctx = default_context(3, 2)
+    CODE_ENTRY_POINTS[entry](ctx, lambda order: order - 1)
+    for bad in (lambda order: -1, lambda order: order):
+        with pytest.raises(ValueError):
+            CODE_ENTRY_POINTS[entry](ctx, bad)

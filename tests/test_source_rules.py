@@ -299,6 +299,24 @@ def test_fields_has_one_primitive_element_search_and_one_table_reader():
             if ref in users and isinstance(node, (ast.Name, ast.Attribute)):
                 users[ref].add(name)
     assert users == expected
+    # F_2 takes the same search: no branch of _log_tables picks a field by its order
+    search = dict(fields_functions())["_log_tables"]
+    assert not [
+        node.lineno for node in own_nodes(search)
+        if isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "order"
+        and all(isinstance(c, ast.Constant) for c in node.comparators)
+    ]
+
+
+def test_the_gv_curve_and_the_singleton_line_are_written_once():
+    # the alpha bounds check delta and return the barrier at delta: no
+    # arithmetic of their own
+    tree = ast.parse((SOURCE / "bounds.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, curve in (("gv_alpha_lower", "gv_barrier"), ("alpha_exact", "singleton_barrier")):
+        nodes = list(own_nodes(funcs[name]))
+        assert not [node.lineno for node in nodes if isinstance(node, ast.BinOp)], name
+        assert curve in {node.func.id for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
 
 
 def test_fields_writes_each_shared_job_of_both_levels_once():
