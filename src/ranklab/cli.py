@@ -205,7 +205,12 @@ def _cmd_coset_check(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
-    common.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="checked to be >= 1; changes neither the report nor the process count (default 1)",
+    )
     common.add_argument(
         "--cap",
         type=int,

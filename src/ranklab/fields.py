@@ -51,7 +51,7 @@ the log dict raises ``KeyError`` where a list would wrap -1, and the
 digit walk of ``add`` and ``sub`` stops at a non-positive operand.
 
 A context's field (its moduli, equality and hash) is fixed once built,
-and contexts are safe to share across threads and forked workers.  Log
+and contexts are safe to share across threads.  Log
 tables exist up to q = 256 and q^m = 2^16.  The base field builds its
 tables, the product table from the log pair, with the context; the
 extension builds them on the first ``mul``, ``inv`` or ``pow`` that

@@ -3,9 +3,10 @@
 ``run_ensemble`` samples codes from a named ensemble and measures their
 worst list size trial by trial.  Each trial derives its own RNG
 substream from (seed, trial index), so a report is a pure function of
-its spec: rerunning, or redistributing trials over workers, reproduces
-it bit for bit.  Wall-clock time is carried for convenience but kept
-out of equality and canonical serialization.
+its spec: rerunning it reproduces it bit for bit, and every trial runs
+in this process, whatever worker count is passed.  Wall-clock time is
+carried for convenience but kept out of equality and canonical
+serialization.
 
 ``coset_partition_check`` reads the largest count of the ball in one
 coset of a linear code off ``max_list_size``, whose exhaustive sweep
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from functools import partial
-from itertools import chain
 
 # CurvePoint and emit_barrier_curves are re-exported here
 from .bounds import (
@@ -32,7 +31,7 @@ from .bounds import (
 )
 from .codes import LinearCode, _check_word_cap, sample_random_code, sample_random_linear_code
 from .fields import _entries_of_index, _index_of_entries, default_context, split_prime_power
-from .listdec import _split, max_list_size
+from .listdec import max_list_size
 from .rankmetric import (
     DEFAULT_ENUM_CAP,
     RankVector,
@@ -149,13 +148,20 @@ def _ensemble_metadata(spec: EnsembleSpec) -> tuple[tuple[str, str], ...]:
     return tuple(meta)
 
 
-def _run_trials(spec: EnsembleSpec, cap: int, indices) -> list[TrialOutcome]:
-    """The outcome of each trial in ``indices``, in order."""
+def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
+    """Run every trial of the ensemble, in order, in this process.
+
+    ``workers`` is checked to be >= 1 and changes neither the report nor
+    the process count."""
+    _check_count(workers, "workers")
+    # both kinds draw q^k words, refused here before the first draw
+    _check_word_cap(spec.q**spec.realized_log_size, cap)
+    t0 = time.perf_counter()
     ctx = default_context(spec.q, spec.m)
     # exhaustive whenever the space fits the cap; only Monte Carlo reads the seed
     mode = "exhaustive" if _space_fits(ctx, spec.n, cap) else "montecarlo"
     outcomes = []
-    for index in indices:
+    for index in range(spec.trials):
         sample_seed = substream_seed(spec.seed, 2 * index)
         scan_seed = substream_seed(spec.seed, 2 * index + 1)
         if spec.kind == "random":
@@ -165,21 +171,10 @@ def _run_trials(spec: EnsembleSpec, cap: int, indices) -> list[TrialOutcome]:
         report = max_list_size(code, spec.radius_s, mode, seed=scan_seed, cap=cap)
         failed = report.l_max > spec.list_cap
         outcomes.append(TrialOutcome(index=index, l_max=report.l_max, exact=report.exhaustive, failed=failed))
-    return outcomes
-
-
-def run_ensemble(spec: EnsembleSpec, workers: int = 1, cap: int = DEFAULT_ENUM_CAP) -> TrialReport:
-    """Run every trial of the ensemble; deterministic for any worker count >= 1."""
-    _check_count(workers, "workers")
-    # both kinds draw q^k words, refused here before the first draw
-    _check_word_cap(spec.q**spec.realized_log_size, cap)
-    t0 = time.perf_counter()
-    parts = _split(partial(_run_trials, spec, cap), range(spec.trials), workers)
-    outcomes = tuple(chain.from_iterable(parts))
     failures = sum(1 for o in outcomes if o.failed)
     return TrialReport(
         spec=spec,
-        outcomes=outcomes,
+        outcomes=tuple(outcomes),
         failures=failures,
         failure_fraction=Fraction(failures, spec.trials),
         metadata=_ensemble_metadata(spec),

@@ -71,13 +71,10 @@ before word j holding counts up to min(p^j, |B_s|), and the coset tally
 |B_s| keys plus the entries of its key tables.  So balls that fill a
 fixed share of the space go to the counters or the fold, and sparse ones
 stay with the scatter or the coset tally, which also serves Monte Carlo.
-Only the counters split an explicit code's codewords over workers, the
-partial slices added by ripple carry; a sparse scatter tally would cost
-the parent about as much to merge as to count, so it runs in this
-process, as linear and Gabidulin sweeps do.  Reports do not depend on
-the worker count, and exhaustive ties resolve to the least packed index,
-the first center in lexicographic order.  ``_split`` is the one process
-fan-out, which also splits the trials of ``harness.run_ensemble``.
+Every route runs in this process: the worker count is checked and
+changes neither the report nor the process count.  Exhaustive ties
+resolve to the least packed index, the first center in lexicographic
+order.
 
 Every kernel reads the ball through ``rankmetric._ball``, the one ball
 memo (the ``rankmetric`` module docstring): the dense add its bitset
@@ -426,30 +423,6 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
     return {**dict.fromkeys(candidates, 0), **tally}
 
 
-def _split(func, items, workers: int) -> list:
-    """``func`` of the items, in a list: ``[func(items)]`` in this process,
-    or ``func`` of consecutive parts, one per process, with as many
-    processes as are worth starting: at most ``workers``, one per item and
-    one per CPU.
-
-    The CPU count, not the affinity mask, so a process pinned to fewer
-    CPUs still gets the pool it asks for; an unknown count counts as one.
-    """
-    chunks = min(workers, len(items))
-    if chunks > 1:  # the CPU count is asked only when the work could fan out
-        import os
-
-        chunks = min(chunks, os.cpu_count() or 1)
-    if chunks <= 1:
-        return [func(items)]
-    size = -(-len(items) // chunks)
-    parts = [items[i : i + size] for i in range(0, len(items), size)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=len(parts)) as ex:
-        return list(ex.map(func, parts))
-
-
 def _translator(p: int, space: int):
     """The one digit step of the dense add: a function that moves a bitset
     of the space by a packed vector w, digitwise mod p.  For each nonzero
@@ -572,10 +545,9 @@ def max_list_size(
             offsets.  The module docstring gives the route each takes.
         centers: number of uniform random Monte Carlo centers, >= 0.
         seed: RNG seed for Monte Carlo centers.
-        workers: process count, >= 1, for splitting the codewords of an
-            explicit code's sweep on the counters; every other route runs
-            in this process alone.  The report is identical for any
-            worker count.
+        workers: checked to be >= 1, kept for callers that pass it;
+            every route runs in this process, so it changes neither the
+            report nor the process count.
 
     Returns:
         A ListReport; exhaustive ties for the maximum resolve to the
@@ -605,7 +577,7 @@ def max_list_size(
     if route == "fold":
         slices = _counters(ctx, n, s, _fp_basis(code), span=True)
     elif route == "counters":
-        slices = reduce(_add_slices, _split(partial(_counters, ctx, n, s), _packed_words(code, cap), workers))
+        slices = _counters(ctx, n, s, _packed_words(code, cap))
     elif route in ("coset", "far-coset"):
         # the list size at x is the number of offsets in the coset of x
         cosets = _CosetKeys(code)

@@ -5,7 +5,7 @@ explicitly; nothing reads global RNG state.  Independent substreams for
 trial i of a seeded run are derived as ``substream_seed(seed, i)``:
 the 64-bit trial index is folded into the seed with the splitmix64
 finalizer, so substreams are decorrelated, reproducible, and do not
-depend on how trials are scheduled across workers.  Uniform draws
+depend on which trials run before them.  Uniform draws
 below a bound come from one stream (``draws``) that consumes the
 generator exactly as ``randrange`` does, so a batch of draws costs no
 Python frame per draw.  ``content_hash`` names the inputs of a report by

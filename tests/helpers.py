@@ -576,30 +576,6 @@ def sweep_route_oracle(ctx, n, s, bv, size, linear):
     return "fold" if fold < bv * price["coset"] + tables * price["table"] else "coset"
 
 
-def inline_executor(sizes):
-    """A ProcessPoolExecutor stand-in that maps in-process.
-
-    Each construction appends its ``max_workers`` to ``sizes``, so a test
-    can check how many processes a pool would have started without
-    starting any.
-    """
-
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return InlineExecutor
-
-
 def run_python(args, **kwargs):
     """Run this interpreter on ``args`` in a child process that imports
     ranklab from the same source tree as the tests."""

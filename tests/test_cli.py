@@ -495,7 +495,7 @@ def readme_commands():
 
 def test_readme_command_line_examples_exit_0(tmp_path):
     # in order, in one directory: later commands read the files earlier
-    # ones write; child processes, since ``experiment --workers 4`` forks
+    # ones write; child processes, so each runs as a user would run it
     commands = readme_commands()
     assert {argv[1] for argv in commands} == {
         "volume", "bounds", "sample", "listdecode", "experiment", "curves", "coset-check",

@@ -7,7 +7,9 @@ extension-entry scalar action the implementation uses.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -239,6 +241,40 @@ def test_gabidulin_meets_designed_distance():
     for k in (1, 2, 3):
         code = gabidulin(ctx, 3, k)
         assert min_rank_distance(code) == code.designed_distance == 3 - k + 1
+
+
+def gaussian_binomial(n, k, q):
+    """[n, k]_q: the number of k-dimensional subspaces of F_q^n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def mrd_rank_distribution(q, m, n, k):
+    """The rank distribution of an [n, k] MRD code over F_{q^m}, n <= m
+    (Delsarte 1978; Gabidulin 1985): A_0 = 1 and, with d = n - k + 1,
+    A_{d+l} = [n, d+l]_q sum_j (-1)^j q^C(j,2) [d+l, j]_q (q^(m(l-j+1)) - 1)."""
+    d = n - k + 1
+    dist = {0: 1}
+    for ell in range(n - d + 1):
+        dist[d + ell] = gaussian_binomial(n, d + ell, q) * sum(
+            (-1) ** j * q ** comb(j, 2) * gaussian_binomial(d + ell, j, q) * (q ** (m * (ell - j + 1)) - 1)
+            for j in range(ell + 1)
+        )
+    return dist
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 4, 2), (3, 4, 3, 2), (4, 3, 3, 2), (2, 5, 3, 1), (5, 2, 2, 1), (8, 2, 2, 1), (9, 2, 2, 1)])
+def test_gabidulin_codes_have_the_mrd_rank_distribution(q, m, n, k):
+    # Gabidulin codes are MRD: d = n - k + 1, and every rank weight count
+    # follows from it
+    code = gabidulin(default_context(q, m), n, k)
+    assert min_rank_distance(code) == n - k + 1
+    assert Counter(map(rank_of_vector, enumerate_codewords(code))) == mrd_rank_distribution(q, m, n, k)
 
 
 def test_min_distance_pair_cap():

@@ -5,13 +5,16 @@ are bucketed by the smallest index in their translate set, so the
 partition never consults the pivot bookkeeping under test.
 """
 
+import _posixsubprocess
 import json
+import os
+import time
 from fractions import Fraction
 
 import pytest
 
-from helpers import coset_oracle, forbid_the_scatter, inline_executor
-from ranklab import harness
+from helpers import coset_oracle, forbid_the_scatter
+from ranklab import harness, listdec
 from ranklab.cli import main
 from ranklab.codes import (
     LinearCode,
@@ -31,7 +34,7 @@ from ranklab.harness import (
     run_ensemble,
     threshold_probe,
 )
-from ranklab.listdec import list_size_at
+from ranklab.listdec import list_size_at, max_list_size
 from ranklab.rankmetric import (
     RankVector,
     ball_volume,
@@ -39,6 +42,7 @@ from ranklab.rankmetric import (
     rank_of_vector,
     vector_index,
 )
+from ranklab.rng import substream_seed
 
 
 def spec_kwargs(**overrides):
@@ -76,16 +80,14 @@ def test_spec_validation():
 
 
 def test_an_experiment_over_no_field_is_refused_before_any_trial(monkeypatch, capsys):
-    # q = 6 is no prime power: the spec refuses it, so no pool starts and
-    # no trial runs
-    ran, sizes = [], []
-    monkeypatch.setattr(harness, "_run_trials", lambda *args: ran.append(args))
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
+    # q = 6 is no prime power: the spec refuses it, so no trial runs
+    ran = []
+    monkeypatch.setattr(harness, "max_list_size", lambda *args, **kwargs: ran.append(args))
     argv = ["experiment", "--kind", "random", "--q", "6", "--m", "3", "--n", "2", "--rate", "1/2",
             "--radius", "1", "--list-cap", "4", "--trials", "4", "--workers", "2"]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert (captured.out, ran, sizes) == ("", [], [])
+    assert (captured.out, ran) == ("", [])
     assert "not a prime power: 6" in captured.err
 
 
@@ -117,27 +119,25 @@ def test_run_ensemble_worker_count_is_invisible():
     assert json.dumps(solo.canonical_dict()) == json.dumps(multi.canonical_dict())
 
 
-def test_run_ensemble_pool_is_sized_to_the_trials(monkeypatch):
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    monkeypatch.setattr("os.cpu_count", lambda: 8)  # more CPUs than trials
-    spec = EnsembleSpec(**spec_kwargs(trials=2))
-    report = run_ensemble(spec, workers=4)
-    assert sizes == [2]  # one process per trial, not per requested worker
-    assert report == run_ensemble(spec)
+def test_no_worker_count_starts_a_process(monkeypatch):
+    # with every way to start a process patched to raise, four workers give
+    # the one-worker report on the forced counters and in an ensemble
+    code = sample_random_code(default_context(2, 3), 2, 8, seed=5)
+    spec = EnsembleSpec(**spec_kwargs(trials=4))
+    expected = (max_list_size(code, 1), run_ensemble(spec))
+    started = []
 
+    def refuse(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a process was started")
 
-def test_run_ensemble_pool_is_capped_at_the_cpu_count(monkeypatch):
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    spec = EnsembleSpec(**spec_kwargs(trials=5))
-    solo = run_ensemble(spec)
-    # an unknown CPU count counts as one CPU, so no pool starts
-    for cpus, expected in ((2, [2]), (None, [])):
-        sizes.clear()
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        assert run_ensemble(spec, workers=100000) == solo
-        assert sizes == expected
+    for owner, name in ((os, "fork"), (os, "posix_spawn"), (_posixsubprocess, "fork_exec")):
+        monkeypatch.setattr(owner, name, refuse)
+    routes = []
+    monkeypatch.setattr(listdec, "_route", lambda *args: routes.append("counters") or "counters")
+    assert (max_list_size(code, 1, workers=4), run_ensemble(spec, workers=4)) == expected
+    assert started == []
+    assert routes == ["counters"] * 5
 
 
 def test_run_ensemble_rejects_worker_counts_below_one():
@@ -149,13 +149,11 @@ def test_run_ensemble_rejects_worker_counts_below_one():
 
 def test_run_ensemble_refuses_words_above_the_cap_before_the_first_draw(monkeypatch, capsys):
     # rate 1 at q2m4n4 is 2^16 words a trial, above a cap of 1000: the run
-    # is refused before any code is sampled or any pool is started, with
-    # the word cap's own message, whatever the kind and the worker count
-    drawn, sizes = [], []
+    # is refused before any code is sampled, with the word cap's own
+    # message, whatever the kind and the worker count
+    drawn = []
     for name in ("sample_random_code", "sample_random_linear_code"):
         monkeypatch.setattr(harness, name, lambda *args, name=name: drawn.append(name))
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     for kind in ENSEMBLE_KINDS:
         spec = EnsembleSpec(**spec_kwargs(kind=kind, m=4, n=4, rate_target=1, radius_s=1, trials=2))
         for workers in (1, 2):
@@ -166,16 +164,31 @@ def test_run_ensemble_refuses_words_above_the_cap_before_the_first_draw(monkeypa
             "--radius", "1", "--list-cap", "4", "--trials", "2", "--cap", "1000"]
     assert main(argv) == 2
     assert "code has 65536 words, above the cap of 1000" in capsys.readouterr().err
-    assert (drawn, sizes) == ([], [])
+    assert drawn == []
 
 
 def test_run_ensemble_outcome_shape():
     spec = EnsembleSpec(**spec_kwargs(trials=5))
+    start = time.perf_counter()
     report = run_ensemble(spec)
+    assert 0 <= report.wall_time_s <= time.perf_counter() - start
     assert [o.index for o in report.outcomes] == [0, 1, 2, 3, 4]
     assert all(o.exact for o in report.outcomes)  # space 64 fits the cap
     assert report.failures == sum(1 for o in report.outcomes if o.failed)
     assert report.failure_fraction == Fraction(report.failures, 5)
+
+
+def test_each_trial_samples_and_scans_from_its_own_substreams(monkeypatch):
+    # trial i samples its code from substream 2i and draws its Monte Carlo
+    # centers from substream 2i + 1, so no two streams of a run coincide
+    seeds = []
+    real = (harness.sample_random_code, harness.max_list_size)
+    monkeypatch.setattr(harness, "sample_random_code", lambda *args: seeds.append(args[-1]) or real[0](*args))
+    monkeypatch.setattr(harness, "max_list_size", lambda *args, **kw: seeds.append(kw["seed"]) or real[1](*args, **kw))
+    spec = EnsembleSpec(**spec_kwargs(trials=3, seed=11))
+    report = run_ensemble(spec, cap=32)  # the space of 64 centers is above the cap
+    assert not any(o.exact for o in report.outcomes)
+    assert seeds == [substream_seed(11, j) for j in range(6)]
 
 
 def test_run_ensemble_frozen_failure_fraction():

@@ -26,9 +26,11 @@ from helpers import (
     far_branch_oracle,
     far_route_oracle,
     forbid_the_scatter,
-    inline_executor,
+    fp_basis_by_products,
+    int_digits,
     key_count_oracle,
     memo_span_rank,
+    rank_mod_p,
     sweep_route_oracle,
     xor_window_tables,
 )
@@ -177,8 +179,7 @@ def test_exhaustive_extremes():
 
 
 def test_worker_partitioning_is_invisible(monkeypatch):
-    # real processes on the counters, bit-sliced partial counters added by
-    # ripple carry, and the scatter, which runs in this process at any count
+    # the counters and the scatter give the same report at any worker count
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
     seam = Seam(monkeypatch)
@@ -191,20 +192,15 @@ def test_worker_partitioning_is_invisible(monkeypatch):
 
 def forced_sweeps(code, s):
     """The exhaustive report of an explicit code on each route, forced at
-    the seam, at one worker and at two, which split only the counters'
-    codewords, in two chunks."""
+    the seam, at one worker and at two."""
     reports = {}
-    sizes = []
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-        patched.setattr("os.cpu_count", lambda: 2)
         seam = Seam(patched)
         for route in ("scatter", "counters"):
             seam.route = route
             reports[route] = max_list_size(code, s)
             reports[route, 2] = max_list_size(code, s, workers=2)
             assert seam.names[-2:] == [route, route]
-    assert sizes == ([2] if code.size > 1 else [])
     return reports
 
 
@@ -433,59 +429,14 @@ def test_worker_partitioning_is_invisible_under_ties_q3():
     assert (solo.l_max, vector_index(solo.argmax_center)) == brute_force_report(code, 1)
 
 
-def test_codeword_split_pool_is_sized_to_the_work(monkeypatch):
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    monkeypatch.setattr("os.cpu_count", lambda: 8)  # more CPUs than codewords
-    # the counters are the route that splits its codewords
-    seam = Seam(monkeypatch, "counters")
-    ctx = default_context(2, 3)
-    code = sample_random_code(ctx, 2, 3, seed=5)
-    report = max_list_size(code, 1, workers=4)
-    assert sizes == [3]  # one process per codeword, not per requested worker
-    assert report == max_list_size(code, 1)
-    assert seam.names == ["counters"] * 2
-
-
 def test_a_scatter_sweep_starts_no_pool(monkeypatch):
-    # partial scatter tallies would cost as much to merge as to count, so
     # the scatter runs in this process at any worker count
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
     seam = Seam(monkeypatch, "scatter")
     solo = max_list_size(code, 1, workers=1)
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
     assert max_list_size(code, 1, workers=4) == solo
-    assert sizes == []
     assert seam.names == ["scatter"] * 2
-
-
-def test_codeword_split_pool_is_capped_at_the_cpu_count(monkeypatch):
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    ctx = default_context(2, 3)
-    code = sample_random_code(ctx, 2, 8, seed=5)
-    solo = max_list_size(code, 1)
-    # an unknown CPU count counts as one CPU, so no pool starts
-    for cpus, expected in ((3, [3]), (None, [])):
-        sizes.clear()
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        assert max_list_size(code, 1, workers=100000) == solo
-        assert sizes == expected
-
-
-def test_a_split_in_one_process_asks_no_cpu_count(monkeypatch):
-    # one worker, or one item, runs in this process without asking the CPU count
-    monkeypatch.setattr("os.cpu_count", _raise)
-    assert listdec._split(sum, [1, 2, 3], 1) == [6]
-    assert listdec._split(sum, [5], 4) == [5]
-    ctx = default_context(2, 3)
-    code = sample_random_code(ctx, 2, 8, seed=5)
-    seam = Seam(monkeypatch, "counters")
-    assert max_list_size(code, 1, workers=1).l_max >= 1
-    assert seam.names == ["counters"]
 
 
 @pytest.fixture
@@ -544,18 +495,14 @@ def test_every_exhaustive_route_refuses_a_ball_short_of_one_offset(q, monkeypatc
 def test_a_worker_split_on_the_counters_refuses_a_dropped_carry(monkeypatch):
     ctx = default_context(2, 3)
     code = sample_random_code(ctx, 2, 8, seed=5)
-    sizes = []
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     seam = Seam(monkeypatch, "counters")
     assert max_list_size(code, 1, workers=2) == max_list_size(code, 1)
-    # the two partial counters summed slice by slice, every carry lost
+    # each translate added to the counters slice by slice, every carry lost
     monkeypatch.setattr(
         listdec, "_add_slices", lambda a, b: [x ^ y for x, y in zip_longest(a, b, fillvalue=0)]
     )
     with pytest.raises(RuntimeError, match="counters"):
         max_list_size(code, 1, workers=2)
-    assert sizes == [2, 2]
     assert seam.names == ["counters"] * 3
 
 
@@ -1761,6 +1708,37 @@ def test_byte_limits_route_like_the_inline_rules():
         assert isinstance(cosets.zero, bytes if narrow else tuple), (q, m, n)
 
 
+@pytest.mark.parametrize("p, n", [(131, 2), (131, 3), (257, 2), (257, 3)])
+def test_wide_coset_keys_sum_slot_by_slot_to_the_least_coset_vector(p, n):
+    # past the byte slots a key is a tuple: ``summed`` reduces each slot of
+    # a sum of entry keys mod p, and the key lies in the coset of the
+    # vector and is its least member: zero on every digit that leads a
+    # codeword, the leading digits found by prefix ranks of an oracle basis
+    ctx = default_context(p, n)
+    code = sample_random_linear_code(ctx, n, 1, seed=p + n)
+    cosets = listdec._CosetKeys(code)
+    assert not cosets.narrow
+    width, radix, order = cosets.width, 1 << cosets.slot, ctx.order
+    rng = random.Random(p * n)
+    vectors = [[rng.randrange(order) for _ in range(n)] for _ in range(20)]
+    tables = [sorted({v[j] for v in vectors}) for j in range(n)]
+    keys = [dict(zip(table, row)) for table, row in zip(tables, cosets.entry_keys(tables))]
+    parts = [[keys[j][x] for j, x in enumerate(v)] for v in vectors]
+    got = list(cosets.summed(map(sum, parts)))
+    direct = [tuple(sum(d) % p for d in zip(*(int_digits(k, radix, width)[::-1] for k in ks))) for ks in parts]
+    assert got == direct
+    basis = [int_digits(w, p, width)[::-1] for w in fp_basis_by_products(code)]
+    assert rank_mod_p(basis, p) == len(basis)
+    ranks = [rank_mod_p([row[:t] for row in basis], p) for t in range(width + 1)]
+    leads = [t for t in range(width) if ranks[t + 1] > ranks[t]]
+    for v, key in zip(vectors, got):
+        index = sum(x * order ** (n - 1 - j) for j, x in enumerate(v))
+        offset = [(a - b) % p for a, b in zip(key, int_digits(index, p, width)[::-1])]
+        assert rank_mod_p([*basis, offset], p) == len(basis)
+        assert [key[t] for t in leads] == [0] * len(leads)
+        assert key == cosets.of_indices([index])[0]
+
+
 def test_no_far_route_holds_more_than_cap_offsets(monkeypatch):
     # |B_1| = 106 in F_{2^4}^3: with a cap of 100 no route may build the
     # ball, and when the pairs to rank pass the cap too the run refuses
@@ -1785,6 +1763,21 @@ def twin_codes():
         yield f"linear-q{q}m{m}n{n}k{k}", sample_random_linear_code(default_context(q, m), n, k, seed)
     for q, m, n, k in ((2, 3, 3, 1), (2, 4, 2, 1), (3, 2, 2, 1), (4, 2, 2, 1), (5, 2, 1, 1)):
         yield f"gabidulin-q{q}m{m}n{n}k{k}", gabidulin(default_context(q, m), n, k)
+
+
+@pytest.mark.parametrize("q, m, n, k", [(2, 4, 4, 2), (2, 5, 4, 2), (3, 3, 3, 1), (2, 4, 3, 1), (2, 3, 3, 1)])
+def test_gabidulin_codes_decode_uniquely_within_half_their_distance(q, m, n, k, monkeypatch):
+    # d = n - k + 1, so for s <= (n - k) / 2 no ball holds two codewords,
+    # and the first center in scan order with a codeword is 0, a codeword
+    code = gabidulin(default_context(q, m), n, k)
+    seam = Seam(monkeypatch)
+    radii = range((n - k) // 2 + 1)
+    for route in LINEAR_ROUTES:
+        seam.route = route
+        for s in radii:
+            report = max_list_size(code, s)
+            assert (report.l_max, vector_index(report.argmax_center)) == (1, 0), (route, s)
+    assert seam.names == [route for route in LINEAR_ROUTES for _ in radii]
 
 
 def test_linear_codes_report_like_their_explicit_twins():
@@ -1816,16 +1809,12 @@ def test_linear_sweeps_enumerate_no_codeword_and_start_no_pool(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError(message)
 
-    sizes = []
     for module, name in ((codes, "_packed_words"), (listdec, "_packed_words")):
         monkeypatch.setattr(module, name, forbidden)
     forbid_the_scatter(monkeypatch, message)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", inline_executor(sizes))
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
     for name, code in twin_codes():
         for s in range(code.n + 1):
             assert max_list_size(code, s, workers=4).as_dict() == expected[name, s]
-    assert sizes == []
 
 
 def test_exhaustive_linear_tie_cases_frozen_from_the_center_tally():

@@ -123,24 +123,6 @@ def test_every_imported_name_is_read():
     assert REEXPORTS["harness.py"] <= names
 
 
-def test_process_pools_are_imported_only_where_they_start():
-    # importing the pool machinery is a large share of a short command's
-    # start-up, and only ``workers > 1`` uses it
-    heavy = ("concurrent.futures", "multiprocessing")
-    found = []
-    for path, tree in parsed_modules():
-        for node in import_time_nodes(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-            else:
-                continue
-            if any(name == root or name.startswith(root + ".") for name in names for root in heavy):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == []
-
-
 def test_package_init_imports_no_submodule():
     # exports load on first use; an eager ``from .x import`` loads x
     # into every process that imports ranklab
@@ -399,7 +381,7 @@ def test_the_counters_and_the_fold_share_one_digit_step():
         ast.unparse(node) for node in ast.walk(sweep)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_counters"
     ]
-    assert spans == ["_counters(ctx, n, s, _fp_basis(code), span=True)"]
+    assert spans == ["_counters(ctx, n, s, _fp_basis(code), span=True)", "_counters(ctx, n, s, _packed_words(code, cap))"]
 
 
 def test_one_sparse_tally_and_one_exhaustive_answer():
@@ -717,8 +699,8 @@ def test_only_the_coset_keys_compute_a_coset_least_vector():
 
 def test_one_path_to_the_coset_answer():
     # the coset check answers through max_list_size alone: harness takes
-    # nothing else from listdec but the one process fan-out, and no module
-    # but listdec names the coset keys
+    # nothing else from listdec, and no module but listdec names the coset
+    # keys
     found, imported = [], []
     for path, tree in parsed_modules():
         for node in ast.walk(tree):
@@ -727,35 +709,36 @@ def test_one_path_to_the_coset_answer():
             ref = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
             if ref == "_CosetKeys" and path.name != "listdec.py":
                 found.append(f"{path.name}:{node.lineno}")
-    assert sorted(imported) == ["_split", "max_list_size"]
+    assert imported == ["max_list_size"]
     assert found == []
 
 
-POOL_MODULES = ("concurrent", "multiprocessing")
+def test_no_module_starts_a_process_pool():
+    # every route and every ensemble trial runs in this process: no module
+    # imports the pool machinery or names an executor or a pool (and
+    # harness takes only max_list_size from listdec, pinned above)
+    found = []
+    for path, tree in parsed_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            else:
+                ref = getattr(node, "id", None) or getattr(node, "attr", None)
+                names = [ref] if isinstance(ref, str) else []
+            pool = ("concurrent", "multiprocessing")
+            if any(name.partition(".")[0] in pool or name.endswith(("Executor", "Pool")) for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
-def pool_references(tree):
-    """(scope, line) of each import of the process pool machinery and of
-    each name or attribute that names an executor or a pool."""
-    for scope, node in scoped_nodes(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or "", *(alias.name for alias in node.names)]
-        else:
-            ref = getattr(node, "id", None) or getattr(node, "attr", None)
-            names = [ref] if isinstance(ref, str) else []
-        if any(name.partition(".")[0] in POOL_MODULES or name.endswith(("Executor", "Pool")) for name in names):
-            yield scope, node.lineno
-
-
-def test_the_byte_slot_form_and_the_process_fan_out_have_one_owner():
+def test_the_byte_slot_form_has_one_owner():
     # odd-p sums run as base-p digits, one per byte: only the methods of
     # rankmetric._Encoder turn a sum into its bytes or reduce them
     # (int.to_bytes, bytes.translate, the .mod table), and only
     # rankmetric._fits compares a digit sum with the byte limit (p <= 127 is its two-digit form; the p = 2 window
-    # masks ``& 255`` are no sum).  One fan-out starts processes, for the
-    # codeword splits and the ensemble trials alike
+    # masks ``& 255`` are no sum)
     found = []
     for name in ("listdec.py", "rankmetric.py"):
         for scope, node in scoped_nodes(ast.parse((SOURCE / name).read_text(encoding="utf-8"))):
@@ -767,41 +750,7 @@ def test_the_byte_slot_form_and_the_process_fan_out_have_one_owner():
                 limits = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)} & {127, 255}
                 if limits:
                     found.append(f"{where}:{node.lineno} compares with {sorted(limits)}")
-    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
-    found += [f"{scope}:{line} pool" for scope, line in pool_references(tree) if scope != "_split"]
-    harness = ast.parse((SOURCE / "harness.py").read_text(encoding="utf-8"))
-    found += [f"harness.py:{scope}:{line} pool" for scope, line in pool_references(harness)]
     assert found == []
-    # the rule has something to hold: each owner is where it is named
-    assert {scope for scope, _ in pool_references(tree)} == {"_split"}
-
-
-def test_only_the_counters_and_the_ensemble_trials_are_split():
-    # work goes to processes only where its parts add cheaply: the
-    # counters' slices by ripple carry and the ensemble's trials end to
-    # end.  A scatter tally would cost the parent about as much to merge
-    # as to count, so no caller hands ``_tally`` to the fan-out
-    calls, found = [], []
-    for path, tree in parsed_modules():
-        called = set()
-        for scope, node in scoped_nodes(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_split":
-                called.add(id(node.func))
-                work = node.args[0]
-                if isinstance(work, ast.Call) and getattr(work.func, "id", None) == "partial":
-                    work = work.args[0]
-                calls.append((f"{path.name}:{scope}", ast.unparse(work)))
-                names = {sub.id for arg in node.args for sub in ast.walk(arg) if isinstance(sub, ast.Name)}
-                if "_tally" in names:
-                    found.append(f"{path.name}:{node.lineno} _tally split")
-        for scope, node in scoped_nodes(tree):
-            if isinstance(node, ast.Name) and node.id == "_split" and id(node) not in called:
-                found.append(f"{path.name}:{node.lineno} _split passed on")
-    assert found == []
-    assert sorted(calls) == [
-        ("harness.py:run_ensemble", "_run_trials"),
-        ("listdec.py:max_list_size", "_counters"),
-    ]
 
 
 def test_every_uniform_draw_comes_from_the_draw_stream():
@@ -928,7 +877,7 @@ def test_each_argument_rule_has_one_owner():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_space_fits":
                 asking.add(where)
     assert compared == {"rankmetric.py:_space_fits"}
-    assert asking == {"rankmetric.py:_check_space", "harness.py:_run_trials"}
+    assert asking == {"rankmetric.py:_check_space", "harness.py:run_ensemble"}
 
 
 CODEC = {"_entries_of_index", "_index_of_entries"}
