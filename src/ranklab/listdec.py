@@ -99,9 +99,9 @@ takes the cheapest:
   tested only against the codewords that share one ("-keyed"), otherwise
   against every codeword; a test is one probe of the ball's offset set
   ("probe" or "probe-keyed"; p = 2, or q <= 256 and two digits
-  ``_fits``) or a rank ("rank" or "rank-keyed").  The pairs run as flat
-  lists, at most ``_PAIR_BLOCK`` at a time, so memory stays bounded by
-  the block, not by |C| * candidates.
+  ``_fits``) or a rank ("rank" or "rank-keyed").  The pairs stream
+  through C-level ``map``s into one tally, so no list of them is built
+  and memory does not grow with |C| * candidates.
 
 A route that reads the ball pays its |B_s| builds, and the probe |B_s|
 more for its offset set, whether or not the memo holds them, so a route
@@ -368,19 +368,14 @@ def _keys(ctx, n: int, s: int, packed, enc: _Encoder) -> list:
     return [enc.reduced(key, width) if more else key for key, more in zip(keys, sums)]
 
 
-# (candidate, codeword) pairs that ``_near`` tests at a time, so that its
-# memory does not grow with |C| * candidates
-_PAIR_BLOCK = 2**16
-
-
 def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> dict:
     """The list size at each candidate, in candidate order, for packed
-    codewords: the kernel of the module docstring.  The pairs it tests run
-    in blocks of ``_PAIR_BLOCK``, as flat lists: each tested candidate
-    repeated once per codeword it is tested against, beside those
-    codewords.  With ``probe`` a pair probes the offset set with c - w:
-    c ^ w for p = 2, else the digits of c and -w, summed and reduced; else
-    it ranks c - w on their entries."""
+    codewords: the kernel of the module docstring.  The pairs it tests
+    stream through three chained iterators, never a list: each tested
+    candidate and its form, repeated once per codeword it is tested
+    against, beside those codewords.  With ``probe`` a pair probes the
+    offset set with c - w: c ^ w for p = 2, else the digits of c and -w,
+    summed and reduced; else it ranks c - w on their entries."""
     order, enc = ctx.order, _Encoder(ctx)
     coords, width = n * ctx.m, n * ctx.m * ctx.base.s
     offsets = _ball(ctx, n, s).probes if probe else None
@@ -409,18 +404,13 @@ def _near(ctx, n: int, s: int, words, candidates, keyed: bool, probe: bool) -> d
         near = list(map(dict.fromkeys, near))
     sharers = list(map(len, near))
     owners = chain.from_iterable(map(repeat, tested, sharers))
-    owner_forms = chain.from_iterable(map(repeat, forms(tested, 1), sharers))
-    partners = chain.from_iterable(near)
-    tally = Counter()
-    while block := list(islice(owners, _PAIR_BLOCK)):
-        cs, ws = list(islice(owner_forms, len(block))), list(islice(partners, len(block)))
-        if not probe:
-            diffs = map(tuple, map(map, repeat(ctx.sub), ws, cs))
-            hits = map(s.__ge__, map(_rank_of_entries, repeat(ctx), diffs))
-        else:
-            hits = map(offsets.__contains__, enc.reduced(map(enc.plus, cs, ws), width))
-        tally.update(compress(block, hits))
-    return {**dict.fromkeys(candidates, 0), **tally}
+    cs = chain.from_iterable(map(repeat, forms(tested, 1), sharers))
+    ws = chain.from_iterable(near)
+    if probe:
+        hits = map(offsets.__contains__, enc.reduced(map(enc.plus, cs, ws), width))
+    else:
+        hits = map(s.__ge__, map(_rank_of_entries, repeat(ctx), map(tuple, map(map, repeat(ctx.sub), ws, cs))))
+    return {**dict.fromkeys(candidates, 0), **Counter(compress(owners, hits))}
 
 
 def _translator(p: int, space: int):

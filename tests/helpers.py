@@ -72,6 +72,17 @@ def all_matrices(p, n_rows, n_cols):
         )
 
 
+def gaussian_binomial(n, k, q):
+    """[n, k]_q: the number of k-dimensional subspaces of F_q^n."""
+    if not 0 <= k <= n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def int_digits(value, base, width):
     """Base-`base` digits of `value`, least significant first, zero padded."""
     out = []

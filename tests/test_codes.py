@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from helpers import CHI2_DF15_ALPHA_001, codewords_by_kind, fp_basis_by_products
+from helpers import CHI2_DF15_ALPHA_001, codewords_by_kind, fp_basis_by_products, gaussian_binomial
 from ranklab import codes, fields
 from ranklab.codes import (
     ExplicitCode,
@@ -241,17 +241,6 @@ def test_gabidulin_meets_designed_distance():
     for k in (1, 2, 3):
         code = gabidulin(ctx, 3, k)
         assert min_rank_distance(code) == code.designed_distance == 3 - k + 1
-
-
-def gaussian_binomial(n, k, q):
-    """[n, k]_q: the number of k-dimensional subspaces of F_q^n."""
-    if not 0 <= k <= n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
 
 
 def mrd_rank_distribution(q, m, n, k):

@@ -27,6 +27,7 @@ from helpers import (
     far_route_oracle,
     forbid_the_scatter,
     fp_basis_by_products,
+    gaussian_binomial,
     int_digits,
     key_count_oracle,
     memo_span_rank,
@@ -1477,17 +1478,14 @@ NEAR_CASES = {
 NEAR_LONELY = {"q2m4n3-random3", "q2m4n3-random40", "q3m3n2-random9", "q5m2n2-random30"}
 
 
-@pytest.mark.parametrize("block", (1, 7, listdec._PAIR_BLOCK))
 @pytest.mark.parametrize("case", sorted(NEAR_CASES))
-def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
+def test_flat_pair_probes_count_like_brute_force(case, monkeypatch):
     # every candidate's count, keyed and unkeyed, by probe and by rank,
     # against a count ranked on F_q-spans, and the Monte Carlo report
-    # against the far-branch oracle; blocks of 1 and 7 pairs split one
-    # candidate's pairs over two blocks
+    # against the far-branch oracle
     q, m, n, make = NEAR_CASES[case]
     ctx = default_context(q, m)
     code = make(ctx)
-    monkeypatch.setattr(listdec, "_PAIR_BLOCK", block)
     words = _packed_words(code, 2**24)
     entries = [_entries_of_index(ctx.order, n, w) for w in words]
     rng = random.Random(q * 100 + len(words))
@@ -1496,7 +1494,7 @@ def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
         candidates.setdefault(rng.randrange(ctx.order**n), None)
     order = list(candidates)
     enc = rankmetric._Encoder(ctx)
-    straddled, lonely_seen = set(), False
+    lonely_seen = False
     for s in range(n + 1):
         centers = [_entries_of_index(ctx.order, n, c) for c in order]
         expected = [
@@ -1519,11 +1517,7 @@ def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
                 assert all(expected[i] == 0 for i in lonely)
                 lonely_seen = lonely_seen or bool(lonely)
             else:
-                sharers, lonely = [len(words)] * len(order), []
-            ends = [sum(sharers[: i + 1]) for i in range(len(order))]
-            straddled.update(
-                (keyed, s) for i, c in enumerate(sharers) if c and (ends[i] - c) // block != (ends[i] - 1) // block
-            )
+                lonely = []
             for probe in (False, True):
                 counts = listdec._near(ctx, n, s, words, candidates, keyed, probe)
                 assert list(counts) == order
@@ -1534,13 +1528,13 @@ def test_flat_pair_probes_count_like_brute_force(case, block, monkeypatch):
                     report = max_list_size(code, s, "montecarlo", centers=40, seed=5, neighborhood_cap=0)
                 assert (report.l_max, report.argmax_center.entries, report.centers_tried) == oracle
     assert lonely_seen == (case in NEAR_LONELY)
-    if block < listdec._PAIR_BLOCK:
-        assert (False, 0) in straddled
 
 
-def test_flat_pair_probes_hold_one_block_of_pairs_at_a_time(monkeypatch):
+def test_flat_pair_probes_hold_no_list_of_pairs():
     # 256 codewords against 800 candidates, none keyed: 204,800 pairs,
-    # whose three flat lists would take 4.9 MB of references alone
+    # whose three flat lists would take 4.9 MB of references alone; the
+    # stream holds the candidates, their forms and the tally, about
+    # 0.12 MB, and one list of 2^15 references (262 KB) would break the bound
     import tracemalloc
 
     ctx = default_context(2, 5)
@@ -1551,7 +1545,6 @@ def test_flat_pair_probes_hold_one_block_of_pairs_at_a_time(monkeypatch):
     while len(candidates) < 800:
         candidates.setdefault(rng.randrange(ctx.order**3), None)
     expected = listdec._near(ctx, 3, 1, words, candidates, False, True)
-    monkeypatch.setattr(listdec, "_PAIR_BLOCK", 1000)
     tracemalloc.start()
     try:
         counts = listdec._near(ctx, 3, 1, words, candidates, False, True)
@@ -1559,7 +1552,7 @@ def test_flat_pair_probes_hold_one_block_of_pairs_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert counts == expected
-    assert peak < 500_000
+    assert peak < 250_000
 
 
 # (q, m, n, k) of the linear codes whose Monte Carlo draws the coset
@@ -1778,6 +1771,49 @@ def test_gabidulin_codes_decode_uniquely_within_half_their_distance(q, m, n, k, 
             report = max_list_size(code, s)
             assert (report.l_max, vector_index(report.argmax_center)) == (1, 0), (route, s)
     assert seam.names == [route for route in LINEAR_ROUTES for _ in radii]
+
+
+# (q, m, n, k) of Gabidulin codes: l_max at s = n - k, counted by an
+# independent scatter of every codeword over every vector of rank <= s.
+# Measured data, not a theorem; each equals [n, n - k]_q
+GABIDULIN_AT_N_MINUS_K = {(2, 4, 4, 2): 35, (2, 4, 3, 1): 7, (3, 3, 3, 1): 13, (5, 2, 2, 1): 6, (2, 5, 4, 2): 35}
+# the radii each exhaustive route runs at per shape: all of them but the
+# scatter of 256 words past s = 2 (1.6-1.9 s each on a 2-core host) and
+# the coset tally of a 2^20 space past s = 2 (0.2-0.5 s); q2m5n4 takes the
+# linear routes only, the others their explicit twins' routes too
+EXHAUSTIVE_ROUTES = (*LINEAR_ROUTES, "counters", "scatter")
+GABIDULIN_BOUND_RUNS = {
+    (2, 4, 4, 2): {**dict.fromkeys(EXHAUSTIVE_ROUTES, range(5)), "scatter": range(3)},
+    (2, 4, 3, 1): dict.fromkeys(EXHAUSTIVE_ROUTES, range(4)),
+    (3, 3, 3, 1): dict.fromkeys(EXHAUSTIVE_ROUTES, range(4)),
+    (5, 2, 2, 1): dict.fromkeys(EXHAUSTIVE_ROUTES, range(3)),
+    (2, 5, 4, 2): {"fold": range(5), "coset": range(3)},
+}
+
+
+@pytest.mark.parametrize("q, m, n, k", sorted(GABIDULIN_BOUND_RUNS))
+def test_gabidulin_list_sizes_stay_under_the_mrd_bound_on_every_route(q, m, n, k, monkeypatch):
+    # for a codeword c within s of a center y, the row space of y - c lies
+    # in one of the [n, s]_q s-dimensional subspaces W of F_q^n; after a
+    # change of basis the codewords of one W agree with y on n - s
+    # coordinates, and an MRD code is systematic on any k of them, so each
+    # W holds at most q^(m max(0, s - n + k))
+    code = gabidulin(default_context(q, m), n, k)
+    twin = ExplicitCode(code.ctx, n, tuple(enumerate_codewords(code)))
+    runs = GABIDULIN_BOUND_RUNS[q, m, n, k]
+    seam = Seam(monkeypatch)
+    for s in range(n + 1):
+        bound = gaussian_binomial(n, s, q) * q ** (m * max(0, s - n + k))
+        reports = set()
+        for route in (route for route, radii in runs.items() if s in radii):
+            seam.route = route
+            report = max_list_size(code if route in LINEAR_ROUTES else twin, s)
+            assert report.l_max <= bound, (route, s)
+            reports.add(report)
+        assert len(reports) == 1, s
+        if s == n - k:
+            assert report.l_max == GABIDULIN_AT_N_MINUS_K[q, m, n, k]
+    assert seam.names == [route for s in range(n + 1) for route, radii in runs.items() if s in radii]
 
 
 def test_linear_codes_report_like_their_explicit_twins():

@@ -424,6 +424,20 @@ def test_one_monte_carlo_answer():
     assert not [node for node in ast.walk(func) if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)]
 
 
+def test_the_pair_scan_builds_no_list_of_pairs():
+    # _near streams its (candidate, codeword) pairs into one tally: no
+    # while loop and no slice of the pair iterators, one Counter of the
+    # owners its tests pass
+    tree = ast.parse((SOURCE / "listdec.py").read_text(encoding="utf-8"))
+    (func,) = [node for node in tree.body if getattr(node, "name", None) == "_near"]
+    assert not [node for node in ast.walk(func) if isinstance(node, ast.While)]
+    assert "islice" not in {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+    (tally,) = [node for node in calls if getattr(node.func, "id", None) == "Counter"]
+    (scan,) = tally.args
+    assert ast.unparse(scan) == "compress(owners, hits)"
+
+
 def test_codes_alone_knows_how_a_code_is_spanned():
     # codes builds every codeword and F_p basis: no other module takes a
     # Frobenius power (fields defines it), and listdec's kernels read the
